@@ -34,7 +34,7 @@ use crate::config::{DeadlockPolicy, LockMode, RtConfig};
 use crate::deadlock::{pick_victim, WaitForGraph};
 use crate::error::TxError;
 use crate::fault::{FaultAction, FaultContext, FaultPoint};
-use crate::node::TxNode;
+use crate::node::{TxNode, TxState};
 use crate::object::{
     AnyState, ObjectInner, ObjectSlot, Waiter, WakeCallback, W_CANCELLED, W_GRANTED, W_WAITING,
 };
@@ -496,17 +496,36 @@ struct TurnstileTicket<'a> {
     /// The committing top-level transaction (WAL record attribution).
     #[cfg_attr(loom, allow(dead_code))]
     top: u64,
-    /// Encoded `(object index, state bytes)` for every *durable* object
-    /// this commit published, accumulated under the slot mutexes in
-    /// `inherit_locks` and appended to the WAL inside the turnstile
-    /// window below — after the wait, before the `commit_ts` store — so
-    /// durable record order is exactly the dense ticket order.
+    /// This commit's log records, already framed and checksummed: one
+    /// `Publish` frame per *durable* object published, encoded under the
+    /// slot mutexes in `inherit_locks` (`ts` is known from the draw), and —
+    /// added by `drop` before the turnstile wait — the commit fence. The
+    /// block is copied into the WAL inside the turnstile window below —
+    /// after the wait, before the `commit_ts` store — so durable record
+    /// order is exactly the dense ticket order.
     #[cfg_attr(loom, allow(dead_code))]
-    wal_writes: Vec<(u32, Vec<u8>)>,
+    wal_block: Vec<u8>,
+    /// `Publish` frames in `wal_block`.
+    #[cfg_attr(loom, allow(dead_code))]
+    wal_publishes: usize,
 }
 
 impl Drop for TurnstileTicket<'_> {
     fn drop(&mut self) {
+        // Finish the log block while other committers may still be ahead
+        // of us: only the copy into the log has to happen in the window.
+        // `fence` is where the Publish frames end (the `WalMidCommit` cut).
+        // A commit that changed nothing durable skips the log entirely —
+        // timestamp gaps in the log are harmless, recovery orders by ts —
+        // and so does an unwinding one: a panicking committer may have
+        // published only part of its write set, and a commit fence for a
+        // partial set must never become durable.
+        #[cfg(not(loom))]
+        let fence = (!self.wal_block.is_empty() && !std::thread::panicking()).then(|| {
+            let fence = self.wal_block.len();
+            crate::wal::frame_commit(&mut self.wal_block, self.ts, self.top);
+            fence
+        });
         // Publication turnstile: wait for every earlier ticket's versions
         // to be fully published, then advance the snapshot clock over
         // ours. No mutex is held here (the slot guard is released before
@@ -537,13 +556,10 @@ impl Drop for TurnstileTicket<'_> {
         // WAL appends ride the turnstile window: we are the only committer
         // between the wait above and the store below, so commit records
         // land in dense ticket order and the durable order can never
-        // disagree with the order snapshot readers observe. Skipped on
-        // unwind — a panicking committer may have published only part of
-        // its write set, and a commit fence for a partial set must never
-        // become durable.
+        // disagree with the order snapshot readers observe.
         #[cfg(not(loom))]
-        if !std::thread::panicking() {
-            self.mgr.wal_commit(self.ts, self.top, &self.wal_writes);
+        if let Some(fence) = fence {
+            self.mgr.wal_commit(self, fence);
         }
         // Stamp the advance while still exclusive in the turnstile window
         // (before the store lets the next ticket through), so TSADV events
@@ -664,44 +680,43 @@ impl ManagerInner {
     /// points bracket every durability transition; a simulated crash
     /// freezes the log (further appends/fsyncs are dropped) but leaves the
     /// in-memory manager running so the harness can tear it down.
+    ///
+    /// The ticket's block holds its `Publish` frames in `[..fence]`, then
+    /// the commit fence.
     #[cfg_attr(loom, allow(dead_code))]
-    fn wal_commit(&self, ts: u64, top: u64, writes: &[(u32, Vec<u8>)]) {
+    fn wal_commit(&self, ticket: &TurnstileTicket<'_>, fence: usize) {
         let Some(wal) = &self.wal else { return };
-        if writes.is_empty() {
-            // Nothing durable changed: skip the log entirely. Timestamp
-            // gaps in the log are harmless — recovery orders by ts.
-            return;
-        }
+        let (ts, top, block) = (ticket.ts, ticket.top, &ticket.wal_block[..]);
+        let publishes = ticket.wal_publishes;
         if self.wal_crash(FaultPoint::WalPreAppend, top) {
             wal.freeze();
         }
-        let mut appended = 0u64;
-        for (obj, data) in writes {
-            if wal.append_publish(ts, top, *obj, data) {
-                appended += 1;
-            }
-        }
-        if self.wal_crash(FaultPoint::WalMidCommit, top) {
+        let (due, records) = if self.wal_crash(FaultPoint::WalMidCommit, top) {
+            // Died between the last Publish and the fence.
+            let torn = wal.append_frames(&block[..fence]);
             wal.freeze();
-        }
-        if wal.append_commit(ts, top) {
-            appended += 1;
-        }
-        if appended > 0 {
-            self.stats.add(Ctr::WalAppends, appended);
+            (None, if torn { publishes } else { 0 })
+        } else {
+            let due = wal.append_commit_block(block, ts);
+            (due, if due.is_some() { publishes + 1 } else { 0 })
+        };
+        if records > 0 {
+            self.stats.add(Ctr::WalAppends, records as u64);
             self.trace(RtEvent::WalAppend {
                 tx: top,
                 ts,
-                records: appended as usize,
+                records,
             });
         }
         if self.wal_crash(FaultPoint::WalPostAppend, top) {
             wal.freeze();
         }
-        if wal.sync_due() && wal.sync() {
+        // Both are no-ops on a log frozen since the append.
+        let Some(due) = due else { return };
+        if due.sync && wal.sync() {
             self.stats.bump(Ctr::WalFsyncs);
         }
-        if wal.should_checkpoint() {
+        if due.checkpoint {
             self.wal_checkpoint(ts, top);
         }
     }
@@ -715,15 +730,25 @@ impl ManagerInner {
     #[cfg_attr(loom, allow(dead_code))]
     fn wal_checkpoint(&self, ts: u64, top: u64) {
         let Some(wal) = &self.wal else { return };
-        let mut entries: Vec<(u32, Vec<u8>)> = Vec::new();
-        for idx in 0..self.objects.len() {
-            let slot = self.objects.get(idx);
-            let Some(codec) = &slot.codec else { continue };
-            let mut buf = Vec::new();
-            slot.snap.read(|| ts, |st| (codec.encode)(st, &mut buf));
-            entries.push((u32::try_from(idx).expect("object index fits u32"), buf));
-        }
-        if !wal.begin_checkpoint(ts, &entries) {
+        // Encode every durable object's version at `ts` straight into the
+        // new segment's leading record.
+        let mut objects = 0u32;
+        let begun = wal.begin_checkpoint(ts, |out| {
+            for idx in 0..self.objects.len() {
+                let slot = self.objects.get(idx);
+                let Some(codec) = &slot.codec else { continue };
+                crate::wal::put_entry(
+                    out,
+                    u32::try_from(idx).expect("object index fits u32"),
+                    |data| {
+                        slot.snap.read(|| ts, |st| (codec.encode)(st, data));
+                    },
+                );
+                objects += 1;
+            }
+            objects
+        });
+        if !begun {
             return;
         }
         self.stats.bump(Ctr::WalAppends);
@@ -736,7 +761,7 @@ impl ManagerInner {
         self.stats.bump(Ctr::WalFsyncs);
         self.trace(RtEvent::Checkpoint {
             ts,
-            objects: entries.len(),
+            objects: objects as usize,
         });
     }
 
@@ -1671,19 +1696,25 @@ impl ManagerInner {
                         // turnstile that publishes the ticket.
                         ts: self.ts_alloc.fetch_add(1, Ordering::Relaxed) + 1,
                         top: node.id,
-                        wal_writes: Vec::new(),
+                        wal_block: Vec::new(),
+                        wal_publishes: 0,
                     });
                     let ts = t.ts;
                     if self.wal.is_some() {
                         if let Some(codec) = &slot.codec {
                             // Encode under the slot mutex (the base cannot
-                            // change underneath); the bytes are appended
-                            // later, inside the turnstile window, where no
-                            // slot mutex is held.
-                            let mut buf = Vec::new();
-                            (codec.encode)(guard.base.as_any(), &mut buf);
-                            t.wal_writes
-                                .push((u32::try_from(obj).expect("object index fits u32"), buf));
+                            // change underneath), straight into a finished
+                            // frame; the block is appended later, inside
+                            // the turnstile window, where no slot mutex is
+                            // held.
+                            crate::wal::frame_publish(
+                                &mut t.wal_block,
+                                ts,
+                                node.id,
+                                u32::try_from(obj).expect("object index fits u32"),
+                                |out| (codec.encode)(guard.base.as_any(), out),
+                            );
+                            t.wal_publishes += 1;
                         }
                     }
                     slot.snap.publish(ts, guard.base.clone_box());
@@ -1725,6 +1756,16 @@ impl ManagerInner {
     /// aborted.
     pub(crate) fn abort_subtree(&self, root: &Arc<TxNode>) -> usize {
         let mut newly_aborted = 0usize;
+        // A wound can race its victim's own commit; whoever wins the
+        // Active → Committed/Aborted transition on the root decides. A root
+        // that committed is past aborting: its inheritance pass may still
+        // be publishing, and discarding now would tear its write set.
+        if root.mark_aborted() {
+            newly_aborted += 1;
+            self.trace(RtEvent::Abort { tx: root.id });
+        } else if root.state() == TxState::Committed {
+            return 0;
+        }
         let mut touched: Vec<usize> = Vec::new();
         let mut waiting: Vec<usize> = Vec::new();
         root.for_subtree(&mut |n| {

@@ -47,10 +47,14 @@ impl Tx {
     }
 
     fn check_usable(&self) -> Result<(), TxError> {
+        // Read "finished" before the doom check: a wound from another
+        // thread that lands in between must read as `Doomed`, never as
+        // `AlreadyFinished`.
+        let finished = self.finished.load(Ordering::SeqCst) || self.node.state() != TxState::Active;
         if self.node.is_doomed() {
             return Err(TxError::Doomed);
         }
-        if self.finished.load(Ordering::SeqCst) || self.node.state() != TxState::Active {
+        if finished {
             return Err(TxError::AlreadyFinished);
         }
         Ok(())
@@ -272,7 +276,11 @@ impl Tx {
             }
         }
         if !self.node.mark_committed() {
-            return Err(TxError::AlreadyFinished);
+            // `finished` rules out a second commit through this handle, so
+            // the node was aborted from another thread (a wound) between
+            // the doom check above and here; that abort cleans up.
+            self.decrement_parent_live();
+            return Err(TxError::Doomed);
         }
         self.mgr.trace(RtEvent::Commit {
             tx: self.node.id,

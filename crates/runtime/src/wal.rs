@@ -29,23 +29,53 @@
 //! prefers the newest segment that starts with a valid checkpoint and
 //! replays forward from it.
 //!
+//! ## Staging
+//!
+//! No record reaches the kernel on its own. Every record is framed into one
+//! user-space staging buffer owned by the log (under its leaf mutex): `Begin`
+//! and `Abort` are framed in place, a commit's `Publish`/`Commit` frames
+//! arrive as one pre-encoded block (framed and checksummed by the committer
+//! *before* its turnstile wait) and cost one `memcpy` inside the window. The
+//! **logical log is `file bytes ++ staged bytes`**; `appended`,
+//! `unsynced_bytes()` and `crash_teardown(keep)` all speak about that logical
+//! tail. The stage reaches the file with a single `write_all` when
+//!
+//! 1. the policy says an fsync is due (`Always`: every commit; `Group`: the
+//!    batch is full or its deadline passed) — flush, then `fdatasync`;
+//! 2. it passes [`STAGE_FLUSH_BYTES`] (64 KiB) — flush only, no fsync, no
+//!    `durable_ts` promotion (this is how `Never` reaches the OS);
+//! 3. a checkpoint rotates the segment — flush + fsync of the old segment,
+//!    then the `Checkpoint` record itself is framed into the emptied stage
+//!    and flushed as the new segment's first bytes;
+//! 4. the log is dropped cleanly — flush + fsync;
+//! 5. `crash_teardown(keep)` materialises the kept part of the staged tail.
+//!
+//! Staged bytes are appended in turnstile order and flushed in buffer order,
+//! so the file is always a commit-ordered prefix of the logical log and the
+//! ordering argument above is untouched: the stage is one more volatile
+//! layer above the page cache, and the crash model treats the two alike. A
+//! failed flush freezes the log exactly as a failed fsync does; `durable_ts`
+//! is never promoted past it.
+//!
 //! ## Group commit
 //!
 //! `FsyncPolicy::Group(n, d)` acks a commit as soon as its records are
-//! appended and defers the fsync until `n` commits are pending or the oldest
-//! pending commit is older than `d`. The durable prefix (`durable_ts`) then
-//! trails the published clock — recovery returns some prefix in
-//! `[durable_ts, crash clock]`, and the kill-and-recover fuzz
-//! (`ntx-sim::fuzz_crash_run`) checks exactly that containment.
+//! staged and defers the flush + fsync until `n` commits are pending or the
+//! oldest pending commit is older than `d` *when the next commit arrives*.
+//! The durable prefix (`durable_ts`) then trails the published clock —
+//! recovery returns some prefix in `[durable_ts, crash clock]`, and the
+//! kill-and-recover fuzz (`ntx-sim::fuzz_crash_run`) checks exactly that
+//! containment.
 //!
 //! ## Crash simulation
 //!
-//! `freeze()` models the process dying at a WAL yield point: the file is
-//! never written again (appends and fsyncs become silent no-ops) while the
-//! in-memory manager stays alive so the test driver can wind down.
-//! `crash_teardown(keep)` additionally truncates the live segment to the
-//! synced prefix plus `keep` bytes of unsynced tail — a torn final record,
-//! the shape real power loss leaves behind.
+//! `freeze()` models the process dying at a WAL yield point: nothing is
+//! staged, flushed or fsynced again (appends become silent no-ops) while the
+//! in-memory manager stays alive so the test driver can wind down; the bytes
+//! staged before the freeze are kept for teardown. `crash_teardown(keep)`
+//! additionally cuts the logical log to the synced prefix plus `keep` bytes
+//! of unsynced tail — writing out the kept part of the stage, then
+//! truncating — a torn final record, the shape real power loss leaves behind.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
@@ -63,13 +93,18 @@ pub enum FsyncPolicy {
     /// but the device flush serialises the commit path (see bench B7).
     Always,
     /// Group commit: acknowledge after append, fsync once this many commits
-    /// are pending or the oldest pending commit has waited this long.
+    /// are pending or — checked only when the *next* commit arrives, there
+    /// is no background flusher — the oldest pending commit has waited this
+    /// long. An idle log therefore keeps its last partial batch volatile
+    /// until another commit, a checkpoint or a clean close;
+    /// [`crate::TxManager::wal_durable_ts`] is the only durability promise.
     /// Commits become durable as a batch; recovery may lose an
     /// acknowledged-but-unsynced suffix (a documented durable-prefix
     /// guarantee, never a torn or reordered state).
     Group(usize, Duration),
-    /// Never fsync while running; flush once on clean close only. For tests
-    /// and benchmarks that want append cost without device cost.
+    /// Never fsync while running; records reach the OS in 64 KiB chunks and
+    /// are fsynced once on clean close only. For tests and benchmarks that
+    /// want append cost without device cost.
     Never,
 }
 
@@ -257,46 +292,94 @@ pub(crate) enum WalRecord {
     },
 }
 
-fn payload_begin(top: u64) -> Vec<u8> {
-    let mut p = vec![TAG_BEGIN];
+// Payload writers append one record's payload (tag first) to `p`; [`frame`]
+// wraps any of them in the `[len][crc]` header without an intermediate copy.
+
+fn put_begin(p: &mut Vec<u8>, top: u64) {
+    p.push(TAG_BEGIN);
     p.extend_from_slice(&top.to_le_bytes());
-    p
 }
 
-fn payload_publish(ts: u64, top: u64, obj: u32, data: &[u8]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(1 + 8 + 8 + 4 + 4 + data.len());
+/// Fill in a `u32` placeholder reserved at `at` once its value is known.
+fn patch_u32(out: &mut [u8], at: usize, v: u32) {
+    out[at..at + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// One object's `(obj: u32, len: u32, data)` — the tail of a `Publish` and
+/// the unit of a `Checkpoint`. `state` appends the encoded object state;
+/// its length is patched in after.
+pub(crate) fn put_entry(p: &mut Vec<u8>, obj: u32, state: impl FnOnce(&mut Vec<u8>)) {
+    p.extend_from_slice(&obj.to_le_bytes());
+    let len_at = p.len();
+    p.extend_from_slice(&[0; 4]);
+    state(p);
+    let len = (p.len() - len_at - 4) as u32;
+    patch_u32(p, len_at, len);
+}
+
+fn put_publish(p: &mut Vec<u8>, ts: u64, top: u64, obj: u32, state: impl FnOnce(&mut Vec<u8>)) {
     p.push(TAG_PUBLISH);
     p.extend_from_slice(&ts.to_le_bytes());
     p.extend_from_slice(&top.to_le_bytes());
-    p.extend_from_slice(&obj.to_le_bytes());
-    p.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    p.extend_from_slice(data);
-    p
+    put_entry(p, obj, state);
 }
 
-fn payload_commit(ts: u64, top: u64) -> Vec<u8> {
-    let mut p = vec![TAG_COMMIT];
+fn put_commit(p: &mut Vec<u8>, ts: u64, top: u64) {
+    p.push(TAG_COMMIT);
     p.extend_from_slice(&ts.to_le_bytes());
     p.extend_from_slice(&top.to_le_bytes());
-    p
 }
 
-fn payload_abort(top: u64) -> Vec<u8> {
-    let mut p = vec![TAG_ABORT];
+fn put_abort(p: &mut Vec<u8>, top: u64) {
+    p.push(TAG_ABORT);
     p.extend_from_slice(&top.to_le_bytes());
-    p
 }
 
-fn payload_checkpoint(ts: u64, entries: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let mut p = vec![TAG_CHECKPOINT];
-    p.extend_from_slice(&ts.to_le_bytes());
-    p.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (obj, data) in entries {
-        p.extend_from_slice(&obj.to_le_bytes());
-        p.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        p.extend_from_slice(data);
-    }
-    p
+/// Frame one record at the end of `out`: reserve the header, let `payload`
+/// write the body in place, then patch in its length and CRC.
+fn frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    payload(out);
+    let body = &out[at + 8..];
+    let (len, crc) = (body.len() as u32, crc32(body));
+    patch_u32(out, at, len);
+    patch_u32(out, at + 4, crc);
+}
+
+/// Append a framed `Publish` record to a committer's frame block; `state`
+/// writes the object's encoded state straight into the frame.
+pub(crate) fn frame_publish(
+    block: &mut Vec<u8>,
+    ts: u64,
+    top: u64,
+    obj: u32,
+    state: impl FnOnce(&mut Vec<u8>),
+) {
+    // Room for this frame with a small state and for the fence, so a
+    // typical commit grows its block once instead of by doubling from 8.
+    block.reserve(96);
+    frame(block, |p| put_publish(p, ts, top, obj, state));
+}
+
+/// Append the framed commit fence for (`ts`, `top`) to a frame block.
+#[cfg_attr(loom, allow(dead_code))]
+pub(crate) fn frame_commit(block: &mut Vec<u8>, ts: u64, top: u64) {
+    frame(block, |p| put_commit(p, ts, top));
+}
+
+/// Frame the `Checkpoint` record for the cut at `ts` at the end of `out`:
+/// `entries` writes one [`put_entry`] per durable object straight into the
+/// record and returns how many it wrote.
+fn frame_checkpoint(out: &mut Vec<u8>, ts: u64, entries: impl FnOnce(&mut Vec<u8>) -> u32) {
+    frame(out, |p| {
+        p.push(TAG_CHECKPOINT);
+        p.extend_from_slice(&ts.to_le_bytes());
+        let n_at = p.len();
+        p.extend_from_slice(&[0; 4]);
+        let n = entries(p);
+        patch_u32(p, n_at, n);
+    });
 }
 
 /// Bounds-checked little-endian cursor over a record payload.
@@ -366,18 +449,13 @@ pub(crate) fn decode_record(payload: &[u8]) -> Option<WalRecord> {
     c.done().then_some(rec)
 }
 
-fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-/// Split a segment's bytes into its valid record prefix. Returns the decoded
-/// records and the byte length of the valid prefix; anything past it — a
-/// short header, an oversized length, a CRC mismatch, or an undecodable
-/// payload — is a torn tail to be discarded.
-pub(crate) fn parse_frames(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
-    let mut recs = Vec::new();
+/// Walk a segment's valid frame prefix without allocating: every payload
+/// whose length header fits and whose CRC matches is handed to `visit`,
+/// which returns `false` if it cannot accept the payload. Returns the byte
+/// length of the valid prefix; anything past it — a short header, an
+/// oversized length, a CRC mismatch, or a payload `visit` rejected — is a
+/// torn tail to be discarded.
+pub(crate) fn walk_frames(bytes: &[u8], mut visit: impl FnMut(&[u8]) -> bool) -> usize {
     let mut i = 0usize;
     while let Some(header) = bytes.get(i..i + 8) {
         let len = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice"));
@@ -388,16 +466,44 @@ pub(crate) fn parse_frames(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
         let Some(payload) = bytes.get(i + 8..i + 8 + len as usize) else {
             break;
         };
-        if crc32(payload) != crc {
+        if crc32(payload) != crc || !visit(payload) {
             break;
         }
-        let Some(rec) = decode_record(payload) else {
-            break;
-        };
-        recs.push(rec);
         i += 8 + len as usize;
     }
-    (recs, i)
+    i
+}
+
+/// Split a segment's bytes into its valid record prefix: the decoded
+/// records and the byte length they span (see [`walk_frames`]; an
+/// undecodable payload ends the prefix).
+pub(crate) fn parse_frames(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
+    let mut recs = Vec::new();
+    let valid = walk_frames(bytes, |payload| {
+        decode_record(payload).map(|rec| recs.push(rec)).is_some()
+    });
+    (recs, valid)
+}
+
+/// What [`Wal::open`] needs from a payload, without building a
+/// [`WalRecord`]: `None` exactly when [`decode_record`] would reject it,
+/// otherwise the commit timestamp it makes durable (0 for records that
+/// carry none). Only a `Checkpoint` — at most one per segment — allocates.
+fn durable_ts_of(payload: &[u8]) -> Option<u64> {
+    let le = |at: usize, n: usize| payload.get(at..at + n);
+    match (*payload.first()?, payload.len()) {
+        (TAG_BEGIN | TAG_ABORT, 9) => Some(0),
+        (TAG_COMMIT, 17) => Some(u64::from_le_bytes(le(1, 8)?.try_into().ok()?)),
+        (TAG_PUBLISH, n) => {
+            let data_len = u32::from_le_bytes(le(21, 4)?.try_into().ok()?);
+            (n - 25 == data_len as usize).then_some(0)
+        }
+        (TAG_CHECKPOINT, _) => match decode_record(payload)? {
+            WalRecord::Checkpoint { ts, .. } => Some(ts),
+            _ => None,
+        },
+        _ => None,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -432,6 +538,11 @@ pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 // The log itself
 // ---------------------------------------------------------------------------
 
+/// The stage is written out (without an fsync) once it holds this many
+/// bytes, so a long `Group` batch or a `Never` log neither grows the buffer
+/// without bound nor hands the kernel one record at a time.
+const STAGE_FLUSH_BYTES: usize = 64 << 10;
+
 /// Mutable log state; the mutex is a leaf in the crate lock order (appends
 /// from the turnstile window hold no slot mutex, and begin/abort appends
 /// happen outside any lock).
@@ -439,7 +550,13 @@ struct WalInner {
     file: File,
     /// Index of the live (append) segment.
     seg: u64,
-    /// Bytes appended to the live segment.
+    /// Lowest segment index that may still be on disk; everything from
+    /// here up to `seg` is deleted when the next checkpoint completes.
+    oldest_seg: u64,
+    /// Framed records appended but not yet written to `file`: the volatile
+    /// tail of the logical log (`file bytes ++ stage`).
+    stage: Vec<u8>,
+    /// Logical length of the live segment (file bytes plus staged bytes).
     appended: u64,
     /// Bytes of the live segment known to be on stable storage.
     synced: u64,
@@ -451,6 +568,35 @@ struct WalInner {
     commits_since_checkpoint: u64,
     /// Highest commit timestamp appended (promoted to `durable_ts` at sync).
     appended_commit_ts: u64,
+}
+
+impl WalInner {
+    /// Bytes of the live segment that have been written to the file.
+    fn file_len(&self) -> u64 {
+        self.appended - self.stage.len() as u64
+    }
+
+    /// Hand the staged bytes to the OS with one `write`. On error the stage
+    /// is kept (the caller freezes the log) so teardown still knows the
+    /// logical tail.
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.stage.is_empty() {
+            self.file.write_all(&self.stage)?;
+            self.stage.clear();
+        }
+        Ok(())
+    }
+}
+
+/// What the policy wants done after a commit block was appended; the caller
+/// (still inside its turnstile window) acts on it with [`Wal::sync`] and a
+/// checkpoint.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct CommitDue {
+    /// An fsync is due (`Always`, a full `Group` batch, or its deadline).
+    pub(crate) sync: bool,
+    /// `checkpoint_every` commits have accumulated in this segment.
+    pub(crate) checkpoint: bool,
 }
 
 /// A segmented append-only write-ahead log. See the module docs for the
@@ -482,6 +628,7 @@ impl Wal {
             Some((n, p)) => (*n, p.clone()),
             None => (0, seg_path(dir, 0)),
         };
+        let oldest_seg = segs.first().map_or(seg, |(n, _)| *n);
         let mut file = OpenOptions::new()
             .create(true)
             .truncate(false)
@@ -490,21 +637,19 @@ impl Wal {
             .open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let (recs, valid) = parse_frames(&bytes);
-        if (valid as u64) < bytes.len() as u64 {
-            file.set_len(valid as u64)?;
+        // Everything already on disk is durable; seed the bookkeeping with
+        // its highest commit timestamp so a later fsync with no fresh
+        // commits cannot regress `durable_ts`.
+        let mut max_ts = 0u64;
+        let valid = walk_frames(&bytes, |payload| {
+            durable_ts_of(payload)
+                .map(|ts| max_ts = max_ts.max(ts))
+                .is_some()
+        }) as u64;
+        if valid < bytes.len() as u64 {
+            file.set_len(valid)?;
         }
-        file.seek(SeekFrom::Start(valid as u64))?;
-        // Everything already on disk is durable; seed the bookkeeping so a
-        // later fsync with no fresh commits cannot regress `durable_ts`.
-        let max_ts = recs
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::Commit { ts, .. } | WalRecord::Checkpoint { ts, .. } => Some(*ts),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
+        file.seek(SeekFrom::Start(valid))?;
         Ok(Wal {
             dir: dir.to_path_buf(),
             policy,
@@ -512,12 +657,16 @@ impl Wal {
             frozen: AtomicBool::new(false),
             durable_ts: AtomicU64::new(max_ts),
             batch_max: AtomicU64::new(0),
-            repaired: bytes.len() as u64 - valid as u64,
+            repaired: bytes.len() as u64 - valid,
             inner: Mutex::new(WalInner {
                 file,
                 seg,
-                appended: valid as u64,
-                synced: valid as u64,
+                oldest_seg,
+                // Headroom for the block that crosses the threshold, so
+                // ordinary commits never regrow the buffer.
+                stage: Vec::with_capacity(STAGE_FLUSH_BYTES + 4096),
+                appended: valid,
+                synced: valid,
                 pending: 0,
                 pending_since: None,
                 commits_since_checkpoint: 0,
@@ -531,70 +680,86 @@ impl Wal {
         &self.dir
     }
 
-    fn append_frame(&self, payload: &[u8], commit_ts: Option<u64>) -> bool {
+    /// The one append path: `fill` adds framed records to the stage under
+    /// the log mutex. With `commit_ts` the bytes end in that commit's fence,
+    /// and the result says what the policy now wants. `None` when nothing
+    /// was appended (frozen log, or the 64 KiB flush failed).
+    fn append(&self, fill: impl FnOnce(&mut Vec<u8>), commit_ts: Option<u64>) -> Option<CommitDue> {
         if self.frozen.load(Ordering::SeqCst) {
-            return false;
+            return None;
         }
         let mut inner = self.inner.lock();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        push_frame(&mut frame, payload);
-        if inner.file.write_all(&frame).is_err() {
-            // An io error leaves the tail in an unknown state; freeze
-            // rather than keep acknowledging commits we cannot persist.
-            self.frozen.store(true, Ordering::SeqCst);
-            return false;
-        }
-        inner.appended += frame.len() as u64;
+        let before = inner.stage.len();
+        fill(&mut inner.stage);
+        inner.appended += (inner.stage.len() - before) as u64;
+        let mut due = CommitDue::default();
         if let Some(ts) = commit_ts {
             inner.pending += 1;
-            if inner.pending_since.is_none() {
-                inner.pending_since = Some(Instant::now());
-            }
             inner.commits_since_checkpoint += 1;
             inner.appended_commit_ts = ts;
+            due.sync = match self.policy {
+                FsyncPolicy::Always => true,
+                FsyncPolicy::Never => false,
+                FsyncPolicy::Group(n, d) => {
+                    let since = *inner.pending_since.get_or_insert_with(Instant::now);
+                    inner.pending >= n as u64 || since.elapsed() >= d
+                }
+            };
+            due.checkpoint = self.checkpoint_every > 0
+                && inner.commits_since_checkpoint >= self.checkpoint_every;
         }
-        true
+        // A due sync flushes anyway; otherwise keep the stage bounded.
+        if !due.sync && inner.stage.len() >= STAGE_FLUSH_BYTES && inner.flush().is_err() {
+            self.freeze();
+            return None;
+        }
+        Some(due)
     }
 
-    /// Append a `Begin` record. Returns whether a record was written.
+    /// Append a `Begin` record. Returns whether a record was appended.
     pub(crate) fn append_begin(&self, top: u64) -> bool {
-        self.append_frame(&payload_begin(top), None)
+        self.append(|s| frame(s, |p| put_begin(p, top)), None)
+            .is_some()
     }
 
     /// Append an `Abort` record for a top-level transaction.
     pub(crate) fn append_abort(&self, top: u64) -> bool {
-        self.append_frame(&payload_abort(top), None)
+        self.append(|s| frame(s, |p| put_abort(p, top)), None)
+            .is_some()
     }
 
-    /// Append one object's published state for a committing transaction.
-    pub(crate) fn append_publish(&self, ts: u64, top: u64, obj: u32, data: &[u8]) -> bool {
-        self.append_frame(&payload_publish(ts, top, obj, data), None)
+    /// Append pre-framed records that do not complete a commit (the
+    /// `Publish` half of a commit block torn at its `WalMidCommit` point).
+    pub(crate) fn append_frames(&self, frames: &[u8]) -> bool {
+        self.append(|s| s.extend_from_slice(frames), None).is_some()
     }
 
-    /// Append the commit fence for (`ts`, `top`).
-    pub(crate) fn append_commit(&self, ts: u64, top: u64) -> bool {
-        self.append_frame(&payload_commit(ts, top), Some(ts))
+    /// Append a whole commit — its `Publish` frames followed by the commit
+    /// fence for `ts`, pre-framed by the committer — with one copy, and
+    /// report what is due. `None` when the log is frozen.
+    pub(crate) fn append_commit_block(&self, block: &[u8], ts: u64) -> Option<CommitDue> {
+        self.append(|s| s.extend_from_slice(block), Some(ts))
     }
 
-    /// Whether the policy wants an fsync now (pending commits hit the group
-    /// size, the group deadline passed, or the policy is `Always`).
-    pub(crate) fn sync_due(&self) -> bool {
-        if self.frozen.load(Ordering::SeqCst) {
+    /// Flush the stage and fsync the live segment, promoting every appended
+    /// commit to durable. Freezes the log and returns `false` on an io
+    /// error, leaving `durable_ts` where it was.
+    fn make_durable(&self, inner: &mut WalInner) -> bool {
+        if inner.flush().and_then(|()| inner.file.sync_data()).is_err() {
+            self.freeze();
             return false;
         }
-        let inner = self.inner.lock();
-        match self.policy {
-            FsyncPolicy::Always => inner.pending > 0,
-            FsyncPolicy::Never => false,
-            FsyncPolicy::Group(n, d) => {
-                inner.pending >= n as u64
-                    || (inner.pending > 0 && inner.pending_since.is_some_and(|t| t.elapsed() >= d))
-            }
-        }
+        self.batch_max.fetch_max(inner.pending, Ordering::SeqCst);
+        inner.pending = 0;
+        inner.pending_since = None;
+        inner.synced = inner.appended;
+        self.durable_ts
+            .store(inner.appended_commit_ts, Ordering::SeqCst);
+        true
     }
 
-    /// Fsync the live segment, promoting every appended commit to durable.
-    /// Returns whether a device flush actually ran.
+    /// Flush and fsync the live segment, promoting every appended commit to
+    /// durable. Returns whether a device flush actually ran.
     pub(crate) fn sync(&self) -> bool {
         if self.frozen.load(Ordering::SeqCst) {
             return false;
@@ -603,48 +768,31 @@ impl Wal {
         if inner.synced == inner.appended && inner.pending == 0 {
             return false;
         }
-        if inner.file.sync_data().is_err() {
-            self.frozen.store(true, Ordering::SeqCst);
-            return false;
-        }
-        self.batch_max.fetch_max(inner.pending, Ordering::SeqCst);
-        inner.pending = 0;
-        inner.pending_since = None;
-        inner.synced = inner.appended;
-        self.durable_ts
-            .store(inner.appended_commit_ts, Ordering::SeqCst);
-        true
-    }
-
-    /// Whether enough commits have accumulated to warrant a checkpoint.
-    pub(crate) fn should_checkpoint(&self) -> bool {
-        self.checkpoint_every > 0
-            && !self.frozen.load(Ordering::SeqCst)
-            && self.inner.lock().commits_since_checkpoint >= self.checkpoint_every
+        self.make_durable(&mut inner)
     }
 
     /// First half of a checkpoint: make the old segment fully durable, then
     /// rotate to a fresh segment whose first record snapshots every durable
-    /// object at `ts`. Old segments are deleted only by
-    /// [`Wal::finish_checkpoint`], so a crash between the two halves leaves
-    /// the log fully recoverable (the torn checkpoint segment is discarded
-    /// and recovery falls back to the intact earlier segments).
-    pub(crate) fn begin_checkpoint(&self, ts: u64, entries: &[(u32, Vec<u8>)]) -> bool {
+    /// object at `ts` — `entries` writes one [`put_entry`] per object and
+    /// returns how many. The record is framed straight into the (just
+    /// emptied) stage and written out as the new segment's first bytes;
+    /// `entries` runs under the log mutex and must not call back into the
+    /// log. Old segments are deleted only by [`Wal::finish_checkpoint`], so
+    /// a crash between the two halves leaves the log fully recoverable (the
+    /// torn checkpoint segment is discarded and recovery falls back to the
+    /// intact earlier segments).
+    pub(crate) fn begin_checkpoint(
+        &self,
+        ts: u64,
+        entries: impl FnOnce(&mut Vec<u8>) -> u32,
+    ) -> bool {
         if self.frozen.load(Ordering::SeqCst) {
             return false;
         }
         let mut inner = self.inner.lock();
-        if inner.file.sync_data().is_err() {
-            self.frozen.store(true, Ordering::SeqCst);
+        if !self.make_durable(&mut inner) {
             return false;
         }
-        self.batch_max.fetch_max(inner.pending, Ordering::SeqCst);
-        inner.pending = 0;
-        inner.pending_since = None;
-        inner.synced = inner.appended;
-        self.durable_ts
-            .store(inner.appended_commit_ts, Ordering::SeqCst);
-
         let next = inner.seg + 1;
         let file = OpenOptions::new()
             .create(true)
@@ -652,24 +800,21 @@ impl Wal {
             .write(true)
             .truncate(true)
             .open(seg_path(&self.dir, next));
-        let mut file = match file {
-            Ok(f) => f,
-            Err(_) => {
-                self.frozen.store(true, Ordering::SeqCst);
-                return false;
-            }
-        };
-        let mut frame = Vec::new();
-        push_frame(&mut frame, &payload_checkpoint(ts, entries));
-        if file.write_all(&frame).is_err() {
-            self.frozen.store(true, Ordering::SeqCst);
+        let Ok(file) = file else {
+            self.freeze();
             return false;
-        }
+        };
         inner.file = file;
         inner.seg = next;
-        inner.appended = frame.len() as u64;
+        inner.appended = 0;
         inner.synced = 0;
         inner.commits_since_checkpoint = 0;
+        frame_checkpoint(&mut inner.stage, ts, entries);
+        inner.appended = inner.stage.len() as u64;
+        if inner.flush().is_err() {
+            self.freeze();
+            return false;
+        }
         true
     }
 
@@ -680,25 +825,28 @@ impl Wal {
             return 0;
         }
         let mut inner = self.inner.lock();
-        if inner.file.sync_data().is_err() {
-            self.frozen.store(true, Ordering::SeqCst);
+        // `Begin`/`Abort` records may have been staged since the rotation
+        // (they are appended outside the turnstile); no commit has.
+        if !self.make_durable(&mut inner) {
             return 0;
         }
-        inner.synced = inner.appended;
-        let mut removed = 0;
-        if let Ok(segs) = list_segments(&self.dir) {
-            for (n, p) in segs {
-                if n < inner.seg && fs::remove_file(&p).is_ok() {
-                    removed += 1;
-                }
-            }
-        }
-        removed
+        // By name, not by listing the directory: checkpoints run on client
+        // threads, and a `read_dir` buffer per checkpoint is exactly the
+        // kind of large transient allocation this log no longer makes.
+        let superseded = inner.oldest_seg..inner.seg;
+        inner.oldest_seg = inner.seg;
+        superseded
+            .filter(|&n| fs::remove_file(seg_path(&self.dir, n)).is_ok())
+            .count()
     }
 
-    /// Simulate the process dying at this instant: no further bytes ever
-    /// reach the file. Idempotent; the in-memory manager stays usable so a
-    /// test driver can wind down its open transactions.
+    /// Simulate the process dying at this instant: no further bytes are
+    /// ever appended, flushed or fsynced. What is already staged stays in
+    /// memory so [`Wal::crash_teardown`] can decide how much of it "made
+    /// it". Idempotent; the in-memory manager stays usable so a test driver
+    /// can wind down its open transactions. An io error freezes the log the
+    /// same way: the tail is in an unknown state, so stop acknowledging
+    /// commits we cannot persist.
     pub(crate) fn freeze(&self) {
         self.frozen.store(true, Ordering::SeqCst);
     }
@@ -708,19 +856,31 @@ impl Wal {
         self.frozen.load(Ordering::SeqCst)
     }
 
-    /// Simulate power loss: freeze, then truncate the live segment to its
-    /// synced prefix plus `keep_unsynced` bytes of unsynced tail. Passing a
+    /// Simulate power loss: freeze, then cut the live segment to its synced
+    /// prefix plus `keep_unsynced` bytes of the *logical* unsynced tail
+    /// (written-but-unsynced file bytes, then staged bytes). Passing a
     /// value that lands mid-record produces a torn final record for
     /// recovery's tail repair to discard.
     pub(crate) fn crash_teardown(&self, keep_unsynced: u64) -> io::Result<()> {
         self.freeze();
-        let inner = self.inner.lock();
+        let mut inner = self.inner.lock();
+        let inner = &mut *inner;
         let target = inner.synced + keep_unsynced.min(inner.appended - inner.synced);
-        inner.file.set_len(target)?;
-        Ok(())
+        let file_len = inner.file_len();
+        if target > file_len {
+            // The cut falls inside the stage: those bytes "reached the
+            // disk" in this crash, so materialise them. Seek explicitly —
+            // a failed flush may have left the cursor anywhere.
+            inner.file.seek(SeekFrom::Start(file_len))?;
+            inner
+                .file
+                .write_all(&inner.stage[..(target - file_len) as usize])?;
+        }
+        inner.file.set_len(target)
     }
 
-    /// Bytes appended to the live segment but not yet fsynced.
+    /// Bytes appended to the live segment (written or still staged) but not
+    /// yet fsynced.
     pub(crate) fn unsynced_bytes(&self) -> u64 {
         let inner = self.inner.lock();
         inner.appended - inner.synced
@@ -745,11 +905,13 @@ impl Wal {
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        // Clean close: flush whatever the policy left pending so `Never`
-        // and `Group` tails survive an orderly shutdown. A frozen log is
-        // simulating a dead process and must not touch the file.
+        // Clean close: write out and fsync whatever the policy left staged
+        // or pending so `Never` and `Group` tails survive an orderly
+        // shutdown. A frozen log is simulating a dead process and must not
+        // touch the file.
         if !self.frozen.load(Ordering::SeqCst) {
-            let _ = self.inner.lock().file.sync_data();
+            let mut inner = self.inner.lock();
+            let _ = inner.flush().and_then(|()| inner.file.sync_data());
         }
     }
 }
@@ -764,6 +926,40 @@ mod tests {
         d
     }
 
+    /// A standalone payload (the writers append in place).
+    fn payload(put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut p = Vec::new();
+        put(&mut p);
+        p
+    }
+
+    fn payload_publish(ts: u64, top: u64, obj: u32, data: &[u8]) -> Vec<u8> {
+        payload(|p| put_publish(p, ts, top, obj, |d| d.extend_from_slice(data)))
+    }
+
+    fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
+        frame(out, |p| p.extend_from_slice(payload));
+    }
+
+    /// Append a lone `Publish` record, as a torn commit block would.
+    fn append_publish(wal: &Wal, ts: u64, top: u64, obj: u32, data: &[u8]) -> bool {
+        let mut block = Vec::new();
+        frame_publish(&mut block, ts, top, obj, |d| d.extend_from_slice(data));
+        wal.append_frames(&block)
+    }
+
+    /// Append a commit block holding just the fence for (`ts`, `top`).
+    fn append_commit(wal: &Wal, ts: u64, top: u64) -> Option<CommitDue> {
+        let mut block = Vec::new();
+        frame_commit(&mut block, ts, top);
+        wal.append_commit_block(&block, ts)
+    }
+
+    fn live_segment_len(dir: &Path) -> u64 {
+        let seg = list_segments(dir).unwrap().pop().unwrap().1;
+        fs::metadata(seg).unwrap().len()
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // The canonical IEEE CRC32 check value.
@@ -773,11 +969,18 @@ mod tests {
     #[test]
     fn records_round_trip() {
         let cases = [
-            payload_begin(7),
+            payload(|p| put_begin(p, 7)),
             payload_publish(3, 7, 2, &42i64.to_le_bytes()),
-            payload_commit(3, 7),
-            payload_abort(9),
-            payload_checkpoint(5, &[(0, vec![1, 2, 3]), (4, vec![])]),
+            payload(|p| put_commit(p, 3, 7)),
+            payload(|p| put_abort(p, 9)),
+            payload(|p| {
+                frame_checkpoint(p, 5, |p| {
+                    put_entry(p, 0, |d| d.extend_from_slice(&[1, 2, 3]));
+                    put_entry(p, 4, |_| {});
+                    2
+                })
+            })[8..]
+                .to_vec(),
         ];
         let expect = vec![
             WalRecord::Begin { top: 7 },
@@ -796,17 +999,30 @@ mod tests {
         ];
         for (payload, want) in cases.iter().zip(&expect) {
             assert_eq!(decode_record(payload).as_ref(), Some(want));
+            // The allocation-free check `Wal::open` uses accepts the same
+            // payloads and rejects the same truncations.
+            let ts = match want {
+                WalRecord::Commit { ts, .. } | WalRecord::Checkpoint { ts, .. } => *ts,
+                _ => 0,
+            };
+            assert_eq!(durable_ts_of(payload), Some(ts));
+            for cut in 0..payload.len() {
+                assert_eq!(
+                    durable_ts_of(&payload[..cut]).is_some(),
+                    decode_record(&payload[..cut]).is_some()
+                );
+            }
         }
     }
 
     #[test]
     fn parse_stops_at_torn_tail() {
         let mut bytes = Vec::new();
-        push_frame(&mut bytes, &payload_begin(1));
-        push_frame(&mut bytes, &payload_commit(1, 1));
+        push_frame(&mut bytes, &payload(|p| put_begin(p, 1)));
+        push_frame(&mut bytes, &payload(|p| put_commit(p, 1, 1)));
         let valid = bytes.len();
         // A torn third record: header promises more bytes than exist.
-        push_frame(&mut bytes, &payload_commit(2, 2));
+        push_frame(&mut bytes, &payload(|p| put_commit(p, 2, 2)));
         bytes.truncate(valid + 5);
         let (recs, n) = parse_frames(&bytes);
         assert_eq!(n, valid);
@@ -814,7 +1030,7 @@ mod tests {
 
         // A bit-flipped payload fails the CRC and also stops the parse.
         let mut flipped = Vec::new();
-        push_frame(&mut flipped, &payload_begin(1));
+        push_frame(&mut flipped, &payload(|p| put_begin(p, 1)));
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
         assert_eq!(parse_frames(&flipped), (vec![], 0));
@@ -826,8 +1042,8 @@ mod tests {
         {
             let wal = Wal::open(&dir, FsyncPolicy::Always, 0).unwrap();
             assert!(wal.append_begin(1));
-            assert!(wal.append_publish(1, 1, 0, &5i64.to_le_bytes()));
-            assert!(wal.append_commit(1, 1));
+            assert!(append_publish(&wal, 1, 1, 0, &5i64.to_le_bytes()));
+            assert!(append_commit(&wal, 1, 1).is_some());
             assert!(wal.sync());
             assert_eq!(wal.durable_ts(), 1);
         }
@@ -840,7 +1056,7 @@ mod tests {
         let wal = Wal::open(&dir, FsyncPolicy::Always, 0).unwrap();
         assert_eq!(wal.durable_ts(), 1);
         // Appending after repair yields a cleanly parseable log.
-        assert!(wal.append_commit(2, 2));
+        assert!(append_commit(&wal, 2, 2).is_some());
         drop(wal);
         let bytes = fs::read(&seg).unwrap();
         let (recs, n) = parse_frames(&bytes);
@@ -853,14 +1069,14 @@ mod tests {
     fn frozen_log_drops_appends_and_teardown_truncates() {
         let dir = tmp("freeze");
         let wal = Wal::open(&dir, FsyncPolicy::Never, 0).unwrap();
-        assert!(wal.append_commit(1, 1));
+        assert!(append_commit(&wal, 1, 1).is_some());
         assert!(wal.sync()); // manual sync still works under Never
-        assert!(wal.append_commit(2, 2));
+        assert!(append_commit(&wal, 2, 2).is_some());
         let unsynced = wal.unsynced_bytes();
         assert!(unsynced > 0);
         wal.crash_teardown(unsynced - 3).unwrap();
         assert!(wal.is_frozen());
-        assert!(!wal.append_commit(3, 3));
+        assert!(append_commit(&wal, 3, 3).is_none());
         assert!(!wal.sync());
         drop(wal);
 
@@ -875,12 +1091,9 @@ mod tests {
     fn group_policy_defers_until_batch_size() {
         let dir = tmp("group");
         let wal = Wal::open(&dir, FsyncPolicy::Group(3, Duration::from_secs(3600)), 0).unwrap();
-        assert!(wal.append_commit(1, 1));
-        assert!(!wal.sync_due());
-        assert!(wal.append_commit(2, 2));
-        assert!(!wal.sync_due());
-        assert!(wal.append_commit(3, 3));
-        assert!(wal.sync_due());
+        assert!(!append_commit(&wal, 1, 1).unwrap().sync);
+        assert!(!append_commit(&wal, 2, 2).unwrap().sync);
+        assert!(append_commit(&wal, 3, 3).unwrap().sync);
         assert!(wal.sync());
         assert_eq!(wal.batch_max(), 3);
         assert_eq!(wal.durable_ts(), 3);
@@ -893,17 +1106,156 @@ mod tests {
         let dir = tmp("ckpt");
         let wal = Wal::open(&dir, FsyncPolicy::Always, 0).unwrap();
         for ts in 1..=4u64 {
-            assert!(wal.append_publish(ts, ts, 0, &(ts as i64).to_le_bytes()));
-            assert!(wal.append_commit(ts, ts));
+            assert!(append_publish(&wal, ts, ts, 0, &(ts as i64).to_le_bytes()));
+            assert!(append_commit(&wal, ts, ts).is_some());
             assert!(wal.sync());
         }
-        assert!(wal.begin_checkpoint(4, &[(0, 4i64.to_le_bytes().to_vec())]));
+        assert!(wal.begin_checkpoint(4, |p| {
+            put_entry(p, 0, |d| d.extend_from_slice(&4i64.to_le_bytes()));
+            1
+        }));
         assert_eq!(wal.finish_checkpoint(), 1);
         let segs = list_segments(&dir).unwrap();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].0, 1);
         let (recs, _) = parse_frames(&fs::read(&segs[0].1).unwrap());
         assert!(matches!(recs[0], WalRecord::Checkpoint { ts: 4, .. }));
+        drop(wal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    const NEVER_SYNCS: FsyncPolicy = FsyncPolicy::Group(1000, Duration::from_secs(3600));
+
+    #[test]
+    fn group_commits_stay_staged_until_a_sync_is_due() {
+        let dir = tmp("staged");
+        let wal = Wal::open(&dir, NEVER_SYNCS, 0).unwrap();
+        assert!(append_commit(&wal, 1, 1).is_some());
+        assert!(wal.sync());
+        let synced = live_segment_len(&dir);
+        let mut framed = 0u64;
+        for ts in 2..=6u64 {
+            assert!(wal.append_begin(ts));
+            assert!(append_publish(&wal, ts, ts, 0, &7i64.to_le_bytes()));
+            assert!(append_commit(&wal, ts, ts).is_some());
+            framed += (8 + 9) + (8 + 25 + 8) + (8 + 17);
+        }
+        assert_eq!(live_segment_len(&dir), synced, "nothing reached the file");
+        assert_eq!(wal.unsynced_bytes(), framed);
+        assert_eq!(wal.durable_ts(), 1);
+        drop(wal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_full_stage_is_written_without_fsync_or_promotion() {
+        let dir = tmp("chunk");
+        let wal = Wal::open(&dir, FsyncPolicy::Never, 0).unwrap();
+        let mut ts = 0u64;
+        while live_segment_len(&dir) == 0 {
+            ts += 1;
+            assert!(!append_commit(&wal, ts, ts).unwrap().sync);
+            assert!(ts < 10_000, "the stage never reached the file");
+        }
+        // Exactly the stage that crossed the threshold was written, as one
+        // chunk ending on a record boundary; it is still unsynced.
+        let written = live_segment_len(&dir);
+        assert_eq!(written, ts * 25);
+        assert!((STAGE_FLUSH_BYTES as u64..STAGE_FLUSH_BYTES as u64 + 25).contains(&written));
+        assert_eq!(wal.unsynced_bytes(), written);
+        assert_eq!(wal.durable_ts(), 0);
+        assert_eq!(wal.batch_max(), 0);
+        drop(wal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn teardown_cuts_the_logical_tail_at_any_offset() {
+        // Two synced commits, then two staged ones (25 bytes each).
+        for keep in [0u64, 7, 25, 30, 50, u64::MAX] {
+            let dir = tmp("cut");
+            let wal = Wal::open(&dir, NEVER_SYNCS, 0).unwrap();
+            for ts in 1..=2u64 {
+                assert!(append_commit(&wal, ts, ts).is_some());
+            }
+            assert!(wal.sync());
+            for ts in 3..=4u64 {
+                assert!(append_commit(&wal, ts, ts).is_some());
+            }
+            wal.crash_teardown(keep).unwrap();
+            drop(wal);
+            let kept = keep.min(50);
+            assert_eq!(live_segment_len(&dir), 50 + kept);
+            let seg = list_segments(&dir).unwrap().pop().unwrap().1;
+            let (recs, valid) = parse_frames(&fs::read(seg).unwrap());
+            assert_eq!(valid as u64, 50 + kept / 25 * 25);
+            assert_eq!(recs.len() as u64, 2 + kept / 25);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn appends_after_a_freeze_never_surface() {
+        let dir = tmp("postfreeze");
+        let wal = Wal::open(&dir, NEVER_SYNCS, 0).unwrap();
+        assert!(append_commit(&wal, 1, 1).is_some());
+        wal.freeze();
+        let at_freeze = wal.unsynced_bytes();
+        assert!(!wal.append_begin(2));
+        assert!(!append_publish(&wal, 2, 2, 0, &[1]));
+        assert!(append_commit(&wal, 2, 2).is_none());
+        assert_eq!(wal.unsynced_bytes(), at_freeze);
+        wal.crash_teardown(u64::MAX).unwrap();
+        drop(wal);
+        // The staged pre-freeze commit was materialised; nothing else.
+        assert_eq!(live_segment_len(&dir), at_freeze);
+        let wal = Wal::open(&dir, NEVER_SYNCS, 0).unwrap();
+        assert_eq!((wal.durable_ts(), wal.repaired_bytes()), (1, 0));
+        drop(wal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_and_clean_drop_write_the_stage_out() {
+        let dir = tmp("flushes");
+        let wal = Wal::open(&dir, NEVER_SYNCS, 0).unwrap();
+        for ts in 1..=3u64 {
+            assert!(append_commit(&wal, ts, ts).is_some());
+        }
+        let old = list_segments(&dir).unwrap().pop().unwrap().1;
+        assert_eq!(fs::metadata(&old).unwrap().len(), 0);
+        assert!(wal.begin_checkpoint(3, |_| 0));
+        // The old segment was completed and made durable before rotating.
+        assert_eq!(fs::metadata(&old).unwrap().len(), 75);
+        assert_eq!(wal.durable_ts(), 3);
+        assert_eq!(wal.finish_checkpoint(), 1);
+        assert!(wal.append_begin(4));
+        assert!(append_commit(&wal, 4, 4).is_some());
+        let appended = wal.unsynced_bytes() + live_segment_len(&dir);
+        drop(wal);
+        assert_eq!(live_segment_len(&dir), appended, "clean drop loses nothing");
+        let wal = Wal::open(&dir, NEVER_SYNCS, 0).unwrap();
+        assert_eq!((wal.durable_ts(), wal.repaired_bytes()), (4, 0));
+        drop(wal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopened_log_prunes_segments_a_crash_left_behind() {
+        let dir = tmp("leftover");
+        {
+            let wal = Wal::open(&dir, FsyncPolicy::Always, 0).unwrap();
+            assert!(append_commit(&wal, 1, 1).is_some());
+            // Died between the two halves: segment 0 is never deleted.
+            assert!(wal.begin_checkpoint(1, |_| 0));
+            wal.crash_teardown(u64::MAX).unwrap();
+        }
+        let wal = Wal::open(&dir, FsyncPolicy::Always, 0).unwrap();
+        assert_eq!(list_segments(&dir).unwrap().len(), 2);
+        assert!(append_commit(&wal, 2, 2).is_some());
+        assert!(wal.begin_checkpoint(2, |_| 0));
+        assert_eq!(wal.finish_checkpoint(), 2, "both superseded segments go");
+        assert_eq!(list_segments(&dir).unwrap()[0].0, 2);
         drop(wal);
         let _ = fs::remove_dir_all(&dir);
     }

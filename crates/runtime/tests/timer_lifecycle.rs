@@ -14,7 +14,7 @@ use std::pin::pin;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ntx_runtime::{RtConfig, TxManager};
 
@@ -57,6 +57,11 @@ fn run_contended_async_write(mgr: &TxManager) {
             matches!(fut.as_mut().poll(&mut cx), Poll::Pending),
             "writer must queue behind the holder"
         );
+        // The spawned thread names itself, so its `comm` trails the spawn.
+        let named_by = Instant::now() + Duration::from_secs(5);
+        while timer_threads() != 1 && Instant::now() < named_by {
+            std::thread::yield_now();
+        }
         assert_eq!(timer_threads(), 1, "queued future spawns the timer thread");
         holder.commit().unwrap();
         recv.recv_timeout(Duration::from_secs(5))

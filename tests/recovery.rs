@@ -211,6 +211,35 @@ fn group_commit_loses_at_most_the_unsynced_suffix() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A partial group never reaches the file while the manager runs — it sits
+/// in the log's staging buffer — but an orderly shutdown writes it out and
+/// fsyncs it: nothing acknowledged is lost and nothing is torn.
+#[test]
+fn clean_shutdown_keeps_a_partial_group() {
+    let dir = tmp("partial-group");
+    let group = FsyncPolicy::Group(1000, Duration::from_secs(3600));
+    {
+        let mgr = TxManager::new(durable_cfg(&dir, group, 0));
+        let x = mgr.register_durable("x", 0i64);
+        for i in 1..=5i64 {
+            let tx = mgr.begin();
+            tx.write(&x, |v| *v = i).unwrap();
+            tx.commit().unwrap();
+        }
+        assert_eq!(mgr.wal_durable_ts(), 0, "the group never filled");
+        assert!(mgr.wal_unsynced_bytes() > 0);
+    }
+    let mgr = TxManager::new(durable_cfg(&dir, group, 0));
+    let x = mgr.register_durable("x", 0i64);
+    let rec = mgr.recover().unwrap();
+    assert_eq!(rec.commits_redone, 5);
+    assert_eq!(rec.recovered_ts, 5);
+    assert_eq!(rec.torn_bytes, 0);
+    assert_eq!(mgr.read_committed(&x, |v| *v), 5);
+    assert_eq!(mgr.wal_durable_ts(), 5, "what is on disk is durable");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
