@@ -4,7 +4,6 @@
 //! ```text
 //! harness -- all            # every experiment, quick sizes
 //! harness -- e1 [--full]    # one experiment; --full = publication sizes
-//! harness -- bseries        # B-series scalability; writes BENCH_runtime.json
 //! ```
 
 use ntx_bench::model_exps::{
@@ -29,14 +28,6 @@ fn main() {
 
     let run_all = which.contains(&"all");
     let mut ran = 0;
-
-    // The B-series is excluded from `all` (it writes BENCH_runtime.json in
-    // the working directory and takes tens of seconds even at quick sizes);
-    // run it explicitly with `harness -- bseries [--full]`.
-    if which.contains(&"bseries") {
-        run_bseries(full);
-        ran += 1;
-    }
 
     let mut run = |ids: &[&str], f: &dyn Fn() -> Table| {
         if run_all || ids.iter().any(|id| which.contains(id)) {
@@ -68,51 +59,8 @@ fn main() {
 
     if ran == 0 {
         eprintln!(
-            "unknown experiment {which:?}; available: all e1 e2 e3 e4 e5 e7 e8 e9 a1 a2 a3 bseries (E6 = `cargo bench -p ntx-bench`)"
+            "unknown experiment {which:?}; available: all e1 e2 e3 e4 e5 e7 e8 e9 a1 a2 a3 (E6 = `cargo bench -p ntx-bench`)"
         );
         std::process::exit(2);
     }
-}
-
-/// Run B0–B8 (the multicore-scalability suite, durable-commit throughput,
-/// and the open-loop async-session bench), print the markdown tables, and
-/// write the machine-readable results to `BENCH_runtime.json` in the
-/// current directory (run from the repo root to refresh the checked-in
-/// copy).
-fn run_bseries(full: bool) {
-    use ntx_bench::open_loop::b8_open_loop;
-    use ntx_bench::scaling::{
-        b0_uncontended, b1_thread_scaling, b2_read_fraction, b3_zipf_sweep, b4_hot_key_handoff,
-        b5_snapshot_reads, b6_grant_waves, b7_group_commit, bench_json,
-    };
-
-    let (b0_iters, b1_txs, b23_txs, b7_commits) = if full {
-        (200_000, 1_500, 600, 20_000)
-    } else {
-        (20_000, 150, 80, 2_000)
-    };
-    let (t0, b0) = b0_uncontended(b0_iters);
-    println!("{}", t0.to_markdown());
-    let (t1, b1) = b1_thread_scaling(b1_txs);
-    println!("{}", t1.to_markdown());
-    let (t2, b2) = b2_read_fraction(b23_txs);
-    println!("{}", t2.to_markdown());
-    let (t3, b3) = b3_zipf_sweep(b23_txs);
-    println!("{}", t3.to_markdown());
-    let (t4, b4) = b4_hot_key_handoff(b23_txs);
-    println!("{}", t4.to_markdown());
-    let (t5, b5) = b5_snapshot_reads(b23_txs);
-    println!("{}", t5.to_markdown());
-    let (t6, b6) = b6_grant_waves(b23_txs);
-    println!("{}", t6.to_markdown());
-    let (t7, b7) = b7_group_commit(b7_commits);
-    println!("{}", t7.to_markdown());
-    let (t8, b8) = b8_open_loop(full);
-    println!("{}", t8.to_markdown());
-
-    let mode = if full { "full" } else { "quick" };
-    let doc = bench_json(mode, &b0, &b1, &b2, &b3, &b4, &b5, &b6, &b7, &b8);
-    let path = "BENCH_runtime.json";
-    std::fs::write(path, &doc).expect("write BENCH_runtime.json");
-    eprintln!("wrote {path} ({} bytes, mode={mode})", doc.len());
 }

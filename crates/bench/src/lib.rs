@@ -7,15 +7,12 @@
 //! ```text
 //! cargo run -p ntx-bench --release --bin harness -- all
 //! cargo run -p ntx-bench --release --bin harness -- e3 --full
-//! cargo run -p ntx-bench --release --bin harness -- bseries   # + BENCH_runtime.json
 //! ```
 //!
 //! Criterion micro-benchmarks (E6 and serializer costs) live in `benches/`.
 
 pub mod model_exps;
-pub mod open_loop;
 pub mod runtime_exps;
-pub mod scaling;
 pub mod table;
 
 pub(crate) mod sync;

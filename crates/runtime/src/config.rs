@@ -62,28 +62,6 @@ pub struct RtConfig {
     /// Action-trace recorder (`None` = tracing off). See
     /// [`crate::TraceRecorder`].
     pub trace: Option<Arc<TraceRecorder>>,
-    /// Number of locality cohorts for cohort-aware grant batching
-    /// (hierarchical-MCS-style handoff preference). `0` disables the
-    /// preference entirely: release scans grant in strict
-    /// FIFO-compatibility order, exactly the pre-cohort behaviour. When
-    /// `> 0`, each waiter is tagged `thread_index() % cohorts` and a
-    /// release scan may prefer a same-cohort waiter over earlier queued
-    /// strangers, bounded by [`RtConfig::cohort_fairness_bound`]. Ignored
-    /// under [`DeadlockPolicy::WoundWait`], whose age-ordered queue is
-    /// load-bearing for deadlock freedom.
-    pub cohorts: usize,
-    /// Hard fairness bound `B` for cohort preference: a queued waiter can
-    /// be bypassed by cohort-preferred grants at most `B` times before the
-    /// scan reverts to strict FIFO for it. Bounds both writer starvation
-    /// and tail latency under cohort batching.
-    pub cohort_fairness_bound: u32,
-    /// Adaptive spin-then-park gate: when an object's recent-hold-time
-    /// EWMA sits at or below this threshold, a blocked request extends its
-    /// pre-park spin (to a small multiple of the EWMA) so short waits
-    /// resolve by spin-grant without paying the cross-thread park/unpark.
-    /// Objects with longer observed holds park after the minimal fixed
-    /// spin, as before.
-    pub spin_hold_threshold: Duration,
     /// Directory for the write-ahead log's segment files. `None` (the
     /// default) disables durability entirely: no WAL is opened, commits pay
     /// zero io, and every pre-existing workload behaves exactly as before.
@@ -113,9 +91,6 @@ impl std::fmt::Debug for RtConfig {
             )
             .field("fault", &self.fault.as_ref().map(|_| "<injector>"))
             .field("trace", &self.trace)
-            .field("cohorts", &self.cohorts)
-            .field("cohort_fairness_bound", &self.cohort_fairness_bound)
-            .field("spin_hold_threshold", &self.spin_hold_threshold)
             .field("wal_dir", &self.wal_dir)
             .field("fsync_policy", &self.fsync_policy)
             .field("checkpoint_every", &self.checkpoint_every)
@@ -132,9 +107,6 @@ impl Default for RtConfig {
             drop_read_lock_when_write_held: false,
             fault: None,
             trace: None,
-            cohorts: 0,
-            cohort_fairness_bound: 4,
-            spin_hold_threshold: Duration::from_micros(20),
             wal_dir: None,
             fsync_policy: FsyncPolicy::Always,
             checkpoint_every: 0,
@@ -164,9 +136,6 @@ mod tests {
         assert!(!c.drop_read_lock_when_write_held);
         assert!(c.fault.is_none());
         assert!(c.trace.is_none());
-        assert_eq!(c.cohorts, 0, "cohort preference must default off");
-        assert!(c.cohort_fairness_bound > 0);
-        assert!(c.spin_hold_threshold > Duration::ZERO);
         assert!(c.wal_dir.is_none(), "durability must default off");
         assert_eq!(c.fsync_policy, FsyncPolicy::Always);
         assert_eq!(c.checkpoint_every, 0);

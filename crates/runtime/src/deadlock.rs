@@ -109,8 +109,8 @@ impl WaitForGraph {
     /// Replace `waiter`'s out-edges *without* running cycle detection —
     /// a single-stripe operation for refreshing an already-published wait
     /// set. Shrinking a checked edge set can never close a new cycle; a
-    /// *grown* set (a queue-jumped successor became a holder under the
-    /// bounded cohort/ancestor bypasses) is also safe here because the
+    /// *grown* set (a queue-jumped successor became a holder under an
+    /// ancestor-held bypass) is also safe here because the
     /// release scan republishes it under the slot mutex before the newly
     /// granted transaction can block again, so any cycle the grown edge
     /// participates in is still closed — and detected — by some waiter's

@@ -83,7 +83,6 @@ pub use future::AccessFuture;
 pub use manager::{ObjRef, Snapshot, TxManager};
 pub use recovery::RecoveryReport;
 pub use savepoint::SavepointScope;
-pub use shard::set_worker_cohort;
 pub use stats::StatsSnapshot;
 pub use trace::{RtEvent, Stamped, TraceRecorder, TxTraceStats};
 pub use tx::Tx;

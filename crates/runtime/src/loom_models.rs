@@ -30,18 +30,12 @@ use crate::trace::{RtEvent, TraceRecorder};
 /// A bare manager (no `TxManager` wrapper) so models can reach the
 /// `pub(crate)` waiter-path entry points directly.
 fn mk_mgr(deadlock: DeadlockPolicy) -> Arc<ManagerInner> {
-    mk_mgr_with(RtConfig {
-        deadlock,
-        wait_timeout: Duration::from_millis(50),
-        ..RtConfig::default()
-    })
-}
-
-/// [`mk_mgr`] with a fully explicit config (the cohort models need the
-/// cohort knobs set).
-fn mk_mgr_with(config: RtConfig) -> Arc<ManagerInner> {
     Arc::new(ManagerInner {
-        config,
+        config: RtConfig {
+            deadlock,
+            wait_timeout: Duration::from_millis(50),
+            ..RtConfig::default()
+        },
         objects: Slab::new(),
         next_tx_id: AtomicU64::new(1),
         wait_graph: WaitForGraph::new(),
@@ -49,7 +43,6 @@ fn mk_mgr_with(config: RtConfig) -> Arc<ManagerInner> {
         ts_alloc: AtomicU64::new(0),
         commit_ts: AtomicU64::new(0),
         live_snapshots: crate::sync::Mutex::new(std::collections::BTreeMap::new()),
-        max_bypass: AtomicU64::new(0),
         wal: None,
     })
 }
@@ -112,7 +105,7 @@ fn loom_timeout_withdraw_vs_grant() {
         let obj = obj_with_write_holder(&mgr, &holder);
         let w = {
             let mut g = mgr.slot(obj).inner.lock();
-            mgr.enqueue_waiter(&mut g, &waiter_tx, &waiter_tx, obj, true)
+            mgr.enqueue_waiter(&mut g, &waiter_tx, &waiter_tx, obj, true, None)
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
         // The releaser: aborting the holder discards its lock and runs the
@@ -165,7 +158,7 @@ fn loom_doomed_waiter_never_granted() {
         let obj = obj_with_write_holder(&mgr, &holder);
         let w = {
             let mut g = mgr.slot(obj).inner.lock();
-            mgr.enqueue_waiter(&mut g, &waiter_tx, &waiter_tx, obj, true)
+            mgr.enqueue_waiter(&mut g, &waiter_tx, &waiter_tx, obj, true, None)
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
         let releaser = loom::thread::spawn(move || {
@@ -212,8 +205,8 @@ fn loom_write_pending_latch_blocks_until_apply() {
         let (w2, w3) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &writer_tx, &writer_tx, obj, true),
-                mgr.enqueue_waiter(&mut g, &reader_tx, &reader_tx, obj, false),
+                mgr.enqueue_waiter(&mut g, &writer_tx, &writer_tx, obj, true, None),
+                mgr.enqueue_waiter(&mut g, &reader_tx, &reader_tx, obj, false, None),
             )
         };
         let (m2, h2, w3b) = (mgr.clone(), holder.clone(), w3.clone());
@@ -279,8 +272,8 @@ fn loom_no_double_write_grant() {
         let (wa, wb) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &wa_tx, &wa_tx, obj, true),
-                mgr.enqueue_waiter(&mut g, &wb_tx, &wb_tx, obj, true),
+                mgr.enqueue_waiter(&mut g, &wa_tx, &wa_tx, obj, true, None),
+                mgr.enqueue_waiter(&mut g, &wb_tx, &wb_tx, obj, true, None),
             )
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
@@ -326,8 +319,8 @@ fn loom_wave_grant_vs_timeout_withdraw_exactly_one_winner() {
         let (r2, r3) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &r2_tx, &r2_tx, obj, false),
-                mgr.enqueue_waiter(&mut g, &r3_tx, &r3_tx, obj, false),
+                mgr.enqueue_waiter(&mut g, &r2_tx, &r2_tx, obj, false, None),
+                mgr.enqueue_waiter(&mut g, &r3_tx, &r3_tx, obj, false, None),
             )
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
@@ -366,101 +359,6 @@ fn loom_wave_grant_vs_timeout_withdraw_exactly_one_winner() {
         assert_eq!(snap.read_grants, expect.len() as u64);
         assert_eq!(snap.wave_grants, expect.len() as u64);
         assert_eq!(snap.handoffs, 1, "the grants must form one wave");
-        assert_eq!(snap.wave_size_hist.iter().sum::<u64>(), 1);
-    });
-}
-
-/// **Cohort fairness bound**: with cohorts enabled and `B = 1`, a scan
-/// from the local cohort may bypass the remote-cohort head writer exactly
-/// once — racing scans included — and the next wave after the preferred
-/// writer applies must grant the head. The head's bypass count never
-/// exceeds `B`, even with a spurious concurrent scan in flight.
-#[test]
-fn loom_cohort_preference_respects_fairness_bound() {
-    loom::model(|| {
-        let mgr = mk_mgr_with(RtConfig {
-            deadlock: DeadlockPolicy::TimeoutOnly,
-            wait_timeout: Duration::from_millis(50),
-            cohorts: 2,
-            cohort_fairness_bound: 1,
-            ..RtConfig::default()
-        });
-        let holder = TxNode::top_level(1);
-        let remote_tx = TxNode::top_level(2); // cohort 1, queue head
-        let local_tx = TxNode::top_level(3); // cohort 0, queued behind
-        let obj = obj_with_write_holder(&mgr, &holder);
-        let (remote, local) = {
-            let mut g = mgr.slot(obj).inner.lock();
-            (
-                mgr.enqueue_waiter_with_cohort(&mut g, &remote_tx, &remote_tx, obj, true, 1),
-                mgr.enqueue_waiter_with_cohort(&mut g, &local_tx, &local_tx, obj, true, 0),
-            )
-        };
-        // The releaser: free the holder's lock by hand and scan from
-        // cohort 0 — cohort preference picks the local writer over the
-        // remote head, charging the head one bypass.
-        let (m2, h2) = (mgr.clone(), holder.clone());
-        let releaser = loom::thread::spawn(move || {
-            let wake = {
-                let mut g = m2.slot(obj).inner.lock();
-                g.discard_subtree(&h2);
-                m2.release_scan_from(obj, &mut g, 0)
-            };
-            for x in wake {
-                x.wake();
-            }
-        });
-        // A racing spurious scan, also from cohort 0.
-        let wake = {
-            let mut g = mgr.slot(obj).inner.lock();
-            mgr.release_scan_from(obj, &mut g, 0)
-        };
-        for x in wake {
-            x.wake();
-        }
-        releaser.join().unwrap();
-
-        assert_eq!(
-            local.state(),
-            W_GRANTED,
-            "cohort preference must pick the local writer first"
-        );
-        assert_eq!(remote.state(), W_WAITING, "head granted while latch set");
-        assert_eq!(
-            remote.bypass_count(),
-            1,
-            "head must be charged exactly once"
-        );
-        // Play the granted local writer: apply, clear the latch, then
-        // finish (abort) it so the lock frees. The follow-up scan runs
-        // from cohort 0 again — the head's bypass count has reached B,
-        // so preference must yield to strict FIFO.
-        let wake = {
-            let mut g = mgr.slot(obj).inner.lock();
-            assert_eq!(g.write_pending, Some(3));
-            let _ = g.write_target(&local_tx);
-            g.write_pending = None;
-            g.discard_subtree(&local_tx);
-            mgr.release_scan_from(obj, &mut g, 0)
-        };
-        for x in wake {
-            x.wake();
-        }
-        assert_eq!(
-            remote.state(),
-            W_GRANTED,
-            "remote head starved past the fairness bound"
-        );
-        assert!(remote.bypass_count() <= 1, "bypass bound exceeded");
-        let snap = mgr.stats.snapshot();
-        assert_eq!(snap.cohort_bypasses, 1);
-        assert_eq!(snap.cohort_hits, 1, "only the local grant is a hit");
-        assert_eq!(snap.handoffs, 2, "two waves of one writer each");
-        // relaxed(bypass-max): quiescent diagnostic read in a model.
-        assert!(
-            mgr.max_bypass.load(crate::sync::atomic::Ordering::Relaxed) <= 1,
-            "recorded high-watermark exceeds the bound"
-        );
     });
 }
 
@@ -603,13 +501,12 @@ fn loom_future_grant_vs_timeout_withdraw_callback() {
         let w = {
             let wk = woken.clone();
             let mut g = mgr.slot(obj).inner.lock();
-            mgr.enqueue_waiter_variant(
+            mgr.enqueue_waiter(
                 &mut g,
                 &waiter_tx,
                 &waiter_tx,
                 obj,
                 true,
-                0,
                 Some(Box::new(move || {
                     wk.fetch_add(1, crate::sync::atomic::Ordering::SeqCst);
                 })),

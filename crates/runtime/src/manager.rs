@@ -14,11 +14,10 @@
 //! inheritance, abort rollback, a handed-off writer finishing its apply)
 //! runs [`ManagerInner::release_scan`] under the slot mutex: it cancels
 //! doomed waiters in place, then computes one maximal **grant wave** — the
-//! run of compatible waiters pickable under the grant rule, including
-//! ancestor-held bypasses and (when enabled) cohort-preferred picks within
-//! a hard fairness bound — installs all of its lock state on the releasing
-//! thread, publishes one aggregated stats delta and one batched trace
-//! record for the whole wave, and wakes exactly the granted threads.
+//! run of compatible waiters pickable under the grant rule (FIFO head,
+//! else an ancestor-held bypass) — installs all of its lock state on the
+//! releasing thread, publishes one aggregated stats delta and one batched
+//! trace record for the whole wave, and wakes exactly the granted threads.
 //! Waiters never wake to re-fight for the mutex, and the deadlock detector
 //! derives each waiter's wait-for edges from queue membership: one checked
 //! publish per enqueue, checked-set refreshes as the queue moves (instead
@@ -55,6 +54,14 @@ const SPIN_ITERS: u32 = 64;
 /// spin-then-park path.
 #[cfg(loom)]
 const SPIN_ITERS: u32 = 1;
+
+/// Adaptive spin-then-park gate: when an object's recent-hold-time EWMA
+/// sits at or below this many nanoseconds, a blocked request extends its
+/// pre-park spin (to a small multiple of the EWMA) so short waits resolve
+/// by spin-grant without paying the cross-thread park/unpark. Objects with
+/// longer observed holds park after the minimal fixed spin.
+#[cfg(not(loom))]
+const SHORT_HOLD_NS: u64 = 20_000;
 
 /// Typed handle to a registered object.
 ///
@@ -100,10 +107,6 @@ pub(crate) struct ManagerInner {
     /// against GC watermark computation (lock order: slot mutex may be
     /// held while taking this; never the reverse).
     pub live_snapshots: Mutex<BTreeMap<u64, usize>>,
-    /// High-watermark of per-waiter cohort bypass counts ever observed
-    /// (diagnostics; the starvation tests assert it never exceeds
-    /// [`RtConfig::cohort_fairness_bound`]).
-    pub max_bypass: AtomicU64,
     /// Write-ahead log (`None` when [`RtConfig::wal_dir`] is unset — the
     /// default — in which case the commit path pays a single `Option`
     /// branch and no io).
@@ -138,7 +141,6 @@ impl ManagerInner {
             ts_alloc: AtomicU64::new(0),
             commit_ts: AtomicU64::new(0),
             live_snapshots: Mutex::new(BTreeMap::new()),
-            max_bypass: AtomicU64::new(0),
             #[cfg(not(loom))]
             timer: crate::timer::TimerService::new(),
         }
@@ -251,16 +253,6 @@ impl TxManager {
         (0..self.inner.objects.len())
             .map(|i| self.inner.objects.get(i).inner.lock().waiters())
             .sum()
-    }
-
-    /// Highest cohort-preference bypass count any single waiter has ever
-    /// accumulated (0 when cohorts are disabled). Bounded by
-    /// [`RtConfig::cohort_fairness_bound`] by construction; exposed so
-    /// starvation tests can assert the bound from the public API.
-    pub fn max_waiter_bypass(&self) -> u64 {
-        // relaxed(bypass-max): diagnostic high-watermark; read at
-        // quiescence by tests, no ordering role.
-        self.inner.max_bypass.load(Ordering::Relaxed)
     }
 
     /// Open a consistent read snapshot at the current commit timestamp.
@@ -453,10 +445,9 @@ pub(crate) enum Attempt<R, F> {
 /// Wait-for edge targets for queued waiter `w`, derived from queue
 /// membership: the top-level ids of every conflicting lock holder plus
 /// every live waiter queued ahead of `w` (queue order is a wait too — the
-/// scan grants FIFO up to bounded cohort/ancestor bypasses, so a
-/// predecessor edge is conservative but at most `B` grants stale). Sorted
-/// and deduped so refreshes can compare sets cheaply; `w`'s own top is
-/// excluded.
+/// scan grants FIFO up to ancestor-held bypasses, so a predecessor edge is
+/// conservative). Sorted and deduped so refreshes can compare sets
+/// cheaply; `w`'s own top is excluded.
 fn edge_targets(inner: &ObjectInner, w: &Arc<Waiter>) -> Vec<u64> {
     let my_top = w.owner.top_level_id();
     let mut tops: Vec<u64> = inner
@@ -834,23 +825,6 @@ impl ManagerInner {
         }
     }
 
-    /// The calling thread's locality cohort under the configured cohort
-    /// count (always 0 when cohorts are disabled). An explicit worker-index
-    /// hint ([`crate::set_worker_cohort`], installed by async executor
-    /// workers) takes precedence over the dense per-thread stripe index:
-    /// when thousands of sessions multiplex over N workers, the worker —
-    /// not the long-gone spawning thread — is the locality unit.
-    #[inline]
-    pub(crate) fn local_cohort(&self) -> usize {
-        if self.config.cohorts == 0 {
-            0
-        } else if let Some(h) = crate::shard::cohort_hint() {
-            h % self.config.cohorts
-        } else {
-            crate::shard::thread_index() % self.config.cohorts
-        }
-    }
-
     /// Install lock state for one queued waiter being handed the lock
     /// (stats and trace publication are aggregated per wave by the
     /// caller). Runs on the *releasing* thread under the slot mutex; the
@@ -878,72 +852,39 @@ impl ManagerInner {
         }
     }
 
-    /// Pick the next waiter the grant wave takes, as
-    /// `(queue_index, cohort_preferred)`:
+    /// Queue index of the next waiter the grant wave takes:
     ///
-    /// 1. **cohort preference** (cohorts enabled, not under wound–wait):
-    ///    the first grantable waiter from the releasing thread's cohort —
-    ///    but only while every live waiter queued ahead of it has been
-    ///    bypassed fewer than [`RtConfig::cohort_fairness_bound`] times;
-    /// 2. **strict FIFO**: the head, if grantable;
-    /// 3. **ancestor-held bypass**: the first grantable waiter some current
+    /// 1. **strict FIFO**: the head, if grantable;
+    /// 2. **ancestor-held bypass**: the first grantable waiter some current
     ///    holder is an ancestor of. Such a request must not stay stuck
     ///    behind a stranger (the stranger may be waiting on exactly that
     ///    ancestor — the same liveness argument as the inline no-barge
     ///    gate), and granting it adds no cross-top wait inversion, since
     ///    it shares its top-level transaction with a current holder.
-    ///
-    /// Cohort preference is disabled under
-    /// [`DeadlockPolicy::WoundWait`]: its age-ordered queue is what keeps
-    /// every wait pointing young → old, and an out-of-age-order grant to a
-    /// *different* top could park an older transaction behind a younger
-    /// holder it never got to wound.
-    fn pick_grant(&self, inner: &ObjectInner, releaser_cohort: usize) -> Option<(usize, bool)> {
-        if inner.queue.is_empty() {
-            return None;
-        }
-        if self.config.cohorts > 0 && self.config.deadlock != DeadlockPolicy::WoundWait {
-            let bound = u64::from(self.config.cohort_fairness_bound);
-            let mut all_under_bound = true;
-            for (i, q) in inner.queue.iter().enumerate() {
-                if q.cohort == releaser_cohort && inner.grantable(&q.owner, q.write) {
-                    if i == 0 {
-                        return Some((0, false));
-                    }
-                    if all_under_bound {
-                        return Some((i, true));
-                    }
-                    break; // fairness bound reached: revert to strict FIFO
-                }
-                if q.bypass_count() >= bound {
-                    all_under_bound = false;
-                }
-            }
-        }
-        let head = &inner.queue[0];
+    fn pick_grant(inner: &ObjectInner) -> Option<usize> {
+        let head = inner.queue.front()?;
         if inner.grantable(&head.owner, head.write) {
-            return Some((0, false));
+            return Some(0);
         }
-        for (i, q) in inner.queue.iter().enumerate().skip(1) {
-            if inner.grantable(&q.owner, q.write) && inner.holder_is_ancestor(&q.owner) {
-                return Some((i, false));
-            }
-        }
-        None
+        inner
+            .queue
+            .iter()
+            .skip(1)
+            .position(|q| inner.grantable(&q.owner, q.write) && inner.holder_is_ancestor(&q.owner))
+            .map(|i| i + 1)
     }
 
-    /// Walk an object's waiter queue after lock state changed, granting
-    /// from the perspective of `releaser_cohort`. Returns the waiters to
-    /// wake; callers wake them *after* dropping the slot mutex.
+    /// Walk an object's waiter queue after lock state changed. Returns the
+    /// waiters to wake; callers wake them *after* dropping the slot mutex.
     ///
     /// Three passes:
     /// 1. cancel doomed waiters anywhere in the queue (doom delivery —
     ///    wounds and ancestor aborts reach parked waiters here);
     /// 2. compute and install the maximal **grant wave**: repeatedly pick
     ///    the next grantable waiter ([`Self::pick_grant`] — FIFO head,
-    ///    bounded cohort preference, or ancestor-held bypass) and install
-    ///    its lock state, until nothing is grantable (a write grant sets
-    ///    `write_pending`, which ends the wave by itself). The whole wave
+    ///    else ancestor-held bypass) and install its lock state, until
+    ///    nothing is grantable (a write grant sets `write_pending`, which
+    ///    ends the wave by itself). The whole wave
     ///    costs one aggregated stats delta and one batched trace publish
     ///    ([`crate::TraceRecorder::publish_batch`]) instead of per-waiter
     ///    publishes;
@@ -960,12 +901,7 @@ impl ManagerInner {
     ///
     /// `pub(crate)` so the loom models can race spurious rescans against
     /// the real release/apply paths.
-    pub(crate) fn release_scan_from(
-        &self,
-        obj_idx: usize,
-        inner: &mut ObjectInner,
-        releaser_cohort: usize,
-    ) -> Vec<Arc<Waiter>> {
+    pub(crate) fn release_scan(&self, obj_idx: usize, inner: &mut ObjectInner) -> Vec<Arc<Waiter>> {
         let mut wake: Vec<Arc<Waiter>> = Vec::new();
         // Pass 0 — hold-time EWMA: a scan that finds the object free ends
         // the tenure that the last grant started.
@@ -1003,35 +939,14 @@ impl ManagerInner {
         }
         // Pass 2 — the grant wave.
         let tracing = self.config.trace.is_some();
-        let bound = u64::from(self.config.cohort_fairness_bound);
-        let cohorts_on = self.config.cohorts > 0;
         let (mut readers, mut writers) = (0usize, 0usize);
-        let (mut cohort_hits, mut cohort_bypasses) = (0u64, 0u64);
         let mut evs: Vec<RtEvent> = Vec::new();
-        while let Some((idx, preferred)) = self.pick_grant(inner, releaser_cohort) {
+        while let Some(idx) = Self::pick_grant(inner) {
             let w = inner.queue.remove(idx).expect("pick_grant index in range");
             if !w.grant() {
-                continue; // lost a cancel race; nothing was skipped for it
-            }
-            if preferred {
-                // Charge one bypass to every live waiter the pick jumped;
-                // pick_grant only allowed the jump while all of them sat
-                // below the fairness bound, so the bound holds afterwards.
-                for j in 0..idx {
-                    if inner.queue[j].state() == W_WAITING {
-                        let n = inner.queue[j].note_bypass();
-                        debug_assert!(n <= bound, "cohort bypass exceeded fairness bound");
-                        cohort_bypasses += 1;
-                        // relaxed(bypass-max): diagnostic high-watermark
-                        // RMW; atomicity suffices, no ordering role.
-                        self.max_bypass.fetch_max(n, Ordering::Relaxed);
-                    }
-                }
+                continue; // lost a cancel race
             }
             let installs = self.install_grant(obj_idx, inner, &w);
-            if cohorts_on && w.cohort == releaser_cohort {
-                cohort_hits += 1;
-            }
             if w.write {
                 writers += 1;
             } else {
@@ -1067,23 +982,11 @@ impl ManagerInner {
             // One aggregated stats delta for the whole wave.
             self.stats.bump(Ctr::Handoffs);
             self.stats.add(Ctr::WaveGrants, wave as u64);
-            self.stats.bump(match wave {
-                1 => Ctr::WaveSize1,
-                2 => Ctr::WaveSize2,
-                3 => Ctr::WaveSize3,
-                _ => Ctr::WaveSize4Plus,
-            });
             if readers > 0 {
                 self.stats.add(Ctr::ReadGrants, readers as u64);
             }
             if writers > 0 {
                 self.stats.add(Ctr::WriteGrants, writers as u64);
-            }
-            if cohort_hits > 0 {
-                self.stats.add(Ctr::CohortHits, cohort_hits);
-            }
-            if cohort_bypasses > 0 {
-                self.stats.add(Ctr::CohortBypasses, cohort_bypasses);
             }
             if tracing {
                 if let Some(t) = &self.config.trace {
@@ -1117,20 +1020,15 @@ impl ManagerInner {
         wake
     }
 
-    /// [`Self::release_scan_from`] from the calling thread's own cohort —
-    /// the entry every real release path uses.
-    pub(crate) fn release_scan(&self, obj_idx: usize, inner: &mut ObjectInner) -> Vec<Arc<Waiter>> {
-        self.release_scan_from(obj_idx, inner, self.local_cohort())
-    }
-
     /// Phase 2 of [`Self::access`]: create `node`'s waiter, insert it in
     /// policy order (age order under wound–wait — oldest top first, so
     /// queue-position waits also point young→old; plain FIFO otherwise),
-    /// and register the node's `waiting_on` entry. The waiter is tagged
-    /// with the calling thread's cohort. Callers hold the slot mutex for
-    /// `obj_idx`. Exposed `pub(crate)` so the loom models race the real
-    /// enqueue path, not a copy.
-    #[cfg_attr(not(test), allow(dead_code))] // test/loom-model entry point
+    /// and register the node's `waiting_on` entry. `async_cb: Some(..)`
+    /// queues a callback waiter with its wakeup callback installed *before*
+    /// the node enters the queue — under the same slot-mutex hold — so no
+    /// grant can beat the callback into place and lose the wakeup. Callers
+    /// hold the slot mutex for `obj_idx`. Exposed `pub(crate)` so the loom
+    /// models race the real enqueue path, not a copy.
     pub(crate) fn enqueue_waiter(
         &self,
         inner: &mut ObjectInner,
@@ -1138,47 +1036,12 @@ impl ManagerInner {
         owner: &Arc<TxNode>,
         obj_idx: usize,
         lock_write: bool,
-    ) -> Arc<Waiter> {
-        let cohort = self.local_cohort();
-        self.enqueue_waiter_with_cohort(inner, node, owner, obj_idx, lock_write, cohort)
-    }
-
-    /// [`Self::enqueue_waiter`] with an explicit cohort tag, so the loom
-    /// cohort-fairness model can pin queue members to chosen cohorts
-    /// independently of which model thread enqueues them.
-    #[cfg_attr(not(test), allow(dead_code))] // loom-model entry point
-    pub(crate) fn enqueue_waiter_with_cohort(
-        &self,
-        inner: &mut ObjectInner,
-        node: &Arc<TxNode>,
-        owner: &Arc<TxNode>,
-        obj_idx: usize,
-        lock_write: bool,
-        cohort: usize,
-    ) -> Arc<Waiter> {
-        self.enqueue_waiter_variant(inner, node, owner, obj_idx, lock_write, cohort, None)
-    }
-
-    /// [`Self::enqueue_waiter_with_cohort`] selecting the waiter variant:
-    /// `async_cb: Some(..)` queues a callback waiter with its wakeup
-    /// callback installed *before* the node enters the queue — under the
-    /// same slot-mutex hold — so no grant can beat the callback into place
-    /// and lose the wakeup.
-    #[allow(clippy::too_many_arguments)] // phase-2 internals: every arg is live state
-    pub(crate) fn enqueue_waiter_variant(
-        &self,
-        inner: &mut ObjectInner,
-        node: &Arc<TxNode>,
-        owner: &Arc<TxNode>,
-        obj_idx: usize,
-        lock_write: bool,
-        cohort: usize,
         async_cb: Option<WakeCallback>,
     ) -> Arc<Waiter> {
         let w = match async_cb {
-            None => Waiter::new(node.clone(), owner.clone(), lock_write, cohort),
+            None => Waiter::new(node.clone(), owner.clone(), lock_write),
             Some(cb) => {
-                let w = Waiter::new_async(node.clone(), owner.clone(), lock_write, cohort);
+                let w = Waiter::new_async(node.clone(), owner.clone(), lock_write);
                 w.set_callback(cb);
                 w
             }
@@ -1273,7 +1136,7 @@ impl ManagerInner {
     /// waiter; the async path returns `Poll::Pending` and lets the
     /// releaser's `wake()` drive the future. Both paths converge on
     /// [`Self::finish_after_wait`]. Passing `async_cb` queues the
-    /// callback waiter variant (see [`Self::enqueue_waiter_variant`]);
+    /// callback waiter variant (see [`Self::enqueue_waiter`]);
     /// grant order, wound-wait age ordering, and the die-on-cycle edge
     /// publish are identical for both variants — the queue cannot tell
     /// them apart.
@@ -1385,15 +1248,7 @@ impl ManagerInner {
             break;
         }
         // Phase 2 — enqueue a waiter node.
-        let w = self.enqueue_waiter_variant(
-            &mut guard,
-            node,
-            &owner,
-            obj_idx,
-            lock_write,
-            self.local_cohort(),
-            async_cb,
-        );
+        let w = self.enqueue_waiter(&mut guard, node, &owner, obj_idx, lock_write, async_cb);
         // Self-scan under the same mutex hold: delivers a doom that raced
         // the enqueue (the aborter either saw our waiting_on registration
         // or we see its abort mark here — the slot mutex serialises the
@@ -1403,7 +1258,7 @@ impl ManagerInner {
         // Phase 3 (DieOnCycle) — one checked edge publish per enqueue. The
         // wait set is derived from queue membership (conflicting holders +
         // queued predecessors); release scans refresh it as the queue
-        // moves without re-running detection (see `release_scan_from` pass
+        // moves without re-running detection (see `release_scan` pass
         // 3 for why grown sets are still cycle-safe).
         if self.config.deadlock == DeadlockPolicy::DieOnCycle {
             loop {
@@ -1537,18 +1392,16 @@ impl ManagerInner {
                 }
             }
             // Adaptive spin-then-park gate: if recent holds of this object
-            // fit under the configured threshold, a grant is likely to
-            // land within a few hold-lengths — spinning through it beats
-            // the cross-thread park/unpark round trip. Long-hold objects
-            // park immediately as before. (Not under loom: wall-clock
-            // spinning adds schedule states without adding transitions.)
+            // fit under `SHORT_HOLD_NS`, a grant is likely to land within a
+            // few hold-lengths — spinning through it beats the cross-thread
+            // park/unpark round trip. Long-hold objects park immediately.
+            // (Not under loom: wall-clock spinning adds schedule states
+            // without adding transitions.)
             #[cfg(not(loom))]
             if st == W_WAITING {
                 let hint = slot.hold_hint_ns();
-                let threshold =
-                    u64::try_from(self.config.spin_hold_threshold.as_nanos()).unwrap_or(u64::MAX);
-                if hint > 0 && hint <= threshold {
-                    let budget = (4 * hint).min(2 * threshold);
+                if hint > 0 && hint <= SHORT_HOLD_NS {
+                    let budget = (4 * hint).min(2 * SHORT_HOLD_NS);
                     let spin_deadline = Instant::now() + std::time::Duration::from_nanos(budget);
                     while st == W_WAITING && Instant::now() < spin_deadline {
                         crate::sync::hint::spin_loop();
@@ -1973,7 +1826,7 @@ mod tests {
             let mut g = inner.slot(obj).inner.lock();
             let _ = g.writable_state(&holder);
             holder.touch(obj);
-            inner.enqueue_waiter(&mut g, &waiter_tx, &waiter_tx, obj, true)
+            inner.enqueue_waiter(&mut g, &waiter_tx, &waiter_tx, obj, true, None)
         };
         // The holder aborts: the release scan grants `w` directly,
         // installing waiter_tx's version and the write-pending latch. No

@@ -88,10 +88,6 @@ pub(crate) struct Waiter {
     pub owner: Arc<TxNode>,
     /// `true` for a write-mode request.
     pub write: bool,
-    /// Locality cohort this request came from (`thread_index() % cohorts`;
-    /// always 0 when cohorts are disabled). Release scans may prefer
-    /// same-cohort waiters within the fairness bound.
-    pub cohort: usize,
     state: AtomicU8,
     park: Mutex<()>,
     cv: Condvar,
@@ -106,10 +102,6 @@ pub(crate) struct Waiter {
     /// every future poll, so a releaser-side `wake()` can never find the
     /// slot empty while the future still needs a wakeup.
     callback: Mutex<Option<WakeCallback>>,
-    /// How many times a cohort-preferred grant has jumped this waiter in
-    /// the queue. Mutated and read only under the slot mutex; atomic so the
-    /// shared `Waiter` stays `Sync` without a second lock.
-    bypassed: AtomicU64,
     /// Wait-for edge targets currently published for this waiter
     /// (DieOnCycle only), sorted. Release scans compare against this and
     /// republish only when the wait set actually changed — one graph-stripe
@@ -118,41 +110,28 @@ pub(crate) struct Waiter {
 }
 
 impl Waiter {
-    pub fn new(node: Arc<TxNode>, owner: Arc<TxNode>, write: bool, cohort: usize) -> Arc<Waiter> {
-        Self::build(node, owner, write, cohort, false)
+    pub fn new(node: Arc<TxNode>, owner: Arc<TxNode>, write: bool) -> Arc<Waiter> {
+        Self::build(node, owner, write, false)
     }
 
     /// The callback variant: woken by invoking a stored [`WakeCallback`]
     /// (installed via [`Waiter::set_callback`]) instead of a condvar
     /// notify. Queueing, granting, cancellation, and withdrawal are
     /// identical to the sync variant — only the wakeup delivery differs.
-    pub fn new_async(
-        node: Arc<TxNode>,
-        owner: Arc<TxNode>,
-        write: bool,
-        cohort: usize,
-    ) -> Arc<Waiter> {
-        Self::build(node, owner, write, cohort, true)
+    pub fn new_async(node: Arc<TxNode>, owner: Arc<TxNode>, write: bool) -> Arc<Waiter> {
+        Self::build(node, owner, write, true)
     }
 
-    fn build(
-        node: Arc<TxNode>,
-        owner: Arc<TxNode>,
-        write: bool,
-        cohort: usize,
-        is_async: bool,
-    ) -> Arc<Waiter> {
+    fn build(node: Arc<TxNode>, owner: Arc<TxNode>, write: bool, is_async: bool) -> Arc<Waiter> {
         Arc::new(Waiter {
             node,
             owner,
             write,
-            cohort,
             state: AtomicU8::new(W_WAITING),
             park: Mutex::new(()),
             cv: Condvar::new(),
             is_async,
             callback: Mutex::new(None),
-            bypassed: AtomicU64::new(0),
             edges: Mutex::new(Vec::new()),
         })
     }
@@ -171,19 +150,6 @@ impl Waiter {
         if self.is_async {
             *self.callback.lock() = Some(cb);
         }
-    }
-
-    /// Times this waiter has been jumped by a cohort-preferred grant.
-    #[inline]
-    pub fn bypass_count(&self) -> u64 {
-        self.bypassed.load(Ordering::SeqCst)
-    }
-
-    /// Record one cohort bypass; returns the new count. Called under the
-    /// slot mutex by the grant scan.
-    #[inline]
-    pub fn note_bypass(&self) -> u64 {
-        self.bypassed.fetch_add(1, Ordering::SeqCst) + 1
     }
 
     #[inline]
@@ -689,7 +655,7 @@ mod tests {
         let (p, c, g, q) = nodes();
         let mut o = inner();
         let _ = o.writable_state(&c);
-        let w = Waiter::new(q.clone(), q.clone(), true, 0);
+        let w = Waiter::new(q.clone(), q.clone(), true);
         o.queue.push_back(w);
         assert!(o.holder_is_ancestor(&g), "write holder c is an ancestor");
         assert!(!o.holder_is_ancestor(&q), "stranger must queue");
@@ -744,17 +710,17 @@ mod tests {
     #[test]
     fn waiter_state_machine_and_queue_removal() {
         let (p, ..) = nodes();
-        let w = Waiter::new(p.clone(), p.clone(), false, 0);
+        let w = Waiter::new(p.clone(), p.clone(), false);
         assert_eq!(w.state(), W_WAITING);
         assert!(w.grant());
         assert!(!w.cancel(), "granted waiter cannot be cancelled");
         assert_eq!(w.state(), W_GRANTED);
-        let w2 = Waiter::new(p.clone(), p.clone(), true, 0);
+        let w2 = Waiter::new(p.clone(), p.clone(), true);
         assert!(w2.cancel());
         assert_eq!(w2.state(), W_CANCELLED);
         let mut o = inner();
-        let q1 = Waiter::new(p.clone(), p.clone(), true, 0);
-        let q2 = Waiter::new(p.clone(), p.clone(), false, 0);
+        let q1 = Waiter::new(p.clone(), p.clone(), true);
+        let q2 = Waiter::new(p.clone(), p.clone(), false);
         o.queue.push_back(q1.clone());
         o.queue.push_back(q2.clone());
         assert_eq!(o.waiters(), 2);
@@ -887,21 +853,10 @@ mod tests {
     }
 
     #[test]
-    fn waiter_bypass_counter_accumulates() {
-        let (p, ..) = nodes();
-        let w = Waiter::new(p.clone(), p.clone(), true, 3);
-        assert_eq!(w.cohort, 3);
-        assert_eq!(w.bypass_count(), 0);
-        assert_eq!(w.note_bypass(), 1);
-        assert_eq!(w.note_bypass(), 2);
-        assert_eq!(w.bypass_count(), 2);
-    }
-
-    #[test]
     fn async_waiter_wake_consumes_callback_once() {
         use std::sync::atomic::{AtomicUsize, Ordering as O};
         let (p, ..) = nodes();
-        let w = Waiter::new_async(p.clone(), p.clone(), true, 0);
+        let w = Waiter::new_async(p.clone(), p.clone(), true);
         assert!(w.is_async());
         let fired = Arc::new(AtomicUsize::new(0));
         let f = fired.clone();
@@ -914,7 +869,7 @@ mod tests {
         w.wake(); // consumed: second wake is a no-op, never a double fire
         assert_eq!(fired.load(O::SeqCst), 1);
         // Sync variant ignores callbacks entirely.
-        let ws = Waiter::new(p.clone(), p.clone(), false, 0);
+        let ws = Waiter::new(p.clone(), p.clone(), false);
         assert!(!ws.is_async());
         let f2 = fired.clone();
         ws.set_callback(Box::new(move || {
@@ -928,12 +883,12 @@ mod tests {
     #[test]
     fn timeout_withdrawal_state_is_distinct_from_doom() {
         let (p, ..) = nodes();
-        let w = Waiter::new_async(p.clone(), p.clone(), true, 0);
+        let w = Waiter::new_async(p.clone(), p.clone(), true);
         assert!(w.cancel_timeout());
         assert_eq!(w.state(), W_TIMEDOUT);
         assert!(!w.cancel(), "terminal state cannot be re-cancelled");
         assert!(!w.grant(), "terminal state cannot be granted");
-        let w2 = Waiter::new(p.clone(), p.clone(), true, 0);
+        let w2 = Waiter::new(p.clone(), p.clone(), true);
         assert!(w2.cancel());
         assert!(!w2.cancel_timeout());
         assert_eq!(w2.state(), W_CANCELLED);

@@ -16,36 +16,6 @@ use std::cell::Cell;
 #[repr(align(128))]
 pub(crate) struct CachePadded<T>(pub T);
 
-thread_local! {
-    /// Explicit locality-cohort override for this thread (see
-    /// [`set_worker_cohort`]). `usize::MAX` means unset.
-    static COHORT_HINT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// Declare the calling thread's locality cohort explicitly.
-///
-/// Intended for async executors: call with `Some(worker_index)` from each
-/// worker thread at startup, so the thousands of transaction futures
-/// multiplexed onto that worker all share one cohort — the cohort-aware
-/// grant batching of [`crate::RtConfig::cohorts`] then batches by *worker*,
-/// which is the unit that actually shares cache locality. Without the hint
-/// the cohort id falls back to the dense per-thread stripe index, which is
-/// meaningless when sessions outnumber threads by orders of magnitude.
-///
-/// `None` restores the default derivation. The hint is per-thread and has
-/// no effect while cohorts are disabled (`cohorts == 0`).
-pub fn set_worker_cohort(cohort: Option<usize>) {
-    COHORT_HINT.with(|slot| slot.set(cohort.unwrap_or(usize::MAX)));
-}
-
-/// The calling thread's cohort override, if any.
-pub(crate) fn cohort_hint() -> Option<usize> {
-    COHORT_HINT.with(|slot| {
-        let v = slot.get();
-        (v != usize::MAX).then_some(v)
-    })
-}
-
 /// Small dense per-thread index, assigned on first use. Stripe selection is
 /// `thread_index() % N`: threads spread round-robin over stripes, and a
 /// given thread always returns to the same stripe.
@@ -82,23 +52,6 @@ mod tests {
         let mine = thread_index();
         let theirs = std::thread::spawn(thread_index).join().unwrap();
         assert_ne!(mine, theirs);
-    }
-
-    #[test]
-    fn cohort_hint_overrides_and_clears() {
-        assert_eq!(cohort_hint(), None);
-        set_worker_cohort(Some(3));
-        assert_eq!(cohort_hint(), Some(3));
-        set_worker_cohort(None);
-        assert_eq!(cohort_hint(), None);
-    }
-
-    #[test]
-    fn cohort_hint_is_thread_local() {
-        set_worker_cohort(Some(7));
-        let theirs = std::thread::spawn(cohort_hint).join().unwrap();
-        assert_eq!(theirs, None, "hint must not leak across threads");
-        set_worker_cohort(None);
     }
 
     #[test]

@@ -32,12 +32,6 @@ pub(crate) enum Ctr {
     Begun,
     Handoffs,
     WaveGrants,
-    CohortHits,
-    CohortBypasses,
-    WaveSize1,
-    WaveSize2,
-    WaveSize3,
-    WaveSize4Plus,
     SpinGrants,
     CancelledWaiters,
     SnapshotsOpened,
@@ -49,7 +43,7 @@ pub(crate) enum Ctr {
     Recoveries,
 }
 
-const NCTR: usize = 28;
+const NCTR: usize = 22;
 
 #[derive(Default)]
 struct Stripe {
@@ -105,14 +99,6 @@ impl Stats {
             transactions_begun: self.total(Ctr::Begun),
             handoffs: self.total(Ctr::Handoffs),
             wave_grants: self.total(Ctr::WaveGrants),
-            cohort_hits: self.total(Ctr::CohortHits),
-            cohort_bypasses: self.total(Ctr::CohortBypasses),
-            wave_size_hist: [
-                self.total(Ctr::WaveSize1),
-                self.total(Ctr::WaveSize2),
-                self.total(Ctr::WaveSize3),
-                self.total(Ctr::WaveSize4Plus),
-            ],
             spin_grants: self.total(Ctr::SpinGrants),
             cancelled_waiters: self.total(Ctr::CancelledWaiters),
             snapshots_opened: self.total(Ctr::SnapshotsOpened),
@@ -162,16 +148,6 @@ pub struct StatsSnapshot {
     pub handoffs: u64,
     /// Waiters granted by direct handoff, summed across all waves.
     pub wave_grants: u64,
-    /// Handed-off grants whose waiter shared the releasing thread's cohort
-    /// (only counted when cohorts are enabled).
-    pub cohort_hits: u64,
-    /// Queue jumps performed by cohort preference: each bypassed waiter in
-    /// each out-of-order grant counts once (bounded per waiter by
-    /// [`crate::RtConfig::cohort_fairness_bound`]).
-    pub cohort_bypasses: u64,
-    /// Histogram of grant-wave sizes: waves of 1, 2, 3, and ≥4 waiters.
-    /// Sums to [`StatsSnapshot::handoffs`].
-    pub wave_size_hist: [u64; 4],
     /// Handed-off grants that arrived during the brief pre-park spin, so
     /// the waiter never paid for a park/unpark round trip.
     pub spin_grants: u64,
@@ -248,16 +224,12 @@ mod tests {
         assert_eq!(s.snapshot().mean_wave_size(), 0.0, "no waves yet");
         // Two waves: one single grant, one triple.
         s.bump(Ctr::Handoffs);
-        s.bump(Ctr::WaveSize1);
         s.add(Ctr::WaveGrants, 1);
         s.bump(Ctr::Handoffs);
-        s.bump(Ctr::WaveSize3);
         s.add(Ctr::WaveGrants, 3);
         let snap = s.snapshot();
         assert_eq!(snap.handoffs, 2);
         assert_eq!(snap.wave_grants, 4);
-        assert_eq!(snap.wave_size_hist, [1, 0, 1, 0]);
-        assert_eq!(snap.wave_size_hist.iter().sum::<u64>(), snap.handoffs);
         assert!((snap.mean_wave_size() - 2.0).abs() < f64::EPSILON);
     }
 

@@ -43,7 +43,7 @@
 //! 1. the policy says an fsync is due (`Always`: every commit; `Group`: the
 //!    batch is full or its deadline passed) — flush, then `fdatasync`;
 //! 2. it passes [`STAGE_FLUSH_BYTES`] (64 KiB) — flush only, no fsync, no
-//!    `durable_ts` promotion (this is how `Never` reaches the OS);
+//!    `durable_ts` promotion (this is how a long `Group` batch reaches the OS);
 //! 3. a checkpoint rotates the segment — flush + fsync of the old segment,
 //!    then the `Checkpoint` record itself is framed into the emptied stage
 //!    and flushed as the new segment's first bytes;
@@ -101,11 +101,11 @@ pub enum FsyncPolicy {
     /// Commits become durable as a batch; recovery may lose an
     /// acknowledged-but-unsynced suffix (a documented durable-prefix
     /// guarantee, never a torn or reordered state).
+    ///
+    /// `Group(usize::MAX, Duration::MAX)` never fsyncs while running:
+    /// records reach the OS in 64 KiB chunks and are fsynced once on clean
+    /// close only (append cost without device cost).
     Group(usize, Duration),
-    /// Never fsync while running; records reach the OS in 64 KiB chunks and
-    /// are fsynced once on clean close only. For tests and benchmarks that
-    /// want append cost without device cost.
-    Never,
 }
 
 /// State types that can live in a durable object
@@ -539,8 +539,8 @@ pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 // ---------------------------------------------------------------------------
 
 /// The stage is written out (without an fsync) once it holds this many
-/// bytes, so a long `Group` batch or a `Never` log neither grows the buffer
-/// without bound nor hands the kernel one record at a time.
+/// bytes, so a long `Group` batch neither grows the buffer without bound
+/// nor hands the kernel one record at a time.
 const STAGE_FLUSH_BYTES: usize = 64 << 10;
 
 /// Mutable log state; the mutex is a leaf in the crate lock order (appends
@@ -699,7 +699,6 @@ impl Wal {
             inner.appended_commit_ts = ts;
             due.sync = match self.policy {
                 FsyncPolicy::Always => true,
-                FsyncPolicy::Never => false,
                 FsyncPolicy::Group(n, d) => {
                     let since = *inner.pending_since.get_or_insert_with(Instant::now);
                     inner.pending >= n as u64 || since.elapsed() >= d
@@ -906,9 +905,9 @@ impl Wal {
 impl Drop for Wal {
     fn drop(&mut self) {
         // Clean close: write out and fsync whatever the policy left staged
-        // or pending so `Never` and `Group` tails survive an orderly
-        // shutdown. A frozen log is simulating a dead process and must not
-        // touch the file.
+        // or pending so a `Group` tail survives an orderly shutdown. A
+        // frozen log is simulating a dead process and must not touch the
+        // file.
         if !self.frozen.load(Ordering::SeqCst) {
             let mut inner = self.inner.lock();
             let _ = inner.flush().and_then(|()| inner.file.sync_data());
@@ -919,6 +918,9 @@ impl Drop for Wal {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+
+    /// Append cost only: no fsync until clean close.
+    const NO_FSYNC: FsyncPolicy = FsyncPolicy::Group(usize::MAX, Duration::MAX);
 
     fn tmp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ntx-wal-{}-{name}", std::process::id()));
@@ -1068,9 +1070,9 @@ mod tests {
     #[test]
     fn frozen_log_drops_appends_and_teardown_truncates() {
         let dir = tmp("freeze");
-        let wal = Wal::open(&dir, FsyncPolicy::Never, 0).unwrap();
+        let wal = Wal::open(&dir, NO_FSYNC, 0).unwrap();
         assert!(append_commit(&wal, 1, 1).is_some());
-        assert!(wal.sync()); // manual sync still works under Never
+        assert!(wal.sync()); // manual sync still works with no policy fsync
         assert!(append_commit(&wal, 2, 2).is_some());
         let unsynced = wal.unsynced_bytes();
         assert!(unsynced > 0);
@@ -1080,7 +1082,7 @@ mod tests {
         assert!(!wal.sync());
         drop(wal);
 
-        let wal = Wal::open(&dir, FsyncPolicy::Never, 0).unwrap();
+        let wal = Wal::open(&dir, NO_FSYNC, 0).unwrap();
         // Commit 1 survived; commit 2's torn record was repaired away.
         assert_eq!(wal.durable_ts(), 1);
         drop(wal);
@@ -1150,7 +1152,7 @@ mod tests {
     #[test]
     fn a_full_stage_is_written_without_fsync_or_promotion() {
         let dir = tmp("chunk");
-        let wal = Wal::open(&dir, FsyncPolicy::Never, 0).unwrap();
+        let wal = Wal::open(&dir, NO_FSYNC, 0).unwrap();
         let mut ts = 0u64;
         while live_segment_len(&dir) == 0 {
             ts += 1;

@@ -12,6 +12,20 @@ use std::time::{Duration, Instant};
 
 use ntx_runtime::{DeadlockPolicy, RtConfig, TxError, TxManager};
 
+/// Block until `n` requests sit in the lock queues: a test that confirms
+/// each spawned request queued before spawning the next fixes the queue
+/// order without sleeping.
+fn wait_queued(mgr: &TxManager, n: usize) {
+    let start = Instant::now();
+    while mgr.queued_waiters() < n {
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "request {n} never enqueued"
+        );
+        std::thread::yield_now();
+    }
+}
+
 /// Grant order equals enqueue order. Writers enqueue one at a time (each
 /// confirmed parked before the next starts), the holder releases, and each
 /// granted writer appends its index to the shared object — so the committed
@@ -36,14 +50,7 @@ fn handoff_order_is_fifo() {
                 });
                 // Wait until writer i is actually queued before releasing
                 // the next one: enqueue order is then exactly 0, 1, 2, …
-                let start = Instant::now();
-                while mgr.queued_waiters() < i + 1 {
-                    assert!(
-                        start.elapsed() < Duration::from_secs(5),
-                        "writer {i} never enqueued"
-                    );
-                    std::thread::yield_now();
-                }
+                wait_queued(&mgr, i + 1);
                 h
             })
             .collect();
@@ -96,14 +103,7 @@ fn wave_batching_preserves_fifo_compatibility() {
             tx.commit().unwrap();
             seen
         });
-        let start = Instant::now();
-        while mgr.queued_waiters() < i + 1 {
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "waiter {i} never enqueued"
-            );
-            std::thread::yield_now();
-        }
+        wait_queued(&mgr, i + 1);
         handles.push(h);
     }
     holder.commit().unwrap();
@@ -121,117 +121,71 @@ fn wave_batching_preserves_fifo_compatibility() {
         snap.handoffs, 3,
         "R0+R1 coalesce into one wave; W2 and R3 get one each"
     );
-    assert_eq!(
-        snap.wave_size_hist,
-        [2, 1, 0, 0],
-        "two single-grant waves and one two-reader wave"
-    );
 }
 
-/// Cohort-aware batching under an 8-thread hot-key write storm: every
-/// transaction still commits (conservation), the queue drains to zero at
-/// quiescence, and waves never grant fewer waiters than there were waves.
+/// Hot-key storm on the default configuration, all-write and with a
+/// half-read mix: every blocked request resolves by exactly one wave grant
+/// (`waits == wave_grants` — nothing times out, dies or restarts, which
+/// the `unwrap`s enforce per request), waves never outnumber grants, and
+/// the queue is empty at quiescence. The first round is pinned: all eight
+/// requests queue behind a holder before it releases, readers first, so
+/// the mix's first wave coalesces them (`wave_grants > handoffs`); the
+/// remaining rounds run free.
 #[test]
-fn cohort_batching_quiesces_and_conserves() {
+fn hot_key_storm_resolves_every_wait_by_one_wave_grant() {
     const THREADS: usize = 8;
-    const TXS: usize = 30;
-    let mgr = TxManager::new(RtConfig {
-        deadlock: DeadlockPolicy::TimeoutOnly,
-        wait_timeout: Duration::from_secs(10),
-        cohorts: 4,
-        cohort_fairness_bound: 2,
-        ..Default::default()
-    });
-    let hot = mgr.register("hot", 0i64);
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|_| {
-            let mgr = mgr.clone();
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                for _ in 0..TXS {
-                    let tx = mgr.begin();
-                    tx.write(&hot, |v| *v += 1).unwrap();
-                    // Hold across a reschedule so waves actually form.
-                    std::thread::sleep(Duration::from_micros(50));
-                    tx.commit().unwrap();
-                }
+    const TXS: usize = 200;
+    for read_mix in [false, true] {
+        let mgr = TxManager::new(RtConfig::default());
+        let hot = mgr.register("hot", 0i64);
+        let holder = mgr.begin();
+        holder.write(&hot, |_| {}).unwrap();
+        let handles: Vec<_> = (0..THREADS)
+            .map(|i| {
+                let reads = read_mix && i < THREADS / 2;
+                let tmgr = mgr.clone();
+                let h = std::thread::spawn(move || {
+                    for _ in 0..TXS {
+                        let tx = tmgr.begin();
+                        if reads {
+                            tx.read(&hot, |v| *v).unwrap();
+                        } else {
+                            tx.write(&hot, |v| *v += 1).unwrap();
+                        }
+                        tx.commit().unwrap();
+                    }
+                });
+                wait_queued(&mgr, i + 1);
+                h
             })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
+            .collect();
+        holder.commit().unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let writers = if read_mix { THREADS / 2 } else { THREADS };
+        assert_eq!(mgr.read_committed(&hot, |v| *v), (writers * TXS) as i64);
+        assert_eq!(mgr.queued_waiters(), 0, "queue must drain at quiescence");
+        let snap = mgr.stats();
+        assert!(snap.waits >= THREADS as u64, "{snap:?}");
+        assert_eq!(snap.waits, snap.wave_grants, "{snap:?}");
+        assert!(
+            0 < snap.handoffs && snap.handoffs <= snap.wave_grants,
+            "{snap:?}"
+        );
+        assert_eq!((snap.timeouts, snap.deadlocks), (0, 0), "{snap:?}");
+        assert_eq!(
+            snap.transactions_begun,
+            snap.commits + snap.aborts,
+            "{snap:?}"
+        );
+        if read_mix {
+            assert!(
+                snap.wave_grants > snap.handoffs,
+                "four queued readers must share a wave: {snap:?}"
+            );
+        }
     }
-    assert_eq!(mgr.read_committed(&hot, |v| *v), (THREADS * TXS) as i64);
-    assert_eq!(mgr.queued_waiters(), 0, "queue must drain at quiescence");
-    let snap = mgr.stats();
-    assert_eq!(
-        snap.transactions_begun,
-        snap.commits + snap.aborts,
-        "{snap:?}"
-    );
-    assert!(
-        snap.wave_grants >= snap.handoffs,
-        "a wave grants at least one waiter: {snap:?}"
-    );
-    assert_eq!(
-        snap.wave_size_hist.iter().sum::<u64>(),
-        snap.handoffs,
-        "histogram counts waves, not grants: {snap:?}"
-    );
-    assert_eq!(snap.deadlocks, 0);
-}
-
-/// Starvation bound: under a hot write key with cohort preference enabled,
-/// no waiter is ever bypassed more than `cohort_fairness_bound` times —
-/// the recorded high-watermark proves the hard bound held across the whole
-/// run, not just at sampling instants.
-#[test]
-fn cohort_bypass_never_exceeds_fairness_bound() {
-    const THREADS: usize = 8;
-    const TXS: usize = 40;
-    const BOUND: u32 = 3;
-    let mgr = TxManager::new(RtConfig {
-        deadlock: DeadlockPolicy::TimeoutOnly,
-        wait_timeout: Duration::from_secs(10),
-        cohorts: 2,
-        cohort_fairness_bound: BOUND,
-        ..Default::default()
-    });
-    let hot = mgr.register("hot", 0i64);
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|_| {
-            let mgr = mgr.clone();
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                for _ in 0..TXS {
-                    let tx = mgr.begin();
-                    tx.write(&hot, |v| *v += 1).unwrap();
-                    std::thread::sleep(Duration::from_micros(50));
-                    tx.commit().unwrap();
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(mgr.read_committed(&hot, |v| *v), (THREADS * TXS) as i64);
-    assert_eq!(mgr.queued_waiters(), 0, "queue must drain at quiescence");
-    assert!(
-        mgr.max_waiter_bypass() <= u64::from(BOUND),
-        "a waiter was bypassed {} times, bound is {BOUND}",
-        mgr.max_waiter_bypass()
-    );
-    let snap = mgr.stats();
-    assert!(snap.waits > 0, "hot key must have produced waits: {snap:?}");
-    assert!(
-        snap.cohort_hits > 0,
-        "with two populated cohorts some grant must hit the releaser's: {snap:?}"
-    );
 }
 
 /// A writer behind a continuous reader stream (read fraction ≈ 0.9) must
@@ -254,9 +208,8 @@ fn writer_not_starved_by_reader_stream() {
             let stop = stop.clone();
             let barrier = barrier.clone();
             std::thread::spawn(move || {
-                barrier.wait();
                 let mut n = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let tx = mgr.begin();
                     // Readers that hit the writer's queue window time out
                     // of the test's scope quickly and retry.
@@ -264,8 +217,15 @@ fn writer_not_starved_by_reader_stream() {
                         let _ = tx.commit();
                     }
                     n += 1;
+                    // The writer starts once every reader has read once,
+                    // whatever the thread start-up timing.
+                    if n == 1 {
+                        barrier.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        return n;
+                    }
                 }
-                n
             })
         })
         .collect();

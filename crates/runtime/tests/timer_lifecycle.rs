@@ -32,6 +32,18 @@ fn timer_threads() -> usize {
         .count()
 }
 
+/// [`timer_threads`] once it reads `want`, or after 5 s whatever it reads.
+/// procfs trails both ends of a thread's life: a spawned thread names
+/// itself after the spawn returns, and a joined thread's task entry
+/// outlives the futex wake that `join` waits for.
+fn settled_timer_threads(want: usize) -> usize {
+    let give_up = Instant::now() + Duration::from_secs(5);
+    while timer_threads() != want && Instant::now() < give_up {
+        std::thread::yield_now();
+    }
+    timer_threads()
+}
+
 struct ChannelWaker(mpsc::Sender<()>);
 
 impl Wake for ChannelWaker {
@@ -57,12 +69,11 @@ fn run_contended_async_write(mgr: &TxManager) {
             matches!(fut.as_mut().poll(&mut cx), Poll::Pending),
             "writer must queue behind the holder"
         );
-        // The spawned thread names itself, so its `comm` trails the spawn.
-        let named_by = Instant::now() + Duration::from_secs(5);
-        while timer_threads() != 1 && Instant::now() < named_by {
-            std::thread::yield_now();
-        }
-        assert_eq!(timer_threads(), 1, "queued future spawns the timer thread");
+        assert_eq!(
+            settled_timer_threads(1),
+            1,
+            "queued future spawns the timer thread"
+        );
         holder.commit().unwrap();
         recv.recv_timeout(Duration::from_secs(5))
             .expect("grant wakes the future");
@@ -82,7 +93,7 @@ fn manager_drop_joins_its_timer_thread() {
     run_contended_async_write(&mgr);
     drop(mgr);
     assert_eq!(
-        timer_threads(),
+        settled_timer_threads(0),
         0,
         "dropping the last manager handle must join its timer thread"
     );
@@ -95,5 +106,9 @@ fn manager_drop_joins_its_timer_thread() {
     });
     run_contended_async_write(&mgr2);
     drop(mgr2);
-    assert_eq!(timer_threads(), 0, "the second manager's thread joins too");
+    assert_eq!(
+        settled_timer_threads(0),
+        0,
+        "the second manager's thread joins too"
+    );
 }

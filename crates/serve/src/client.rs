@@ -1,5 +1,5 @@
-//! A minimal blocking wire client, used by the smoke test and the B8
-//! bench's wire-path measurements.
+//! A minimal blocking wire client, used by the smoke test and the
+//! reference benchmark's wire workloads.
 
 use crate::wire::{take_frame, ErrCode, Request, Response};
 use std::io::{Read, Write};

@@ -10,13 +10,8 @@
 //!   to the worker they were spawned on so wakes stay cache-local;
 //! - a four-state task machine (`IDLE`/`QUEUED`/`RUNNING`/`NOTIFIED`) that
 //!   makes wakes idempotent and never loses a wake that races a poll;
-//! - an `in_flight` gauge with a high-watermark, which is both the B8
-//!   bench's "concurrent sessions" metric and the drain barrier.
-//!
-//! Each worker announces its index to the lock manager via
-//! [`ntx_runtime::set_worker_cohort`], so waiters enqueued from async
-//! sessions are cohort-grouped by *worker*, not by the (meaningless for a
-//! multiplexed workload) OS thread id hash.
+//! - an `in_flight` gauge with a high-watermark, which is both the
+//!   "concurrent sessions" metric and the drain barrier.
 
 use crate::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::{Arc, Condvar, Mutex, Weak};
@@ -106,7 +101,7 @@ struct ExecInner {
     next: AtomicUsize,
     /// Live (spawned, not yet completed) task count.
     in_flight: AtomicUsize,
-    /// High watermark of `in_flight` — B8's "peak concurrent sessions".
+    /// High watermark of `in_flight` — peak concurrent sessions.
     peak_in_flight: AtomicUsize,
     /// Set by `shutdown()`; workers exit once their queue is empty.
     stop: AtomicBool,
@@ -242,10 +237,6 @@ impl Drop for Executor {
 }
 
 fn worker_loop(inner: &Arc<ExecInner>, index: usize) {
-    // Satellite: async waiters get their cohort id from the executor worker
-    // index, not `thread_index() % cohorts` — every lock request made while
-    // polling on this thread lands in cohort `index`.
-    ntx_runtime::set_worker_cohort(Some(index));
     let wq = &inner.queues[index];
     loop {
         let task = {

@@ -11,8 +11,7 @@
 //! Pieces:
 //!
 //! * [`executor`] — a hand-rolled N-worker future executor (no tokio; the
-//!   workspace builds offline). Workers register their index as the lock
-//!   manager's cohort hint, so waiter cohorts follow executor workers.
+//!   workspace builds offline).
 //! * [`wire`] — the frame format: begin/child/access/commit/abort.
 //! * [`server`] — accept thread with admission control, a polling reactor,
 //!   and one driver future per connection.

@@ -89,6 +89,8 @@ fn recovery_is_idempotent_across_reopens_and_one_shot_per_manager() {
             tx.write(&x, |v| *v += i).unwrap();
             tx.commit().unwrap();
         }
+        let s = mgr.stats();
+        assert!(s.wal_fsyncs >= s.top_level_commits, "fsync per commit");
     }
     let mut seen = Vec::new();
     for _ in 0..2 {
@@ -198,6 +200,9 @@ fn group_commit_loses_at_most_the_unsynced_suffix() {
         durable = mgr.wal_durable_ts();
         assert!(durable >= 6, "two full groups of 3 must have fsynced");
         assert!(durable < 7, "the 7th commit is still pending");
+        let s = mgr.stats();
+        assert!(s.group_commit_batch_max > 1, "one fsync retired a batch");
+        assert!(s.wal_fsyncs < s.top_level_commits, "{s:?}");
         // Harsh crash: every unsynced byte is lost.
         mgr.wal_crash_teardown(0).unwrap();
     }

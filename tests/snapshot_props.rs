@@ -174,6 +174,77 @@ fn panicking_publish_does_not_stall_later_committers() {
     assert_eq!(mgr.snapshot().read(&obj, |v| *v), 7);
 }
 
+/// Snapshot reads never enter the lock service, even beside writers on
+/// the same objects. Held phase: with every object write-locked by an
+/// open transaction, a batch of snapshot reads leaves `read_grants` and
+/// `waits` exactly where they were. Racing phase: each writer thread owns
+/// one object (so writers cannot block each other) while reader threads
+/// snapshot-read all of them — any wait or read grant at the end would be
+/// on the readers' account, and there is none.
+#[test]
+fn snapshot_readers_take_no_locks_and_cause_no_waits_beside_writers() {
+    const WRITERS: usize = 4;
+    const READERS: usize = 4;
+    const ROUNDS: usize = 300;
+    let mgr = TxManager::new(RtConfig::default());
+    let objs: Vec<_> = (0..WRITERS)
+        .map(|i| mgr.register(format!("o{i}"), 0i64))
+        .collect();
+
+    let holder = mgr.begin();
+    for o in &objs {
+        holder.write(o, |v| *v = -1).unwrap();
+    }
+    let before = mgr.stats();
+    let snap = mgr.snapshot();
+    for o in &objs {
+        assert_eq!(snap.read(o, |v| *v), 0, "uncommitted write leaked");
+    }
+    drop(snap);
+    let after = mgr.stats();
+    assert_eq!(after.snapshot_reads, before.snapshot_reads + WRITERS as u64);
+    assert_eq!(
+        (after.read_grants, after.waits),
+        (before.read_grants, before.waits)
+    );
+    holder.abort();
+
+    let barrier = std::sync::Barrier::new(WRITERS + READERS);
+    std::thread::scope(|s| {
+        for o in &objs {
+            let (mgr, barrier) = (&mgr, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                for _ in 0..ROUNDS {
+                    let tx = mgr.begin();
+                    tx.write(o, |v| *v += 1).unwrap();
+                    tx.commit().unwrap();
+                }
+            });
+        }
+        for _ in 0..READERS {
+            let (mgr, objs, barrier) = (&mgr, &objs, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                for _ in 0..ROUNDS {
+                    let snap = mgr.snapshot();
+                    for o in objs {
+                        let v = snap.read(o, |v| *v);
+                        assert!((0..=ROUNDS as i64).contains(&v));
+                    }
+                }
+            });
+        }
+    });
+    let end = mgr.stats();
+    assert_eq!(
+        end.snapshot_reads - after.snapshot_reads,
+        (READERS * ROUNDS * WRITERS) as u64
+    );
+    assert_eq!((end.read_grants, end.waits), (0, 0), "{end:?}");
+    assert_eq!(end.top_level_commits, (WRITERS * ROUNDS) as u64);
+}
+
 /// Regression: a long run of publishing commits with interleaved snapshot
 /// reads must not grow version chains without bound. Incremental GC at
 /// publish time plus an explicit `collect_garbage` once the last snapshot
