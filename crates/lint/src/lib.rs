@@ -12,11 +12,10 @@
 //!   `// relaxed(tag): justification` marker whose tag is recorded in
 //!   the crate's `relaxed-allowlist.txt`.
 //! - **R4 lock-order** — the documented order (object-slot mutex ≺
-//!   wait-graph stripes, stripes in index order; timer heap and serve
-//!   connection locks as leaves) is structurally enforced: wait-graph
-//!   code never touches slots, stripe access goes through
-//!   `stripe_of(`/`.iter()`, timer/serve code stays leaf-only, and no
-//!   public function leaks a `MutexGuard`.
+//!   wait-graph stripes, stripes in index order; serve connection locks
+//!   as leaves) is structurally enforced: wait-graph code never touches
+//!   slots, stripe access goes through `stripe_of(`/`.iter()`, serve code
+//!   stays leaf-only, and no public function leaks a `MutexGuard`.
 //! - **R5 guard-across-suspend** — no lock guard live across `.await`, a
 //!   waiter park, or a `Poll::Pending` return.
 //! - **R6 blocking-in-worker** — no blocking calls inside executor worker
@@ -340,36 +339,7 @@ fn good(&self, w: u64) {
         assert_eq!(rules_hit(&r), vec![Rule::LockOrder]);
     }
 
-    // ---- R4 (timer leaf, serve locks) --------------------------------
-
-    #[test]
-    fn r4_timer_must_not_reach_into_runtime_locks() {
-        for needle in ["self.mgr.wait_graph.add(w)", "mgr.objects.get(&o)"] {
-            let src = format!("fn fire(&self) {{ {needle}; }}\n");
-            let r = lint_source("src/timer.rs", &src, &cfg_with(&[]));
-            assert_eq!(rules_hit(&r), vec![Rule::LockOrder], "{needle}");
-        }
-    }
-
-    #[test]
-    fn r4_timer_heap_operations_are_fine() {
-        let src = "\
-fn schedule(&self) {
-    let mut inner = self.inner.lock();
-    inner.heap.push(entry);
-    self.cv.notify_one();
-}
-";
-        let r = lint_source("src/timer.rs", src, &cfg_with(&[]));
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-    }
-
-    #[test]
-    fn r4_timer_rule_is_scoped_to_timer_files() {
-        let src = "fn f(&self) { self.wait_graph.add(w); }\n";
-        let r = lint_source("src/manager.rs", src, &cfg_with(&[]));
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-    }
+    // ---- R4 (serve locks) --------------------------------------------
 
     #[test]
     fn r4_serve_flags_coupled_lock_acquisition() {

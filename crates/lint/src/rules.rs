@@ -30,10 +30,9 @@ pub enum Rule {
     /// code (which holds stripe locks) must not reach into object slots,
     /// single-stripe access goes through `stripe_of(`, and whole-graph
     /// acquisition walks the stripes in index order via `.iter()`. The
-    /// table extends to the PR 8 locks: the timer binary-heap mutex is a
-    /// *leaf* (timer code touches no slots, stripes, or wait graph), and
-    /// the serve reactor's connection-list lock is taken alone — never in
-    /// the same expression as a per-connection inbox/outbox/waker lock.
+    /// table extends to the serve locks: the reactor's connection-list
+    /// lock is taken alone — never in the same expression as a
+    /// per-connection inbox/outbox/waker lock.
     LockOrder,
     /// R5: no lock guard may be live across a suspend point — an `.await`,
     /// a waiter park (`park_until`/`thread::park`), or a `Poll::Pending`
@@ -122,8 +121,6 @@ impl Config {
             drop_state: vec![
                 ("AccessFuture".into(), vec!["stage".into()]),
                 ("TurnstileTicket".into(), vec!["commit_ts".into()]),
-                ("TimerToken".into(), vec!["cancelled".into()]),
-                ("TimerEntry".into(), vec!["cancelled".into()]),
             ],
         }
     }
@@ -264,7 +261,7 @@ const BLOCKING_CALLS: &[&str] = &[
 
 /// Lint one file's source text. `file` is the label used in findings and
 /// for per-file rules (R1 exemptions match on suffix; R4 applies to
-/// `deadlock.rs`, `timer.rs`, and `server.rs`).
+/// `deadlock.rs` and `server.rs`).
 pub fn lint_source(file: &str, src: &str, config: &Config) -> FileReport {
     let masked = mask(src);
     let tests = test_regions(&masked);
@@ -277,7 +274,6 @@ pub fn lint_source(file: &str, src: &str, config: &Config) -> FileReport {
         .iter()
         .any(|s| file.ends_with(s.as_str()));
     let is_wait_graph = file.ends_with("deadlock.rs");
-    let is_timer = file.ends_with("timer.rs");
     let is_serve_server = file.ends_with("server.rs");
 
     // Scope state for R5/R6: brace depth, live guards, and worker-fn
@@ -455,26 +451,6 @@ pub fn lint_source(file: &str, src: &str, config: &Config) -> FileReport {
                           order) — any other order can deadlock against a detector"
                         .into(),
                 });
-            }
-        }
-
-        // R4 (timer): the binary-heap mutex is a leaf. Timer code must
-        // never reach into object slots, the wait graph, or its stripes —
-        // callbacks fire only after the heap lock is released.
-        if is_timer && !in_test {
-            for needle in [".slot(", "objects.get(", "wait_graph", "stripes"] {
-                if code.contains(needle) {
-                    report.violations.push(Violation {
-                        file: file.into(),
-                        line: i + 1,
-                        rule: Rule::LockOrder,
-                        msg: format!(
-                            "timer code must not touch `{needle}`: the heap mutex is \
-                             a leaf in the lock order — expiry callbacks take their \
-                             locks only after it is released"
-                        ),
-                    });
-                }
             }
         }
 

@@ -13,12 +13,14 @@
 //! hot path gains zero new synchronization (the waiter variant is a plain
 //! `bool` checked inside `wake()`).
 //!
-//! Timeouts cannot ride on a parked thread the future does not have, so a
-//! queued future arms a deadline in the manager's timer service
-//! (`timer.rs`, one thread per manager, joined on manager drop); expiry
-//! runs the very same `timeout_withdraw` the sync path runs in place. The `state` CAS arbitrates grant vs. timeout vs.
-//! doom exactly as before — the releaser cannot tell the two waiter
-//! representations apart.
+//! Timeouts cannot ride on a parked thread the future does not have. The
+//! deadline lives in the queue node either way; for a callback waiter the
+//! manager's sweeper (`sweeper.rs`, one thread per manager, joined on
+//! manager drop) reads it off the queue and runs the very same
+//! `timeout_withdraw` the sync path runs in place, so a queued future
+//! holds nothing but its node. The `state` CAS arbitrates grant vs.
+//! timeout vs. doom exactly as before — the releaser cannot tell the two
+//! waiter representations apart.
 //!
 //! Dropping an unresolved future withdraws its queue node (never counted
 //! as a timeout). If a grant raced the drop and won, the lock is already
@@ -30,15 +32,12 @@
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
-use std::time::Instant;
 
 use crate::error::TxError;
 use crate::manager::{Attempt, ManagerInner};
 use crate::node::TxNode;
-use crate::object::{AnyState, Waiter, WakeCallback, W_GRANTED, W_TIMEDOUT, W_WAITING};
+use crate::object::{AnyState, Waiter, WakeCallback, W_GRANTED, W_WAITING};
 use crate::sync::Arc;
-#[cfg(not(loom))]
-use crate::timer::TimerToken;
 
 /// The boxed access closure: same shape as the closure `access` takes,
 /// boxed so the future can store it across polls.
@@ -51,14 +50,9 @@ enum Stage<R> {
     /// Creation-time failure (`check_usable`): fail on first poll without
     /// ever touching the object.
     Fail(TxError),
-    /// A waiter node is queued on the object; the releaser (or the timer)
-    /// resolves it and wakes us through the waiter's callback slot.
-    Queued {
-        w: Arc<Waiter>,
-        f: BoxedAccessFn<R>,
-        #[cfg(not(loom))]
-        timer: Option<TimerToken>,
-    },
+    /// A waiter node is queued on the object; the releaser (or the
+    /// sweeper) resolves it and wakes us through the waiter's callback slot.
+    Queued { w: Arc<Waiter>, f: BoxedAccessFn<R> },
     /// Resolved (or consumed by drop).
     Done,
 }
@@ -77,9 +71,6 @@ pub struct AccessFuture<R> {
     node: Arc<TxNode>,
     obj_idx: usize,
     write: bool,
-    /// Set on first poll (the async analogue of "when `access` was
-    /// called"): the wait clock and the withdrawal deadline.
-    wait_start: Option<Instant>,
     stage: Stage<R>,
 }
 
@@ -96,7 +87,6 @@ impl<R> AccessFuture<R> {
             node,
             obj_idx,
             write,
-            wait_start: None,
             stage: Stage::Init(f),
         }
     }
@@ -113,31 +103,8 @@ impl<R> AccessFuture<R> {
             node,
             obj_idx,
             write,
-            wait_start: None,
             stage: Stage::Fail(err),
         }
-    }
-
-    /// Arm the withdrawal deadline for a queued waiter. Expiry runs the
-    /// same `timeout_withdraw` a parked thread runs in place, then pokes
-    /// the future through the waiter's callback slot. Model builds skip
-    /// the timer (wall-clock thread); the loom models drive
-    /// `withdraw_waiter` from a model thread instead.
-    #[cfg(not(loom))]
-    fn arm_timer(&self, w: &Arc<Waiter>, deadline: Instant) -> Option<TimerToken> {
-        let mgr = self.mgr.clone();
-        let node = self.node.clone();
-        let w = w.clone();
-        let obj_idx = self.obj_idx;
-        Some(self.mgr.timer.schedule(
-            deadline,
-            Box::new(move || {
-                let owner = mgr.effective_owner(&node);
-                if mgr.timeout_withdraw(obj_idx, &w, &node, &owner) {
-                    w.wake();
-                }
-            }),
-        ))
     }
 
     /// Poll a queued waiter: refresh the wakeup callback with the current
@@ -155,29 +122,10 @@ impl<R> AccessFuture<R> {
             return Poll::Pending;
         }
         // Final state: consume the stage and resolve.
-        let Stage::Queued {
-            w,
-            f,
-            #[cfg(not(loom))]
-            timer,
-        } = std::mem::replace(&mut self.stage, Stage::Done)
-        else {
+        let Stage::Queued { w, f } = std::mem::replace(&mut self.stage, Stage::Done) else {
             unreachable!("checked above");
         };
-        #[cfg(not(loom))]
-        if let Some(t) = timer {
-            t.cancel();
-        }
-        if w.state() == W_TIMEDOUT {
-            // The timer already withdrew the queue node (and counted the
-            // timeout); nothing left to clean up.
-            return Poll::Ready(Err(TxError::Timeout));
-        }
-        let wait_start = self.wait_start.expect("queued implies first poll ran");
-        Poll::Ready(
-            self.mgr
-                .finish_after_wait(&self.node, &w, self.obj_idx, wait_start, f),
-        )
+        Poll::Ready(self.mgr.finish_after_wait(&w, self.obj_idx, f))
     }
 }
 
@@ -199,30 +147,18 @@ impl<R> Future for AccessFuture<R> {
                 let Stage::Init(f) = std::mem::replace(&mut this.stage, Stage::Done) else {
                     unreachable!("checked above");
                 };
-                let wait_start = Instant::now();
-                let deadline = wait_start + this.mgr.config.wait_timeout;
-                this.wait_start = Some(wait_start);
                 let waker = cx.waker().clone();
                 let cb: WakeCallback = Box::new(move || waker.wake());
-                match this.mgr.access_attempt(
-                    &this.node,
-                    this.obj_idx,
-                    this.write,
-                    f,
-                    deadline,
-                    wait_start,
-                    Some(cb),
-                ) {
+                let attempt =
+                    this.mgr
+                        .access_attempt(&this.node, this.obj_idx, this.write, f, Some(cb));
+                match attempt {
                     Attempt::Done(r) => Poll::Ready(r),
                     Attempt::Queued { w, f } => {
-                        #[cfg(not(loom))]
-                        let timer = this.arm_timer(&w, deadline);
-                        this.stage = Stage::Queued {
-                            w,
-                            f,
-                            #[cfg(not(loom))]
-                            timer,
-                        };
+                        // The node carries its own deadline; all it needs
+                        // is a sweeper awake to read it.
+                        this.mgr.sweeper.kick(&this.mgr);
+                        this.stage = Stage::Queued { w, f };
                         this.poll_queued(cx)
                     }
                 }
@@ -234,25 +170,11 @@ impl<R> Future for AccessFuture<R> {
 impl<R> Drop for AccessFuture<R> {
     fn drop(&mut self) {
         let stage = std::mem::replace(&mut self.stage, Stage::Done);
-        let Stage::Queued {
-            w,
-            f,
-            #[cfg(not(loom))]
-            timer,
-        } = stage
-        else {
+        let Stage::Queued { w, f } = stage else {
             return;
         };
         drop(f);
-        #[cfg(not(loom))]
-        if let Some(t) = timer {
-            t.cancel();
-        }
-        let owner = self.mgr.effective_owner(&self.node);
-        if self
-            .mgr
-            .withdraw_waiter(self.obj_idx, &w, &self.node, &owner)
-        {
+        if self.mgr.withdraw_waiter(self.obj_idx, &w) {
             // Withdrawn in place: the queue slot is gone, nothing leaked,
             // and (unlike expiry) no timeout is counted.
             return;
@@ -268,7 +190,7 @@ impl<R> Drop for AccessFuture<R> {
             // stays gated on a writer that will never apply.
             let slot = self.mgr.slot(self.obj_idx);
             let mut guard = slot.inner.lock();
-            if w.write && guard.write_pending == Some(owner.id) {
+            if w.write && guard.write_pending == Some(w.owner.id) {
                 guard.write_pending = None;
             }
             let wake = self.mgr.release_scan(self.obj_idx, &mut guard);
@@ -277,7 +199,7 @@ impl<R> Drop for AccessFuture<R> {
                 x.wake();
             }
         }
-        // W_CANCELLED / W_TIMEDOUT: the canceller (or expiry) already
+        // W_CANCELLED / W_TIMEDOUT: the canceller (or the sweeper) already
         // dequeued the node and cleaned up.
     }
 }

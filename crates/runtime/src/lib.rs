@@ -69,9 +69,8 @@ mod savepoint;
 mod shard;
 mod slab;
 mod stats;
+mod sweeper;
 mod sync;
-#[cfg(not(loom))]
-mod timer;
 mod trace;
 mod tx;
 mod wal;

@@ -5,7 +5,8 @@
 //! interleavings reachable within the checker's preemption bound (see
 //! `vendor/loom`). The models drive the *real* runtime code — `Slab::push`
 //! / `Slab::get`, `ManagerInner::enqueue_waiter` / `timeout_withdraw` /
-//! `release_scan` / `abort_subtree`, `Stats`, `TraceRecorder` — with
+//! `sweep_slot` / `release_scan` / `abort_subtree`, `Stats`,
+//! `TraceRecorder` — with
 //! hand-built transaction nodes, so every interleaving of the actual
 //! grant/cancel/withdraw state machine is checked, not a re-derivation of
 //! it.
@@ -13,7 +14,7 @@
 //! What each model proves is spelled out per test and summarised in
 //! `DESIGN.md` ("Concurrency correctness tooling").
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::config::{DeadlockPolicy, RtConfig};
 use crate::deadlock::WaitForGraph;
@@ -44,7 +45,14 @@ fn mk_mgr(deadlock: DeadlockPolicy) -> Arc<ManagerInner> {
         commit_ts: AtomicU64::new(0),
         live_snapshots: crate::sync::Mutex::new(std::collections::BTreeMap::new()),
         wal: None,
+        sweeper: crate::sweeper::Sweeper::new(),
     })
+}
+
+/// A sweep instant past every deadline the models' 50 ms timeout can
+/// produce: whatever is queued when the step runs has expired.
+fn all_expired() -> Instant {
+    Instant::now() + Duration::from_secs(3600)
 }
 
 /// Register one object and give `holder` a write lock on it, returning the
@@ -105,7 +113,7 @@ fn loom_timeout_withdraw_vs_grant() {
         let obj = obj_with_write_holder(&mgr, &holder);
         let w = {
             let mut g = mgr.slot(obj).inner.lock();
-            mgr.enqueue_waiter(&mut g, &waiter_tx, &waiter_tx, obj, true, None)
+            mgr.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), None)
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
         // The releaser: aborting the holder discards its lock and runs the
@@ -114,7 +122,7 @@ fn loom_timeout_withdraw_vs_grant() {
             m2.abort_subtree(&h2);
         });
         // The timed-out waiter withdraws concurrently.
-        let withdrawn = mgr.timeout_withdraw(obj, &w, &waiter_tx, &waiter_tx);
+        let withdrawn = mgr.timeout_withdraw(obj, &w);
         releaser.join().unwrap();
 
         let st = w.state();
@@ -158,7 +166,7 @@ fn loom_doomed_waiter_never_granted() {
         let obj = obj_with_write_holder(&mgr, &holder);
         let w = {
             let mut g = mgr.slot(obj).inner.lock();
-            mgr.enqueue_waiter(&mut g, &waiter_tx, &waiter_tx, obj, true, None)
+            mgr.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), None)
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
         let releaser = loom::thread::spawn(move || {
@@ -205,8 +213,8 @@ fn loom_write_pending_latch_blocks_until_apply() {
         let (w2, w3) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &writer_tx, &writer_tx, obj, true, None),
-                mgr.enqueue_waiter(&mut g, &reader_tx, &reader_tx, obj, false, None),
+                mgr.enqueue_waiter(&mut g, &writer_tx, obj, true, Instant::now(), None),
+                mgr.enqueue_waiter(&mut g, &reader_tx, obj, false, Instant::now(), None),
             )
         };
         let (m2, h2, w3b) = (mgr.clone(), holder.clone(), w3.clone());
@@ -272,8 +280,8 @@ fn loom_no_double_write_grant() {
         let (wa, wb) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &wa_tx, &wa_tx, obj, true, None),
-                mgr.enqueue_waiter(&mut g, &wb_tx, &wb_tx, obj, true, None),
+                mgr.enqueue_waiter(&mut g, &wa_tx, obj, true, Instant::now(), None),
+                mgr.enqueue_waiter(&mut g, &wb_tx, obj, true, Instant::now(), None),
             )
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
@@ -319,8 +327,8 @@ fn loom_wave_grant_vs_timeout_withdraw_exactly_one_winner() {
         let (r2, r3) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &r2_tx, &r2_tx, obj, false, None),
-                mgr.enqueue_waiter(&mut g, &r3_tx, &r3_tx, obj, false, None),
+                mgr.enqueue_waiter(&mut g, &r2_tx, obj, false, Instant::now(), None),
+                mgr.enqueue_waiter(&mut g, &r3_tx, obj, false, Instant::now(), None),
             )
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
@@ -330,7 +338,7 @@ fn loom_wave_grant_vs_timeout_withdraw_exactly_one_winner() {
             m2.abort_subtree(&h2);
         });
         // Concurrently the first reader times out and withdraws in place.
-        let withdrawn = mgr.timeout_withdraw(obj, &r2, &r2_tx, &r2_tx);
+        let withdrawn = mgr.timeout_withdraw(obj, &r2);
         releaser.join().unwrap();
 
         if withdrawn {
@@ -483,10 +491,11 @@ fn noop_waker() -> std::task::Waker {
 }
 
 /// **Future grant vs timeout withdrawal (callback variant)**: an async
-/// waiter whose timer expiry races the releaser's grant resolves to
-/// *exactly one* of {granted, withdrawn}, the wakeup callback fires
-/// exactly once either way (the releaser's `wake()` on a grant, the
-/// expiry path's on a withdrawal — never both), and the queue and
+/// waiter whose expiry — the real sweeper step, `sweep_slot` — races the
+/// releaser's grant resolves to *exactly one* of {granted, withdrawn},
+/// the wakeup callback fires exactly once either way (the releaser's
+/// `wake()` on a grant, the sweep's on a withdrawal — never both), and
+/// the queue and
 /// write-pending latch end consistent with whichever side won the CAS.
 /// This is `loom_timeout_withdraw_vs_grant` replayed on the callback
 /// waiter representation.
@@ -504,9 +513,9 @@ fn loom_future_grant_vs_timeout_withdraw_callback() {
             mgr.enqueue_waiter(
                 &mut g,
                 &waiter_tx,
-                &waiter_tx,
                 obj,
                 true,
+                Instant::now(),
                 Some(Box::new(move || {
                     wk.fetch_add(1, crate::sync::atomic::Ordering::SeqCst);
                 })),
@@ -518,19 +527,20 @@ fn loom_future_grant_vs_timeout_withdraw_callback() {
         let releaser = loom::thread::spawn(move || {
             m2.abort_subtree(&h2);
         });
-        // The timer expiry path, verbatim from `AccessFuture::arm_timer`.
-        let withdrawn = mgr.timeout_withdraw(obj, &w, &waiter_tx, &waiter_tx);
-        if withdrawn {
-            w.wake();
-        }
+        // The sweeper's step, with the waiter's deadline behind it.
+        mgr.sweep_slot(obj, all_expired());
         releaser.join().unwrap();
 
         let st = w.state();
-        if withdrawn {
-            assert_eq!(st, W_TIMEDOUT, "withdrawn future must be timed out");
-        } else {
+        let withdrawn = st == W_TIMEDOUT;
+        if !withdrawn {
             assert_eq!(st, W_GRANTED, "non-withdrawn future must hold the grant");
         }
+        assert_eq!(
+            mgr.stats.snapshot().timeouts,
+            withdrawn as u64,
+            "a sweep withdrawal is a timeout, a lost race is not"
+        );
         assert_eq!(
             woken.load(crate::sync::atomic::Ordering::SeqCst),
             1,
@@ -552,6 +562,107 @@ fn loom_future_grant_vs_timeout_withdraw_callback() {
             );
             assert_eq!(g.chain.len(), 1, "granted writer must own the top version");
         }
+    });
+}
+
+/// **Sweep step vs grant wave vs future drop** on a two-waiter queue: a
+/// real, polled-once `AccessFuture` (writer A, the head) and a callback
+/// writer B behind it, both past their deadline. The releaser frees the
+/// holder, the sweeper step runs, and A's future is dropped — all
+/// concurrently. Each node has exactly one winner (A: grant, sweep or
+/// drop; B: grant or sweep), B's callback fires exactly once, and B is
+/// never left waiting: if the head was granted just before (or while) the
+/// sweep ran, the expired waiter behind it is still reached.
+#[test]
+fn loom_sweep_vs_grant_wave_vs_future_drop() {
+    loom::model(|| {
+        let mgr = mk_mgr(DeadlockPolicy::TimeoutOnly);
+        let holder = TxNode::top_level(1);
+        let a_tx = TxNode::top_level(2);
+        let b_tx = TxNode::top_level(3);
+        let obj = obj_with_write_holder(&mgr, &holder);
+        let mut fut = crate::future::AccessFuture::new(
+            mgr.clone(),
+            a_tx.clone(),
+            obj,
+            true,
+            Box::new(|_| ()),
+        );
+        {
+            let waker = noop_waker();
+            let mut cx = std::task::Context::from_waker(&waker);
+            // SAFETY: `fut` lives on this stack frame and is not moved
+            // between this pin and its drop below.
+            let pinned = unsafe { std::pin::Pin::new_unchecked(&mut fut) };
+            assert!(std::future::Future::poll(pinned, &mut cx).is_pending());
+        }
+        let b_woken = Arc::new(crate::sync::atomic::AtomicUsize::new(0));
+        let (a, b) = {
+            let wk = b_woken.clone();
+            let mut g = mgr.slot(obj).inner.lock();
+            let a = g.queue[0].clone();
+            let b = mgr.enqueue_waiter(
+                &mut g,
+                &b_tx,
+                obj,
+                true,
+                Instant::now(),
+                Some(Box::new(move || {
+                    wk.fetch_add(1, crate::sync::atomic::Ordering::SeqCst);
+                })),
+            );
+            (a, b)
+        };
+        let (m2, h2) = (mgr.clone(), holder.clone());
+        let releaser = loom::thread::spawn(move || {
+            m2.abort_subtree(&h2);
+        });
+        let m3 = mgr.clone();
+        let sweeper = loom::thread::spawn(move || {
+            m3.sweep_slot(obj, all_expired());
+        });
+        drop(fut); // races both
+        releaser.join().unwrap();
+        sweeper.join().unwrap();
+
+        let (a_st, b_st) = (a.state(), b.state());
+        assert!(a_st == W_GRANTED || a_st == W_TIMEDOUT, "head unresolved");
+        assert!(
+            b_st == W_GRANTED || b_st == W_TIMEDOUT,
+            "expired waiter behind the head was never reached"
+        );
+        if a_st == W_GRANTED {
+            // A holds the write lock until its transaction ends, so B can
+            // only have left through the sweep.
+            assert_eq!(b_st, W_TIMEDOUT, "B granted beside a write holder");
+        }
+        assert_eq!(
+            b_woken.load(crate::sync::atomic::Ordering::SeqCst),
+            1,
+            "B's callback must fire exactly once"
+        );
+        let snap = mgr.stats.snapshot();
+        let gone = (a_st == W_TIMEDOUT) as u64 + (b_st == W_TIMEDOUT) as u64;
+        assert_eq!(snap.cancelled_waiters, gone, "one withdrawal per node");
+        // B leaves only through the sweep; A through the sweep or its drop.
+        assert!(snap.timeouts <= gone && snap.timeouts >= (b_st == W_TIMEDOUT) as u64);
+        {
+            let g = mgr.slot(obj).inner.lock();
+            assert!(g.queue.is_empty(), "waiter leaked in queue");
+            let holders: Vec<u64> = g.chain.iter().map(|e| e.owner.id).collect();
+            let expect: Vec<u64> = match (a_st, b_st) {
+                (W_GRANTED, _) => vec![2],
+                (_, W_GRANTED) => vec![3],
+                _ => vec![],
+            };
+            assert_eq!(holders, expect, "lock state inconsistent with outcomes");
+            // A's drop lifted its latch; B, granted, never applied.
+            assert_eq!(g.write_pending, (b_st == W_GRANTED).then_some(3));
+        }
+        mgr.abort_subtree(&a_tx);
+        mgr.abort_subtree(&b_tx);
+        let g = mgr.slot(obj).inner.lock();
+        assert!(g.chain.is_empty() && g.write_pending.is_none());
     });
 }
 

@@ -35,10 +35,12 @@ use crate::error::TxError;
 use crate::fault::{FaultAction, FaultContext, FaultPoint};
 use crate::node::{TxNode, TxState};
 use crate::object::{
-    AnyState, ObjectInner, ObjectSlot, Waiter, WakeCallback, W_CANCELLED, W_GRANTED, W_WAITING,
+    AnyState, ObjectInner, ObjectSlot, Waiter, WakeCallback, W_CANCELLED, W_GRANTED, W_TIMEDOUT,
+    W_WAITING,
 };
 use crate::slab::Slab;
 use crate::stats::{Ctr, Stats, StatsSnapshot};
+use crate::sweeper::Sweeper;
 use crate::trace::RtEvent;
 use crate::tx::Tx;
 use crate::wal::{Wal, WalCodec, WalState};
@@ -111,17 +113,15 @@ pub(crate) struct ManagerInner {
     /// default — in which case the commit path pays a single `Option`
     /// branch and no io).
     pub wal: Option<Wal>,
-    /// Async access-timeout timer: one lazily-spawned thread owned by this
-    /// manager, shut down and joined when the manager drops (loom builds
-    /// drive the withdraw race from model threads instead).
-    #[cfg(not(loom))]
-    pub(crate) timer: Arc<crate::timer::TimerService>,
+    /// Times out expired callback waiters ([`Self::sweep_slot`]): one
+    /// thread, spawned by the first queued async waiter, stopped and
+    /// joined when the manager drops.
+    pub(crate) sweeper: Arc<Sweeper>,
 }
 
 impl Drop for ManagerInner {
     fn drop(&mut self) {
-        #[cfg(not(loom))]
-        self.timer.shutdown();
+        self.sweeper.shutdown();
     }
 }
 
@@ -141,8 +141,7 @@ impl ManagerInner {
             ts_alloc: AtomicU64::new(0),
             commit_ts: AtomicU64::new(0),
             live_snapshots: Mutex::new(BTreeMap::new()),
-            #[cfg(not(loom))]
-            timer: crate::timer::TimerService::new(),
+            sweeper: Sweeper::new(),
         }
     }
 }
@@ -421,9 +420,8 @@ impl Drop for Snapshot {
 
 /// The error a doomed requester reports: a deadlock victim's doom is
 /// retryable scheduling ([`TxError::Deadlock`]), anything else is
-/// [`TxError::Doomed`]. `pub(crate)` so the async access future classifies
-/// its cancelled waiters identically to the sync path.
-pub(crate) fn doom_error(node: &TxNode) -> TxError {
+/// [`TxError::Doomed`].
+fn doom_error(node: &TxNode) -> TxError {
     if node.victim_flagged() {
         TxError::Deadlock
     } else {
@@ -1023,31 +1021,39 @@ impl ManagerInner {
     /// Phase 2 of [`Self::access`]: create `node`'s waiter, insert it in
     /// policy order (age order under wound–wait — oldest top first, so
     /// queue-position waits also point young→old; plain FIFO otherwise),
-    /// and register the node's `waiting_on` entry. `async_cb: Some(..)`
-    /// queues a callback waiter with its wakeup callback installed *before*
-    /// the node enters the queue — under the same slot-mutex hold — so no
-    /// grant can beat the callback into place and lose the wakeup. Callers
-    /// hold the slot mutex for `obj_idx`. Exposed `pub(crate)` so the loom
-    /// models race the real enqueue path, not a copy.
+    /// and register the node's `waiting_on` entry. `wait_start` is the
+    /// caller's clock read from when it first found the request blocked;
+    /// the node's deadline is that plus the configured `wait_timeout` and
+    /// lives nowhere else. `async_cb: Some(..)` queues a callback waiter
+    /// with its wakeup callback installed *before* the node enters the
+    /// queue — under the same slot-mutex hold — so no grant can beat the
+    /// callback into place and lose the wakeup. Callers hold the slot
+    /// mutex for `obj_idx`. Exposed `pub(crate)` so the loom models race
+    /// the real enqueue path, not a copy.
     pub(crate) fn enqueue_waiter(
         &self,
         inner: &mut ObjectInner,
         node: &Arc<TxNode>,
-        owner: &Arc<TxNode>,
         obj_idx: usize,
         lock_write: bool,
+        wait_start: Instant,
         async_cb: Option<WakeCallback>,
     ) -> Arc<Waiter> {
-        let w = match async_cb {
-            None => Waiter::new(node.clone(), owner.clone(), lock_write),
-            Some(cb) => {
-                let w = Waiter::new_async(node.clone(), owner.clone(), lock_write);
-                w.set_callback(cb);
-                w
-            }
-        };
+        if async_cb.is_some() {
+            // Tell the sweeper this queue may hold a wait it has to time
+            // out (cleared by the pass that finds the queue empty).
+            self.slot(obj_idx).sweep_hint.store(true, Ordering::SeqCst);
+        }
+        let w = Waiter::new(
+            node.clone(),
+            self.effective_owner(node),
+            lock_write,
+            wait_start,
+            wait_start + self.config.wait_timeout,
+            async_cb,
+        );
         if self.config.deadlock == DeadlockPolicy::WoundWait {
-            let my_top = owner.top_level_id();
+            let my_top = w.owner.top_level_id();
             let pos = inner
                 .queue
                 .iter()
@@ -1068,16 +1074,10 @@ impl ManagerInner {
     /// withdrawn; its state is then [`crate::object::W_TIMEDOUT`], a
     /// terminal state distinct from doom so the async path can classify a
     /// waiter from the state word alone. Shared by the sync timeout path,
-    /// the timer-service expiry path, and drop-of-an-unresolved-future
+    /// the sweeper ([`Self::sweep_slot`]), and drop-of-an-unresolved-future
     /// cleanup — only the first two count a timeout (see
     /// [`Self::timeout_withdraw`]).
-    pub(crate) fn withdraw_waiter(
-        &self,
-        obj_idx: usize,
-        w: &Arc<Waiter>,
-        node: &Arc<TxNode>,
-        owner: &Arc<TxNode>,
-    ) -> bool {
+    pub(crate) fn withdraw_waiter(&self, obj_idx: usize, w: &Arc<Waiter>) -> bool {
         let slot = self.slot(obj_idx);
         let mut guard = slot.inner.lock();
         if w.state() != W_WAITING {
@@ -1093,9 +1093,9 @@ impl ManagerInner {
             obj: obj_idx,
         });
         guard.remove_waiter(w);
-        *node.waiting_on.lock() = None;
+        *w.node.waiting_on.lock() = None;
         if self.config.deadlock == DeadlockPolicy::DieOnCycle && !w.edges.lock().is_empty() {
-            self.wait_graph.clear(owner.top_level_id());
+            self.wait_graph.clear(w.owner.top_level_id());
         }
         self.stats.bump(Ctr::CancelledWaiters);
         let wake = self.release_scan(obj_idx, &mut guard);
@@ -1110,19 +1110,51 @@ impl ManagerInner {
     /// timeout (the request fails with [`TxError::Timeout`]). Exposed
     /// `pub(crate)` so the loom models race the real withdrawal against a
     /// concurrent releaser's grant.
-    pub(crate) fn timeout_withdraw(
-        &self,
-        obj_idx: usize,
-        w: &Arc<Waiter>,
-        node: &Arc<TxNode>,
-        owner: &Arc<TxNode>,
-    ) -> bool {
-        if self.withdraw_waiter(obj_idx, w, node, owner) {
+    pub(crate) fn timeout_withdraw(&self, obj_idx: usize, w: &Arc<Waiter>) -> bool {
+        if self.withdraw_waiter(obj_idx, w) {
             self.stats.bump(Ctr::Timeouts);
             true
         } else {
             false
         }
+    }
+
+    /// One sweeper step: time out the callback waiters of `obj_idx` whose
+    /// deadline is at or before `now`, exactly as a parked thread times
+    /// itself out ([`Self::timeout_withdraw`], then the wake that makes the
+    /// future poll again); a waiter with a thread is left to do that
+    /// itself. Deadlines are `enqueue instant + one constant` and the
+    /// instant is read under the slot mutex, so FIFO order is deadline
+    /// order and the walk stops at the first unexpired node — except under
+    /// [`DeadlockPolicy::WoundWait`], whose age-ordered insert breaks the
+    /// monotone order: there the whole queue is walked. A grant, doom or
+    /// drop that beats a withdrawal wins the state CAS as usual.
+    ///
+    /// Returns whether the queue was non-empty; an empty one drops the
+    /// slot's `sweep_hint`, so the sweeper stops visiting it.
+    pub(crate) fn sweep_slot(&self, obj_idx: usize, now: Instant) -> bool {
+        let slot = self.slot(obj_idx);
+        let whole_queue = self.config.deadlock == DeadlockPolicy::WoundWait;
+        let expired: Vec<Arc<Waiter>> = {
+            let guard = slot.inner.lock();
+            if guard.queue.is_empty() {
+                slot.sweep_hint.store(false, Ordering::SeqCst);
+                return false;
+            }
+            guard
+                .queue
+                .iter()
+                .take_while(|w| whole_queue || w.deadline <= now)
+                .filter(|w| w.is_async && w.deadline <= now)
+                .cloned()
+                .collect()
+        };
+        for w in expired {
+            if self.timeout_withdraw(obj_idx, &w) {
+                w.wake();
+            }
+        }
+        true
     }
 
     /// Run the enqueue half of [`Self::access`] — fault points, the
@@ -1139,16 +1171,15 @@ impl ManagerInner {
     /// callback waiter variant (see [`Self::enqueue_waiter`]);
     /// grant order, wound-wait age ordering, and the die-on-cycle edge
     /// publish are identical for both variants — the queue cannot tell
-    /// them apart.
-    #[allow(clippy::too_many_arguments)] // the access pipeline's full context, by design
+    /// them apart. A request granted inline reads no clock: the wait's
+    /// start and deadline are read once, when the request first finds
+    /// itself blocked, and live in the waiter node.
     pub(crate) fn access_attempt<R, F>(
         &self,
         node: &Arc<TxNode>,
         obj_idx: usize,
         write: bool,
         f: F,
-        deadline: Instant,
-        wait_start: Instant,
         async_cb: Option<WakeCallback>,
     ) -> Attempt<R, F>
     where
@@ -1157,7 +1188,7 @@ impl ManagerInner {
         let lock_write = write || self.config.mode == LockMode::Exclusive;
         let owner = self.effective_owner(node);
         let slot = self.slot(obj_idx);
-        let mut waited = false;
+        let mut wait_start: Option<Instant> = None;
         if self.config.fault.is_some() {
             let action = self.fault_decision(FaultPoint::LockRequest, node, Some(obj_idx), write);
             if action != FaultAction::Continue {
@@ -1167,7 +1198,7 @@ impl ManagerInner {
         let mut guard = slot.inner.lock();
         // Phase 1 — inline grant, wound retries, fail-fast exits. Leaves
         // the loop only to enqueue a waiter.
-        loop {
+        let wait_start = loop {
             if node.is_doomed() {
                 return Attempt::Done(Err(doom_error(node)));
             }
@@ -1181,16 +1212,18 @@ impl ManagerInner {
             if guard.grantable(&owner, lock_write)
                 && (guard.queue.is_empty() || guard.holder_is_ancestor(&owner))
             {
-                if waited {
+                if let Some(t0) = wait_start {
                     self.stats
-                        .add(Ctr::WaitNanos, wait_start.elapsed().as_nanos() as u64);
+                        .add(Ctr::WaitNanos, t0.elapsed().as_nanos() as u64);
                 }
                 return Attempt::Done(Ok(
                     self.grant_inline(&mut guard, &owner, obj_idx, lock_write, f)
                 ));
             }
-            if !waited {
-                waited = true;
+            // Blocked — the only path that reads the clock. The first read
+            // (under the slot mutex) is the wait's start.
+            let now = Instant::now();
+            if wait_start.is_none() {
                 self.stats.bump(Ctr::Waits);
                 self.trace(RtEvent::Wait {
                     tx: owner.id,
@@ -1198,6 +1231,7 @@ impl ManagerInner {
                     write: lock_write,
                 });
             }
+            let t0 = *wait_start.get_or_insert(now);
             if self.config.fault.is_some() {
                 let action = self.fault_decision(FaultPoint::LockWait, node, Some(obj_idx), write);
                 if action != FaultAction::Continue {
@@ -1231,7 +1265,7 @@ impl ManagerInner {
                     continue;
                 }
             }
-            if Instant::now() >= deadline {
+            if now >= t0 + self.config.wait_timeout {
                 // Fail fast without ever enqueueing — with a zero wait
                 // budget (the deterministic fuzz configuration) blocked
                 // requests take exactly this path.
@@ -1245,10 +1279,10 @@ impl ManagerInner {
                 });
                 return Attempt::Done(Err(TxError::Timeout));
             }
-            break;
-        }
+            break t0;
+        };
         // Phase 2 — enqueue a waiter node.
-        let w = self.enqueue_waiter(&mut guard, node, &owner, obj_idx, lock_write, async_cb);
+        let w = self.enqueue_waiter(&mut guard, node, obj_idx, lock_write, wait_start, async_cb);
         // Self-scan under the same mutex hold: delivers a doom that raced
         // the enqueue (the aborter either saw our waiting_on registration
         // or we see its abort mark here — the slot mutex serialises the
@@ -1358,6 +1392,50 @@ impl ManagerInner {
         Attempt::Queued { w, f }
     }
 
+    /// Phase 4 of [`Self::access`] — adaptive wait: spin briefly on our
+    /// own node (direct handoff under short holds often lands here),
+    /// extend the spin when the object's observed hold tenures are short,
+    /// then park until the node's deadline. Returns the last state seen:
+    /// [`W_WAITING`] means the deadline passed unresolved.
+    #[cfg_attr(loom, allow(unused_variables))]
+    fn spin_then_park(&self, w: &Waiter, obj_idx: usize) -> u8 {
+        let mut st = w.state();
+        if st != W_WAITING {
+            return st;
+        }
+        for _ in 0..SPIN_ITERS {
+            crate::sync::hint::spin_loop();
+            st = w.state();
+            if st != W_WAITING {
+                break;
+            }
+        }
+        // Adaptive spin-then-park gate: if recent holds of this object fit
+        // under `SHORT_HOLD_NS`, a grant is likely to land within a few
+        // hold-lengths — spinning through it beats the cross-thread
+        // park/unpark round trip. Long-hold objects park immediately. (Not
+        // under loom: wall-clock spinning adds schedule states without
+        // adding transitions.)
+        #[cfg(not(loom))]
+        if st == W_WAITING {
+            let hint = self.slot(obj_idx).hold_hint_ns();
+            if hint > 0 && hint <= SHORT_HOLD_NS {
+                let budget = (4 * hint).min(2 * SHORT_HOLD_NS);
+                let spin_deadline = Instant::now() + std::time::Duration::from_nanos(budget);
+                while st == W_WAITING && Instant::now() < spin_deadline {
+                    crate::sync::hint::spin_loop();
+                    st = w.state();
+                }
+            }
+        }
+        if st == W_GRANTED {
+            self.stats.bump(Ctr::SpinGrants);
+        } else if st == W_WAITING {
+            st = w.park_until();
+        }
+        st
+    }
+
     /// Acquire a lock on `obj_idx` for `node` and run `f` on the state
     /// under the object mutex. `write` is the *declared* kind; in
     /// [`LockMode::Exclusive`] reads lock like writes but still receive
@@ -1369,77 +1447,39 @@ impl ManagerInner {
         write: bool,
         f: impl FnOnce(&mut dyn AnyState) -> R,
     ) -> Result<R, TxError> {
-        let deadline = Instant::now() + self.config.wait_timeout;
-        let wait_start = Instant::now();
-        let (w, f) = match self.access_attempt(node, obj_idx, write, f, deadline, wait_start, None)
-        {
+        let (w, f) = match self.access_attempt(node, obj_idx, write, f, None) {
             Attempt::Done(r) => return r,
             Attempt::Queued { w, f } => (w, f),
         };
-        let owner = self.effective_owner(node);
-        #[cfg(not(loom))]
-        let slot = self.slot(obj_idx);
-        // Phase 4 — adaptive wait: spin briefly on our own node (direct
-        // handoff under short holds often lands here), extend the spin
-        // when the object's observed hold tenures are short, then park.
-        let mut st = w.state();
-        if st == W_WAITING {
-            for _ in 0..SPIN_ITERS {
-                crate::sync::hint::spin_loop();
-                st = w.state();
-                if st != W_WAITING {
-                    break;
-                }
-            }
-            // Adaptive spin-then-park gate: if recent holds of this object
-            // fit under `SHORT_HOLD_NS`, a grant is likely to land within a
-            // few hold-lengths — spinning through it beats the cross-thread
-            // park/unpark round trip. Long-hold objects park immediately.
-            // (Not under loom: wall-clock spinning adds schedule states
-            // without adding transitions.)
-            #[cfg(not(loom))]
-            if st == W_WAITING {
-                let hint = slot.hold_hint_ns();
-                if hint > 0 && hint <= SHORT_HOLD_NS {
-                    let budget = (4 * hint).min(2 * SHORT_HOLD_NS);
-                    let spin_deadline = Instant::now() + std::time::Duration::from_nanos(budget);
-                    while st == W_WAITING && Instant::now() < spin_deadline {
-                        crate::sync::hint::spin_loop();
-                        st = w.state();
-                    }
-                }
-            }
-            if st == W_GRANTED {
-                self.stats.bump(Ctr::SpinGrants);
-            } else if st == W_WAITING {
-                st = w.park_until(deadline);
-            }
+        // Phase 5 — a wait still unresolved at its deadline withdraws its
+        // queue node in place, unless a grant or doom raced the wakeup;
+        // whichever won the state CAS, `finish_after_wait` classifies it.
+        if self.spin_then_park(&w, obj_idx) == W_WAITING {
+            self.timeout_withdraw(obj_idx, &w);
         }
-        // Phase 5 — classify. A timed-out wait withdraws its queue node in
-        // place unless a grant raced the wakeup, in which case take it.
-        if st == W_WAITING && self.timeout_withdraw(obj_idx, &w, node, &owner) {
-            return Err(TxError::Timeout);
-        }
-        self.finish_after_wait(node, &w, obj_idx, wait_start, f)
+        self.finish_after_wait(&w, obj_idx, f)
     }
 
     /// Consume a resolved waiter — phase 5 of the lock protocol, shared by
-    /// the parked sync path and the polled async path. The waiter's state
-    /// must be final ([`W_CANCELLED`] or [`W_GRANTED`]; timed-out waiters
-    /// fail before reaching here). On a grant the releaser already
-    /// installed our lock state and dequeued us: this only applies the
-    /// closure and, for writes, lifts the unapplied-write latch.
+    /// the parked sync path and the polled async path, and the one place a
+    /// terminal waiter state becomes a `Result`. The state must be final:
+    /// [`W_TIMEDOUT`] (withdrawn by its own thread or by the sweeper —
+    /// already dequeued and counted), [`W_CANCELLED`] or [`W_GRANTED`]. On
+    /// a grant the releaser already installed our lock state and dequeued
+    /// us: this only applies the closure and, for writes, lifts the
+    /// unapplied-write latch.
     pub(crate) fn finish_after_wait<R>(
         &self,
-        node: &Arc<TxNode>,
         w: &Arc<Waiter>,
         obj_idx: usize,
-        wait_start: Instant,
         f: impl FnOnce(&mut dyn AnyState) -> R,
     ) -> Result<R, TxError> {
-        let owner = self.effective_owner(node);
+        let (node, owner) = (&w.node, &w.owner);
         let slot = self.slot(obj_idx);
         let st = w.state();
+        if st == W_TIMEDOUT {
+            return Err(TxError::Timeout);
+        }
         if st == W_CANCELLED {
             // Doom was delivered to the queue node (wound, ancestor abort,
             // or deadlock victim) — the canceller already dequeued us and
@@ -1450,7 +1490,7 @@ impl ManagerInner {
         debug_assert_eq!(st, W_GRANTED, "finish_after_wait needs a final state");
         *node.waiting_on.lock() = None;
         self.stats
-            .add(Ctr::WaitNanos, wait_start.elapsed().as_nanos() as u64);
+            .add(Ctr::WaitNanos, w.wait_start.elapsed().as_nanos() as u64);
         let mut guard = slot.inner.lock();
         if node.is_doomed() {
             // Granted and doomed in the same window: the closure must not
@@ -1475,7 +1515,7 @@ impl ManagerInner {
             write: w.write,
         });
         if w.write {
-            let st_box = guard.write_target(&owner);
+            let st_box = guard.write_target(owner);
             let r = f(st_box.as_mut());
             debug_assert_eq!(guard.write_pending, Some(owner.id));
             guard.write_pending = None;
@@ -1491,7 +1531,7 @@ impl ManagerInner {
             // The releaser recorded our read lock; read the deepest
             // version owned by one of our ancestors (a stranger's version
             // may have been granted on top since).
-            let r = f(guard.read_target(&owner).as_mut());
+            let r = f(guard.read_target(owner).as_mut());
             Ok(r)
         }
     }
@@ -1826,7 +1866,7 @@ mod tests {
             let mut g = inner.slot(obj).inner.lock();
             let _ = g.writable_state(&holder);
             holder.touch(obj);
-            inner.enqueue_waiter(&mut g, &waiter_tx, &waiter_tx, obj, true, None)
+            inner.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), None)
         };
         // The holder aborts: the release scan grants `w` directly,
         // installing waiter_tx's version and the write-pending latch. No

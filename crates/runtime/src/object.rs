@@ -11,7 +11,7 @@
 //! `ManagerInner::release_scan` in the manager module). The queue is the
 //! single source of truth for "who is waiting" on an object.
 
-use crate::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use crate::sync::Arc;
 use std::any::Any;
 use std::collections::VecDeque;
@@ -61,7 +61,7 @@ pub(crate) const W_GRANTED: u8 = 1;
 /// fails without retrying.
 pub(crate) const W_CANCELLED: u8 = 2;
 /// The wait was withdrawn by its own timeout (the sync thread's deadline, or
-/// the timer service acting for an async waiter). Kept distinct from
+/// the manager's sweeper acting for an async waiter). Kept distinct from
 /// [`W_CANCELLED`] so the async path can classify `Timeout` vs `Doomed`
 /// straight off the state CAS — no side flag, no window where a spurious
 /// poll misreads who cancelled.
@@ -88,14 +88,25 @@ pub(crate) struct Waiter {
     pub owner: Arc<TxNode>,
     /// `true` for a write-mode request.
     pub write: bool,
+    /// When the request first found itself blocked (read under the slot
+    /// mutex): the wait clock behind `Ctr::WaitNanos`.
+    pub wait_start: Instant,
+    /// `wait_start + wait_timeout`: the only place this wait's timeout
+    /// lives. A parked thread sleeps until it ([`Waiter::park_until`]); the
+    /// sweeper reads it off the queue for a callback waiter. Both clock
+    /// reads happen under the slot mutex and the timeout is one constant,
+    /// so FIFO queue order is deadline order.
+    pub deadline: Instant,
     state: AtomicU8,
     park: Mutex<()>,
     cv: Condvar,
     /// `true` for the callback variant: [`Waiter::wake`] invokes (and
     /// consumes) the stored callback instead of touching the park
-    /// lock/condvar. A plain immutable field, so the sync variant's wake
-    /// path pays zero new synchronization for the async machinery.
-    is_async: bool,
+    /// lock/condvar, and an expired wait is withdrawn by the sweeper
+    /// instead of by its own thread. A plain immutable field, so the sync
+    /// variant's wake path pays zero new synchronization for the async
+    /// machinery.
+    pub is_async: bool,
     /// Wakeup callback slot for the async variant (always `None` on the
     /// sync variant). Installed under the slot mutex at enqueue time —
     /// strictly before the waiter becomes grantable — and refreshed by
@@ -110,42 +121,37 @@ pub(crate) struct Waiter {
 }
 
 impl Waiter {
-    pub fn new(node: Arc<TxNode>, owner: Arc<TxNode>, write: bool) -> Arc<Waiter> {
-        Self::build(node, owner, write, false)
-    }
-
-    /// The callback variant: woken by invoking a stored [`WakeCallback`]
-    /// (installed via [`Waiter::set_callback`]) instead of a condvar
-    /// notify. Queueing, granting, cancellation, and withdrawal are
-    /// identical to the sync variant — only the wakeup delivery differs.
-    pub fn new_async(node: Arc<TxNode>, owner: Arc<TxNode>, write: bool) -> Arc<Waiter> {
-        Self::build(node, owner, write, true)
-    }
-
-    fn build(node: Arc<TxNode>, owner: Arc<TxNode>, write: bool, is_async: bool) -> Arc<Waiter> {
+    /// A queue node for one blocked request. `callback: Some(..)` makes it
+    /// the callback variant: woken by invoking the stored [`WakeCallback`]
+    /// instead of a condvar notify. Queueing, granting, cancellation, and
+    /// withdrawal are identical for both — only the wakeup delivery (and
+    /// who runs an expired wait's withdrawal) differs.
+    pub fn new(
+        node: Arc<TxNode>,
+        owner: Arc<TxNode>,
+        write: bool,
+        wait_start: Instant,
+        deadline: Instant,
+        callback: Option<WakeCallback>,
+    ) -> Arc<Waiter> {
         Arc::new(Waiter {
             node,
             owner,
             write,
+            wait_start,
+            deadline,
             state: AtomicU8::new(W_WAITING),
             park: Mutex::new(()),
             cv: Condvar::new(),
-            is_async,
-            callback: Mutex::new(None),
+            is_async: callback.is_some(),
+            callback: Mutex::new(callback),
             edges: Mutex::new(Vec::new()),
         })
     }
 
-    /// Whether this is the callback (async) variant.
-    #[cfg_attr(not(test), allow(dead_code))] // test/diagnostic accessor
-    #[inline]
-    pub fn is_async(&self) -> bool {
-        self.is_async
-    }
-
-    /// Install (or refresh) the async wakeup callback. Replacing an unfired
-    /// callback is fine — only the latest waker needs waking. No-op on the
-    /// sync variant.
+    /// Refresh the async wakeup callback (every future poll installs the
+    /// current task's waker). Replacing an unfired callback is fine — only
+    /// the latest waker needs waking. No-op on the sync variant.
     pub fn set_callback(&self, cb: WakeCallback) {
         if self.is_async {
             *self.callback.lock() = Some(cb);
@@ -201,16 +207,16 @@ impl Waiter {
         self.cv.notify_one();
     }
 
-    /// Park until the state leaves [`W_WAITING`] or `deadline` passes;
-    /// returns the last observed state ([`W_WAITING`] on timeout).
-    pub fn park_until(&self, deadline: Instant) -> u8 {
+    /// Park until the state leaves [`W_WAITING`] or the node's own deadline
+    /// passes; returns the last observed state ([`W_WAITING`] on timeout).
+    pub fn park_until(&self) -> u8 {
         let mut gate = self.park.lock();
         while self.state() == W_WAITING {
             let now = Instant::now();
-            if now >= deadline {
+            if now >= self.deadline {
                 break;
             }
-            let timed_out = self.cv.wait_for(&mut gate, deadline - now).timed_out();
+            let timed_out = self.cv.wait_for(&mut gate, self.deadline - now).timed_out();
             // Under loom, wall clocks barely advance between yield points,
             // so the `deadline` check above would spin forever; the model's
             // timed-wait rescue reports the timeout instead — honour it.
@@ -471,6 +477,11 @@ pub(crate) struct ObjectSlot {
     /// stale value can only make a waiter spin a little more or less.
     #[cfg_attr(loom, allow(dead_code))]
     hold_ewma_ns: AtomicU64,
+    /// Set (under the slot mutex) when a callback waiter is queued here,
+    /// cleared (under the slot mutex) by the sweeper pass that finds the
+    /// queue empty. The sweeper reads it lock-free to visit only slots
+    /// that may hold a wait it has to time out; see `sweeper.rs`.
+    pub sweep_hint: AtomicBool,
     /// WAL encode/decode pair for durable objects
     /// ([`crate::TxManager::register_durable`]); `None` means the object is
     /// memory-only and the WAL skips it entirely.
@@ -511,6 +522,7 @@ impl ObjectSlot {
             }),
             snap,
             hold_ewma_ns: AtomicU64::new(0),
+            sweep_hint: AtomicBool::new(false),
             codec,
         }
     }
@@ -565,6 +577,13 @@ mod tests {
             tenure_start: None,
             hint_warm: false,
         }
+    }
+
+    /// A waiter for `tx` (its own owner) with a deadline far in the future.
+    fn waiter(tx: &Arc<TxNode>, write: bool, cb: Option<WakeCallback>) -> Arc<Waiter> {
+        let now = Instant::now();
+        let deadline = now + std::time::Duration::from_secs(3600);
+        Waiter::new(tx.clone(), tx.clone(), write, now, deadline, cb)
     }
 
     fn read_i64(s: &dyn AnyState) -> i64 {
@@ -655,7 +674,7 @@ mod tests {
         let (p, c, g, q) = nodes();
         let mut o = inner();
         let _ = o.writable_state(&c);
-        let w = Waiter::new(q.clone(), q.clone(), true);
+        let w = waiter(&q, true, None);
         o.queue.push_back(w);
         assert!(o.holder_is_ancestor(&g), "write holder c is an ancestor");
         assert!(!o.holder_is_ancestor(&q), "stranger must queue");
@@ -710,17 +729,17 @@ mod tests {
     #[test]
     fn waiter_state_machine_and_queue_removal() {
         let (p, ..) = nodes();
-        let w = Waiter::new(p.clone(), p.clone(), false);
+        let w = waiter(&p, false, None);
         assert_eq!(w.state(), W_WAITING);
         assert!(w.grant());
         assert!(!w.cancel(), "granted waiter cannot be cancelled");
         assert_eq!(w.state(), W_GRANTED);
-        let w2 = Waiter::new(p.clone(), p.clone(), true);
+        let w2 = waiter(&p, true, None);
         assert!(w2.cancel());
         assert_eq!(w2.state(), W_CANCELLED);
         let mut o = inner();
-        let q1 = Waiter::new(p.clone(), p.clone(), true);
-        let q2 = Waiter::new(p.clone(), p.clone(), false);
+        let q1 = waiter(&p, true, None);
+        let q2 = waiter(&p, false, None);
         o.queue.push_back(q1.clone());
         o.queue.push_back(q2.clone());
         assert_eq!(o.waiters(), 2);
@@ -856,21 +875,24 @@ mod tests {
     fn async_waiter_wake_consumes_callback_once() {
         use std::sync::atomic::{AtomicUsize, Ordering as O};
         let (p, ..) = nodes();
-        let w = Waiter::new_async(p.clone(), p.clone(), true);
-        assert!(w.is_async());
         let fired = Arc::new(AtomicUsize::new(0));
         let f = fired.clone();
-        w.set_callback(Box::new(move || {
-            f.fetch_add(1, O::SeqCst);
-        }));
+        let w = waiter(
+            &p,
+            true,
+            Some(Box::new(move || {
+                f.fetch_add(1, O::SeqCst);
+            })),
+        );
+        assert!(w.is_async);
         assert!(w.grant());
         w.wake();
         assert_eq!(fired.load(O::SeqCst), 1);
         w.wake(); // consumed: second wake is a no-op, never a double fire
         assert_eq!(fired.load(O::SeqCst), 1);
         // Sync variant ignores callbacks entirely.
-        let ws = Waiter::new(p.clone(), p.clone(), false);
-        assert!(!ws.is_async());
+        let ws = waiter(&p, false, None);
+        assert!(!ws.is_async);
         let f2 = fired.clone();
         ws.set_callback(Box::new(move || {
             f2.fetch_add(100, O::SeqCst);
@@ -883,12 +905,12 @@ mod tests {
     #[test]
     fn timeout_withdrawal_state_is_distinct_from_doom() {
         let (p, ..) = nodes();
-        let w = Waiter::new_async(p.clone(), p.clone(), true);
+        let w = waiter(&p, true, Some(Box::new(|| {})));
         assert!(w.cancel_timeout());
         assert_eq!(w.state(), W_TIMEDOUT);
         assert!(!w.cancel(), "terminal state cannot be re-cancelled");
         assert!(!w.grant(), "terminal state cannot be granted");
-        let w2 = Waiter::new(p.clone(), p.clone(), true);
+        let w2 = waiter(&p, true, None);
         assert!(w2.cancel());
         assert!(!w2.cancel_timeout());
         assert_eq!(w2.state(), W_CANCELLED);

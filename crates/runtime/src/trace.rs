@@ -213,8 +213,9 @@ pub enum RtEvent {
         /// Whether the resolved request was a write.
         write: bool,
     },
-    /// A queued waiter was withdrawn by its own side (async drop or timer
-    /// expiry winning the claim CAS) instead of being granted. Exactly one
+    /// A queued waiter was withdrawn by its own side (async drop, or its
+    /// deadline passing and the withdrawal winning the state CAS) instead
+    /// of being granted. Exactly one
     /// of {grant, withdraw, cancel} may resolve any single wait.
     Withdraw {
         /// The withdrawn requester.

@@ -169,8 +169,9 @@ impl Tx {
     /// like the sync path (same FIFO position, same wound-wait /
     /// die-on-cycle treatment at enqueue time) and is completed
     /// releaser-side by the same grant wave that would have unparked a
-    /// thread; its timeout withdraws the queue node in place, driven by
-    /// the process timer service instead of a parked thread.
+    /// thread; its timeout withdraws the queue node in place, run by the
+    /// manager's sweeper (which reads the deadline off the queue node)
+    /// instead of a parked thread.
     ///
     /// The future owns `Arc` handles, not a borrow of `self`, so it can
     /// be spawned onto any executor. The closure therefore needs `Send +

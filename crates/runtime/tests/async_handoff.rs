@@ -12,7 +12,7 @@
 use std::future::Future;
 use std::pin::pin;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
@@ -27,7 +27,7 @@ impl Wake for ThreadWaker {
 }
 
 /// Drive a future to completion on the current thread: poll, park until
-/// woken (by the lock releaser or the timer service), re-poll.
+/// woken (by the lock releaser or the sweeper), re-poll.
 fn block_on<F: Future>(fut: F) -> F::Output {
     let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
     let mut cx = Context::from_waker(&waker);
@@ -147,8 +147,8 @@ fn mixed_sync_async_queue_preserves_wave_order() {
 }
 
 /// Mirror of `timed_out_waiters_withdraw_in_place`: with a long-held write
-/// lock and a tiny wait budget, queued futures time out via the timer
-/// service and their queue nodes are withdrawn in place — the queue is
+/// lock and a tiny wait budget, queued futures are timed out by the
+/// sweeper and their queue nodes are withdrawn in place — the queue is
 /// empty while the holder still holds.
 #[test]
 fn async_timed_out_waiters_withdraw_in_place() {
@@ -204,8 +204,8 @@ fn async_timed_out_waiters_withdraw_in_place() {
 }
 
 /// Mirror of `timeout_withdrawal_races_concurrent_release` for the
-/// callback variant: a future whose timer fires while the holder releases
-/// resolves to exactly one of {granted, timed out}, with no leaked queue
+/// callback variant: a future whose deadline passes while the holder
+/// releases resolves to exactly one of {granted, timed out}, with no leaked queue
 /// node and no wedged latch either way.
 #[test]
 fn async_timeout_withdrawal_races_concurrent_release() {
@@ -389,4 +389,187 @@ fn dropping_future_races_concurrent_grant() {
         probe.commit().unwrap();
         assert_eq!(mgr.read_committed(&hot, |v| *v), 100);
     }
+}
+
+/// Wakes recorded as `(future index, when)`: lets one thread queue several
+/// futures and read back the order and time the sweeper resolved them.
+struct StampWaker(usize, Arc<Mutex<Vec<(usize, Instant)>>>);
+
+impl Wake for StampWaker {
+    fn wake(self: Arc<Self>) {
+        self.1.lock().unwrap().push((self.0, Instant::now()));
+    }
+}
+
+/// Scheduling allowance on top of the one tick a timeout may be late by:
+/// the sweeper is an ordinary thread on a shared host.
+const LATE_SLACK: Duration = Duration::from_millis(60);
+
+/// One future's timeout as [`queue_and_await_timeouts`] saw it.
+struct TimedOut {
+    /// Position in the `futs` argument (the order they were polled in).
+    index: usize,
+    /// Clock reads just before and just after the poll that queued it:
+    /// its deadline is one `wait_timeout` after some instant in between.
+    enqueued: (Instant, Instant),
+    woke: Instant,
+}
+
+/// Poll each of `futs` (expected to queue) `gap` apart, wait for the
+/// sweeper to time all of them out, and report them in wake order.
+fn queue_and_await_timeouts<F: Future<Output = Result<(), TxError>>>(
+    futs: Vec<F>,
+    gap: Duration,
+) -> Vec<TimedOut> {
+    let wakes = Arc::new(Mutex::new(Vec::new()));
+    let mut futs: Vec<_> = futs.into_iter().map(Box::pin).collect();
+    let mut enqueued = Vec::new();
+    for (i, fut) in futs.iter_mut().enumerate() {
+        if i > 0 {
+            std::thread::sleep(gap);
+        }
+        let waker = Waker::from(Arc::new(StampWaker(i, wakes.clone())));
+        let before = Instant::now();
+        assert!(fut
+            .as_mut()
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending());
+        enqueued.push((before, Instant::now()));
+    }
+    let start = Instant::now();
+    while wakes.lock().unwrap().len() < futs.len() {
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "a timeout never fired"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let waker = Waker::from(Arc::new(StampWaker(usize::MAX, wakes.clone())));
+    for fut in futs.iter_mut() {
+        let resolved = fut.as_mut().poll(&mut Context::from_waker(&waker));
+        assert!(matches!(resolved, Poll::Ready(Err(TxError::Timeout))));
+    }
+    let wakes = wakes.lock().unwrap();
+    wakes
+        .iter()
+        .map(|&(index, woke)| TimedOut {
+            index,
+            enqueued: enqueued[index],
+            woke,
+        })
+        .collect()
+}
+
+/// The deadline lives in the queue node and FIFO order is deadline order:
+/// three futures queued 30 ms apart behind one holder time out in queue
+/// order, none before its own deadline and each within one sweeper tick
+/// (`wait_timeout / 8`) after it.
+#[test]
+fn async_timeouts_fire_in_queue_order_never_early_at_most_a_tick_late() {
+    let timeout = Duration::from_millis(80);
+    let mgr = TxManager::new(RtConfig {
+        deadlock: DeadlockPolicy::TimeoutOnly,
+        wait_timeout: timeout,
+        ..Default::default()
+    });
+    let hot = mgr.register("hot", 0i64);
+    let holder = mgr.begin();
+    holder.write(&hot, |v| *v = 1).unwrap();
+    let txs: Vec<_> = (0..3).map(|_| mgr.begin()).collect();
+    let futs = txs.iter().map(|tx| tx.write_async(&hot, |v| *v += 1));
+    let fired = queue_and_await_timeouts(futs.collect(), Duration::from_millis(30));
+
+    let order: Vec<usize> = fired.iter().map(|t| t.index).collect();
+    assert_eq!(order, vec![0, 1, 2], "timeouts must fire in queue order");
+    for t in &fired {
+        let (i, (before, after)) = (t.index, t.enqueued);
+        assert!(t.woke >= before + timeout, "future {i} timed out early");
+        let late = t.woke.saturating_duration_since(after + timeout);
+        assert!(
+            late <= timeout / 8 + LATE_SLACK,
+            "future {i} timed out {late:?} late"
+        );
+    }
+    assert_eq!(mgr.queued_waiters(), 0);
+    assert_eq!(mgr.stats().timeouts, 3);
+    holder.commit().unwrap();
+    assert_eq!(mgr.read_committed(&hot, |v| *v), 1);
+}
+
+/// Wound–wait inserts by age, so queue order is not deadline order: an
+/// older transaction that queues *later* sits ahead of a younger one whose
+/// deadline is *earlier*. The sweeper must still reach the expired waiter
+/// behind the unexpired head.
+#[test]
+fn wound_wait_sweep_reaches_an_expired_waiter_behind_the_head() {
+    let timeout = Duration::from_millis(200);
+    let gap = Duration::from_millis(120);
+    let mgr = TxManager::new(RtConfig {
+        deadlock: DeadlockPolicy::WoundWait,
+        wait_timeout: timeout,
+        ..Default::default()
+    });
+    let hot = mgr.register("hot", 0i64);
+    // Oldest first: neither requester may wound the holder.
+    let holder = mgr.begin();
+    holder.write(&hot, |v| *v = 1).unwrap();
+    let older = mgr.begin();
+    let younger = mgr.begin();
+    // Future 0 (younger) queues first; future 1 (older) queues `gap`
+    // later and is inserted ahead of it.
+    let futs = vec![
+        younger.write_async(&hot, |v| *v += 1),
+        older.write_async(&hot, |v| *v += 1),
+    ];
+    let fired = queue_and_await_timeouts(futs, gap);
+
+    let order: Vec<usize> = fired.iter().map(|t| t.index).collect();
+    assert_eq!(
+        order,
+        vec![0, 1],
+        "the waiter behind the head expires first"
+    );
+    let (younger, older) = (&fired[0], &fired[1]);
+    assert!(
+        younger.woke < older.enqueued.0 + timeout,
+        "the expired waiter was only reached once the head expired too"
+    );
+    assert!(
+        younger.woke >= younger.enqueued.0 + timeout,
+        "timed out early"
+    );
+    assert_eq!(mgr.queued_waiters(), 0);
+    assert_eq!(mgr.stats().timeouts, 2);
+    holder.commit().unwrap();
+}
+
+/// A sweeper that has gone to sleep (its passes met an empty queue) must
+/// come back for the next async waiter: the second future queues long
+/// after the first timed out and is still timed out on schedule.
+#[test]
+fn idle_sweeper_wakes_for_a_later_waiter() {
+    let timeout = Duration::from_millis(40);
+    let mgr = TxManager::new(RtConfig {
+        deadlock: DeadlockPolicy::TimeoutOnly,
+        wait_timeout: timeout,
+        ..Default::default()
+    });
+    let hot = mgr.register("hot", 0i64);
+    let holder = mgr.begin();
+    holder.write(&hot, |v| *v = 1).unwrap();
+    for round in 0..2 {
+        let tx = mgr.begin();
+        let fired = queue_and_await_timeouts(vec![tx.write_async(&hot, |v| *v += 1)], timeout);
+        let late = fired[0]
+            .woke
+            .saturating_duration_since(fired[0].enqueued.1 + timeout);
+        assert!(
+            late <= timeout / 8 + LATE_SLACK,
+            "round {round}: timed out {late:?} late"
+        );
+        // Twenty ticks with nothing queued: the sweeper is asleep by now.
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    assert_eq!(mgr.queued_waiters(), 0);
+    assert_eq!(mgr.stats().timeouts, 2);
 }
