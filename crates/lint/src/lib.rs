@@ -343,7 +343,7 @@ fn good(&self, w: u64) {
 
     #[test]
     fn r4_serve_flags_coupled_lock_acquisition() {
-        let src = "fn bad(&self) { f(self.incoming.lock(), conn.inbox.lock()); }\n";
+        let src = "fn bad(&self) { f(self.requests.lock(), conn.inbox.lock()); }\n";
         let r = lint_source("src/server.rs", src, &cfg_with(&[]));
         assert_eq!(rules_hit(&r), vec![Rule::LockOrder]);
         assert!(r.violations[0].msg.contains("one at a time"));
@@ -353,9 +353,45 @@ fn good(&self, w: u64) {
     fn r4_serve_accepts_one_lock_per_statement() {
         let src = "\
 fn good(&self) {
-    let n = self.incoming.lock().len();
+    let n = self.requests.lock().len();
     let msg = conn.inbox.lock().pop();
     conn.outbox.lock().push(msg);
+}
+";
+        let r = lint_source("src/server.rs", src, &cfg_with(&[]));
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn r4_serve_flags_locking_under_a_held_guard() {
+        // Directly, and through the two helpers that lock inside.
+        for nested in [
+            "self.inbox.lock().clear();",
+            "self.wake_driver();",
+            "core.request(self.token);",
+        ] {
+            let src = format!(
+                "fn bad(&self) {{\n    let mut out = self.outbox.lock();\n    {nested}\n}}\n"
+            );
+            let r = lint_source("src/server.rs", &src, &cfg_with(&[]));
+            assert_eq!(rules_hit(&r), vec![Rule::LockOrder], "{nested}");
+            assert!(r.violations[0].msg.contains("`out`"), "{nested}");
+        }
+    }
+
+    #[test]
+    fn r4_serve_accepts_write_under_the_outbox_guard_and_wake_after_it() {
+        let src = "\
+fn flush(&self) {
+    let reopened = {
+        let mut out = self.outbox.lock();
+        let n = (&self.stream).write(&out).unwrap_or(0);
+        out.drain(..n);
+        out.is_empty()
+    };
+    if reopened {
+        self.wake_driver();
+    }
 }
 ";
         let r = lint_source("src/server.rs", src, &cfg_with(&[]));

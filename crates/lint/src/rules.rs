@@ -30,9 +30,10 @@ pub enum Rule {
     /// code (which holds stripe locks) must not reach into object slots,
     /// single-stripe access goes through `stripe_of(`, and whole-graph
     /// acquisition walks the stripes in index order via `.iter()`. The
-    /// table extends to the serve locks: the reactor's connection-list
-    /// lock is taken alone — never in the same expression as a
-    /// per-connection inbox/outbox/waker lock.
+    /// table extends to the serve locks: the reactor's request-list lock
+    /// and the per-connection inbox/outbox/waker locks are leaves — never
+    /// two in one expression, never one taken (directly, or through
+    /// `wake_driver`/`request`) under a live guard of another.
     LockOrder,
     /// R5: no lock guard may be live across a suspend point — an `.await`,
     /// a waiter park (`park_until`/`thread::park`), or a `Poll::Pending`
@@ -454,13 +455,15 @@ pub fn lint_source(file: &str, src: &str, config: &Config) -> FileReport {
             }
         }
 
-        // R4 (serve): the reactor's connection-list lock and the
-        // per-connection inbox/outbox/waker locks are taken one at a time;
-        // two in one expression couples their (deliberately unordered)
-        // positions.
+        // R4 (serve): the reactor's request-list lock and the
+        // per-connection inbox/outbox/waker locks are leaves. Two in one
+        // expression couples their (deliberately unordered) positions, and
+        // so does taking one — directly, or inside `wake_driver` or
+        // `request` — while a `let`-bound guard of another is live: the
+        // outbox guard may span the socket `write`, nothing that locks.
         if is_serve_server && !in_test {
             let serve_locks = [
-                "incoming.lock()",
+                "requests.lock()",
                 "inbox.lock()",
                 "outbox.lock()",
                 "waker.lock()",
@@ -477,8 +480,34 @@ pub fn lint_source(file: &str, src: &str, config: &Config) -> FileReport {
                     rule: Rule::LockOrder,
                     msg: format!(
                         "serve locks {taken:?} acquired in one expression; the \
-                         connection list and per-connection locks are leaf-ordered \
+                         request list and per-connection locks are leaf-ordered \
                          and must be taken one at a time"
+                    ),
+                });
+            }
+            // `let n = x.lock().len();` binds no guard: the binding must
+            // be the `lock()` call itself.
+            let held = guards.iter().find(|g| {
+                let bound = masked_lines[g.line].trim_end();
+                g.line != i
+                    && bound.ends_with(".lock();")
+                    && serve_locks.iter().any(|l| bound.contains(l))
+            });
+            let nested = taken.first().copied().or_else(|| {
+                ["wake_driver(", ".request("]
+                    .into_iter()
+                    .find(|call| code.contains(call))
+            });
+            if let (Some(g), Some(nested)) = (held, nested) {
+                report.violations.push(Violation {
+                    file: file.into(),
+                    line: i + 1,
+                    rule: Rule::LockOrder,
+                    msg: format!(
+                        "`{nested}` while serve lock guard `{}` (bound on line {}) is \
+                         live; serve locks are leaves — end the guard's block first",
+                        g.name,
+                        g.line + 1
                     ),
                 });
             }

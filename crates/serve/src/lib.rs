@@ -13,8 +13,9 @@
 //! * [`executor`] — a hand-rolled N-worker future executor (no tokio; the
 //!   workspace builds offline).
 //! * [`wire`] — the frame format: begin/child/access/commit/abort.
-//! * [`server`] — accept thread with admission control, a polling reactor,
-//!   and one driver future per connection.
+//! * [`server`] — one reactor thread blocked in `epoll_wait` (accept with
+//!   admission control, reads, backpressure) and one driver future per
+//!   connection, which writes its own responses.
 //! * [`client`] — a minimal blocking client for tests and benches.
 //!
 //! The `ntx-serve` binary wires these together behind CLI flags and drains
@@ -24,6 +25,7 @@ pub mod client;
 pub mod executor;
 pub mod server;
 mod sync;
+mod sys;
 pub mod wire;
 
 pub use executor::Executor;
