@@ -12,10 +12,9 @@
 //!   `// relaxed(tag): justification` marker whose tag is recorded in
 //!   the crate's `relaxed-allowlist.txt`.
 //! - **R4 lock-order** — the documented order (object-slot mutex ≺
-//!   wait-graph stripes, stripes in index order; serve connection locks
-//!   as leaves) is structurally enforced: wait-graph code never touches
-//!   slots, stripe access goes through `stripe_of(`/`.iter()`, serve code
-//!   stays leaf-only, and no public function leaks a `MutexGuard`.
+//!   wait-graph mutex; serve connection locks as leaves) is structurally
+//!   enforced: wait-graph code never touches slots, serve code stays
+//!   leaf-only, and no public function leaks a `MutexGuard`.
 //! - **R5 guard-across-suspend** — no lock guard live across `.await`, a
 //!   waiter park, or a `Poll::Pending` return.
 //! - **R6 blocking-in-worker** — no blocking calls inside executor worker
@@ -304,30 +303,8 @@ let b = c.load(Ordering::Relaxed);
     }
 
     #[test]
-    fn r4_flags_ad_hoc_stripe_index() {
-        let src = "fn bad(&self) { self.stripes[w as usize % N].0.lock(); }\n";
-        let r = lint_source("src/deadlock.rs", src, &cfg_with(&[]));
-        // Trips both the indexing and the unordered-lock sub-rule.
-        assert!(!r.violations.is_empty());
-        assert!(rules_hit(&r).iter().all(|&x| x == Rule::LockOrder));
-    }
-
-    #[test]
-    fn r4_flags_unordered_multi_stripe_lock() {
-        let src = "fn bad(&self) { let g = self.stripes.last().unwrap().0.lock(); }\n";
-        let r = lint_source("src/deadlock.rs", src, &cfg_with(&[]));
-        assert_eq!(rules_hit(&r), vec![Rule::LockOrder]);
-    }
-
-    #[test]
-    fn r4_accepts_disciplined_stripe_access() {
-        let src = "\
-fn good(&self, w: u64) {
-    self.stripes[stripe_of(w)].0.lock().remove(&w);
-    let all: Vec<_> = self.stripes.iter().map(|s| s.0.lock()).collect();
-    drop(all);
-}
-";
+    fn r4_accepts_graph_code_that_stays_off_slots() {
+        let src = "fn good(&self, top: u64) { let g = self.tops.lock(); drop(g); }\n";
         let r = lint_source("src/deadlock.rs", src, &cfg_with(&[]));
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }

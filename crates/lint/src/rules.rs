@@ -26,11 +26,9 @@ pub enum Rule {
     /// crate's `relaxed-allowlist.txt`.
     RelaxedOrdering,
     /// R4: the documented lock order — object-slot mutex ≺ wait-graph
-    /// stripes, stripes in index order — is never inverted: wait-graph
-    /// code (which holds stripe locks) must not reach into object slots,
-    /// single-stripe access goes through `stripe_of(`, and whole-graph
-    /// acquisition walks the stripes in index order via `.iter()`. The
-    /// table extends to the serve locks: the reactor's request-list lock
+    /// mutex — is never inverted: wait-graph code (which holds the graph
+    /// mutex) must not reach into object slots. The table extends to the
+    /// serve locks: the reactor's request-list lock
     /// and the per-connection inbox/outbox/waker locks are leaves — never
     /// two in one expression, never one taken (directly, or through
     /// `wake_driver`/`request`) under a live guard of another.
@@ -424,34 +422,10 @@ pub fn lint_source(file: &str, src: &str, config: &Config) -> FileReport {
                         rule: Rule::LockOrder,
                         msg: format!(
                             "wait-graph code must not touch object slots (`{needle}`): \
-                             stripe locks are acquired after slot mutexes, never before"
+                             the graph mutex is acquired after slot mutexes, never before"
                         ),
                     });
                 }
-            }
-            if code.contains("stripes[") && !code.contains("stripe_of(") {
-                report.violations.push(Violation {
-                    file: file.into(),
-                    line: i + 1,
-                    rule: Rule::LockOrder,
-                    msg: "stripe indexing must go through `stripe_of(` — ad-hoc indices \
-                          break the single-stripe locking contract"
-                        .into(),
-                });
-            }
-            if code.contains(".lock()")
-                && code.contains("stripes")
-                && !code.contains("stripe_of(")
-                && !code.contains(".iter()")
-            {
-                report.violations.push(Violation {
-                    file: file.into(),
-                    line: i + 1,
-                    rule: Rule::LockOrder,
-                    msg: "multi-stripe acquisition must walk `stripes.iter()` (index \
-                          order) — any other order can deadlock against a detector"
-                        .into(),
-                });
             }
         }
 

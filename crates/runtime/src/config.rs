@@ -1,4 +1,9 @@
 //! Runtime configuration.
+//!
+//! Deadlock handling is not a setting: the runtime has one rule, die on
+//! cycle (the wait-for graph in `deadlock.rs`), and
+//! [`RtConfig::wait_timeout`] only bounds waits that no cycle explains — a
+//! holder that simply never finishes.
 
 use crate::sync::Arc;
 use std::path::PathBuf;
@@ -24,31 +29,11 @@ pub enum LockMode {
     Flat2PL,
 }
 
-/// What to do when granting a lock would deadlock.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DeadlockPolicy {
-    /// Detect cycles in the wait-for graph; the requester that would close
-    /// a cycle fails immediately with [`crate::TxError::Deadlock`].
-    #[default]
-    DieOnCycle,
-    /// No detection; rely on `wait_timeout` to break deadlocks (requests
-    /// fail with [`crate::TxError::Timeout`] instead).
-    TimeoutOnly,
-    /// Wound–wait (Rosenkrantz–Stearns–Lewis): an *older* requester
-    /// (smaller top-level id) wounds — aborts — younger lock holders
-    /// instead of waiting on them; a younger requester waits for older
-    /// holders. Deadlock-free by construction: waits only ever go from
-    /// younger to older, so the wait-for graph is acyclic.
-    WoundWait,
-}
-
 /// Configuration for a [`crate::TxManager`].
 #[derive(Clone)]
 pub struct RtConfig {
     /// Locking discipline.
     pub mode: LockMode,
-    /// Deadlock handling.
-    pub deadlock: DeadlockPolicy,
     /// Maximum total time a single lock request may wait before failing
     /// with [`crate::TxError::Timeout`]. A request that times out cancels
     /// its queued waiter node in place and withdraws.
@@ -83,7 +68,6 @@ impl std::fmt::Debug for RtConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RtConfig")
             .field("mode", &self.mode)
-            .field("deadlock", &self.deadlock)
             .field("wait_timeout", &self.wait_timeout)
             .field(
                 "drop_read_lock_when_write_held",
@@ -102,7 +86,6 @@ impl Default for RtConfig {
     fn default() -> Self {
         RtConfig {
             mode: LockMode::MossRW,
-            deadlock: DeadlockPolicy::DieOnCycle,
             wait_timeout: Duration::from_secs(10),
             drop_read_lock_when_write_held: false,
             fault: None,
@@ -132,7 +115,6 @@ mod tests {
     fn defaults() {
         let c = RtConfig::default();
         assert_eq!(c.mode, LockMode::MossRW);
-        assert_eq!(c.deadlock, DeadlockPolicy::DieOnCycle);
         assert!(!c.drop_read_lock_when_write_held);
         assert!(c.fault.is_none());
         assert!(c.trace.is_none());

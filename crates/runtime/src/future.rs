@@ -2,8 +2,8 @@
 //! `ManagerInner::access`.
 //!
 //! The future and the parked thread share every byte of the lock
-//! protocol. Both run `access_attempt` (fault points, inline-grant loop,
-//! FIFO enqueue, wound-wait / die-on-cycle at enqueue time) and both hand
+//! protocol. Both run `access_attempt` (fault points, inline grant, FIFO
+//! enqueue with its die-on-cycle search) and both hand
 //! a resolved waiter to `finish_after_wait`. The only difference is what
 //! happens in between: a sync waiter spins then parks on its condvar
 //! slot, while the future's waiter carries a wakeup callback (the task
@@ -195,9 +195,7 @@ impl<R> Drop for AccessFuture<R> {
             }
             let wake = self.mgr.release_scan(self.obj_idx, &mut guard);
             drop(guard);
-            for x in wake {
-                x.wake();
-            }
+            wake.run(&self.mgr);
         }
         // W_CANCELLED / W_TIMEDOUT: the canceller (or the sweeper) already
         // dequeued the node and cleaned up.

@@ -22,9 +22,10 @@
 //!   object it wrote reverts to the version preceding the subtree — aborts
 //!   are cheap and *local*, the capability that motivates nested
 //!   transactions.
-//! * Deadlocks are detected by cycle search on the wait-for graph; the
-//!   requester that would close a cycle receives [`TxError::Deadlock`]
-//!   (die-on-cycle).
+//! * Deadlocks are detected by cycle search on the wait-for graph the lock
+//!   queues imply, and broken by the one rule, die on cycle: the youngest
+//!   top-level transaction on the cycle dies, and its blocked request
+//!   receives [`TxError::Deadlock`].
 //!
 //! ## Baselines
 //!
@@ -75,7 +76,7 @@ mod trace;
 mod tx;
 mod wal;
 
-pub use config::{DeadlockPolicy, LockMode, RtConfig};
+pub use config::{LockMode, RtConfig};
 pub use error::TxError;
 pub use fault::{FaultAction, FaultContext, FaultInjector, FaultPoint};
 pub use future::AccessFuture;

@@ -16,9 +16,9 @@
 
 use std::time::{Duration, Instant};
 
-use crate::config::{DeadlockPolicy, RtConfig};
+use crate::config::RtConfig;
 use crate::deadlock::WaitForGraph;
-use crate::manager::ManagerInner;
+use crate::manager::{holder_tops, top_edge, ManagerInner};
 use crate::mvcc::SnapshotCell;
 use crate::node::TxNode;
 use crate::object::{ObjectSlot, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT, W_WAITING};
@@ -30,16 +30,15 @@ use crate::trace::{RtEvent, TraceRecorder};
 
 /// A bare manager (no `TxManager` wrapper) so models can reach the
 /// `pub(crate)` waiter-path entry points directly.
-fn mk_mgr(deadlock: DeadlockPolicy) -> Arc<ManagerInner> {
+fn mk_mgr() -> Arc<ManagerInner> {
     Arc::new(ManagerInner {
         config: RtConfig {
-            deadlock,
             wait_timeout: Duration::from_millis(50),
             ..RtConfig::default()
         },
         objects: Slab::new(),
         next_tx_id: AtomicU64::new(1),
-        wait_graph: WaitForGraph::new(),
+        wait_graph: WaitForGraph::default(),
         stats: Stats::default(),
         ts_alloc: AtomicU64::new(0),
         commit_ts: AtomicU64::new(0),
@@ -107,13 +106,14 @@ fn loom_slab_publish_never_torn() {
 #[test]
 fn loom_timeout_withdraw_vs_grant() {
     loom::model(|| {
-        let mgr = mk_mgr(DeadlockPolicy::TimeoutOnly);
+        let mgr = mk_mgr();
         let holder = TxNode::top_level(1);
         let waiter_tx = TxNode::top_level(2);
         let obj = obj_with_write_holder(&mgr, &holder);
         let w = {
             let mut g = mgr.slot(obj).inner.lock();
             mgr.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), None)
+                .0
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
         // The releaser: aborting the holder discards its lock and runs the
@@ -160,13 +160,14 @@ fn loom_timeout_withdraw_vs_grant() {
 #[test]
 fn loom_doomed_waiter_never_granted() {
     loom::model(|| {
-        let mgr = mk_mgr(DeadlockPolicy::TimeoutOnly);
+        let mgr = mk_mgr();
         let holder = TxNode::top_level(1);
         let waiter_tx = TxNode::top_level(2);
         let obj = obj_with_write_holder(&mgr, &holder);
         let w = {
             let mut g = mgr.slot(obj).inner.lock();
             mgr.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), None)
+                .0
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
         let releaser = loom::thread::spawn(move || {
@@ -202,7 +203,7 @@ fn loom_doomed_waiter_never_granted() {
 #[test]
 fn loom_write_pending_latch_blocks_until_apply() {
     loom::model(|| {
-        let mgr = mk_mgr(DeadlockPolicy::TimeoutOnly);
+        let mgr = mk_mgr();
         let holder = TxNode::top_level(1);
         let writer_tx = TxNode::top_level(2);
         // A descendant of the writer: compatible with the writer's lock
@@ -213,8 +214,10 @@ fn loom_write_pending_latch_blocks_until_apply() {
         let (w2, w3) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &writer_tx, obj, true, Instant::now(), None),
-                mgr.enqueue_waiter(&mut g, &reader_tx, obj, false, Instant::now(), None),
+                mgr.enqueue_waiter(&mut g, &writer_tx, obj, true, Instant::now(), None)
+                    .0,
+                mgr.enqueue_waiter(&mut g, &reader_tx, obj, false, Instant::now(), None)
+                    .0,
             )
         };
         let (m2, h2, w3b) = (mgr.clone(), holder.clone(), w3.clone());
@@ -232,9 +235,7 @@ fn loom_write_pending_latch_blocks_until_apply() {
                 }
                 wake
             };
-            for x in wake {
-                x.wake();
-            }
+            wake.run(&m2);
         });
         // This thread plays the woken writer: wait for the handoff, then
         // apply under the slot mutex exactly as access() phase 6 does.
@@ -252,9 +253,7 @@ fn loom_write_pending_latch_blocks_until_apply() {
             g.write_pending = None;
             let wake = mgr.release_scan(obj, &mut g);
             drop(g);
-            for x in wake {
-                x.wake();
-            }
+            wake.run(&mgr);
         }
         releaser.join().unwrap();
         assert_eq!(
@@ -272,7 +271,7 @@ fn loom_write_pending_latch_blocks_until_apply() {
 #[test]
 fn loom_no_double_write_grant() {
     loom::model(|| {
-        let mgr = mk_mgr(DeadlockPolicy::TimeoutOnly);
+        let mgr = mk_mgr();
         let holder = TxNode::top_level(1);
         let wa_tx = TxNode::top_level(2);
         let wb_tx = TxNode::top_level(3);
@@ -280,8 +279,10 @@ fn loom_no_double_write_grant() {
         let (wa, wb) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &wa_tx, obj, true, Instant::now(), None),
-                mgr.enqueue_waiter(&mut g, &wb_tx, obj, true, Instant::now(), None),
+                mgr.enqueue_waiter(&mut g, &wa_tx, obj, true, Instant::now(), None)
+                    .0,
+                mgr.enqueue_waiter(&mut g, &wb_tx, obj, true, Instant::now(), None)
+                    .0,
             )
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
@@ -293,9 +294,7 @@ fn loom_no_double_write_grant() {
             let mut g = mgr.slot(obj).inner.lock();
             mgr.release_scan(obj, &mut g)
         };
-        for x in wake {
-            x.wake();
-        }
+        wake.run(&mgr);
         releaser.join().unwrap();
 
         assert_eq!(
@@ -319,7 +318,7 @@ fn loom_no_double_write_grant() {
 #[test]
 fn loom_wave_grant_vs_timeout_withdraw_exactly_one_winner() {
     loom::model(|| {
-        let mgr = mk_mgr(DeadlockPolicy::TimeoutOnly);
+        let mgr = mk_mgr();
         let holder = TxNode::top_level(1);
         let r2_tx = TxNode::top_level(2);
         let r3_tx = TxNode::top_level(3);
@@ -327,8 +326,10 @@ fn loom_wave_grant_vs_timeout_withdraw_exactly_one_winner() {
         let (r2, r3) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &r2_tx, obj, false, Instant::now(), None),
-                mgr.enqueue_waiter(&mut g, &r3_tx, obj, false, Instant::now(), None),
+                mgr.enqueue_waiter(&mut g, &r2_tx, obj, false, Instant::now(), None)
+                    .0,
+                mgr.enqueue_waiter(&mut g, &r3_tx, obj, false, Instant::now(), None)
+                    .0,
             )
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
@@ -502,7 +503,7 @@ fn noop_waker() -> std::task::Waker {
 #[test]
 fn loom_future_grant_vs_timeout_withdraw_callback() {
     loom::model(|| {
-        let mgr = mk_mgr(DeadlockPolicy::TimeoutOnly);
+        let mgr = mk_mgr();
         let holder = TxNode::top_level(1);
         let waiter_tx = TxNode::top_level(2);
         let obj = obj_with_write_holder(&mgr, &holder);
@@ -520,6 +521,7 @@ fn loom_future_grant_vs_timeout_withdraw_callback() {
                     wk.fetch_add(1, crate::sync::atomic::Ordering::SeqCst);
                 })),
             )
+            .0
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
         // The releaser: aborting the holder runs the real release scan,
@@ -576,7 +578,7 @@ fn loom_future_grant_vs_timeout_withdraw_callback() {
 #[test]
 fn loom_sweep_vs_grant_wave_vs_future_drop() {
     loom::model(|| {
-        let mgr = mk_mgr(DeadlockPolicy::TimeoutOnly);
+        let mgr = mk_mgr();
         let holder = TxNode::top_level(1);
         let a_tx = TxNode::top_level(2);
         let b_tx = TxNode::top_level(3);
@@ -601,16 +603,18 @@ fn loom_sweep_vs_grant_wave_vs_future_drop() {
             let wk = b_woken.clone();
             let mut g = mgr.slot(obj).inner.lock();
             let a = g.queue[0].clone();
-            let b = mgr.enqueue_waiter(
-                &mut g,
-                &b_tx,
-                obj,
-                true,
-                Instant::now(),
-                Some(Box::new(move || {
-                    wk.fetch_add(1, crate::sync::atomic::Ordering::SeqCst);
-                })),
-            );
+            let b = mgr
+                .enqueue_waiter(
+                    &mut g,
+                    &b_tx,
+                    obj,
+                    true,
+                    Instant::now(),
+                    Some(Box::new(move || {
+                        wk.fetch_add(1, crate::sync::atomic::Ordering::SeqCst);
+                    })),
+                )
+                .0;
             (a, b)
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
@@ -676,7 +680,7 @@ fn loom_sweep_vs_grant_wave_vs_future_drop() {
 #[test]
 fn loom_future_drop_leaks_no_queue_slot() {
     loom::model(|| {
-        let mgr = mk_mgr(DeadlockPolicy::TimeoutOnly);
+        let mgr = mk_mgr();
         let holder = TxNode::top_level(1);
         let waiter_tx = TxNode::top_level(2);
         let obj = obj_with_write_holder(&mgr, &holder);
@@ -720,6 +724,97 @@ fn loom_future_drop_leaks_no_queue_slot() {
         assert!(g.queue.is_empty());
         assert!(g.chain.is_empty(), "lock state survived the abort");
         assert!(g.write_pending.is_none());
+    });
+}
+
+/// Every node queued on `obj` is in the wait-for graph with exactly the
+/// edges a fresh computation from its place in the queue gives (each top
+/// in these models has one waiter, so its out-edges are that waiter's,
+/// each counted once).
+fn assert_edges_fresh(mgr: &ManagerInner, obj: usize) {
+    let g = mgr.slot(obj).inner.lock();
+    for (i, w) in g.queue.iter().enumerate() {
+        let fresh: Vec<u64> = match i.checked_sub(1) {
+            None => holder_tops(&g, w),
+            Some(ahead) => top_edge(&g.queue[ahead], w).into_iter().collect(),
+        };
+        let top = w.owner.top_level_id();
+        let published: Vec<(u64, usize)> = fresh.iter().map(|&t| (t, 1)).collect();
+        assert_eq!(
+            mgr.wait_graph.out_edges(top),
+            published,
+            "top {top} at queue index {i}"
+        );
+    }
+}
+
+/// **Leave vs grant wave vs enqueue search, on the wait-for edges**: A
+/// (top 2) heads x's queue behind holder H (top 1), B (top 3) waits behind
+/// A. A's timeout withdrawal races the releaser's wave (H aborts: the wave
+/// promotes A, or B when A has left), and a third waiter D (top 4, which
+/// holds y, where E waits — so an edge points at 4 and D's enqueue
+/// searches) enters x's queue and walks the graph while the other two
+/// threads rewrite it. Each node has exactly one winner; every queued
+/// node's edges, B's included, equal a fresh computation from its queue
+/// and the tops that left keep none; the graph holds exactly the queued
+/// nodes. A dequeue that skips its successor's edge move leaves B pointing
+/// at A's top (or at it twice) and fails here.
+#[test]
+fn loom_withdraw_vs_wave_vs_enqueue_search_keeps_edges_exact() {
+    loom::model(|| {
+        let mgr = mk_mgr();
+        let holder = TxNode::top_level(1);
+        let (a_tx, b_tx) = (TxNode::top_level(2), TxNode::top_level(3));
+        let (d_tx, e_tx) = (TxNode::top_level(4), TxNode::top_level(5));
+        let x = obj_with_write_holder(&mgr, &holder);
+        let y = obj_with_write_holder(&mgr, &d_tx);
+        let (a, b, e) = {
+            let mut g = mgr.slot(x).inner.lock();
+            let a = mgr.enqueue_waiter(&mut g, &a_tx, x, true, Instant::now(), None);
+            let b = mgr.enqueue_waiter(&mut g, &b_tx, x, true, Instant::now(), None);
+            drop(g);
+            let mut g = mgr.slot(y).inner.lock();
+            let e = mgr.enqueue_waiter(&mut g, &e_tx, y, true, Instant::now(), None);
+            assert!(a.1.is_none() && b.1.is_none() && e.1.is_none());
+            (a.0, b.0, e.0)
+        };
+        let (m2, h2) = (mgr.clone(), holder.clone());
+        let releaser = loom::thread::spawn(move || {
+            m2.abort_subtree(&h2);
+        });
+        let (m3, a3) = (mgr.clone(), a.clone());
+        let withdrawer = loom::thread::spawn(move || m3.timeout_withdraw(x, &a3));
+        let (d, cycle) = {
+            let mut g = mgr.slot(x).inner.lock();
+            mgr.enqueue_waiter(&mut g, &d_tx, x, true, Instant::now(), None)
+        };
+        assert!(cycle.is_none(), "nothing on x waits for top 4");
+        releaser.join().unwrap();
+        let withdrawn = withdrawer.join().unwrap();
+
+        // Exactly one winner per node: A by withdrawal or grant, B granted
+        // exactly when A left first, D and E still waiting.
+        assert_eq!(a.state(), if withdrawn { W_TIMEDOUT } else { W_GRANTED });
+        assert_eq!(b.state(), if withdrawn { W_GRANTED } else { W_WAITING });
+        assert_eq!((d.state(), e.state()), (W_WAITING, W_WAITING));
+        assert_edges_fresh(&mgr, x);
+        assert_edges_fresh(&mgr, y);
+        for top in [1, 2] {
+            assert!(mgr.wait_graph.out_edges(top).is_empty(), "top {top} left");
+        }
+        if withdrawn {
+            assert!(mgr.wait_graph.out_edges(3).is_empty(), "B left");
+        }
+        // Graph membership is queue membership.
+        for w in [&a, &b, &d, &e] {
+            let queued = [x, y].iter().any(|&o| {
+                let g = mgr.slot(o).inner.lock();
+                g.queue.iter().any(|q| Arc::ptr_eq(q, w))
+            });
+            assert_eq!(mgr.wait_graph.contains(w), queued);
+        }
+        let queued = mgr.slot(x).inner.lock().queue.len() + mgr.slot(y).inner.lock().queue.len();
+        assert_eq!(mgr.wait_graph.len(), queued);
     });
 }
 

@@ -2,10 +2,11 @@
 //!
 //! The access path is engineered to have **no global contention point**:
 //! the object store is an append-only slab with lock-free lookup
-//! ([`crate::slab::Slab`]), the wait-for graph and the stat counters are
-//! striped ([`WaitForGraph`], [`Stats`]), and the trace buffer is sharded
-//! with an atomic sequence stamp. Two transactions touching disjoint
-//! objects share *nothing* on the hot path but the transaction-id counter.
+//! ([`crate::slab::Slab`]), the stat counters are striped ([`Stats`]), the
+//! trace buffer is sharded with an atomic sequence stamp, and the one
+//! global mutex — the wait-for graph's — is taken only where a lock queue
+//! changes. Two transactions touching disjoint objects share *nothing* on
+//! the hot path but the transaction-id counter.
 //!
 //! Contended objects use **queued direct handoff** instead of park/retry:
 //! a blocked request enqueues a [`Waiter`] on the object's FIFO queue,
@@ -18,10 +19,17 @@
 //! else an ancestor-held bypass) — installs all of its lock state on the
 //! releasing thread, publishes one aggregated stats delta and one batched
 //! trace record for the whole wave, and wakes exactly the granted threads.
-//! Waiters never wake to re-fight for the mutex, and the deadlock detector
-//! derives each waiter's wait-for edges from queue membership: one checked
-//! publish per enqueue, checked-set refreshes as the queue moves (instead
-//! of one publish per retry).
+//! Waiters never wake to re-fight for the mutex.
+//!
+//! **Deadlocks** are found in the same queues, by the one rule die on
+//! cycle ([`crate::deadlock`]). A waiter's wait-for edges follow from its
+//! place in its queue — the top of the waiter ahead of it, or for the head
+//! the tops of the holders it conflicts with — so they change only where
+//! the queue does, under the slot mutex: an enqueue adds a node and
+//! searches ([`ManagerInner::enqueue_waiter`]), a leave moves only its
+//! successor's edge ([`ManagerInner::dequeue`]), and the end of every
+//! release scan recomputes the head's holder edges and searches if they
+//! grew. Nothing ever walks a queue to refresh edges.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
@@ -29,8 +37,8 @@ use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::time::Instant;
 
-use crate::config::{DeadlockPolicy, LockMode, RtConfig};
-use crate::deadlock::{pick_victim, WaitForGraph};
+use crate::config::{LockMode, RtConfig};
+use crate::deadlock::{Cycle, WaitForGraph};
 use crate::error::TxError;
 use crate::fault::{FaultAction, FaultContext, FaultPoint};
 use crate::node::{TxNode, TxState};
@@ -136,7 +144,7 @@ impl ManagerInner {
             wal,
             objects: Slab::new(),
             next_tx_id: AtomicU64::new(1),
-            wait_graph: WaitForGraph::new(),
+            wait_graph: WaitForGraph::default(),
             stats: Stats::default(),
             ts_alloc: AtomicU64::new(0),
             commit_ts: AtomicU64::new(0),
@@ -440,34 +448,49 @@ pub(crate) enum Attempt<R, F> {
     Queued { w: Arc<Waiter>, f: F },
 }
 
-/// Wait-for edge targets for queued waiter `w`, derived from queue
-/// membership: the top-level ids of every conflicting lock holder plus
-/// every live waiter queued ahead of `w` (queue order is a wait too — the
-/// scan grants FIFO up to ancestor-held bypasses, so a predecessor edge is
-/// conservative). Sorted and deduped so refreshes can compare sets
-/// cheaply; `w`'s own top is excluded.
-fn edge_targets(inner: &ObjectInner, w: &Arc<Waiter>) -> Vec<u64> {
-    let my_top = w.owner.top_level_id();
+/// The edge of a waiter queued right behind `ahead`: `ahead`'s top, unless
+/// the two share one (a top's waiters share its out-edges anyway).
+pub(crate) fn top_edge(ahead: &Waiter, behind: &Waiter) -> Option<u64> {
+    let top = ahead.owner.top_level_id();
+    (top != behind.owner.top_level_id()).then_some(top)
+}
+
+/// The edges of queue head `w`: the tops of the holders it conflicts with,
+/// its own excluded, sorted and deduplicated.
+pub(crate) fn holder_tops(inner: &ObjectInner, w: &Waiter) -> Vec<u64> {
+    let mine = w.owner.top_level_id();
     let mut tops: Vec<u64> = inner
         .blockers(&w.owner, w.write)
         .iter()
         .map(|b| b.top_level_id())
-        .filter(|&t| t != my_top)
+        .filter(|&t| t != mine)
         .collect();
-    for q in inner.queue.iter() {
-        if Arc::ptr_eq(q, w) {
-            break;
-        }
-        if q.state() == W_WAITING {
-            let t = q.owner.top_level_id();
-            if t != my_top {
-                tops.push(t);
-            }
-        }
-    }
     tops.sort_unstable();
     tops.dedup();
     tops
+}
+
+/// What a release scan leaves for its caller to do once the slot guard is
+/// down: wake the waiters whose state it resolved, and search for
+/// deadlock cycles from the `(waiter, top)`s whose edges it grew.
+#[must_use = "the scan's waiters stay parked until the wake runs"]
+#[derive(Default)]
+pub(crate) struct Wake {
+    waiters: Vec<Arc<Waiter>>,
+    search_from: Vec<(u64, u64)>,
+}
+
+impl Wake {
+    /// Deliver. Run with no slot mutex held — a victim's abort re-locks
+    /// touched slots.
+    pub(crate) fn run(self, mgr: &ManagerInner) {
+        for w in self.waiters {
+            w.wake();
+        }
+        for (waiter, top) in self.search_from {
+            mgr.resolve(waiter, top);
+        }
+    }
 }
 
 /// One drawn publication ticket; its `Drop` passes the turnstile,
@@ -831,13 +854,6 @@ impl ManagerInner {
     /// apply clears it, so no deeper version can land on top of the parked
     /// writer's. Returns `true` when a fresh version was installed.
     fn install_grant(&self, obj_idx: usize, inner: &mut ObjectInner, w: &Arc<Waiter>) -> bool {
-        if self.config.deadlock == DeadlockPolicy::DieOnCycle {
-            let mut e = w.edges.lock();
-            if !e.is_empty() {
-                self.wait_graph.clear(w.owner.top_level_id());
-                e.clear();
-            }
-        }
         w.owner.touch(obj_idx);
         if w.write {
             let installs = !matches!(inner.chain.last(), Some(e) if e.owner.id == w.owner.id);
@@ -872,12 +888,57 @@ impl ManagerInner {
             .map(|i| i + 1)
     }
 
+    /// Take the waiter at queue index `i` out of its queue and out of the
+    /// wait-for graph: the one way a node leaves (grant, doom cancel,
+    /// withdrawal). The successor's edge moves from the leaver's top to the
+    /// leaver's predecessor's — its reach only shrinks, so nothing is
+    /// searched. A successor that becomes the head keeps no edge until the
+    /// release scan that follows every leave gives it its holder edges.
+    fn dequeue(&self, inner: &mut ObjectInner, i: usize) -> Arc<Waiter> {
+        let w = inner.queue.remove(i).expect("dequeue index in range");
+        let ahead = i.checked_sub(1).map(|p| &inner.queue[p]);
+        let edges: Vec<u64> = match ahead {
+            None => std::mem::take(&mut inner.head_edges),
+            Some(a) => top_edge(a, &w).into_iter().collect(),
+        };
+        let next = inner.queue.get(i).map(|s| {
+            let new = ahead.and_then(|a| top_edge(a, s));
+            (s.owner.top_level_id(), top_edge(&w, s), new)
+        });
+        self.wait_graph.leave(&w, &edges, next);
+        w
+    }
+
+    /// Count and trace a deadlock cycle found while `waiter` waits.
+    fn note_deadlock(&self, waiter: u64, cycle: &Cycle) {
+        self.stats.bump(Ctr::Deadlocks);
+        self.trace(RtEvent::Deadlock {
+            waiter,
+            victim: cycle.victim.id,
+            cycle_len: cycle.members.len(),
+        });
+    }
+
+    /// Break every cycle through top `top` (found while `waiter` waits)
+    /// by aborting its youngest member, whose queued requests then report
+    /// [`TxError::Deadlock`]; search again after each victim — an edge may
+    /// close several cycles, and a victim that was only queued between two
+    /// waiters hands its wait to the one behind. No slot mutex may be
+    /// held: the aborts re-lock touched slots.
+    fn resolve(&self, waiter: u64, top: u64) {
+        while let Some(cycle) = self.wait_graph.search(top) {
+            self.note_deadlock(waiter, &cycle);
+            cycle.victim.deadlock_victim.store(true, Ordering::SeqCst);
+            self.abort_subtree(&cycle.victim);
+        }
+    }
+
     /// Walk an object's waiter queue after lock state changed. Returns the
-    /// waiters to wake; callers wake them *after* dropping the slot mutex.
+    /// [`Wake`] its caller runs *after* dropping the slot mutex.
     ///
     /// Three passes:
     /// 1. cancel doomed waiters anywhere in the queue (doom delivery —
-    ///    wounds and ancestor aborts reach parked waiters here);
+    ///    ancestor aborts and deadlock victims reach parked waiters here);
     /// 2. compute and install the maximal **grant wave**: repeatedly pick
     ///    the next grantable waiter ([`Self::pick_grant`] — FIFO head,
     ///    else ancestor-held bypass) and install its lock state, until
@@ -886,21 +947,16 @@ impl ManagerInner {
     ///    costs one aggregated stats delta and one batched trace publish
     ///    ([`crate::TraceRecorder::publish_batch`]) instead of per-waiter
     ///    publishes;
-    /// 3. under [`DeadlockPolicy::DieOnCycle`], refresh the remaining
-    ///    waiters' wait-for edges, republishing the ones whose wait set
-    ///    changed without re-running detection. The refreshed set can
-    ///    *shrink* (predecessors left) or — since out-of-order wave grants
-    ///    exist — *grow* (a waiter queued behind became a holder). A grown
-    ///    set is safe to publish unchecked: it is republished here under
-    ///    the slot mutex, strictly before the freshly granted waiter can
-    ///    block on anything else (its next enqueue takes this or another
-    ///    slot mutex afterwards), so any cycle the new edge closes is
-    ///    still caught by that waiter's own enqueue-time `wait_and_check`.
+    /// 3. recompute the **head's** holder edges — the holders, the head, or
+    ///    both may have changed — and, if they gained a target, have the
+    ///    [`Wake`] search from the head's top. That is one waiter, never a
+    ///    pass over the queue: every other waiter's edge was moved by the
+    ///    leave that changed it.
     ///
     /// `pub(crate)` so the loom models can race spurious rescans against
     /// the real release/apply paths.
-    pub(crate) fn release_scan(&self, obj_idx: usize, inner: &mut ObjectInner) -> Vec<Arc<Waiter>> {
-        let mut wake: Vec<Arc<Waiter>> = Vec::new();
+    pub(crate) fn release_scan(&self, obj_idx: usize, inner: &mut ObjectInner) -> Wake {
+        let mut wake = Wake::default();
         // Pass 0 — hold-time EWMA: a scan that finds the object free ends
         // the tenure that the last grant started.
         #[cfg(not(loom))]
@@ -913,16 +969,11 @@ impl ManagerInner {
         }
         let mut i = 0;
         while i < inner.queue.len() {
-            let w = inner.queue[i].clone();
-            if w.state() != W_WAITING {
-                // Cancelled/granted nodes are dequeued by their own
-                // transitions; drop any straggler defensively.
-                inner.queue.remove(i);
-                continue;
-            }
+            let w = &inner.queue[i];
+            debug_assert_eq!(w.state(), W_WAITING, "a resolved node left with its CAS");
             if w.node.is_doomed() && w.cancel() {
+                let w = self.dequeue(inner, i);
                 self.stats.bump(Ctr::CancelledWaiters);
-                inner.queue.remove(i);
                 // Stamped under the slot mutex: this cancel is the wait's
                 // resolution, so it must order against any grant wave on
                 // the same object (exactly-one-winner in the HB certifier).
@@ -930,7 +981,16 @@ impl ManagerInner {
                     tx: w.owner.id,
                     obj: obj_idx,
                 });
-                wake.push(w);
+                // A deadlock victim queued between two waiters hands its
+                // wait to the one behind, which may still be on the cycle
+                // the victim died for: search from there. (A new head is
+                // pass 3's.)
+                if i > 0 && w.node.victim_flagged() {
+                    if let Some(n) = inner.queue.get(i) {
+                        wake.search_from.push((n.owner.id, n.owner.top_level_id()));
+                    }
+                }
+                wake.waiters.push(w);
                 continue;
             }
             i += 1;
@@ -940,7 +1000,7 @@ impl ManagerInner {
         let (mut readers, mut writers) = (0usize, 0usize);
         let mut evs: Vec<RtEvent> = Vec::new();
         while let Some(idx) = Self::pick_grant(inner) {
-            let w = inner.queue.remove(idx).expect("pick_grant index in range");
+            let w = self.dequeue(inner, idx);
             if !w.grant() {
                 continue; // lost a cancel race
             }
@@ -969,7 +1029,7 @@ impl ManagerInner {
                     });
                 }
             }
-            wake.push(w);
+            wake.waiters.push(w);
         }
         let wave = readers + writers;
         if wave > 0 {
@@ -999,37 +1059,37 @@ impl ManagerInner {
                 }
             }
         }
-        if self.config.deadlock == DeadlockPolicy::DieOnCycle {
-            for i in 0..inner.queue.len() {
-                let w = inner.queue[i].clone();
-                let targets = edge_targets(inner, &w);
-                let mut cur = w.edges.lock();
-                if *cur != targets {
-                    let top = w.owner.top_level_id();
-                    if targets.is_empty() {
-                        self.wait_graph.clear(top);
-                    } else {
-                        self.wait_graph.set_edges(top, &targets);
-                    }
-                    *cur = targets;
+        // Pass 3 — the head's holder edges.
+        if let Some(head) = inner.queue.front() {
+            let (waiter, top) = (head.owner.id, head.owner.top_level_id());
+            let edges = holder_tops(inner, head);
+            if edges != inner.head_edges {
+                let old = std::mem::replace(&mut inner.head_edges, edges);
+                if self.wait_graph.rewrite(top, &old, &inner.head_edges) {
+                    wake.search_from.push((waiter, top));
                 }
             }
         }
         wake
     }
 
-    /// Phase 2 of [`Self::access`]: create `node`'s waiter, insert it in
-    /// policy order (age order under wound–wait — oldest top first, so
-    /// queue-position waits also point young→old; plain FIFO otherwise),
-    /// and register the node's `waiting_on` entry. `wait_start` is the
-    /// caller's clock read from when it first found the request blocked;
-    /// the node's deadline is that plus the configured `wait_timeout` and
-    /// lives nowhere else. `async_cb: Some(..)` queues a callback waiter
-    /// with its wakeup callback installed *before* the node enters the
-    /// queue — under the same slot-mutex hold — so no grant can beat the
-    /// callback into place and lose the wakeup. Callers hold the slot
-    /// mutex for `obj_idx`. Exposed `pub(crate)` so the loom models race
-    /// the real enqueue path, not a copy.
+    /// Phase 2 of [`Self::access`]: create `node`'s waiter, append it to
+    /// the FIFO queue, register the node's `waiting_on` entry, and enter
+    /// the node into the wait-for graph with its edges — the tops of the
+    /// holders it conflicts with if it is the head, else the top of the
+    /// waiter ahead — searching for a cycle they close. Returns the node
+    /// and that cycle; a cycle whose victim is the requester's own top has
+    /// already taken the node back out of the graph, and the caller takes
+    /// it off the queue's tail.
+    ///
+    /// `wait_start` is the caller's clock read from when it found the
+    /// request blocked; the node's deadline is that plus the configured
+    /// `wait_timeout` and lives nowhere else. `async_cb: Some(..)` queues a
+    /// callback waiter with its wakeup callback installed *before* the node
+    /// enters the queue — under the same slot-mutex hold — so no grant can
+    /// beat the callback into place and lose the wakeup. Callers hold the
+    /// slot mutex for `obj_idx`. Exposed `pub(crate)` so the loom models
+    /// race the real enqueue path, not a copy.
     pub(crate) fn enqueue_waiter(
         &self,
         inner: &mut ObjectInner,
@@ -1038,7 +1098,7 @@ impl ManagerInner {
         lock_write: bool,
         wait_start: Instant,
         async_cb: Option<WakeCallback>,
-    ) -> Arc<Waiter> {
+    ) -> (Arc<Waiter>, Option<Cycle>) {
         if async_cb.is_some() {
             // Tell the sweeper this queue may hold a wait it has to time
             // out (cleared by the pass that finds the queue empty).
@@ -1052,19 +1112,18 @@ impl ManagerInner {
             wait_start + self.config.wait_timeout,
             async_cb,
         );
-        if self.config.deadlock == DeadlockPolicy::WoundWait {
-            let my_top = w.owner.top_level_id();
-            let pos = inner
-                .queue
-                .iter()
-                .position(|q| q.owner.top_level_id() > my_top)
-                .unwrap_or(inner.queue.len());
-            inner.queue.insert(pos, w.clone());
-        } else {
-            inner.queue.push_back(w.clone());
-        }
+        inner.queue.push_back(w.clone());
         *node.waiting_on.lock() = Some(obj_idx);
-        w
+        let cycle = match inner.queue.len().checked_sub(2) {
+            None => {
+                inner.head_edges = holder_tops(inner, &w);
+                self.wait_graph.enter(&w, &inner.head_edges)
+            }
+            Some(ahead) => self
+                .wait_graph
+                .enter(&w, top_edge(&inner.queue[ahead], &w).as_slice()),
+        };
+        (w, cycle)
     }
 
     /// Withdraw a still-waiting queue node in place, under the slot mutex
@@ -1092,17 +1151,13 @@ impl ManagerInner {
             tx: w.owner.id,
             obj: obj_idx,
         });
-        guard.remove_waiter(w);
+        let i = guard.queue.iter().position(|q| Arc::ptr_eq(q, w));
+        self.dequeue(&mut guard, i.expect("a waiting node is queued"));
         *w.node.waiting_on.lock() = None;
-        if self.config.deadlock == DeadlockPolicy::DieOnCycle && !w.edges.lock().is_empty() {
-            self.wait_graph.clear(w.owner.top_level_id());
-        }
         self.stats.bump(Ctr::CancelledWaiters);
         let wake = self.release_scan(obj_idx, &mut guard);
         drop(guard);
-        for x in wake {
-            x.wake();
-        }
+        wake.run(self);
         true
     }
 
@@ -1125,16 +1180,13 @@ impl ManagerInner {
     /// future poll again); a waiter with a thread is left to do that
     /// itself. Deadlines are `enqueue instant + one constant` and the
     /// instant is read under the slot mutex, so FIFO order is deadline
-    /// order and the walk stops at the first unexpired node — except under
-    /// [`DeadlockPolicy::WoundWait`], whose age-ordered insert breaks the
-    /// monotone order: there the whole queue is walked. A grant, doom or
-    /// drop that beats a withdrawal wins the state CAS as usual.
+    /// order and the walk stops at the first unexpired node. A grant, doom
+    /// or drop that beats a withdrawal wins the state CAS as usual.
     ///
     /// Returns whether the queue was non-empty; an empty one drops the
     /// slot's `sweep_hint`, so the sweeper stops visiting it.
     pub(crate) fn sweep_slot(&self, obj_idx: usize, now: Instant) -> bool {
         let slot = self.slot(obj_idx);
-        let whole_queue = self.config.deadlock == DeadlockPolicy::WoundWait;
         let expired: Vec<Arc<Waiter>> = {
             let guard = slot.inner.lock();
             if guard.queue.is_empty() {
@@ -1144,8 +1196,8 @@ impl ManagerInner {
             guard
                 .queue
                 .iter()
-                .take_while(|w| whole_queue || w.deadline <= now)
-                .filter(|w| w.is_async && w.deadline <= now)
+                .take_while(|w| w.deadline <= now)
+                .filter(|w| w.is_async)
                 .cloned()
                 .collect()
         };
@@ -1157,22 +1209,21 @@ impl ManagerInner {
         true
     }
 
-    /// Run the enqueue half of [`Self::access`] — fault points, the
-    /// inline-grant loop, waiter enqueue, and the one-shot deadlock edge
-    /// publish — without committing the caller to *how* it waits.
+    /// Run the enqueue half of [`Self::access`] — fault points, the inline
+    /// grant, and the waiter enqueue with its deadlock search — without
+    /// committing the caller to *how* it waits.
     ///
     /// Returns [`Attempt::Done`] when the request resolved without ever
-    /// parking (inline grant, doom, wound death, deadlock victim, zero
-    /// wait budget), or [`Attempt::Queued`] with the enqueued waiter and
-    /// the unconsumed closure. The sync path then spins/parks on the
-    /// waiter; the async path returns `Poll::Pending` and lets the
-    /// releaser's `wake()` drive the future. Both paths converge on
-    /// [`Self::finish_after_wait`]. Passing `async_cb` queues the
-    /// callback waiter variant (see [`Self::enqueue_waiter`]);
-    /// grant order, wound-wait age ordering, and the die-on-cycle edge
-    /// publish are identical for both variants — the queue cannot tell
-    /// them apart. A request granted inline reads no clock: the wait's
-    /// start and deadline are read once, when the request first finds
+    /// parking (inline grant, doom, deadlock victim, zero wait budget), or
+    /// [`Attempt::Queued`] with the enqueued waiter and the unconsumed
+    /// closure. The sync path then spins/parks on the waiter; the async
+    /// path returns `Poll::Pending` and lets the releaser's `wake()` drive
+    /// the future. Both paths converge on [`Self::finish_after_wait`].
+    /// Passing `async_cb` queues the callback waiter variant (see
+    /// [`Self::enqueue_waiter`]); grant order and the deadlock search are
+    /// identical for both variants — the queue cannot tell them apart. A
+    /// request granted inline reads no clock and takes no graph lock: the
+    /// wait's start and deadline are read once, when the request finds
     /// itself blocked, and live in the waiter node.
     pub(crate) fn access_attempt<R, F>(
         &self,
@@ -1188,7 +1239,6 @@ impl ManagerInner {
         let lock_write = write || self.config.mode == LockMode::Exclusive;
         let owner = self.effective_owner(node);
         let slot = self.slot(obj_idx);
-        let mut wait_start: Option<Instant> = None;
         if self.config.fault.is_some() {
             let action = self.fault_decision(FaultPoint::LockRequest, node, Some(obj_idx), write);
             if action != FaultAction::Continue {
@@ -1196,198 +1246,101 @@ impl ManagerInner {
             }
         }
         let mut guard = slot.inner.lock();
-        // Phase 1 — inline grant, wound retries, fail-fast exits. Leaves
-        // the loop only to enqueue a waiter.
-        let wait_start = loop {
-            if node.is_doomed() {
-                return Attempt::Done(Err(doom_error(node)));
+        // Phase 1 — inline grant or fail fast.
+        if node.is_doomed() {
+            return Attempt::Done(Err(doom_error(node)));
+        }
+        // No-barge rule: an inline grant with waiters queued is allowed
+        // only when a current holder is an ancestor of the requester.
+        // Queueing such a request behind strangers it does not conflict
+        // with could deadlock (the stranger may be waiting on exactly that
+        // ancestor); any other grantable request found the queue stuck on
+        // a holder that must be its ancestor too, so the gate never starves
+        // FIFO waiters.
+        if guard.grantable(&owner, lock_write)
+            && (guard.queue.is_empty() || guard.holder_is_ancestor(&owner))
+        {
+            let r = self.grant_inline(&mut guard, &owner, obj_idx, lock_write, f);
+            // A grant beside waiters shares its top with a holder (the
+            // ancestor above), so the head's holder tops cannot change:
+            // no edge to recompute.
+            debug_assert!(guard
+                .queue
+                .front()
+                .is_none_or(|h| holder_tops(&guard, h) == guard.head_edges));
+            return Attempt::Done(Ok(r));
+        }
+        // Blocked — the only path that reads the clock. The read (under
+        // the slot mutex) is the wait's start.
+        let wait_start = Instant::now();
+        self.stats.bump(Ctr::Waits);
+        self.trace(RtEvent::Wait {
+            tx: owner.id,
+            obj: obj_idx,
+            write: lock_write,
+        });
+        if self.config.fault.is_some() {
+            let action = self.fault_decision(FaultPoint::LockWait, node, Some(obj_idx), write);
+            if action != FaultAction::Continue {
+                // apply_lock_fault may abort subtrees, which re-locks
+                // touched slots — release this one first.
+                drop(guard);
+                return Attempt::Done(Err(self.apply_lock_fault(action, node, obj_idx)));
             }
-            // No-barge rule: an inline grant with waiters queued is allowed
-            // only when a current holder is an ancestor of the requester.
-            // Queueing such a request behind strangers it does not conflict
-            // with could deadlock (the stranger may be waiting on exactly
-            // that ancestor); any other grantable request found the queue
-            // stuck on a holder that must be its ancestor too, so the gate
-            // never starves FIFO waiters.
-            if guard.grantable(&owner, lock_write)
-                && (guard.queue.is_empty() || guard.holder_is_ancestor(&owner))
-            {
-                if let Some(t0) = wait_start {
-                    self.stats
-                        .add(Ctr::WaitNanos, t0.elapsed().as_nanos() as u64);
-                }
-                return Attempt::Done(Ok(
-                    self.grant_inline(&mut guard, &owner, obj_idx, lock_write, f)
-                ));
-            }
-            // Blocked — the only path that reads the clock. The first read
-            // (under the slot mutex) is the wait's start.
-            let now = Instant::now();
-            if wait_start.is_none() {
-                self.stats.bump(Ctr::Waits);
-                self.trace(RtEvent::Wait {
-                    tx: owner.id,
-                    obj: obj_idx,
-                    write: lock_write,
-                });
-            }
-            let t0 = *wait_start.get_or_insert(now);
-            if self.config.fault.is_some() {
-                let action = self.fault_decision(FaultPoint::LockWait, node, Some(obj_idx), write);
-                if action != FaultAction::Continue {
-                    // apply_lock_fault may abort subtrees, which re-locks
-                    // touched slots — release this one first.
-                    drop(guard);
-                    return Attempt::Done(Err(self.apply_lock_fault(action, node, obj_idx)));
-                }
-            }
-            if self.config.deadlock == DeadlockPolicy::WoundWait {
-                // Older requesters wound younger holders; younger
-                // requesters wait. Together with age-ordered queueing below
-                // this keeps every wait — on a holder or on a queue
-                // position — pointing young → old, so no cycle can form.
-                let my_top = owner.top_level_id();
-                let victims: Vec<Arc<TxNode>> = guard
-                    .blockers(&owner, lock_write)
-                    .into_iter()
-                    .filter(|b| b.top_level_id() > my_top)
-                    .map(|b| b.top())
-                    .collect();
-                if !victims.is_empty() {
-                    // Release the slot mutex before purging: abort_subtree
-                    // re-locks touched objects (including this one).
-                    drop(guard);
-                    for v in victims {
-                        self.stats.bump(Ctr::Wounds);
-                        self.abort_subtree(&v);
-                    }
-                    guard = slot.inner.lock();
-                    continue;
-                }
-            }
-            if now >= t0 + self.config.wait_timeout {
-                // Fail fast without ever enqueueing — with a zero wait
-                // budget (the deterministic fuzz configuration) blocked
-                // requests take exactly this path.
-                self.stats.bump(Ctr::Timeouts);
-                // Resolve the WAIT recorded above: a fail-fast timeout is a
-                // withdrawal too, so every recorded wait has exactly one
-                // resolution for the HB certifier to find.
-                self.trace(RtEvent::Withdraw {
+        }
+        if self.config.wait_timeout.is_zero() {
+            // Fail fast without ever enqueueing — with a zero wait budget
+            // (the deterministic fuzz configuration) blocked requests take
+            // exactly this path.
+            self.stats.bump(Ctr::Timeouts);
+            // Resolve the WAIT recorded above: a fail-fast timeout is a
+            // withdrawal too, so every recorded wait has exactly one
+            // resolution for the HB certifier to find.
+            self.trace(RtEvent::Withdraw {
+                tx: owner.id,
+                obj: obj_idx,
+            });
+            return Attempt::Done(Err(TxError::Timeout));
+        }
+        // Phase 2 — enqueue a waiter node; it enters the wait-for graph
+        // with its edges, and the search runs there.
+        let (w, cycle) =
+            self.enqueue_waiter(&mut guard, node, obj_idx, lock_write, wait_start, async_cb);
+        let elsewhere = match cycle {
+            None => false,
+            Some(c) if c.victim.id != owner.top_level_id() => true,
+            Some(c) => {
+                // Die: the requester is the youngest on the cycle it
+                // closed. The graph already took the node back out; so
+                // does the queue, whose tail it is — the queue is exactly
+                // as before the enqueue.
+                self.note_deadlock(owner.id, &c);
+                let cancelled = w.cancel();
+                debug_assert!(cancelled, "enqueued under this guard");
+                // The cancel resolves the recorded wait.
+                self.trace(RtEvent::CancelWaiter {
                     tx: owner.id,
                     obj: obj_idx,
                 });
-                return Attempt::Done(Err(TxError::Timeout));
+                guard.queue.pop_back();
+                if guard.queue.is_empty() {
+                    guard.head_edges.clear();
+                }
+                *node.waiting_on.lock() = None;
+                return Attempt::Done(Err(TxError::Deadlock));
             }
-            break t0;
         };
-        // Phase 2 — enqueue a waiter node.
-        let w = self.enqueue_waiter(&mut guard, node, obj_idx, lock_write, wait_start, async_cb);
         // Self-scan under the same mutex hold: delivers a doom that raced
         // the enqueue (the aborter either saw our waiting_on registration
         // or we see its abort mark here — the slot mutex serialises the
-        // two), and grants the head wave, which may include us after an
-        // age-ordered insert or a wound.
-        let mut wake = self.release_scan(obj_idx, &mut guard);
-        // Phase 3 (DieOnCycle) — one checked edge publish per enqueue. The
-        // wait set is derived from queue membership (conflicting holders +
-        // queued predecessors); release scans refresh it as the queue
-        // moves without re-running detection (see `release_scan` pass
-        // 3 for why grown sets are still cycle-safe).
-        if self.config.deadlock == DeadlockPolicy::DieOnCycle {
-            loop {
-                if w.state() != W_WAITING {
-                    break;
-                }
-                let targets = edge_targets(&guard, &w);
-                if targets.is_empty() {
-                    // Nothing to wait on (e.g. an ancestor's write handoff
-                    // is mid-apply): a grant is imminent, no edge needed.
-                    break;
-                }
-                let my_top = owner.top_level_id();
-                match self.wait_graph.wait_and_check(my_top, &targets) {
-                    None => {
-                        *w.edges.lock() = targets;
-                        break;
-                    }
-                    Some(cycle) => {
-                        // Detection withdrew the waiter's edges.
-                        let victim = pick_victim(&cycle);
-                        self.stats.bump(Ctr::Deadlocks);
-                        self.trace(RtEvent::Deadlock {
-                            waiter: owner.id,
-                            victim,
-                            cycle_len: cycle.len(),
-                        });
-                        if victim == my_top {
-                            if w.cancel() {
-                                // Deadlock-victim self-cancel resolves the
-                                // wait (skipped if a grant won the CAS —
-                                // the grant event is the resolution then).
-                                self.trace(RtEvent::CancelWaiter {
-                                    tx: owner.id,
-                                    obj: obj_idx,
-                                });
-                            }
-                            guard.remove_waiter(&w);
-                            *node.waiting_on.lock() = None;
-                            wake.extend(self.release_scan(obj_idx, &mut guard));
-                            drop(guard);
-                            for x in wake {
-                                x.wake();
-                            }
-                            return Attempt::Done(Err(TxError::Deadlock));
-                        }
-                        // Youngest-victim: wound the victim if it holds or
-                        // waits right here (then re-check); otherwise it is
-                        // unreachable from this slot and the requester dies
-                        // in its place — conservative but safe.
-                        let victim_node = guard
-                            .blockers(&owner, lock_write)
-                            .into_iter()
-                            .map(|b| b.top())
-                            .chain(guard.queue.iter().map(|q| q.owner.top()))
-                            .find(|t| t.id == victim);
-                        match victim_node {
-                            Some(v) => {
-                                // abort_subtree re-locks touched slots, and
-                                // its scan of this object may grant us
-                                // while the guard is down — the loop head
-                                // re-checks our state.
-                                drop(guard);
-                                for x in wake.drain(..) {
-                                    x.wake();
-                                }
-                                v.deadlock_victim.store(true, Ordering::SeqCst);
-                                self.abort_subtree(&v);
-                                guard = slot.inner.lock();
-                                continue;
-                            }
-                            None => {
-                                if w.cancel() {
-                                    self.trace(RtEvent::CancelWaiter {
-                                        tx: owner.id,
-                                        obj: obj_idx,
-                                    });
-                                }
-                                guard.remove_waiter(&w);
-                                *node.waiting_on.lock() = None;
-                                wake.extend(self.release_scan(obj_idx, &mut guard));
-                                drop(guard);
-                                for x in wake {
-                                    x.wake();
-                                }
-                                return Attempt::Done(Err(TxError::Deadlock));
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        // two).
+        let wake = self.release_scan(obj_idx, &mut guard);
         drop(guard);
-        for x in wake.drain(..) {
-            x.wake();
+        wake.run(self);
+        if elsewhere {
+            // The victim waits elsewhere on the cycle; its abort cancels
+            // that wait, and the cancelled request reports Deadlock.
+            self.resolve(owner.id, owner.top_level_id());
         }
         Attempt::Queued { w, f }
     }
@@ -1481,9 +1434,9 @@ impl ManagerInner {
             return Err(TxError::Timeout);
         }
         if st == W_CANCELLED {
-            // Doom was delivered to the queue node (wound, ancestor abort,
-            // or deadlock victim) — the canceller already dequeued us and
-            // cleared our graph edges via the abort path.
+            // Doom was delivered to the queue node (an abort of this
+            // subtree, or a deadlock victim's) — the canceller already took
+            // the node out of the queue and the wait-for graph.
             *node.waiting_on.lock() = None;
             return Err(doom_error(node));
         }
@@ -1501,9 +1454,7 @@ impl ManagerInner {
             }
             let wake = self.release_scan(obj_idx, &mut guard);
             drop(guard);
-            for x in wake {
-                x.wake();
-            }
+            wake.run(self);
             return Err(doom_error(node));
         }
         // The woken side's first touch of the object after its grant:
@@ -1523,9 +1474,7 @@ impl ManagerInner {
             // compatible waiters gated only on it.
             let wake = self.release_scan(obj_idx, &mut guard);
             drop(guard);
-            for x in wake {
-                x.wake();
-            }
+            wake.run(self);
             Ok(r)
         } else {
             // The releaser recorded our read lock; read the deepest
@@ -1628,12 +1577,10 @@ impl ManagerInner {
                 wake = if moved.any() {
                     self.release_scan(obj, &mut guard)
                 } else {
-                    Vec::new()
+                    Wake::default()
                 };
             }
-            for w in wake {
-                w.wake();
-            }
+            wake.run(self);
             if let Some(h) = &heir {
                 h.touch(obj);
             }
@@ -1649,7 +1596,7 @@ impl ManagerInner {
     /// aborted.
     pub(crate) fn abort_subtree(&self, root: &Arc<TxNode>) -> usize {
         let mut newly_aborted = 0usize;
-        // A wound can race its victim's own commit; whoever wins the
+        // A victim's doom can race the victim's own commit; whoever wins the
         // Active → Committed/Aborted transition on the root decides. A root
         // that committed is past aborting: its inheritance pass may still
         // be publishing, and discarding now would tear its write set.
@@ -1678,11 +1625,6 @@ impl ManagerInner {
                     waiting.push(o);
                 }
             }
-            // Top-granularity edge withdrawal: siblings of the aborted
-            // subtree sharing this top may transiently lose their edges;
-            // the release scan republishes on its next pass and timeouts
-            // backstop the rest.
-            self.wait_graph.clear(n.top_level_id());
         });
         for &obj in &touched {
             let slot = self.slot(obj);
@@ -1702,9 +1644,7 @@ impl ManagerInner {
                 // doom pass must cancel this subtree's queued waiters.
                 wake = self.release_scan(obj, &mut guard);
             }
-            for w in wake {
-                w.wake();
-            }
+            wake.run(self);
         }
         for obj in waiting {
             if touched.binary_search(&obj).is_ok() {
@@ -1737,9 +1677,7 @@ impl ManagerInner {
                 }
                 self.release_scan(obj, &mut guard)
             };
-            for w in wake {
-                w.wake();
-            }
+            wake.run(self);
         }
         // Log the abort of a top-level transaction so recovery can discard
         // its buffered publishes even if a Begin record was durable.
@@ -1804,10 +1742,10 @@ mod tests {
         }
     }
 
-    /// Regression: a waiter that published wait-for edges and is then
-    /// wounded while parked must leave no stale edge in the graph (the
+    /// Regression: a waiter that entered the wait-for graph and is then
+    /// aborted while parked must leave no node and no edge behind (the
     /// retry-loop scheme republished on every wakeup and could leave the
-    /// last set behind when the wound landed between retries).
+    /// last set behind when the abort landed between retries).
     #[test]
     fn wound_while_parked_clears_published_edges() {
         let mgr = TxManager::new(RtConfig {
@@ -1820,26 +1758,88 @@ mod tests {
         let waiter = mgr.begin();
         std::thread::scope(|s| {
             let h = s.spawn(|| waiter.write(&x, |v| *v = 2));
-            // Wait until the blocked writer has enqueued and published its
-            // wait-for edge.
-            while mgr.inner.wait_graph.waiting_count() == 0 {
+            // Wait until the blocked writer has enqueued and entered the
+            // wait-for graph.
+            while mgr.inner.wait_graph.len() == 0 {
                 assert!(!h.is_finished(), "waiter finished without blocking");
                 std::thread::yield_now();
             }
             assert_eq!(mgr.queued_waiters(), 1);
-            // Wound the parked waiter (abort reaches its queue node).
+            // Abort the parked waiter (the abort reaches its queue node).
             waiter.abort();
             let r = h.join().unwrap();
             assert_eq!(r, Err(TxError::Doomed));
         });
         assert_eq!(
-            mgr.inner.wait_graph.waiting_count(),
+            mgr.inner.wait_graph.len(),
             0,
-            "stale wait-for edge left after wound"
+            "stale wait-for node left after the abort"
         );
         assert_eq!(mgr.queued_waiters(), 0, "cancelled waiter leaked");
         assert!(mgr.stats().cancelled_waiters >= 1);
         holder.commit().unwrap();
+    }
+
+    /// The soak's workload (`tests/stress.rs`: nested transfers between
+    /// eight accounts, poison grandchildren, children retried on deadlock)
+    /// under a 20 s budget: every cycle is found by detection, so nothing
+    /// times out, and at quiescence the wait-for graph is as empty as the
+    /// queues. Here rather than in the soak because an integration test
+    /// cannot see the graph.
+    #[test]
+    fn soak_leaves_an_empty_wait_graph() {
+        const ACCOUNTS: usize = 8;
+        let mgr = TxManager::new(RtConfig {
+            wait_timeout: Duration::from_secs(20),
+            ..Default::default()
+        });
+        let accounts: Vec<ObjRef<i64>> = (0..ACCOUNTS)
+            .map(|i| mgr.register(format!("a{i}"), 1_000i64))
+            .collect();
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (mgr, accounts) = (&mgr, &accounts);
+                s.spawn(move || {
+                    let mut r = t.wrapping_mul(0x2545F4914F6CDD1D) | 1;
+                    let mut rng = move |n: usize| {
+                        r ^= r << 13;
+                        r ^= r >> 7;
+                        r ^= r << 17;
+                        (r >> 33) as usize % n
+                    };
+                    for _ in 0..100 {
+                        let from = rng(ACCOUNTS);
+                        let to = (from + 1 + rng(ACCOUNTS - 1)) % ACCOUNTS;
+                        loop {
+                            let tx = mgr.begin();
+                            let moved = tx.retry_child(8, |c| {
+                                c.write(&accounts[from], |b| *b -= 1)?;
+                                // Hold the first lock across a reschedule
+                                // so transfers overlap and cross.
+                                std::thread::yield_now();
+                                if rng(10) == 0 {
+                                    if let Ok(bad) = c.child() {
+                                        let _ = bad.write(&accounts[to], |b| *b += 1_000_000);
+                                        bad.abort();
+                                    }
+                                }
+                                c.write(&accounts[to], |b| *b += 1)
+                            });
+                            if moved.is_ok() && tx.commit().is_ok() {
+                                break;
+                            }
+                            tx.abort();
+                        }
+                    }
+                });
+            }
+        });
+        let total: i64 = accounts.iter().map(|a| mgr.read_committed(a, |b| *b)).sum();
+        assert_eq!(total, 1_000 * ACCOUNTS as i64);
+        let stats = mgr.stats();
+        assert_eq!(stats.timeouts, 0, "{stats:?}");
+        assert_eq!(mgr.queued_waiters(), 0);
+        assert_eq!(mgr.inner.wait_graph.len(), 0, "a node outlived its queue");
     }
 
     /// Regression for the leak found by the loom model
@@ -1852,10 +1852,7 @@ mod tests {
     /// only re-scanned, leaving the version and latch wedged forever.
     #[test]
     fn abort_reclaims_grant_installed_before_waiter_wakes() {
-        let mgr = TxManager::new(RtConfig {
-            deadlock: DeadlockPolicy::TimeoutOnly,
-            ..Default::default()
-        });
+        let mgr = TxManager::new(RtConfig::default());
         let inner = &mgr.inner;
         let holder = TxNode::top_level(inner.next_tx_id.fetch_add(1, Ordering::Relaxed));
         let waiter_tx = TxNode::top_level(inner.next_tx_id.fetch_add(1, Ordering::Relaxed));
@@ -1866,7 +1863,9 @@ mod tests {
             let mut g = inner.slot(obj).inner.lock();
             let _ = g.writable_state(&holder);
             holder.touch(obj);
-            inner.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), None)
+            inner
+                .enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), None)
+                .0
         };
         // The holder aborts: the release scan grants `w` directly,
         // installing waiter_tx's version and the write-pending latch. No

@@ -9,7 +9,12 @@
 //! [`Waiter`] on the object's FIFO queue and park on their own node until a
 //! releasing thread *hands the lock over directly* (see
 //! `ManagerInner::release_scan` in the manager module). The queue is the
-//! single source of truth for "who is waiting" on an object.
+//! single source of truth for "who is waiting" on an object — and for whom
+//! each waiter waits on: a queued waiter waits for the top-level
+//! transaction of the waiter ahead of it, and the head for the tops of
+//! the holders it conflicts with ([`ObjectInner::head_edges`]). Those are
+//! its wait-for edges in `deadlock.rs`'s graph, changed only where the
+//! queue changes.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use crate::sync::Arc;
@@ -57,8 +62,8 @@ pub(crate) const W_WAITING: u8 = 0;
 /// A releasing thread granted the lock and installed the lock state; the
 /// waiter wakes, applies its closure and proceeds.
 pub(crate) const W_GRANTED: u8 = 1;
-/// The wait was cancelled (doomed by an abort/wound); the waiter wakes and
-/// fails without retrying.
+/// The wait was cancelled (doomed by an abort, or the requester died on a
+/// deadlock cycle); the waiter wakes and fails without retrying.
 pub(crate) const W_CANCELLED: u8 = 2;
 /// The wait was withdrawn by its own timeout (the sync thread's deadline, or
 /// the manager's sweeper acting for an async waiter). Kept distinct from
@@ -113,11 +118,6 @@ pub(crate) struct Waiter {
     /// every future poll, so a releaser-side `wake()` can never find the
     /// slot empty while the future still needs a wakeup.
     callback: Mutex<Option<WakeCallback>>,
-    /// Wait-for edge targets currently published for this waiter
-    /// (DieOnCycle only), sorted. Release scans compare against this and
-    /// republish only when the wait set actually changed — one graph-stripe
-    /// hit per change instead of one per retry.
-    pub edges: Mutex<Vec<u64>>,
 }
 
 impl Waiter {
@@ -145,7 +145,6 @@ impl Waiter {
             cv: Condvar::new(),
             is_async: callback.is_some(),
             callback: Mutex::new(callback),
-            edges: Mutex::new(Vec::new()),
         })
     }
 
@@ -237,10 +236,15 @@ pub(crate) struct ObjectInner {
     pub chain: Vec<ChainEntry>,
     /// Read-lock holders.
     pub readers: Vec<Arc<TxNode>>,
-    /// Blocked requests in handoff order. FIFO under DieOnCycle and
-    /// TimeoutOnly; ordered by top-level id (oldest first) under WoundWait,
-    /// so queue-position waits also only ever point young → old.
+    /// Blocked requests in FIFO handoff order; every node in it is
+    /// [`W_WAITING`] and in the wait-for graph.
     pub queue: VecDeque<Arc<Waiter>>,
+    /// The head's wait-for edges as published in the wait-for graph: the
+    /// top-level ids of the holders it conflicts with, its own excluded,
+    /// sorted. Empty with an empty queue. Every other waiter's one edge is
+    /// implied by its place in `queue` (the top of the waiter ahead), so
+    /// this is the only edge state an object keeps.
+    pub head_edges: Vec<u64>,
     /// Owner id of a write grant handed off but not yet *applied*: the
     /// releaser installed the version and woke the writer, which has not
     /// reached its closure yet. While set, nothing else is grantable, so no
@@ -278,17 +282,17 @@ impl ObjectInner {
     /// Transactions (other than ancestors of `tx`) holding conflicting
     /// locks: any write holder always conflicts; readers conflict only for
     /// write requests.
-    pub fn blockers(&self, tx: &TxNode, write: bool) -> Vec<Arc<TxNode>> {
-        let mut out: Vec<Arc<TxNode>> = self
+    pub fn blockers(&self, tx: &TxNode, write: bool) -> Vec<&TxNode> {
+        let mut out: Vec<&TxNode> = self
             .chain
             .iter()
             .filter(|e| !e.owner.is_ancestor_of(tx))
-            .map(|e| e.owner.clone())
+            .map(|e| &*e.owner)
             .collect();
         if write {
             for r in &self.readers {
                 if !r.is_ancestor_of(tx) && !out.iter().any(|b| b.id == r.id) {
-                    out.push(r.clone());
+                    out.push(r);
                 }
             }
         }
@@ -315,13 +319,6 @@ impl ObjectInner {
     pub fn holder_is_ancestor(&self, tx: &TxNode) -> bool {
         self.chain.iter().any(|e| e.owner.is_ancestor_of(tx))
             || self.readers.iter().any(|r| r.is_ancestor_of(tx))
-    }
-
-    /// Drop `w` from the queue, if still there (timeout withdrawal).
-    pub fn remove_waiter(&mut self, w: &Arc<Waiter>) {
-        if let Some(pos) = self.queue.iter().position(|q| Arc::ptr_eq(q, w)) {
-            self.queue.remove(pos);
-        }
     }
 
     /// Record a read lock for `owner`.
@@ -516,6 +513,7 @@ impl ObjectSlot {
                 chain: Vec::new(),
                 readers: Vec::new(),
                 queue: VecDeque::new(),
+                head_edges: Vec::new(),
                 write_pending: None,
                 tenure_start: None,
                 hint_warm: false,
@@ -573,6 +571,7 @@ mod tests {
             chain: Vec::new(),
             readers: Vec::new(),
             queue: VecDeque::new(),
+            head_edges: Vec::new(),
             write_pending: None,
             tenure_start: None,
             hint_warm: false,
@@ -743,11 +742,9 @@ mod tests {
         o.queue.push_back(q1.clone());
         o.queue.push_back(q2.clone());
         assert_eq!(o.waiters(), 2);
-        o.remove_waiter(&q1);
+        o.queue.retain(|q| !Arc::ptr_eq(q, &q1));
         assert_eq!(o.waiters(), 1);
         assert!(Arc::ptr_eq(&o.queue[0], &q2));
-        o.remove_waiter(&q1); // idempotent
-        assert_eq!(o.waiters(), 1);
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub(crate) enum Ctr {
     Waits,
     WaitNanos,
     Deadlocks,
-    Wounds,
     Timeouts,
     Commits,
     TopCommits,
@@ -43,7 +42,7 @@ pub(crate) enum Ctr {
     Recoveries,
 }
 
-const NCTR: usize = 22;
+const NCTR: usize = 21;
 
 #[derive(Default)]
 struct Stripe {
@@ -91,7 +90,6 @@ impl Stats {
             waits: self.total(Ctr::Waits),
             total_wait: Duration::from_nanos(self.total(Ctr::WaitNanos)),
             deadlocks: self.total(Ctr::Deadlocks),
-            wounds: self.total(Ctr::Wounds),
             timeouts: self.total(Ctr::Timeouts),
             commits: self.total(Ctr::Commits),
             top_level_commits: self.total(Ctr::TopCommits),
@@ -128,8 +126,6 @@ pub struct StatsSnapshot {
     pub total_wait: Duration,
     /// Requests refused as deadlock victims.
     pub deadlocks: u64,
-    /// Younger transactions aborted by older requesters (wound–wait).
-    pub wounds: u64,
     /// Requests that exhausted their wait budget.
     pub timeouts: u64,
     /// Commits at any level.
@@ -151,8 +147,8 @@ pub struct StatsSnapshot {
     /// Handed-off grants that arrived during the brief pre-park spin, so
     /// the waiter never paid for a park/unpark round trip.
     pub spin_grants: u64,
-    /// Queued waiters withdrawn without a grant (doomed, wounded, or timed
-    /// out) — cancelled in place rather than woken to re-poll.
+    /// Queued waiters withdrawn without a grant (doomed or timed out) —
+    /// cancelled in place rather than woken to re-poll.
     pub cancelled_waiters: u64,
     /// Snapshot handles opened ([`crate::TxManager::snapshot`]).
     pub snapshots_opened: u64,

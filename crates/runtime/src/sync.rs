@@ -16,10 +16,10 @@
 pub(crate) use std::sync::{Arc, Weak};
 
 #[cfg(not(loom))]
-pub(crate) use parking_lot::{Condvar, Mutex, MutexGuard};
+pub(crate) use parking_lot::{Condvar, Mutex};
 
 #[cfg(loom)]
-pub(crate) use loom::sync::{Condvar, Mutex, MutexGuard};
+pub(crate) use loom::sync::{Condvar, Mutex};
 
 /// Atomic types and `Ordering`, switched between `std::sync::atomic` and
 /// `loom::sync::atomic`.

@@ -47,7 +47,7 @@ impl Tx {
     }
 
     fn check_usable(&self) -> Result<(), TxError> {
-        // Read "finished" before the doom check: a wound from another
+        // Read "finished" before the doom check: an abort from another
         // thread that lands in between must read as `Doomed`, never as
         // `AlreadyFinished`.
         let finished = self.finished.load(Ordering::SeqCst) || self.node.state() != TxState::Active;
@@ -166,12 +166,11 @@ impl Tx {
 
     /// Async counterpart of [`Tx::read`]: acquire the read lock without
     /// parking a thread. The returned [`AccessFuture`] enqueues exactly
-    /// like the sync path (same FIFO position, same wound-wait /
-    /// die-on-cycle treatment at enqueue time) and is completed
-    /// releaser-side by the same grant wave that would have unparked a
-    /// thread; its timeout withdraws the queue node in place, run by the
-    /// manager's sweeper (which reads the deadline off the queue node)
-    /// instead of a parked thread.
+    /// like the sync path (same FIFO position, same die-on-cycle search at
+    /// enqueue) and is completed releaser-side by the same grant wave that
+    /// would have unparked a thread; its timeout withdraws the queue node
+    /// in place, run by the manager's sweeper (which reads the deadline off
+    /// the queue node) instead of a parked thread.
     ///
     /// The future owns `Arc` handles, not a borrow of `self`, so it can
     /// be spawned onto any executor. The closure therefore needs `Send +
@@ -278,8 +277,9 @@ impl Tx {
         }
         if !self.node.mark_committed() {
             // `finished` rules out a second commit through this handle, so
-            // the node was aborted from another thread (a wound) between
-            // the doom check above and here; that abort cleans up.
+            // the node was aborted from another thread (a deadlock victim's
+            // doom) between the doom check above and here; that abort
+            // cleans up.
             self.decrement_parent_live();
             return Err(TxError::Doomed);
         }
@@ -646,197 +646,6 @@ mod tests {
             mine == Some(TxError::Deadlock) || other == Some(TxError::Deadlock),
             "no deadlock detected: {mine:?} / {other:?}"
         );
-    }
-
-    #[test]
-    fn timeout_only_policy_skips_detection() {
-        use crate::config::DeadlockPolicy;
-        use std::sync::Barrier;
-        let mgr = TxManager::new(RtConfig {
-            deadlock: DeadlockPolicy::TimeoutOnly,
-            wait_timeout: Duration::from_millis(120),
-            ..Default::default()
-        });
-        let x = mgr.register("x", 0i64);
-        let y = mgr.register("y", 0i64);
-        let barrier = Arc::new(Barrier::new(2));
-        let mgr2 = mgr.clone();
-        let b2 = barrier.clone();
-        let h = std::thread::spawn(move || {
-            let t = mgr2.begin();
-            t.write(&x, |v| *v += 1).unwrap();
-            b2.wait();
-            let r = t.write(&y, |v| *v += 1);
-            t.abort();
-            r
-        });
-        let t = mgr.begin();
-        t.write(&y, |v| *v += 1).unwrap();
-        barrier.wait();
-        let mine = t.write(&x, |v| *v += 1);
-        t.abort();
-        let theirs = h.join().unwrap();
-        // With detection off, the genuine deadlock resolves by timeout on
-        // at least one side; nobody reports Deadlock.
-        assert_ne!(mine, Err(TxError::Deadlock));
-        assert_ne!(theirs, Err(TxError::Deadlock));
-        assert!(
-            mine == Err(TxError::Timeout) || theirs == Err(TxError::Timeout),
-            "someone must time out: {mine:?} / {theirs:?}"
-        );
-        assert!(mgr.stats().timeouts >= 1);
-        assert_eq!(mgr.stats().deadlocks, 0);
-    }
-
-    #[test]
-    fn wound_wait_older_wounds_younger() {
-        use crate::config::DeadlockPolicy;
-        let mgr = TxManager::new(RtConfig {
-            deadlock: DeadlockPolicy::WoundWait,
-            wait_timeout: Duration::from_millis(300),
-            ..Default::default()
-        });
-        let x = mgr.register("x", 0i64);
-        let older = mgr.begin(); // smaller id
-        let younger = mgr.begin(); // larger id
-        younger.write(&x, |v| *v = 1).unwrap();
-        // The older transaction wants the lock: it wounds the younger.
-        older.write(&x, |v| *v = 2).unwrap();
-        assert!(younger.is_doomed(), "younger holder should be wounded");
-        assert_eq!(mgr.stats().wounds, 1);
-        older.commit().unwrap();
-        assert_eq!(mgr.read_committed(&x, |v| *v), 2);
-    }
-
-    #[test]
-    fn wound_wait_younger_waits_for_older() {
-        use crate::config::DeadlockPolicy;
-        let mgr = TxManager::new(RtConfig {
-            deadlock: DeadlockPolicy::WoundWait,
-            wait_timeout: Duration::from_millis(100),
-            ..Default::default()
-        });
-        let x = mgr.register("x", 0i64);
-        let older = mgr.begin();
-        let younger = mgr.begin();
-        older.write(&x, |v| *v = 1).unwrap();
-        // The younger requester must wait (here: time out), not wound.
-        assert_eq!(younger.write(&x, |v| *v = 2), Err(TxError::Timeout));
-        assert!(!older.is_doomed());
-        assert_eq!(mgr.stats().wounds, 0);
-        older.commit().unwrap();
-        younger.abort();
-    }
-
-    #[test]
-    fn wound_wait_resolves_cross_thread_deadlock_without_cycles() {
-        use crate::config::DeadlockPolicy;
-        use std::sync::Barrier;
-        let mgr = TxManager::new(RtConfig {
-            deadlock: DeadlockPolicy::WoundWait,
-            wait_timeout: Duration::from_secs(5),
-            ..Default::default()
-        });
-        let x = mgr.register("x", 0i64);
-        let y = mgr.register("y", 0i64);
-        let barrier = Arc::new(Barrier::new(2));
-        let mgr2 = mgr.clone();
-        let b2 = barrier.clone();
-        // Classic crossed acquisition; under wound-wait someone gets
-        // wounded instead of both deadlocking.
-        let h = std::thread::spawn(move || {
-            let t = mgr2.begin();
-            if t.write(&x, |v| *v += 1).is_err() {
-                t.abort();
-                b2.wait();
-                return false;
-            }
-            b2.wait();
-            let ok = t.write(&y, |v| *v += 1).is_ok();
-            if ok {
-                t.commit().is_ok()
-            } else {
-                t.abort();
-                false
-            }
-        });
-        let t = mgr.begin();
-        let _ = t.write(&y, |v| *v += 1);
-        barrier.wait();
-        let mine = t.write(&x, |v| *v += 1);
-        match mine {
-            Ok(()) => {
-                let _ = t.commit();
-            }
-            Err(_) => t.abort(),
-        }
-        let _theirs = h.join().unwrap();
-        // No DieOnCycle victims, and the system made progress: at least
-        // one of the two committed or was wounded — never a 5s stall.
-        assert_eq!(mgr.stats().deadlocks, 0);
-        assert_eq!(
-            mgr.stats().timeouts,
-            0,
-            "wound-wait must not rely on timeouts"
-        );
-    }
-
-    #[test]
-    fn wound_wait_bank_conservation_under_threads() {
-        use crate::config::DeadlockPolicy;
-        use std::sync::Barrier;
-        let mgr = TxManager::new(RtConfig {
-            deadlock: DeadlockPolicy::WoundWait,
-            wait_timeout: Duration::from_secs(10),
-            ..Default::default()
-        });
-        let accts: Vec<_> = (0..4)
-            .map(|i| mgr.register(format!("a{i}"), 100i64))
-            .collect();
-        let accts = Arc::new(accts);
-        let barrier = Arc::new(Barrier::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|t: u64| {
-                let mgr = mgr.clone();
-                let accts = accts.clone();
-                let barrier = barrier.clone();
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    let mut s = t.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-                    let mut rng = move |n: usize| {
-                        s ^= s << 13;
-                        s ^= s >> 7;
-                        s ^= s << 17;
-                        (s >> 33) as usize % n
-                    };
-                    for _ in 0..150 {
-                        let from = rng(4);
-                        let to = (from + 1 + rng(3)) % 4;
-                        loop {
-                            let tx = mgr.begin();
-                            let moved = tx
-                                .write(&accts[from], |b| *b -= 1)
-                                .and_then(|()| tx.write(&accts[to], |b| *b += 1));
-                            match moved {
-                                Ok(()) => {
-                                    if tx.commit().is_ok() {
-                                        break;
-                                    }
-                                }
-                                Err(_) => tx.abort(),
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total: i64 = accts.iter().map(|a| mgr.read_committed(a, |b| *b)).sum();
-        assert_eq!(total, 400, "wound-wait lost or created money");
-        assert_eq!(mgr.stats().deadlocks, 0, "wound-wait never reports cycles");
-        assert_eq!(mgr.stats().timeouts, 0, "wound-wait needs no timeouts");
     }
 
     #[test]

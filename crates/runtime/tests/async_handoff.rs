@@ -16,7 +16,7 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
-use ntx_runtime::{DeadlockPolicy, RtConfig, TxError, TxManager};
+use ntx_runtime::{RtConfig, TxError, TxManager};
 
 struct ThreadWaker(std::thread::Thread);
 
@@ -154,7 +154,6 @@ fn mixed_sync_async_queue_preserves_wave_order() {
 fn async_timed_out_waiters_withdraw_in_place() {
     const THREADS: usize = 8;
     let mgr = TxManager::new(RtConfig {
-        deadlock: DeadlockPolicy::TimeoutOnly,
         wait_timeout: Duration::from_millis(40),
         ..Default::default()
     });
@@ -214,7 +213,6 @@ fn async_timeout_withdrawal_races_concurrent_release() {
     let mut timed_out = 0usize;
     for i in 0..ITERS {
         let mgr = TxManager::new(RtConfig {
-            deadlock: DeadlockPolicy::TimeoutOnly,
             wait_timeout: Duration::from_millis(2),
             ..Default::default()
         });
@@ -309,7 +307,6 @@ fn aborting_parent_dooms_queued_future() {
 #[test]
 fn dropping_pending_future_leaves_no_queue_node() {
     let mgr = TxManager::new(RtConfig {
-        deadlock: DeadlockPolicy::TimeoutOnly,
         wait_timeout: Duration::from_secs(10),
         ..Default::default()
     });
@@ -357,7 +354,6 @@ fn dropping_future_races_concurrent_grant() {
     const ITERS: usize = 120;
     for i in 0..ITERS {
         let mgr = TxManager::new(RtConfig {
-            deadlock: DeadlockPolicy::TimeoutOnly,
             wait_timeout: Duration::from_secs(10),
             ..Default::default()
         });
@@ -468,7 +464,6 @@ fn queue_and_await_timeouts<F: Future<Output = Result<(), TxError>>>(
 fn async_timeouts_fire_in_queue_order_never_early_at_most_a_tick_late() {
     let timeout = Duration::from_millis(80);
     let mgr = TxManager::new(RtConfig {
-        deadlock: DeadlockPolicy::TimeoutOnly,
         wait_timeout: timeout,
         ..Default::default()
     });
@@ -496,53 +491,6 @@ fn async_timeouts_fire_in_queue_order_never_early_at_most_a_tick_late() {
     assert_eq!(mgr.read_committed(&hot, |v| *v), 1);
 }
 
-/// Wound–wait inserts by age, so queue order is not deadline order: an
-/// older transaction that queues *later* sits ahead of a younger one whose
-/// deadline is *earlier*. The sweeper must still reach the expired waiter
-/// behind the unexpired head.
-#[test]
-fn wound_wait_sweep_reaches_an_expired_waiter_behind_the_head() {
-    let timeout = Duration::from_millis(200);
-    let gap = Duration::from_millis(120);
-    let mgr = TxManager::new(RtConfig {
-        deadlock: DeadlockPolicy::WoundWait,
-        wait_timeout: timeout,
-        ..Default::default()
-    });
-    let hot = mgr.register("hot", 0i64);
-    // Oldest first: neither requester may wound the holder.
-    let holder = mgr.begin();
-    holder.write(&hot, |v| *v = 1).unwrap();
-    let older = mgr.begin();
-    let younger = mgr.begin();
-    // Future 0 (younger) queues first; future 1 (older) queues `gap`
-    // later and is inserted ahead of it.
-    let futs = vec![
-        younger.write_async(&hot, |v| *v += 1),
-        older.write_async(&hot, |v| *v += 1),
-    ];
-    let fired = queue_and_await_timeouts(futs, gap);
-
-    let order: Vec<usize> = fired.iter().map(|t| t.index).collect();
-    assert_eq!(
-        order,
-        vec![0, 1],
-        "the waiter behind the head expires first"
-    );
-    let (younger, older) = (&fired[0], &fired[1]);
-    assert!(
-        younger.woke < older.enqueued.0 + timeout,
-        "the expired waiter was only reached once the head expired too"
-    );
-    assert!(
-        younger.woke >= younger.enqueued.0 + timeout,
-        "timed out early"
-    );
-    assert_eq!(mgr.queued_waiters(), 0);
-    assert_eq!(mgr.stats().timeouts, 2);
-    holder.commit().unwrap();
-}
-
 /// A sweeper that has gone to sleep (its passes met an empty queue) must
 /// come back for the next async waiter: the second future queues long
 /// after the first timed out and is still timed out on schedule.
@@ -550,7 +498,6 @@ fn wound_wait_sweep_reaches_an_expired_waiter_behind_the_head() {
 fn idle_sweeper_wakes_for_a_later_waiter() {
     let timeout = Duration::from_millis(40);
     let mgr = TxManager::new(RtConfig {
-        deadlock: DeadlockPolicy::TimeoutOnly,
         wait_timeout: timeout,
         ..Default::default()
     });

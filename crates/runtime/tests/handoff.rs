@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ntx_runtime::{DeadlockPolicy, RtConfig, TxError, TxManager};
+use ntx_runtime::{RtConfig, TxError, TxManager};
 
 /// Block until `n` requests sit in the lock queues: a test that confirms
 /// each spawned request queued before spawning the next fixes the queue
@@ -249,61 +249,6 @@ fn writer_not_starved_by_reader_stream() {
     assert_eq!(mgr.queued_waiters(), 0, "queue must drain at quiescence");
 }
 
-/// Wound–wait under an 8-thread hot-object storm: wounds cancel parked
-/// waiter nodes in place, and at quiescence no queue node or wait-for edge
-/// survives. Conservation: every increment that committed is in the final
-/// state; begun = commits + aborts.
-#[test]
-fn wound_wait_hot_object_storm_leaves_no_waiters() {
-    const THREADS: usize = 8;
-    const TXS: usize = 50;
-    let mgr = TxManager::new(RtConfig {
-        deadlock: DeadlockPolicy::WoundWait,
-        wait_timeout: Duration::from_secs(10),
-        ..Default::default()
-    });
-    let hot = mgr.register("hot", 0i64);
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|_| {
-            let mgr = mgr.clone();
-            let barrier = barrier.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                let mut committed = 0i64;
-                for _ in 0..TXS {
-                    loop {
-                        let tx = mgr.begin();
-                        let wrote =
-                            tx.read(&hot, |v| *v).is_ok() && tx.write(&hot, |v| *v += 1).is_ok();
-                        // Hold the write lock across a reschedule so other
-                        // threads actually pile onto the queue.
-                        std::thread::sleep(Duration::from_micros(50));
-                        if wrote && tx.commit().is_ok() {
-                            committed += 1;
-                            break;
-                        }
-                        tx.abort();
-                    }
-                }
-                committed
-            })
-        })
-        .collect();
-    let committed: i64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    assert_eq!(committed, (THREADS * TXS) as i64);
-    assert_eq!(mgr.read_committed(&hot, |v| *v), committed);
-    let snap = mgr.stats();
-    assert_eq!(snap.deadlocks, 0, "wound–wait never cycles");
-    assert!(snap.waits > 0, "a hot object must have produced waits");
-    assert_eq!(
-        snap.transactions_begun,
-        snap.commits + snap.aborts,
-        "{snap:?}"
-    );
-    assert_eq!(mgr.queued_waiters(), 0, "cancelled waiters leaked");
-}
-
 /// Timed-out waiters cancel their queue node in place: with a tiny wait
 /// budget and a long-held write lock, a pile of writers times out, and the
 /// queue must be empty the moment they have all returned — not just after
@@ -312,7 +257,6 @@ fn wound_wait_hot_object_storm_leaves_no_waiters() {
 fn timed_out_waiters_withdraw_in_place() {
     const THREADS: usize = 8;
     let mgr = TxManager::new(RtConfig {
-        deadlock: DeadlockPolicy::TimeoutOnly,
         wait_timeout: Duration::from_millis(40),
         ..Default::default()
     });
@@ -378,7 +322,6 @@ fn timeout_withdrawal_races_concurrent_release() {
     let mut timed_out = 0usize;
     for i in 0..ITERS {
         let mgr = TxManager::new(RtConfig {
-            deadlock: DeadlockPolicy::TimeoutOnly,
             wait_timeout: Duration::from_millis(2),
             ..Default::default()
         });

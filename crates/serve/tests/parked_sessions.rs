@@ -3,7 +3,7 @@
 //! and the whole backlog drains through the grant waves once the holder
 //! releases.
 
-use ntx_runtime::{DeadlockPolicy, ObjRef, RtConfig, TxManager};
+use ntx_runtime::{ObjRef, RtConfig, TxManager};
 use ntx_serve::Executor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -16,10 +16,6 @@ const OBJECTS: usize = 64;
 /// one is in flight and queued at once, then release and drain.
 fn park_and_drain(sessions: usize) {
     let mgr = TxManager::new(RtConfig {
-        // Single-object sessions cannot form a cycle, and the die-on-cycle
-        // edge refresh is quadratic in queue depth (ROADMAP item 2(b)):
-        // 16 s for the 10k size in a debug build against 0.2 s here.
-        deadlock: DeadlockPolicy::TimeoutOnly,
         // Far above any drain time: a timeout here is a failure.
         wait_timeout: Duration::from_secs(300),
         ..Default::default()
