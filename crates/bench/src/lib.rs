@@ -15,6 +15,4 @@ pub mod model_exps;
 pub mod runtime_exps;
 pub mod table;
 
-pub(crate) mod sync;
-
 pub use table::Table;

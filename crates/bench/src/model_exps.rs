@@ -1,6 +1,6 @@
 //! Model-level experiments: E1, E2, E8, A1, A2 (see DESIGN.md §4).
 
-use crate::sync::Arc;
+use std::sync::Arc;
 
 use ntx_automata::explore::ExploreConfig;
 use ntx_model::correctness::{check_exhaustive, check_serial_correctness};

@@ -8,8 +8,8 @@
 //! subtransactions fail (E5), and deadlock frequency grows with concurrency
 //! (E7).
 
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use ntx_runtime::{LockMode, ObjRef, RtConfig, TxError, TxManager};

@@ -4,9 +4,10 @@
 //! executor and server riding on it — honest about their concurrency
 //! contract (each is documented on [`Rule`]):
 //!
-//! - **R1 sync-import** — synchronisation primitives come only from the
-//!   `crate::sync` shim, so `RUSTFLAGS="--cfg loom"` really swaps *every*
-//!   primitive under the model checker.
+//! - **R1 sync-import** — in a crate with a `crate::sync` shim (the
+//!   runtime), synchronisation primitives come only from it, so
+//!   `RUSTFLAGS="--cfg loom"` really swaps *every* primitive under the
+//!   model checker.
 //! - **R2 safety-comment** — every `unsafe` carries a `// SAFETY:`.
 //! - **R3 relaxed-ordering** — `Ordering::Relaxed` only at sites with a
 //!   `// relaxed(tag): justification` marker whose tag is recorded in
@@ -16,7 +17,7 @@
 //!   enforced: wait-graph code never touches slots, serve code stays
 //!   leaf-only, and no public function leaks a `MutexGuard`.
 //! - **R5 guard-across-suspend** — no lock guard live across `.await`, a
-//!   waiter park, or a `Poll::Pending` return.
+//!   park, or a `Poll::Pending` return.
 //! - **R6 blocking-in-worker** — no blocking calls inside executor worker
 //!   task context (`// R6-OK(reason):` to waive).
 //! - **R7 drop-state-machine** — a `Drop` impl on a CAS-state-machine
@@ -87,6 +88,8 @@ pub fn lint_crate(crate_root: &Path) -> std::io::Result<TreeReport> {
         Err(_) => BTreeSet::new(),
     };
     let config = Config::workspace(allow.clone());
+    // R1 guards the `cfg(loom)` swap, so it holds only where a shim is.
+    let has_shim = crate_root.join("src/sync.rs").is_file();
 
     let mut files = Vec::new();
     collect_rs(&crate_root.join("src"), &mut files)?;
@@ -98,7 +101,11 @@ pub fn lint_crate(crate_root: &Path) -> std::io::Result<TreeReport> {
         let src = std::fs::read_to_string(path)?;
         let label = path.display().to_string();
         let fr = rules::lint_source(&label, &src, &config);
-        report.violations.extend(fr.violations);
+        report.violations.extend(
+            fr.violations
+                .into_iter()
+                .filter(|v| has_shim || v.rule != Rule::SyncImport),
+        );
         used.extend(fr.used_relaxed_tags);
         report.files += 1;
     }
@@ -184,6 +191,28 @@ mod tests {
             let r = lint_source(file, src, &cfg_with(&[]));
             assert!(r.violations.is_empty(), "{file} must be exempt");
         }
+    }
+
+    #[test]
+    fn r1_applies_only_to_crates_with_a_shim() {
+        let root = std::env::temp_dir().join(format!("ntx-lint-r1-{}", std::process::id()));
+        for (name, shim) in [("with", true), ("without", false)] {
+            let src = root.join(name).join("src");
+            std::fs::create_dir_all(&src).unwrap();
+            std::fs::write(src.join("lib.rs"), "use std::sync::Mutex;\n").unwrap();
+            if shim {
+                std::fs::write(src.join("sync.rs"), "pub(crate) use std::sync::Mutex;\n").unwrap();
+            }
+            let rules: Vec<Rule> = lint_crate(&root.join(name))
+                .unwrap()
+                .violations
+                .iter()
+                .map(|v| v.rule)
+                .collect();
+            let want = if shim { vec![Rule::SyncImport] } else { vec![] };
+            assert_eq!(rules, want, "R1 in the crate {name} a shim");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -525,7 +554,7 @@ fn after(&self) { h.join().unwrap(); }
     #[test]
     fn r7_flags_drop_that_ignores_the_state_cas() {
         let src = "\
-impl Drop for AccessFuture {
+impl Drop for Access {
     fn drop(&mut self) {
         self.mgr.log(\"dropped\");
     }
@@ -533,14 +562,14 @@ impl Drop for AccessFuture {
 ";
         let r = lint_source("src/future.rs", src, &cfg_with(&[]));
         assert_eq!(rules_hit(&r), vec![Rule::DropStateMachine]);
-        assert!(r.violations[0].msg.contains("AccessFuture"));
+        assert!(r.violations[0].msg.contains("Access"));
         assert_eq!(r.violations[0].line, 1);
     }
 
     #[test]
     fn r7_accepts_drop_that_touches_state() {
         let src = "\
-impl Drop for AccessFuture {
+impl Drop for Access {
     fn drop(&mut self) {
         match self.stage.swap(DONE) {
             GRANTED => self.release(),

@@ -13,10 +13,12 @@ use crate::lexer::{mask, test_regions};
 /// Which rule a [`Violation`] broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    /// R1: synchronisation primitives are imported only through the
-    /// `crate::sync` shim — never `std::sync`, `parking_lot`, or `loom`
-    /// directly. The shim is what makes the crate model-checkable: a
-    /// direct import would silently escape loom's schedule exploration.
+    /// R1: in a crate with a `src/sync.rs` shim (the runtime, the one
+    /// crate with a `cfg(loom)` build), synchronisation primitives are
+    /// imported only through `crate::sync` — never `std::sync`,
+    /// `parking_lot`, or `loom` directly. The shim is what makes the crate
+    /// model-checkable: a direct import would silently escape loom's
+    /// schedule exploration.
     SyncImport,
     /// R2: every `unsafe` block or impl carries a `// SAFETY:` comment on
     /// it or immediately above it.
@@ -34,10 +36,10 @@ pub enum Rule {
     /// `wake_driver`/`request`) under a live guard of another.
     LockOrder,
     /// R5: no lock guard may be live across a suspend point — an `.await`,
-    /// a waiter park (`park_until`/`thread::park`), or a `Poll::Pending`
-    /// return out of a `poll`. A guard captured across suspension is held
-    /// for an unbounded schedule gap and deadlocks the waker that needs
-    /// the same lock to deliver the wake.
+    /// a park (the blocking driver's `Parker::park`, `thread::park`), or a
+    /// `Poll::Pending` return out of a `poll`. A guard captured across
+    /// suspension is held for an unbounded schedule gap and deadlocks the
+    /// waker that needs the same lock to deliver the wake.
     GuardAcrossSuspend,
     /// R6: no blocking calls (`thread::sleep`, parks, channel receives,
     /// condvar waits, `join`) inside executor worker task context — the
@@ -118,7 +120,7 @@ impl Config {
             relaxed_tags,
             worker_fns: vec!["poll_task".into()],
             drop_state: vec![
-                ("AccessFuture".into(), vec!["stage".into()]),
+                ("Access".into(), vec!["stage".into()]),
                 ("TurnstileTicket".into(), vec!["commit_ts".into()]),
             ],
         }
@@ -232,7 +234,7 @@ fn suspend_token(code: &str) -> Option<&'static str> {
     if code.contains("return Poll::Pending") || code.contains("=> Poll::Pending") {
         return Some("Poll::Pending");
     }
-    for park in ["park_until(", "park_timeout(", "thread::park", ".park("] {
+    for park in [".park(", "park_timeout(", "thread::park"] {
         if code.contains(park) {
             return Some("park");
         }

@@ -4,8 +4,9 @@
 //! `runtime_tree.rs` and `serve_tree.rs` pin those two crates' reports in
 //! detail (allowlist contents included); this test is the wide net — the
 //! bench, sim, conform, model, automata, tree, and hb crates ride the
-//! same discipline, so a regression anywhere in the workspace fails here
-//! with the full violation list.
+//! same rules (R1 wherever a crate keeps a `src/sync.rs` shim), so a
+//! regression anywhere in the workspace fails here with the full
+//! violation list.
 
 use ntx_lint::lint_workspace;
 use std::path::Path;

@@ -233,7 +233,7 @@ mod tests {
             true,
             now,
             now + Duration::from_secs(3600),
-            None,
+            std::task::Waker::noop().clone(),
         )
     }
 

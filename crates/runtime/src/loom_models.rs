@@ -5,26 +5,29 @@
 //! interleavings reachable within the checker's preemption bound (see
 //! `vendor/loom`). The models drive the *real* runtime code — `Slab::push`
 //! / `Slab::get`, `ManagerInner::enqueue_waiter` / `timeout_withdraw` /
-//! `sweep_slot` / `release_scan` / `abort_subtree`, `Stats`,
-//! `TraceRecorder` — with
-//! hand-built transaction nodes, so every interleaving of the actual
-//! grant/cancel/withdraw state machine is checked, not a re-derivation of
-//! it.
+//! `sweep_slot` / `release_scan` / `abort_subtree`, the request state
+//! machine and its blocking driver (`Access::poll_with` / `drive`),
+//! `Stats`, `TraceRecorder` — with hand-built transaction nodes, so every
+//! interleaving of the actual grant/cancel/withdraw state machine is
+//! checked, not a re-derivation of it.
 //!
 //! What each model proves is spelled out per test and summarised in
 //! `DESIGN.md` ("Concurrency correctness tooling").
 
+use std::task::{Wake, Waker};
 use std::time::{Duration, Instant};
 
 use crate::config::RtConfig;
 use crate::deadlock::WaitForGraph;
+use crate::error::TxError;
+use crate::future::{Access, Parker};
 use crate::manager::{holder_tops, top_edge, ManagerInner};
 use crate::mvcc::SnapshotCell;
 use crate::node::TxNode;
-use crate::object::{ObjectSlot, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT, W_WAITING};
+use crate::object::{AnyState, ObjectSlot, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT, W_WAITING};
 use crate::slab::Slab;
 use crate::stats::{Ctr, Stats};
-use crate::sync::atomic::AtomicU64;
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::Arc;
 use crate::trace::{RtEvent, TraceRecorder};
 
@@ -66,6 +69,34 @@ fn obj_with_write_holder(mgr: &ManagerInner, holder: &Arc<TxNode>) -> usize {
     obj
 }
 
+/// A waker that does nothing: for waiters whose wakes the model does not
+/// follow (it reads their state directly).
+fn noop_waker() -> Waker {
+    Waker::noop().clone()
+}
+
+/// Counts the wakes of the waker [`counting`] builds, then forwards each.
+struct Counting {
+    wakes: AtomicUsize,
+    inner: Waker,
+}
+
+impl Wake for Counting {
+    fn wake(self: Arc<Self>) {
+        self.wakes.fetch_add(1, Ordering::SeqCst);
+        self.inner.wake_by_ref();
+    }
+}
+
+/// A waker that counts its wakes before passing them to `inner`.
+fn counting(inner: Waker) -> (Arc<Counting>, Waker) {
+    let c = Arc::new(Counting {
+        wakes: AtomicUsize::new(0),
+        inner,
+    });
+    (c.clone(), Waker::from(c))
+}
+
 /// Spin (cooperatively) until `w` leaves `W_WAITING`.
 fn await_transition(w: &Arc<Waiter>) -> u8 {
     loop {
@@ -99,10 +130,12 @@ fn loom_slab_publish_never_torn() {
     });
 }
 
-/// **Timeout withdrawal vs concurrent grant**: a waiter whose deadline
-/// fires while a releaser is scanning resolves to *exactly one* of
-/// {granted, withdrawn} — never both, never neither, and the queue and
-/// write-pending latch end consistent with whichever side won the CAS.
+/// **Timeout withdrawal vs concurrent grant**: a waiter whose expiry —
+/// the real sweeper step, `sweep_slot` — races the releaser's grant
+/// resolves to *exactly one* of {granted, withdrawn}, its wake slot fires
+/// exactly once either way (the releaser's `wake()` on a grant, the
+/// sweep's on a withdrawal — never both), and the queue and write-pending
+/// latch end consistent with whichever side won the CAS.
 #[test]
 fn loom_timeout_withdraw_vs_grant() {
     loom::model(|| {
@@ -110,27 +143,37 @@ fn loom_timeout_withdraw_vs_grant() {
         let holder = TxNode::top_level(1);
         let waiter_tx = TxNode::top_level(2);
         let obj = obj_with_write_holder(&mgr, &holder);
+        let (count, waker) = counting(noop_waker());
         let w = {
             let mut g = mgr.slot(obj).inner.lock();
-            mgr.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), None)
+            mgr.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), &waker)
                 .0
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
         // The releaser: aborting the holder discards its lock and runs the
-        // real release scan, which may hand the lock to `w`.
+        // real release scan, which may grant `w` and fire its wake.
         let releaser = loom::thread::spawn(move || {
             m2.abort_subtree(&h2);
         });
-        // The timed-out waiter withdraws concurrently.
-        let withdrawn = mgr.timeout_withdraw(obj, &w);
+        // The sweeper's step, with the waiter's deadline behind it.
+        mgr.sweep_slot(obj, all_expired());
         releaser.join().unwrap();
 
         let st = w.state();
-        if withdrawn {
-            assert_eq!(st, W_TIMEDOUT, "withdrawn waiter must be timed out");
-        } else {
+        let withdrawn = st == W_TIMEDOUT;
+        if !withdrawn {
             assert_eq!(st, W_GRANTED, "non-withdrawn waiter must hold the grant");
         }
+        assert_eq!(
+            mgr.stats.snapshot().timeouts,
+            withdrawn as u64,
+            "a sweep withdrawal is a timeout, a lost race is not"
+        );
+        assert_eq!(
+            count.wakes.load(Ordering::SeqCst),
+            1,
+            "the wake slot must fire exactly once"
+        );
         let g = mgr.slot(obj).inner.lock();
         assert!(g.queue.is_empty(), "waiter leaked in queue");
         if withdrawn {
@@ -166,7 +209,7 @@ fn loom_doomed_waiter_never_granted() {
         let obj = obj_with_write_holder(&mgr, &holder);
         let w = {
             let mut g = mgr.slot(obj).inner.lock();
-            mgr.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), None)
+            mgr.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), &noop_waker())
                 .0
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
@@ -214,10 +257,17 @@ fn loom_write_pending_latch_blocks_until_apply() {
         let (w2, w3) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &writer_tx, obj, true, Instant::now(), None)
+                mgr.enqueue_waiter(&mut g, &writer_tx, obj, true, Instant::now(), &noop_waker())
                     .0,
-                mgr.enqueue_waiter(&mut g, &reader_tx, obj, false, Instant::now(), None)
-                    .0,
+                mgr.enqueue_waiter(
+                    &mut g,
+                    &reader_tx,
+                    obj,
+                    false,
+                    Instant::now(),
+                    &noop_waker(),
+                )
+                .0,
             )
         };
         let (m2, h2, w3b) = (mgr.clone(), holder.clone(), w3.clone());
@@ -238,7 +288,7 @@ fn loom_write_pending_latch_blocks_until_apply() {
             wake.run(&m2);
         });
         // This thread plays the woken writer: wait for the handoff, then
-        // apply under the slot mutex exactly as access() phase 6 does.
+        // apply under the slot mutex exactly as `finish_after_wait` does.
         let st = await_transition(&w2);
         assert_eq!(st, W_GRANTED);
         {
@@ -279,9 +329,9 @@ fn loom_no_double_write_grant() {
         let (wa, wb) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &wa_tx, obj, true, Instant::now(), None)
+                mgr.enqueue_waiter(&mut g, &wa_tx, obj, true, Instant::now(), &noop_waker())
                     .0,
-                mgr.enqueue_waiter(&mut g, &wb_tx, obj, true, Instant::now(), None)
+                mgr.enqueue_waiter(&mut g, &wb_tx, obj, true, Instant::now(), &noop_waker())
                     .0,
             )
         };
@@ -326,9 +376,9 @@ fn loom_wave_grant_vs_timeout_withdraw_exactly_one_winner() {
         let (r2, r3) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &r2_tx, obj, false, Instant::now(), None)
+                mgr.enqueue_waiter(&mut g, &r2_tx, obj, false, Instant::now(), &noop_waker())
                     .0,
-                mgr.enqueue_waiter(&mut g, &r3_tx, obj, false, Instant::now(), None)
+                mgr.enqueue_waiter(&mut g, &r3_tx, obj, false, Instant::now(), &noop_waker())
                     .0,
             )
         };
@@ -413,11 +463,11 @@ fn loom_snapshot_publish_turnstile() {
         let committer = loom::thread::spawn(move || {
             x2.publish(1, Box::new(10i64));
             y2.publish(1, Box::new(20i64));
-            c2.store(1, crate::sync::atomic::Ordering::SeqCst);
+            c2.store(1, Ordering::SeqCst);
         });
         // The reader: fix S from the clock, then read both objects
         // lock-free at S.
-        let s = clock.load(crate::sync::atomic::Ordering::SeqCst);
+        let s = clock.load(Ordering::SeqCst);
         let (tx_x, vx) = x.read(|| s, |st| *st.downcast_ref::<i64>().unwrap());
         let (tx_y, vy) = y.read(|| s, |st| *st.downcast_ref::<i64>().unwrap());
         committer.join().unwrap();
@@ -455,12 +505,12 @@ fn loom_snapshot_gc_vs_reader() {
         // the new watermark — the incremental GC a publish performs.
         let writer = loom::thread::spawn(move || {
             x2.publish(2, Box::new(20i64));
-            c2.store(2, crate::sync::atomic::Ordering::SeqCst);
-            x2.collect(c2.load(crate::sync::atomic::Ordering::SeqCst))
+            c2.store(2, Ordering::SeqCst);
+            x2.collect(c2.load(Ordering::SeqCst))
         });
         // The reader: ephemeral snapshot read, S chosen after pinning.
         let (ts, v) = x.read(
-            || clock.load(crate::sync::atomic::Ordering::SeqCst),
+            || clock.load(Ordering::SeqCst),
             |st| *st.downcast_ref::<i64>().unwrap(),
         );
         writer.join().unwrap();
@@ -475,104 +525,12 @@ fn loom_snapshot_gc_vs_reader() {
     });
 }
 
-/// A no-op [`std::task::Waker`] for driving `AccessFuture` inside models:
-/// the models read the waiter state directly, so wakeups need no delivery.
-fn noop_waker() -> std::task::Waker {
-    use std::task::{RawWaker, RawWakerVTable};
-    const VTABLE: RawWakerVTable = RawWakerVTable::new(
-        |_| RawWaker::new(std::ptr::null(), &VTABLE),
-        |_| {},
-        |_| {},
-        |_| {},
-    );
-    // SAFETY: every vtable entry ignores its data pointer (clone returns
-    // the same null-data raw waker), so the waker upholds the RawWaker
-    // contract trivially — no data is ever dereferenced or freed.
-    unsafe { std::task::Waker::from_raw(RawWaker::new(std::ptr::null(), &VTABLE)) }
-}
-
-/// **Future grant vs timeout withdrawal (callback variant)**: an async
-/// waiter whose expiry — the real sweeper step, `sweep_slot` — races the
-/// releaser's grant resolves to *exactly one* of {granted, withdrawn},
-/// the wakeup callback fires exactly once either way (the releaser's
-/// `wake()` on a grant, the sweep's on a withdrawal — never both), and
-/// the queue and
-/// write-pending latch end consistent with whichever side won the CAS.
-/// This is `loom_timeout_withdraw_vs_grant` replayed on the callback
-/// waiter representation.
-#[test]
-fn loom_future_grant_vs_timeout_withdraw_callback() {
-    loom::model(|| {
-        let mgr = mk_mgr();
-        let holder = TxNode::top_level(1);
-        let waiter_tx = TxNode::top_level(2);
-        let obj = obj_with_write_holder(&mgr, &holder);
-        let woken = Arc::new(crate::sync::atomic::AtomicUsize::new(0));
-        let w = {
-            let wk = woken.clone();
-            let mut g = mgr.slot(obj).inner.lock();
-            mgr.enqueue_waiter(
-                &mut g,
-                &waiter_tx,
-                obj,
-                true,
-                Instant::now(),
-                Some(Box::new(move || {
-                    wk.fetch_add(1, crate::sync::atomic::Ordering::SeqCst);
-                })),
-            )
-            .0
-        };
-        let (m2, h2) = (mgr.clone(), holder.clone());
-        // The releaser: aborting the holder runs the real release scan,
-        // which may grant `w` and fire its callback releaser-side.
-        let releaser = loom::thread::spawn(move || {
-            m2.abort_subtree(&h2);
-        });
-        // The sweeper's step, with the waiter's deadline behind it.
-        mgr.sweep_slot(obj, all_expired());
-        releaser.join().unwrap();
-
-        let st = w.state();
-        let withdrawn = st == W_TIMEDOUT;
-        if !withdrawn {
-            assert_eq!(st, W_GRANTED, "non-withdrawn future must hold the grant");
-        }
-        assert_eq!(
-            mgr.stats.snapshot().timeouts,
-            withdrawn as u64,
-            "a sweep withdrawal is a timeout, a lost race is not"
-        );
-        assert_eq!(
-            woken.load(crate::sync::atomic::Ordering::SeqCst),
-            1,
-            "callback must fire exactly once"
-        );
-        let g = mgr.slot(obj).inner.lock();
-        assert!(g.queue.is_empty(), "waiter leaked in queue");
-        if withdrawn {
-            assert!(
-                g.write_pending.is_none(),
-                "latch set with no granted writer"
-            );
-            assert!(g.chain.is_empty(), "lock state left behind by a withdrawal");
-        } else {
-            assert_eq!(
-                g.write_pending,
-                Some(2),
-                "granted writer must hold the latch"
-            );
-            assert_eq!(g.chain.len(), 1, "granted writer must own the top version");
-        }
-    });
-}
-
 /// **Sweep step vs grant wave vs future drop** on a two-waiter queue: a
-/// real, polled-once `AccessFuture` (writer A, the head) and a callback
+/// real, polled-once `AccessFuture` (writer A, the head) and a queued
 /// writer B behind it, both past their deadline. The releaser frees the
 /// holder, the sweeper step runs, and A's future is dropped — all
 /// concurrently. Each node has exactly one winner (A: grant, sweep or
-/// drop; B: grant or sweep), B's callback fires exactly once, and B is
+/// drop; B: grant or sweep), B's wake slot fires exactly once, and B is
 /// never left waiting: if the head was granted just before (or while) the
 /// sweep ran, the expired waiter behind it is still reached.
 #[test]
@@ -588,7 +546,7 @@ fn loom_sweep_vs_grant_wave_vs_future_drop() {
             a_tx.clone(),
             obj,
             true,
-            Box::new(|_| ()),
+            Ok(Box::new(|_| ())),
         );
         {
             let waker = noop_waker();
@@ -598,22 +556,12 @@ fn loom_sweep_vs_grant_wave_vs_future_drop() {
             let pinned = unsafe { std::pin::Pin::new_unchecked(&mut fut) };
             assert!(std::future::Future::poll(pinned, &mut cx).is_pending());
         }
-        let b_woken = Arc::new(crate::sync::atomic::AtomicUsize::new(0));
+        let (b_woken, b_waker) = counting(noop_waker());
         let (a, b) = {
-            let wk = b_woken.clone();
             let mut g = mgr.slot(obj).inner.lock();
             let a = g.queue[0].clone();
             let b = mgr
-                .enqueue_waiter(
-                    &mut g,
-                    &b_tx,
-                    obj,
-                    true,
-                    Instant::now(),
-                    Some(Box::new(move || {
-                        wk.fetch_add(1, crate::sync::atomic::Ordering::SeqCst);
-                    })),
-                )
+                .enqueue_waiter(&mut g, &b_tx, obj, true, Instant::now(), &b_waker)
                 .0;
             (a, b)
         };
@@ -641,9 +589,9 @@ fn loom_sweep_vs_grant_wave_vs_future_drop() {
             assert_eq!(b_st, W_TIMEDOUT, "B granted beside a write holder");
         }
         assert_eq!(
-            b_woken.load(crate::sync::atomic::Ordering::SeqCst),
+            b_woken.wakes.load(Ordering::SeqCst),
             1,
-            "B's callback must fire exactly once"
+            "B's wake slot must fire exactly once"
         );
         let snap = mgr.stats.snapshot();
         let gone = (a_st == W_TIMEDOUT) as u64 + (b_st == W_TIMEDOUT) as u64;
@@ -689,7 +637,7 @@ fn loom_future_drop_leaks_no_queue_slot() {
             waiter_tx.clone(),
             obj,
             true,
-            Box::new(|_| ()),
+            Ok(Box::new(|_| ())),
         );
         {
             let waker = noop_waker();
@@ -724,6 +672,69 @@ fn loom_future_drop_leaks_no_queue_slot() {
         assert!(g.queue.is_empty());
         assert!(g.chain.is_empty(), "lock state survived the abort");
         assert!(g.write_pending.is_none());
+    });
+}
+
+/// **Blocking driver: spin-to-park vs grant wave vs sweep**: a writer
+/// queued behind a holder is driven by the real blocking driver
+/// (`Access::drive`: poll, spin, arm the parker, re-check, park) while a
+/// releaser's grant wave and the sweeper's expiry race for its node, and
+/// so for the driver's move from spin to park. Whichever wins the state
+/// CAS, the wake slot fires exactly once, no wakeup is lost (a driver left
+/// parked is a deadlock the checker reports), and the driver returns what
+/// the CAS chose: `Ok` with its write applied and the latch lifted on a
+/// grant, `Timeout` with nothing held on a withdrawal.
+#[test]
+fn loom_blocking_driver_vs_grant_and_sweep() {
+    loom::model(|| {
+        let mgr = mk_mgr();
+        let holder = TxNode::top_level(1);
+        let waiter_tx = TxNode::top_level(2);
+        let obj = obj_with_write_holder(&mgr, &holder);
+        let parker = Parker::new();
+        let (count, waker) = counting(parker.waker.clone());
+        let mut access = Access::new(&mgr, &waiter_tx, obj, true, |st: &mut dyn AnyState| {
+            *st.as_any_mut().downcast_mut::<i64>().unwrap() = 7;
+        });
+        assert!(
+            access.poll_with(&waker).is_pending(),
+            "the writer must queue behind the holder"
+        );
+        let w = mgr.slot(obj).inner.lock().queue[0].clone();
+        let (m2, h2) = (mgr.clone(), holder.clone());
+        let releaser = loom::thread::spawn(move || {
+            m2.abort_subtree(&h2);
+        });
+        let m3 = mgr.clone();
+        let sweeper = loom::thread::spawn(move || {
+            m3.sweep_slot(obj, all_expired());
+        });
+        let r = access.drive(&waker, &parker);
+        releaser.join().unwrap();
+        sweeper.join().unwrap();
+
+        let granted = match r {
+            Ok(()) => true,
+            Err(TxError::Timeout) => false,
+            Err(e) => panic!("driver resolved to {e:?}"),
+        };
+        let want = if granted { W_GRANTED } else { W_TIMEDOUT };
+        assert_eq!(w.state(), want, "the driver must report the CAS winner");
+        assert_eq!(
+            count.wakes.load(Ordering::SeqCst),
+            1,
+            "the wake slot must fire exactly once"
+        );
+        let g = mgr.slot(obj).inner.lock();
+        assert!(g.queue.is_empty(), "waiter leaked in queue");
+        assert!(g.write_pending.is_none(), "the driver left the latch set");
+        let held: Vec<(u64, i64)> = g
+            .chain
+            .iter()
+            .map(|e| (e.owner.id, *e.state.as_any().downcast_ref::<i64>().unwrap()))
+            .collect();
+        let expect = if granted { vec![(2, 7)] } else { vec![] };
+        assert_eq!(held, expect, "lock state inconsistent with the outcome");
     });
 }
 
@@ -770,11 +781,11 @@ fn loom_withdraw_vs_wave_vs_enqueue_search_keeps_edges_exact() {
         let y = obj_with_write_holder(&mgr, &d_tx);
         let (a, b, e) = {
             let mut g = mgr.slot(x).inner.lock();
-            let a = mgr.enqueue_waiter(&mut g, &a_tx, x, true, Instant::now(), None);
-            let b = mgr.enqueue_waiter(&mut g, &b_tx, x, true, Instant::now(), None);
+            let a = mgr.enqueue_waiter(&mut g, &a_tx, x, true, Instant::now(), &noop_waker());
+            let b = mgr.enqueue_waiter(&mut g, &b_tx, x, true, Instant::now(), &noop_waker());
             drop(g);
             let mut g = mgr.slot(y).inner.lock();
-            let e = mgr.enqueue_waiter(&mut g, &e_tx, y, true, Instant::now(), None);
+            let e = mgr.enqueue_waiter(&mut g, &e_tx, y, true, Instant::now(), &noop_waker());
             assert!(a.1.is_none() && b.1.is_none() && e.1.is_none());
             (a.0, b.0, e.0)
         };
@@ -786,7 +797,7 @@ fn loom_withdraw_vs_wave_vs_enqueue_search_keeps_edges_exact() {
         let withdrawer = loom::thread::spawn(move || m3.timeout_withdraw(x, &a3));
         let (d, cycle) = {
             let mut g = mgr.slot(x).inner.lock();
-            mgr.enqueue_waiter(&mut g, &d_tx, x, true, Instant::now(), None)
+            mgr.enqueue_waiter(&mut g, &d_tx, x, true, Instant::now(), &noop_waker())
         };
         assert!(cycle.is_none(), "nothing on x waits for top 4");
         releaser.join().unwrap();

@@ -9,17 +9,19 @@
 //! the hot path but the transaction-id counter.
 //!
 //! Contended objects use **queued direct handoff** instead of park/retry:
-//! a blocked request enqueues a [`Waiter`] on the object's FIFO queue,
-//! spins briefly (adaptively extended when the object's recent holds are
-//! short), then parks on its own node. Whoever releases lock state (commit
-//! inheritance, abort rollback, a handed-off writer finishing its apply)
-//! runs [`ManagerInner::release_scan`] under the slot mutex: it cancels
-//! doomed waiters in place, then computes one maximal **grant wave** — the
-//! run of compatible waiters pickable under the grant rule (FIFO head,
-//! else an ancestor-held bypass) — installs all of its lock state on the
-//! releasing thread, publishes one aggregated stats delta and one batched
-//! trace record for the whole wave, and wakes exactly the granted threads.
-//! Waiters never wake to re-fight for the mutex.
+//! a blocked request enqueues a [`Waiter`] — a queue node with one wake
+//! slot and one deadline — on the object's FIFO queue, and its requester
+//! (a blocking thread or a polled future; `future.rs`) waits for the node
+//! to resolve. Whoever releases lock state (commit inheritance, abort
+//! rollback, a handed-off writer finishing its apply) runs
+//! [`ManagerInner::release_scan`] under the slot mutex: it cancels doomed
+//! waiters in place, then computes one maximal **grant wave** — the run of
+//! compatible waiters pickable under the grant rule (FIFO head, else an
+//! ancestor-held bypass) — installs all of its lock state on the releasing
+//! thread, publishes one aggregated stats delta and one batched trace
+//! record for the whole wave, and wakes exactly the granted waiters. The
+//! one sweeper (`sweeper.rs`) withdraws every wait that outlives its
+//! deadline. Waiters never wake to re-fight for the mutex.
 //!
 //! **Deadlocks** are found in the same queues, by the one rule die on
 //! cycle ([`crate::deadlock`]). A waiter's wait-for edges follow from its
@@ -32,9 +34,10 @@
 //! grew. Nothing ever walks a queue to refresh edges.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex};
+use crate::sync::{Arc, Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::task::Waker;
 use std::time::Instant;
 
 use crate::config::{LockMode, RtConfig};
@@ -43,8 +46,7 @@ use crate::error::TxError;
 use crate::fault::{FaultAction, FaultContext, FaultPoint};
 use crate::node::{TxNode, TxState};
 use crate::object::{
-    AnyState, ObjectInner, ObjectSlot, Waiter, WakeCallback, W_CANCELLED, W_GRANTED, W_TIMEDOUT,
-    W_WAITING,
+    AnyState, ObjectInner, ObjectSlot, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT, W_WAITING,
 };
 use crate::slab::Slab;
 use crate::stats::{Ctr, Stats, StatsSnapshot};
@@ -52,26 +54,6 @@ use crate::sweeper::Sweeper;
 use crate::trace::RtEvent;
 use crate::tx::Tx;
 use crate::wal::{Wal, WalCodec, WalState};
-
-/// Spin iterations a blocked request burns on its waiter node before
-/// parking. Direct handoff under short hold times often lands within this
-/// window, saving the park/unpark round trip; kept small because a waiting
-/// thread that spins long only steals cycles from the holder it waits on.
-#[cfg(not(loom))]
-const SPIN_ITERS: u32 = 64;
-/// Under loom every spin iteration is a schedule yield point; a single
-/// iteration keeps the state space tractable while still exercising the
-/// spin-then-park path.
-#[cfg(loom)]
-const SPIN_ITERS: u32 = 1;
-
-/// Adaptive spin-then-park gate: when an object's recent-hold-time EWMA
-/// sits at or below this many nanoseconds, a blocked request extends its
-/// pre-park spin (to a small multiple of the EWMA) so short waits resolve
-/// by spin-grant without paying the cross-thread park/unpark. Objects with
-/// longer observed holds park after the minimal fixed spin.
-#[cfg(not(loom))]
-const SHORT_HOLD_NS: u64 = 20_000;
 
 /// Typed handle to a registered object.
 ///
@@ -121,9 +103,9 @@ pub(crate) struct ManagerInner {
     /// default — in which case the commit path pays a single `Option`
     /// branch and no io).
     pub wal: Option<Wal>,
-    /// Times out expired callback waiters ([`Self::sweep_slot`]): one
-    /// thread, spawned by the first queued async waiter, stopped and
-    /// joined when the manager drops.
+    /// Times out every expired waiter ([`Self::sweep_slot`]): one thread,
+    /// spawned by the first queued waiter, stopped and joined when the
+    /// manager drops.
     pub(crate) sweeper: Arc<Sweeper>,
 }
 
@@ -438,11 +420,11 @@ fn doom_error(node: &TxNode) -> TxError {
 }
 
 /// Outcome of [`ManagerInner::access_attempt`]: either the request
-/// resolved without parking (inline grant or a fail-fast error), or a
+/// resolved without waiting (inline grant or a fail-fast error), or a
 /// waiter node was enqueued and the caller must wait for it to reach a
 /// final state before applying the closure. The closure rides along
-/// unconsumed so the caller — parked thread or polled future — can hand it
-/// to [`ManagerInner::finish_after_wait`] once the grant lands.
+/// unconsumed so the caller's state machine (`future.rs`) can hand it to
+/// [`ManagerInner::finish_after_wait`] once the grant lands.
 pub(crate) enum Attempt<R, F> {
     Done(Result<R, TxError>),
     Queued { w: Arc<Waiter>, f: F },
@@ -473,7 +455,7 @@ pub(crate) fn holder_tops(inner: &ObjectInner, w: &Waiter) -> Vec<u64> {
 /// What a release scan leaves for its caller to do once the slot guard is
 /// down: wake the waiters whose state it resolved, and search for
 /// deadlock cycles from the `(waiter, top)`s whose edges it grew.
-#[must_use = "the scan's waiters stay parked until the wake runs"]
+#[must_use = "the scan's waiters stay asleep until the wake runs"]
 #[derive(Default)]
 pub(crate) struct Wake {
     waiters: Vec<Arc<Waiter>>,
@@ -851,7 +833,7 @@ impl ManagerInner {
     /// caller). Runs on the *releasing* thread under the slot mutex; the
     /// woken waiter only applies its closure. A write handoff leaves
     /// `write_pending` set — nothing else is grantable until the writer's
-    /// apply clears it, so no deeper version can land on top of the parked
+    /// apply clears it, so no deeper version can land on top of the woken
     /// writer's. Returns `true` when a fresh version was installed.
     fn install_grant(&self, obj_idx: usize, inner: &mut ObjectInner, w: &Arc<Waiter>) -> bool {
         w.owner.touch(obj_idx);
@@ -938,7 +920,7 @@ impl ManagerInner {
     ///
     /// Three passes:
     /// 1. cancel doomed waiters anywhere in the queue (doom delivery —
-    ///    ancestor aborts and deadlock victims reach parked waiters here);
+    ///    ancestor aborts and deadlock victims reach queued waiters here);
     /// 2. compute and install the maximal **grant wave**: repeatedly pick
     ///    the next grantable waiter ([`Self::pick_grant`] — FIFO head,
     ///    else ancestor-held bypass) and install its lock state, until
@@ -1073,10 +1055,10 @@ impl ManagerInner {
         wake
     }
 
-    /// Phase 2 of [`Self::access`]: create `node`'s waiter, append it to
-    /// the FIFO queue, register the node's `waiting_on` entry, and enter
-    /// the node into the wait-for graph with its edges — the tops of the
-    /// holders it conflicts with if it is the head, else the top of the
+    /// Phase 2 of [`Self::access_attempt`]: create `node`'s waiter, append
+    /// it to the FIFO queue, register the node's `waiting_on` entry, and
+    /// enter the node into the wait-for graph with its edges — the tops of
+    /// the holders it conflicts with if it is the head, else the top of the
     /// waiter ahead — searching for a cycle they close. Returns the node
     /// and that cycle; a cycle whose victim is the requester's own top has
     /// already taken the node back out of the graph, and the caller takes
@@ -1084,12 +1066,12 @@ impl ManagerInner {
     ///
     /// `wait_start` is the caller's clock read from when it found the
     /// request blocked; the node's deadline is that plus the configured
-    /// `wait_timeout` and lives nowhere else. `async_cb: Some(..)` queues a
-    /// callback waiter with its wakeup callback installed *before* the node
-    /// enters the queue — under the same slot-mutex hold — so no grant can
-    /// beat the callback into place and lose the wakeup. Callers hold the
-    /// slot mutex for `obj_idx`. Exposed `pub(crate)` so the loom models
-    /// race the real enqueue path, not a copy.
+    /// `wait_timeout` and lives nowhere else. The node's wake slot holds a
+    /// clone of `waker` *before* the node enters the queue — under the same
+    /// slot-mutex hold — so no grant can beat the waker into place and lose
+    /// the wakeup. Callers hold the slot mutex for `obj_idx`. Exposed
+    /// `pub(crate)` so the loom models race the real enqueue path, not a
+    /// copy.
     pub(crate) fn enqueue_waiter(
         &self,
         inner: &mut ObjectInner,
@@ -1097,20 +1079,18 @@ impl ManagerInner {
         obj_idx: usize,
         lock_write: bool,
         wait_start: Instant,
-        async_cb: Option<WakeCallback>,
+        waker: &Waker,
     ) -> (Arc<Waiter>, Option<Cycle>) {
-        if async_cb.is_some() {
-            // Tell the sweeper this queue may hold a wait it has to time
-            // out (cleared by the pass that finds the queue empty).
-            self.slot(obj_idx).sweep_hint.store(true, Ordering::SeqCst);
-        }
+        // Tell the sweeper this queue may hold a wait it has to time out
+        // (cleared by the pass that finds the queue empty).
+        self.slot(obj_idx).sweep_hint.store(true, Ordering::SeqCst);
         let w = Waiter::new(
             node.clone(),
             self.effective_owner(node),
             lock_write,
             wait_start,
             wait_start + self.config.wait_timeout,
-            async_cb,
+            waker.clone(),
         );
         inner.queue.push_back(w.clone());
         *node.waiting_on.lock() = Some(obj_idx);
@@ -1131,11 +1111,10 @@ impl ManagerInner {
     /// which case nothing is withdrawn and the caller classifies the
     /// waiter's (now final) state. Returns `true` when the waiter was
     /// withdrawn; its state is then [`crate::object::W_TIMEDOUT`], a
-    /// terminal state distinct from doom so the async path can classify a
-    /// waiter from the state word alone. Shared by the sync timeout path,
-    /// the sweeper ([`Self::sweep_slot`]), and drop-of-an-unresolved-future
-    /// cleanup — only the first two count a timeout (see
-    /// [`Self::timeout_withdraw`]).
+    /// terminal state distinct from doom so a poll can classify a waiter
+    /// from the state word alone. Shared by the sweeper
+    /// ([`Self::sweep_slot`]) and drop-of-an-unresolved-request cleanup —
+    /// only the first counts a timeout (see [`Self::timeout_withdraw`]).
     pub(crate) fn withdraw_waiter(&self, obj_idx: usize, w: &Arc<Waiter>) -> bool {
         let slot = self.slot(obj_idx);
         let mut guard = slot.inner.lock();
@@ -1161,10 +1140,9 @@ impl ManagerInner {
         true
     }
 
-    /// Phase 5 of [`Self::access`]: [`Self::withdraw_waiter`] counted as a
-    /// timeout (the request fails with [`TxError::Timeout`]). Exposed
-    /// `pub(crate)` so the loom models race the real withdrawal against a
-    /// concurrent releaser's grant.
+    /// [`Self::withdraw_waiter`] counted as a timeout (the request fails
+    /// with [`TxError::Timeout`]). Exposed `pub(crate)` so the loom models
+    /// race the real withdrawal against a concurrent releaser's grant.
     pub(crate) fn timeout_withdraw(&self, obj_idx: usize, w: &Arc<Waiter>) -> bool {
         if self.withdraw_waiter(obj_idx, w) {
             self.stats.bump(Ctr::Timeouts);
@@ -1174,14 +1152,13 @@ impl ManagerInner {
         }
     }
 
-    /// One sweeper step: time out the callback waiters of `obj_idx` whose
-    /// deadline is at or before `now`, exactly as a parked thread times
-    /// itself out ([`Self::timeout_withdraw`], then the wake that makes the
-    /// future poll again); a waiter with a thread is left to do that
-    /// itself. Deadlines are `enqueue instant + one constant` and the
-    /// instant is read under the slot mutex, so FIFO order is deadline
-    /// order and the walk stops at the first unexpired node. A grant, doom
-    /// or drop that beats a withdrawal wins the state CAS as usual.
+    /// One sweeper step: time out the waiters of `obj_idx` whose deadline
+    /// is at or before `now` ([`Self::timeout_withdraw`], then the wake
+    /// that makes the requester poll again and report the timeout).
+    /// Deadlines are `enqueue instant + one constant` and the instant is
+    /// read under the slot mutex, so FIFO order is deadline order and the
+    /// walk stops at the first unexpired node. A grant, doom or drop that
+    /// beats a withdrawal wins the state CAS as usual.
     ///
     /// Returns whether the queue was non-empty; an empty one drops the
     /// slot's `sweep_hint`, so the sweeper stops visiting it.
@@ -1197,7 +1174,6 @@ impl ManagerInner {
                 .queue
                 .iter()
                 .take_while(|w| w.deadline <= now)
-                .filter(|w| w.is_async)
                 .cloned()
                 .collect()
         };
@@ -1209,29 +1185,28 @@ impl ManagerInner {
         true
     }
 
-    /// Run the enqueue half of [`Self::access`] — fault points, the inline
-    /// grant, and the waiter enqueue with its deadlock search — without
-    /// committing the caller to *how* it waits.
+    /// Acquire a lock on `obj_idx` for `node` as far as that goes without
+    /// waiting — fault points, the inline grant (running `f` on the state
+    /// under the object mutex), and the waiter enqueue with its deadlock
+    /// search. `write` is the *declared* kind; in [`LockMode::Exclusive`]
+    /// reads lock like writes but still receive read-only access.
     ///
     /// Returns [`Attempt::Done`] when the request resolved without ever
-    /// parking (inline grant, doom, deadlock victim, zero wait budget), or
-    /// [`Attempt::Queued`] with the enqueued waiter and the unconsumed
-    /// closure. The sync path then spins/parks on the waiter; the async
-    /// path returns `Poll::Pending` and lets the releaser's `wake()` drive
-    /// the future. Both paths converge on [`Self::finish_after_wait`].
-    /// Passing `async_cb` queues the callback waiter variant (see
-    /// [`Self::enqueue_waiter`]); grant order and the deadlock search are
-    /// identical for both variants — the queue cannot tell them apart. A
-    /// request granted inline reads no clock and takes no graph lock: the
-    /// wait's start and deadline are read once, when the request finds
-    /// itself blocked, and live in the waiter node.
+    /// waiting (inline grant, doom, deadlock victim, zero wait budget), or
+    /// [`Attempt::Queued`] with the enqueued waiter — woken through a
+    /// clone of `waker` — and the unconsumed closure, which the caller's
+    /// state machine (`future.rs`) hands to [`Self::finish_after_wait`]
+    /// once the node resolves. A request granted inline reads no clock,
+    /// clones no waker and takes no graph lock: the wait's start, deadline
+    /// and wake slot are set once, when the request finds itself blocked,
+    /// and live in the waiter node.
     pub(crate) fn access_attempt<R, F>(
         &self,
         node: &Arc<TxNode>,
         obj_idx: usize,
         write: bool,
         f: F,
-        async_cb: Option<WakeCallback>,
+        waker: &Waker,
     ) -> Attempt<R, F>
     where
         F: FnOnce(&mut dyn AnyState) -> R,
@@ -1305,7 +1280,7 @@ impl ManagerInner {
         // Phase 2 — enqueue a waiter node; it enters the wait-for graph
         // with its edges, and the search runs there.
         let (w, cycle) =
-            self.enqueue_waiter(&mut guard, node, obj_idx, lock_write, wait_start, async_cb);
+            self.enqueue_waiter(&mut guard, node, obj_idx, lock_write, wait_start, waker);
         let elsewhere = match cycle {
             None => false,
             Some(c) if c.victim.id != owner.top_level_id() => true,
@@ -1345,82 +1320,14 @@ impl ManagerInner {
         Attempt::Queued { w, f }
     }
 
-    /// Phase 4 of [`Self::access`] — adaptive wait: spin briefly on our
-    /// own node (direct handoff under short holds often lands here),
-    /// extend the spin when the object's observed hold tenures are short,
-    /// then park until the node's deadline. Returns the last state seen:
-    /// [`W_WAITING`] means the deadline passed unresolved.
-    #[cfg_attr(loom, allow(unused_variables))]
-    fn spin_then_park(&self, w: &Waiter, obj_idx: usize) -> u8 {
-        let mut st = w.state();
-        if st != W_WAITING {
-            return st;
-        }
-        for _ in 0..SPIN_ITERS {
-            crate::sync::hint::spin_loop();
-            st = w.state();
-            if st != W_WAITING {
-                break;
-            }
-        }
-        // Adaptive spin-then-park gate: if recent holds of this object fit
-        // under `SHORT_HOLD_NS`, a grant is likely to land within a few
-        // hold-lengths — spinning through it beats the cross-thread
-        // park/unpark round trip. Long-hold objects park immediately. (Not
-        // under loom: wall-clock spinning adds schedule states without
-        // adding transitions.)
-        #[cfg(not(loom))]
-        if st == W_WAITING {
-            let hint = self.slot(obj_idx).hold_hint_ns();
-            if hint > 0 && hint <= SHORT_HOLD_NS {
-                let budget = (4 * hint).min(2 * SHORT_HOLD_NS);
-                let spin_deadline = Instant::now() + std::time::Duration::from_nanos(budget);
-                while st == W_WAITING && Instant::now() < spin_deadline {
-                    crate::sync::hint::spin_loop();
-                    st = w.state();
-                }
-            }
-        }
-        if st == W_GRANTED {
-            self.stats.bump(Ctr::SpinGrants);
-        } else if st == W_WAITING {
-            st = w.park_until();
-        }
-        st
-    }
-
-    /// Acquire a lock on `obj_idx` for `node` and run `f` on the state
-    /// under the object mutex. `write` is the *declared* kind; in
-    /// [`LockMode::Exclusive`] reads lock like writes but still receive
-    /// read-only access.
-    pub(crate) fn access<R>(
-        &self,
-        node: &Arc<TxNode>,
-        obj_idx: usize,
-        write: bool,
-        f: impl FnOnce(&mut dyn AnyState) -> R,
-    ) -> Result<R, TxError> {
-        let (w, f) = match self.access_attempt(node, obj_idx, write, f, None) {
-            Attempt::Done(r) => return r,
-            Attempt::Queued { w, f } => (w, f),
-        };
-        // Phase 5 — a wait still unresolved at its deadline withdraws its
-        // queue node in place, unless a grant or doom raced the wakeup;
-        // whichever won the state CAS, `finish_after_wait` classifies it.
-        if self.spin_then_park(&w, obj_idx) == W_WAITING {
-            self.timeout_withdraw(obj_idx, &w);
-        }
-        self.finish_after_wait(&w, obj_idx, f)
-    }
-
-    /// Consume a resolved waiter — phase 5 of the lock protocol, shared by
-    /// the parked sync path and the polled async path, and the one place a
-    /// terminal waiter state becomes a `Result`. The state must be final:
-    /// [`W_TIMEDOUT`] (withdrawn by its own thread or by the sweeper —
-    /// already dequeued and counted), [`W_CANCELLED`] or [`W_GRANTED`]. On
-    /// a grant the releaser already installed our lock state and dequeued
-    /// us: this only applies the closure and, for writes, lifts the
-    /// unapplied-write latch.
+    /// Consume a resolved waiter — the one place a terminal waiter state
+    /// becomes a `Result`, reached by every requester's state machine
+    /// (`future.rs`). The state must be final: [`W_TIMEDOUT`] (withdrawn
+    /// by the sweeper or a drop — already dequeued and counted),
+    /// [`W_CANCELLED`] or [`W_GRANTED`]. On a grant the releaser already
+    /// installed our lock state and dequeued us: this only applies the
+    /// closure and, for writes, lifts the unapplied-write latch — on
+    /// return and on unwind alike.
     pub(crate) fn finish_after_wait<R>(
         &self,
         w: &Arc<Waiter>,
@@ -1447,14 +1354,9 @@ impl ManagerInner {
         let mut guard = slot.inner.lock();
         if node.is_doomed() {
             // Granted and doomed in the same window: the closure must not
-            // run. Lift the unapplied write latch; the abort's rollback
-            // pass reclaims the installed lock state itself.
-            if w.write && guard.write_pending == Some(owner.id) {
-                guard.write_pending = None;
-            }
-            let wake = self.release_scan(obj_idx, &mut guard);
-            drop(guard);
-            wake.run(self);
+            // run. The abort's rollback pass reclaims the installed lock
+            // state itself.
+            self.lift_latch(obj_idx, guard, w);
             return Err(doom_error(node));
         }
         // The woken side's first touch of the object after its grant:
@@ -1466,16 +1368,14 @@ impl ManagerInner {
             write: w.write,
         });
         if w.write {
-            let st_box = guard.write_target(owner);
-            let r = f(st_box.as_mut());
+            // A closure that unwinds past the latch would gate every later
+            // grant on this object for good: catch it, lift, rethrow.
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                f(guard.write_target(owner).as_mut())
+            }));
             debug_assert_eq!(guard.write_pending, Some(owner.id));
-            guard.write_pending = None;
-            // Clearing the latch is a release: the queue may have
-            // compatible waiters gated only on it.
-            let wake = self.release_scan(obj_idx, &mut guard);
-            drop(guard);
-            wake.run(self);
-            Ok(r)
+            self.lift_latch(obj_idx, guard, w);
+            Ok(r.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
         } else {
             // The releaser recorded our read lock; read the deepest
             // version owned by one of our ancestors (a stranger's version
@@ -1483,6 +1383,25 @@ impl ManagerInner {
             let r = f(guard.read_target(owner).as_mut());
             Ok(r)
         }
+    }
+
+    /// End `w`'s write handoff: lift its unapplied-write latch if it still
+    /// holds it, then rescan — the queue may have waiters gated only on
+    /// the latch — and run the wake once the slot mutex is down. Every
+    /// exit of a granted writer comes through here: its apply, its doom,
+    /// and a dropped request whose grant won the race.
+    pub(crate) fn lift_latch(
+        &self,
+        obj_idx: usize,
+        mut guard: MutexGuard<'_, ObjectInner>,
+        w: &Waiter,
+    ) {
+        if w.write && guard.write_pending == Some(w.owner.id) {
+            guard.write_pending = None;
+        }
+        let wake = self.release_scan(obj_idx, &mut guard);
+        drop(guard);
+        wake.run(self);
     }
 
     /// Smallest timestamp any live *or future* snapshot can read at: the
@@ -1592,7 +1511,7 @@ impl ManagerInner {
 
     /// Abort `root`'s whole subtree: mark nodes aborted, purge locks and
     /// versions, hand freed locks to queued waiters, and cancel the
-    /// subtree's own parked waiters. Returns the number of nodes newly
+    /// subtree's own queued waiters. Returns the number of nodes newly
     /// aborted.
     pub(crate) fn abort_subtree(&self, root: &Arc<TxNode>) -> usize {
         let mut newly_aborted = 0usize;
@@ -1650,9 +1569,9 @@ impl ManagerInner {
             if touched.binary_search(&obj).is_ok() {
                 continue; // already scanned above
             }
-            // Deliver doom to parked waiters on objects the subtree waits
+            // Deliver doom to queued waiters on objects the subtree waits
             // on but never touched. Taking the slot mutex serialises with
-            // a waiter between its doom check and its park: either it has
+            // a request between its doom check and its enqueue: either it has
             // enqueued (the scan cancels it) or its post-enqueue self-scan
             // will observe the abort mark.
             let slot = self.slot(obj);
@@ -1864,7 +1783,7 @@ mod tests {
             let _ = g.writable_state(&holder);
             holder.touch(obj);
             inner
-                .enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), None)
+                .enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), Waker::noop())
                 .0
         };
         // The holder aborts: the release scan grants `w` directly,

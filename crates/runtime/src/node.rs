@@ -41,7 +41,7 @@ pub(crate) struct TxNode {
     pub touched: Mutex<Vec<usize>>,
     /// Object this transaction currently has a queued waiter node on, if
     /// any. Set under that object's slot mutex while enqueued; abort paths
-    /// read it to find (and cancel) the subtree's parked waiters.
+    /// read it to find (and cancel) the subtree's queued waiters.
     pub waiting_on: Mutex<Option<usize>>,
     /// Set when this transaction was chosen as a deadlock victim, so its
     /// blocked accesses report [`crate::TxError::Deadlock`] (retryable)

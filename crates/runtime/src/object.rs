@@ -6,9 +6,9 @@
 //! state — and a set of read-lock holders. The grant rule, inheritance at
 //! commit and discard-at-abort follow Moss exactly; the difference from the
 //! model is operational: requests that cannot be granted enqueue a
-//! [`Waiter`] on the object's FIFO queue and park on their own node until a
-//! releasing thread *hands the lock over directly* (see
-//! `ManagerInner::release_scan` in the manager module). The queue is the
+//! [`Waiter`] on the object's FIFO queue and wait until a releasing thread
+//! *hands the lock over directly* (see `ManagerInner::release_scan` in the
+//! manager module) and fires the node's one wake slot. The queue is the
 //! single source of truth for "who is waiting" on an object — and for whom
 //! each waiter waits on: a queued waiter waits for the top-level
 //! transaction of the waiter ahead of it, and the head for the tops of
@@ -17,12 +17,11 @@
 //! queue changes.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use crate::sync::Arc;
+use crate::sync::{Arc, Mutex};
 use std::any::Any;
 use std::collections::VecDeque;
+use std::task::Waker;
 use std::time::Instant;
-
-use crate::sync::{Condvar, Mutex};
 
 use crate::mvcc::SnapshotCell;
 use crate::node::TxNode;
@@ -57,7 +56,8 @@ pub(crate) struct ChainEntry {
     pub state: Box<dyn AnyState>,
 }
 
-/// Waiter is blocked, queued, parked (or spinning) on its node.
+/// Waiter is blocked and queued (its requester spinning, parked or
+/// suspended).
 pub(crate) const W_WAITING: u8 = 0;
 /// A releasing thread granted the lock and installed the lock state; the
 /// waiter wakes, applies its closure and proceeds.
@@ -65,25 +65,21 @@ pub(crate) const W_GRANTED: u8 = 1;
 /// The wait was cancelled (doomed by an abort, or the requester died on a
 /// deadlock cycle); the waiter wakes and fails without retrying.
 pub(crate) const W_CANCELLED: u8 = 2;
-/// The wait was withdrawn by its own timeout (the sync thread's deadline, or
-/// the manager's sweeper acting for an async waiter). Kept distinct from
-/// [`W_CANCELLED`] so the async path can classify `Timeout` vs `Doomed`
-/// straight off the state CAS — no side flag, no window where a spurious
-/// poll misreads who cancelled.
+/// The wait was withdrawn in place: expired (the manager's sweeper) or
+/// abandoned (its future dropped). Kept distinct from [`W_CANCELLED`] so a
+/// poll can classify `Timeout` vs `Doomed` straight off the state CAS — no
+/// side flag, no window where a spurious poll misreads who cancelled.
 pub(crate) const W_TIMEDOUT: u8 = 3;
-
-/// A one-shot wakeup callback carried by an async waiter in place of the
-/// park/condvar slot (for futures: a boxed [`std::task::Waker`] invoke).
-pub(crate) type WakeCallback = Box<dyn FnOnce() + Send>;
 
 /// One blocked lock request, queued FIFO on its [`ObjectSlot`].
 ///
-/// Each waiter parks on its *own* condvar (MCS-style local waiting), so a
-/// release wakes exactly the threads whose requests it granted — no
+/// A waiter is a queue node and nothing else: no thread is tied to it. Its
+/// state moves once, `W_WAITING` → granted, cancelled or withdrawn, by a CAS
+/// under the slot mutex; whoever moved it then fires the node's one wake
+/// slot, so a release wakes exactly the requests it resolved — no
 /// broadcast, no re-fight for the slot mutex by waiters that cannot
-/// proceed. State transitions (`grant`/`cancel`) happen only under the slot
-/// mutex; the parked thread reads the state with plain atomic loads, so the
-/// brief pre-park spin costs no locks.
+/// proceed. The requester reads the state with plain atomic loads, so a
+/// spinning thread costs no locks.
 pub(crate) struct Waiter {
     /// The requesting node. Doom checks target the requester, not the lock
     /// owner: under [`crate::LockMode::Flat2PL`] a subtree fault can doom
@@ -97,42 +93,28 @@ pub(crate) struct Waiter {
     /// mutex): the wait clock behind `Ctr::WaitNanos`.
     pub wait_start: Instant,
     /// `wait_start + wait_timeout`: the only place this wait's timeout
-    /// lives. A parked thread sleeps until it ([`Waiter::park_until`]); the
-    /// sweeper reads it off the queue for a callback waiter. Both clock
+    /// lives; the manager's sweeper reads it off the queue. Both clock
     /// reads happen under the slot mutex and the timeout is one constant,
     /// so FIFO queue order is deadline order.
     pub deadline: Instant,
     state: AtomicU8,
-    park: Mutex<()>,
-    cv: Condvar,
-    /// `true` for the callback variant: [`Waiter::wake`] invokes (and
-    /// consumes) the stored callback instead of touching the park
-    /// lock/condvar, and an expired wait is withdrawn by the sweeper
-    /// instead of by its own thread. A plain immutable field, so the sync
-    /// variant's wake path pays zero new synchronization for the async
-    /// machinery.
-    pub is_async: bool,
-    /// Wakeup callback slot for the async variant (always `None` on the
-    /// sync variant). Installed under the slot mutex at enqueue time —
-    /// strictly before the waiter becomes grantable — and refreshed by
-    /// every future poll, so a releaser-side `wake()` can never find the
-    /// slot empty while the future still needs a wakeup.
-    callback: Mutex<Option<WakeCallback>>,
+    /// The one wake slot: a parked thread's waker (the blocking driver in
+    /// `future.rs`) or a polled task's. Installed under the slot mutex at
+    /// enqueue — strictly before the node becomes grantable — pointed at a
+    /// new task by a poll from one, and emptied by the one [`Waiter::wake`]
+    /// that follows the state transition.
+    waker: Mutex<Option<Waker>>,
 }
 
 impl Waiter {
-    /// A queue node for one blocked request. `callback: Some(..)` makes it
-    /// the callback variant: woken by invoking the stored [`WakeCallback`]
-    /// instead of a condvar notify. Queueing, granting, cancellation, and
-    /// withdrawal are identical for both — only the wakeup delivery (and
-    /// who runs an expired wait's withdrawal) differs.
+    /// A queue node for one blocked request, woken through `waker`.
     pub fn new(
         node: Arc<TxNode>,
         owner: Arc<TxNode>,
         write: bool,
         wait_start: Instant,
         deadline: Instant,
-        callback: Option<WakeCallback>,
+        waker: Waker,
     ) -> Arc<Waiter> {
         Arc::new(Waiter {
             node,
@@ -141,19 +123,19 @@ impl Waiter {
             wait_start,
             deadline,
             state: AtomicU8::new(W_WAITING),
-            park: Mutex::new(()),
-            cv: Condvar::new(),
-            is_async: callback.is_some(),
-            callback: Mutex::new(callback),
+            waker: Mutex::new(Some(waker)),
         })
     }
 
-    /// Refresh the async wakeup callback (every future poll installs the
-    /// current task's waker). Replacing an unfired callback is fine — only
-    /// the latest waker needs waking. No-op on the sync variant.
-    pub fn set_callback(&self, cb: WakeCallback) {
-        if self.is_async {
-            *self.callback.lock() = Some(cb);
+    /// Point an unfired wake slot at `waker` (a poll from another task).
+    /// Only the latest poller needs waking, and a poll from the task
+    /// already installed clones nothing. A fired slot stays empty: its
+    /// state is final, and the poll that follows reads it.
+    pub fn set_waker(&self, waker: &Waker) {
+        if let Some(installed) = self.waker.lock().as_mut() {
+            if !installed.will_wake(waker) {
+                *installed = waker.clone();
+            }
         }
     }
 
@@ -177,53 +159,23 @@ impl Waiter {
             .is_ok()
     }
 
-    /// WAITING → TIMEDOUT (in-place withdrawal of an expired wait). The
-    /// distinct terminal state is what lets an async poll classify
-    /// `Timeout` vs `Doomed` from the state alone.
+    /// WAITING → TIMEDOUT (in-place withdrawal). The distinct terminal
+    /// state is what lets a poll classify `Timeout` vs `Doomed` from the
+    /// state alone.
     pub fn cancel_timeout(&self) -> bool {
         self.state
             .compare_exchange(W_WAITING, W_TIMEDOUT, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
     }
 
-    /// Wake the waiter after a state transition: invoke the stored callback
-    /// on the async variant, notify the parked thread on the sync one.
-    /// Taking the park lock first closes the window between the waiter's
-    /// last state check and its wait — the notify cannot land in the gap.
-    /// (The async variant's analogue: the callback is installed under the
-    /// slot mutex before the waiter is grantable, and an already-consumed
-    /// callback means the future was woken once and will observe the final
-    /// state on its next poll.)
+    /// Fire the wake slot after a state transition, at most once. The
+    /// waker was installed before the node could be resolved, so no wake
+    /// is lost; an empty slot means this wait was woken already.
     pub fn wake(&self) {
-        if self.is_async {
-            let cb = self.callback.lock().take();
-            if let Some(cb) = cb {
-                cb();
-            }
-            return;
+        let waker = self.waker.lock().take();
+        if let Some(waker) = waker {
+            waker.wake();
         }
-        let _gate = self.park.lock();
-        self.cv.notify_one();
-    }
-
-    /// Park until the state leaves [`W_WAITING`] or the node's own deadline
-    /// passes; returns the last observed state ([`W_WAITING`] on timeout).
-    pub fn park_until(&self) -> u8 {
-        let mut gate = self.park.lock();
-        while self.state() == W_WAITING {
-            let now = Instant::now();
-            if now >= self.deadline {
-                break;
-            }
-            let timed_out = self.cv.wait_for(&mut gate, self.deadline - now).timed_out();
-            // Under loom, wall clocks barely advance between yield points,
-            // so the `deadline` check above would spin forever; the model's
-            // timed-wait rescue reports the timeout instead — honour it.
-            if cfg!(loom) && timed_out {
-                break;
-            }
-        }
-        self.state()
     }
 }
 
@@ -248,14 +200,14 @@ pub(crate) struct ObjectInner {
     /// Owner id of a write grant handed off but not yet *applied*: the
     /// releaser installed the version and woke the writer, which has not
     /// reached its closure yet. While set, nothing else is grantable, so no
-    /// deeper version can land on top and swallow the parked writer's
+    /// deeper version can land on top and swallow the woken writer's
     /// update.
     pub write_pending: Option<u64>,
     /// When the current tenure (continuous span of the object being held by
     /// anyone) began. Set when locks are installed on a free object,
     /// cleared — and folded into [`ObjectSlot::hold_ewma_ns`] — by the
     /// release scan that observes the object free again. A coarse hint for
-    /// the adaptive spin-then-park gate, nothing more.
+    /// the blocking driver's adaptive spin, nothing more.
     #[cfg_attr(loom, allow(dead_code))]
     pub tenure_start: Option<Instant>,
     /// Whether [`ObjectSlot::hold_ewma_ns`] has at least one sample.
@@ -469,15 +421,15 @@ pub(crate) struct ObjectSlot {
     /// under `inner`'s mutex (publish on top-commit, GC), read lock-free.
     pub snap: SnapshotCell,
     /// EWMA of recent hold-tenure lengths in nanoseconds (0 = no sample
-    /// yet). Written by release scans, read lock-free by the adaptive
-    /// spin-then-park gate in `access()`. Purely a latency hint: a torn or
-    /// stale value can only make a waiter spin a little more or less.
+    /// yet). Written by release scans, read lock-free by the blocking
+    /// driver's adaptive spin (`future.rs`). Purely a latency hint: a torn
+    /// or stale value can only make a waiter spin a little more or less.
     #[cfg_attr(loom, allow(dead_code))]
     hold_ewma_ns: AtomicU64,
-    /// Set (under the slot mutex) when a callback waiter is queued here,
-    /// cleared (under the slot mutex) by the sweeper pass that finds the
-    /// queue empty. The sweeper reads it lock-free to visit only slots
-    /// that may hold a wait it has to time out; see `sweeper.rs`.
+    /// Set (under the slot mutex) when a waiter is queued here, cleared
+    /// (under the slot mutex) by the sweeper pass that finds the queue
+    /// empty. The sweeper reads it lock-free to visit only slots that may
+    /// hold a wait it has to time out; see `sweeper.rs`.
     pub sweep_hint: AtomicBool,
     /// WAL encode/decode pair for durable objects
     /// ([`crate::TxManager::register_durable`]); `None` means the object is
@@ -578,11 +530,19 @@ mod tests {
         }
     }
 
-    /// A waiter for `tx` (its own owner) with a deadline far in the future.
-    fn waiter(tx: &Arc<TxNode>, write: bool, cb: Option<WakeCallback>) -> Arc<Waiter> {
+    /// A waiter for `tx` (its own owner) with a deadline far in the future
+    /// and a waker that does nothing.
+    fn waiter(tx: &Arc<TxNode>, write: bool) -> Arc<Waiter> {
         let now = Instant::now();
         let deadline = now + std::time::Duration::from_secs(3600);
-        Waiter::new(tx.clone(), tx.clone(), write, now, deadline, cb)
+        Waiter::new(
+            tx.clone(),
+            tx.clone(),
+            write,
+            now,
+            deadline,
+            Waker::noop().clone(),
+        )
     }
 
     fn read_i64(s: &dyn AnyState) -> i64 {
@@ -673,7 +633,7 @@ mod tests {
         let (p, c, g, q) = nodes();
         let mut o = inner();
         let _ = o.writable_state(&c);
-        let w = waiter(&q, true, None);
+        let w = waiter(&q, true);
         o.queue.push_back(w);
         assert!(o.holder_is_ancestor(&g), "write holder c is an ancestor");
         assert!(!o.holder_is_ancestor(&q), "stranger must queue");
@@ -728,17 +688,17 @@ mod tests {
     #[test]
     fn waiter_state_machine_and_queue_removal() {
         let (p, ..) = nodes();
-        let w = waiter(&p, false, None);
+        let w = waiter(&p, false);
         assert_eq!(w.state(), W_WAITING);
         assert!(w.grant());
         assert!(!w.cancel(), "granted waiter cannot be cancelled");
         assert_eq!(w.state(), W_GRANTED);
-        let w2 = waiter(&p, true, None);
+        let w2 = waiter(&p, true);
         assert!(w2.cancel());
         assert_eq!(w2.state(), W_CANCELLED);
         let mut o = inner();
-        let q1 = waiter(&p, true, None);
-        let q2 = waiter(&p, false, None);
+        let q1 = waiter(&p, true);
+        let q2 = waiter(&p, false);
         o.queue.push_back(q1.clone());
         o.queue.push_back(q2.clone());
         assert_eq!(o.waiters(), 2);
@@ -869,45 +829,44 @@ mod tests {
     }
 
     #[test]
-    fn async_waiter_wake_consumes_callback_once() {
+    fn waiter_wake_fires_its_waker_once() {
         use std::sync::atomic::{AtomicUsize, Ordering as O};
+        use std::task::Wake;
+        struct Count(AtomicUsize);
+        impl Wake for Count {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, O::SeqCst);
+            }
+        }
         let (p, ..) = nodes();
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f = fired.clone();
-        let w = waiter(
-            &p,
-            true,
-            Some(Box::new(move || {
-                f.fetch_add(1, O::SeqCst);
-            })),
+        let (first, second) = (
+            Arc::new(Count(AtomicUsize::new(0))),
+            Arc::new(Count(AtomicUsize::new(0))),
         );
-        assert!(w.is_async);
+        let w = waiter(&p, true);
+        w.set_waker(&Waker::from(first.clone()));
+        // A poll from another task re-points the slot; only it is woken.
+        w.set_waker(&Waker::from(second.clone()));
         assert!(w.grant());
         w.wake();
-        assert_eq!(fired.load(O::SeqCst), 1);
-        w.wake(); // consumed: second wake is a no-op, never a double fire
-        assert_eq!(fired.load(O::SeqCst), 1);
-        // Sync variant ignores callbacks entirely.
-        let ws = waiter(&p, false, None);
-        assert!(!ws.is_async);
-        let f2 = fired.clone();
-        ws.set_callback(Box::new(move || {
-            f2.fetch_add(100, O::SeqCst);
-        }));
-        assert!(ws.grant());
-        ws.wake();
-        assert_eq!(fired.load(O::SeqCst), 1, "sync wake must not run callbacks");
+        w.wake(); // fired: a second wake is a no-op, never a double fire
+        assert_eq!(first.0.load(O::SeqCst), 0, "a replaced waker stays quiet");
+        assert_eq!(second.0.load(O::SeqCst), 1);
+        // A fired slot stays empty: a later poll installs nothing to fire.
+        w.set_waker(&Waker::from(first.clone()));
+        w.wake();
+        assert_eq!(first.0.load(O::SeqCst), 0);
     }
 
     #[test]
     fn timeout_withdrawal_state_is_distinct_from_doom() {
         let (p, ..) = nodes();
-        let w = waiter(&p, true, Some(Box::new(|| {})));
+        let w = waiter(&p, true);
         assert!(w.cancel_timeout());
         assert_eq!(w.state(), W_TIMEDOUT);
         assert!(!w.cancel(), "terminal state cannot be re-cancelled");
         assert!(!w.grant(), "terminal state cannot be granted");
-        let w2 = waiter(&p, true, None);
+        let w2 = waiter(&p, true);
         assert!(w2.cancel());
         assert!(!w2.cancel_timeout());
         assert_eq!(w2.state(), W_CANCELLED);

@@ -1,20 +1,21 @@
-//! The per-manager sweeper: the thread that times out callback waiters.
+//! The per-manager sweeper: the one thread that times out waits.
 //!
-//! A parked sync waiter carries its own timeout — it sleeps until its
-//! node's deadline and withdraws itself. An async waiter has no thread to
-//! come back on, so this one does it: at a tick derived from the config it
-//! visits the slots whose `sweep_hint` is up and runs
-//! [`ManagerInner::sweep_slot`] on each. Everything about a wait — start,
-//! deadline, state — lives in its queue node; the sweeper keeps nothing per
-//! wait, so a granted, doomed or dropped wait costs it nothing. Timeouts
-//! are late by at most a tick, never early.
+//! Every queued waiter — a blocked thread's or a suspended future's — is
+//! a queue node with a deadline and a wake slot, and nothing else carries
+//! a timeout. At a tick derived from the config, `(wait_timeout /
+//! 8).clamp(1 ms, 100 ms)`, this thread visits the slots whose
+//! `sweep_hint` is up and runs [`ManagerInner::sweep_slot`] on each, which
+//! withdraws the expired nodes and fires their wakes. Everything about a
+//! wait — start, deadline, state — lives in its queue node; the sweeper
+//! keeps nothing per wait, so a granted, doomed or dropped wait costs it
+//! nothing. Timeouts are late by at most a tick, never early.
 //!
-//! Spawned by the first queued async waiter ([`Sweeper::kick`]), stopped
-//! and joined on manager drop; a pass that met no hinted slot puts it to
-//! sleep with no timeout until the next kick. Lock order: the park mutex is
-//! a leaf, released before `sweep_slot` takes a slot mutex and never taken
-//! under one. Model builds never spawn the thread (the loom models call
-//! `sweep_slot` from model threads).
+//! Spawned by the first queued waiter ([`Sweeper::kick`], which every
+//! enqueue calls), stopped and joined on manager drop; a pass that met no
+//! hinted slot puts it to sleep with no timeout until the next kick. Lock
+//! order: the park mutex is a leaf, released before `sweep_slot` takes a
+//! slot mutex and never taken under one. Model builds never spawn the
+//! thread (the loom models call `sweep_slot` from model threads).
 
 use std::time::{Duration, Instant};
 
@@ -29,7 +30,7 @@ struct Park {
 
 pub(crate) struct Sweeper {
     /// `false` while the thread is absent or asleep with no timeout. A
-    /// queued async waiter raises its slot's hint and then reads this; the
+    /// queued waiter raises its slot's hint and then reads this; the
     /// thread lowers this and then re-reads the hints before it sleeps —
     /// both SeqCst, so one of the two always sees the other.
     ticking: AtomicBool,
@@ -49,8 +50,8 @@ impl Sweeper {
         })
     }
 
-    /// An async waiter was just queued on `mgr`: make sure the thread
-    /// exists and is ticking. One atomic load when it already is.
+    /// A waiter was just queued on `mgr`: make sure the thread exists and
+    /// is ticking. One atomic load when it already is.
     pub(crate) fn kick(self: &Arc<Self>, mgr: &Arc<ManagerInner>) {
         if cfg!(loom) || self.ticking.load(Ordering::SeqCst) {
             return;

@@ -16,10 +16,10 @@
 pub(crate) use std::sync::{Arc, Weak};
 
 #[cfg(not(loom))]
-pub(crate) use parking_lot::{Condvar, Mutex};
+pub(crate) use parking_lot::{Condvar, Mutex, MutexGuard};
 
 #[cfg(loom)]
-pub(crate) use loom::sync::{Condvar, Mutex};
+pub(crate) use loom::sync::{Condvar, Mutex, MutexGuard};
 
 /// Atomic types and `Ordering`, switched between `std::sync::atomic` and
 /// `loom::sync::atomic`.

@@ -200,7 +200,7 @@ pub enum RtEvent {
         /// The clock value restored (highest recovered commit timestamp).
         ts: u64,
     },
-    /// A parked waiter observed its grant and resumed: recorded under the
+    /// A queued waiter observed its grant and resumed: recorded under the
     /// object mutex when the woken requester re-enters the slot and applies
     /// (write) or confirms (read) the lock state a releaser installed for
     /// it. Pairs a preceding [`RtEvent::Wait`] with the grant that resolved

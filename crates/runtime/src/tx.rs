@@ -5,9 +5,10 @@ use crate::sync::Arc;
 
 use crate::error::TxError;
 use crate::fault::{FaultAction, FaultPoint};
-use crate::future::AccessFuture;
+use crate::future::{Access, AccessFuture, BoxedAccessFn};
 use crate::manager::{ManagerInner, ObjRef};
 use crate::node::{TxNode, TxState};
+use crate::object::AnyState;
 use crate::stats::Ctr;
 use crate::trace::RtEvent;
 
@@ -82,11 +83,7 @@ impl Tx {
         f: impl FnOnce(&T) -> R,
     ) -> Result<R, TxError> {
         self.check_usable()?;
-        self.mgr.access(&self.node, obj.idx, false, move |st| {
-            f(st.as_any()
-                .downcast_ref::<T>()
-                .expect("ObjRef type mismatch"))
-        })
+        Access::new(&self.mgr, &self.node, obj.idx, false, reading(f)).wait()
     }
 
     /// Read object `obj` without taking any lock and without ever waiting:
@@ -165,12 +162,11 @@ impl Tx {
     }
 
     /// Async counterpart of [`Tx::read`]: acquire the read lock without
-    /// parking a thread. The returned [`AccessFuture`] enqueues exactly
-    /// like the sync path (same FIFO position, same die-on-cycle search at
-    /// enqueue) and is completed releaser-side by the same grant wave that
-    /// would have unparked a thread; its timeout withdraws the queue node
-    /// in place, run by the manager's sweeper (which reads the deadline off
-    /// the queue node) instead of a parked thread.
+    /// parking a thread. The returned [`AccessFuture`] is the state machine
+    /// [`Tx::read`] drives on its own thread: the same FIFO position, the
+    /// same die-on-cycle search at enqueue, completed releaser-side by the
+    /// same grant wave, and timed out by the same sweeper (which reads the
+    /// deadline off the queue node).
     ///
     /// The future owns `Arc` handles, not a borrow of `self`, so it can
     /// be spawned onto any executor. The closure therefore needs `Send +
@@ -180,20 +176,7 @@ impl Tx {
         obj: &ObjRef<T>,
         f: impl FnOnce(&T) -> R + Send + 'static,
     ) -> AccessFuture<R> {
-        if let Err(e) = self.check_usable() {
-            return AccessFuture::failed(self.mgr.clone(), self.node.clone(), obj.idx, false, e);
-        }
-        AccessFuture::new(
-            self.mgr.clone(),
-            self.node.clone(),
-            obj.idx,
-            false,
-            Box::new(move |st| {
-                f(st.as_any()
-                    .downcast_ref::<T>()
-                    .expect("ObjRef type mismatch"))
-            }),
-        )
+        self.access_async(obj.idx, false, Box::new(reading(f)))
     }
 
     /// Async counterpart of [`Tx::write`]; see [`Tx::read_async`] for the
@@ -203,20 +186,12 @@ impl Tx {
         obj: &ObjRef<T>,
         f: impl FnOnce(&mut T) -> R + Send + 'static,
     ) -> AccessFuture<R> {
-        if let Err(e) = self.check_usable() {
-            return AccessFuture::failed(self.mgr.clone(), self.node.clone(), obj.idx, true, e);
-        }
-        AccessFuture::new(
-            self.mgr.clone(),
-            self.node.clone(),
-            obj.idx,
-            true,
-            Box::new(move |st| {
-                f(st.as_any_mut()
-                    .downcast_mut::<T>()
-                    .expect("ObjRef type mismatch"))
-            }),
-        )
+        self.access_async(obj.idx, true, Box::new(writing(f)))
+    }
+
+    fn access_async<R>(&self, obj_idx: usize, write: bool, f: BoxedAccessFn<R>) -> AccessFuture<R> {
+        let f = self.check_usable().map(|()| f);
+        AccessFuture::new(self.mgr.clone(), self.node.clone(), obj_idx, write, f)
     }
 
     /// Update object `obj` under a write lock. Blocks while a non-ancestor
@@ -227,11 +202,7 @@ impl Tx {
         f: impl FnOnce(&mut T) -> R,
     ) -> Result<R, TxError> {
         self.check_usable()?;
-        self.mgr.access(&self.node, obj.idx, true, move |st| {
-            f(st.as_any_mut()
-                .downcast_mut::<T>()
-                .expect("ObjRef type mismatch"))
-        })
+        Access::new(&self.mgr, &self.node, obj.idx, true, writing(f)).wait()
     }
 
     /// Commit. Locks and versions are inherited by the parent; a top-level
@@ -361,6 +332,21 @@ impl Tx {
             }
         }
         Err(last)
+    }
+}
+
+/// A read closure over `T`, as the access closure over the type-erased
+/// state that the lock protocol runs.
+fn reading<T: 'static, R>(f: impl FnOnce(&T) -> R) -> impl FnOnce(&mut dyn AnyState) -> R {
+    move |st| f(st.as_any().downcast_ref().expect("ObjRef type mismatch"))
+}
+
+/// The write counterpart of [`reading`].
+fn writing<T: 'static, R>(f: impl FnOnce(&mut T) -> R) -> impl FnOnce(&mut dyn AnyState) -> R {
+    move |st| {
+        f(st.as_any_mut()
+            .downcast_mut()
+            .expect("ObjRef type mismatch"))
     }
 }
 

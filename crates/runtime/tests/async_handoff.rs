@@ -1,7 +1,8 @@
-//! The handoff suite, replayed through `AccessFuture`: the async waiter
-//! variant must inherit every property tests/handoff.rs pins down for
-//! parked threads — FIFO grant order, in-place timeout withdrawal, doom
-//! delivery to queued waiters — plus the future-specific obligations:
+//! The handoff suite, replayed through `AccessFuture`: the request state
+//! machine, polled instead of driven on a thread, must keep every property
+//! tests/handoff.rs pins down for blocked threads — FIFO grant order,
+//! in-place timeout withdrawal, doom delivery to queued waiters — plus
+//! the future-specific obligations:
 //! dropping an unresolved future leaks no queue node and never wedges the
 //! unapplied-write latch, whichever way the drop/grant race falls.
 //!
@@ -202,8 +203,8 @@ fn async_timed_out_waiters_withdraw_in_place() {
     assert_eq!(mgr.read_committed(&hot, |v| *v), 2);
 }
 
-/// Mirror of `timeout_withdrawal_races_concurrent_release` for the
-/// callback variant: a future whose deadline passes while the holder
+/// Mirror of `timeout_withdrawal_races_concurrent_release` for a
+/// future: a future whose deadline passes while the holder
 /// releases resolves to exactly one of {granted, timed out}, with no leaked queue
 /// node and no wedged latch either way.
 #[test]

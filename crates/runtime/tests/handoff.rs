@@ -385,3 +385,32 @@ fn timeout_withdrawal_races_concurrent_release() {
         "race never exercised both arms: granted={granted} timed_out={timed_out}"
     );
 }
+
+/// A blocked `Tx::write` is timed out by the manager's sweeper, like a
+/// suspended future: never before its deadline, and late by at most a
+/// sweeper tick (`wait_timeout / 8`, here 6.25 ms) plus scheduling — far
+/// under a second.
+#[test]
+fn sync_timeout_fires_after_its_deadline_within_a_tick() {
+    let timeout = Duration::from_millis(50);
+    let mgr = TxManager::new(RtConfig {
+        wait_timeout: timeout,
+        ..Default::default()
+    });
+    let hot = mgr.register("hot", 0i64);
+    let holder = mgr.begin();
+    holder.write(&hot, |v| *v = 1).unwrap();
+    let tx = mgr.begin();
+    let start = Instant::now();
+    assert_eq!(tx.write(&hot, |v| *v = 2), Err(TxError::Timeout));
+    let waited = start.elapsed();
+    assert!(waited >= timeout, "timed out early, after {waited:?}");
+    assert!(
+        waited < Duration::from_secs(1),
+        "timed out late, after {waited:?}"
+    );
+    assert_eq!(mgr.queued_waiters(), 0);
+    assert_eq!(mgr.stats().timeouts, 1);
+    tx.abort();
+    holder.commit().unwrap();
+}

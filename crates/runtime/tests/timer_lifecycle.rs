@@ -1,11 +1,12 @@
-//! Sweeper-thread lifecycle: the thread that times out async waiters must
+//! Sweeper-thread lifecycle: the thread that times out every wait must
 //! not outlive its manager, and must not exist before it is needed.
 //!
 //! The first timeout service was a process-wide `OnceLock` whose thread
 //! never exited; its per-manager successor kept a heap entry per wait.
 //! Today a wait's deadline lives in its queue node and one per-manager
-//! sweeper reads it from there. This test pins the thread's contract: no
-//! `ntx-sweeper` thread until an async waiter is queued, one per manager
+//! sweeper reads it from there, for a blocked thread and a suspended
+//! future alike. This test pins the thread's contract: no `ntx-sweeper`
+//! thread before the first queued waiter of either kind, one per manager
 //! after, none once the last manager handle is dropped. It lives alone in
 //! this file so concurrent tests cannot contribute stray threads to the
 //! count.
@@ -53,12 +54,12 @@ impl Wake for ChannelWaker {
     }
 }
 
-/// Queue one async writer behind a holder on `mgr` (lazily spawning the
-/// manager's sweeper), then resolve the wait by releasing the holder and
-/// drive the future to completion. Everything before the future queues —
-/// an async access granted inline, a parked *sync* waiter — must leave
-/// the manager threadless.
-fn run_contended_async_write(mgr: &TxManager) {
+/// Queue a blocked sync reader and then an async writer behind a holder
+/// on `mgr`, then resolve both waits by releasing the holder. Before the
+/// first waiter queues — an async access granted inline included — the
+/// manager has no thread; the first queued waiter, of either kind, spawns
+/// its one sweeper.
+fn run_contended_waits(mgr: &TxManager) {
     let hot = mgr.register("hot", 0i64);
     let cold = mgr.register("cold", 0i64);
     let holder = mgr.begin();
@@ -72,7 +73,12 @@ fn run_contended_async_write(mgr: &TxManager) {
         .as_mut()
         .poll(&mut cx);
     assert!(matches!(inline, Poll::Ready(Ok(()))));
-    let parked = {
+    assert_eq!(
+        sweeper_threads(),
+        0,
+        "nothing has queued: the manager must have no thread"
+    );
+    let blocked = {
         let mgr = mgr.clone();
         std::thread::spawn(move || {
             let tx = mgr.begin();
@@ -83,9 +89,9 @@ fn run_contended_async_write(mgr: &TxManager) {
         std::thread::yield_now();
     }
     assert_eq!(
-        sweeper_threads(),
-        0,
-        "no async waiter has queued: the manager must have no thread"
+        settled_sweeper_threads(1),
+        1,
+        "a queued sync waiter spawns the sweeper thread"
     );
     {
         let mut fut = pin!(tx.write_async(&hot, |v| *v = 2));
@@ -96,10 +102,10 @@ fn run_contended_async_write(mgr: &TxManager) {
         assert_eq!(
             settled_sweeper_threads(1),
             1,
-            "queued future spawns the sweeper thread"
+            "a queued future finds the manager's one sweeper"
         );
         holder.commit().unwrap();
-        assert_eq!(parked.join().unwrap(), 1);
+        assert_eq!(blocked.join().unwrap(), 1);
         recv.recv_timeout(Duration::from_secs(5))
             .expect("grant wakes the future");
         assert!(matches!(fut.as_mut().poll(&mut cx), Poll::Ready(Ok(()))));
@@ -116,7 +122,7 @@ fn manager_drop_joins_its_timer_thread() {
         wait_timeout: Duration::from_secs(600),
         ..Default::default()
     });
-    run_contended_async_write(&mgr);
+    run_contended_waits(&mgr);
     drop(mgr);
     assert_eq!(
         settled_sweeper_threads(0),
@@ -130,7 +136,7 @@ fn manager_drop_joins_its_timer_thread() {
         wait_timeout: Duration::from_secs(600),
         ..Default::default()
     });
-    run_contended_async_write(&mgr2);
+    run_contended_waits(&mgr2);
     drop(mgr2);
     assert_eq!(
         settled_sweeper_threads(0),

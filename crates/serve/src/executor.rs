@@ -13,11 +13,12 @@
 //! - an `in_flight` gauge with a high-watermark, which is both the
 //!   "concurrent sessions" metric and the drain barrier.
 
-use crate::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use crate::sync::{Arc, Condvar, Mutex, Weak};
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Waker};
 
 /// Task is parked: not queued, waiting for a wake.

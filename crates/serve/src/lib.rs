@@ -1,8 +1,8 @@
 //! # ntx-serve — multiplexing nested-transaction sessions over the wire
 //!
 //! `ntx-runtime`'s sync API costs one parked OS thread per blocked lock
-//! request. This crate is the payoff of the async waiter path
-//! ([`ntx_runtime::AccessFuture`]): a TCP server that multiplexes very
+//! request. This crate is the payoff of the same request polled as a
+//! future ([`ntx_runtime::AccessFuture`]): a TCP server that multiplexes very
 //! large numbers of concurrent *sessions* — each a nested-transaction tree
 //! driven by a client over a length-prefixed wire protocol — onto a few
 //! worker threads. A blocked session costs a lock-queue node plus a parked
@@ -24,7 +24,6 @@
 pub mod client;
 pub mod executor;
 pub mod server;
-mod sync;
 mod sys;
 pub mod wire;
 

@@ -36,17 +36,18 @@
 //! abandoned subtree.
 
 use crate::executor::Executor;
-use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use crate::sync::{Arc, Mutex};
 use crate::sys::{self, Epoll, Event, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::wire::{self, ErrCode, Request, Response};
 use ntx_runtime::{ObjRef, RtConfig, Tx, TxError, TxManager};
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::future::{poll_fn, Future};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::pin::{pin, Pin};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 /// Frames a session's inbox holds before the reactor stops reading its

@@ -156,8 +156,8 @@ fn admission_control_rejects_then_recovers() {
 }
 
 /// Wire-level lock handoff: a writer blocked behind another session's
-/// write lock completes as soon as the holder commits — the async waiter
-/// path end to end.
+/// write lock completes as soon as the holder commits — a suspended
+/// `AccessFuture` end to end.
 #[test]
 fn blocked_wire_writer_completes_on_holder_commit() {
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();

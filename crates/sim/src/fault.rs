@@ -6,7 +6,7 @@
 //! harness the sequence of consultations is itself deterministic, so one
 //! `u64` seed reproduces an entire faulty execution byte for byte.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use ntx_runtime::{FaultAction, FaultContext, FaultInjector, FaultPoint};
 

@@ -16,8 +16,8 @@
 //! instead of parking) make the whole run — including the runtime's own
 //! [`TraceRecorder`] log — a pure function of [`FuzzConfig::seed`].
 
-use crate::sync::Arc;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 use ntx_conform::{
@@ -55,10 +55,10 @@ pub struct FuzzConfig {
     /// the model as synthetic read-only transactions at the publication
     /// point — see `ntx-conform`'s translation).
     pub snapshot_ops: bool,
-    /// Route a seeded half of all reads/adds through the async waiter
-    /// path (`Tx::read_async`/`Tx::write_async` driven inline), so one
-    /// seed exercises *both* waiter representations — parked-thread and
-    /// callback — against the same fault schedule. Guarded by the flag so
+    /// Route a seeded half of all reads/adds through the future driver
+    /// (`Tx::read_async`/`Tx::write_async` polled inline), so one seed
+    /// exercises *both* drivers of the request state machine — blocking
+    /// and polled — against the same fault schedule. Guarded by the flag so
     /// legacy seeds replay unchanged.
     pub async_ops: bool,
 }
@@ -241,8 +241,8 @@ pub fn fuzz_run(cfg: &FuzzConfig) -> FuzzOutcome {
                 let obj = rng.gen_range(0..cfg.objects.max(1));
                 session.snapshot_read(obj);
             }
-            // Read a random object (seeded coin: parked-thread or
-            // callback waiter variant; the draw happens only when
+            // Read a random object (seeded coin: blocking or polled
+            // driver; the draw happens only when
             // async_ops is on, so legacy seeds replay unchanged).
             _ if roll < 52 => {
                 if let Some(&i) = pick(&mut rng, &alive) {

@@ -26,8 +26,6 @@ pub mod parallel;
 pub mod workload;
 pub mod zipf;
 
-pub(crate) mod sync;
-
 pub use driver::{run_concurrent, run_serial, DrivePolicy, RunOutcome};
 pub use fault::{CrashPlan, FaultPlan, SeededFaults};
 pub use fuzz::{

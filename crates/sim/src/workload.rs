@@ -7,7 +7,7 @@
 //! concrete [`SystemSpec`] with a seeded RNG. The same seed always yields
 //! the same system, so experiments are reproducible.
 
-use crate::sync::Arc;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

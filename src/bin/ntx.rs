@@ -15,8 +15,8 @@
 //!              [--snapshots false] [--async-ops false]
 //!              deterministic fault-injection fuzzing of the runtime
 //!              (lock-free snapshot reads included unless disabled, and a
-//!              seeded half of reads/adds routed through the async waiter
-//!              path unless --async-ops false), differentially checked
+//!              seeded half of reads/adds routed through the future
+//!              driver unless --async-ops false), differentially checked
 //!              against the Theorem 34 model; failing seeds are dumped to
 //!              fuzz-failures/seed-N.log
 //! ntx fuzz     --crash-points <all|pre-append,mid-commit,post-append,checkpoint>
@@ -280,7 +280,7 @@ fn cmd_fuzz(flags: &HashMap<String, String>) {
         // lock-free read path against the checker unless --snapshots false.
         snapshot_ops: flag(flags, "snapshots", true),
         // Async alternation likewise: a seeded half of reads/adds run
-        // through the callback waiter variant unless --async-ops false.
+        // through the future driver unless --async-ops false.
         async_ops: flag(flags, "async-ops", true),
         ..Default::default()
     };
