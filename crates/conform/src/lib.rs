@@ -36,7 +36,6 @@
 //! ```
 
 mod session;
-mod sync;
 mod translate;
 
 pub use session::{ConformanceSession, Trace, TraceEvent, TracedTx};

@@ -1,15 +1,16 @@
 //! Traced execution sessions over the runtime.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use ntx_runtime::{ObjRef, Tx, TxError, TxManager};
 
 /// Drive a future to completion on the current thread (poll, park until
 /// the waker fires, re-poll). Lets single-threaded harnesses route
-/// accesses through [`Tx::read_async`]/[`Tx::write_async`] so the lock
-/// queue sees the callback waiter variant; the releaser (or the timeout
-/// timer) wakes this thread exactly as a real executor worker would be.
+/// accesses through [`Tx::read_async`]/[`Tx::write_async`], the futures
+/// a server's sessions poll; the releaser (or the sweeper) wakes this
+/// thread exactly as it would wake a polling thread.
 fn block_on<F: std::future::Future>(fut: F) -> F::Output {
     struct ThreadWaker(std::thread::Thread);
     impl std::task::Wake for ThreadWaker {
@@ -216,8 +217,8 @@ impl ConformanceSession {
     /// Traced read through the *async* waiter path ([`Tx::read_async`]),
     /// driven to completion inline. Semantically identical to
     /// [`ConformanceSession::read`] — same locks, same trace event — but
-    /// the lock queue sees the callback waiter variant, so fuzz seeds can
-    /// exercise both representations.
+    /// polled here rather than driven by the blocking call, so fuzz seeds
+    /// exercise both drivers of the one request state machine.
     ///
     /// [`Tx::read_async`]: ntx_runtime::Tx::read_async
     pub fn read_async(&self, t: &TracedTx, obj: usize) -> Result<i64, TxError> {
@@ -248,7 +249,7 @@ impl ConformanceSession {
     }
 
     /// Traced add through the *async* waiter path ([`Tx::write_async`]);
-    /// the callback-variant twin of [`ConformanceSession::add`].
+    /// the polled twin of [`ConformanceSession::add`].
     ///
     /// [`Tx::write_async`]: ntx_runtime::Tx::write_async
     pub fn add_async(&self, t: &TracedTx, obj: usize, delta: i64) -> Result<i64, TxError> {

@@ -1,7 +1,7 @@
 //! Trace → model translation and the conformance check itself.
 
-use crate::sync::Arc;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ntx_model::correctness::check_serial_correctness;
 use ntx_model::wellformed::check_concurrent_sequence;

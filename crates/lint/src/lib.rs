@@ -13,13 +13,13 @@
 //!   `// relaxed(tag): justification` marker whose tag is recorded in
 //!   the crate's `relaxed-allowlist.txt`.
 //! - **R4 lock-order** — the documented order (object-slot mutex ≺
-//!   wait-graph mutex; serve connection locks as leaves) is structurally
-//!   enforced: wait-graph code never touches slots, serve code stays
-//!   leaf-only, and no public function leaks a `MutexGuard`.
+//!   wait-graph mutex) is structurally enforced: wait-graph code never
+//!   touches slots, and no public function leaks a `MutexGuard`.
 //! - **R5 guard-across-suspend** — no lock guard live across `.await`, a
 //!   park, or a `Poll::Pending` return.
-//! - **R6 blocking-in-worker** — no blocking calls inside executor worker
-//!   task context (`// R6-OK(reason):` to waive).
+//! - **R6 blocking-in-worker** — no blocking calls where a thread polls
+//!   session futures: the executor's `poll_task`, the serve reactor's
+//!   `poll_driver` (`// R6-OK(reason):` to waive).
 //! - **R7 drop-state-machine** — a `Drop` impl on a CAS-state-machine
 //!   type must touch its state field or carry `// DROP-SAFETY:`.
 //! - **R8 allowlist-staleness** — every crate's relaxed allowlist loads
@@ -345,65 +345,6 @@ let b = c.load(Ordering::Relaxed);
         assert_eq!(rules_hit(&r), vec![Rule::LockOrder]);
     }
 
-    // ---- R4 (serve locks) --------------------------------------------
-
-    #[test]
-    fn r4_serve_flags_coupled_lock_acquisition() {
-        let src = "fn bad(&self) { f(self.requests.lock(), conn.inbox.lock()); }\n";
-        let r = lint_source("src/server.rs", src, &cfg_with(&[]));
-        assert_eq!(rules_hit(&r), vec![Rule::LockOrder]);
-        assert!(r.violations[0].msg.contains("one at a time"));
-    }
-
-    #[test]
-    fn r4_serve_accepts_one_lock_per_statement() {
-        let src = "\
-fn good(&self) {
-    let n = self.requests.lock().len();
-    let msg = conn.inbox.lock().pop();
-    conn.outbox.lock().push(msg);
-}
-";
-        let r = lint_source("src/server.rs", src, &cfg_with(&[]));
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-    }
-
-    #[test]
-    fn r4_serve_flags_locking_under_a_held_guard() {
-        // Directly, and through the two helpers that lock inside.
-        for nested in [
-            "self.inbox.lock().clear();",
-            "self.wake_driver();",
-            "core.request(self.token);",
-        ] {
-            let src = format!(
-                "fn bad(&self) {{\n    let mut out = self.outbox.lock();\n    {nested}\n}}\n"
-            );
-            let r = lint_source("src/server.rs", &src, &cfg_with(&[]));
-            assert_eq!(rules_hit(&r), vec![Rule::LockOrder], "{nested}");
-            assert!(r.violations[0].msg.contains("`out`"), "{nested}");
-        }
-    }
-
-    #[test]
-    fn r4_serve_accepts_write_under_the_outbox_guard_and_wake_after_it() {
-        let src = "\
-fn flush(&self) {
-    let reopened = {
-        let mut out = self.outbox.lock();
-        let n = (&self.stream).write(&out).unwrap_or(0);
-        out.drain(..n);
-        out.is_empty()
-    };
-    if reopened {
-        self.wake_driver();
-    }
-}
-";
-        let r = lint_source("src/server.rs", src, &cfg_with(&[]));
-        assert!(r.violations.is_empty(), "{:?}", r.violations);
-    }
-
     // ---- R5: guards across suspend points ----------------------------
 
     #[test]
@@ -519,6 +460,19 @@ fn poll_task(&self, t: &Task) {
         let r = lint_source("src/executor.rs", src, &cfg_with(&[]));
         assert_eq!(rules_hit(&r), vec![Rule::BlockingInWorker]);
         assert!(r.violations[0].msg.contains(".recv()"));
+    }
+
+    #[test]
+    fn r6_flags_blocking_call_in_the_reactors_driver_poll() {
+        let src = "\
+fn poll_driver(&mut self, core: &ServerCore) {
+    std::thread::sleep(PAUSE);
+    self.flush();
+}
+";
+        let r = lint_source("src/server.rs", src, &cfg_with(&[]));
+        assert_eq!(rules_hit(&r), vec![Rule::BlockingInWorker]);
+        assert!(r.violations[0].msg.contains("thread::sleep"));
     }
 
     #[test]

@@ -29,11 +29,7 @@ pub enum Rule {
     RelaxedOrdering,
     /// R4: the documented lock order — object-slot mutex ≺ wait-graph
     /// mutex — is never inverted: wait-graph code (which holds the graph
-    /// mutex) must not reach into object slots. The table extends to the
-    /// serve locks: the reactor's request-list lock
-    /// and the per-connection inbox/outbox/waker locks are leaves — never
-    /// two in one expression, never one taken (directly, or through
-    /// `wake_driver`/`request`) under a live guard of another.
+    /// mutex) must not reach into object slots.
     LockOrder,
     /// R5: no lock guard may be live across a suspend point — an `.await`,
     /// a park (the blocking driver's `Parker::park`, `thread::park`), or a
@@ -42,9 +38,10 @@ pub enum Rule {
     /// waker that needs the same lock to deliver the wake.
     GuardAcrossSuspend,
     /// R6: no blocking calls (`thread::sleep`, parks, channel receives,
-    /// condvar waits, `join`) inside executor worker task context — the
-    /// body of `poll_task`. A blocked worker freezes every session
-    /// multiplexed onto it. Legitimate exceptions carry `// R6-OK(reason):`.
+    /// condvar waits, `join`) where a thread polls session futures — the
+    /// executor's `poll_task` and the serve reactor's `poll_driver`. A
+    /// blocked worker freezes every session multiplexed onto it.
+    /// Legitimate exceptions carry `// R6-OK(reason):`.
     BlockingInWorker,
     /// R7: a `Drop` impl on a CAS-state-machine type must consume or test
     /// its state field (the drop/grant/timeout race is arbitrated by that
@@ -104,8 +101,9 @@ pub struct Config {
     pub sync_exempt: Vec<String>,
     /// Tags allowed in `// relaxed(tag):` markers.
     pub relaxed_tags: BTreeSet<String>,
-    /// Function names whose bodies are executor worker *task* context:
-    /// blocking calls inside them break every multiplexed session (R6).
+    /// Function names whose bodies poll session futures on a shared
+    /// thread: blocking calls inside them break every multiplexed session
+    /// (R6).
     pub worker_fns: Vec<String>,
     /// R7's state map: CAS-state-machine type name → the state-field
     /// tokens its `Drop` impl must touch (any one suffices).
@@ -118,7 +116,7 @@ impl Config {
         Config {
             sync_exempt: vec!["src/sync.rs".into(), "src/loom_models.rs".into()],
             relaxed_tags,
-            worker_fns: vec!["poll_task".into()],
+            worker_fns: vec!["poll_task".into(), "poll_driver".into()],
             drop_state: vec![
                 ("Access".into(), vec!["stage".into()]),
                 ("TurnstileTicket".into(), vec!["commit_ts".into()]),
@@ -261,8 +259,8 @@ const BLOCKING_CALLS: &[&str] = &[
 ];
 
 /// Lint one file's source text. `file` is the label used in findings and
-/// for per-file rules (R1 exemptions match on suffix; R4 applies to
-/// `deadlock.rs` and `server.rs`).
+/// for per-file rules (R1 exemptions match on suffix; R4's graph rule
+/// applies to `deadlock.rs`).
 pub fn lint_source(file: &str, src: &str, config: &Config) -> FileReport {
     let masked = mask(src);
     let tests = test_regions(&masked);
@@ -275,7 +273,6 @@ pub fn lint_source(file: &str, src: &str, config: &Config) -> FileReport {
         .iter()
         .any(|s| file.ends_with(s.as_str()));
     let is_wait_graph = file.ends_with("deadlock.rs");
-    let is_serve_server = file.ends_with("server.rs");
 
     // Scope state for R5/R6: brace depth, live guards, and worker-fn
     // region entry depths.
@@ -342,8 +339,8 @@ pub fn lint_source(file: &str, src: &str, config: &Config) -> FileReport {
                         line: i + 1,
                         rule: Rule::BlockingInWorker,
                         msg: format!(
-                            "blocking call `{call}` inside executor worker task \
-                             context; a blocked worker freezes every session \
+                            "blocking call `{call}` where a thread polls session \
+                             futures; a blocked worker freezes every session \
                              multiplexed onto it (annotate `// R6-OK(reason):` \
                              if provably bounded)"
                         ),
@@ -428,64 +425,6 @@ pub fn lint_source(file: &str, src: &str, config: &Config) -> FileReport {
                         ),
                     });
                 }
-            }
-        }
-
-        // R4 (serve): the reactor's request-list lock and the
-        // per-connection inbox/outbox/waker locks are leaves. Two in one
-        // expression couples their (deliberately unordered) positions, and
-        // so does taking one — directly, or inside `wake_driver` or
-        // `request` — while a `let`-bound guard of another is live: the
-        // outbox guard may span the socket `write`, nothing that locks.
-        if is_serve_server && !in_test {
-            let serve_locks = [
-                "requests.lock()",
-                "inbox.lock()",
-                "outbox.lock()",
-                "waker.lock()",
-            ];
-            let taken: Vec<&str> = serve_locks
-                .iter()
-                .copied()
-                .filter(|l| code.contains(l))
-                .collect();
-            if taken.len() >= 2 {
-                report.violations.push(Violation {
-                    file: file.into(),
-                    line: i + 1,
-                    rule: Rule::LockOrder,
-                    msg: format!(
-                        "serve locks {taken:?} acquired in one expression; the \
-                         request list and per-connection locks are leaf-ordered \
-                         and must be taken one at a time"
-                    ),
-                });
-            }
-            // `let n = x.lock().len();` binds no guard: the binding must
-            // be the `lock()` call itself.
-            let held = guards.iter().find(|g| {
-                let bound = masked_lines[g.line].trim_end();
-                g.line != i
-                    && bound.ends_with(".lock();")
-                    && serve_locks.iter().any(|l| bound.contains(l))
-            });
-            let nested = taken.first().copied().or_else(|| {
-                ["wake_driver(", ".request("]
-                    .into_iter()
-                    .find(|call| code.contains(call))
-            });
-            if let (Some(g), Some(nested)) = (held, nested) {
-                report.violations.push(Violation {
-                    file: file.into(),
-                    line: i + 1,
-                    rule: Rule::LockOrder,
-                    msg: format!(
-                        "`{nested}` while serve lock guard `{}` (bound on line {}) is \
-                         live; serve locks are leaves — end the guard's block first",
-                        g.name,
-                        g.line + 1
-                    ),
-                });
             }
         }
 

@@ -1,7 +1,9 @@
-//! The serving layer under the lint: `crates/serve` (executor, reactor,
+//! The serving layer under the lint: `crates/serve` (executor, reactors,
 //! wire server) must keep the workspace's lock discipline — every
-//! `Relaxed` audited, every `unsafe` justified, the serve locks leaves.
-//! It has no `cfg(loom)` build and so no sync shim: R1 does not apply.
+//! `Relaxed` audited, every `unsafe` justified, no guard across a suspend
+//! point and no blocking call where the executor polls a task or a
+//! reactor polls a driver. It has no `cfg(loom)` build and so no sync
+//! shim: R1 does not apply.
 
 use std::path::Path;
 

@@ -142,7 +142,7 @@ pub fn replay_final_state<S: ObjectSemantics>(
 /// Exponential in `depth`; meant for validating the cheap write-equality
 /// criterion (Lemma 20) on small objects, not for production checking.
 pub fn check_equieffective_by_definition<S: ObjectSemantics>(
-    tree: &crate::sync::Arc<ntx_tree::TxTree>,
+    tree: &std::sync::Arc<ntx_tree::TxTree>,
     x: ObjectId,
     semantics: &S,
     alpha: &[Action],
@@ -157,7 +157,7 @@ pub fn check_equieffective_by_definition<S: ObjectSemantics>(
     // calls the pair trivially equieffective when *neither* is; we require
     // callers to pass schedules (replay panics otherwise via BasicObject).
     fn replayed<S: ObjectSemantics>(
-        tree: &crate::sync::Arc<ntx_tree::TxTree>,
+        tree: &std::sync::Arc<ntx_tree::TxTree>,
         x: ObjectId,
         semantics: &S,
         events: &[Action],
@@ -173,7 +173,7 @@ pub fn check_equieffective_by_definition<S: ObjectSemantics>(
 
     #[allow(clippy::too_many_arguments)] // recursive DFS helper
     fn search<S: ObjectSemantics>(
-        tree: &crate::sync::Arc<ntx_tree::TxTree>,
+        tree: &std::sync::Arc<ntx_tree::TxTree>,
         x: ObjectId,
         oa: &BasicObject<S>,
         ob: &BasicObject<S>,

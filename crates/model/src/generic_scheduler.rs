@@ -8,8 +8,8 @@
 //! fates of transactions, with arbitrary delay. The pre/postconditions are
 //! transcribed from the paper.
 
-use crate::sync::Arc;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use ntx_automata::{Automaton, BoxedAutomaton};
 use ntx_tree::{ObjectId, TxId, TxTree};

@@ -49,8 +49,6 @@ pub mod transaction;
 pub mod visibility;
 pub mod wellformed;
 
-pub(crate) mod sync;
-
 pub use action::{Action, Value};
 pub use semantics::{validate_semantics, ObjectSemantics, StdSemantics, StdState};
 pub use system::SystemSpec;

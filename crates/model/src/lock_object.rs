@@ -28,8 +28,8 @@
 //!   (comes to) hold a write lock. The paper omits it ("does not affect the
 //!   correctness proof"); we test both settings.
 
-use crate::sync::Arc;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use ntx_automata::{Automaton, BoxedAutomaton};
 use ntx_tree::{AccessKind, ObjectId, TxId, TxTree};

@@ -13,8 +13,8 @@
 //! access must not change the instance (condition 3) — enforced against the
 //! [`crate::semantics::ObjectSemantics`] contract with a debug assertion.
 
-use crate::sync::Arc;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use ntx_automata::{Automaton, BoxedAutomaton};
 use ntx_tree::{AccessKind, ObjectId, TxId, TxTree};

@@ -7,8 +7,8 @@
 //! system is judged against. The pre/postconditions below are transcribed
 //! from the paper.
 
-use crate::sync::Arc;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use ntx_automata::{Automaton, BoxedAutomaton};
 use ntx_tree::{TxId, TxTree};

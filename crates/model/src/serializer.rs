@@ -28,8 +28,8 @@
 //! A1) produces witnesses that fail verification — the checker is not
 //! vacuous.
 
-use crate::sync::Arc;
 use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 use ntx_tree::{TxId, TxTree};
 

@@ -1,7 +1,7 @@
 //! Assembling serial systems (§3.4) and R/W Locking systems (§5.3).
 
-use crate::sync::Arc;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ntx_automata::{BoxedAutomaton, ReplayError, System};
 use ntx_tree::{TxId, TxTree};

@@ -11,8 +11,8 @@
 //! well-formedness by construction, which is verified by tests against
 //! [`crate::wellformed::TxWellFormed`].
 
-use crate::sync::Arc;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use ntx_automata::{Automaton, BoxedAutomaton};
 use ntx_tree::{TxId, TxTree};

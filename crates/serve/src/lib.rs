@@ -5,17 +5,18 @@
 //! future ([`ntx_runtime::AccessFuture`]): a TCP server that multiplexes very
 //! large numbers of concurrent *sessions* — each a nested-transaction tree
 //! driven by a client over a length-prefixed wire protocol — onto a few
-//! worker threads. A blocked session costs a lock-queue node plus a parked
+//! reactor threads. A blocked session costs a lock-queue node plus a parked
 //! future; 100k of them fit where 100k threads would not.
 //!
 //! Pieces:
 //!
-//! * [`executor`] — a hand-rolled N-worker future executor (no tokio; the
-//!   workspace builds offline).
+//! * [`server`] — `workers` reactor threads, each blocked in its own
+//!   `epoll_wait`, owning the connections dealt to it at accept and
+//!   polling their session drivers where the bytes arrive (admission
+//!   control, reads, backpressure, one `write` per driver poll).
 //! * [`wire`] — the frame format: begin/child/access/commit/abort.
-//! * [`server`] — one reactor thread blocked in `epoll_wait` (accept with
-//!   admission control, reads, backpressure) and one driver future per
-//!   connection, which writes its own responses.
+//! * [`executor`] — a hand-rolled N-worker future executor (no tokio; the
+//!   workspace builds offline) for in-process session futures.
 //! * [`client`] — a minimal blocking client for tests and benches.
 //!
 //! The `ntx-serve` binary wires these together behind CLI flags and drains

@@ -50,7 +50,7 @@ pub enum ErrCode {
     ErrObject = 3,
     /// Lock acquisition timed out.
     ErrTimeout = 4,
-    /// Transaction was doomed (wounded / deadlock victim); abort it.
+    /// Transaction was doomed (a deadlock victim, or aborted above); abort it.
     ErrDoomed = 5,
     /// Server is at its admission limit; retry later.
     ErrBusy = 6,

@@ -49,7 +49,23 @@ fn process_ticks(mut stat_file: &File) -> u64 {
 
 #[test]
 fn accept_out_of_descriptors_waits_for_a_retirement() {
+    // The connection that retires is the listener's reactor's own, then
+    // another reactor's.
+    for reactor in [0, 1] {
+        out_of_descriptors_until_a_retirement_on(reactor);
+    }
+}
+
+fn out_of_descriptors_until_a_retirement_on(reactor: usize) {
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    // Connections are dealt to the reactors round-robin, from reactor 0
+    // (the listener's): one idle session each puts `first` on `reactor`.
+    let mut idle: Vec<Client> = (0..reactor)
+        .map(|_| Client::connect(server.local_addr()).unwrap())
+        .collect();
+    for c in &mut idle {
+        c.begin().unwrap();
+    }
     let mut first = Client::connect(server.local_addr()).unwrap();
     let h = first.begin().unwrap();
     let stat = File::open("/proc/self/stat").unwrap();
@@ -88,20 +104,20 @@ fn accept_out_of_descriptors_waits_for_a_retirement() {
         burned < 5,
         "{burned} CPU ticks burned while out of descriptors"
     );
-    assert_eq!(server.accepted(), 1);
+    assert_eq!(server.accepted(), reactor + 1);
 
     // The first session ends, its retirement frees a descriptor and puts
     // the listener back, and the second is taken in.
     first.abort(h).unwrap().unwrap();
     drop(first);
     wait_until("the second connection to be accepted", || {
-        server.accepted() == 2
+        server.accepted() == reactor + 2
     });
     match second.read_response().unwrap() {
         Response::Handle(1) => {}
         other => panic!("expected a handle, got {other:?}"),
     }
-    drop(second);
+    drop((second, idle));
     limit_descriptors(u64::MAX);
     server.drain();
 }

@@ -1,5 +1,5 @@
-//! An idle server is idle. Alone in its file: the reactor thread is found
-//! by name, so the process must hold exactly one server.
+//! An idle server is idle. Alone in its file: the reactor threads are
+//! found by name, so the process must hold exactly one server.
 
 mod common;
 
@@ -11,10 +11,10 @@ use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
-/// The one thread of this process whose name starts with `prefix` (the
-/// kernel keeps 15 bytes of a thread's name, and a new thread names itself:
-/// hence the wait).
-fn thread_named(prefix: &str) -> String {
+/// The threads of this process whose names start with `prefix`, once
+/// there are `count` of them (the kernel keeps 15 bytes of a thread's
+/// name, and a new thread names itself: hence the wait).
+fn threads_named(prefix: &str, count: usize) -> Vec<String> {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let found: Vec<String> = std::fs::read_dir("/proc/self/task")
@@ -25,12 +25,12 @@ fn thread_named(prefix: &str) -> String {
             })
             .map(|dir| dir.to_str().unwrap().to_string())
             .collect();
-        if let [only] = &found[..] {
-            return only.clone();
+        if found.len() == count {
+            return found;
         }
         assert!(
-            found.is_empty() && Instant::now() < deadline,
-            "threads named {prefix}*: {found:?}"
+            found.len() < count && Instant::now() < deadline,
+            "threads named {prefix}*: {found:?}, expected {count}"
         );
         std::thread::yield_now();
     }
@@ -51,16 +51,18 @@ fn activity(task_dir: &str) -> (u64, u64) {
     (switches, ticks)
 }
 
-/// Over 300 ms the reactor neither wakes up (the old loop slept 200 µs at a
-/// time: ~1500 voluntary switches) nor burns CPU (a level-triggered event
-/// left armed would spin it: ~30 ticks).
-fn assert_reactor_idle(reactor: &str, when: &str) {
-    let (switches0, ticks0) = activity(reactor);
+/// Over 300 ms no reactor wakes up (the old loop slept 200 µs at a time:
+/// ~1500 voluntary switches) or burns CPU (a level-triggered event left
+/// armed would spin it: ~30 ticks).
+fn assert_reactors_idle(reactors: &[String], when: &str) {
+    let before: Vec<(u64, u64)> = reactors.iter().map(|r| activity(r)).collect();
     std::thread::sleep(Duration::from_millis(300));
-    let (switches1, ticks1) = activity(reactor);
-    let (switches, ticks) = (switches1 - switches0, ticks1 - ticks0);
-    assert!(switches < 10, "{when}: reactor woke {switches} times");
-    assert!(ticks < 5, "{when}: reactor burned {ticks} CPU ticks");
+    for (reactor, (switches0, ticks0)) in reactors.iter().zip(before) {
+        let (switches1, ticks1) = activity(reactor);
+        let (switches, ticks) = (switches1 - switches0, ticks1 - ticks0);
+        assert!(switches < 10, "{when}: {reactor} woke {switches} times");
+        assert!(ticks < 5, "{when}: {reactor} burned {ticks} CPU ticks");
+    }
 }
 
 /// A write on object 0, which `holder` has locked: the driver parks.
@@ -76,8 +78,11 @@ fn blocked_write(handle: u32) -> Vec<u8> {
 
 #[test]
 fn reactor_sleeps_unless_something_is_ready() {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
-    let reactor = thread_named("ntx-serve-react");
+    let cfg = ServerConfig::default();
+    let workers = cfg.workers;
+    let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+    // One kind of server thread: `workers` reactors, nothing beside them.
+    let reactors = threads_named("ntx-serve-", workers);
     let mgr = server.manager();
 
     // 100 open sessions with nothing to say.
@@ -88,7 +93,9 @@ fn reactor_sleeps_unless_something_is_ready() {
         c.begin().unwrap();
     }
     assert_eq!(server.live_sessions(), 100);
-    assert_reactor_idle(&reactor, "100 silent sessions");
+    assert_reactors_idle(&reactors, "100 silent sessions");
+    // By now every server thread has named itself: none was missed.
+    assert_eq!(threads_named("ntx-serve-", workers), reactors);
 
     let mut holder = Client::connect(server.local_addr()).unwrap();
     let h = holder.begin().unwrap();
@@ -104,7 +111,7 @@ fn reactor_sleeps_unless_something_is_ready() {
     wait_until("the half-closed session to park", || {
         mgr.queued_waiters() == 1
     });
-    assert_reactor_idle(&reactor, "half-closed, driver parked");
+    assert_reactors_idle(&reactors, "half-closed, driver parked");
 
     // A reset socket reports `EPOLLHUP` whatever its mask. Closing with
     // the `Begin` answer unread is what makes the kernel send the reset.
@@ -114,7 +121,7 @@ fn reactor_sleeps_unless_something_is_ready() {
     wait_until("the doomed session to park", || mgr.queued_waiters() == 2);
     assert_eq!(reset.peek(&mut [0u8; 1]).unwrap(), 1);
     drop(reset);
-    assert_reactor_idle(&reactor, "reset, driver parked");
+    assert_reactors_idle(&reactors, "reset, driver parked");
 
     // Both parked drivers finish once the lock is free, and retire.
     holder.commit(h).unwrap().unwrap();

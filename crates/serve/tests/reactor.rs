@@ -125,6 +125,50 @@ fn burst_is_answered_in_order_around_a_blocked_access() {
     server.drain();
 }
 
+/// A write parked on one reactor is answered when the holder's commit
+/// releases the lock: the grant's waker posts to the reactor that owns the
+/// waiting connection, whichever thread runs the commit.
+fn holder_commit_answers_a_parked_write(workers: usize) {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut holder = Raw::connect(&server);
+    holder.send(&[Request::Begin, add(1, 0, 3)]);
+    assert_eq!(holder.next(), Some(Response::Handle(1)));
+    assert_eq!(holder.next(), Some(Response::Value(3)));
+
+    let mut waiter = Raw::connect(&server);
+    waiter.send(&[Request::Begin, add(1, 0, 10)]);
+    assert_eq!(waiter.next(), Some(Response::Handle(1)));
+    let mgr = server.manager();
+    wait_until("the write to park", || mgr.queued_waiters() == 1);
+
+    holder.send(&[Request::Commit { handle: 1 }]);
+    assert_eq!(holder.next(), Some(Response::Ok));
+    assert_eq!(waiter.next(), Some(Response::Value(13)));
+    drop((holder, waiter));
+    server.drain();
+}
+
+/// Connections go to the reactors round-robin: with two, the holder is
+/// reactor 0's and the waiter reactor 1's.
+#[test]
+fn commit_on_another_reactor_answers_a_parked_write() {
+    holder_commit_answers_a_parked_write(2);
+}
+
+/// With one reactor, the commit's grant wakes a connection of the very
+/// thread that runs it.
+#[test]
+fn commit_on_the_same_reactor_answers_a_parked_write() {
+    holder_commit_answers_a_parked_write(1);
+}
+
 /// A client that sends a burst and shuts its write side down still gets
 /// every response, then EOF.
 #[test]

@@ -213,10 +213,20 @@ fn wire_errors_and_nested_semantics() {
     assert_eq!(c.add(top, 1, 2).unwrap(), Ok(7));
     assert_eq!(c.commit(top).unwrap(), Ok(()));
 
-    // A second session sees the published value.
+    // A commit refused for a live child leaves the transaction open, and
+    // its handle usable: the child, then the top, still commit.
+    let top = c.begin().unwrap();
+    let sub = c.child(top).unwrap();
+    assert_eq!(c.add(sub, 2, 4).unwrap(), Ok(4));
+    assert_eq!(c.commit(top).unwrap(), Err(ErrCode::ErrHandle));
+    assert_eq!(c.commit(sub).unwrap(), Ok(()));
+    assert_eq!(c.commit(top).unwrap(), Ok(()));
+
+    // A second session sees the published values.
     let mut d = Client::connect(addr).unwrap();
     let t2 = d.begin().unwrap();
     assert_eq!(d.get(t2, 1).unwrap(), Ok(7));
+    assert_eq!(d.get(t2, 2).unwrap(), Ok(4));
     // Abort discards: add then abort, a fresh read still sees 7.
     assert_eq!(d.add(t2, 1, 100).unwrap(), Ok(107));
     assert_eq!(d.abort(t2).unwrap(), Ok(()));
@@ -254,5 +264,38 @@ fn vanishing_client_releases_locks() {
     c.commit(t).unwrap().unwrap();
     drop(c);
     assert_eq!(server.manager().queued_waiters(), 0);
+    server.drain();
+}
+
+/// A client's `delta` is added wrapping, in debug and release builds
+/// alike: an overflowing one neither kills a server thread nor leaves the
+/// session, or a newcomer on the same thread, unanswered.
+#[test]
+fn overflowing_delta_wraps_and_the_server_keeps_answering() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let (answered, all_answered) = std::sync::mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let mut c = Client::connect(addr).unwrap();
+        let t = c.begin().unwrap();
+        assert_eq!(c.add(t, 0, i64::MAX).unwrap(), Ok(i64::MAX));
+        assert_eq!(c.add(t, 0, i64::MAX).unwrap(), Ok(-2));
+        assert_eq!(c.abort(t).unwrap(), Ok(()));
+        let mut d = Client::connect(addr).unwrap();
+        let t2 = d.begin().unwrap();
+        assert_eq!(d.get(t2, 0).unwrap(), Ok(0));
+        answered.send(()).unwrap();
+    });
+    all_answered
+        .recv_timeout(std::time::Duration::from_secs(3))
+        .expect("both sessions answered within 3 s");
+    client.join().unwrap();
     server.drain();
 }
