@@ -1,8 +1,10 @@
 //! Runtime-level experiments: E3, E4, E5, E7 (see DESIGN.md §4).
 //!
-//! These sweep the three locking disciplines over synthetic workloads and
-//! report throughput and contention figures. Absolute numbers depend on the
-//! machine; the claims under test are the *shapes*: Moss' R/W locking
+//! These sweep Moss' locking and the two baselines a caller builds on it
+//! (reads issued as writes; flat restart of the whole transaction) over
+//! synthetic workloads and report throughput and contention figures.
+//! Absolute numbers depend on the machine; the claims under test are the
+//! *shapes*: Moss' R/W locking
 //! dominates exclusive locking as the read fraction grows (E3), degrades
 //! gracefully under skew (E4), wastes far less work than flat restart when
 //! subtransactions fail (E5), and deadlock frequency grows with concurrency
@@ -12,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-use ntx_runtime::{LockMode, ObjRef, RtConfig, TxError, TxManager};
+use ntx_runtime::{ObjRef, RtConfig, TxError, TxManager};
 use ntx_sim::Zipf;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,8 +36,10 @@ pub struct RtWorkload {
     pub zipf_theta: f64,
     /// Transactions each thread must commit.
     pub txs_per_thread: usize,
-    /// Locking discipline.
-    pub mode: LockMode,
+    /// Issue every read as a write whose closure only reads: exclusive
+    /// (Lynch–Merritt) locking, which Moss' algorithm becomes when every
+    /// access is declared a write (§4.3).
+    pub reads_as_writes: bool,
     /// Acquire objects in canonical (index) order — the classic
     /// deadlock-avoidance discipline. Throughput experiments (E3/E4) keep
     /// it on so they measure blocking, not deadlock-retry storms; the
@@ -57,7 +61,7 @@ impl Default for RtWorkload {
             read_fraction: 0.5,
             zipf_theta: 0.0,
             txs_per_thread: 500,
-            mode: LockMode::MossRW,
+            reads_as_writes: false,
             sorted_access: true,
             work_per_op: 0,
         }
@@ -95,7 +99,6 @@ pub struct RtOutcome {
 /// transactions, retrying on deadlock/timeout.
 pub fn run_rt_workload(cfg: &RtWorkload, seed: u64) -> RtOutcome {
     let rt = RtConfig {
-        mode: cfg.mode,
         wait_timeout: Duration::from_secs(10),
         ..Default::default()
     };
@@ -104,12 +107,9 @@ pub fn run_rt_workload(cfg: &RtWorkload, seed: u64) -> RtOutcome {
 
 /// Like [`run_rt_workload`] but over an explicit runtime configuration —
 /// the hook-overhead experiment (A3) plugs fault injectors and trace
-/// recorders in here. `rt.mode` is overridden by `cfg.mode`.
+/// recorders in here.
 pub fn run_rt_workload_with(cfg: &RtWorkload, seed: u64, rt: RtConfig) -> RtOutcome {
-    let mgr = TxManager::new(RtConfig {
-        mode: cfg.mode,
-        ..rt
-    });
+    let mgr = TxManager::new(rt);
     let objects: Arc<Vec<ObjRef<i64>>> = Arc::new(
         (0..cfg.objects)
             .map(|i| mgr.register(format!("o{i}"), 0))
@@ -142,7 +142,9 @@ pub fn run_rt_workload_with(cfg: &RtWorkload, seed: u64, rt: RtConfig) -> RtOutc
                     'retry: loop {
                         let tx = mgr.begin();
                         for &(obj, is_read) in &accesses {
-                            let r = if is_read {
+                            let r = if is_read && cfg.reads_as_writes {
+                                tx.write(&objects[obj], |v| *v).map(|_| ())
+                            } else if is_read {
                                 tx.read(&objects[obj], |v| *v).map(|_| ())
                             } else {
                                 tx.write(&objects[obj], |v| *v += 1)
@@ -247,12 +249,9 @@ pub fn e3_read_fraction_sweep(txs_per_thread: usize) -> Table {
 
         // Runtime corroboration: waits under real threads.
         let mut waits = [0.0f64; 2];
-        for (i, mode) in [LockMode::MossRW, LockMode::Exclusive]
-            .into_iter()
-            .enumerate()
-        {
+        for (i, reads_as_writes) in [false, true].into_iter().enumerate() {
             let cfg = RtWorkload {
-                mode,
+                reads_as_writes,
                 read_fraction: rf,
                 objects: 8,
                 ops_per_tx: 4,
@@ -319,20 +318,21 @@ pub fn e4_skew_sweep(_txs_per_thread: usize) -> Table {
 
 /// E5 (Fig 3): work amplification under subtransaction failures — nested
 /// recovery (retry just the failed child) vs flat restart (redo the whole
-/// transaction).
+/// transaction). Both run Moss' locking; flat two-phase locking is the
+/// caller aborting the top on any child failure.
 pub fn e5_partial_abort(jobs: usize) -> Table {
     let mut t = Table::new(
         "E5 (Fig 3) — writes executed per completed job vs child failure rate (5-step jobs)",
         &[
             "failure rate",
             "nested MossRW",
-            "Flat2PL restart",
+            "flat restart",
             "flat/nested",
         ],
     );
     for p in [0.0, 0.1, 0.2, 0.3, 0.5] {
-        let nested = e5_run(LockMode::MossRW, p, jobs);
-        let flat = e5_run(LockMode::Flat2PL, p, jobs);
+        let nested = e5_run(false, p, jobs);
+        let flat = e5_run(true, p, jobs);
         t.row(vec![
             format!("{p:.1}"),
             format!("{nested:.1}"),
@@ -344,11 +344,12 @@ pub fn e5_partial_abort(jobs: usize) -> Table {
 }
 
 /// One E5 configuration: returns mean writes executed per completed job.
-fn e5_run(mode: LockMode, failure_rate: f64, jobs: usize) -> f64 {
+/// `flat` restarts the whole job when a step fails; otherwise only the
+/// failed step's child is retried.
+fn e5_run(flat: bool, failure_rate: f64, jobs: usize) -> f64 {
     const STEPS: usize = 5;
     const WRITES_PER_STEP: usize = 4;
     let mgr = TxManager::new(RtConfig {
-        mode,
         wait_timeout: Duration::from_secs(10),
         ..Default::default()
     });
@@ -364,14 +365,7 @@ fn e5_run(mode: LockMode, failure_rate: f64, jobs: usize) -> f64 {
             for step in 0..STEPS {
                 // Retry the step until it succeeds (transient failures).
                 'step: loop {
-                    let child = match tx.child() {
-                        Ok(c) => c,
-                        Err(_) => {
-                            // Tx doomed (flat mode) — restart the whole job.
-                            tx.abort();
-                            continue 'job;
-                        }
-                    };
+                    let child = tx.child().expect("a live single-threaded job");
                     let mut ok = true;
                     for wi in 0..WRITES_PER_STEP {
                         let obj = &objects[step * WRITES_PER_STEP + wi];
@@ -393,8 +387,8 @@ fn e5_run(mode: LockMode, failure_rate: f64, jobs: usize) -> f64 {
                         continue 'job;
                     } else {
                         child.abort();
-                        if tx.is_doomed() {
-                            // Flat mode: the child abort killed everything.
+                        if flat {
+                            tx.abort();
                             continue 'job;
                         }
                         continue 'step;
@@ -424,7 +418,7 @@ pub fn e7_deadlock_sweep(txs_per_thread: usize) -> Table {
             read_fraction: 0.1,
             zipf_theta: 0.9,
             txs_per_thread,
-            mode: LockMode::MossRW,
+            reads_as_writes: false,
             sorted_access: false, // deadlocks are the point here
             work_per_op: 500,
         };
@@ -467,7 +461,7 @@ pub fn a3_fault_hook_overhead(txs_per_thread: usize) -> Table {
         read_fraction: 0.8,
         zipf_theta: 0.0,
         txs_per_thread,
-        mode: LockMode::MossRW,
+        reads_as_writes: false,
         sorted_access: true,
         work_per_op: 0,
     };
@@ -523,23 +517,32 @@ mod tests {
 
     #[test]
     fn e5_zero_failure_rate_has_no_amplification() {
-        let nested = e5_run(LockMode::MossRW, 0.0, 20);
+        let nested = e5_run(false, 0.0, 20);
         assert!(
             (nested - 20.0).abs() < f64::EPSILON,
             "5 steps x 4 writes = 20, got {nested}"
         );
-        let flat = e5_run(LockMode::Flat2PL, 0.0, 20);
+        let flat = e5_run(true, 0.0, 20);
         assert!((flat - 20.0).abs() < f64::EPSILON);
     }
 
     #[test]
     fn e5_flat_amplifies_more_than_nested() {
-        let nested = e5_run(LockMode::MossRW, 0.3, 60);
-        let flat = e5_run(LockMode::Flat2PL, 0.3, 60);
+        let nested = e5_run(false, 0.3, 60);
+        let flat = e5_run(true, 0.3, 60);
         assert!(
             flat > nested,
             "flat restart ({flat:.1}) should waste more work than nested retry ({nested:.1})"
         );
+        // And never less, at any failure rate of the table.
+        for r in &e5_partial_abort(60).rows {
+            let (nested, flat): (f64, f64) = (r[1].parse().unwrap(), r[2].parse().unwrap());
+            assert!(
+                flat >= nested,
+                "rate {}: flat {flat} < nested {nested}",
+                r[0]
+            );
+        }
     }
 
     #[test]

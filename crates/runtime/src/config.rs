@@ -3,7 +3,10 @@
 //! Deadlock handling is not a setting: the runtime has one rule, die on
 //! cycle (the wait-for graph in `deadlock.rs`), and
 //! [`RtConfig::wait_timeout`] only bounds waits that no cycle explains — a
-//! holder that simply never finishes.
+//! holder that simply never finishes. Neither is the locking discipline:
+//! the runtime runs Moss' read/write locking and nothing else. Exclusive
+//! locking is a caller issuing every access as a write (§4.3), and flat
+//! two-phase locking a caller restarting the top on any child failure.
 
 use crate::sync::Arc;
 use std::path::PathBuf;
@@ -13,34 +16,13 @@ use crate::fault::FaultInjector;
 use crate::trace::TraceRecorder;
 use crate::wal::FsyncPolicy;
 
-/// Locking discipline (see crate docs for the three-way comparison).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LockMode {
-    /// Moss' nested read/write locking — the paper's algorithm.
-    #[default]
-    MossRW,
-    /// Nested *exclusive* locking: reads take write locks. This is the
-    /// Lynch–Merritt algorithm; per the paper's §4.3 remark, Moss'
-    /// algorithm degenerates into it when all accesses are declared writes.
-    Exclusive,
-    /// Classical flat two-phase locking: locks are owned by the *top-level*
-    /// ancestor, children provide no isolation from each other, and a
-    /// failure anywhere dooms the whole top-level transaction.
-    Flat2PL,
-}
-
 /// Configuration for a [`crate::TxManager`].
 #[derive(Clone)]
 pub struct RtConfig {
-    /// Locking discipline.
-    pub mode: LockMode,
     /// Maximum total time a single lock request may wait before failing
     /// with [`crate::TxError::Timeout`]. A request that times out cancels
     /// its queued waiter node in place and withdraws.
     pub wait_timeout: Duration,
-    /// Moss' footnote-8 optimisation: drop a transaction's read lock on an
-    /// object once it holds a write lock there.
-    pub drop_read_lock_when_write_held: bool,
     /// Deterministic fault injector consulted at the runtime's yield
     /// points (`None` = hooks are no-ops). See [`crate::FaultInjector`].
     pub fault: Option<Arc<dyn FaultInjector>>,
@@ -67,12 +49,7 @@ pub struct RtConfig {
 impl std::fmt::Debug for RtConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RtConfig")
-            .field("mode", &self.mode)
             .field("wait_timeout", &self.wait_timeout)
-            .field(
-                "drop_read_lock_when_write_held",
-                &self.drop_read_lock_when_write_held,
-            )
             .field("fault", &self.fault.as_ref().map(|_| "<injector>"))
             .field("trace", &self.trace)
             .field("wal_dir", &self.wal_dir)
@@ -85,24 +62,12 @@ impl std::fmt::Debug for RtConfig {
 impl Default for RtConfig {
     fn default() -> Self {
         RtConfig {
-            mode: LockMode::MossRW,
             wait_timeout: Duration::from_secs(10),
-            drop_read_lock_when_write_held: false,
             fault: None,
             trace: None,
             wal_dir: None,
             fsync_policy: FsyncPolicy::Always,
             checkpoint_every: 0,
-        }
-    }
-}
-
-impl RtConfig {
-    /// Convenience: default config with the given mode.
-    pub fn with_mode(mode: LockMode) -> Self {
-        RtConfig {
-            mode,
-            ..Default::default()
         }
     }
 }
@@ -114,8 +79,6 @@ mod tests {
     #[test]
     fn defaults() {
         let c = RtConfig::default();
-        assert_eq!(c.mode, LockMode::MossRW);
-        assert!(!c.drop_read_lock_when_write_held);
         assert!(c.fault.is_none());
         assert!(c.trace.is_none());
         assert!(c.wal_dir.is_none(), "durability must default off");
@@ -132,13 +95,5 @@ mod tests {
         let s = format!("{c:?}");
         assert!(s.contains("TraceRecorder(0 events)"), "{s}");
         assert!(s.contains("fault: None"), "{s}");
-    }
-
-    #[test]
-    fn with_mode() {
-        assert_eq!(
-            RtConfig::with_mode(LockMode::Flat2PL).mode,
-            LockMode::Flat2PL
-        );
     }
 }

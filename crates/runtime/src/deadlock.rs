@@ -105,7 +105,7 @@ fn cycle_through(tops: &Tops, from: u64) -> Option<Cycle> {
                     members.push(cur);
                 }
                 members.sort_unstable();
-                let victim = tops[&pick_victim(&members)].waiters[0].owner.top();
+                let victim = tops[&pick_victim(&members)].waiters[0].node.top();
                 return Some(Cycle { members, victim });
             }
             if let Entry::Vacant(e) = entered_from.entry(next) {
@@ -124,7 +124,7 @@ impl WaitForGraph {
     /// ever waiting, so no other search can find the same cycle — and the
     /// caller must take it off its queue's tail.
     pub fn enter(&self, w: &Arc<Waiter>, edges: &[u64]) -> Option<Cycle> {
-        let top = w.owner.top_level_id();
+        let top = w.node.top_level_id();
         let mut tops = self.tops.lock();
         tops.entry(top).or_default().waiters.push(w.clone());
         retarget(&mut tops, top, &[], edges);
@@ -173,7 +173,7 @@ impl WaitForGraph {
 
 /// Take `w` and its `edges` out of the graph.
 fn remove(tops: &mut Tops, w: &Arc<Waiter>, edges: &[u64]) {
-    let top = w.owner.top_level_id();
+    let top = w.node.top_level_id();
     retarget(tops, top, edges, &[]);
     let entry = tops.get_mut(&top).expect("a queued waiter is in the graph");
     let i = entry
@@ -203,7 +203,7 @@ mod tests {
         pub(crate) fn contains(&self, w: &Arc<Waiter>) -> bool {
             self.tops
                 .lock()
-                .get(&w.owner.top_level_id())
+                .get(&w.node.top_level_id())
                 .is_some_and(|t| t.waiters.iter().any(|x| Arc::ptr_eq(x, w)))
         }
 
@@ -228,7 +228,6 @@ mod tests {
     fn child_waiter(tx: &Arc<TxNode>) -> Arc<Waiter> {
         let now = Instant::now();
         Waiter::new(
-            tx.clone(),
             tx.clone(),
             true,
             now,

@@ -210,7 +210,7 @@ impl<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> Drop for Access<M,
             return;
         }
         // A final state raced the drop and won the CAS.
-        *w.node.waiting_on.lock() = None;
+        w.node.set_waiting_on(None);
         if w.state() == W_GRANTED {
             // The releaser already installed our lock state and dequeued
             // us. The lock stays held by the transaction — as if the

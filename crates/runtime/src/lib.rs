@@ -27,16 +27,6 @@
 //!   top-level transaction on the cycle dies, and its blocked request
 //!   receives [`TxError::Deadlock`].
 //!
-//! ## Baselines
-//!
-//! [`LockMode`] selects the locking discipline, enabling the comparisons in
-//! the experiment suite: [`LockMode::MossRW`] (the paper's algorithm),
-//! [`LockMode::Exclusive`] (reads lock like writes — the Lynch–Merritt
-//! algorithm the paper generalises, per §4.3's degeneracy remark), and
-//! [`LockMode::Flat2PL`] (classical single-level two-phase locking: children
-//! share the top-level transaction's locks and any subtree failure dooms the
-//! whole transaction — no partial rollback).
-//!
 //! ## Quickstart
 //!
 //! ```
@@ -76,7 +66,7 @@ mod trace;
 mod tx;
 mod wal;
 
-pub use config::{LockMode, RtConfig};
+pub use config::RtConfig;
 pub use error::TxError;
 pub use fault::{FaultAction, FaultContext, FaultInjector, FaultPoint};
 pub use future::AccessFuture;

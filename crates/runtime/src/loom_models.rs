@@ -749,7 +749,7 @@ fn assert_edges_fresh(mgr: &ManagerInner, obj: usize) {
             None => holder_tops(&g, w),
             Some(ahead) => top_edge(&g.queue[ahead], w).into_iter().collect(),
         };
-        let top = w.owner.top_level_id();
+        let top = w.node.top_level_id();
         let published: Vec<(u64, usize)> = fresh.iter().map(|&t| (t, 1)).collect();
         assert_eq!(
             mgr.wait_graph.out_edges(top),

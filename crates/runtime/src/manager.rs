@@ -40,7 +40,7 @@ use std::marker::PhantomData;
 use std::task::Waker;
 use std::time::Instant;
 
-use crate::config::{LockMode, RtConfig};
+use crate::config::RtConfig;
 use crate::deadlock::{Cycle, WaitForGraph};
 use crate::error::TxError;
 use crate::fault::{FaultAction, FaultContext, FaultPoint};
@@ -433,16 +433,16 @@ pub(crate) enum Attempt<R, F> {
 /// The edge of a waiter queued right behind `ahead`: `ahead`'s top, unless
 /// the two share one (a top's waiters share its out-edges anyway).
 pub(crate) fn top_edge(ahead: &Waiter, behind: &Waiter) -> Option<u64> {
-    let top = ahead.owner.top_level_id();
-    (top != behind.owner.top_level_id()).then_some(top)
+    let top = ahead.node.top_level_id();
+    (top != behind.node.top_level_id()).then_some(top)
 }
 
 /// The edges of queue head `w`: the tops of the holders it conflicts with,
 /// its own excluded, sorted and deduplicated.
 pub(crate) fn holder_tops(inner: &ObjectInner, w: &Waiter) -> Vec<u64> {
-    let mine = w.owner.top_level_id();
+    let mine = w.node.top_level_id();
     let mut tops: Vec<u64> = inner
-        .blockers(&w.owner, w.write)
+        .blockers(&w.node, w.write)
         .iter()
         .map(|b| b.top_level_id())
         .filter(|&t| t != mine)
@@ -759,31 +759,17 @@ impl ManagerInner {
         });
     }
 
-    /// The node that owns locks for `node` under the configured mode.
-    pub(crate) fn effective_owner(&self, node: &Arc<TxNode>) -> Arc<TxNode> {
-        match self.config.mode {
-            LockMode::Flat2PL => {
-                let mut cur = node.clone();
-                while let Some(p) = cur.parent.clone() {
-                    cur = p;
-                }
-                cur
-            }
-            _ => node.clone(),
-        }
-    }
-
     /// Grant the lock inline (uncontended fast path) and run the closure.
     /// Caller has verified `grantable` and the no-barge rule.
     fn grant_inline<R>(
         &self,
         inner: &mut ObjectInner,
-        owner: &Arc<TxNode>,
+        node: &Arc<TxNode>,
         obj_idx: usize,
-        lock_write: bool,
+        write: bool,
         f: impl FnOnce(&mut dyn AnyState) -> R,
     ) -> R {
-        owner.touch(obj_idx);
+        node.touch(obj_idx);
         // A grant on a free object starts a hold tenure (EWMA sample for
         // the adaptive spin gate); a grant on a held one extends it. Only
         // tracked once the object shows contention (a queued waiter, or an
@@ -793,27 +779,25 @@ impl ManagerInner {
         if inner.tenure_start.is_none() && (!inner.queue.is_empty() || inner.hint_warm) {
             inner.tenure_start = Some(Instant::now());
         }
-        if lock_write {
-            // Declared writes, and reads in Exclusive mode (which take a
-            // write lock whose version equals its predecessor).
+        if write {
             self.stats.bump(Ctr::WriteGrants);
-            let installs = !matches!(inner.chain.last(), Some(e) if e.owner.id == owner.id);
+            let installs = !matches!(inner.chain.last(), Some(e) if e.owner.id == node.id);
             self.trace(RtEvent::WriteGrant {
-                tx: owner.id,
+                tx: node.id,
                 obj: obj_idx,
             });
             if installs {
                 self.trace(RtEvent::VersionInstall {
-                    tx: owner.id,
+                    tx: node.id,
                     obj: obj_idx,
                 });
             }
-            let st = inner.writable_state(owner);
+            let st = inner.writable_state(node);
             f(st.as_mut())
         } else {
             self.stats.bump(Ctr::ReadGrants);
             self.trace(RtEvent::ReadGrant {
-                tx: owner.id,
+                tx: node.id,
                 obj: obj_idx,
             });
             // Read the current version in place. The closure receives a
@@ -823,7 +807,7 @@ impl ManagerInner {
                 Some(e) => f(e.state.as_mut()),
                 None => f(inner.base.as_mut()),
             };
-            inner.add_reader(owner, self.config.drop_read_lock_when_write_held);
+            inner.add_reader(node);
             r
         }
     }
@@ -836,14 +820,14 @@ impl ManagerInner {
     /// apply clears it, so no deeper version can land on top of the woken
     /// writer's. Returns `true` when a fresh version was installed.
     fn install_grant(&self, obj_idx: usize, inner: &mut ObjectInner, w: &Arc<Waiter>) -> bool {
-        w.owner.touch(obj_idx);
+        w.node.touch(obj_idx);
         if w.write {
-            let installs = !matches!(inner.chain.last(), Some(e) if e.owner.id == w.owner.id);
-            let _ = inner.writable_state(&w.owner);
-            inner.write_pending = Some(w.owner.id);
+            let installs = !matches!(inner.chain.last(), Some(e) if e.owner.id == w.node.id);
+            let _ = inner.writable_state(&w.node);
+            inner.write_pending = Some(w.node.id);
             installs
         } else {
-            inner.add_reader(&w.owner, self.config.drop_read_lock_when_write_held);
+            inner.add_reader(&w.node);
             false
         }
     }
@@ -859,14 +843,14 @@ impl ManagerInner {
     ///    it shares its top-level transaction with a current holder.
     fn pick_grant(inner: &ObjectInner) -> Option<usize> {
         let head = inner.queue.front()?;
-        if inner.grantable(&head.owner, head.write) {
+        if inner.grantable(&head.node, head.write) {
             return Some(0);
         }
         inner
             .queue
             .iter()
             .skip(1)
-            .position(|q| inner.grantable(&q.owner, q.write) && inner.holder_is_ancestor(&q.owner))
+            .position(|q| inner.grantable(&q.node, q.write) && inner.holder_is_ancestor(&q.node))
             .map(|i| i + 1)
     }
 
@@ -885,7 +869,7 @@ impl ManagerInner {
         };
         let next = inner.queue.get(i).map(|s| {
             let new = ahead.and_then(|a| top_edge(a, s));
-            (s.owner.top_level_id(), top_edge(&w, s), new)
+            (s.node.top_level_id(), top_edge(&w, s), new)
         });
         self.wait_graph.leave(&w, &edges, next);
         w
@@ -960,7 +944,7 @@ impl ManagerInner {
                 // resolution, so it must order against any grant wave on
                 // the same object (exactly-one-winner in the HB certifier).
                 self.trace(RtEvent::CancelWaiter {
-                    tx: w.owner.id,
+                    tx: w.node.id,
                     obj: obj_idx,
                 });
                 // A deadlock victim queued between two waiters hands its
@@ -969,7 +953,7 @@ impl ManagerInner {
                 // pass 3's.)
                 if i > 0 && w.node.victim_flagged() {
                     if let Some(n) = inner.queue.get(i) {
-                        wake.search_from.push((n.owner.id, n.owner.top_level_id()));
+                        wake.search_from.push((n.node.id, n.node.top_level_id()));
                     }
                 }
                 wake.waiters.push(w);
@@ -995,18 +979,18 @@ impl ManagerInner {
             if tracing {
                 if w.write {
                     evs.push(RtEvent::WriteGrant {
-                        tx: w.owner.id,
+                        tx: w.node.id,
                         obj: obj_idx,
                     });
                     if installs {
                         evs.push(RtEvent::VersionInstall {
-                            tx: w.owner.id,
+                            tx: w.node.id,
                             obj: obj_idx,
                         });
                     }
                 } else {
                     evs.push(RtEvent::ReadGrant {
-                        tx: w.owner.id,
+                        tx: w.node.id,
                         obj: obj_idx,
                     });
                 }
@@ -1043,7 +1027,7 @@ impl ManagerInner {
         }
         // Pass 3 — the head's holder edges.
         if let Some(head) = inner.queue.front() {
-            let (waiter, top) = (head.owner.id, head.owner.top_level_id());
+            let (waiter, top) = (head.node.id, head.node.top_level_id());
             let edges = holder_tops(inner, head);
             if edges != inner.head_edges {
                 let old = std::mem::replace(&mut inner.head_edges, edges);
@@ -1077,7 +1061,7 @@ impl ManagerInner {
         inner: &mut ObjectInner,
         node: &Arc<TxNode>,
         obj_idx: usize,
-        lock_write: bool,
+        write: bool,
         wait_start: Instant,
         waker: &Waker,
     ) -> (Arc<Waiter>, Option<Cycle>) {
@@ -1086,14 +1070,13 @@ impl ManagerInner {
         self.slot(obj_idx).sweep_hint.store(true, Ordering::SeqCst);
         let w = Waiter::new(
             node.clone(),
-            self.effective_owner(node),
-            lock_write,
+            write,
             wait_start,
             wait_start + self.config.wait_timeout,
             waker.clone(),
         );
         inner.queue.push_back(w.clone());
-        *node.waiting_on.lock() = Some(obj_idx);
+        node.set_waiting_on(Some(obj_idx));
         let cycle = match inner.queue.len().checked_sub(2) {
             None => {
                 inner.head_edges = holder_tops(inner, &w);
@@ -1127,12 +1110,12 @@ impl ManagerInner {
         // stamped under the slot mutex so it totally orders against any
         // competing grant wave (the HB certifier's withdraw ⊕ grant check).
         self.trace(RtEvent::Withdraw {
-            tx: w.owner.id,
+            tx: w.node.id,
             obj: obj_idx,
         });
         let i = guard.queue.iter().position(|q| Arc::ptr_eq(q, w));
         self.dequeue(&mut guard, i.expect("a waiting node is queued"));
-        *w.node.waiting_on.lock() = None;
+        w.node.set_waiting_on(None);
         self.stats.bump(Ctr::CancelledWaiters);
         let wake = self.release_scan(obj_idx, &mut guard);
         drop(guard);
@@ -1188,8 +1171,7 @@ impl ManagerInner {
     /// Acquire a lock on `obj_idx` for `node` as far as that goes without
     /// waiting — fault points, the inline grant (running `f` on the state
     /// under the object mutex), and the waiter enqueue with its deadlock
-    /// search. `write` is the *declared* kind; in [`LockMode::Exclusive`]
-    /// reads lock like writes but still receive read-only access.
+    /// search.
     ///
     /// Returns [`Attempt::Done`] when the request resolved without ever
     /// waiting (inline grant, doom, deadlock victim, zero wait budget), or
@@ -1211,8 +1193,6 @@ impl ManagerInner {
     where
         F: FnOnce(&mut dyn AnyState) -> R,
     {
-        let lock_write = write || self.config.mode == LockMode::Exclusive;
-        let owner = self.effective_owner(node);
         let slot = self.slot(obj_idx);
         if self.config.fault.is_some() {
             let action = self.fault_decision(FaultPoint::LockRequest, node, Some(obj_idx), write);
@@ -1232,10 +1212,10 @@ impl ManagerInner {
         // ancestor); any other grantable request found the queue stuck on
         // a holder that must be its ancestor too, so the gate never starves
         // FIFO waiters.
-        if guard.grantable(&owner, lock_write)
-            && (guard.queue.is_empty() || guard.holder_is_ancestor(&owner))
+        if guard.grantable(node, write)
+            && (guard.queue.is_empty() || guard.holder_is_ancestor(node))
         {
-            let r = self.grant_inline(&mut guard, &owner, obj_idx, lock_write, f);
+            let r = self.grant_inline(&mut guard, node, obj_idx, write, f);
             // A grant beside waiters shares its top with a holder (the
             // ancestor above), so the head's holder tops cannot change:
             // no edge to recompute.
@@ -1250,9 +1230,9 @@ impl ManagerInner {
         let wait_start = Instant::now();
         self.stats.bump(Ctr::Waits);
         self.trace(RtEvent::Wait {
-            tx: owner.id,
+            tx: node.id,
             obj: obj_idx,
-            write: lock_write,
+            write,
         });
         if self.config.fault.is_some() {
             let action = self.fault_decision(FaultPoint::LockWait, node, Some(obj_idx), write);
@@ -1272,36 +1252,35 @@ impl ManagerInner {
             // withdrawal too, so every recorded wait has exactly one
             // resolution for the HB certifier to find.
             self.trace(RtEvent::Withdraw {
-                tx: owner.id,
+                tx: node.id,
                 obj: obj_idx,
             });
             return Attempt::Done(Err(TxError::Timeout));
         }
         // Phase 2 — enqueue a waiter node; it enters the wait-for graph
         // with its edges, and the search runs there.
-        let (w, cycle) =
-            self.enqueue_waiter(&mut guard, node, obj_idx, lock_write, wait_start, waker);
+        let (w, cycle) = self.enqueue_waiter(&mut guard, node, obj_idx, write, wait_start, waker);
         let elsewhere = match cycle {
             None => false,
-            Some(c) if c.victim.id != owner.top_level_id() => true,
+            Some(c) if c.victim.id != node.top_level_id() => true,
             Some(c) => {
                 // Die: the requester is the youngest on the cycle it
                 // closed. The graph already took the node back out; so
                 // does the queue, whose tail it is — the queue is exactly
                 // as before the enqueue.
-                self.note_deadlock(owner.id, &c);
+                self.note_deadlock(node.id, &c);
                 let cancelled = w.cancel();
                 debug_assert!(cancelled, "enqueued under this guard");
                 // The cancel resolves the recorded wait.
                 self.trace(RtEvent::CancelWaiter {
-                    tx: owner.id,
+                    tx: node.id,
                     obj: obj_idx,
                 });
                 guard.queue.pop_back();
                 if guard.queue.is_empty() {
                     guard.head_edges.clear();
                 }
-                *node.waiting_on.lock() = None;
+                node.set_waiting_on(None);
                 return Attempt::Done(Err(TxError::Deadlock));
             }
         };
@@ -1315,7 +1294,7 @@ impl ManagerInner {
         if elsewhere {
             // The victim waits elsewhere on the cycle; its abort cancels
             // that wait, and the cancelled request reports Deadlock.
-            self.resolve(owner.id, owner.top_level_id());
+            self.resolve(node.id, node.top_level_id());
         }
         Attempt::Queued { w, f }
     }
@@ -1334,7 +1313,7 @@ impl ManagerInner {
         obj_idx: usize,
         f: impl FnOnce(&mut dyn AnyState) -> R,
     ) -> Result<R, TxError> {
-        let (node, owner) = (&w.node, &w.owner);
+        let node = &w.node;
         let slot = self.slot(obj_idx);
         let st = w.state();
         if st == W_TIMEDOUT {
@@ -1344,11 +1323,11 @@ impl ManagerInner {
             // Doom was delivered to the queue node (an abort of this
             // subtree, or a deadlock victim's) — the canceller already took
             // the node out of the queue and the wait-for graph.
-            *node.waiting_on.lock() = None;
+            node.set_waiting_on(None);
             return Err(doom_error(node));
         }
         debug_assert_eq!(st, W_GRANTED, "finish_after_wait needs a final state");
-        *node.waiting_on.lock() = None;
+        node.set_waiting_on(None);
         self.stats
             .add(Ctr::WaitNanos, w.wait_start.elapsed().as_nanos() as u64);
         let mut guard = slot.inner.lock();
@@ -1363,7 +1342,7 @@ impl ManagerInner {
         // stamped under the slot mutex, so it is totally ordered after the
         // releaser's grant install — the HB certifier's wake edge.
         self.trace(RtEvent::Resume {
-            tx: owner.id,
+            tx: node.id,
             obj: obj_idx,
             write: w.write,
         });
@@ -1371,16 +1350,16 @@ impl ManagerInner {
             // A closure that unwinds past the latch would gate every later
             // grant on this object for good: catch it, lift, rethrow.
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                f(guard.write_target(owner).as_mut())
+                f(guard.write_target(node).as_mut())
             }));
-            debug_assert_eq!(guard.write_pending, Some(owner.id));
+            debug_assert_eq!(guard.write_pending, Some(node.id));
             self.lift_latch(obj_idx, guard, w);
             Ok(r.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
         } else {
             // The releaser recorded our read lock; read the deepest
             // version owned by one of our ancestors (a stranger's version
             // may have been granted on top since).
-            let r = f(guard.read_target(owner).as_mut());
+            let r = f(guard.read_target(node).as_mut());
             Ok(r)
         }
     }
@@ -1396,7 +1375,7 @@ impl ManagerInner {
         mut guard: MutexGuard<'_, ObjectInner>,
         w: &Waiter,
     ) {
-        if w.write && guard.write_pending == Some(w.owner.id) {
+        if w.write && guard.write_pending == Some(w.node.id) {
             guard.write_pending = None;
         }
         let wake = self.release_scan(obj_idx, &mut guard);
@@ -1433,11 +1412,7 @@ impl ManagerInner {
             let wake;
             {
                 let mut guard = slot.inner.lock();
-                let moved = guard.inherit(
-                    node,
-                    heir.as_ref(),
-                    self.config.drop_read_lock_when_write_held,
-                );
+                let moved = guard.inherit(node, heir.as_ref());
                 if moved.any() {
                     self.trace(RtEvent::Inherit {
                         tx: node.id,
@@ -1539,7 +1514,7 @@ impl ManagerInner {
                     touched.insert(pos, o);
                 }
             }
-            if let Some(o) = *n.waiting_on.lock() {
+            if let Some(o) = n.waiting_on() {
                 if !waiting.contains(&o) {
                     waiting.push(o);
                 }

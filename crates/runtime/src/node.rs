@@ -23,6 +23,9 @@ const ST_ACTIVE: u8 = 0;
 const ST_COMMITTED: u8 = 1;
 const ST_ABORTED: u8 = 2;
 
+/// [`TxNode::waiting_on`]'s value while no request of the node is queued.
+const NOT_WAITING: usize = usize::MAX;
+
 /// One node of the dynamic transaction tree.
 pub(crate) struct TxNode {
     /// Globally unique id (assigned by the manager, monotonically).
@@ -32,17 +35,20 @@ pub(crate) struct TxNode {
     pub path: Vec<u64>,
     pub parent: Option<Arc<TxNode>>,
     state: AtomicU8,
-    /// Live (unreturned) children.
-    pub children_live: AtomicUsize,
-    /// Children ever created (for subtree walks at abort time).
+    /// Live (unreturned) children: a child joins at creation and leaves
+    /// once it has returned ([`TxNode::leave_parent`]). Abort walks the
+    /// subtree through it, and a commit waits for it to be empty.
     pub children: Mutex<Vec<Weak<TxNode>>>,
     /// Objects where this transaction may hold locks or versions, kept as
     /// a sorted set so membership tests are binary searches, not scans.
     pub touched: Mutex<Vec<usize>>,
-    /// Object this transaction currently has a queued waiter node on, if
-    /// any. Set under that object's slot mutex while enqueued; abort paths
-    /// read it to find (and cancel) the subtree's queued waiters.
-    pub waiting_on: Mutex<Option<usize>>,
+    /// Object this transaction currently has a queued waiter node on, or
+    /// [`NOT_WAITING`]. Set under that object's slot mutex at enqueue and
+    /// cleared once the request resolved and its requester took the
+    /// outcome; abort paths read it to find (and cancel) the subtree's
+    /// queued waiters, and a commit under it fails: the access is a live
+    /// child.
+    waiting_on: AtomicUsize,
     /// Set when this transaction was chosen as a deadlock victim, so its
     /// blocked accesses report [`crate::TxError::Deadlock`] (retryable)
     /// rather than plain doom.
@@ -57,10 +63,9 @@ impl TxNode {
             path: vec![id],
             parent: None,
             state: AtomicU8::new(ST_ACTIVE),
-            children_live: AtomicUsize::new(0),
             children: Mutex::new(Vec::new()),
             touched: Mutex::new(Vec::new()),
-            waiting_on: Mutex::new(None),
+            waiting_on: AtomicUsize::new(NOT_WAITING),
             deadlock_victim: AtomicBool::new(false),
         })
     }
@@ -74,15 +79,41 @@ impl TxNode {
             path,
             parent: Some(parent.clone()),
             state: AtomicU8::new(ST_ACTIVE),
-            children_live: AtomicUsize::new(0),
             children: Mutex::new(Vec::new()),
             touched: Mutex::new(Vec::new()),
-            waiting_on: Mutex::new(None),
+            waiting_on: AtomicUsize::new(NOT_WAITING),
             deadlock_victim: AtomicBool::new(false),
         });
-        parent.children_live.fetch_add(1, Ordering::SeqCst);
         parent.children.lock().push(Arc::downgrade(&node));
         node
+    }
+
+    /// Leave the parent's list of live children. Called once, when this
+    /// node has returned: after its commit's inheritance — so an ancestor's
+    /// abort racing the commit still walks into its touched set — or after
+    /// its abort.
+    pub fn leave_parent(self: &Arc<TxNode>) {
+        if let Some(p) = &self.parent {
+            let mut children = p.children.lock();
+            if let Some(i) = children
+                .iter()
+                .position(|c| c.as_ptr() == Arc::as_ptr(self))
+            {
+                children.swap_remove(i);
+            }
+        }
+    }
+
+    /// The object this node's queued request waits on, if any.
+    pub fn waiting_on(&self) -> Option<usize> {
+        let obj = self.waiting_on.load(Ordering::SeqCst);
+        (obj != NOT_WAITING).then_some(obj)
+    }
+
+    /// Register (`Some`) or clear (`None`) this node's queued request.
+    pub fn set_waiting_on(&self, obj: Option<usize>) {
+        self.waiting_on
+            .store(obj.unwrap_or(NOT_WAITING), Ordering::SeqCst);
     }
 
     pub fn depth(&self) -> usize {
@@ -167,7 +198,8 @@ impl TxNode {
     }
 
     /// Walk the subtree rooted here (self included), calling `f` on each
-    /// still-reachable node.
+    /// live descendant. A returned child is not visited: its locks are its
+    /// parent's now, or gone.
     pub fn for_subtree(self: &Arc<TxNode>, f: &mut impl FnMut(&Arc<TxNode>)) {
         f(self);
         let children: Vec<Arc<TxNode>> = self
@@ -239,9 +271,14 @@ mod tests {
     #[test]
     fn children_live_counting() {
         let a = TxNode::top_level(1);
-        let _b = TxNode::child_of(&a, 2);
+        let b = TxNode::child_of(&a, 2);
         let _c = TxNode::child_of(&a, 3);
-        assert_eq!(a.children_live.load(Ordering::SeqCst), 2);
+        assert_eq!(a.children.lock().len(), 2);
+        b.leave_parent();
+        assert_eq!(a.children.lock().len(), 1, "a returned child leaves");
+        let mut seen = Vec::new();
+        a.for_subtree(&mut |n| seen.push(n.id));
+        assert_eq!(seen, vec![1, 3]);
     }
 
     #[test]

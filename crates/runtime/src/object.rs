@@ -81,12 +81,8 @@ pub(crate) const W_TIMEDOUT: u8 = 3;
 /// proceed. The requester reads the state with plain atomic loads, so a
 /// spinning thread costs no locks.
 pub(crate) struct Waiter {
-    /// The requesting node. Doom checks target the requester, not the lock
-    /// owner: under [`crate::LockMode::Flat2PL`] a subtree fault can doom
-    /// the node while the owning top level stays live.
+    /// The requesting transaction, which the grant makes a lock holder.
     pub node: Arc<TxNode>,
-    /// The lock-owner identity (equals `node` except under Flat2PL).
-    pub owner: Arc<TxNode>,
     /// `true` for a write-mode request.
     pub write: bool,
     /// When the request first found itself blocked (read under the slot
@@ -110,7 +106,6 @@ impl Waiter {
     /// A queue node for one blocked request, woken through `waker`.
     pub fn new(
         node: Arc<TxNode>,
-        owner: Arc<TxNode>,
         write: bool,
         wait_start: Instant,
         deadline: Instant,
@@ -118,7 +113,6 @@ impl Waiter {
     ) -> Arc<Waiter> {
         Arc::new(Waiter {
             node,
-            owner,
             write,
             wait_start,
             deadline,
@@ -274,10 +268,7 @@ impl ObjectInner {
     }
 
     /// Record a read lock for `owner`.
-    pub fn add_reader(&mut self, owner: &Arc<TxNode>, skip_if_writing: bool) {
-        if skip_if_writing && self.chain.iter().any(|e| e.owner.id == owner.id) {
-            return; // footnote-8: write lock subsumes the read lock
-        }
+    pub fn add_reader(&mut self, owner: &Arc<TxNode>) {
         if !self.readers.iter().any(|r| r.id == owner.id) {
             self.readers.push(owner.clone());
         }
@@ -329,12 +320,7 @@ impl ObjectInner {
     /// Commit-time inheritance: hand `tx`'s locks and version to `heir`
     /// (`None` = publish to the base — top-level commit). Reports what
     /// actually moved so the caller can trace the transfer.
-    pub fn inherit(
-        &mut self,
-        tx: &TxNode,
-        heir: Option<&Arc<TxNode>>,
-        drop_read_on_write: bool,
-    ) -> InheritOutcome {
+    pub fn inherit(&mut self, tx: &TxNode, heir: Option<&Arc<TxNode>>) -> InheritOutcome {
         let mut outcome = InheritOutcome::default();
         if let Some(pos) = self.chain.iter().position(|e| e.owner.id == tx.id) {
             debug_assert_eq!(
@@ -357,9 +343,6 @@ impl ObjectInner {
                             state: entry.state,
                         });
                     }
-                    if drop_read_on_write {
-                        self.readers.retain(|r| r.id != h.id);
-                    }
                 }
             }
         }
@@ -367,10 +350,7 @@ impl ObjectInner {
             self.readers.swap_remove(pos);
             outcome.moved_read = true;
             if let Some(h) = heir {
-                let heir_writes = self.chain.iter().any(|e| e.owner.id == h.id);
-                if !(drop_read_on_write && heir_writes) {
-                    self.add_reader(h, false);
-                }
+                self.add_reader(h);
             }
         }
         outcome
@@ -530,19 +510,12 @@ mod tests {
         }
     }
 
-    /// A waiter for `tx` (its own owner) with a deadline far in the future
-    /// and a waker that does nothing.
+    /// A waiter for `tx` with a deadline far in the future and a waker
+    /// that does nothing.
     fn waiter(tx: &Arc<TxNode>, write: bool) -> Arc<Waiter> {
         let now = Instant::now();
         let deadline = now + std::time::Duration::from_secs(3600);
-        Waiter::new(
-            tx.clone(),
-            tx.clone(),
-            write,
-            now,
-            deadline,
-            Waker::noop().clone(),
-        )
+        Waiter::new(tx.clone(), write, now, deadline, Waker::noop().clone())
     }
 
     fn read_i64(s: &dyn AnyState) -> i64 {
@@ -594,7 +567,7 @@ mod tests {
         assert!(!o.grantable(&q, false));
         // Readers block writers but not readers.
         let mut o2 = inner();
-        o2.add_reader(&c, false);
+        o2.add_reader(&c);
         assert!(o2.grantable(&q, false));
         assert!(!o2.grantable(&q, true));
         assert!(o2.grantable(&g, true), "reader is an ancestor of g");
@@ -639,7 +612,7 @@ mod tests {
         assert!(!o.holder_is_ancestor(&q), "stranger must queue");
         assert!(!o.holder_is_ancestor(&p), "parent of holder is not covered");
         let mut o2 = inner();
-        o2.add_reader(&c, false);
+        o2.add_reader(&c);
         assert!(o2.holder_is_ancestor(&g), "reader counts too");
     }
 
@@ -712,7 +685,7 @@ mod tests {
         let (p, c, _, q) = nodes();
         let mut o = inner();
         let _ = o.writable_state(&c);
-        o.add_reader(&p, false);
+        o.add_reader(&p);
         let b = o.blockers(&q, true);
         let ids: Vec<u64> = b.iter().map(|n| n.id).collect();
         assert!(ids.contains(&c.id));
@@ -735,16 +708,16 @@ mod tests {
             .downcast_mut::<i64>()
             .unwrap() = 9;
         // g commits: its version replaces... becomes c's (c already owns one).
-        let out = o.inherit(&g, Some(&c), false);
+        let out = o.inherit(&g, Some(&c));
         assert!(out.moved_version && !out.moved_read && out.any());
         assert_eq!(o.chain.len(), 1);
         assert_eq!(o.chain[0].owner.id, c.id);
         assert_eq!(read_i64(o.current()), 9);
         // c commits to p (no version yet): rename.
-        o.inherit(&c, Some(&p), false);
+        o.inherit(&c, Some(&p));
         assert_eq!(o.chain[0].owner.id, p.id);
         // p top-level commit: publish to base.
-        o.inherit(&p, None, false);
+        o.inherit(&p, None);
         assert!(o.chain.is_empty());
         assert_eq!(read_i64(o.base.as_ref()), 9);
     }
@@ -753,29 +726,40 @@ mod tests {
     fn inherit_moves_read_locks() {
         let (p, c, _, _) = nodes();
         let mut o = inner();
-        o.add_reader(&c, false);
-        o.inherit(&c, Some(&p), false);
+        o.add_reader(&c);
+        o.inherit(&c, Some(&p));
         assert_eq!(o.readers.len(), 1);
         assert_eq!(o.readers[0].id, p.id);
         // Top-level commit drops the read lock.
-        o.inherit(&p, None, false);
+        o.inherit(&p, None);
         assert!(o.readers.is_empty());
     }
 
+    /// The runtime does not take Moss' footnote 8: a write lock does not
+    /// swallow a read lock granted to its holder. The redundant read lock
+    /// decides no grant (`footnote8_trace_conforms_with_flag` in
+    /// `ntx-conform`).
     #[test]
-    fn footnote8_drops_read_when_heir_writes() {
-        let (p, c, _, _) = nodes();
+    fn granted_read_lock_is_kept_beside_write() {
+        let (p, c, _, q) = nodes();
         let mut o = inner();
-        *o.writable_state(&p)
-            .as_any_mut()
-            .downcast_mut::<i64>()
-            .unwrap() = 1;
-        o.add_reader(&c, false);
-        o.inherit(&c, Some(&p), true);
-        assert!(
-            o.readers.is_empty(),
-            "p holds a write lock; read lock dropped"
-        );
+        let _ = o.writable_state(&p);
+        o.add_reader(&p);
+        assert_eq!(o.readers.len(), 1, "granted beside the write lock");
+        assert!(o.grantable(&c, true) && !o.grantable(&q, false));
+    }
+
+    /// Nor does it swallow a read lock the holder inherits from a child.
+    #[test]
+    fn inherited_read_lock_is_kept_beside_write() {
+        let (_, c, g, q) = nodes();
+        let mut o = inner();
+        let _ = o.writable_state(&c);
+        o.add_reader(&g);
+        o.inherit(&g, Some(&c));
+        assert_eq!(o.readers.len(), 1);
+        assert_eq!(o.readers[0].id, c.id, "inherited beside the write lock");
+        assert!(o.grantable(&g, true) && !o.grantable(&q, false));
     }
 
     #[test]
@@ -805,8 +789,8 @@ mod tests {
     fn discard_removes_subtree_readers() {
         let (p, c, g, q) = nodes();
         let mut o = inner();
-        o.add_reader(&g, false);
-        o.add_reader(&q, false);
+        o.add_reader(&g);
+        o.add_reader(&q);
         o.discard_subtree(&c);
         assert_eq!(o.readers.len(), 1);
         assert_eq!(o.readers[0].id, q.id);
@@ -870,16 +854,5 @@ mod tests {
         assert!(w2.cancel());
         assert!(!w2.cancel_timeout());
         assert_eq!(w2.state(), W_CANCELLED);
-    }
-
-    #[test]
-    fn footnote8_skips_redundant_read_lock() {
-        let (p, ..) = nodes();
-        let mut o = inner();
-        let _ = o.writable_state(&p);
-        o.add_reader(&p, true);
-        assert!(o.readers.is_empty());
-        o.add_reader(&p, false);
-        assert_eq!(o.readers.len(), 1);
     }
 }

@@ -208,7 +208,8 @@ impl Tx {
     /// Commit. Locks and versions are inherited by the parent; a top-level
     /// commit publishes to the committed store.
     ///
-    /// Fails with [`TxError::LiveChildren`] while children are running, and
+    /// Fails with [`TxError::LiveChildren`] while children are running —
+    /// an access still in flight counts, being a child in the paper — and
     /// with [`TxError::Doomed`] (after aborting this subtree) if an
     /// ancestor has aborted meanwhile.
     pub fn commit(&self) -> Result<(), TxError> {
@@ -218,10 +219,13 @@ impl Tx {
         if self.node.is_doomed() {
             // An ancestor died under us; make our own abort explicit.
             self.mgr.abort_subtree(&self.node);
-            self.decrement_parent_live();
+            self.node.leave_parent();
             return Err(TxError::Doomed);
         }
-        if self.node.children_live.load(Ordering::SeqCst) > 0 {
+        // A queued request keeps `waiting_on` set until its requester has
+        // taken the outcome; committing under it would let the grant wave
+        // hand a lock to a finished node.
+        if self.node.waiting_on().is_some() || !self.node.children.lock().is_empty() {
             self.finished.store(false, Ordering::SeqCst);
             return Err(TxError::LiveChildren);
         }
@@ -242,7 +246,7 @@ impl Tx {
                     _ => self.node.clone(),
                 };
                 self.mgr.abort_subtree(&target);
-                self.decrement_parent_live();
+                self.node.leave_parent();
                 return Err(TxError::Doomed);
             }
         }
@@ -251,7 +255,7 @@ impl Tx {
             // the node was aborted from another thread (a deadlock victim's
             // doom) between the doom check above and here; that abort
             // cleans up.
-            self.decrement_parent_live();
+            self.node.leave_parent();
             return Err(TxError::Doomed);
         }
         self.mgr.trace(RtEvent::Commit {
@@ -263,37 +267,18 @@ impl Tx {
         if self.node.parent.is_none() {
             self.mgr.stats.bump(Ctr::TopCommits);
         }
-        self.decrement_parent_live();
+        self.node.leave_parent();
         Ok(())
     }
 
     /// Abort this transaction and its whole subtree; every object it wrote
     /// reverts to the version preceding this subtree.
-    ///
-    /// Under [`crate::LockMode::Flat2PL`] aborting *any* subtransaction
-    /// aborts the entire top-level transaction (no partial rollback — the
-    /// behaviour nested transactions exist to improve on).
     pub fn abort(&self) {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
-        let target = match self.mgr.config.mode {
-            crate::config::LockMode::Flat2PL => self.mgr.effective_owner(&self.node),
-            _ => self.node.clone(),
-        };
-        self.mgr.abort_subtree(&target);
-        if Arc::ptr_eq(&target, &self.node) {
-            self.decrement_parent_live();
-        } else {
-            // Flat mode aborted the whole top-level transaction; our own
-            // parent bookkeeping is subsumed by the subtree abort.
-        }
-    }
-
-    fn decrement_parent_live(&self) {
-        if let Some(p) = &self.node.parent {
-            p.children_live.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.mgr.abort_subtree(&self.node);
+        self.node.leave_parent();
     }
 
     /// Run `f` inside a fresh child: commit on `Ok`, abort on `Err`.
@@ -352,8 +337,16 @@ fn writing<T: 'static, R>(f: impl FnOnce(&mut T) -> R) -> impl FnOnce(&mut dyn A
 
 impl Drop for Tx {
     fn drop(&mut self) {
-        if !self.finished.load(Ordering::SeqCst) && self.node.state() == TxState::Active {
+        if self.finished.load(Ordering::SeqCst) {
+            return;
+        }
+        if self.node.state() == TxState::Active {
             self.abort();
+        } else {
+            // Aborted from outside (an ancestor's abort, a victim's doom,
+            // an injected fault) and never returned through this handle:
+            // the abort cleaned up everything but the parent's list.
+            self.node.leave_parent();
         }
     }
 }
@@ -367,13 +360,12 @@ impl std::fmt::Debug for Tx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{LockMode, RtConfig};
+    use crate::config::RtConfig;
     use crate::manager::TxManager;
     use std::time::Duration;
 
-    fn quick_mgr(mode: LockMode) -> TxManager {
+    fn quick_mgr() -> TxManager {
         TxManager::new(RtConfig {
-            mode,
             wait_timeout: Duration::from_millis(200),
             ..Default::default()
         })
@@ -381,7 +373,7 @@ mod tests {
 
     #[test]
     fn read_your_own_writes() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 0i64);
         let tx = mgr.begin();
         tx.write(&x, |v| *v = 7).unwrap();
@@ -393,7 +385,7 @@ mod tests {
 
     #[test]
     fn child_sees_parent_data_world_does_not() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 0i64);
         let tx = mgr.begin();
         tx.write(&x, |v| *v = 1).unwrap();
@@ -420,7 +412,7 @@ mod tests {
 
     #[test]
     fn child_abort_rolls_back_only_child() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 0i64);
         let tx = mgr.begin();
         tx.write(&x, |v| *v = 5).unwrap();
@@ -434,7 +426,7 @@ mod tests {
 
     #[test]
     fn top_level_abort_restores_base() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 3i64);
         let tx = mgr.begin();
         tx.write(&x, |v| *v = 8).unwrap();
@@ -448,7 +440,7 @@ mod tests {
 
     #[test]
     fn commit_with_live_children_fails() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let tx = mgr.begin();
         let child = tx.child().unwrap();
         assert_eq!(tx.commit(), Err(TxError::LiveChildren));
@@ -458,7 +450,7 @@ mod tests {
 
     #[test]
     fn operations_after_finish_fail() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 0i64);
         let tx = mgr.begin();
         tx.commit().unwrap();
@@ -469,7 +461,7 @@ mod tests {
 
     #[test]
     fn descendants_of_aborted_are_doomed() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 0i64);
         let tx = mgr.begin();
         let child = tx.child().unwrap();
@@ -482,7 +474,7 @@ mod tests {
 
     #[test]
     fn raii_drop_aborts() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 1i64);
         {
             let tx = mgr.begin();
@@ -495,7 +487,7 @@ mod tests {
 
     #[test]
     fn run_child_commits_on_ok_aborts_on_err() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 0i64);
         let tx = mgr.begin();
         let r: Result<i64, TxError> = tx.run_child(|c| {
@@ -514,7 +506,7 @@ mod tests {
 
     #[test]
     fn siblings_with_read_locks_coexist() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 42i64);
         let tx = mgr.begin();
         let c1 = tx.child().unwrap();
@@ -532,7 +524,7 @@ mod tests {
 
     #[test]
     fn sibling_write_blocks_sibling_read() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 0i64);
         let tx = mgr.begin();
         let c1 = tx.child().unwrap();
@@ -550,16 +542,19 @@ mod tests {
         tx.commit().unwrap();
     }
 
+    /// Exclusive locking is a caller's choice (§4.3): a read issued as a
+    /// write whose closure only reads takes a write lock, so siblings'
+    /// "reads" conflict where Moss' read locks would share.
     #[test]
     fn exclusive_mode_reads_conflict() {
-        let mgr = quick_mgr(LockMode::Exclusive);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 0i64);
         let tx = mgr.begin();
         let c1 = tx.child().unwrap();
         let c2 = tx.child().unwrap();
-        assert_eq!(c1.read(&x, |v| *v).unwrap(), 0);
+        assert_eq!(c1.write(&x, |v| *v).unwrap(), 0);
         assert_eq!(
-            c2.read(&x, |v| *v),
+            c2.write(&x, |v| *v),
             Err(TxError::Timeout),
             "exclusive: reads conflict"
         );
@@ -568,36 +563,73 @@ mod tests {
         tx.commit().unwrap();
     }
 
+    /// Flat two-phase locking is a caller's choice too: a child failure
+    /// aborts the top, which takes the parent's own writes with it.
     #[test]
     fn flat2pl_child_abort_dooms_top_level() {
-        let mgr = quick_mgr(LockMode::Flat2PL);
+        let mgr = quick_mgr();
         let x = mgr.register("x", 0i64);
         let tx = mgr.begin();
         tx.write(&x, |v| *v = 1).unwrap();
         let child = tx.child().unwrap();
         child.write(&x, |v| *v = 2).unwrap();
         child.abort();
+        tx.abort();
         // The WHOLE transaction died, including the parent's write.
         assert!(tx.is_doomed());
         assert_eq!(tx.read(&x, |v| *v), Err(TxError::Doomed));
         assert_eq!(mgr.read_committed(&x, |v| *v), 0);
     }
 
+    /// A returned child leaves its parent's list: a long-lived parent (a
+    /// savepoint loop, a `retry_child` loop, a wire session) keeps nothing
+    /// of the children it is done with.
     #[test]
-    fn flat2pl_children_share_locks() {
-        let mgr = quick_mgr(LockMode::Flat2PL);
+    fn finished_children_leave_the_parent() {
+        let mgr = quick_mgr();
         let x = mgr.register("x", 0i64);
-        let tx = mgr.begin();
-        let c1 = tx.child().unwrap();
-        c1.write(&x, |v| *v = 1).unwrap();
-        let c2 = tx.child().unwrap();
-        // In flat mode both children act as the top-level owner: no
-        // isolation between siblings.
-        assert_eq!(c2.read(&x, |v| *v).unwrap(), 1);
-        c1.commit().unwrap();
-        c2.commit().unwrap();
-        tx.commit().unwrap();
-        assert_eq!(mgr.read_committed(&x, |v| *v), 1);
+        let top = mgr.begin();
+        for i in 0..10_000 {
+            top.run_child(|c| c.write(&x, |v| *v += 1)).unwrap();
+            let c = top.child().unwrap();
+            c.write(&x, |v| *v += 1).unwrap();
+            if i % 2 == 0 {
+                c.abort();
+            } // else dropped: RAII abort
+        }
+        assert_eq!(top.node.children.lock().len(), 0, "returned children kept");
+        top.commit().unwrap();
+        assert_eq!(mgr.read_committed(&x, |v| *v), 10_000);
+    }
+
+    /// A child aborted from outside — here by an injected fault at its lock
+    /// request — whose handle is then dropped has returned too: its parent
+    /// can still commit.
+    #[test]
+    fn child_aborted_from_outside_then_dropped_leaves_the_parent() {
+        use crate::fault::{FaultContext, FaultInjector};
+        struct AbortChildren;
+        impl FaultInjector for AbortChildren {
+            fn decide(&self, ctx: &FaultContext) -> FaultAction {
+                if ctx.point == FaultPoint::LockRequest && ctx.depth == 1 {
+                    FaultAction::Abort
+                } else {
+                    FaultAction::Continue
+                }
+            }
+        }
+        let mgr = TxManager::new(RtConfig {
+            fault: Some(Arc::new(AbortChildren)),
+            ..Default::default()
+        });
+        let x = mgr.register("x", 0i64);
+        let top = mgr.begin();
+        let child = top.child().unwrap();
+        assert_eq!(child.write(&x, |v| *v = 1), Err(TxError::Doomed));
+        drop(child);
+        top.write(&x, |v| *v = 2).unwrap();
+        top.commit().unwrap();
+        assert_eq!(mgr.read_committed(&x, |v| *v), 2);
     }
 
     #[test]
@@ -636,7 +668,7 @@ mod tests {
 
     #[test]
     fn retry_child_eventually_gives_up() {
-        let mgr = quick_mgr(LockMode::MossRW);
+        let mgr = quick_mgr();
         let tx = mgr.begin();
         let mut calls = 0;
         let r: Result<(), TxError> = tx.retry_child(3, |_| {

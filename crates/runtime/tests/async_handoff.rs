@@ -341,6 +341,39 @@ fn dropping_pending_future_leaves_no_queue_node() {
     assert_eq!(mgr.read_committed(&hot, |v| *v), 2);
 }
 
+/// An access is a child transaction in the paper, so a commit while one
+/// of the transaction's own requests is queued must report `LiveChildren`.
+/// Committing instead would let the holder's grant wave install a lock
+/// for a finished node: the write would be lost and the object held by a
+/// committed node for good.
+#[test]
+fn commit_with_a_queued_access_reports_live_children() {
+    let mgr = TxManager::new(RtConfig {
+        wait_timeout: Duration::from_secs(10),
+        ..Default::default()
+    });
+    let x = mgr.register("x", 0i64);
+    let holder = mgr.begin();
+    holder.write(&x, |v| *v = 1).unwrap();
+    let t2 = mgr.begin();
+    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
+    let mut cx = Context::from_waker(&waker);
+    let mut fut = pin!(t2.write_async(&x, |v| *v += 100));
+    assert!(fut.as_mut().poll(&mut cx).is_pending());
+    assert_eq!(t2.commit(), Err(TxError::LiveChildren));
+    holder.commit().unwrap();
+    // Granted by the holder's wave, but not consumed: still in flight.
+    assert_eq!(t2.commit(), Err(TxError::LiveChildren));
+    assert_eq!(fut.as_mut().poll(&mut cx), Poll::Ready(Ok(())));
+    t2.commit().unwrap();
+    assert_eq!(mgr.read_committed(&x, |v| *v), 101, "the +100 was lost");
+    let t3 = mgr.begin();
+    t3.write(&x, |v| *v += 1).unwrap();
+    t3.commit().unwrap();
+    assert_eq!(mgr.read_committed(&x, |v| *v), 102);
+    assert_eq!(mgr.queued_waiters(), 0);
+}
+
 /// Drop racing a concurrent grant: whichever side wins the state CAS, the
 /// object must end consistent — if the grant won, the lock is simply held
 /// by the transaction until abort (as if the access returned unobserved)

@@ -25,7 +25,7 @@ use ntx_conform::{
 };
 use ntx_hb::HbReport;
 use ntx_runtime::{
-    FsyncPolicy, LockMode, RtConfig, RtEvent, StatsSnapshot, TraceRecorder, TxError, TxManager,
+    FsyncPolicy, RtConfig, RtEvent, StatsSnapshot, TraceRecorder, TxError, TxManager,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,10 +47,6 @@ pub struct FuzzConfig {
     pub max_depth: usize,
     /// Fault probabilities.
     pub plan: FaultPlan,
-    /// Run the runtime in [`LockMode::Exclusive`] and tell the checker.
-    pub exclusive: bool,
-    /// Enable the footnote-8 optimisation on both sides.
-    pub footnote8: bool,
     /// Mix lock-free snapshot reads into the workload (checked against
     /// the model as synthetic read-only transactions at the publication
     /// point — see `ntx-conform`'s translation).
@@ -72,8 +68,6 @@ impl Default for FuzzConfig {
             top_level: 3,
             max_depth: 3,
             plan: FaultPlan::light(),
-            exclusive: false,
-            footnote8: false,
             snapshot_ops: false,
             async_ops: false,
         }
@@ -182,15 +176,9 @@ pub fn fuzz_run(cfg: &FuzzConfig) -> FuzzOutcome {
     let recorder = Arc::new(TraceRecorder::new());
     let injector = Arc::new(SeededFaults::new(cfg.seed ^ 0xF417, cfg.plan));
     let rt = RtConfig {
-        mode: if cfg.exclusive {
-            LockMode::Exclusive
-        } else {
-            LockMode::MossRW
-        },
         // Zero budget: a blocked request fails deterministically on its
         // first pass instead of parking on the condition variable.
         wait_timeout: Duration::ZERO,
-        drop_read_lock_when_write_held: cfg.footnote8,
         fault: Some(injector.clone()),
         trace: Some(recorder.clone()),
         ..Default::default()
@@ -339,13 +327,7 @@ pub fn fuzz_run(cfg: &FuzzConfig) -> FuzzOutcome {
     let log = recorder.render();
     let hb = ntx_hb::certify(&recorder.stamped_events());
     let trace = session.finish();
-    let report = check_trace(
-        &trace,
-        TranslateOptions {
-            exclusive: cfg.exclusive,
-            footnote8: cfg.footnote8,
-        },
-    );
+    let report = check_trace(&trace, TranslateOptions::default());
     FuzzOutcome {
         seed: cfg.seed,
         trace,
@@ -499,7 +481,6 @@ pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
         wal_dir: Some(cfg.wal_dir.clone()),
         fsync_policy: cfg.fsync,
         checkpoint_every: cfg.checkpoint_every,
-        ..Default::default()
     };
     let mgr = TxManager::new(rt);
     let session = ConformanceSession::new_durable(mgr.clone(), cfg.objects.max(1));
@@ -658,13 +639,7 @@ pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
     let log = recorder.render();
     let hb = ntx_hb::certify(&recorder.stamped_events());
     let trace = session.finish();
-    let report = check_trace(
-        &trace,
-        TranslateOptions {
-            exclusive: false,
-            footnote8: false,
-        },
-    );
+    let report = check_trace(&trace, TranslateOptions::default());
     drop(pin);
     drop(mgr);
 
@@ -869,19 +844,6 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(legacy.log, explicit_off.log);
-    }
-
-    #[test]
-    fn exclusive_mode_runs_conform() {
-        for seed in 0..4 {
-            let cfg = FuzzConfig {
-                seed,
-                exclusive: true,
-                ..Default::default()
-            };
-            let out = fuzz_run(&cfg);
-            assert!(out.ok(), "seed {seed}: {:?}", out.report);
-        }
     }
 
     fn crash_dir(name: &str) -> PathBuf {

@@ -11,8 +11,7 @@
 //!              logical-time speedup of Moss R/W locking vs exclusive
 //!              locking on a generated workload
 //! ntx fuzz     [--seed N | --seeds K] [--faults none|light|heavy]
-//!              [--steps S] [--exclusive true] [--footnote8 true]
-//!              [--snapshots false] [--async-ops false]
+//!              [--steps S] [--snapshots false] [--async-ops false]
 //!              deterministic fault-injection fuzzing of the runtime
 //!              (lock-free snapshot reads included unless disabled, and a
 //!              seeded half of reads/adds routed through the future
@@ -274,8 +273,6 @@ fn cmd_fuzz(flags: &HashMap<String, String>) {
         top_level: flag(flags, "top", 3),
         max_depth: flag(flags, "depth", 3),
         plan,
-        exclusive: flag(flags, "exclusive", false),
-        footnote8: flag(flags, "footnote8", false),
         // Snapshot reads are on by default: the sweep exercises the
         // lock-free read path against the checker unless --snapshots false.
         snapshot_ops: flag(flags, "snapshots", true),

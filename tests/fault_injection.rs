@@ -52,30 +52,6 @@ fn heavy_faults_conform_over_50_seeds() {
 }
 
 #[test]
-fn exclusive_mode_faulty_runs_conform() {
-    for seed in 0..30 {
-        assert_conforms(&FuzzConfig {
-            seed,
-            plan: FaultPlan::light(),
-            exclusive: true,
-            ..Default::default()
-        });
-    }
-}
-
-#[test]
-fn footnote8_faulty_runs_conform() {
-    for seed in 0..30 {
-        assert_conforms(&FuzzConfig {
-            seed,
-            plan: FaultPlan::light(),
-            footnote8: true,
-            ..Default::default()
-        });
-    }
-}
-
-#[test]
 fn deep_nesting_heavy_faults_conform() {
     for seed in 0..20 {
         assert_conforms(&FuzzConfig {

@@ -5,14 +5,14 @@
 //! the top level. Consequence: replaying the *logged* committed
 //! transactions in their commit order against a fresh store must reproduce
 //! both every value each transaction read and the final committed state.
-//! We check exactly that, under concurrency, for all three lock modes, with
-//! failure injection.
+//! We check exactly that, under concurrency, with failure injection, for
+//! Moss' locking and for the two baselines a caller builds on it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
-use ntx_runtime::{LockMode, ObjRef, RtConfig, TxError, TxManager};
+use ntx_runtime::{ObjRef, RtConfig, TxError, TxManager};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,6 +25,19 @@ enum LoggedOp {
     Add { obj: usize, delta: i64 },
 }
 
+/// How the workload uses the runtime's one locking discipline.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Caller {
+    /// Reads and writes as declared: Moss' read/write locking.
+    Moss,
+    /// Every read issued as a write whose closure only reads: exclusive
+    /// locking (the paper's §4.3 remark).
+    ReadsAsWrites,
+    /// A failed child aborts the whole transaction, which restarts: flat
+    /// two-phase locking.
+    FlatRestart,
+}
+
 /// A committed transaction's log, stamped with its commit sequence number.
 #[derive(Clone, Debug)]
 struct CommittedTx {
@@ -33,14 +46,13 @@ struct CommittedTx {
 }
 
 fn run_workload(
-    mode: LockMode,
+    caller: Caller,
     seed: u64,
     threads: usize,
     txs: usize,
 ) -> (Vec<CommittedTx>, Vec<i64>) {
     const OBJECTS: usize = 6;
     let mgr = TxManager::new(RtConfig {
-        mode,
         wait_timeout: Duration::from_secs(10),
         ..Default::default()
     });
@@ -76,10 +88,10 @@ fn run_workload(
                         })
                         .collect();
                     let use_child = rng.gen_bool(0.5);
-                    // Inject at most once per logical transaction —
-                    // under Flat2PL the injected child abort dooms the whole
-                    // transaction, so re-injecting on every retry would
-                    // never terminate.
+                    // Inject at most once per logical transaction — under
+                    // flat restart the injected child abort restarts the
+                    // whole transaction, so re-injecting on every retry
+                    // would never terminate.
                     let mut inject_failure = rng.gen_bool(0.2);
                     'retry: loop {
                         let tx = mgr.begin();
@@ -90,35 +102,30 @@ fn run_workload(
                             if let Ok(child) = tx.child() {
                                 let _ = child.write(&objects[0], |v| *v += 1_000_000);
                                 child.abort();
-                                if tx.is_doomed() {
-                                    // Flat2PL: the child abort doomed us.
+                                if caller == Caller::FlatRestart {
                                     tx.abort();
                                     continue 'retry;
                                 }
                             }
                         }
                         let mut failed = false;
+                        let access =
+                            |t: &ntx_runtime::Tx, obj: usize, delta: Option<i64>| match delta {
+                                None if caller == Caller::ReadsAsWrites => t
+                                    .write(&objects[obj], |v| *v)
+                                    .map(|v| LoggedOp::Read { obj, value: v }),
+                                None => t
+                                    .read(&objects[obj], |v| *v)
+                                    .map(|v| LoggedOp::Read { obj, value: v }),
+                                Some(d) => t
+                                    .write(&objects[obj], |v| *v += d)
+                                    .map(|_| LoggedOp::Add { obj, delta: d }),
+                            };
                         for &(obj, delta) in &body {
                             let r: Result<LoggedOp, TxError> = if use_child {
-                                tx.run_child(|c| match delta {
-                                    None => {
-                                        let v = c.read(&objects[obj], |v| *v)?;
-                                        Ok(LoggedOp::Read { obj, value: v })
-                                    }
-                                    Some(d) => {
-                                        c.write(&objects[obj], |v| *v += d)?;
-                                        Ok(LoggedOp::Add { obj, delta: d })
-                                    }
-                                })
+                                tx.run_child(|c| access(c, obj, delta))
                             } else {
-                                match delta {
-                                    None => tx
-                                        .read(&objects[obj], |v| *v)
-                                        .map(|v| LoggedOp::Read { obj, value: v }),
-                                    Some(d) => tx
-                                        .write(&objects[obj], |v| *v += d)
-                                        .map(|_| LoggedOp::Add { obj, delta: d }),
-                                }
+                                access(&tx, obj, delta)
                             };
                             match r {
                                 Ok(op) => ops.push(op),
@@ -191,7 +198,7 @@ fn check_serializable(committed: &[CommittedTx], final_state: &[i64]) {
 #[test]
 fn moss_rw_is_serializable_under_concurrency() {
     for seed in 0..4 {
-        let (committed, final_state) = run_workload(LockMode::MossRW, seed, 6, 60);
+        let (committed, final_state) = run_workload(Caller::Moss, seed, 6, 60);
         assert_eq!(committed.len(), 6 * 60);
         check_serializable(&committed, &final_state);
     }
@@ -199,20 +206,20 @@ fn moss_rw_is_serializable_under_concurrency() {
 
 #[test]
 fn exclusive_is_serializable_under_concurrency() {
-    let (committed, final_state) = run_workload(LockMode::Exclusive, 7, 4, 50);
+    let (committed, final_state) = run_workload(Caller::ReadsAsWrites, 7, 4, 50);
     check_serializable(&committed, &final_state);
 }
 
 #[test]
 fn flat2pl_is_serializable_under_concurrency() {
-    let (committed, final_state) = run_workload(LockMode::Flat2PL, 11, 4, 50);
+    let (committed, final_state) = run_workload(Caller::FlatRestart, 11, 4, 50);
     check_serializable(&committed, &final_state);
 }
 
 #[test]
 fn injected_child_aborts_leak_nothing() {
     // The +1_000_000 writes from aborted children must never surface.
-    let (committed, final_state) = run_workload(LockMode::MossRW, 13, 4, 50);
+    let (committed, final_state) = run_workload(Caller::Moss, 13, 4, 50);
     for s in &final_state {
         assert!(
             s.abs() < 100_000,

@@ -1,7 +1,7 @@
 //! Opt-in soak tests (`cargo test --test stress -- --ignored`).
 //!
-//! Long-running, high-concurrency hammering of the runtime under every
-//! lock mode, checking the global invariants that must never break:
+//! Long-running, high-concurrency hammering of the runtime, as Moss'
+//! locking and as the two baselines a caller builds on it, checking the global invariants that must never break:
 //! conservation of transferred value, zero leaked aborted writes, stats
 //! coherence, and that die on cycle alone resolves every deadlock — with a
 //! 20 s wait budget no request may time out, and no waiter outlives the
@@ -11,13 +11,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use ntx_runtime::{LockMode, RtConfig, TxError, TxManager};
+use ntx_runtime::{RtConfig, TxError, TxManager};
 
-fn soak(mode: LockMode, threads: usize, txs: usize) {
+/// How the soak uses the runtime's one locking discipline.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Caller {
+    /// Reads and writes as declared: Moss' read/write locking.
+    Moss,
+    /// The balance check issued as a write whose closure only reads:
+    /// exclusive locking (the paper's §4.3 remark).
+    ReadsAsWrites,
+    /// A failed child restarts the whole transfer: flat two-phase locking.
+    FlatRestart,
+}
+
+fn soak(caller: Caller, threads: usize, txs: usize) {
     const ACCOUNTS: usize = 8;
     const OPENING: i64 = 1_000;
     let mgr = TxManager::new(RtConfig {
-        mode,
         wait_timeout: Duration::from_secs(20),
         ..Default::default()
     });
@@ -49,17 +60,29 @@ fn soak(mode: LockMode, threads: usize, txs: usize) {
                     let to = (from + 1 + rng(ACCOUNTS - 1)) % ACCOUNTS;
                     let amount = rng(20) as i64 + 1;
                     let nested = i % 3 != 0; // mix nested and flat bodies
+                    let restart = caller == Caller::FlatRestart;
                     'retry: loop {
                         let tx = mgr.begin();
                         let moved: Result<(), TxError> = if nested {
-                            tx.retry_child(8, |c| {
+                            tx.retry_child(if restart { 1 } else { 8 }, |c| {
+                                // The balance check guards the debit.
+                                let balance = if caller == Caller::ReadsAsWrites {
+                                    c.write(&accounts[from], |b| *b)?
+                                } else {
+                                    c.read(&accounts[from], |b| *b)?
+                                };
+                                let amount = amount.min(balance.max(0));
                                 c.write(&accounts[from], |b| *b -= amount)?;
                                 // Occasionally inject a poison child that
-                                // must roll back cleanly.
+                                // must roll back cleanly; under flat restart
+                                // its failure restarts the whole transfer.
                                 if rng(10) == 0 {
                                     if let Ok(bad) = c.child() {
                                         let _ = bad.write(&accounts[to], |b| *b += 1_000_000);
                                         bad.abort();
+                                        if restart {
+                                            return Err(TxError::Doomed);
+                                        }
                                     }
                                 }
                                 c.write(&accounts[to], |b| *b += amount)?;
@@ -95,7 +118,7 @@ fn soak(mode: LockMode, threads: usize, txs: usize) {
     assert_eq!(
         total,
         ACCOUNTS as i64 * OPENING,
-        "conservation broken under {mode:?}"
+        "conservation broken under {caller:?}"
     );
     for a in accounts.iter() {
         let v = mgr.read_committed(a, |b| *b);
@@ -112,23 +135,23 @@ fn soak(mode: LockMode, threads: usize, txs: usize) {
 #[test]
 #[ignore = "soak test; run with --ignored"]
 fn soak_moss_die_on_cycle() {
-    soak(LockMode::MossRW, 8, 2_000);
+    soak(Caller::Moss, 8, 2_000);
 }
 
 #[test]
 #[ignore = "soak test; run with --ignored"]
 fn soak_exclusive() {
-    soak(LockMode::Exclusive, 8, 1_000);
+    soak(Caller::ReadsAsWrites, 8, 1_000);
 }
 
 #[test]
 #[ignore = "soak test; run with --ignored"]
 fn soak_flat2pl() {
-    soak(LockMode::Flat2PL, 8, 1_000);
+    soak(Caller::FlatRestart, 8, 1_000);
 }
 
 /// A quick (non-ignored) smoke version so the soak path is exercised in CI.
 #[test]
 fn soak_smoke() {
-    soak(LockMode::MossRW, 4, 100);
+    soak(Caller::Moss, 4, 100);
 }
