@@ -49,6 +49,7 @@ mod deadlock;
 mod error;
 mod fault;
 mod future;
+mod inline;
 #[cfg(all(loom, test))]
 mod loom_models;
 mod manager;

@@ -44,7 +44,7 @@ use crate::config::RtConfig;
 use crate::deadlock::{Cycle, WaitForGraph};
 use crate::error::TxError;
 use crate::fault::{FaultAction, FaultContext, FaultPoint};
-use crate::node::{TxNode, TxState};
+use crate::node::{insert_sorted, ObjSet, TxNode, TxState};
 use crate::object::{
     AnyState, ObjectInner, ObjectSlot, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT, W_WAITING,
 };
@@ -478,9 +478,10 @@ impl Wake {
 /// One drawn publication ticket; its `Drop` passes the turnstile,
 /// advancing `commit_ts` over `ts` — **including on unwind**. Without
 /// this, a committer that panics between drawing its ticket and storing
-/// `commit_ts` (e.g. a user `Clone` impl panicking inside `clone_box`
-/// while the committed base is published) would leave the clock stuck
-/// below its ticket and every later top-level committer spinning forever.
+/// `commit_ts` (e.g. a user `Clone` impl panicking inside `clone_into`
+/// while the base of its second object is refreshed) would leave the
+/// clock stuck below its ticket and every later top-level committer
+/// spinning forever.
 /// On unwind the commit may be only partially published — no worse than
 /// the partially applied inheritance pass the same panic already leaves
 /// behind — but the turnstile stays live.
@@ -1201,9 +1202,13 @@ impl ManagerInner {
             }
         }
         let mut guard = slot.inner.lock();
-        // Phase 1 — inline grant or fail fast.
-        if node.is_doomed() {
-            return Attempt::Done(Err(doom_error(node)));
+        // Phase 1 — inline grant or fail fast. A node that has returned
+        // (a future first polled after its commit) gets no lock: nothing
+        // would ever release it.
+        match node.fate() {
+            TxState::Active => {}
+            TxState::Aborted => return Attempt::Done(Err(doom_error(node))),
+            TxState::Committed => return Attempt::Done(Err(TxError::AlreadyFinished)),
         }
         // No-barge rule: an inline grant with waiters queued is allowed
         // only when a current holder is an ancestor of the requester.
@@ -1404,26 +1409,34 @@ impl ManagerInner {
     /// in ticket order, so a snapshot at `S = commit_ts` is guaranteed to
     /// find *every* version with `ts <= S` already on its chain.
     pub(crate) fn inherit_locks(&self, node: &Arc<TxNode>) {
+        // A copy — inline up to four objects — so no node lock is held
+        // while slot mutexes are taken.
         let touched = node.touched.lock().clone();
-        let heir = node.parent.clone();
+        let heir = node.parent.as_ref();
+        // The heir learns the set before any lock moves, so an ancestral
+        // snapshot read never misses a version in flight.
+        if let Some(h) = heir {
+            h.touch_all(&touched);
+        }
         let mut ticket: Option<TurnstileTicket<'_>> = None;
-        for obj in touched {
+        for &obj in touched.iter() {
             let slot = self.slot(obj);
             let wake;
             {
                 let mut guard = slot.inner.lock();
-                let moved = guard.inherit(node, heir.as_ref());
+                let mut moved = guard.inherit(node, heir);
                 if moved.any() {
                     self.trace(RtEvent::Inherit {
                         tx: node.id,
-                        heir: heir.as_ref().map(|h| h.id),
+                        heir: heir.map(|h| h.id),
                         obj,
                     });
                 }
-                if heir.is_none() && moved.moved_version {
-                    // Top-level commit installed a new committed base:
-                    // publish it to the snapshot chain. Ticket 0 is the
-                    // genesis timestamp, so tickets start at 1.
+                if let Some(version) = moved.published.take() {
+                    // Top-level commit: the inherited version itself joins
+                    // the snapshot chain (the base took a copy in place).
+                    // Ticket 0 is the genesis timestamp, so tickets start
+                    // at 1.
                     let t = ticket.get_or_insert_with(|| TurnstileTicket {
                         mgr: self,
                         // relaxed(ts-alloc): ticket allocation only
@@ -1453,7 +1466,7 @@ impl ManagerInner {
                             t.wal_publishes += 1;
                         }
                     }
-                    slot.snap.publish(ts, guard.base.clone_box());
+                    slot.snap.publish(ts, version);
                     self.stats.bump(Ctr::VersionsPublished);
                     self.trace(RtEvent::Publish {
                         tx: node.id,
@@ -1475,9 +1488,6 @@ impl ManagerInner {
                 };
             }
             wake.run(self);
-            if let Some(h) = &heir {
-                h.touch(obj);
-            }
         }
         // `ticket` drops here: the turnstile spin-then-advance lives in
         // `TurnstileTicket::drop` so it runs even if publication unwinds.
@@ -1500,7 +1510,7 @@ impl ManagerInner {
         } else if root.state() == TxState::Committed {
             return 0;
         }
-        let mut touched: Vec<usize> = Vec::new();
+        let mut touched = ObjSet::new();
         let mut waiting: Vec<usize> = Vec::new();
         root.for_subtree(&mut |n| {
             if n.mark_aborted() {
@@ -1508,11 +1518,9 @@ impl ManagerInner {
                 self.trace(RtEvent::Abort { tx: n.id });
             }
             // Per-node `touched` sets are sorted; merge-dedup them into
-            // the (also sorted) union via binary-search inserts.
+            // the (also sorted, inline up to four) union.
             for &o in n.touched.lock().iter() {
-                if let Err(pos) = touched.binary_search(&o) {
-                    touched.insert(pos, o);
-                }
+                insert_sorted(&mut touched, o);
             }
             if let Some(o) = n.waiting_on() {
                 if !waiting.contains(&o) {
@@ -1520,7 +1528,7 @@ impl ManagerInner {
                 }
             }
         });
-        for &obj in &touched {
+        for &obj in touched.iter() {
             let slot = self.slot(obj);
             let wake;
             {

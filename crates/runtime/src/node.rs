@@ -2,13 +2,16 @@
 //!
 //! Unlike `ntx-tree`'s *static* system types (the paper's predeclared
 //! naming scheme), the runtime grows its transaction tree dynamically as
-//! clients call [`crate::Tx::child`]. Each node caches its full ancestor
-//! path, so the ancestor tests at the heart of Moss' locking rule are O(1)
-//! array probes with no global locks.
+//! clients call [`crate::Tx::child`]. Each node carries its ancestor path
+//! inline (up to depth 5; deeper paths spill to the heap), so the ancestor
+//! test at the heart of Moss' locking rule is one indexed compare with no
+//! global lock. Its touched set and its list of live children are inline
+//! too: a transaction's bookkeeping never reaches the allocator.
 
 use crate::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::{Arc, Weak};
 
+use crate::inline::InlineVec;
 use crate::sync::Mutex;
 
 /// Lifecycle states of a runtime transaction.
@@ -32,16 +35,16 @@ pub(crate) struct TxNode {
     pub id: u64,
     /// Ids of the ancestors from the top level (depth 0) down to this node.
     /// `path.last() == id`; `path.len() - 1` is the depth.
-    pub path: Vec<u64>,
+    pub path: InlineVec<u64, 6>,
     pub parent: Option<Arc<TxNode>>,
     state: AtomicU8,
     /// Live (unreturned) children: a child joins at creation and leaves
     /// once it has returned ([`TxNode::leave_parent`]). Abort walks the
     /// subtree through it, and a commit waits for it to be empty.
-    pub children: Mutex<Vec<Weak<TxNode>>>,
+    pub children: Mutex<InlineVec<Weak<TxNode>, 2>>,
     /// Objects where this transaction may hold locks or versions, kept as
     /// a sorted set so membership tests are binary searches, not scans.
-    pub touched: Mutex<Vec<usize>>,
+    pub touched: Mutex<ObjSet>,
     /// Object this transaction currently has a queued waiter node on, or
     /// [`NOT_WAITING`]. Set under that object's slot mutex at enqueue and
     /// cleared once the request resolved and its requester took the
@@ -60,11 +63,11 @@ impl TxNode {
     pub fn top_level(id: u64) -> Arc<TxNode> {
         Arc::new(TxNode {
             id,
-            path: vec![id],
+            path: InlineVec::extended(&[], id),
             parent: None,
             state: AtomicU8::new(ST_ACTIVE),
-            children: Mutex::new(Vec::new()),
-            touched: Mutex::new(Vec::new()),
+            children: Mutex::new(InlineVec::new()),
+            touched: Mutex::new(ObjSet::new()),
             waiting_on: AtomicUsize::new(NOT_WAITING),
             deadlock_victim: AtomicBool::new(false),
         })
@@ -72,15 +75,13 @@ impl TxNode {
 
     /// A child of `parent`.
     pub fn child_of(parent: &Arc<TxNode>, id: u64) -> Arc<TxNode> {
-        let mut path = parent.path.clone();
-        path.push(id);
         let node = Arc::new(TxNode {
             id,
-            path,
+            path: InlineVec::extended(&parent.path, id),
             parent: Some(parent.clone()),
             state: AtomicU8::new(ST_ACTIVE),
-            children: Mutex::new(Vec::new()),
-            touched: Mutex::new(Vec::new()),
+            children: Mutex::new(InlineVec::new()),
+            touched: Mutex::new(ObjSet::new()),
             waiting_on: AtomicUsize::new(NOT_WAITING),
             deadlock_victim: AtomicBool::new(false),
         });
@@ -175,25 +176,42 @@ impl TxNode {
             .is_ok()
     }
 
-    /// `true` when this node or any ancestor has aborted.
-    pub fn is_doomed(&self) -> bool {
-        let mut cur = Some(self);
+    /// [`TxState::Aborted`] when this node or any ancestor has aborted,
+    /// else this node's own state. One state load per tree level: a
+    /// request learns "doomed" and "already returned" from the same walk.
+    pub fn fate(&self) -> TxState {
+        let own = self.state();
+        if own == TxState::Aborted {
+            return own;
+        }
+        let mut cur = self.parent.as_deref();
         while let Some(n) = cur {
             if n.state() == TxState::Aborted {
-                return true;
+                return TxState::Aborted;
             }
             cur = n.parent.as_deref();
         }
-        false
+        own
+    }
+
+    /// `true` when this node or any ancestor has aborted.
+    pub fn is_doomed(&self) -> bool {
+        self.fate() == TxState::Aborted
     }
 
     /// Record that this transaction touched object `obj`. The set stays
     /// sorted, so the dedup test is a binary search — O(log n) instead of
     /// the O(n) scan that made repeated touches quadratic.
     pub fn touch(&self, obj: usize) {
+        insert_sorted(&mut self.touched.lock(), obj);
+    }
+
+    /// [`TxNode::touch`] every object of `objs` under one lock hold (a
+    /// committing child's set, merged into its heir).
+    pub fn touch_all(&self, objs: &[usize]) {
         let mut t = self.touched.lock();
-        if let Err(pos) = t.binary_search(&obj) {
-            t.insert(pos, obj);
+        for &obj in objs {
+            insert_sorted(&mut t, obj);
         }
     }
 
@@ -202,15 +220,21 @@ impl TxNode {
     /// parent's now, or gone.
     pub fn for_subtree(self: &Arc<TxNode>, f: &mut impl FnMut(&Arc<TxNode>)) {
         f(self);
-        let children: Vec<Arc<TxNode>> = self
-            .children
-            .lock()
-            .iter()
-            .filter_map(Weak::upgrade)
-            .collect();
-        for c in children {
+        // A copy of the list, so no lock is held across the visit.
+        let children = self.children.lock().clone();
+        for c in children.iter().filter_map(Weak::upgrade) {
             c.for_subtree(f);
         }
+    }
+}
+
+/// A sorted set of object indices: four inline, the rest spilled.
+pub(crate) type ObjSet = InlineVec<usize, 4>;
+
+/// Insert `obj` into the sorted set `set` unless it is there already.
+pub(crate) fn insert_sorted(set: &mut ObjSet, obj: usize) {
+    if let Err(pos) = set.binary_search(&obj) {
+        set.insert(pos, obj);
     }
 }
 
@@ -243,6 +267,28 @@ mod tests {
         assert!(!d.is_ancestor_of(&c));
         assert_eq!(c.depth(), 2);
         assert_eq!(c.top_level_id(), 1);
+
+        // Past the inline path (depth 5): a depth-12 chain beside a
+        // sibling branch off depth 7.
+        let mut chain = vec![TxNode::top_level(100)];
+        for id in 101..=112 {
+            chain.push(TxNode::child_of(chain.last().unwrap(), id));
+        }
+        let side = TxNode::child_of(&chain[7], 200);
+        let deep = &chain[12];
+        assert_eq!(deep.depth(), 12);
+        assert_eq!(deep.top_level_id(), 100);
+        assert_eq!(deep.path[..], (100..=112).collect::<Vec<u64>>()[..]);
+        for (i, n) in chain.iter().enumerate() {
+            assert!(n.is_ancestor_of(deep), "depth {i} is an ancestor");
+            assert_eq!(deep.is_ancestor_of(n), i == 12);
+            assert_eq!(n.is_ancestor_of(&side), i <= 7);
+        }
+        assert!(!side.is_ancestor_of(deep) && !a.is_ancestor_of(deep));
+        assert!(!deep.is_doomed());
+        assert!(chain[9].mark_aborted());
+        assert!(deep.is_doomed(), "doom reaches depth 12 from depth 9");
+        assert!(!chain[8].is_doomed() && !side.is_doomed());
     }
 
     #[test]
@@ -311,6 +357,19 @@ mod tests {
         a.touch(5);
         a.touch(6);
         a.touch(2);
-        assert_eq!(*a.touched.lock(), vec![2, 5, 6]);
+        assert_eq!(a.touched.lock()[..], [2, 5, 6]);
+        a.touch_all(&[9, 1, 5, 7]);
+        assert_eq!(a.touched.lock()[..], [1, 2, 5, 6, 7, 9], "spilled");
+    }
+
+    #[test]
+    fn fate_orders_doom_before_return() {
+        let a = TxNode::top_level(1);
+        let b = TxNode::child_of(&a, 2);
+        assert_eq!(b.fate(), TxState::Active);
+        assert!(b.mark_committed());
+        assert_eq!(b.fate(), TxState::Committed);
+        assert!(a.mark_aborted());
+        assert_eq!(b.fate(), TxState::Aborted, "an aborted ancestor wins");
     }
 }

@@ -34,6 +34,9 @@ use crate::node::TxNode;
 /// therefore tolerate shared references from many threads.
 pub(crate) trait AnyState: Any + Send + Sync {
     fn clone_box(&self) -> Box<dyn AnyState>;
+    /// Overwrite `dst`, a state of the same type, with a clone of `self`
+    /// in `dst`'s own allocation (`Clone::clone_from`).
+    fn clone_into(&self, dst: &mut dyn AnyState);
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
@@ -41,6 +44,12 @@ pub(crate) trait AnyState: Any + Send + Sync {
 impl<T: Any + Clone + Send + Sync> AnyState for T {
     fn clone_box(&self) -> Box<dyn AnyState> {
         Box::new(self.clone())
+    }
+    fn clone_into(&self, dst: &mut dyn AnyState) {
+        dst.as_any_mut()
+            .downcast_mut::<T>()
+            .expect("clone_into across state types")
+            .clone_from(self);
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -317,8 +326,10 @@ impl ObjectInner {
         &mut self.chain.last_mut().expect("just ensured").state
     }
 
-    /// Commit-time inheritance: hand `tx`'s locks and version to `heir`
-    /// (`None` = publish to the base — top-level commit). Reports what
+    /// Commit-time inheritance: hand `tx`'s locks and version to `heir`.
+    /// A top-level commit (`heir == None`) refreshes the base in place
+    /// with a copy of its version and hands the version itself back in
+    /// [`InheritOutcome::published`], for the snapshot chain. Reports what
     /// actually moved so the caller can trace the transfer.
     pub fn inherit(&mut self, tx: &TxNode, heir: Option<&Arc<TxNode>>) -> InheritOutcome {
         let mut outcome = InheritOutcome::default();
@@ -332,7 +343,10 @@ impl ObjectInner {
             outcome.moved_version = true;
             match heir {
                 None => {
-                    self.base = entry.state;
+                    // The entry is off the chain first: a `Clone` that
+                    // panics here leaves the object free, its base as it was.
+                    entry.state.clone_into(self.base.as_mut());
+                    outcome.published = Some(entry.state);
                 }
                 Some(h) => {
                     if let Some(parent_entry) = self.chain.iter_mut().find(|e| e.owner.id == h.id) {
@@ -377,10 +391,13 @@ impl ObjectInner {
 }
 
 /// What a call to [`ObjectInner::inherit`] actually transferred.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Default)]
 pub(crate) struct InheritOutcome {
     /// A version owned by the committer moved to the heir (or the base).
     pub moved_version: bool,
+    /// A top-level commit's version, now the committed state: the base
+    /// holds a copy, and the caller publishes this one.
+    pub published: Option<Box<dyn AnyState>>,
     /// A read lock owned by the committer moved to the heir (or lapsed).
     pub moved_read: bool,
 }
@@ -716,10 +733,12 @@ mod tests {
         // c commits to p (no version yet): rename.
         o.inherit(&c, Some(&p));
         assert_eq!(o.chain[0].owner.id, p.id);
-        // p top-level commit: publish to base.
-        o.inherit(&p, None);
+        // p top-level commit: the version goes out for publication, the
+        // base takes a copy.
+        let out = o.inherit(&p, None);
         assert!(o.chain.is_empty());
         assert_eq!(read_i64(o.base.as_ref()), 9);
+        assert_eq!(read_i64(out.published.expect("published").as_ref()), 9);
     }
 
     #[test]

@@ -51,14 +51,12 @@ impl Tx {
         // Read "finished" before the doom check: an abort from another
         // thread that lands in between must read as `Doomed`, never as
         // `AlreadyFinished`.
-        let finished = self.finished.load(Ordering::SeqCst) || self.node.state() != TxState::Active;
-        if self.node.is_doomed() {
-            return Err(TxError::Doomed);
+        let finished = self.finished.load(Ordering::SeqCst);
+        match self.node.fate() {
+            TxState::Aborted => Err(TxError::Doomed),
+            TxState::Active if !finished => Ok(()),
+            _ => Err(TxError::AlreadyFinished),
         }
-        if finished {
-            return Err(TxError::AlreadyFinished);
-        }
-        Ok(())
     }
 
     /// Begin a child transaction.
@@ -108,13 +106,13 @@ impl Tx {
         // hold a version do we probe the uncommitted chain — under the
         // slot mutex, a bounded critical section with no wait site.
         let mut ancestral_intent = false;
-        let mut cur = Some(self.node.clone());
+        let mut cur = Some(&*self.node);
         while let Some(n) = cur {
             if n.touched.lock().binary_search(&obj.idx).is_ok() {
                 ancestral_intent = true;
                 break;
             }
-            cur = n.parent.clone();
+            cur = n.parent.as_deref();
         }
         let slot = self.mgr.slot(obj.idx);
         if ancestral_intent {
@@ -600,6 +598,135 @@ mod tests {
         assert_eq!(top.node.children.lock().len(), 0, "returned children kept");
         top.commit().unwrap();
         assert_eq!(mgr.read_committed(&x, |v| *v), 10_000);
+    }
+
+    /// Past the inline ancestor path (depth 5): a depth-12 chain writes at
+    /// every level, loses its middle to an abort — doom reaches the bottom
+    /// — then reruns and commits all the way up.
+    #[test]
+    fn depth_twelve_chain_aborts_in_the_middle_and_commits() {
+        let mgr = quick_mgr();
+        let x = mgr.register("x", 0i64);
+        let y = mgr.register("y", 0i64);
+        let mut chain = vec![mgr.begin()];
+        let grow = |chain: &mut Vec<Tx>| {
+            while chain.len() <= 12 {
+                let c = chain.last().unwrap().child().unwrap();
+                c.write(&x, |v| *v += 1).unwrap();
+                chain.push(c);
+            }
+        };
+        grow(&mut chain);
+        assert_eq!(chain[12].depth(), 12);
+        assert_eq!(chain[12].read(&x, |v| *v).unwrap(), 12);
+        let stranger = mgr.begin();
+        assert_eq!(stranger.read(&x, |v| *v), Err(TxError::Timeout));
+        stranger.abort();
+        chain[6].abort();
+        assert!(chain[12].is_doomed());
+        assert_eq!(chain[12].write(&y, |v| *v = 1), Err(TxError::Doomed));
+        assert_eq!(chain[7].commit(), Err(TxError::Doomed));
+        chain.truncate(6);
+        assert_eq!(
+            chain[5].read(&x, |v| *v).unwrap(),
+            5,
+            "depths 6.. rolled back"
+        );
+        grow(&mut chain);
+        while let Some(c) = chain.pop() {
+            c.commit().unwrap();
+        }
+        assert_eq!(mgr.read_committed(&x, |v| *v), 12);
+        assert_eq!(mgr.read_committed(&y, |v| *v), 0);
+    }
+
+    /// Past the inline touched set (four objects): 64 objects inherited by
+    /// a parent, rolled back by a sibling's abort, published by the
+    /// top-level commit, then written and rolled back by a top-level abort.
+    #[test]
+    fn sixty_four_objects_commit_and_abort() {
+        let mgr = quick_mgr();
+        let objs: Vec<_> = (0..64)
+            .map(|i| mgr.register(format!("o{i}"), i as i64))
+            .collect();
+        let top = mgr.begin();
+        let child = top.child().unwrap();
+        let written = |i: usize| i & 1 == 0;
+        // Descending order: every insert into the sorted set shifts.
+        for (i, o) in objs.iter().enumerate().rev() {
+            if written(i) {
+                child.write(o, |v| *v += 100).unwrap();
+            } else {
+                child.read(o, |v| *v).unwrap();
+            }
+        }
+        child.commit().unwrap();
+        assert_eq!(top.node.touched.lock().len(), 64, "the heir took the set");
+        let sibling = top.child().unwrap();
+        for o in &objs {
+            sibling.write(o, |v| *v = -1).unwrap();
+        }
+        sibling.abort();
+        let expect = |i: usize| i as i64 + if written(i) { 100 } else { 0 };
+        for (i, o) in objs.iter().enumerate() {
+            assert_eq!(top.read(o, |v| *v).unwrap(), expect(i));
+        }
+        top.commit().unwrap();
+        let doomed = mgr.begin();
+        for o in &objs {
+            doomed.write(o, |v| *v = -2).unwrap();
+        }
+        doomed.abort();
+        let after = mgr.begin();
+        for (i, o) in objs.iter().enumerate() {
+            assert_eq!(mgr.read_committed(o, |v| *v), expect(i));
+            after.write(o, |v| *v += 1).unwrap();
+        }
+        after.commit().unwrap();
+        assert_eq!(mgr.read_committed(&objs[63], |v| *v), 64);
+    }
+
+    /// Past the inline child list (two): sixteen live children, one
+    /// aborted, the rest committed; then a top-level abort that walks
+    /// sixteen live children.
+    #[test]
+    fn sixteen_live_children_and_a_sibling_abort() {
+        let mgr = quick_mgr();
+        let objs: Vec<_> = (0..16)
+            .map(|i| mgr.register(format!("o{i}"), 0i64))
+            .collect();
+        let top = mgr.begin();
+        let mut kids: Vec<Tx> = objs.iter().map(|_| top.child().unwrap()).collect();
+        for (k, o) in kids.iter().zip(&objs) {
+            k.write(o, |v| *v = 1).unwrap();
+        }
+        assert_eq!(top.node.children.lock().len(), 16);
+        kids.remove(5).abort();
+        assert_eq!(top.node.children.lock().len(), 15);
+        assert_eq!(top.commit(), Err(TxError::LiveChildren));
+        while let Some(k) = kids.pop() {
+            k.commit().unwrap();
+        }
+        top.commit().unwrap();
+        for (i, o) in objs.iter().enumerate() {
+            assert_eq!(mgr.read_committed(o, |v| *v), i64::from(i != 5));
+        }
+        let top = mgr.begin();
+        let kids: Vec<Tx> = objs.iter().map(|_| top.child().unwrap()).collect();
+        for (k, o) in kids.iter().zip(&objs) {
+            k.write(o, |v| *v = 9).unwrap();
+        }
+        top.abort();
+        assert!(kids.iter().all(Tx::is_doomed));
+        drop(kids);
+        for (i, o) in objs.iter().enumerate() {
+            assert_eq!(mgr.read_committed(o, |v| *v), i64::from(i != 5));
+        }
+        let probe = mgr.begin();
+        for o in &objs {
+            probe.write(o, |v| *v += 1).unwrap();
+        }
+        probe.commit().unwrap();
     }
 
     /// A child aborted from outside — here by an injected fault at its lock

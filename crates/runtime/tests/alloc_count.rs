@@ -1,0 +1,174 @@
+//! Heap allocations per transaction, counted by a counting global
+//! allocator.
+//!
+//! A transaction's bookkeeping — its ancestor path, touched set and list of
+//! live children — lives inline in its `TxNode`, and a top-level commit
+//! publishes the version it inherited instead of cloning it. What is left
+//! is the work itself: one `TxNode` per transaction, one undo version per
+//! first write, one published version node per object a top-level commit
+//! changed. These tests pin that count.
+//!
+//! Counts are per thread (a `const` thread-local, no lazy init and no
+//! destructor, so the allocator can use it): libtest runs the tests of
+//! this file concurrently, and each measures only its own thread. Every
+//! measurement follows a warm-up on the same objects, so the objects' own
+//! lock tables have grown to size and the thread's first-use state exists.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use ntx_runtime::{ObjRef, RtConfig, Tx, TxManager};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counter is a plain thread-local cell that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's contract for `alloc`, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's contract for `alloc_zeroed`, passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: the caller's contract for `realloc`, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract for `dealloc`, passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread.
+fn allocs_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// The most allocations any of eight runs of `f` makes, after eight
+/// unmeasured runs.
+fn steady_allocs(mut f: impl FnMut()) -> u64 {
+    for _ in 0..8 {
+        f();
+    }
+    (0..8).map(|_| allocs_in(&mut f)).max().unwrap()
+}
+
+fn setup(objects: usize) -> (TxManager, Vec<ObjRef<i64>>) {
+    let mgr = TxManager::new(RtConfig::default());
+    let objs = (0..objects)
+        .map(|i| mgr.register(format!("o{i}"), 0i64))
+        .collect();
+    (mgr, objs)
+}
+
+/// The benchmark's `N1` body: read `a`, write `b`, in a child of `parent`;
+/// the child aborts first when `abort_first` is set, then reruns.
+fn n1_child(parent: &Tx, a: &ObjRef<i64>, b: &ObjRef<i64>, abort_first: bool) {
+    if abort_first {
+        let child = parent.child().unwrap();
+        child.read(a, |v| *v).unwrap();
+        child.write(b, |v| *v += 1).unwrap();
+        child.abort();
+    }
+    let child = parent.child().unwrap();
+    child.read(a, |v| *v).unwrap();
+    child.write(b, |v| *v += 1).unwrap();
+    child.commit().unwrap();
+}
+
+/// `N1`: begin, child, read, write, child commit, top commit. Two
+/// `TxNode`s, the write's undo version and the published version node.
+#[test]
+fn n1_allocates_four_times() {
+    let (mgr, objs) = setup(2);
+    let n = steady_allocs(|| {
+        let top = mgr.begin();
+        n1_child(&top, &objs[0], &objs[1], false);
+        top.commit().unwrap();
+    });
+    assert!(n <= 4, "N1 made {n} heap allocations, want <= 4");
+}
+
+/// `N1` whose first child aborts and is rerun: one more node and one more
+/// undo version, and the abort itself allocates nothing.
+#[test]
+fn n1_with_an_aborted_first_child_allocates_six_times() {
+    let (mgr, objs) = setup(2);
+    let n = steady_allocs(|| {
+        let top = mgr.begin();
+        n1_child(&top, &objs[0], &objs[1], true);
+        top.commit().unwrap();
+    });
+    assert!(n <= 6, "N1 with a partial abort made {n}, want <= 6");
+}
+
+/// `N1` at the bottom of a depth-4 chain: every level is one node, and
+/// each child commit passes the locks up without allocating.
+#[test]
+fn depth_four_chain_allocates_seven_times() {
+    let (mgr, objs) = setup(2);
+    let n = steady_allocs(|| {
+        let top = mgr.begin();
+        let c1 = top.child().unwrap();
+        let c2 = c1.child().unwrap();
+        let c3 = c2.child().unwrap();
+        n1_child(&c3, &objs[0], &objs[1], false);
+        assert_eq!(c3.depth(), 3);
+        for c in [c3, c2, c1] {
+            c.commit().unwrap();
+        }
+        top.commit().unwrap();
+    });
+    assert!(n <= 7, "a depth-4 chain made {n}, want <= 7");
+}
+
+/// Commit alone: a child commit over up to four touched objects allocates
+/// nothing, and a top-level commit only the version node of each object
+/// it wrote.
+#[test]
+fn commits_allocate_only_published_version_nodes() {
+    let (mgr, objs) = setup(4);
+    for writes in 0..=4 {
+        let mut child_commit = 0;
+        let mut top_commit = 0;
+        steady_allocs(|| {
+            let top = mgr.begin();
+            let child = top.child().unwrap();
+            for (i, o) in objs.iter().enumerate() {
+                if i < writes {
+                    child.write(o, |v| *v += 1).unwrap();
+                } else {
+                    child.read(o, |v| *v).unwrap();
+                }
+            }
+            child_commit = allocs_in(|| child.commit().unwrap());
+            top_commit = allocs_in(|| top.commit().unwrap());
+        });
+        assert_eq!(child_commit, 0, "child commit with {writes} writes");
+        assert_eq!(top_commit, writes as u64, "top commit with {writes} writes");
+    }
+}

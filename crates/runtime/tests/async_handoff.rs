@@ -374,6 +374,33 @@ fn commit_with_a_queued_access_reports_live_children() {
     assert_eq!(mgr.queued_waiters(), 0);
 }
 
+/// A future created but first polled after its transaction committed was
+/// never an access of that transaction: it must fail `AlreadyFinished`.
+/// Granting it would install a lock for a committed node — the write
+/// lost, and the object held by that node for good.
+#[test]
+fn future_first_polled_after_commit_is_already_finished() {
+    let mgr = TxManager::new(RtConfig {
+        wait_timeout: Duration::from_millis(200),
+        ..Default::default()
+    });
+    let x = mgr.register("x", 0i64);
+    let top = mgr.begin();
+    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
+    let mut cx = Context::from_waker(&waker);
+    let mut fut = pin!(top.write_async(&x, |v| *v += 100));
+    top.commit().unwrap();
+    assert_eq!(
+        fut.as_mut().poll(&mut cx),
+        Poll::Ready(Err(TxError::AlreadyFinished))
+    );
+    assert_eq!(mgr.read_committed(&x, |v| *v), 0);
+    let t3 = mgr.begin();
+    t3.write(&x, |v| *v += 1).unwrap();
+    t3.commit().unwrap();
+    assert_eq!(mgr.read_committed(&x, |v| *v), 1, "x was wedged");
+}
+
 /// Drop racing a concurrent grant: whichever side wins the state CAS, the
 /// object must end consistent — if the grant won, the lock is simply held
 /// by the transaction until abort (as if the access returned unobserved)
