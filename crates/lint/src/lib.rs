@@ -13,8 +13,9 @@
 //!   `// relaxed(tag): justification` marker whose tag is recorded in
 //!   the crate's `relaxed-allowlist.txt`.
 //! - **R4 lock-order** — the documented order (object-slot mutex ≺
-//!   wait-graph mutex) is structurally enforced: wait-graph code never
-//!   touches slots, and no public function leaks a `MutexGuard`.
+//!   wait-for records, several only in top-id order) is structurally
+//!   enforced: wait-graph code never touches slots, and no public
+//!   function leaks a `MutexGuard`.
 //! - **R5 guard-across-suspend** — no lock guard live across `.await`, a
 //!   park, or a `Poll::Pending` return.
 //! - **R6 blocking-in-worker** — no blocking calls where a thread polls
@@ -333,7 +334,7 @@ let b = c.load(Ordering::Relaxed);
 
     #[test]
     fn r4_accepts_graph_code_that_stays_off_slots() {
-        let src = "fn good(&self, top: u64) { let g = self.tops.lock(); drop(g); }\n";
+        let src = "fn good(top: &TxNode) { let g = top.wait.edges.lock(); drop(g); }\n";
         let r = lint_source("src/deadlock.rs", src, &cfg_with(&[]));
         assert!(r.violations.is_empty(), "{:?}", r.violations);
     }

@@ -27,9 +27,10 @@ pub enum Rule {
     /// `// relaxed(<tag>): <justification>` marker whose tag is in the
     /// crate's `relaxed-allowlist.txt`.
     RelaxedOrdering,
-    /// R4: the documented lock order — object-slot mutex ≺ wait-graph
-    /// mutex — is never inverted: wait-graph code (which holds the graph
-    /// mutex) must not reach into object slots.
+    /// R4: the documented lock order — object-slot mutex ≺ the per-top
+    /// wait-for records, taken in top-id order — is never inverted:
+    /// wait-graph code (which holds record mutexes) must not reach into
+    /// object slots.
     LockOrder,
     /// R5: no lock guard may be live across a suspend point — an `.await`,
     /// a park (the blocking driver's `Parker::park`, `thread::park`), or a
@@ -421,7 +422,7 @@ pub fn lint_source(file: &str, src: &str, config: &Config) -> FileReport {
                         rule: Rule::LockOrder,
                         msg: format!(
                             "wait-graph code must not touch object slots (`{needle}`): \
-                             the graph mutex is acquired after slot mutexes, never before"
+                             record mutexes are acquired after slot mutexes, never before"
                         ),
                     });
                 }

@@ -7,7 +7,7 @@
 //! elements it moves to a `Vec` and stays there. Safe code only: unused
 //! inline slots hold `T::default()`.
 
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 
 /// Up to `N` elements inline, then a `Vec`.
 #[derive(Clone)]
@@ -85,6 +85,12 @@ impl<T: Default, const N: usize> InlineVec<T, N> {
     }
 }
 
+impl<T: Default, const N: usize> Default for InlineVec<T, N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<T, const N: usize> Deref for InlineVec<T, N> {
     type Target = [T];
 
@@ -92,6 +98,16 @@ impl<T, const N: usize> Deref for InlineVec<T, N> {
     fn deref(&self) -> &[T] {
         match self {
             InlineVec::Inline { len, buf } => &buf[..*len],
+            InlineVec::Spilled(v) => v,
+        }
+    }
+}
+
+impl<T, const N: usize> DerefMut for InlineVec<T, N> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            InlineVec::Inline { len, buf } => &mut buf[..*len],
             InlineVec::Spilled(v) => v,
         }
     }

@@ -14,14 +14,13 @@
 //! What each model proves is spelled out per test and summarised in
 //! `DESIGN.md` ("Concurrency correctness tooling").
 
-use std::task::{Wake, Waker};
+use std::task::{Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 use crate::config::RtConfig;
-use crate::deadlock::WaitForGraph;
 use crate::error::TxError;
 use crate::future::{Access, Parker};
-use crate::manager::{holder_tops, top_edge, ManagerInner};
+use crate::manager::{top_edge, ManagerInner};
 use crate::mvcc::SnapshotCell;
 use crate::node::TxNode;
 use crate::object::{AnyState, ObjectSlot, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT, W_WAITING};
@@ -41,7 +40,6 @@ fn mk_mgr() -> Arc<ManagerInner> {
         },
         objects: Slab::new(),
         next_tx_id: AtomicU64::new(1),
-        wait_graph: WaitForGraph::default(),
         stats: Stats::default(),
         ts_alloc: AtomicU64::new(0),
         commit_ts: AtomicU64::new(0),
@@ -738,24 +736,38 @@ fn loom_blocking_driver_vs_grant_and_sweep() {
     });
 }
 
-/// Every node queued on `obj` is in the wait-for graph with exactly the
-/// edges a fresh computation from its place in the queue gives (each top
-/// in these models has one waiter, so its out-edges are that waiter's,
-/// each counted once).
+/// Every node queued on `obj` is counted in its top's wait-for record
+/// with exactly the edges a fresh computation from its place in the queue
+/// gives (each top in these models has one waiter, so its out-edges are
+/// that waiter's, each counted once).
 fn assert_edges_fresh(mgr: &ManagerInner, obj: usize) {
     let g = mgr.slot(obj).inner.lock();
     for (i, w) in g.queue.iter().enumerate() {
         let fresh: Vec<u64> = match i.checked_sub(1) {
-            None => holder_tops(&g, w),
+            None => g.holder_tops(&w.node, w.write).to_vec(),
             Some(ahead) => top_edge(&g.queue[ahead], w).into_iter().collect(),
         };
-        let top = w.node.top_level_id();
         let published: Vec<(u64, usize)> = fresh.iter().map(|&t| (t, 1)).collect();
         assert_eq!(
-            mgr.wait_graph.out_edges(top),
+            w.node.top().wait.out_edges(),
             published,
-            "top {top} at queue index {i}"
+            "top {} at queue index {i}",
+            w.node.id
         );
+    }
+}
+
+/// Every edge pointing at one of `tops` is counted in its `inbound`: the
+/// tops' out-edges, summed per target.
+fn assert_inbound_exact(tops: &[&Arc<TxNode>]) {
+    for t in tops {
+        let into: usize = tops
+            .iter()
+            .flat_map(|s| s.wait.out_edges())
+            .filter(|e| e.0 == t.id)
+            .map(|e| e.1)
+            .sum();
+        assert_eq!(t.wait.inbound(), into, "edges into top {}", t.id);
     }
 }
 
@@ -767,9 +779,10 @@ fn assert_edges_fresh(mgr: &ManagerInner, obj: usize) {
 /// searches) enters x's queue and walks the graph while the other two
 /// threads rewrite it. Each node has exactly one winner; every queued
 /// node's edges, B's included, equal a fresh computation from its queue
-/// and the tops that left keep none; the graph holds exactly the queued
-/// nodes. A dequeue that skips its successor's edge move leaves B pointing
-/// at A's top (or at it twice) and fails here.
+/// and the tops that left keep none; every record counts exactly its
+/// top's queued nodes, and every `inbound` count is exact. A dequeue that
+/// skips its successor's edge move leaves B pointing at A's top (or at it
+/// twice) and fails here.
 #[test]
 fn loom_withdraw_vs_wave_vs_enqueue_search_keeps_edges_exact() {
     loom::model(|| {
@@ -810,22 +823,155 @@ fn loom_withdraw_vs_wave_vs_enqueue_search_keeps_edges_exact() {
         assert_eq!((d.state(), e.state()), (W_WAITING, W_WAITING));
         assert_edges_fresh(&mgr, x);
         assert_edges_fresh(&mgr, y);
-        for top in [1, 2] {
-            assert!(mgr.wait_graph.out_edges(top).is_empty(), "top {top} left");
+        for top in [&holder, &a_tx] {
+            assert!(top.wait.out_edges().is_empty(), "top {} left", top.id);
         }
         if withdrawn {
-            assert!(mgr.wait_graph.out_edges(3).is_empty(), "B left");
+            assert!(b_tx.wait.out_edges().is_empty(), "B left");
         }
-        // Graph membership is queue membership.
+        // A record's waiter count is its top's queue membership.
         for w in [&a, &b, &d, &e] {
             let queued = [x, y].iter().any(|&o| {
                 let g = mgr.slot(o).inner.lock();
                 g.queue.iter().any(|q| Arc::ptr_eq(q, w))
             });
-            assert_eq!(mgr.wait_graph.contains(w), queued);
+            assert_eq!(w.node.wait.waiters(), usize::from(queued));
         }
-        let queued = mgr.slot(x).inner.lock().queue.len() + mgr.slot(y).inner.lock().queue.len();
-        assert_eq!(mgr.wait_graph.len(), queued);
+        assert_inbound_exact(&[&holder, &a_tx, &b_tx, &d_tx, &e_tx]);
+    });
+}
+
+/// A write request of `node` on `obj`, polled once with a no-op waker:
+/// the real `access_attempt` path, search and claim included.
+type Request = Access<Arc<ManagerInner>, Arc<TxNode>, crate::future::BoxedAccessFn<()>>;
+
+fn request(mgr: &Arc<ManagerInner>, node: &Arc<TxNode>, obj: usize) -> Request {
+    let bump: crate::future::BoxedAccessFn<()> = Box::new(|st: &mut dyn AnyState| {
+        *st.as_any_mut().downcast_mut::<i64>().unwrap() += 1;
+    });
+    Access::new(mgr.clone(), node.clone(), obj, true, bump)
+}
+
+/// **Two edges close one cycle at once**: A (top 1) holds x and B (top 2)
+/// holds y; A requests y while B requests x. Each enqueue adds its edge and
+/// then reads its own top's `inbound` before searching, so in every
+/// interleaving at least one search sees the other's edge: exactly one
+/// deadlock is noted, B's (the younger), nothing times out, and A's
+/// request is granted or still queued. Either B died at its own enqueue
+/// (it took its request back out and still holds y, so A waits on), or A's
+/// search claimed B and aborted it (y is A's). The records and `inbound`
+/// counts are exact afterwards. A search that reads its own `inbound`
+/// before bumping its target's lets both searches skip, and fails here.
+#[test]
+fn loom_crossed_enqueues_note_one_deadlock() {
+    loom::model(|| {
+        let mgr = mk_mgr();
+        let (a, b) = (TxNode::top_level(1), TxNode::top_level(2));
+        let x = obj_with_write_holder(&mgr, &a);
+        let y = obj_with_write_holder(&mgr, &b);
+        let (m2, b2) = (mgr.clone(), b.clone());
+        let b_side = loom::thread::spawn(move || {
+            let mut r = request(&m2, &b2, x);
+            let first = r.poll_with(&noop_waker());
+            (r, first)
+        });
+        let mut ra = request(&mgr, &a, y);
+        let first_a = ra.poll_with(&noop_waker());
+        let (mut rb, first_b) = b_side.join().unwrap();
+
+        let snap = mgr.stats.snapshot();
+        assert_eq!((snap.deadlocks, snap.timeouts), (1, 0), "one claim");
+        let a_claimed_b = b.deadlock_victim.load(Ordering::SeqCst);
+        let b_result = match first_b {
+            Poll::Ready(r) => r,
+            Poll::Pending => {
+                assert!(a_claimed_b, "only A's claim leaves B's request queued");
+                match rb.poll_with(&noop_waker()) {
+                    Poll::Ready(r) => r,
+                    Poll::Pending => panic!("the claim cancelled B's wait"),
+                }
+            }
+        };
+        assert_eq!(b_result, Err(TxError::Deadlock));
+        let waiting = mgr.slot(y).inner.lock().queue.len();
+        if a_claimed_b {
+            assert_eq!(waiting, 0, "B's abort handed y to A");
+            let a_result = match first_a {
+                Poll::Ready(r) => r,
+                Poll::Pending => match ra.poll_with(&noop_waker()) {
+                    Poll::Ready(r) => r,
+                    Poll::Pending => panic!("A's grant resolved its wait"),
+                },
+            };
+            assert_eq!(a_result, Ok(()));
+            assert!(a.wait.is_empty());
+        } else {
+            assert!(first_a.is_pending(), "A stays queued behind B's lock");
+            assert_eq!(waiting, 1);
+            assert_eq!(a.wait.out_edges(), vec![(2, 1)]);
+            assert_eq!(a.wait.waiters(), 1);
+        }
+        assert!(b.wait.out_edges().is_empty() && b.wait.waiters() == 0);
+        assert_inbound_exact(&[&a, &b]);
+        assert!(
+            mgr.slot(x).inner.lock().queue.is_empty(),
+            "B left x's queue"
+        );
+    });
+}
+
+/// **A search races the leave that breaks its cycle**: A (top 1) holds x,
+/// B (top 2) holds y and waits on x. A requests y — its edge closes the
+/// cycle and its search walks it — while B's wait times out and leaves,
+/// taking the edge B → A along. A wait withdrawn before any claim ends the
+/// story: a timeout, no victim ever, A queued behind B's lock. Otherwise B
+/// was claimed while its edge stood: one deadlock, B aborted and y handed
+/// to A, and the withdrawal either finds the wait cancelled or beats the
+/// abort's cancel to it (then a timeout too). A claim that skips the check
+/// under the members' locks kills B for a cycle that is gone — flagged
+/// after its wait was withdrawn unflagged — and fails here.
+#[test]
+fn loom_search_vs_leave_claims_no_broken_cycle() {
+    loom::model(|| {
+        let mgr = mk_mgr();
+        let (a, b) = (TxNode::top_level(1), TxNode::top_level(2));
+        let x = obj_with_write_holder(&mgr, &a);
+        let y = obj_with_write_holder(&mgr, &b);
+        let (bw, cycle) = {
+            let mut g = mgr.slot(x).inner.lock();
+            mgr.enqueue_waiter(&mut g, &b, x, true, Instant::now(), &noop_waker())
+        };
+        assert!(cycle.is_none(), "nothing waits for B yet");
+        let (m2, b2, bw2) = (mgr.clone(), b.clone(), bw.clone());
+        let leaver = loom::thread::spawn(move || {
+            let withdrawn = m2.timeout_withdraw(x, &bw2);
+            (withdrawn, b2.deadlock_victim.load(Ordering::SeqCst))
+        });
+        let mut ra = request(&mgr, &a, y);
+        let first_a = ra.poll_with(&noop_waker());
+        let (withdrawn, claimed_first) = leaver.join().unwrap();
+
+        let snap = mgr.stats.snapshot();
+        assert!(
+            !matches!(first_a, Poll::Ready(Err(_))),
+            "A is never the victim"
+        );
+        if withdrawn && !claimed_first {
+            assert_eq!((snap.deadlocks, snap.timeouts), (0, 1));
+            assert!(!b.deadlock_victim.load(Ordering::SeqCst), "no victim");
+            assert!(first_a.is_pending());
+            assert_eq!(a.wait.out_edges(), vec![(2, 1)], "A waits on B's lock");
+        } else {
+            let timeouts = u64::from(withdrawn);
+            assert_eq!((snap.deadlocks, snap.timeouts), (1, timeouts));
+            assert!(b.deadlock_victim.load(Ordering::SeqCst));
+            if !withdrawn {
+                assert_eq!(bw.state(), W_CANCELLED);
+            }
+            assert!(a.wait.is_empty(), "B's abort handed y to A");
+        }
+        assert!(b.wait.out_edges().is_empty() && b.wait.waiters() == 0);
+        assert_inbound_exact(&[&a, &b]);
     });
 }
 

@@ -3,10 +3,11 @@
 //! The access path is engineered to have **no global contention point**:
 //! the object store is an append-only slab with lock-free lookup
 //! ([`crate::slab::Slab`]), the stat counters are striped ([`Stats`]), the
-//! trace buffer is sharded with an atomic sequence stamp, and the one
-//! global mutex — the wait-for graph's — is taken only where a lock queue
-//! changes. Two transactions touching disjoint objects share *nothing* on
-//! the hot path but the transaction-id counter.
+//! trace buffer is sharded with an atomic sequence stamp, and there is no
+//! global mutex: the wait-for graph lives in per-top records, and a queue
+//! change locks only the record of the waiter's own top. Two transactions
+//! touching disjoint objects share *nothing* on the hot path but the
+//! transaction-id counter, waiting or not.
 //!
 //! Contended objects use **queued direct handoff** instead of park/retry:
 //! a blocked request enqueues a [`Waiter`] — a queue node with one wake
@@ -30,8 +31,9 @@
 //! the queue does, under the slot mutex: an enqueue adds a node and
 //! searches ([`ManagerInner::enqueue_waiter`]), a leave moves only its
 //! successor's edge ([`ManagerInner::dequeue`]), and the end of every
-//! release scan recomputes the head's holder edges and searches if they
-//! grew. Nothing ever walks a queue to refresh edges.
+//! release scan recomputes the head's holder edges. An edge change that
+//! adds a target searches from its top, unless nothing points at it.
+//! Nothing ever walks a queue to refresh edges.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex, MutexGuard};
@@ -41,12 +43,14 @@ use std::task::Waker;
 use std::time::Instant;
 
 use crate::config::RtConfig;
-use crate::deadlock::{Cycle, WaitForGraph};
+use crate::deadlock::{self, Cycle};
 use crate::error::TxError;
 use crate::fault::{FaultAction, FaultContext, FaultPoint};
+use crate::inline::InlineVec;
 use crate::node::{insert_sorted, ObjSet, TxNode, TxState};
 use crate::object::{
-    AnyState, ObjectInner, ObjectSlot, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT, W_WAITING,
+    AnyState, ObjectInner, ObjectSlot, TopSet, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT,
+    W_WAITING,
 };
 use crate::slab::Slab;
 use crate::stats::{Ctr, Stats, StatsSnapshot};
@@ -82,7 +86,6 @@ pub(crate) struct ManagerInner {
     pub config: RtConfig,
     pub objects: Slab<ObjectSlot>,
     pub next_tx_id: AtomicU64,
-    pub wait_graph: WaitForGraph,
     pub stats: Stats,
     /// Commit-timestamp ticket dispenser: a committing top-level
     /// transaction that published at least one version takes
@@ -126,7 +129,6 @@ impl ManagerInner {
             wal,
             objects: Slab::new(),
             next_tx_id: AtomicU64::new(1),
-            wait_graph: WaitForGraph::default(),
             stats: Stats::default(),
             ts_alloc: AtomicU64::new(0),
             commit_ts: AtomicU64::new(0),
@@ -437,40 +439,43 @@ pub(crate) fn top_edge(ahead: &Waiter, behind: &Waiter) -> Option<u64> {
     (top != behind.node.top_level_id()).then_some(top)
 }
 
-/// The edges of queue head `w`: the tops of the holders it conflicts with,
-/// its own excluded, sorted and deduplicated.
-pub(crate) fn holder_tops(inner: &ObjectInner, w: &Waiter) -> Vec<u64> {
-    let mine = w.node.top_level_id();
-    let mut tops: Vec<u64> = inner
-        .blockers(&w.node, w.write)
-        .iter()
-        .map(|b| b.top_level_id())
-        .filter(|&t| t != mine)
-        .collect();
-    tops.sort_unstable();
-    tops.dedup();
-    tops
+/// A deadlock search to run once the slot guard is down: from `top`,
+/// found while `waiter` waits.
+type Search = (u64, Arc<TxNode>);
+
+/// A search from `top`, unless nothing points at it: then no cycle runs
+/// through it, and this read is the search's own (`deadlock::enter` orders
+/// it after the edge change that asks for the search).
+fn search_from(waiter: u64, top: &Arc<TxNode>) -> Option<Search> {
+    top.wait.pointed_at().then(|| (waiter, top.clone()))
 }
 
 /// What a release scan leaves for its caller to do once the slot guard is
 /// down: wake the waiters whose state it resolved, and search for
-/// deadlock cycles from the `(waiter, top)`s whose edges it grew.
+/// deadlock cycles from the tops whose edges it grew. Inline for a wave
+/// of two and one search, so a handoff allocates nothing.
 #[must_use = "the scan's waiters stay asleep until the wake runs"]
 #[derive(Default)]
 pub(crate) struct Wake {
-    waiters: Vec<Arc<Waiter>>,
-    search_from: Vec<(u64, u64)>,
+    waiters: InlineVec<Option<Arc<Waiter>>, 2>,
+    search_from: InlineVec<Option<Search>, 1>,
 }
 
 impl Wake {
+    fn search(&mut self, search: Option<Search>) {
+        if search.is_some() {
+            self.search_from.push(search);
+        }
+    }
+
     /// Deliver. Run with no slot mutex held — a victim's abort re-locks
     /// touched slots.
     pub(crate) fn run(self, mgr: &ManagerInner) {
-        for w in self.waiters {
+        for w in self.waiters.iter().flatten() {
             w.wake();
         }
-        for (waiter, top) in self.search_from {
-            mgr.resolve(waiter, top);
+        for (waiter, top) in self.search_from.iter().flatten() {
+            mgr.resolve(*waiter, top);
         }
     }
 }
@@ -618,7 +623,7 @@ impl ManagerInner {
                 TxError::Doomed
             }
             FaultAction::CrashSubtree => {
-                self.abort_subtree(&node.top());
+                self.abort_subtree(node.top());
                 TxError::Doomed
             }
             FaultAction::Timeout => {
@@ -634,7 +639,7 @@ impl ManagerInner {
             // are actually simulated (the log freezes there); a lock
             // request cannot kill the host process.
             FaultAction::CrashProcess => {
-                self.abort_subtree(&node.top());
+                self.abort_subtree(node.top());
                 TxError::Doomed
             }
             FaultAction::Continue => unreachable!("Continue is not a fault"),
@@ -855,25 +860,41 @@ impl ManagerInner {
             .map(|i| i + 1)
     }
 
-    /// Take the waiter at queue index `i` out of its queue and out of the
-    /// wait-for graph: the one way a node leaves (grant, doom cancel,
-    /// withdrawal). The successor's edge moves from the leaver's top to the
-    /// leaver's predecessor's — its reach only shrinks, so nothing is
-    /// searched. A successor that becomes the head keeps no edge until the
-    /// release scan that follows every leave gives it its holder edges.
-    fn dequeue(&self, inner: &mut ObjectInner, i: usize) -> Arc<Waiter> {
+    /// Take the waiter at queue index `i` out of its queue and out of its
+    /// top's wait-for record: the one way a node leaves (grant, doom
+    /// cancel, withdrawal). First the successor's edge moves from the
+    /// leaver's top to the leaver's predecessor's. Its reach only shrinks,
+    /// but a search racing the move may have read the old edge and miss the
+    /// leaver's, so a move that adds a target returns a search from the
+    /// successor's top. A successor that becomes the head keeps no edge
+    /// until the release scan that follows every leave gives it its holder
+    /// edges.
+    fn dequeue(&self, inner: &mut ObjectInner, i: usize) -> (Arc<Waiter>, Option<Search>) {
         let w = inner.queue.remove(i).expect("dequeue index in range");
         let ahead = i.checked_sub(1).map(|p| &inner.queue[p]);
-        let edges: Vec<u64> = match ahead {
-            None => std::mem::take(&mut inner.head_edges),
-            Some(a) => top_edge(a, &w).into_iter().collect(),
-        };
-        let next = inner.queue.get(i).map(|s| {
-            let new = ahead.and_then(|a| top_edge(a, s));
-            (s.node.top_level_id(), top_edge(&w, s), new)
-        });
-        self.wait_graph.leave(&w, &edges, next);
-        w
+        let mut search = None;
+        if let Some(s) = inner.queue.get(i) {
+            let (old, new) = (top_edge(&w, s), ahead.and_then(|a| top_edge(a, s)));
+            let top = s.node.top();
+            let node_of = |_| ahead.expect("a new edge has a waiter ahead").node.top();
+            if old != new && deadlock::retarget(top, old.as_slice(), new.as_slice(), node_of) {
+                search = search_from(s.node.id, top);
+            }
+        }
+        match ahead {
+            None => deadlock::leave(w.node.top(), &std::mem::take(&mut inner.head_edges)),
+            Some(a) => deadlock::leave(w.node.top(), top_edge(a, &w).as_slice()),
+        }
+        (w, search)
+    }
+
+    /// Count and trace a deadlock cycle found while `waiter` waits, and
+    /// abort its victim — flagged by the claim, so its queued requests
+    /// report [`TxError::Deadlock`]. No slot mutex may be held: the abort
+    /// re-locks touched slots.
+    fn kill(&self, waiter: u64, cycle: &Cycle) {
+        self.note_deadlock(waiter, cycle);
+        self.abort_subtree(&cycle.victim);
     }
 
     /// Count and trace a deadlock cycle found while `waiter` waits.
@@ -887,16 +908,11 @@ impl ManagerInner {
     }
 
     /// Break every cycle through top `top` (found while `waiter` waits)
-    /// by aborting its youngest member, whose queued requests then report
-    /// [`TxError::Deadlock`]; search again after each victim — an edge may
-    /// close several cycles, and a victim that was only queued between two
-    /// waiters hands its wait to the one behind. No slot mutex may be
-    /// held: the aborts re-lock touched slots.
-    fn resolve(&self, waiter: u64, top: u64) {
-        while let Some(cycle) = self.wait_graph.search(top) {
-            self.note_deadlock(waiter, &cycle);
-            cycle.victim.deadlock_victim.store(true, Ordering::SeqCst);
-            self.abort_subtree(&cycle.victim);
+    /// by aborting its youngest member; search again after each victim —
+    /// an edge may close several cycles.
+    fn resolve(&self, waiter: u64, top: &Arc<TxNode>) {
+        while let Some(cycle) = deadlock::search(top, None) {
+            self.kill(waiter, &cycle);
         }
     }
 
@@ -939,7 +955,7 @@ impl ManagerInner {
             let w = &inner.queue[i];
             debug_assert_eq!(w.state(), W_WAITING, "a resolved node left with its CAS");
             if w.node.is_doomed() && w.cancel() {
-                let w = self.dequeue(inner, i);
+                let (w, search) = self.dequeue(inner, i);
                 self.stats.bump(Ctr::CancelledWaiters);
                 // Stamped under the slot mutex: this cancel is the wait's
                 // resolution, so it must order against any grant wave on
@@ -948,16 +964,11 @@ impl ManagerInner {
                     tx: w.node.id,
                     obj: obj_idx,
                 });
-                // A deadlock victim queued between two waiters hands its
-                // wait to the one behind, which may still be on the cycle
-                // the victim died for: search from there. (A new head is
-                // pass 3's.)
-                if i > 0 && w.node.victim_flagged() {
-                    if let Some(n) = inner.queue.get(i) {
-                        wake.search_from.push((n.node.id, n.node.top_level_id()));
-                    }
-                }
-                wake.waiters.push(w);
+                // A waiter queued between two others (a deadlock victim,
+                // say) hands its wait to the one behind, which may still be
+                // on a cycle. (A new head is pass 3's.)
+                wake.search(search);
+                wake.waiters.push(Some(w));
                 continue;
             }
             i += 1;
@@ -967,7 +978,8 @@ impl ManagerInner {
         let (mut readers, mut writers) = (0usize, 0usize);
         let mut evs: Vec<RtEvent> = Vec::new();
         while let Some(idx) = Self::pick_grant(inner) {
-            let w = self.dequeue(inner, idx);
+            let (w, search) = self.dequeue(inner, idx);
+            wake.search(search);
             if !w.grant() {
                 continue; // lost a cancel race
             }
@@ -996,7 +1008,7 @@ impl ManagerInner {
                     });
                 }
             }
-            wake.waiters.push(w);
+            wake.waiters.push(Some(w));
         }
         let wave = readers + writers;
         if wave > 0 {
@@ -1028,13 +1040,14 @@ impl ManagerInner {
         }
         // Pass 3 — the head's holder edges.
         if let Some(head) = inner.queue.front() {
-            let (waiter, top) = (head.node.id, head.node.top_level_id());
-            let edges = holder_tops(inner, head);
-            if edges != inner.head_edges {
-                let old = std::mem::replace(&mut inner.head_edges, edges);
-                if self.wait_graph.rewrite(top, &old, &inner.head_edges) {
-                    wake.search_from.push((waiter, top));
+            let edges = inner.holder_tops(&head.node, head.write);
+            if edges[..] != inner.head_edges[..] {
+                let top = head.node.top();
+                let node_of = |t| inner.holder_top(t);
+                if deadlock::retarget(top, &inner.head_edges, &edges, node_of) {
+                    wake.search(search_from(head.node.id, top));
                 }
+                inner.head_edges = edges;
             }
         }
         wake
@@ -1042,12 +1055,13 @@ impl ManagerInner {
 
     /// Phase 2 of [`Self::access_attempt`]: create `node`'s waiter, append
     /// it to the FIFO queue, register the node's `waiting_on` entry, and
-    /// enter the node into the wait-for graph with its edges — the tops of
-    /// the holders it conflicts with if it is the head, else the top of the
-    /// waiter ahead — searching for a cycle they close. Returns the node
-    /// and that cycle; a cycle whose victim is the requester's own top has
-    /// already taken the node back out of the graph, and the caller takes
-    /// it off the queue's tail.
+    /// enter the node into its top's wait-for record with its edges — the
+    /// tops of the holders it conflicts with if it is the head, else the top
+    /// of the waiter ahead — searching for a cycle they close. Returns the
+    /// node and the cycle its search claimed: with
+    /// [`Cycle::requester_out`] the node is already out of the graph again
+    /// and the caller takes it off the queue's tail; otherwise the victim
+    /// is flagged and the caller aborts it.
     ///
     /// `wait_start` is the caller's clock read from when it found the
     /// request blocked; the node's deadline is that plus the configured
@@ -1078,14 +1092,16 @@ impl ManagerInner {
         );
         inner.queue.push_back(w.clone());
         node.set_waiting_on(Some(obj_idx));
+        let top = node.top();
         let cycle = match inner.queue.len().checked_sub(2) {
             None => {
-                inner.head_edges = holder_tops(inner, &w);
-                self.wait_graph.enter(&w, &inner.head_edges)
+                inner.head_edges = inner.holder_tops(node, write);
+                deadlock::enter(top, &inner.head_edges, |t| inner.holder_top(t))
             }
-            Some(ahead) => self
-                .wait_graph
-                .enter(&w, top_edge(&inner.queue[ahead], &w).as_slice()),
+            Some(ahead) => {
+                let ahead = &inner.queue[ahead];
+                deadlock::enter(top, top_edge(ahead, &w).as_slice(), |_| ahead.node.top())
+            }
         };
         (w, cycle)
     }
@@ -1115,10 +1131,11 @@ impl ManagerInner {
             obj: obj_idx,
         });
         let i = guard.queue.iter().position(|q| Arc::ptr_eq(q, w));
-        self.dequeue(&mut guard, i.expect("a waiting node is queued"));
+        let (_, search) = self.dequeue(&mut guard, i.expect("a waiting node is queued"));
         w.node.set_waiting_on(None);
         self.stats.bump(Ctr::CancelledWaiters);
-        let wake = self.release_scan(obj_idx, &mut guard);
+        let mut wake = self.release_scan(obj_idx, &mut guard);
+        wake.search(search);
         drop(guard);
         wake.run(self);
         true
@@ -1227,7 +1244,7 @@ impl ManagerInner {
             debug_assert!(guard
                 .queue
                 .front()
-                .is_none_or(|h| holder_tops(&guard, h) == guard.head_edges));
+                .is_none_or(|h| guard.holder_tops(&h.node, h.write)[..] == guard.head_edges[..]));
             return Attempt::Done(Ok(r));
         }
         // Blocked — the only path that reads the clock. The read (under
@@ -1265,30 +1282,26 @@ impl ManagerInner {
         // Phase 2 — enqueue a waiter node; it enters the wait-for graph
         // with its edges, and the search runs there.
         let (w, cycle) = self.enqueue_waiter(&mut guard, node, obj_idx, write, wait_start, waker);
-        let elsewhere = match cycle {
-            None => false,
-            Some(c) if c.victim.id != node.top_level_id() => true,
-            Some(c) => {
-                // Die: the requester is the youngest on the cycle it
-                // closed. The graph already took the node back out; so
-                // does the queue, whose tail it is — the queue is exactly
-                // as before the enqueue.
-                self.note_deadlock(node.id, &c);
-                let cancelled = w.cancel();
-                debug_assert!(cancelled, "enqueued under this guard");
-                // The cancel resolves the recorded wait.
-                self.trace(RtEvent::CancelWaiter {
-                    tx: node.id,
-                    obj: obj_idx,
-                });
-                guard.queue.pop_back();
-                if guard.queue.is_empty() {
-                    guard.head_edges.clear();
-                }
-                node.set_waiting_on(None);
-                return Attempt::Done(Err(TxError::Deadlock));
+        if let Some(c) = cycle.as_ref().filter(|c| c.requester_out) {
+            // Die: the requester is the youngest on the cycle it closed.
+            // The graph already took the node back out; so does the queue,
+            // whose tail it is — the queue is exactly as before the
+            // enqueue.
+            self.note_deadlock(node.id, c);
+            let cancelled = w.cancel();
+            debug_assert!(cancelled, "enqueued under this guard");
+            // The cancel resolves the recorded wait.
+            self.trace(RtEvent::CancelWaiter {
+                tx: node.id,
+                obj: obj_idx,
+            });
+            guard.queue.pop_back();
+            if guard.queue.is_empty() {
+                guard.head_edges = TopSet::new();
             }
-        };
+            node.set_waiting_on(None);
+            return Attempt::Done(Err(TxError::Deadlock));
+        }
         // Self-scan under the same mutex hold: delivers a doom that raced
         // the enqueue (the aborter either saw our waiting_on registration
         // or we see its abort mark here — the slot mutex serialises the
@@ -1296,10 +1309,12 @@ impl ManagerInner {
         let wake = self.release_scan(obj_idx, &mut guard);
         drop(guard);
         wake.run(self);
-        if elsewhere {
+        if let Some(c) = cycle {
             // The victim waits elsewhere on the cycle; its abort cancels
-            // that wait, and the cancelled request reports Deadlock.
-            self.resolve(node.id, node.top_level_id());
+            // that wait, and the cancelled request reports Deadlock. The
+            // new edges may close more cycles.
+            self.kill(node.id, &c);
+            self.resolve(node.id, node.top());
         }
         Attempt::Queued { w, f }
     }
@@ -1645,9 +1660,10 @@ mod tests {
     }
 
     /// Regression: a waiter that entered the wait-for graph and is then
-    /// aborted while parked must leave no node and no edge behind (the
-    /// retry-loop scheme republished on every wakeup and could leave the
-    /// last set behind when the abort landed between retries).
+    /// aborted while parked must leave no count and no edge behind in
+    /// either top's record (the retry-loop scheme republished on every
+    /// wakeup and could leave the last set behind when the abort landed
+    /// between retries).
     #[test]
     fn wound_while_parked_clears_published_edges() {
         let mgr = TxManager::new(RtConfig {
@@ -1660,22 +1676,22 @@ mod tests {
         let waiter = mgr.begin();
         std::thread::scope(|s| {
             let h = s.spawn(|| waiter.write(&x, |v| *v = 2));
-            // Wait until the blocked writer has enqueued and entered the
-            // wait-for graph.
-            while mgr.inner.wait_graph.len() == 0 {
+            // Wait until the blocked writer has enqueued, and so entered
+            // the wait-for graph (under the same slot-mutex hold).
+            while mgr.queued_waiters() == 0 {
                 assert!(!h.is_finished(), "waiter finished without blocking");
                 std::thread::yield_now();
             }
-            assert_eq!(mgr.queued_waiters(), 1);
+            assert_eq!(waiter.node().wait.out_edges(), vec![(holder.id(), 1)]);
+            assert_eq!(holder.node().wait.inbound(), 1);
             // Abort the parked waiter (the abort reaches its queue node).
             waiter.abort();
             let r = h.join().unwrap();
             assert_eq!(r, Err(TxError::Doomed));
         });
-        assert_eq!(
-            mgr.inner.wait_graph.len(),
-            0,
-            "stale wait-for node left after the abort"
+        assert!(
+            waiter.node().wait.is_empty() && holder.node().wait.is_empty(),
+            "stale wait-for count or edge left after the abort"
         );
         assert_eq!(mgr.queued_waiters(), 0, "cancelled waiter leaked");
         assert!(mgr.stats().cancelled_waiters >= 1);
@@ -1685,9 +1701,9 @@ mod tests {
     /// The soak's workload (`tests/stress.rs`: nested transfers between
     /// eight accounts, poison grandchildren, children retried on deadlock)
     /// under a 20 s budget: every cycle is found by detection, so nothing
-    /// times out, and at quiescence the wait-for graph is as empty as the
-    /// queues. Here rather than in the soak because an integration test
-    /// cannot see the graph.
+    /// times out, and at quiescence every top's wait-for record is as
+    /// empty as the queues. Here rather than in the soak because an
+    /// integration test cannot see the records.
     #[test]
     fn soak_leaves_an_empty_wait_graph() {
         const ACCOUNTS: usize = 8;
@@ -1698,50 +1714,101 @@ mod tests {
         let accounts: Vec<ObjRef<i64>> = (0..ACCOUNTS)
             .map(|i| mgr.register(format!("a{i}"), 1_000i64))
             .collect();
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let (mgr, accounts) = (&mgr, &accounts);
-                s.spawn(move || {
-                    let mut r = t.wrapping_mul(0x2545F4914F6CDD1D) | 1;
-                    let mut rng = move |n: usize| {
-                        r ^= r << 13;
-                        r ^= r >> 7;
-                        r ^= r << 17;
-                        (r >> 33) as usize % n
-                    };
-                    for _ in 0..100 {
-                        let from = rng(ACCOUNTS);
-                        let to = (from + 1 + rng(ACCOUNTS - 1)) % ACCOUNTS;
-                        loop {
-                            let tx = mgr.begin();
-                            let moved = tx.retry_child(8, |c| {
-                                c.write(&accounts[from], |b| *b -= 1)?;
-                                // Hold the first lock across a reschedule
-                                // so transfers overlap and cross.
-                                std::thread::yield_now();
-                                if rng(10) == 0 {
-                                    if let Ok(bad) = c.child() {
-                                        let _ = bad.write(&accounts[to], |b| *b += 1_000_000);
-                                        bad.abort();
+        let tops: Vec<Arc<TxNode>> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (mgr, accounts) = (&mgr, &accounts);
+                    s.spawn(move || {
+                        let mut tops = Vec::new();
+                        let mut r = t.wrapping_mul(0x2545F4914F6CDD1D) | 1;
+                        let mut rng = move |n: usize| {
+                            r ^= r << 13;
+                            r ^= r >> 7;
+                            r ^= r << 17;
+                            (r >> 33) as usize % n
+                        };
+                        for _ in 0..100 {
+                            let from = rng(ACCOUNTS);
+                            let to = (from + 1 + rng(ACCOUNTS - 1)) % ACCOUNTS;
+                            loop {
+                                let tx = mgr.begin();
+                                tops.push(tx.node().clone());
+                                let moved = tx.retry_child(8, |c| {
+                                    c.write(&accounts[from], |b| *b -= 1)?;
+                                    // Hold the first lock across a reschedule
+                                    // so transfers overlap and cross.
+                                    std::thread::yield_now();
+                                    if rng(10) == 0 {
+                                        if let Ok(bad) = c.child() {
+                                            let _ = bad.write(&accounts[to], |b| *b += 1_000_000);
+                                            bad.abort();
+                                        }
                                     }
+                                    c.write(&accounts[to], |b| *b += 1)
+                                });
+                                if moved.is_ok() && tx.commit().is_ok() {
+                                    break;
                                 }
-                                c.write(&accounts[to], |b| *b += 1)
-                            });
-                            if moved.is_ok() && tx.commit().is_ok() {
-                                break;
+                                tx.abort();
                             }
-                            tx.abort();
                         }
-                    }
-                });
-            }
+                        tops
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
         });
         let total: i64 = accounts.iter().map(|a| mgr.read_committed(a, |b| *b)).sum();
         assert_eq!(total, 1_000 * ACCOUNTS as i64);
         let stats = mgr.stats();
         assert_eq!(stats.timeouts, 0, "{stats:?}");
         assert_eq!(mgr.queued_waiters(), 0);
-        assert_eq!(mgr.inner.wait_graph.len(), 0, "a node outlived its queue");
+        for top in &tops {
+            assert!(top.wait.is_empty(), "top {} kept wait-for state", top.id);
+        }
+    }
+
+    /// A manager dropped while a cycle's waiters are still queued frees
+    /// every node: B waits on A's x, A's request on B's y closes the cycle
+    /// and claims B, and the manager goes before anyone aborts B. The two
+    /// records point at each other, weakly.
+    #[test]
+    fn a_dropped_manager_frees_a_cycles_nodes() {
+        let mgr = TxManager::new(RtConfig::default());
+        let inner = &mgr.inner;
+        let (a, b) = (TxNode::top_level(1), TxNode::top_level(2));
+        let held_by = |holder: &Arc<TxNode>| {
+            let obj = inner
+                .objects
+                .push(ObjectSlot::new("o".into(), Box::new(0i64)));
+            let _ = inner.slot(obj).inner.lock().writable_state(holder);
+            holder.touch(obj);
+            obj
+        };
+        let (x, y) = (held_by(&a), held_by(&b));
+        let enqueue = |node: &Arc<TxNode>, obj: usize| {
+            let mut g = inner.slot(obj).inner.lock();
+            let now = Instant::now();
+            inner
+                .enqueue_waiter(&mut g, node, obj, true, now, Waker::noop())
+                .1
+        };
+        assert!(enqueue(&b, x).is_none());
+        let cycle = enqueue(&a, y).expect("A's request closes the cycle");
+        assert!(!cycle.requester_out && cycle.victim.id == 2);
+        drop(cycle);
+        assert_eq!(a.wait.out_edges(), vec![(2, 1)]);
+        assert_eq!(b.wait.out_edges(), vec![(1, 1)]);
+        let nodes = [Arc::downgrade(&a), Arc::downgrade(&b)];
+        drop((a, b));
+        drop(mgr);
+        assert!(
+            nodes.iter().all(|n| n.upgrade().is_none()),
+            "a node outlived its manager"
+        );
     }
 
     /// Regression for the leak found by the loom model

@@ -6,11 +6,13 @@
 //! inline (up to depth 5; deeper paths spill to the heap), so the ancestor
 //! test at the heart of Moss' locking rule is one indexed compare with no
 //! global lock. Its touched set and its list of live children are inline
-//! too: a transaction's bookkeeping never reaches the allocator.
+//! too, and so is a top-level node's place in the wait-for graph: a
+//! transaction's bookkeeping never reaches the allocator.
 
 use crate::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use crate::sync::{Arc, Weak};
 
+use crate::deadlock::WaitRecord;
 use crate::inline::InlineVec;
 use crate::sync::Mutex;
 
@@ -54,8 +56,12 @@ pub(crate) struct TxNode {
     waiting_on: AtomicUsize,
     /// Set when this transaction was chosen as a deadlock victim, so its
     /// blocked accesses report [`crate::TxError::Deadlock`] (retryable)
-    /// rather than plain doom.
+    /// rather than plain doom. Only a top-level node is ever flagged, and
+    /// only by the search that claimed a cycle through it.
     pub deadlock_victim: AtomicBool,
+    /// This transaction's place in the wait-for graph: used on a top-level
+    /// node only (`deadlock.rs`).
+    pub wait: WaitRecord,
 }
 
 impl TxNode {
@@ -70,6 +76,7 @@ impl TxNode {
             touched: Mutex::new(ObjSet::new()),
             waiting_on: AtomicUsize::new(NOT_WAITING),
             deadlock_victim: AtomicBool::new(false),
+            wait: WaitRecord::new(),
         })
     }
 
@@ -84,6 +91,7 @@ impl TxNode {
             touched: Mutex::new(ObjSet::new()),
             waiting_on: AtomicUsize::new(NOT_WAITING),
             deadlock_victim: AtomicBool::new(false),
+            wait: WaitRecord::new(),
         });
         parent.children.lock().push(Arc::downgrade(&node));
         node
@@ -133,9 +141,9 @@ impl TxNode {
     }
 
     /// The top-level ancestor node (self, at depth 0).
-    pub fn top(self: &Arc<TxNode>) -> Arc<TxNode> {
-        let mut cur = self.clone();
-        while let Some(p) = cur.parent.clone() {
+    pub fn top(self: &Arc<TxNode>) -> &Arc<TxNode> {
+        let mut cur = self;
+        while let Some(p) = &cur.parent {
             cur = p;
         }
         cur
@@ -231,10 +239,10 @@ impl TxNode {
 /// A sorted set of object indices: four inline, the rest spilled.
 pub(crate) type ObjSet = InlineVec<usize, 4>;
 
-/// Insert `obj` into the sorted set `set` unless it is there already.
-pub(crate) fn insert_sorted(set: &mut ObjSet, obj: usize) {
-    if let Err(pos) = set.binary_search(&obj) {
-        set.insert(pos, obj);
+/// Insert `x` into the sorted set `set` unless it is there already.
+pub(crate) fn insert_sorted<T: Ord + Default, const N: usize>(set: &mut InlineVec<T, N>, x: T) {
+    if let Err(pos) = set.binary_search(&x) {
+        set.insert(pos, x);
     }
 }
 

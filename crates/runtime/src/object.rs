@@ -13,8 +13,8 @@
 //! each waiter waits on: a queued waiter waits for the top-level
 //! transaction of the waiter ahead of it, and the head for the tops of
 //! the holders it conflicts with ([`ObjectInner::head_edges`]). Those are
-//! its wait-for edges in `deadlock.rs`'s graph, changed only where the
-//! queue changes.
+//! its wait-for edges in its top's record (`deadlock.rs`), changed only
+//! where the queue changes.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use crate::sync::{Arc, Mutex};
@@ -23,8 +23,12 @@ use std::collections::VecDeque;
 use std::task::Waker;
 use std::time::Instant;
 
+use crate::inline::InlineVec;
 use crate::mvcc::SnapshotCell;
-use crate::node::TxNode;
+use crate::node::{insert_sorted, TxNode};
+
+/// A sorted set of top-level ids: four inline, the rest spilled.
+pub(crate) type TopSet = InlineVec<u64, 4>;
 
 /// Type-erased clonable state (object versions).
 ///
@@ -192,14 +196,14 @@ pub(crate) struct ObjectInner {
     /// Read-lock holders.
     pub readers: Vec<Arc<TxNode>>,
     /// Blocked requests in FIFO handoff order; every node in it is
-    /// [`W_WAITING`] and in the wait-for graph.
+    /// [`W_WAITING`] and counted in its top's wait-for record.
     pub queue: VecDeque<Arc<Waiter>>,
-    /// The head's wait-for edges as published in the wait-for graph: the
-    /// top-level ids of the holders it conflicts with, its own excluded,
-    /// sorted. Empty with an empty queue. Every other waiter's one edge is
-    /// implied by its place in `queue` (the top of the waiter ahead), so
-    /// this is the only edge state an object keeps.
-    pub head_edges: Vec<u64>,
+    /// The head's wait-for edges as published in its top's record: the
+    /// top-level ids of the holders it conflicts with
+    /// ([`ObjectInner::holder_tops`]). Empty with an empty queue. Every
+    /// other waiter's one edge is implied by its place in `queue` (the top
+    /// of the waiter ahead), so this is the only edge state an object keeps.
+    pub head_edges: TopSet,
     /// Owner id of a write grant handed off but not yet *applied*: the
     /// releaser installed the version and woke the writer, which has not
     /// reached its closure yet. While set, nothing else is grantable, so no
@@ -234,24 +238,31 @@ impl ObjectInner {
         }
     }
 
-    /// Transactions (other than ancestors of `tx`) holding conflicting
-    /// locks: any write holder always conflicts; readers conflict only for
-    /// write requests.
-    pub fn blockers(&self, tx: &TxNode, write: bool) -> Vec<&TxNode> {
-        let mut out: Vec<&TxNode> = self
-            .chain
-            .iter()
-            .filter(|e| !e.owner.is_ancestor_of(tx))
-            .map(|e| &*e.owner)
-            .collect();
-        if write {
-            for r in &self.readers {
-                if !r.is_ancestor_of(tx) && !out.iter().any(|b| b.id == r.id) {
-                    out.push(r);
-                }
+    /// The tops of the holders a request of `tx` conflicts with — any write
+    /// holder, and readers for a write request, ancestors of `tx` never —
+    /// its own top excluded: the edges of `tx`'s waiter at the queue head.
+    pub fn holder_tops(&self, tx: &TxNode, write: bool) -> TopSet {
+        let mine = tx.top_level_id();
+        let mut tops = TopSet::new();
+        let readers = self.readers.iter().filter(|_| write);
+        for h in self.chain.iter().map(|e| &e.owner).chain(readers) {
+            let top = h.top_level_id();
+            if top != mine && !h.is_ancestor_of(tx) {
+                insert_sorted(&mut tops, top);
             }
         }
-        out
+        tops
+    }
+
+    /// The node of holder top `top` (one of [`Self::holder_tops`]).
+    pub fn holder_top(&self, top: u64) -> &Arc<TxNode> {
+        self.chain
+            .iter()
+            .map(|e| &e.owner)
+            .chain(&self.readers)
+            .find(|h| h.top_level_id() == top)
+            .expect("an edge target holds a lock")
+            .top()
     }
 
     /// Moss' grant rule, gated on no write handoff being in flight.
@@ -462,7 +473,7 @@ impl ObjectSlot {
                 chain: Vec::new(),
                 readers: Vec::new(),
                 queue: VecDeque::new(),
-                head_edges: Vec::new(),
+                head_edges: TopSet::new(),
                 write_pending: None,
                 tenure_start: None,
                 hint_warm: false,
@@ -520,7 +531,7 @@ mod tests {
             chain: Vec::new(),
             readers: Vec::new(),
             queue: VecDeque::new(),
-            head_edges: Vec::new(),
+            head_edges: TopSet::new(),
             write_pending: None,
             tenure_start: None,
             hint_warm: false,
@@ -699,17 +710,19 @@ mod tests {
 
     #[test]
     fn blockers_reported() {
-        let (p, c, _, q) = nodes();
+        let (p, c, g, q) = nodes();
+        let r = TxNode::top_level(9);
         let mut o = inner();
         let _ = o.writable_state(&c);
         o.add_reader(&p);
-        let b = o.blockers(&q, true);
-        let ids: Vec<u64> = b.iter().map(|n| n.id).collect();
-        assert!(ids.contains(&c.id));
-        assert!(ids.contains(&p.id));
+        o.add_reader(&r);
+        // Holders are reported by top, each top once: c and p share top 1.
+        assert_eq!(o.holder_tops(&q, true)[..], [1, 9]);
         // For a read request only write holders block.
-        let b = o.blockers(&q, false);
-        assert_eq!(b.iter().map(|n| n.id).collect::<Vec<_>>(), vec![c.id]);
+        assert_eq!(o.holder_tops(&q, false)[..], [1]);
+        // Neither ancestors nor the requester's own top are edges.
+        assert_eq!(o.holder_tops(&g, true)[..], [9]);
+        assert!(Arc::ptr_eq(o.holder_top(1), &p) && Arc::ptr_eq(o.holder_top(9), &r));
     }
 
     #[test]

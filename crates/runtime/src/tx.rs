@@ -32,6 +32,12 @@ impl Tx {
         }
     }
 
+    /// The transaction's node (unit tests read its wait-for record).
+    #[cfg(test)]
+    pub(crate) fn node(&self) -> &Arc<TxNode> {
+        &self.node
+    }
+
     /// This transaction's id.
     pub fn id(&self) -> u64 {
         self.node.id
@@ -241,9 +247,9 @@ impl Tx {
                 });
                 let target = match action {
                     FaultAction::CrashSubtree => self.node.top(),
-                    _ => self.node.clone(),
+                    _ => &self.node,
                 };
-                self.mgr.abort_subtree(&target);
+                self.mgr.abort_subtree(target);
                 self.node.leave_parent();
                 return Err(TxError::Doomed);
             }

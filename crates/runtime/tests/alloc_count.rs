@@ -6,7 +6,9 @@
 //! publishes the version it inherited instead of cloning it. What is left
 //! is the work itself: one `TxNode` per transaction, one undo version per
 //! first write, one published version node per object a top-level commit
-//! changed. These tests pin that count.
+//! changed. These tests pin that count, and that a queued request
+//! allocates its queue node and nothing else: no wait-for bookkeeping, no
+//! handoff, no wake.
 //!
 //! Counts are per thread (a `const` thread-local, no lazy init and no
 //! destructor, so the allocator can use it): libtest runs the tests of
@@ -16,6 +18,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::future::Future;
+use std::task::{Context, Poll, Waker};
 
 use ntx_runtime::{ObjRef, RtConfig, Tx, TxManager};
 
@@ -171,4 +175,56 @@ fn commits_allocate_only_published_version_nodes() {
         assert_eq!(child_commit, 0, "child commit with {writes} writes");
         assert_eq!(top_commit, writes as u64, "top commit with {writes} writes");
     }
+}
+
+/// One round of the wait path on `x`: a writer holds it, three other tops
+/// queue on it through `write_async`, and the holder's commit hands it to
+/// the first, whose commit hands it to the next. Returns the allocations of
+/// polling the three into the queue, of the three polls that find their
+/// grant, and of the holder's commit.
+fn wait_path(mgr: &TxManager, x: &ObjRef<i64>) -> (u64, u64, u64) {
+    let holder = mgr.begin();
+    holder.write(x, |v| *v += 1).unwrap();
+    let tops: Vec<Tx> = (0..3).map(|_| mgr.begin()).collect();
+    let mut futures: Vec<_> = tops
+        .iter()
+        .map(|t| Box::pin(t.write_async(x, |v| *v += 1)))
+        .collect();
+    let mut cx = Context::from_waker(Waker::noop());
+    let enqueue = allocs_in(|| {
+        for f in &mut futures {
+            assert!(f.as_mut().poll(&mut cx).is_pending(), "x is held");
+        }
+    });
+    let commit = allocs_in(|| holder.commit().unwrap());
+    let mut grants = 0;
+    for (t, f) in tops.iter().zip(&mut futures) {
+        grants += allocs_in(|| {
+            let granted = f.as_mut().poll(&mut cx);
+            assert!(
+                matches!(granted, Poll::Ready(Ok(()))),
+                "handed off in order"
+            );
+        });
+        t.commit().unwrap();
+    }
+    (enqueue, grants, commit)
+}
+
+/// The wait path allocates one queue node per waiter: entering the queue
+/// and the wait-for graph, the handoffs, and the wakes cost nothing more.
+#[test]
+fn the_wait_path_allocates_only_its_queue_nodes() {
+    let (mgr, objs) = setup(1);
+    for _ in 0..8 {
+        wait_path(&mgr, &objs[0]);
+    }
+    let (enqueue, grants, commit) = wait_path(&mgr, &objs[0]);
+    assert!(
+        enqueue <= 3,
+        "three waiters' enqueue made {enqueue}, want <= 3"
+    );
+    assert_eq!(grants, 0, "the three grant polls");
+    assert!(commit <= 4, "the holder's commit made {commit}, want <= 4");
+    assert_eq!(mgr.read_committed(&objs[0], |v| *v), 4 * 9);
 }

@@ -7,9 +7,12 @@
 //! executor suffices:
 //!
 //! - one run queue per worker (`Mutex<VecDeque>` + `Condvar`), tasks pinned
-//!   to the worker they were spawned on so wakes stay cache-local;
-//! - a four-state task machine (`IDLE`/`QUEUED`/`RUNNING`/`NOTIFIED`) that
-//!   makes wakes idempotent and never loses a wake that races a poll;
+//!   to the worker they were spawned on so wakes stay cache-local; a push
+//!   signals the condvar only when the worker is asleep on it, so a busy
+//!   worker's queue costs no wake-up system call;
+//! - a five-state task machine (`IDLE`/`QUEUED`/`RUNNING`/`NOTIFIED`/
+//!   `DONE`) that makes wakes idempotent and never loses a wake that races
+//!   a poll;
 //! - an `in_flight` gauge with a high-watermark, which is both the
 //!   "concurrent sessions" metric and the drain barrier.
 
@@ -92,8 +95,18 @@ impl std::task::Wake for Task {
 
 /// A worker's run queue.
 struct WorkerQueue {
-    q: Mutex<VecDeque<Arc<Task>>>,
+    q: Mutex<RunQueue>,
     cv: Condvar,
+}
+
+/// What a [`WorkerQueue`]'s mutex guards.
+#[derive(Default)]
+struct RunQueue {
+    tasks: VecDeque<Arc<Task>>,
+    /// The worker found `tasks` empty and waits on the condvar. Set and
+    /// cleared under the mutex, so a push either lands before the worker
+    /// looks (and is found) or sees the flag (and signals).
+    sleeping: bool,
 }
 
 struct ExecInner {
@@ -114,8 +127,12 @@ struct ExecInner {
 impl ExecInner {
     fn push(&self, worker: usize, task: Arc<Task>) {
         let wq = &self.queues[worker];
-        wq.q.lock().push_back(task);
-        wq.cv.notify_one();
+        let mut q = wq.q.lock();
+        q.tasks.push_back(task);
+        if std::mem::take(&mut q.sleeping) {
+            drop(q);
+            wq.cv.notify_one();
+        }
     }
 }
 
@@ -135,7 +152,7 @@ impl Executor {
         let inner = Arc::new(ExecInner {
             queues: (0..workers)
                 .map(|_| WorkerQueue {
-                    q: Mutex::new(VecDeque::new()),
+                    q: Mutex::new(RunQueue::default()),
                     cv: Condvar::new(),
                 })
                 .collect(),
@@ -210,6 +227,9 @@ impl Executor {
     fn stop_and_join(&mut self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         for wq in &self.inner.queues {
+            // Under the queue mutex: a worker between its stop check and
+            // its wait holds it, so it either sees `stop` or is waiting.
+            let _q = wq.q.lock();
             wq.cv.notify_all();
         }
         for h in self.handles.drain(..) {
@@ -219,7 +239,7 @@ impl Executor {
         // them so a post-shutdown drain() cannot hang.
         for wq in &self.inner.queues {
             let mut q = wq.q.lock();
-            while let Some(task) = q.pop_front() {
+            while let Some(task) = q.tasks.pop_front() {
                 task.state.store(T_DONE, Ordering::SeqCst);
                 *task.future.lock() = None;
                 self.inner.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -243,12 +263,13 @@ fn worker_loop(inner: &Arc<ExecInner>, index: usize) {
         let task = {
             let mut q = wq.q.lock();
             loop {
-                if let Some(t) = q.pop_front() {
+                if let Some(t) = q.tasks.pop_front() {
                     break t;
                 }
                 if inner.stop.load(Ordering::SeqCst) {
                     return;
                 }
+                q.sleeping = true;
                 wq.cv.wait(&mut q);
             }
         };
@@ -378,6 +399,31 @@ mod tests {
         w.wake();
         exec.drain();
         assert_eq!(exec.in_flight(), 0);
+        exec.shutdown();
+    }
+
+    /// A worker asleep on its empty queue wakes for a push from a thread
+    /// outside the pool: the push sees the worker's `sleeping` flag.
+    #[test]
+    fn a_push_from_a_foreign_thread_wakes_a_sleeping_worker() {
+        let exec = Executor::new(1);
+        let asleep = || exec.inner.queues[0].q.lock().sleeping;
+        let start = std::time::Instant::now();
+        while !asleep() {
+            assert!(start.elapsed().as_secs() < 10, "the worker never slept");
+            std::thread::yield_now();
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                exec.spawn(async move {
+                    tx.send(()).unwrap();
+                })
+            });
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the sleeping worker ran the pushed task");
+        exec.drain();
         exec.shutdown();
     }
 
