@@ -17,7 +17,8 @@
 //! * [`wire`] — the frame format: begin/child/access/commit/abort.
 //! * [`executor`] — a hand-rolled N-worker future executor (no tokio; the
 //!   workspace builds offline) for in-process session futures.
-//! * [`client`] — a minimal blocking client for tests and benches.
+//! * [`client`] — a minimal blocking client for tests and benches; it
+//!   stages requests and writes them in one go when it waits.
 //!
 //! The `ntx-serve` binary wires these together behind CLI flags and drains
 //! gracefully on stdin EOF.

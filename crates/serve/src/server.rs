@@ -12,11 +12,15 @@
 //! that reactor's mailbox.
 //!
 //! A connection's *driver* is its session — the open transaction handles
-//! and at most one [`ntx_runtime::AccessFuture`] it waits on. The owning
-//! reactor reads the socket, splits frames into the inbox and polls the
-//! driver in place: frames are answered strictly in order (responses never
-//! interleave out of request order) until one waits for a lock, and what
-//! that poll answered goes out with one non-blocking `write`. A blocked
+//! (at most `MAX_HANDLES` of them) and at most one
+//! [`ntx_runtime::AccessFuture`] it waits on. The owning reactor reads the
+//! socket, splits every frame of a read in place and decodes it into the
+//! inbox — which holds decoded requests, and a malformed body's `ErrProto`
+//! in its place — then polls the driver in place: frames are answered
+//! strictly in order (responses never interleave out of request order)
+//! until one waits for a lock, each answer is encoded straight into the
+//! outbox, and what that poll answered goes out with one non-blocking
+//! `write`; none of it allocates per frame. A blocked
 //! request costs a queue node and a future, not a thread. Its waker — fired
 //! by a grant wave on any thread, or by the sweeper — posts the
 //! connection's token to the owning reactor's mailbox and rings its
@@ -50,8 +54,12 @@ use std::thread::JoinHandle;
 /// hard bound is this plus one read buffer's worth).
 const INBOX_HIGH: usize = 256;
 /// Unsent response bytes a session's outbox holds before its driver stops
-/// taking frames.
-const OUTBOX_HIGH: usize = 16 * 1024;
+/// taking frames. The client stages requests up to the same bound.
+pub(crate) const OUTBOX_HIGH: usize = 16 * 1024;
+/// Open transaction handles a session may hold; beyond them `BEGIN` and
+/// `CHILD` answer `ErrBusy` until one finishes. Without it a peer that
+/// only sends `BEGIN` grows the session's map without limit.
+const MAX_HANDLES: usize = 1024;
 
 /// Server tunables.
 pub struct ServerConfig {
@@ -287,14 +295,19 @@ struct Session {
 }
 
 impl Session {
-    /// Answer one request frame — or, for an access, start it and leave it
+    /// Answer one decoded frame — or, for an access, start it and leave it
     /// in `waiting`, whose result is the answer.
-    fn handle(&mut self, core: &ServerCore, body: &[u8]) -> Option<Response> {
-        let req = match Request::decode(body) {
+    fn handle(&mut self, core: &ServerCore, frame: Result<Request, ErrCode>) -> Option<Response> {
+        let req = match frame {
             Ok(req) => req,
             Err(code) => return Some(Response::Err(code)),
         };
         Some(match req {
+            // The cap is checked before a transaction exists, so a refused
+            // `CHILD` creates and aborts nothing.
+            Request::Begin | Request::Child { .. } if self.txs.len() >= MAX_HANDLES => {
+                Response::Err(ErrCode::ErrBusy)
+            }
             Request::Begin => self.open(core.mgr.begin()),
             Request::Child { parent } => match self.txs.get(&parent).map(Tx::child) {
                 None => Response::Err(ErrCode::ErrHandle),
@@ -375,8 +388,9 @@ struct Conn {
     waker: Waker,
     /// Bytes read that do not make a whole frame yet.
     inbuf: Vec<u8>,
-    /// Complete request frames, in arrival order.
-    inbox: VecDeque<Vec<u8>>,
+    /// Complete request frames, decoded, in arrival order: a malformed
+    /// body is its `ErrProto`, answered in its place.
+    inbox: VecDeque<Result<Request, ErrCode>>,
     /// Encoded response bytes not yet on the wire.
     outbox: Vec<u8>,
     /// The interest mask registered with epoll.
@@ -410,16 +424,16 @@ impl Conn {
                         Ok(v) => Response::Value(v),
                         Err(e) => Response::Err(err_code(&e)),
                     };
-                    self.outbox.extend_from_slice(&resp.encode());
+                    resp.encode_into(&mut self.outbox);
                 }
                 if self.outbox.len() > OUTBOX_HIGH {
                     break;
                 }
-                let Some(body) = self.inbox.pop_front() else {
+                let Some(frame) = self.inbox.pop_front() else {
                     break;
                 };
-                if let Some(resp) = self.session.handle(core, &body) {
-                    self.outbox.extend_from_slice(&resp.encode());
+                if let Some(resp) = self.session.handle(core, frame) {
+                    resp.encode_into(&mut self.outbox);
                 }
             }
             let over = self.outbox.len() > OUTBOX_HIGH;
@@ -448,9 +462,16 @@ impl Conn {
         self.stalled = !self.outbox.is_empty();
     }
 
-    /// Read until the socket runs dry or the inbox is full, splitting
+    /// Read until the socket runs dry or the inbox is full, decoding
     /// complete frames into the inbox. Returns `true` if the connection
     /// reached EOF, a fatal error or a protocol violation.
+    ///
+    /// Each read's frames are found in place by [`wire::split_frame`] and
+    /// decoded from the borrowed body, and the consumed bytes go with one
+    /// `drain` per read: no copy or allocation per frame, and the memmove of
+    /// the unconsumed tail does not grow with the burst. An oversized
+    /// length prefix ends the walk: the frames before it are in the inbox
+    /// and are answered, in order, before the hang-up.
     fn pump_reads(&mut self, tmp: &mut [u8]) -> bool {
         loop {
             let n = match (&self.stream).read(tmp) {
@@ -461,14 +482,19 @@ impl Conn {
                 Err(_) => return true,
             };
             self.inbuf.extend_from_slice(&tmp[..n]);
+            let mut used = 0;
             loop {
-                match wire::take_frame(&mut self.inbuf) {
-                    Ok(Some(body)) => self.inbox.push_back(body),
+                match wire::split_frame(&self.inbuf[used..]) {
+                    Ok(Some((body, len))) => {
+                        self.inbox.push_back(Request::decode(body));
+                        used += len;
+                    }
                     Ok(None) => break,
                     // Oversized length prefix.
                     Err(()) => return true,
                 }
             }
+            self.inbuf.drain(..used);
             // A short read emptied the socket, and level-triggered epoll
             // reports whatever arrives next: no second `read` to be told so.
             if n < tmp.len() || self.inbox.len() >= INBOX_HIGH {

@@ -21,6 +21,11 @@
 //! Error responses carry `STATUS_ERR` plus a one-byte [`ErrCode`]. A server
 //! at its admission limit greets the rejected connection with a single
 //! `STATUS_ERR`/`ErrBusy` frame and closes.
+//!
+//! Both ends build frames with `encode_into`, which appends a whole frame
+//! to a buffer that may hold others already (a client's staged burst, a
+//! connection's outbox), and read them with [`split_frame`], which finds
+//! a frame in place; `encode` and [`take_frame`] are their owning forms.
 
 /// Begin a new top-level transaction on this connection.
 pub const OP_BEGIN: u8 = 0x01;
@@ -52,7 +57,8 @@ pub enum ErrCode {
     ErrTimeout = 4,
     /// Transaction was doomed (a deadlock victim, or aborted above); abort it.
     ErrDoomed = 5,
-    /// Server is at its admission limit; retry later.
+    /// Server is at its admission limit, or the session at its limit of
+    /// open handles; retry later.
     ErrBusy = 6,
 }
 
@@ -138,14 +144,15 @@ impl Request {
         }
     }
 
-    /// Encode this request as a full frame (length prefix included).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(18);
-        match *self {
-            Request::Begin => body.push(OP_BEGIN),
+    /// Append this request to `out` as a whole frame, length prefix
+    /// included. A client stages a burst of requests in one buffer this
+    /// way, and sends it with one `write`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_frame(out, |out| match *self {
+            Request::Begin => out.push(OP_BEGIN),
             Request::Child { parent } => {
-                body.push(OP_CHILD);
-                body.extend_from_slice(&parent.to_le_bytes());
+                out.push(OP_CHILD);
+                out.extend_from_slice(&parent.to_le_bytes());
             }
             Request::Access {
                 handle,
@@ -153,22 +160,28 @@ impl Request {
                 write,
                 delta,
             } => {
-                body.push(OP_ACCESS);
-                body.extend_from_slice(&handle.to_le_bytes());
-                body.extend_from_slice(&obj.to_le_bytes());
-                body.push(write as u8);
-                body.extend_from_slice(&delta.to_le_bytes());
+                out.push(OP_ACCESS);
+                out.extend_from_slice(&handle.to_le_bytes());
+                out.extend_from_slice(&obj.to_le_bytes());
+                out.push(write as u8);
+                out.extend_from_slice(&delta.to_le_bytes());
             }
             Request::Commit { handle } => {
-                body.push(OP_COMMIT);
-                body.extend_from_slice(&handle.to_le_bytes());
+                out.push(OP_COMMIT);
+                out.extend_from_slice(&handle.to_le_bytes());
             }
             Request::Abort { handle } => {
-                body.push(OP_ABORT);
-                body.extend_from_slice(&handle.to_le_bytes());
+                out.push(OP_ABORT);
+                out.extend_from_slice(&handle.to_le_bytes());
             }
-        }
-        frame(&body)
+        });
+    }
+
+    /// Encode this request as a full frame (length prefix included).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(4 + 18);
+        self.encode_into(&mut out);
+        out
     }
 }
 
@@ -186,25 +199,32 @@ pub enum Response {
 }
 
 impl Response {
-    /// Encode this response as a full frame (length prefix included).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::with_capacity(9);
-        match *self {
+    /// Append this response to `out` as a whole frame, length prefix
+    /// included. The server encodes a poll's answers straight into the
+    /// connection's outbox this way.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_frame(out, |out| match *self {
             Response::Handle(h) => {
-                body.push(STATUS_OK);
-                body.extend_from_slice(&h.to_le_bytes());
+                out.push(STATUS_OK);
+                out.extend_from_slice(&h.to_le_bytes());
             }
             Response::Value(v) => {
-                body.push(STATUS_OK);
-                body.extend_from_slice(&v.to_le_bytes());
+                out.push(STATUS_OK);
+                out.extend_from_slice(&v.to_le_bytes());
             }
-            Response::Ok => body.push(STATUS_OK),
+            Response::Ok => out.push(STATUS_OK),
             Response::Err(code) => {
-                body.push(STATUS_ERR);
-                body.push(code as u8);
+                out.push(STATUS_ERR);
+                out.push(code as u8);
             }
-        }
-        frame(&body)
+        });
+    }
+
+    /// Encode this response as a full frame (length prefix included).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(4 + 9);
+        self.encode_into(&mut out);
+        out
     }
 
     /// Decode a response body (without the length prefix). Payload shape is
@@ -227,33 +247,51 @@ impl Response {
     }
 }
 
-/// Prefix `body` with its `u32` LE length.
-pub fn frame(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out
+/// Append one frame to `out`: a `u32` LE length prefix, then whatever
+/// `body` appends.
+fn put_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Try to split one complete frame body off the front of `buf`.
+/// Find the first complete frame at the front of `buf`, without copying
+/// or consuming anything: the one framing rule, which [`take_frame`] and
+/// both ends of the connection share.
+///
+/// Returns `Ok(None)` if more bytes are needed, `Ok(Some((body, used)))`
+/// with the frame's body borrowed from `buf` and the `used` bytes (prefix
+/// and body) the caller consumes, or `Err(())` if the peer announced a body
+/// larger than [`MAX_FRAME`] (protocol violation; hang up). A reader walks
+/// a whole read's worth of frames by slicing past each `used`, and drops
+/// the consumed prefix once.
+#[allow(clippy::result_unit_err)] // the only error is "hang up"; it carries no data
+pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, ()> {
+    let Some(prefix) = buf.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes(prefix.try_into().unwrap()) as usize;
+    if len > MAX_FRAME {
+        return Err(());
+    }
+    Ok(buf.get(4..4 + len).map(|body| (body, 4 + len)))
+}
+
+/// Try to split one complete frame body off the front of `buf`: an owning
+/// [`split_frame`].
 ///
 /// Returns `Ok(None)` if more bytes are needed, `Ok(Some(body))` with the
 /// consumed prefix removed from `buf`, or `Err(())` if the peer announced a
 /// body larger than [`MAX_FRAME`] (protocol violation; hang up).
 #[allow(clippy::result_unit_err)] // the only error is "hang up"; it carries no data
 pub fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, ()> {
-    if buf.len() < 4 {
+    let Some((body, used)) = split_frame(buf)? else {
         return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return Err(());
-    }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    let body = buf[4..4 + len].to_vec();
-    buf.drain(..4 + len);
+    };
+    let body = body.to_vec();
+    buf.drain(..used);
     Ok(Some(body))
 }
 
@@ -332,7 +370,50 @@ mod tests {
     fn oversized_length_prefix_is_rejected() {
         let mut buf = (MAX_FRAME as u32 + 1).to_le_bytes().to_vec();
         buf.push(0);
+        assert!(split_frame(&buf).is_err());
         assert!(take_frame(&mut buf).is_err());
+    }
+
+    /// `encode_into` appends exactly `encode`'s bytes, whatever the buffer
+    /// already holds, and `split_frame` walks a staged burst frame by frame
+    /// without consuming it.
+    #[test]
+    fn encode_into_appends_frames_that_split_frame_walks_in_place() {
+        let reqs = [
+            Request::Begin,
+            Request::Child { parent: 1 },
+            Request::Access {
+                handle: 2,
+                obj: 5,
+                write: true,
+                delta: 1,
+            },
+            Request::Commit { handle: 2 },
+        ];
+        let mut staged = Vec::new();
+        for req in reqs {
+            let at = staged.len();
+            req.encode_into(&mut staged);
+            assert_eq!(staged[at..], req.encode()[..]);
+        }
+        Response::Value(-7).encode_into(&mut staged);
+        assert_eq!(
+            staged[staged.len() - 13..],
+            Response::Value(-7).encode()[..]
+        );
+
+        let mut at = 0;
+        for req in reqs {
+            let (body, used) = split_frame(&staged[at..]).unwrap().expect("whole frame");
+            assert_eq!(Request::decode(body), Ok(req));
+            at += used;
+        }
+        let (body, used) = split_frame(&staged[at..]).unwrap().unwrap();
+        assert_eq!(Response::decode(body), Ok(Response::Value(-7)));
+        assert_eq!(at + used, staged.len());
+        // A partial frame at the end asks for more bytes.
+        assert_eq!(split_frame(&staged[at..at + used - 1]), Ok(None));
+        assert_eq!(split_frame(&staged[..3]), Ok(None));
     }
 
     #[test]

@@ -90,6 +90,7 @@ fn out_of_descriptors_until_a_retirement_on(reactor: usize) {
     // and the connection stays in the backlog, its request with it.
     let mut second = Client::connect(server.local_addr()).unwrap();
     second.send(Request::Begin).unwrap();
+    second.flush().unwrap();
     assert!(
         File::open("/dev/null").is_err(),
         "a descriptor is still free"

@@ -144,6 +144,8 @@ fn park_and_drain_over_the_wire(sessions: usize) {
                 delta: 1,
             })
             .unwrap();
+            // Staged requests leave at a read; none follows here.
+            c.flush().unwrap();
             (c, t)
         })
         .collect();

@@ -5,7 +5,7 @@
 mod common;
 
 use common::wait_until;
-use ntx_serve::wire::{take_frame, Request, Response};
+use ntx_serve::wire::{self, take_frame, ErrCode, Request, Response};
 use ntx_serve::{Server, ServerConfig};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -167,6 +167,30 @@ fn commit_on_another_reactor_answers_a_parked_write() {
 #[test]
 fn commit_on_the_same_reactor_answers_a_parked_write() {
     holder_commit_answers_a_parked_write(1);
+}
+
+/// A burst whose third frame announces a body over `MAX_FRAME` gets its
+/// first two frames answered, in order — the second, a malformed body, with
+/// `ErrProto` in its place — and then a hang-up: the frames a read splits
+/// before the bad prefix are served, nothing after it is.
+#[test]
+fn oversized_length_prefix_mid_burst_answers_the_frames_before_it_then_hangs_up() {
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Raw::connect(&server);
+    let mut burst = Request::Begin.encode();
+    // An `ACCESS` with a truncated payload.
+    burst.extend_from_slice(&3u32.to_le_bytes());
+    burst.extend_from_slice(&[wire::OP_ACCESS, 1, 0]);
+    burst.extend_from_slice(&(wire::MAX_FRAME as u32 + 1).to_le_bytes());
+    burst.extend_from_slice(&[wire::OP_BEGIN; 8]);
+    burst.extend_from_slice(&Request::Begin.encode());
+    c.stream.write_all(&burst).unwrap();
+
+    assert_eq!(c.next(), Some(Response::Handle(1)));
+    assert_eq!(c.next(), Some(Response::Err(ErrCode::ErrProto)));
+    assert_eq!(c.next(), None, "EOF after the frames before the bad one");
+    wait_until("the session to retire", || server.live_sessions() == 0);
+    server.drain();
 }
 
 /// A client that sends a burst and shuts its write side down still gets

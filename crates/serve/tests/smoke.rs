@@ -1,6 +1,9 @@
 //! End-to-end smoke tests: the `ntx-serve` binary and the in-process
 //! server, driven through the real wire protocol.
 
+mod common;
+
+use common::wait_until;
 use ntx_serve::client::Client;
 use ntx_serve::wire::{ErrCode, Request, Response};
 use ntx_serve::{Server, ServerConfig};
@@ -170,7 +173,8 @@ fn blocked_wire_writer_completes_on_holder_commit() {
     let mut waiter = Client::connect(addr).unwrap();
     let w = waiter.begin().unwrap();
     // Pipeline the blocked write; the driver future parks in the lock
-    // queue without pinning a server thread.
+    // queue without pinning a server thread. Staged requests leave at a
+    // read, so flush: the write must be parked before the holder commits.
     waiter
         .send(Request::Access {
             handle: w,
@@ -179,7 +183,10 @@ fn blocked_wire_writer_completes_on_holder_commit() {
             delta: 10,
         })
         .unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    waiter.flush().unwrap();
+    wait_until("the write to park", || {
+        server.manager().queued_waiters() == 1
+    });
 
     holder.commit(h).unwrap().unwrap();
     match waiter.read_response().unwrap() {
@@ -297,5 +304,44 @@ fn overflowing_delta_wraps_and_the_server_keeps_answering() {
         .recv_timeout(std::time::Duration::from_secs(3))
         .expect("both sessions answered within 3 s");
     client.join().unwrap();
+    server.drain();
+}
+
+/// A session holds at most 1024 open handles: past them `BEGIN` and
+/// `CHILD` answer `ErrBusy`, the session keeps answering, and a handle
+/// that finishes makes room for the next.
+#[test]
+fn open_handles_per_session_are_capped() {
+    const CAP: u32 = 1024;
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    for _ in 0..=CAP {
+        c.send(Request::Begin).unwrap();
+    }
+    for h in 1..=CAP {
+        assert_eq!(c.read_response().unwrap(), Response::Handle(h));
+    }
+    assert_eq!(
+        c.read_response().unwrap(),
+        Response::Err(ErrCode::ErrBusy),
+        "BEGIN number {}",
+        CAP + 1
+    );
+    assert_eq!(
+        c.call(Request::Child { parent: 1 }).unwrap(),
+        Response::Err(ErrCode::ErrBusy)
+    );
+    // The handles already open still work.
+    assert_eq!(c.add(CAP, 0, 5).unwrap(), Ok(5));
+
+    assert_eq!(c.commit(1).unwrap(), Ok(()));
+    assert_eq!(c.begin().unwrap(), CAP + 1);
+    assert_eq!(
+        c.call(Request::Begin).unwrap(),
+        Response::Err(ErrCode::ErrBusy)
+    );
+    drop(c);
+    wait_until("the session to retire", || server.live_sessions() == 0);
+    assert_eq!(server.manager().queued_waiters(), 0);
     server.drain();
 }
