@@ -105,7 +105,7 @@ impl<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> Access<M, N, F> {
                     Attempt::Queued { w, f } => {
                         // The node carries its own deadline; all it needs
                         // is a sweeper awake to read it.
-                        mgr.sweeper.kick(mgr);
+                        mgr.sweeper.kick();
                         (w, f)
                     }
                 }

@@ -45,7 +45,7 @@ fn mk_mgr() -> Arc<ManagerInner> {
         commit_ts: AtomicU64::new(0),
         live_snapshots: crate::sync::Mutex::new(std::collections::BTreeMap::new()),
         wal: None,
-        sweeper: crate::sweeper::Sweeper::new(),
+        sweeper: crate::sweeper::Sweeper::new(crate::sync::Weak::new(), Duration::from_millis(50)),
     })
 }
 

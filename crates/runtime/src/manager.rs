@@ -36,7 +36,7 @@
 //! Nothing ever walks a queue to refresh edges.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::{Arc, Mutex, MutexGuard};
+use crate::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::task::Waker;
@@ -106,9 +106,9 @@ pub(crate) struct ManagerInner {
     /// default — in which case the commit path pays a single `Option`
     /// branch and no io).
     pub wal: Option<Wal>,
-    /// Times out every expired waiter ([`Self::sweep_slot`]): one thread,
-    /// spawned by the first queued waiter, stopped and joined when the
-    /// manager drops.
+    /// Times out every expired waiter ([`Self::sweep_slot`]) and late
+    /// group batch: one thread, spawned by the first one, stopped and
+    /// joined when the manager drops.
     pub(crate) sweeper: Arc<Sweeper>,
 }
 
@@ -119,12 +119,13 @@ impl Drop for ManagerInner {
 }
 
 impl ManagerInner {
-    fn with_config(config: RtConfig) -> ManagerInner {
+    fn with_config(config: RtConfig, me: Weak<ManagerInner>) -> ManagerInner {
         let wal = config.wal_dir.as_ref().map(|dir| {
             Wal::open(dir, config.fsync_policy, config.checkpoint_every)
                 .unwrap_or_else(|e| panic!("failed to open WAL at {}: {e}", dir.display()))
         });
         ManagerInner {
+            sweeper: Sweeper::new(me, config.wait_timeout),
             config,
             wal,
             objects: Slab::new(),
@@ -133,7 +134,6 @@ impl ManagerInner {
             ts_alloc: AtomicU64::new(0),
             commit_ts: AtomicU64::new(0),
             live_snapshots: Mutex::new(BTreeMap::new()),
-            sweeper: Sweeper::new(),
         }
     }
 }
@@ -148,7 +148,7 @@ impl TxManager {
     /// A fresh manager with no objects.
     pub fn new(config: RtConfig) -> TxManager {
         TxManager {
-            inner: Arc::new(ManagerInner::with_config(config)),
+            inner: Arc::new_cyclic(|me| ManagerInner::with_config(config, me.clone())),
         }
     }
 
@@ -198,11 +198,6 @@ impl TxManager {
             tx: id,
             parent: None,
         });
-        if let Some(w) = &self.inner.wal {
-            if w.append_begin(id) {
-                self.inner.stats.bump(Ctr::WalAppends);
-            }
-        }
         Tx::new(self.inner.clone(), TxNode::top_level(id))
     }
 
@@ -695,13 +690,13 @@ impl ManagerInner {
             // Died between the last Publish and the fence.
             let torn = wal.append_frames(&block[..fence]);
             wal.freeze();
-            (None, if torn { publishes } else { 0 })
+            (None, torn.then_some(publishes))
         } else {
             let due = wal.append_commit_block(block, ts);
-            (due, if due.is_some() { publishes + 1 } else { 0 })
+            (due, due.map(|_| publishes + 1))
         };
-        if records > 0 {
-            self.stats.add(Ctr::WalAppends, records as u64);
+        if let Some(records) = records {
+            self.stats.bump(Ctr::WalAppends);
             self.trace(RtEvent::WalAppend {
                 tx: top,
                 ts,
@@ -713,12 +708,26 @@ impl ManagerInner {
         }
         // Both are no-ops on a log frozen since the append.
         let Some(due) = due else { return };
+        if due.opened_batch {
+            self.sweeper.kick();
+        }
         if due.sync && wal.sync() {
             self.stats.bump(Ctr::WalFsyncs);
         }
         if due.checkpoint {
             self.wal_checkpoint(ts, top);
         }
+    }
+
+    /// The sweeper's half of the `Group` deadline: fsync a batch past due,
+    /// or say when the pending one falls due.
+    pub(crate) fn wal_sync_overdue(&self, now: Instant) -> Option<Instant> {
+        let wal = self.wal.as_ref()?;
+        let due = wal.batch_deadline()?;
+        if due <= now && wal.sync() {
+            self.stats.bump(Ctr::WalFsyncs);
+        }
+        (due > now).then_some(due)
     }
 
     /// Write a checkpoint at timestamp `ts` and prune older segments.
@@ -1595,17 +1604,6 @@ impl ManagerInner {
                 self.release_scan(obj, &mut guard)
             };
             wake.run(self);
-        }
-        // Log the abort of a top-level transaction so recovery can discard
-        // its buffered publishes even if a Begin record was durable.
-        // Nested aborts are invisible to the log: their effects never reach
-        // a Publish record (only top-level commits append).
-        if newly_aborted > 0 && root.parent.is_none() {
-            if let Some(w) = &self.wal {
-                if w.append_abort(root.id) {
-                    self.stats.bump(Ctr::WalAppends);
-                }
-            }
         }
         self.stats.add(Ctr::Aborts, newly_aborted as u64);
         newly_aborted

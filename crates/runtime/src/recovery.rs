@@ -5,8 +5,8 @@
 //! top-level committer's turnstile window, immediately fenced by their
 //! `Commit` record — so there is nothing to undo; "undo" is simply
 //! discarding any buffered write set whose commit fence never made it to
-//! disk (a transaction that was mid-commit when the process died) and any
-//! set belonging to a logged `Abort`.
+//! disk (a transaction that was mid-commit when the process died). A
+//! transaction that aborts, or never commits, leaves no record at all.
 //!
 //! The scan:
 //!
@@ -19,11 +19,13 @@
 //!    segment is durable.
 //! 2. Parse each segment's valid frame prefix ([`crate::wal::parse_frames`]);
 //!    bytes past it are a torn tail from the crash and are discarded.
+//!    Legacy `Begin`/`Abort` frames are skipped.
 //! 3. Buffer `Publish` records per top-level transaction; a `Commit` fence
-//!    promotes the buffer to a redo-eligible write set, an `Abort` drops it.
+//!    promotes the buffer to a redo-eligible write set.
 //! 4. Replay the checkpoint base (if any) and then every committed write
 //!    set in commit-timestamp order into fresh version chains, and advance
-//!    the clocks so new work continues after the recovered history.
+//!    the clocks — the id floor covers the top ids of scanned `Publish`
+//!    and `Commit` records — so new work continues after the history.
 //!
 //! Replaying in timestamp order into [`crate::mvcc::SnapshotCell`] chains
 //! reproduces not just the final committed state but the whole surviving
@@ -59,9 +61,7 @@ struct ScannedLog {
     base: Vec<(u32, Vec<u8>)>,
     /// Committed write sets, sorted by ascending commit timestamp.
     commits: Vec<RecoveredCommit>,
-    /// Top-level ids with a logged `Abort`.
-    aborted: Vec<u64>,
-    /// Highest top-level transaction id seen anywhere in the log.
+    /// Highest top-level transaction id in a scanned `Publish` or `Commit`.
     max_top: u64,
     /// Bytes of torn tail discarded across all scanned segments.
     torn_bytes: u64,
@@ -91,7 +91,6 @@ fn scan_dir(dir: &Path) -> Result<ScannedLog, TxError> {
     let mut base: Vec<(u32, Vec<u8>)> = Vec::new();
     let mut pending: BTreeMap<u64, Vec<(u32, Vec<u8>)>> = BTreeMap::new();
     let mut commits: Vec<RecoveredCommit> = Vec::new();
-    let mut aborted: Vec<u64> = Vec::new();
     let mut max_top = 0u64;
 
     for (_, recs) in parsed.into_iter().skip(start) {
@@ -104,9 +103,6 @@ fn scan_dir(dir: &Path) -> Result<ScannedLog, TxError> {
                     base = entries;
                     commits.retain(|c| c.ts > ts);
                 }
-                WalRecord::Begin { top } => {
-                    max_top = max_top.max(top);
-                }
                 WalRecord::Publish { top, obj, data, .. } => {
                     max_top = max_top.max(top);
                     pending.entry(top).or_default().push((obj, data));
@@ -118,24 +114,19 @@ fn scan_dir(dir: &Path) -> Result<ScannedLog, TxError> {
                         commits.push(RecoveredCommit { ts, top, writes });
                     }
                 }
-                WalRecord::Abort { top } => {
-                    max_top = max_top.max(top);
-                    pending.remove(&top);
-                    aborted.push(top);
-                }
             }
         }
     }
     // Anything left in `pending` had no durable commit fence: the process
-    // died mid-commit. Dense turnstile tickets mean no *later* fence can be
-    // durable either (appends are ordered by the turnstile), so dropping
-    // these buffers loses only a suffix — never a middle — of history.
+    // died mid-commit. Dense turnstile tickets mean no *later* fence of its
+    // run can be durable either (appends are ordered by the turnstile), so
+    // dropping these buffers loses only a suffix — never a middle — of
+    // history. A later run's fences carry ids above it (see `recover`).
     commits.sort_by_key(|c| c.ts);
     Ok(ScannedLog {
         base_ts,
         base,
         commits,
-        aborted,
         max_top,
         torn_bytes,
     })
@@ -151,8 +142,6 @@ pub struct RecoveryReport {
     pub commits_redone: u64,
     /// Top-level ids of the replayed commits, in timestamp order.
     pub redone_tops: Vec<u64>,
-    /// Top-level ids whose `Abort` record was found in the log.
-    pub aborted_tops: Vec<u64>,
     /// Cut timestamp of the checkpoint the replay started from (0 = none).
     pub checkpoint_ts: u64,
     /// Torn-tail bytes discarded while scanning (non-zero after a crash
@@ -169,7 +158,14 @@ impl TxManager {
     /// write set the log retained (see the module docs for what "retained"
     /// means under each [`crate::FsyncPolicy`]), advances the commit clock
     /// past the recovered history, and bumps the transaction-id allocator
-    /// above every id in the log so new transactions cannot collide.
+    /// above every top id in a scanned `Publish` or `Commit` record.
+    ///
+    /// That floor is what redo needs. The scan buffers `Publish` frames by
+    /// top id until its `Commit`, so a new transaction must never take the
+    /// id of an orphan `Publish` torn from its fence (`WalMidCommit`): its
+    /// own `Commit` would adopt the orphan. A top that never published left
+    /// no record, and no later scan reads the segments before this scan's
+    /// checkpoint, so their ids need no floor and `Checkpoint` carries none.
     ///
     /// Errors if no WAL is configured, if the manager already has history
     /// (recovery replays into version chains and cannot merge), or if the
@@ -240,7 +236,6 @@ impl TxManager {
             recovered_ts,
             commits_redone: scanned.commits.len() as u64,
             redone_tops: scanned.commits.iter().map(|c| c.top).collect(),
-            aborted_tops: scanned.aborted,
             checkpoint_ts: scanned.base_ts,
             // `Wal::open` already truncated the live segment's torn tail;
             // the scan only sees leftovers in non-live segments.
@@ -322,6 +317,46 @@ mod tests {
         tx.commit().unwrap();
         assert_eq!(mgr.read_committed(&x, |v| *v), 31);
         assert_eq!(mgr.commit_clock(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A segment written while the log still recorded `Begin` and `Abort`
+    /// opens without repair and recovers whole: the legacy frames are
+    /// skipped, not taken for a torn tail that cuts off what follows.
+    #[test]
+    fn legacy_begin_and_abort_frames_are_skipped() {
+        let dir = tmp("legacy");
+        let legacy = |out: &mut Vec<u8>, tag: u8, top: u64| {
+            let mut p = vec![tag];
+            p.extend_from_slice(&top.to_le_bytes());
+            out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            out.extend_from_slice(&crate::wal::crc32(&p).to_le_bytes());
+            out.extend_from_slice(&p);
+        };
+        let publish = |out: &mut Vec<u8>, ts: u64, top: u64, obj: u32, v: i64| {
+            crate::wal::frame_publish(out, ts, top, obj, |d| d.extend_from_slice(&v.to_le_bytes()));
+        };
+        let mut seg = Vec::new();
+        legacy(&mut seg, 1, 1);
+        publish(&mut seg, 1, 1, 0, 11);
+        crate::wal::frame_commit(&mut seg, 1, 1);
+        legacy(&mut seg, 4, 2);
+        publish(&mut seg, 2, 3, 1, 22);
+        crate::wal::frame_commit(&mut seg, 2, 3);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal-000000.log"), &seg).unwrap();
+
+        let mgr = TxManager::new(durable_cfg(&dir));
+        let x = mgr.register_durable("x", 0i64);
+        let y = mgr.register_durable("y", 0i64);
+        let wal = mgr.inner.wal.as_ref().unwrap();
+        assert_eq!(wal.repaired_bytes(), 0);
+        let report = mgr.recover().unwrap();
+        assert_eq!(report.commits_redone, 2);
+        assert_eq!(report.redone_tops, [1, 3]);
+        assert_eq!(report.torn_bytes, 0);
+        assert_eq!(mgr.read_committed(&x, |v| *v), 11);
+        assert_eq!(mgr.read_committed(&y, |v| *v), 22);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

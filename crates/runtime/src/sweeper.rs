@@ -1,4 +1,5 @@
-//! The per-manager sweeper: the one thread that times out waits.
+//! The per-manager sweeper: the one thread that times out waits and keeps
+//! the group-commit deadline.
 //!
 //! Every queued waiter — a blocked thread's or a suspended future's — is
 //! a queue node with a deadline and a wake slot, and nothing else carries
@@ -10,12 +11,16 @@
 //! keeps nothing per wait, so a granted, doomed or dropped wait costs it
 //! nothing. Timeouts are late by at most a tick, never early.
 //!
-//! Spawned by the first queued waiter ([`Sweeper::kick`], which every
-//! enqueue calls), stopped and joined on manager drop; a pass that met no
-//! hinted slot puts it to sleep with no timeout until the next kick. Lock
-//! order: the park mutex is a leaf, released before `sweep_slot` takes a
-//! slot mutex and never taken under one. Model builds never spawn the
-//! thread (the loom models call `sweep_slot` from model threads).
+//! A pass also fsyncs a `FsyncPolicy::Group` batch past its deadline
+//! ([`ManagerInner::wal_sync_overdue`]), and the thread then sleeps until
+//! its next tick or that deadline, whichever comes first.
+//!
+//! Spawned by the first queued waiter or opened batch ([`Sweeper::kick`]),
+//! stopped and joined on manager drop; a pass that met no hinted slot and
+//! no batch puts it to sleep with no timeout until the next kick. Lock
+//! order: the park mutex is a leaf, released before a pass takes a slot or
+//! log mutex. Model builds never spawn the thread (the loom models call
+//! `sweep_slot` from model threads).
 
 use std::time::{Duration, Instant};
 
@@ -29,18 +34,22 @@ struct Park {
 }
 
 pub(crate) struct Sweeper {
+    mgr: Weak<ManagerInner>,
+    tick: Duration,
     /// `false` while the thread is absent or asleep with no timeout. A
-    /// queued waiter raises its slot's hint and then reads this; the
-    /// thread lowers this and then re-reads the hints before it sleeps —
-    /// both SeqCst, so one of the two always sees the other.
+    /// queued waiter raises its slot's hint (a commit, the log's batch
+    /// flag) and then reads this; the thread lowers this and then re-reads
+    /// them before it sleeps — both SeqCst, so one sees the other.
     ticking: AtomicBool,
     park: Mutex<Park>,
     cv: Condvar,
 }
 
 impl Sweeper {
-    pub(crate) fn new() -> Arc<Sweeper> {
+    pub(crate) fn new(mgr: Weak<ManagerInner>, wait_timeout: Duration) -> Arc<Sweeper> {
         Arc::new(Sweeper {
+            mgr,
+            tick: (wait_timeout / 8).clamp(Duration::from_millis(1), Duration::from_millis(100)),
             ticking: AtomicBool::new(false),
             park: Mutex::new(Park {
                 thread: None,
@@ -50,21 +59,19 @@ impl Sweeper {
         })
     }
 
-    /// A waiter was just queued on `mgr`: make sure the thread exists and
-    /// is ticking. One atomic load when it already is.
-    pub(crate) fn kick(self: &Arc<Self>, mgr: &Arc<ManagerInner>) {
+    /// A waiter was just queued, or a group batch opened: make sure the
+    /// thread exists and is ticking. One atomic load when it already is.
+    pub(crate) fn kick(self: &Arc<Self>) {
         if cfg!(loom) || self.ticking.load(Ordering::SeqCst) {
             return;
         }
         let mut park = self.park.lock();
         self.ticking.store(true, Ordering::SeqCst);
         if park.thread.is_none() {
-            let tick = (mgr.config.wait_timeout / 8)
-                .clamp(Duration::from_millis(1), Duration::from_millis(100));
-            let (me, mgr) = (self.clone(), Arc::downgrade(mgr));
+            let me = self.clone();
             let spawned = std::thread::Builder::new()
                 .name("ntx-sweeper".into())
-                .spawn(move || me.run(mgr, tick));
+                .spawn(move || me.run());
             park.thread = Some(spawned.expect("spawn sweeper thread"));
         }
         drop(park);
@@ -87,25 +94,29 @@ impl Sweeper {
         }
     }
 
-    fn run(&self, mgr: Weak<ManagerInner>, tick: Duration) {
+    fn run(&self) {
         loop {
             // The manager is borrowed for the pass only, so the thread
             // never keeps it alive across a sleep.
-            let mut met = false;
-            if let Some(m) = mgr.upgrade() {
+            let (mut met, mut batch_due) = (false, None);
+            if let Some(m) = self.mgr.upgrade() {
                 let now = Instant::now();
                 for i in 0..m.objects.len() {
                     if m.objects.get(i).sweep_hint.load(Ordering::SeqCst) {
                         met |= m.sweep_slot(i, now);
                     }
                 }
+                batch_due = m.wal_sync_overdue(now);
             }
             let mut park = self.park.lock();
             if park.stop {
                 return;
             }
-            if met {
-                self.cv.wait_for(&mut park, tick);
+            if met || batch_due.is_some() {
+                // Never past a tick: a kick meanwhile found us awake.
+                let now = Instant::now();
+                let batch = batch_due.map_or(self.tick, |due| due.saturating_duration_since(now));
+                self.cv.wait_for(&mut park, batch.min(self.tick));
             } else if !self.ticking.swap(false, Ordering::SeqCst) {
                 // Second quiet pass in a row, the first having lowered
                 // `ticking`: nothing to do until the next kick.

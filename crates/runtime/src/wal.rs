@@ -17,11 +17,14 @@
 //!
 //! | tag | record     | payload after the tag                                |
 //! |-----|------------|------------------------------------------------------|
-//! | 1   | Begin      | `top: u64`                                           |
+//! | 1   | (reserved) | `top: u64` — legacy `Begin`, skipped                 |
 //! | 2   | Publish    | `ts: u64, top: u64, obj: u32, len: u32, data`        |
 //! | 3   | Commit     | `ts: u64, top: u64`                                  |
-//! | 4   | Abort      | `top: u64`                                           |
+//! | 4   | (reserved) | `top: u64` — legacy `Abort`, skipped                 |
 //! | 5   | Checkpoint | `ts: u64, n: u32, n × (obj: u32, len: u32, data)`    |
+//!
+//! Older segments may hold tag 1 and 4 frames; readers skip them
+//! ([`is_retired`]) instead of taking them for a torn tail.
 //!
 //! Segments are `wal-NNNNNN.log` files in `RtConfig::wal_dir`; a checkpoint
 //! rotates to a fresh segment whose *first* record is the `Checkpoint`
@@ -32,13 +35,14 @@
 //! ## Staging
 //!
 //! No record reaches the kernel on its own. Every record is framed into one
-//! user-space staging buffer owned by the log (under its leaf mutex): `Begin`
-//! and `Abort` are framed in place, a commit's `Publish`/`Commit` frames
-//! arrive as one pre-encoded block (framed and checksummed by the committer
-//! *before* its turnstile wait) and cost one `memcpy` inside the window. The
-//! **logical log is `file bytes ++ staged bytes`**; `appended`,
-//! `unsynced_bytes()` and `crash_teardown(keep)` all speak about that logical
-//! tail. The stage reaches the file with a single `write_all` when
+//! user-space staging buffer owned by the log (under its leaf mutex): a
+//! commit's `Publish`/`Commit` frames arrive as one pre-encoded block
+//! (framed and checksummed by the committer *before* its turnstile wait)
+//! and cost one `memcpy` inside the window. The log holds only redo, so
+//! this is the one time a transaction touches it: nothing at begin or
+//! abort. The **logical log is `file bytes ++ staged bytes`**; `appended`,
+//! `unsynced_bytes()` and `crash_teardown(keep)` all speak about that
+//! logical tail. The stage reaches the file with a single `write_all` when
 //!
 //! 1. the policy says an fsync is due (`Always`: every commit; `Group`: the
 //!    batch is full or its deadline passed) — flush, then `fdatasync`;
@@ -61,7 +65,9 @@
 //!
 //! `FsyncPolicy::Group(n, d)` acks a commit as soon as its records are
 //! staged and defers the flush + fsync until `n` commits are pending or the
-//! oldest pending commit is older than `d` *when the next commit arrives*.
+//! oldest pending commit is older than `d`. The next commit checks both,
+//! and the commit that opens a batch wakes the manager's sweeper, which
+//! fsyncs it at `d` if no commit did.
 //! The durable prefix (`durable_ts`) then trails the published clock —
 //! recovery returns some prefix in `[durable_ts, crash clock]`, and the
 //! kill-and-recover fuzz (`ntx-sim::fuzz_crash_run`) checks exactly that
@@ -93,11 +99,10 @@ pub enum FsyncPolicy {
     /// but the device flush serialises the commit path (see bench B7).
     Always,
     /// Group commit: acknowledge after append, fsync once this many commits
-    /// are pending or — checked only when the *next* commit arrives, there
-    /// is no background flusher — the oldest pending commit has waited this
-    /// long. An idle log therefore keeps its last partial batch volatile
-    /// until another commit, a checkpoint or a clean close;
-    /// [`crate::TxManager::wal_durable_ts`] is the only durability promise.
+    /// are pending or the oldest pending commit has waited this long — the
+    /// next commit or else the manager's sweeper thread sees to it, late by
+    /// at most a wait tick; [`crate::TxManager::wal_durable_ts`] is the
+    /// only durability promise.
     /// Commits become durable as a batch; recovery may lose an
     /// acknowledged-but-unsynced suffix (a documented durable-prefix
     /// guarantee, never a torn or reordered state).
@@ -238,11 +243,11 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 // Record encode / decode
 // ---------------------------------------------------------------------------
 
-const TAG_BEGIN: u8 = 1;
 const TAG_PUBLISH: u8 = 2;
 const TAG_COMMIT: u8 = 3;
-const TAG_ABORT: u8 = 4;
 const TAG_CHECKPOINT: u8 = 5;
+/// Legacy `Begin` and `Abort { top: u64 }`, skipped by [`is_retired`].
+const TAG_RETIRED: [u8; 2] = [1, 4];
 
 /// Upper bound on a single record payload; anything larger in a length
 /// header is treated as tail corruption rather than attempted allocation.
@@ -252,11 +257,6 @@ const MAX_RECORD: u32 = 16 << 20;
 /// payloads directly without building this enum).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum WalRecord {
-    /// A top-level transaction started.
-    Begin {
-        /// Top-level transaction id.
-        top: u64,
-    },
     /// One durable object's new state, published at commit timestamp `ts`.
     Publish {
         /// Commit timestamp (dense turnstile ticket).
@@ -276,12 +276,6 @@ pub(crate) enum WalRecord {
         /// Committing top-level transaction id.
         top: u64,
     },
-    /// A top-level transaction aborted (metadata only — an aborted tree
-    /// never publishes, so there is nothing to undo).
-    Abort {
-        /// Aborted top-level transaction id.
-        top: u64,
-    },
     /// Segment-leading snapshot of all durable objects at `ts`; supersedes
     /// every earlier segment.
     Checkpoint {
@@ -294,11 +288,6 @@ pub(crate) enum WalRecord {
 
 // Payload writers append one record's payload (tag first) to `p`; [`frame`]
 // wraps any of them in the `[len][crc]` header without an intermediate copy.
-
-fn put_begin(p: &mut Vec<u8>, top: u64) {
-    p.push(TAG_BEGIN);
-    p.extend_from_slice(&top.to_le_bytes());
-}
 
 /// Fill in a `u32` placeholder reserved at `at` once its value is known.
 fn patch_u32(out: &mut [u8], at: usize, v: u32) {
@@ -327,11 +316,6 @@ fn put_publish(p: &mut Vec<u8>, ts: u64, top: u64, obj: u32, state: impl FnOnce(
 fn put_commit(p: &mut Vec<u8>, ts: u64, top: u64) {
     p.push(TAG_COMMIT);
     p.extend_from_slice(&ts.to_le_bytes());
-    p.extend_from_slice(&top.to_le_bytes());
-}
-
-fn put_abort(p: &mut Vec<u8>, top: u64) {
-    p.push(TAG_ABORT);
     p.extend_from_slice(&top.to_le_bytes());
 }
 
@@ -415,7 +399,6 @@ pub(crate) fn decode_record(payload: &[u8]) -> Option<WalRecord> {
     let (&tag, rest) = payload.split_first()?;
     let mut c = Cur { b: rest, i: 0 };
     let rec = match tag {
-        TAG_BEGIN => WalRecord::Begin { top: c.u64()? },
         TAG_PUBLISH => {
             let ts = c.u64()?;
             let top = c.u64()?;
@@ -432,7 +415,6 @@ pub(crate) fn decode_record(payload: &[u8]) -> Option<WalRecord> {
             ts: c.u64()?,
             top: c.u64()?,
         },
-        TAG_ABORT => WalRecord::Abort { top: c.u64()? },
         TAG_CHECKPOINT => {
             let ts = c.u64()?;
             let n = c.u32()?;
@@ -474,25 +456,31 @@ pub(crate) fn walk_frames(bytes: &[u8], mut visit: impl FnMut(&[u8]) -> bool) ->
     i
 }
 
+/// A legacy `Begin`/`Abort` payload, which readers skip; anything else
+/// under those tags is corrupt.
+fn is_retired(payload: &[u8]) -> bool {
+    payload.len() == 9 && TAG_RETIRED.contains(&payload[0])
+}
+
 /// Split a segment's bytes into its valid record prefix: the decoded
 /// records and the byte length they span (see [`walk_frames`]; an
-/// undecodable payload ends the prefix).
+/// undecodable payload ends the prefix, a retired one is skipped).
 pub(crate) fn parse_frames(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut recs = Vec::new();
     let valid = walk_frames(bytes, |payload| {
-        decode_record(payload).map(|rec| recs.push(rec)).is_some()
+        is_retired(payload) || decode_record(payload).map(|rec| recs.push(rec)).is_some()
     });
     (recs, valid)
 }
 
 /// What [`Wal::open`] needs from a payload, without building a
-/// [`WalRecord`]: `None` exactly when [`decode_record`] would reject it,
+/// [`WalRecord`]: `None` exactly when [`parse_frames`] would reject it,
 /// otherwise the commit timestamp it makes durable (0 for records that
 /// carry none). Only a `Checkpoint` — at most one per segment — allocates.
 fn durable_ts_of(payload: &[u8]) -> Option<u64> {
     let le = |at: usize, n: usize| payload.get(at..at + n);
     match (*payload.first()?, payload.len()) {
-        (TAG_BEGIN | TAG_ABORT, 9) => Some(0),
+        _ if is_retired(payload) => Some(0),
         (TAG_COMMIT, 17) => Some(u64::from_le_bytes(le(1, 8)?.try_into().ok()?)),
         (TAG_PUBLISH, n) => {
             let data_len = u32::from_le_bytes(le(21, 4)?.try_into().ok()?);
@@ -543,9 +531,8 @@ pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 /// nor hands the kernel one record at a time.
 const STAGE_FLUSH_BYTES: usize = 64 << 10;
 
-/// Mutable log state; the mutex is a leaf in the crate lock order (appends
-/// from the turnstile window hold no slot mutex, and begin/abort appends
-/// happen outside any lock).
+/// Mutable log state; the mutex is a leaf in the crate lock order (neither
+/// the turnstile window nor the sweeper holds a slot mutex when taking it).
 struct WalInner {
     file: File,
     /// Index of the live (append) segment.
@@ -597,6 +584,8 @@ pub(crate) struct CommitDue {
     pub(crate) sync: bool,
     /// `checkpoint_every` commits have accumulated in this segment.
     pub(crate) checkpoint: bool,
+    /// A `Group` batch opened with a deadline to keep: wake the sweeper.
+    pub(crate) opened_batch: bool,
 }
 
 /// A segmented append-only write-ahead log. See the module docs for the
@@ -612,6 +601,8 @@ pub(crate) struct Wal {
     durable_ts: AtomicU64,
     /// Largest group-commit fsync batch observed (commits per fsync).
     batch_max: AtomicU64,
+    /// A `Group` batch with a deadline is pending (read by the sweeper).
+    batch_open: AtomicBool,
     /// Torn-tail bytes truncated while opening (recovery reports them).
     repaired: u64,
     inner: Mutex<WalInner>,
@@ -657,6 +648,7 @@ impl Wal {
             frozen: AtomicBool::new(false),
             durable_ts: AtomicU64::new(max_ts),
             batch_max: AtomicU64::new(0),
+            batch_open: AtomicBool::new(false),
             repaired: bytes.len() as u64 - valid,
             inner: Mutex::new(WalInner {
                 file,
@@ -680,18 +672,17 @@ impl Wal {
         &self.dir
     }
 
-    /// The one append path: `fill` adds framed records to the stage under
-    /// the log mutex. With `commit_ts` the bytes end in that commit's fence,
-    /// and the result says what the policy now wants. `None` when nothing
-    /// was appended (frozen log, or the 64 KiB flush failed).
-    fn append(&self, fill: impl FnOnce(&mut Vec<u8>), commit_ts: Option<u64>) -> Option<CommitDue> {
+    /// The one append path: copy pre-framed records into the stage under
+    /// the log mutex. With `commit_ts` they end in that commit's fence, and
+    /// the result says what the policy now wants. `None` when nothing was
+    /// appended (frozen log, or the 64 KiB flush failed).
+    fn append(&self, frames: &[u8], commit_ts: Option<u64>) -> Option<CommitDue> {
         if self.frozen.load(Ordering::SeqCst) {
             return None;
         }
         let mut inner = self.inner.lock();
-        let before = inner.stage.len();
-        fill(&mut inner.stage);
-        inner.appended += (inner.stage.len() - before) as u64;
+        inner.stage.extend_from_slice(frames);
+        inner.appended += frames.len() as u64;
         let mut due = CommitDue::default();
         if let Some(ts) = commit_ts {
             inner.pending += 1;
@@ -700,8 +691,15 @@ impl Wal {
             due.sync = match self.policy {
                 FsyncPolicy::Always => true,
                 FsyncPolicy::Group(n, d) => {
+                    let opens = inner.pending_since.is_none();
                     let since = *inner.pending_since.get_or_insert_with(Instant::now);
-                    inner.pending >= n as u64 || since.elapsed() >= d
+                    let sync = inner.pending >= n as u64 || since.elapsed() >= d;
+                    // `Duration::MAX` sets no deadline to keep.
+                    due.opened_batch = opens && !sync && since.checked_add(d).is_some();
+                    if due.opened_batch {
+                        self.batch_open.store(true, Ordering::SeqCst);
+                    }
+                    sync
                 }
             };
             due.checkpoint = self.checkpoint_every > 0
@@ -715,29 +713,17 @@ impl Wal {
         Some(due)
     }
 
-    /// Append a `Begin` record. Returns whether a record was appended.
-    pub(crate) fn append_begin(&self, top: u64) -> bool {
-        self.append(|s| frame(s, |p| put_begin(p, top)), None)
-            .is_some()
-    }
-
-    /// Append an `Abort` record for a top-level transaction.
-    pub(crate) fn append_abort(&self, top: u64) -> bool {
-        self.append(|s| frame(s, |p| put_abort(p, top)), None)
-            .is_some()
-    }
-
     /// Append pre-framed records that do not complete a commit (the
     /// `Publish` half of a commit block torn at its `WalMidCommit` point).
     pub(crate) fn append_frames(&self, frames: &[u8]) -> bool {
-        self.append(|s| s.extend_from_slice(frames), None).is_some()
+        self.append(frames, None).is_some()
     }
 
     /// Append a whole commit — its `Publish` frames followed by the commit
     /// fence for `ts`, pre-framed by the committer — with one copy, and
     /// report what is due. `None` when the log is frozen.
     pub(crate) fn append_commit_block(&self, block: &[u8], ts: u64) -> Option<CommitDue> {
-        self.append(|s| s.extend_from_slice(block), Some(ts))
+        self.append(block, Some(ts))
     }
 
     /// Flush the stage and fsync the live segment, promoting every appended
@@ -751,6 +737,7 @@ impl Wal {
         self.batch_max.fetch_max(inner.pending, Ordering::SeqCst);
         inner.pending = 0;
         inner.pending_since = None;
+        self.batch_open.store(false, Ordering::SeqCst);
         inner.synced = inner.appended;
         self.durable_ts
             .store(inner.appended_commit_ts, Ordering::SeqCst);
@@ -760,14 +747,22 @@ impl Wal {
     /// Flush and fsync the live segment, promoting every appended commit to
     /// durable. Returns whether a device flush actually ran.
     pub(crate) fn sync(&self) -> bool {
-        if self.frozen.load(Ordering::SeqCst) {
-            return false;
-        }
+        // Under the mutex: a sweeper's sync must not follow a teardown.
         let mut inner = self.inner.lock();
-        if inner.synced == inner.appended && inner.pending == 0 {
+        if self.is_frozen() || (inner.synced == inner.appended && inner.pending == 0) {
             return false;
         }
         self.make_durable(&mut inner)
+    }
+
+    /// When the pending `Group` batch falls due; no mutex while none is.
+    pub(crate) fn batch_deadline(&self) -> Option<Instant> {
+        match self.policy {
+            FsyncPolicy::Group(_, d) if self.batch_open.load(Ordering::SeqCst) => {
+                self.inner.lock().pending_since?.checked_add(d)
+            }
+            _ => None,
+        }
     }
 
     /// First half of a checkpoint: make the old segment fully durable, then
@@ -824,8 +819,6 @@ impl Wal {
             return 0;
         }
         let mut inner = self.inner.lock();
-        // `Begin`/`Abort` records may have been staged since the rotation
-        // (they are appended outside the turnstile); no commit has.
         if !self.make_durable(&mut inner) {
             return 0;
         }
@@ -968,13 +961,26 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
+    /// A legacy `Begin` (tag 1) or `Abort` (tag 4) payload.
+    fn payload_retired(tag: u8, top: u64) -> Vec<u8> {
+        payload(|p| {
+            p.push(tag);
+            p.extend_from_slice(&top.to_le_bytes());
+        })
+    }
+
+    /// Whether [`parse_frames`] accepts `payload` as one whole frame.
+    fn accepted(payload: &[u8]) -> bool {
+        let mut bytes = Vec::new();
+        push_frame(&mut bytes, payload);
+        parse_frames(&bytes).1 == bytes.len()
+    }
+
     #[test]
     fn records_round_trip() {
         let cases = [
-            payload(|p| put_begin(p, 7)),
             payload_publish(3, 7, 2, &42i64.to_le_bytes()),
             payload(|p| put_commit(p, 3, 7)),
-            payload(|p| put_abort(p, 9)),
             payload(|p| {
                 frame_checkpoint(p, 5, |p| {
                     put_entry(p, 0, |d| d.extend_from_slice(&[1, 2, 3]));
@@ -985,7 +991,6 @@ mod tests {
                 .to_vec(),
         ];
         let expect = vec![
-            WalRecord::Begin { top: 7 },
             WalRecord::Publish {
                 ts: 3,
                 top: 7,
@@ -993,7 +998,6 @@ mod tests {
                 data: 42i64.to_le_bytes().to_vec(),
             },
             WalRecord::Commit { ts: 3, top: 7 },
-            WalRecord::Abort { top: 9 },
             WalRecord::Checkpoint {
                 ts: 5,
                 entries: vec![(0, vec![1, 2, 3]), (4, vec![])],
@@ -1013,6 +1017,25 @@ mod tests {
                     durable_ts_of(&payload[..cut]).is_some(),
                     decode_record(&payload[..cut]).is_some()
                 );
+                assert_eq!(
+                    durable_ts_of(&payload[..cut]).is_some(),
+                    accepted(&payload[..cut])
+                );
+            }
+        }
+        // Legacy metadata in an old segment: accepted and skipped whole,
+        // carrying no timestamp; any truncation is a torn tail.
+        for tag in TAG_RETIRED {
+            let legacy = payload_retired(tag, 9);
+            assert_eq!(decode_record(&legacy), None, "no record to build");
+            assert_eq!(durable_ts_of(&legacy), Some(0));
+            assert!(accepted(&legacy));
+            let mut bytes = Vec::new();
+            push_frame(&mut bytes, &legacy);
+            assert_eq!(parse_frames(&bytes), (vec![], bytes.len()));
+            for cut in 0..legacy.len() {
+                assert_eq!(durable_ts_of(&legacy[..cut]), None);
+                assert!(!accepted(&legacy[..cut]));
             }
         }
     }
@@ -1020,7 +1043,7 @@ mod tests {
     #[test]
     fn parse_stops_at_torn_tail() {
         let mut bytes = Vec::new();
-        push_frame(&mut bytes, &payload(|p| put_begin(p, 1)));
+        push_frame(&mut bytes, &payload_publish(1, 1, 0, &[7]));
         push_frame(&mut bytes, &payload(|p| put_commit(p, 1, 1)));
         let valid = bytes.len();
         // A torn third record: header promises more bytes than exist.
@@ -1032,7 +1055,7 @@ mod tests {
 
         // A bit-flipped payload fails the CRC and also stops the parse.
         let mut flipped = Vec::new();
-        push_frame(&mut flipped, &payload(|p| put_begin(p, 1)));
+        push_frame(&mut flipped, &payload(|p| put_commit(p, 1, 1)));
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
         assert_eq!(parse_frames(&flipped), (vec![], 0));
@@ -1043,7 +1066,7 @@ mod tests {
         let dir = tmp("repair");
         {
             let wal = Wal::open(&dir, FsyncPolicy::Always, 0).unwrap();
-            assert!(wal.append_begin(1));
+            assert!(append_publish(&wal, 1, 1, 1, &6i64.to_le_bytes()));
             assert!(append_publish(&wal, 1, 1, 0, &5i64.to_le_bytes()));
             assert!(append_commit(&wal, 1, 1).is_some());
             assert!(wal.sync());
@@ -1137,10 +1160,10 @@ mod tests {
         let synced = live_segment_len(&dir);
         let mut framed = 0u64;
         for ts in 2..=6u64 {
-            assert!(wal.append_begin(ts));
             assert!(append_publish(&wal, ts, ts, 0, &7i64.to_le_bytes()));
+            assert!(append_publish(&wal, ts, ts, 1, &8i64.to_le_bytes()));
             assert!(append_commit(&wal, ts, ts).is_some());
-            framed += (8 + 9) + (8 + 25 + 8) + (8 + 17);
+            framed += 2 * (8 + 25 + 8) + (8 + 17);
         }
         assert_eq!(live_segment_len(&dir), synced, "nothing reached the file");
         assert_eq!(wal.unsynced_bytes(), framed);
@@ -1203,7 +1226,6 @@ mod tests {
         assert!(append_commit(&wal, 1, 1).is_some());
         wal.freeze();
         let at_freeze = wal.unsynced_bytes();
-        assert!(!wal.append_begin(2));
         assert!(!append_publish(&wal, 2, 2, 0, &[1]));
         assert!(append_commit(&wal, 2, 2).is_none());
         assert_eq!(wal.unsynced_bytes(), at_freeze);
@@ -1231,7 +1253,7 @@ mod tests {
         assert_eq!(fs::metadata(&old).unwrap().len(), 75);
         assert_eq!(wal.durable_ts(), 3);
         assert_eq!(wal.finish_checkpoint(), 1);
-        assert!(wal.append_begin(4));
+        assert!(append_publish(&wal, 4, 4, 0, &4i64.to_le_bytes()));
         assert!(append_commit(&wal, 4, 4).is_some());
         let appended = wal.unsynced_bytes() + live_segment_len(&dir);
         drop(wal);

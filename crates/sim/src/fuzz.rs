@@ -16,7 +16,7 @@
 //! instead of parking) make the whole run — including the runtime's own
 //! [`TraceRecorder`] log — a pure function of [`FuzzConfig::seed`].
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -451,6 +451,11 @@ impl CrashFuzzOutcome {
 ///    is rejected.
 /// 5. **Model conformance** — the surviving pre-crash trace still passes
 ///    the R/W Locking automaton and the Theorem 34 checker.
+/// 6. **A second epoch** — the recovered manager commits one top per
+///    object, each id above every top whose `Publish` frames the crash
+///    left in the log (orphans torn at `WalMidCommit` included, read from
+///    the segment files by [`max_published_top`]). It closes cleanly, and a
+///    third manager recovers exactly its values.
 pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
     let mut failures: Vec<String> = Vec::new();
 
@@ -642,18 +647,23 @@ pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
     let report = check_trace(&trace, TranslateOptions::default());
     drop(pin);
     drop(mgr);
+    let floor = max_published_top(&cfg.wal_dir);
 
     // Reopen from the log in a fresh manager, mirroring the registration
     // order, and recover.
-    let mgr2 = TxManager::new(RtConfig {
-        wal_dir: Some(cfg.wal_dir.clone()),
-        fsync_policy: cfg.fsync,
-        checkpoint_every: cfg.checkpoint_every,
-        ..Default::default()
-    });
-    let objs2: Vec<_> = (0..cfg.objects.max(1))
-        .map(|i| mgr2.register_durable(format!("c{i}"), 0i64))
-        .collect();
+    let reopen = || {
+        let mgr = TxManager::new(RtConfig {
+            wal_dir: Some(cfg.wal_dir.clone()),
+            fsync_policy: cfg.fsync,
+            checkpoint_every: cfg.checkpoint_every,
+            ..Default::default()
+        });
+        let objs: Vec<_> = (0..cfg.objects.max(1))
+            .map(|i| mgr.register_durable(format!("c{i}"), 0i64))
+            .collect();
+        (mgr, objs)
+    };
+    let (mgr2, objs2) = reopen();
     let (recovered_ts, redone) = match mgr2.recover() {
         Err(e) => {
             failures.push(format!("recovery failed: {e}"));
@@ -708,6 +718,39 @@ pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
         }
     };
 
+    // 6. A second epoch on the recovered log, then a third recovery.
+    if failures.is_empty() {
+        let fresh = |i: usize| -1 - i as i64;
+        for (i, obj) in objs2.iter().enumerate() {
+            let tx = mgr2.begin();
+            if tx.id() <= floor {
+                failures.push(format!(
+                    "epoch 2 reused top id {} at or below the published top {floor}",
+                    tx.id()
+                ));
+            }
+            if let Err(e) = tx.write(obj, |v| *v = fresh(i)).and_then(|()| tx.commit()) {
+                failures.push(format!("epoch 2 commit on object {i} failed: {e}"));
+            }
+        }
+        drop(mgr2);
+        let (mgr3, objs3) = reopen();
+        match mgr3.recover() {
+            Err(e) => failures.push(format!("epoch 3 recovery failed: {e}")),
+            Ok(_) => {
+                for (i, obj) in objs3.iter().enumerate() {
+                    let got = mgr3.read_committed(obj, |v| *v);
+                    if got != fresh(i) {
+                        failures.push(format!(
+                            "object {i}: epoch 3 recovered {got}, epoch 2 committed {}",
+                            fresh(i)
+                        ));
+                    }
+                }
+            }
+        }
+    }
+
     CrashFuzzOutcome {
         seed: cfg.seed,
         crashed,
@@ -720,6 +763,56 @@ pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
         log,
         failures,
     }
+}
+
+/// The highest top id of a `Publish` frame left in the segments that
+/// recovery reads — from the newest one that opens with a `Checkpoint` (or
+/// the oldest, if none does) to the last — or 0: no later transaction may
+/// take an id at or below it. The frame format is read here on its own —
+/// `[len: u32][crc: u32][payload]`, the payload's tag byte first, then for
+/// a `Publish` (tag 2) `ts: u64, top: u64` — so the check does not lean on
+/// the runtime's parser. A crash teardown only truncates, so a frame whose
+/// bytes are all present is whole, and the first one that is not ends the
+/// segment.
+fn max_published_top(dir: &Path) -> u64 {
+    const PUBLISH: u8 = 2;
+    const CHECKPOINT: u8 = 5;
+    let mut names: Vec<_> = std::fs::read_dir(dir)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("wal-") && n.ends_with(".log"))
+        .collect();
+    names.sort();
+    let payloads: Vec<Vec<Vec<u8>>> = names
+        .iter()
+        .map(|n| {
+            let bytes = std::fs::read(dir.join(n)).unwrap_or_default();
+            let mut out = Vec::new();
+            let mut at = 0usize;
+            while let Some(len) = bytes.get(at..at + 4) {
+                let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+                let Some(p) = bytes.get(at + 8..at + 8 + len) else {
+                    break;
+                };
+                out.push(p.to_vec());
+                at += 8 + len;
+            }
+            out
+        })
+        .collect();
+    let start = payloads
+        .iter()
+        .rposition(|seg| seg.first().and_then(|p| p.first()) == Some(&CHECKPOINT))
+        .unwrap_or(0);
+    payloads[start..]
+        .iter()
+        .flatten()
+        .filter(|p| p.len() >= 17 && p[0] == PUBLISH)
+        .map(|p| u64::from_le_bytes(p[9..17].try_into().expect("8 bytes")))
+        .max()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]

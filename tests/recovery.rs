@@ -9,7 +9,7 @@
 //! proptest over seeds.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ntx_runtime::{FsyncPolicy, RtConfig, TxError, TxManager};
 use ntx_sim::{fuzz_crash_run, CrashFuzzConfig, CrashPlan};
@@ -242,6 +242,71 @@ fn clean_shutdown_keeps_a_partial_group() {
     assert_eq!(rec.torn_bytes, 0);
     assert_eq!(mgr.read_committed(&x, |v| *v), 5);
     assert_eq!(mgr.wal_durable_ts(), 5, "what is on disk is durable");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A partial group that no later commit closes still meets its deadline:
+/// the manager's sweeper writes the batch out and fsyncs it, with no
+/// further call into the manager.
+#[test]
+fn an_idle_group_batch_meets_its_deadline() {
+    let dir = tmp("idle-group");
+    let deadline = Duration::from_millis(50);
+    let mgr = TxManager::new(durable_cfg(&dir, FsyncPolicy::Group(1000, deadline), 0));
+    let x = mgr.register_durable("x", 0i64);
+    for i in 1..=3i64 {
+        let tx = mgr.begin();
+        tx.write(&x, |v| *v = i).unwrap();
+        tx.commit().unwrap();
+    }
+    let start = Instant::now();
+    while mgr.wal_durable_ts() < 3 {
+        assert!(
+            start.elapsed() < 40 * deadline,
+            "the batch is still volatile after {:?}",
+            start.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // Another handle on the segment reads every byte of the three commits:
+    // one 41-byte `Publish` and one 25-byte `Commit` frame each.
+    let seg = std::fs::read(dir.join("wal-000000.log")).unwrap();
+    assert_eq!(seg.len(), 3 * (41 + 25));
+    assert_eq!(mgr.wal_unsynced_bytes(), 0);
+    drop(mgr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable transaction touches the log once, at its commit: an N1
+/// (begin, child, write, commit child, commit top) is one append, and a
+/// top that aborts or only reads is none.
+#[test]
+fn a_durable_transaction_appends_once_at_its_commit() {
+    let dir = tmp("one-append");
+    let never_syncs = FsyncPolicy::Group(1000, Duration::from_secs(3600));
+    let mgr = TxManager::new(durable_cfg(&dir, never_syncs, 0));
+    let x = mgr.register_durable("x", 0i64);
+    let log = || (mgr.stats().wal_appends, mgr.wal_unsynced_bytes());
+
+    let before = log();
+    let top = mgr.begin();
+    let child = top.child().unwrap();
+    child.write(&x, |v| *v = 1).unwrap();
+    child.commit().unwrap();
+    top.commit().unwrap();
+    assert_eq!(log().0, before.0 + 1, "N1 is one append");
+
+    let before = log();
+    let tx = mgr.begin();
+    tx.write(&x, |v| *v = 2).unwrap();
+    tx.abort();
+    assert_eq!(log(), before, "begin and abort leave the log alone");
+
+    let tx = mgr.begin();
+    assert_eq!(tx.read(&x, |v| *v).unwrap(), 1);
+    tx.commit().unwrap();
+    assert_eq!(log(), before, "a read-only commit leaves the log alone");
+    drop(mgr);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
