@@ -23,15 +23,13 @@ pub enum FaultPoint {
     LockWait,
     /// Entry of [`crate::Tx::commit`], before the state transition.
     Commit,
-    /// Inside the commit turnstile window, before any WAL record of this
-    /// commit has been appended (crash here loses the whole commit).
+    /// Inside the commit turnstile window, before the commit's `Commit`
+    /// record is appended (crash here loses the whole commit).
     WalPreAppend,
-    /// After the commit's `Publish` records but before its `Commit` fence
-    /// (crash here leaves an incomplete transaction for recovery to
-    /// discard).
-    WalMidCommit,
-    /// After the `Commit` fence but before the policy fsync (crash here
-    /// tests the group-commit durable-prefix guarantee).
+    /// After the `Commit` record is appended but before the policy fsync
+    /// (crash here tests the group-commit durable-prefix guarantee; a
+    /// teardown that cuts the unsynced tail mid-record leaves a torn record
+    /// for recovery to discard whole).
     WalPostAppend,
     /// Between checkpoint rotation and old-segment deletion (crash here
     /// leaves a superseded-but-present log for recovery to arbitrate).
@@ -48,8 +46,8 @@ pub enum FaultPoint {
 ///   [`FaultAction::CrashSubtree`] are meaningful — `Timeout` and
 ///   `DeadlockVictim` describe lock-wait outcomes and are treated as
 ///   [`FaultAction::Continue`];
-/// * at the WAL crash points (`WalPreAppend`, `WalMidCommit`,
-///   `WalPostAppend`, `WalCheckpoint`) only [`FaultAction::CrashProcess`]
+/// * at the WAL crash points (`WalPreAppend`, `WalPostAppend`,
+///   `WalCheckpoint`) only [`FaultAction::CrashProcess`]
 ///   is meaningful; every other variant is treated as
 ///   [`FaultAction::Continue`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -57,7 +57,7 @@ use crate::stats::{Ctr, Stats, StatsSnapshot};
 use crate::sweeper::Sweeper;
 use crate::trace::RtEvent;
 use crate::tx::Tx;
-use crate::wal::{Wal, WalCodec, WalState};
+use crate::wal::{OpenRecord, Wal, WalCodec, WalState};
 
 /// Typed handle to a registered object.
 ///
@@ -491,36 +491,33 @@ struct TurnstileTicket<'a> {
     /// The committing top-level transaction (WAL record attribution).
     #[cfg_attr(loom, allow(dead_code))]
     top: u64,
-    /// This commit's log records, already framed and checksummed: one
-    /// `Publish` frame per *durable* object published, encoded under the
-    /// slot mutexes in `inherit_locks` (`ts` is known from the draw), and —
-    /// added by `drop` before the turnstile wait — the commit fence. The
-    /// block is copied into the WAL inside the turnstile window below —
-    /// after the wait, before the `commit_ts` store — so durable record
-    /// order is exactly the dense ticket order.
-    #[cfg_attr(loom, allow(dead_code))]
-    wal_block: Vec<u8>,
-    /// `Publish` frames in `wal_block`.
-    #[cfg_attr(loom, allow(dead_code))]
-    wal_publishes: usize,
+    /// This commit's log record and its buffer, once a durable object was
+    /// published: the first one opens the record, and each one appends its
+    /// entry, encoded under its slot mutex in `inherit_locks` (`ts` is
+    /// known from the draw). `drop` closes it — count, length, CRC —
+    /// before the turnstile wait, and copies it into the WAL inside the
+    /// turnstile window below — after the wait, before the `commit_ts`
+    /// store — so durable record order is exactly the dense ticket order.
+    wal_record: Option<(Vec<u8>, OpenRecord)>,
 }
 
 impl Drop for TurnstileTicket<'_> {
     fn drop(&mut self) {
-        // Finish the log block while other committers may still be ahead
+        // Close the log record while other committers may still be ahead
         // of us: only the copy into the log has to happen in the window.
-        // `fence` is where the Publish frames end (the `WalMidCommit` cut).
         // A commit that changed nothing durable skips the log entirely —
         // timestamp gaps in the log are harmless, recovery orders by ts —
         // and so does an unwinding one: a panicking committer may have
-        // published only part of its write set, and a commit fence for a
-        // partial set must never become durable.
+        // published only part of its write set, and a record of a partial
+        // set must never become durable.
         #[cfg(not(loom))]
-        let fence = (!self.wal_block.is_empty() && !std::thread::panicking()).then(|| {
-            let fence = self.wal_block.len();
-            crate::wal::frame_commit(&mut self.wal_block, self.ts, self.top);
-            fence
-        });
+        let record = match self.wal_record.take() {
+            Some((mut block, rec)) if !std::thread::panicking() => {
+                let objects = rec.close(&mut block);
+                Some((block, objects))
+            }
+            _ => None,
+        };
         // Publication turnstile: wait for every earlier ticket's versions
         // to be fully published, then advance the snapshot clock over
         // ours. No mutex is held here (the slot guard is released before
@@ -553,8 +550,8 @@ impl Drop for TurnstileTicket<'_> {
         // land in dense ticket order and the durable order can never
         // disagree with the order snapshot readers observe.
         #[cfg(not(loom))]
-        if let Some(fence) = fence {
-            self.mgr.wal_commit(self, fence);
+        if let Some((block, objects)) = record {
+            self.mgr.wal_commit(self.ts, self.top, &block, objects);
         }
         // Stamp the advance while still exclusive in the turnstile window
         // (before the store lets the next ticket through), so TSADV events
@@ -672,35 +669,25 @@ impl ManagerInner {
     /// turnstile window (after the `commit_ts == ts - 1` wait, before the
     /// `commit_ts.store(ts)`), so append order in the log equals published
     /// MVCC order, and no later committer can interleave records. Crash
-    /// points bracket every durability transition; a simulated crash
-    /// freezes the log (further appends/fsyncs are dropped) but leaves the
-    /// in-memory manager running so the harness can tear it down.
+    /// points bracket the append; a simulated crash freezes the log
+    /// (further appends/fsyncs are dropped) but leaves the in-memory
+    /// manager running so the harness can tear it down.
     ///
-    /// The ticket's block holds its `Publish` frames in `[..fence]`, then
-    /// the commit fence.
+    /// `record` is the closed `Commit` record of (`ts`, `top`), with
+    /// `objects` entries.
     #[cfg_attr(loom, allow(dead_code))]
-    fn wal_commit(&self, ticket: &TurnstileTicket<'_>, fence: usize) {
+    fn wal_commit(&self, ts: u64, top: u64, record: &[u8], objects: u32) {
         let Some(wal) = &self.wal else { return };
-        let (ts, top, block) = (ticket.ts, ticket.top, &ticket.wal_block[..]);
-        let publishes = ticket.wal_publishes;
         if self.wal_crash(FaultPoint::WalPreAppend, top) {
             wal.freeze();
         }
-        let (due, records) = if self.wal_crash(FaultPoint::WalMidCommit, top) {
-            // Died between the last Publish and the fence.
-            let torn = wal.append_frames(&block[..fence]);
-            wal.freeze();
-            (None, torn.then_some(publishes))
-        } else {
-            let due = wal.append_commit_block(block, ts);
-            (due, due.map(|_| publishes + 1))
-        };
-        if let Some(records) = records {
+        let due = wal.append(record, ts);
+        if due.is_some() {
             self.stats.bump(Ctr::WalAppends);
             self.trace(RtEvent::WalAppend {
                 tx: top,
                 ts,
-                records,
+                objects: objects as usize,
             });
         }
         if self.wal_crash(FaultPoint::WalPostAppend, top) {
@@ -1469,26 +1456,24 @@ impl ManagerInner {
                         // turnstile that publishes the ticket.
                         ts: self.ts_alloc.fetch_add(1, Ordering::Relaxed) + 1,
                         top: node.id,
-                        wal_block: Vec::new(),
-                        wal_publishes: 0,
+                        wal_record: None,
                     });
                     let ts = t.ts;
-                    if self.wal.is_some() {
-                        if let Some(codec) = &slot.codec {
-                            // Encode under the slot mutex (the base cannot
-                            // change underneath), straight into a finished
-                            // frame; the block is appended later, inside
-                            // the turnstile window, where no slot mutex is
-                            // held.
-                            crate::wal::frame_publish(
-                                &mut t.wal_block,
-                                ts,
-                                node.id,
-                                u32::try_from(obj).expect("object index fits u32"),
-                                |out| (codec.encode)(guard.base.as_any(), out),
-                            );
-                            t.wal_publishes += 1;
-                        }
+                    if let (Some(_), Some(codec)) = (&self.wal, &slot.codec) {
+                        // Encode under the slot mutex (the base cannot
+                        // change underneath), straight into the commit's
+                        // record; the record is appended later, inside the
+                        // turnstile window, where no slot mutex is held.
+                        let (block, rec) = t.wal_record.get_or_insert_with(|| {
+                            let mut block = Vec::new();
+                            let rec = OpenRecord::commit(&mut block, ts, node.id);
+                            (block, rec)
+                        });
+                        rec.entry(
+                            block,
+                            u32::try_from(obj).expect("object index fits u32"),
+                            |out| (codec.encode)(guard.base.as_any(), out),
+                        );
                     }
                     slot.snap.publish(ts, version);
                     self.stats.bump(Ctr::VersionsPublished);

@@ -1,12 +1,12 @@
 //! Crash recovery: rebuild the committed store from the write-ahead log.
 //!
 //! Recovery is a pure *redo* pass. The log never contains effects of
-//! uncommitted work — `Publish` records are appended only inside a
-//! top-level committer's turnstile window, immediately fenced by their
-//! `Commit` record — so there is nothing to undo; "undo" is simply
-//! discarding any buffered write set whose commit fence never made it to
-//! disk (a transaction that was mid-commit when the process died). A
-//! transaction that aborts, or never commits, leaves no record at all.
+//! uncommitted work: a top-level commit's whole durable write set is one
+//! `Commit` record, appended only inside the committer's turnstile window,
+//! and its CRC makes it atomic, so a record is on disk whole or not at all.
+//! There is nothing to undo; a transaction that was mid-commit when the
+//! process died left at most a torn final record, discarded as a torn tail.
+//! A transaction that aborts, or never commits, leaves no record at all.
 //!
 //! The scan:
 //!
@@ -17,15 +17,14 @@
 //!    before its first fsync, in which case the superseded segments are
 //!    still on disk because [`crate::wal`] deletes them only after the new
 //!    segment is durable.
-//! 2. Parse each segment's valid frame prefix ([`crate::wal::parse_frames`]);
-//!    bytes past it are a torn tail from the crash and are discarded.
-//!    Legacy `Begin`/`Abort` frames are skipped.
-//! 3. Buffer `Publish` records per top-level transaction; a `Commit` fence
-//!    promotes the buffer to a redo-eligible write set.
-//! 4. Replay the checkpoint base (if any) and then every committed write
-//!    set in commit-timestamp order into fresh version chains, and advance
-//!    the clocks — the id floor covers the top ids of scanned `Publish`
-//!    and `Commit` records — so new work continues after the history.
+//! 2. Read each segment's valid record prefix
+//!    ([`crate::wal::walk_records`]); bytes past it are a torn tail from
+//!    the crash and are discarded. A checksummed frame that does not decode
+//!    — damage, or a log written in another format — fails the recovery.
+//! 3. Replay the checkpoint base (if any) and then every `Commit` record
+//!    past it in commit-timestamp order into fresh version chains, and
+//!    advance the clocks — the id floor covers the top of every scanned
+//!    `Commit` — so new work continues after the history.
 //!
 //! Replaying in timestamp order into [`crate::mvcc::SnapshotCell`] chains
 //! reproduces not just the final committed state but the whole surviving
@@ -37,94 +36,79 @@ use crate::manager::TxManager;
 use crate::stats::Ctr;
 use crate::sync::atomic::Ordering;
 use crate::trace::RtEvent;
-use crate::wal::{list_segments, parse_frames, WalRecord};
+use crate::wal::{list_segments, walk_records, Entries, WalRecord};
 
-use std::collections::BTreeMap;
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-/// One committed transaction reconstructed from the log.
-struct RecoveredCommit {
-    /// Commit timestamp (dense turnstile ticket).
-    ts: u64,
-    /// Top-level transaction id.
-    top: u64,
-    /// `(object slab index, encoded state)` in append order.
-    writes: Vec<(u32, Vec<u8>)>,
+/// Every segment file in `dir`, in index order, with its bytes.
+fn read_segments(dir: &Path) -> Result<Vec<(PathBuf, Vec<u8>)>, TxError> {
+    let segs = list_segments(dir)
+        .map_err(|e| TxError::Recovery(format!("cannot list {}: {e}", dir.display())))?;
+    segs.into_iter()
+        .map(|(_, path)| match fs::read(&path) {
+            Ok(bytes) => Ok((path, bytes)),
+            Err(e) => Err(TxError::Recovery(format!(
+                "cannot read {}: {e}",
+                path.display()
+            ))),
+        })
+        .collect()
 }
 
-/// Everything the scan pass extracted from the segment files.
-struct ScannedLog {
-    /// Checkpoint cut timestamp (0 when recovering from genesis).
-    base_ts: u64,
-    /// Checkpoint snapshot entries (empty when `base_ts == 0`).
-    base: Vec<(u32, Vec<u8>)>,
-    /// Committed write sets, sorted by ascending commit timestamp.
-    commits: Vec<RecoveredCommit>,
-    /// Highest top-level transaction id in a scanned `Publish` or `Commit`.
+/// Everything the scan pass extracted from the segment files; the entries
+/// borrow the segments' bytes.
+struct ScannedLog<'a> {
+    /// Checkpoint cut timestamp and snapshot entries (`None` when
+    /// recovering from genesis).
+    base: Option<(u64, Entries<'a>)>,
+    /// Committed write sets as `(ts, top, entries)`, sorted by ascending
+    /// commit timestamp.
+    commits: Vec<(u64, u64, Entries<'a>)>,
+    /// Highest top-level transaction id in a scanned `Commit`.
     max_top: u64,
     /// Bytes of torn tail discarded across all scanned segments.
     torn_bytes: u64,
 }
 
-/// Scan the log directory into commit-ordered redo work.
-fn scan_dir(dir: &Path) -> Result<ScannedLog, TxError> {
-    let segs = list_segments(dir)
-        .map_err(|e| TxError::Recovery(format!("cannot list {}: {e}", dir.display())))?;
-
-    // Parse every segment's valid prefix up front; pick the scan start.
+/// Scan the segments into commit-ordered redo work.
+fn scan(segs: &[(PathBuf, Vec<u8>)]) -> Result<ScannedLog<'_>, TxError> {
+    // Read every segment's valid prefix up front; pick the scan start.
     let mut parsed = Vec::with_capacity(segs.len());
     let mut torn_bytes = 0u64;
-    for (idx, path) in &segs {
-        let bytes = fs::read(path)
-            .map_err(|e| TxError::Recovery(format!("cannot read {}: {e}", path.display())))?;
-        let (recs, valid) = parse_frames(&bytes);
-        torn_bytes += bytes.len() as u64 - valid as u64;
-        parsed.push((*idx, recs));
+    for (path, bytes) in segs {
+        let mut recs = Vec::new();
+        let valid = walk_records(bytes, |rec| recs.push(rec))
+            .map_err(|bad| TxError::Recovery(format!("{}: {bad}", path.display())))?;
+        torn_bytes += (bytes.len() - valid) as u64;
+        parsed.push(recs);
     }
     let start = parsed
         .iter()
-        .rposition(|(_, recs)| matches!(recs.first(), Some(WalRecord::Checkpoint { .. })))
+        .rposition(|recs| matches!(recs.first(), Some(WalRecord::Checkpoint { .. })))
         .unwrap_or(0);
 
-    let mut base_ts = 0u64;
-    let mut base: Vec<(u32, Vec<u8>)> = Vec::new();
-    let mut pending: BTreeMap<u64, Vec<(u32, Vec<u8>)>> = BTreeMap::new();
-    let mut commits: Vec<RecoveredCommit> = Vec::new();
+    let mut base = None;
+    let mut commits = Vec::new();
     let mut max_top = 0u64;
-
-    for (_, recs) in parsed.into_iter().skip(start) {
-        for rec in recs {
-            match rec {
-                WalRecord::Checkpoint { ts, entries } => {
-                    // A checkpoint snapshots everything at `ts`; earlier
-                    // replay work is subsumed by it.
-                    base_ts = ts;
-                    base = entries;
-                    commits.retain(|c| c.ts > ts);
-                }
-                WalRecord::Publish { top, obj, data, .. } => {
-                    max_top = max_top.max(top);
-                    pending.entry(top).or_default().push((obj, data));
-                }
-                WalRecord::Commit { ts, top } => {
-                    max_top = max_top.max(top);
-                    let writes = pending.remove(&top).unwrap_or_default();
-                    if ts > base_ts {
-                        commits.push(RecoveredCommit { ts, top, writes });
-                    }
+    for rec in parsed.into_iter().skip(start).flatten() {
+        match rec {
+            WalRecord::Checkpoint { ts, entries } => {
+                // A checkpoint snapshots everything at `ts`; earlier replay
+                // work is subsumed by it.
+                base = Some((ts, entries));
+                commits.retain(|&(c, _, _)| c > ts);
+            }
+            WalRecord::Commit { ts, top, entries } => {
+                max_top = max_top.max(top);
+                if ts > base.map_or(0, |(b, _)| b) {
+                    commits.push((ts, top, entries));
                 }
             }
         }
     }
-    // Anything left in `pending` had no durable commit fence: the process
-    // died mid-commit. Dense turnstile tickets mean no *later* fence of its
-    // run can be durable either (appends are ordered by the turnstile), so
-    // dropping these buffers loses only a suffix — never a middle — of
-    // history. A later run's fences carry ids above it (see `recover`).
-    commits.sort_by_key(|c| c.ts);
+    commits.sort_by_key(|&(ts, _, _)| ts);
     Ok(ScannedLog {
-        base_ts,
         base,
         commits,
         max_top,
@@ -138,7 +122,7 @@ pub struct RecoveryReport {
     /// Commit clock after replay: the highest redone commit timestamp (or
     /// the checkpoint cut when no commit followed it; 0 for an empty log).
     pub recovered_ts: u64,
-    /// Committed write sets replayed from `Publish`+`Commit` records.
+    /// Committed write sets replayed from `Commit` records.
     pub commits_redone: u64,
     /// Top-level ids of the replayed commits, in timestamp order.
     pub redone_tops: Vec<u64>,
@@ -158,14 +142,10 @@ impl TxManager {
     /// write set the log retained (see the module docs for what "retained"
     /// means under each [`crate::FsyncPolicy`]), advances the commit clock
     /// past the recovered history, and bumps the transaction-id allocator
-    /// above every top id in a scanned `Publish` or `Commit` record.
-    ///
-    /// That floor is what redo needs. The scan buffers `Publish` frames by
-    /// top id until its `Commit`, so a new transaction must never take the
-    /// id of an orphan `Publish` torn from its fence (`WalMidCommit`): its
-    /// own `Commit` would adopt the orphan. A top that never published left
-    /// no record, and no later scan reads the segments before this scan's
-    /// checkpoint, so their ids need no floor and `Checkpoint` carries none.
+    /// above the top of every scanned `Commit` record, so a new transaction
+    /// never shares an id with one the log holds. A torn record is a torn
+    /// tail, discarded whole, so it leaves no fragment for a later id to
+    /// claim; a top that never committed left no record.
     ///
     /// Errors if no WAL is configured, if the manager already has history
     /// (recovery replays into version chains and cannot merge), or if the
@@ -180,7 +160,8 @@ impl TxManager {
                 "recover() needs a fresh manager (history already present)".into(),
             ));
         }
-        let scanned = scan_dir(wal.dir())?;
+        let segs = read_segments(wal.dir())?;
+        let scanned = scan(&segs)?;
 
         // Replay one write: decode through the object's registered codec
         // and install as the committed base + a version at `ts`.
@@ -212,17 +193,16 @@ impl TxManager {
             Ok(())
         };
 
-        if scanned.base_ts > 0 {
-            for (obj, data) in &scanned.base {
-                apply(scanned.base_ts, *obj, data)?;
-            }
+        let (checkpoint_ts, base) = scanned.base.unwrap_or_default();
+        for (obj, data) in base {
+            apply(checkpoint_ts, obj, data)?;
         }
-        let mut recovered_ts = scanned.base_ts;
-        for c in &scanned.commits {
-            for (obj, data) in &c.writes {
-                apply(c.ts, *obj, data)?;
+        let mut recovered_ts = checkpoint_ts;
+        for &(ts, _, entries) in &scanned.commits {
+            for (obj, data) in entries {
+                apply(ts, obj, data)?;
             }
-            recovered_ts = c.ts;
+            recovered_ts = ts;
         }
 
         // Advance the clocks: new commits must ticket *after* the recovered
@@ -235,8 +215,8 @@ impl TxManager {
         let report = RecoveryReport {
             recovered_ts,
             commits_redone: scanned.commits.len() as u64,
-            redone_tops: scanned.commits.iter().map(|c| c.top).collect(),
-            checkpoint_ts: scanned.base_ts,
+            redone_tops: scanned.commits.iter().map(|&(_, top, _)| top).collect(),
+            checkpoint_ts,
             // `Wal::open` already truncated the live segment's torn tail;
             // the scan only sees leftovers in non-live segments.
             torn_bytes: scanned.torn_bytes + wal.repaired_bytes(),
@@ -320,43 +300,39 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A segment written while the log still recorded `Begin` and `Abort`
-    /// opens without repair and recovers whole: the legacy frames are
-    /// skipped, not taken for a torn tail that cuts off what follows.
+    /// A log from a build that wrote one `Publish` frame per object (tag 2)
+    /// is refused, not replayed in part or cut short: here it sits in a
+    /// segment before the live one, which the scan alone reads.
     #[test]
-    fn legacy_begin_and_abort_frames_are_skipped() {
+    fn a_legacy_segment_is_refused() {
         let dir = tmp("legacy");
-        let legacy = |out: &mut Vec<u8>, tag: u8, top: u64| {
-            let mut p = vec![tag];
-            p.extend_from_slice(&top.to_le_bytes());
-            out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-            out.extend_from_slice(&crate::wal::crc32(&p).to_le_bytes());
-            out.extend_from_slice(&p);
-        };
-        let publish = |out: &mut Vec<u8>, ts: u64, top: u64, obj: u32, v: i64| {
-            crate::wal::frame_publish(out, ts, top, obj, |d| d.extend_from_slice(&v.to_le_bytes()));
-        };
-        let mut seg = Vec::new();
-        legacy(&mut seg, 1, 1);
-        publish(&mut seg, 1, 1, 0, 11);
-        crate::wal::frame_commit(&mut seg, 1, 1);
-        legacy(&mut seg, 4, 2);
-        publish(&mut seg, 2, 3, 1, 22);
-        crate::wal::frame_commit(&mut seg, 2, 3);
+        let mut publish = vec![2u8];
+        for field in [1u64, 1] {
+            publish.extend_from_slice(&field.to_le_bytes()); // ts, top
+        }
+        publish.extend_from_slice(&0u32.to_le_bytes()); // obj
+        publish.extend_from_slice(&8u32.to_le_bytes()); // len
+        publish.extend_from_slice(&11i64.to_le_bytes());
+        let mut seg = (publish.len() as u32).to_le_bytes().to_vec();
+        seg.extend_from_slice(&crate::wal::crc32(&publish).to_le_bytes());
+        seg.extend_from_slice(&publish);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("wal-000000.log"), &seg).unwrap();
+        std::fs::write(dir.join("wal-000001.log"), []).unwrap();
 
         let mgr = TxManager::new(durable_cfg(&dir));
         let x = mgr.register_durable("x", 0i64);
-        let y = mgr.register_durable("y", 0i64);
-        let wal = mgr.inner.wal.as_ref().unwrap();
-        assert_eq!(wal.repaired_bytes(), 0);
-        let report = mgr.recover().unwrap();
-        assert_eq!(report.commits_redone, 2);
-        assert_eq!(report.redone_tops, [1, 3]);
-        assert_eq!(report.torn_bytes, 0);
-        assert_eq!(mgr.read_committed(&x, |v| *v), 11);
-        assert_eq!(mgr.read_committed(&y, |v| *v), 22);
+        match mgr.recover() {
+            Err(TxError::Recovery(msg)) => {
+                assert!(
+                    msg.contains("wal-000000.log") && msg.contains("(tag 2)"),
+                    "{msg}"
+                );
+            }
+            other => panic!("a legacy segment must be refused, got {other:?}"),
+        }
+        assert_eq!(mgr.read_committed(&x, |v| *v), 0);
+        assert_eq!(std::fs::read(dir.join("wal-000000.log")).unwrap(), seg);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

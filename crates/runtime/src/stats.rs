@@ -159,8 +159,8 @@ pub struct StatsSnapshot {
     pub versions_published: u64,
     /// Published versions reclaimed by the version garbage collector.
     pub versions_collected: u64,
-    /// Appends to the write-ahead log: one per durable top-level commit
-    /// (a block of frames) and one per checkpoint.
+    /// Appends to the write-ahead log: one per commit record or
+    /// checkpoint.
     pub wal_appends: u64,
     /// Device flushes issued by the WAL (commit-path fsyncs plus the two
     /// fsyncs bracketing each checkpoint).

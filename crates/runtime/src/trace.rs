@@ -174,16 +174,15 @@ pub enum RtEvent {
         /// The applied action (never [`FaultAction::Continue`]).
         action: FaultAction,
     },
-    /// A committing transaction's records reached the write-ahead log
-    /// (publishes plus the commit fence, appended inside the turnstile
-    /// window at commit timestamp `ts`).
+    /// A committing transaction's `Commit` record reached the write-ahead
+    /// log (appended inside the turnstile window at commit timestamp `ts`).
     WalAppend {
         /// The committing top-level transaction.
         tx: u64,
         /// Its commit timestamp.
         ts: u64,
-        /// Records appended for this commit.
-        records: usize,
+        /// Durable objects in the record (one entry each).
+        objects: usize,
     },
     /// The WAL rotated to a fresh segment headed by a full snapshot of all
     /// durable objects.
@@ -313,8 +312,8 @@ impl RtEvent {
                 Some(o) => _ = writeln!(out, "FAULT tx={tx} obj={o} action={action}"),
                 None => _ = writeln!(out, "FAULT tx={tx} obj=- action={action}"),
             },
-            RtEvent::WalAppend { tx, ts, records } => {
-                _ = writeln!(out, "WALAPPEND tx={tx} ts={ts} records={records}");
+            RtEvent::WalAppend { tx, ts, objects } => {
+                _ = writeln!(out, "WALAPPEND tx={tx} ts={ts} objects={objects}");
             }
             RtEvent::Checkpoint { ts, objects } => {
                 _ = writeln!(out, "CHECKPOINT ts={ts} objects={objects}");

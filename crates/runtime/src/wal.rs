@@ -1,30 +1,35 @@
 //! Segmented write-ahead log behind the commit turnstile.
 //!
 //! The paper's model (§2) treats a committed top-level transaction's effects
-//! as permanent. This module makes that literally true under process death:
-//! every top-level commit appends CRC-framed `Publish` records (one per
-//! durable object written) followed by a `Commit` record, *inside* the
-//! commit-timestamp turnstile window of `manager.rs` — exactly one committer
-//! is between the turnstile wait and the `commit_ts` store at a time, so the
-//! append order of `Commit` records equals the dense ticket order, which is
-//! the order snapshot readers observe. Durable order = published MVCC order
-//! by construction, not by a separate locking protocol.
+//! as permanent, and its `COMMIT(T)` is one atomic step (§5.2). This module
+//! makes both literally true under process death: every top-level commit
+//! that changed a durable object appends **one** CRC-framed `Commit` record
+//! holding its whole write set, *inside* the commit-timestamp turnstile
+//! window of `manager.rs` — exactly one committer is between the turnstile
+//! wait and the `commit_ts` store at a time, so the append order of `Commit`
+//! records equals the dense ticket order, which is the order snapshot
+//! readers observe. Durable order = published MVCC order by construction,
+//! not by a separate locking protocol.
 //!
 //! ## Frame and record format
 //!
 //! Every record is framed as `[len: u32 LE][crc32(payload): u32 LE][payload]`.
 //! The first payload byte is a record tag:
 //!
-//! | tag | record     | payload after the tag                                |
-//! |-----|------------|------------------------------------------------------|
-//! | 1   | (reserved) | `top: u64` — legacy `Begin`, skipped                 |
-//! | 2   | Publish    | `ts: u64, top: u64, obj: u32, len: u32, data`        |
-//! | 3   | Commit     | `ts: u64, top: u64`                                  |
-//! | 4   | (reserved) | `top: u64` — legacy `Abort`, skipped                 |
-//! | 5   | Checkpoint | `ts: u64, n: u32, n × (obj: u32, len: u32, data)`    |
+//! | tag | record     | payload after the tag                                       |
+//! |-----|------------|-------------------------------------------------------------|
+//! | 1–4 | (refused)  | per-object `Publish`, its fence, `Begin`, `Abort` of older logs |
+//! | 5   | Checkpoint | `ts: u64, n: u32, n × (obj: u32, len: u32, data)`           |
+//! | 6   | Commit     | `ts: u64, top: u64, n: u32, n × (obj: u32, len: u32, data)` |
 //!
-//! Older segments may hold tag 1 and 4 frames; readers skip them
-//! ([`is_retired`]) instead of taking them for a torn tail.
+//! Both records share one entry layout ([`put_entry`]) and one writer
+//! ([`OpenRecord`]). The CRC makes a frame atomic, so a commit is on disk
+//! whole or not at all: a torn record is a torn tail and nothing else.
+//! Every reader goes through [`walk_records`] and its one decoder,
+//! [`decode_record`], which borrows the payload. A frame whose CRC holds but
+//! which does not decode — an unknown tag, the tags of older logs among
+//! them — is damage no crash leaves behind, so the log is refused
+//! ([`BadFrame`]) rather than cut short there.
 //!
 //! Segments are `wal-NNNNNN.log` files in `RtConfig::wal_dir`; a checkpoint
 //! rotates to a fresh segment whose *first* record is the `Checkpoint`
@@ -36,13 +41,13 @@
 //!
 //! No record reaches the kernel on its own. Every record is framed into one
 //! user-space staging buffer owned by the log (under its leaf mutex): a
-//! commit's `Publish`/`Commit` frames arrive as one pre-encoded block
-//! (framed and checksummed by the committer *before* its turnstile wait)
-//! and cost one `memcpy` inside the window. The log holds only redo, so
-//! this is the one time a transaction touches it: nothing at begin or
-//! abort. The **logical log is `file bytes ++ staged bytes`**; `appended`,
-//! `unsynced_bytes()` and `crash_teardown(keep)` all speak about that
-//! logical tail. The stage reaches the file with a single `write_all` when
+//! commit's record arrives pre-encoded (built and checksummed by the
+//! committer *before* its turnstile wait) and costs one `memcpy` inside the
+//! window. The log holds only redo, so this is the one time a transaction
+//! touches it: nothing at begin or abort. The **logical log is
+//! `file bytes ++ staged bytes`**; `appended`, `unsynced_bytes()` and
+//! `crash_teardown(keep)` all speak about that logical tail. The stage
+//! reaches the file with a single `write_all` when
 //!
 //! 1. the policy says an fsync is due (`Always`: every commit; `Group`: the
 //!    batch is full or its deadline passed) — flush, then `fdatasync`;
@@ -63,7 +68,7 @@
 //!
 //! ## Group commit
 //!
-//! `FsyncPolicy::Group(n, d)` acks a commit as soon as its records are
+//! `FsyncPolicy::Group(n, d)` acks a commit as soon as its record is
 //! staged and defers the flush + fsync until `n` commits are pending or the
 //! oldest pending commit is older than `d`. The next commit checks both,
 //! and the commit that opens a batch wakes the manager's sweeper, which
@@ -83,6 +88,7 @@
 //! of unsynced tail — writing out the kept part of the stage, then
 //! truncating — a torn final record, the shape real power loss leaves behind.
 
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -243,60 +249,67 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 // Record encode / decode
 // ---------------------------------------------------------------------------
 
-const TAG_PUBLISH: u8 = 2;
-const TAG_COMMIT: u8 = 3;
 const TAG_CHECKPOINT: u8 = 5;
-/// Legacy `Begin` and `Abort { top: u64 }`, skipped by [`is_retired`].
-const TAG_RETIRED: [u8; 2] = [1, 4];
+const TAG_COMMIT: u8 = 6;
 
-/// Upper bound on a single record payload; anything larger in a length
-/// header is treated as tail corruption rather than attempted allocation.
-const MAX_RECORD: u32 = 16 << 20;
-
-/// A decoded log record (recovery-side view; the append side writes
-/// payloads directly without building this enum).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) enum WalRecord {
-    /// One durable object's new state, published at commit timestamp `ts`.
-    Publish {
+/// A decoded log record. It borrows the payload it was read from, so
+/// decoding allocates nothing; the append side builds payloads in place
+/// ([`OpenRecord`]) without this enum.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WalRecord<'a> {
+    /// A top-level commit's whole durable write set, published at `ts`.
+    Commit {
         /// Commit timestamp (dense turnstile ticket).
         ts: u64,
         /// Committing top-level transaction id.
         top: u64,
-        /// Slab index of the durable object.
-        obj: u32,
-        /// Encoded state bytes.
-        data: Vec<u8>,
-    },
-    /// Commit fence: every `Publish` for (`ts`, `top`) precedes it, so its
-    /// presence makes the whole write set redo-eligible.
-    Commit {
-        /// Commit timestamp.
-        ts: u64,
-        /// Committing top-level transaction id.
-        top: u64,
+        /// One entry per durable object the commit wrote.
+        entries: Entries<'a>,
     },
     /// Segment-leading snapshot of all durable objects at `ts`; supersedes
     /// every earlier segment.
     Checkpoint {
         /// Cut timestamp of the snapshot.
         ts: u64,
-        /// `(object slab index, encoded state)` for every durable object.
-        entries: Vec<(u32, Vec<u8>)>,
+        /// One entry per durable object.
+        entries: Entries<'a>,
     },
 }
 
-// Payload writers append one record's payload (tag first) to `p`; [`frame`]
-// wraps any of them in the `[len][crc]` header without an intermediate copy.
+impl WalRecord<'_> {
+    /// The commit timestamp this record makes durable.
+    pub(crate) fn ts(&self) -> u64 {
+        match *self {
+            WalRecord::Commit { ts, .. } | WalRecord::Checkpoint { ts, .. } => ts,
+        }
+    }
+}
+
+/// A record's `(object slab index, encoded state)` entries, bounds-checked
+/// by [`decode_record`], so iterating them cannot fail.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Entries<'a>(&'a [u8]);
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = (u32, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u32, &'a [u8])> {
+        let mut c = Cur { b: self.0, i: 0 };
+        let obj = c.u32()?;
+        let len = c.u32()? as usize;
+        let data = c.bytes(len)?;
+        self.0 = &self.0[c.i..];
+        Some((obj, data))
+    }
+}
 
 /// Fill in a `u32` placeholder reserved at `at` once its value is known.
 fn patch_u32(out: &mut [u8], at: usize, v: u32) {
     out[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
 
-/// One object's `(obj: u32, len: u32, data)` — the tail of a `Publish` and
-/// the unit of a `Checkpoint`. `state` appends the encoded object state;
-/// its length is patched in after.
+/// One object's `(obj: u32, len: u32, data)` — the unit of both records.
+/// `state` appends the encoded object state; its length is patched in after.
 pub(crate) fn put_entry(p: &mut Vec<u8>, obj: u32, state: impl FnOnce(&mut Vec<u8>)) {
     p.extend_from_slice(&obj.to_le_bytes());
     let len_at = p.len();
@@ -306,64 +319,67 @@ pub(crate) fn put_entry(p: &mut Vec<u8>, obj: u32, state: impl FnOnce(&mut Vec<u
     patch_u32(p, len_at, len);
 }
 
-fn put_publish(p: &mut Vec<u8>, ts: u64, top: u64, obj: u32, state: impl FnOnce(&mut Vec<u8>)) {
-    p.push(TAG_PUBLISH);
-    p.extend_from_slice(&ts.to_le_bytes());
-    p.extend_from_slice(&top.to_le_bytes());
-    put_entry(p, obj, state);
+/// A record being built in place at the end of a buffer: a commit in its
+/// committer's block, a checkpoint in the stage. Opening it writes room for
+/// the frame header, the tag, `ts`, a commit's `top` and a placeholder for
+/// the entry count; [`OpenRecord::entry`] appends entries and
+/// [`OpenRecord::close`] patches the count, the length and the CRC.
+pub(crate) struct OpenRecord {
+    /// Offset of the frame header.
+    at: usize,
+    /// Offset of the entry count.
+    n_at: usize,
+    /// Entries appended so far.
+    n: u32,
 }
 
-fn put_commit(p: &mut Vec<u8>, ts: u64, top: u64) {
-    p.push(TAG_COMMIT);
-    p.extend_from_slice(&ts.to_le_bytes());
-    p.extend_from_slice(&top.to_le_bytes());
-}
+impl OpenRecord {
+    fn open(out: &mut Vec<u8>, tag: u8, ts: u64, top: Option<u64>) -> OpenRecord {
+        let at = out.len();
+        out.extend_from_slice(&[0; 8]);
+        out.push(tag);
+        out.extend_from_slice(&ts.to_le_bytes());
+        if let Some(top) = top {
+            out.extend_from_slice(&top.to_le_bytes());
+        }
+        let n_at = out.len();
+        out.extend_from_slice(&[0; 4]);
+        OpenRecord { at, n_at, n: 0 }
+    }
 
-/// Frame one record at the end of `out`: reserve the header, let `payload`
-/// write the body in place, then patch in its length and CRC.
-fn frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
-    let at = out.len();
-    out.extend_from_slice(&[0; 8]);
-    payload(out);
-    let body = &out[at + 8..];
-    let (len, crc) = (body.len() as u32, crc32(body));
-    patch_u32(out, at, len);
-    patch_u32(out, at + 4, crc);
-}
+    /// Open the `Commit` record of (`ts`, `top`) at the end of `out`.
+    pub(crate) fn commit(out: &mut Vec<u8>, ts: u64, top: u64) -> OpenRecord {
+        // Room for the record of a few small objects, so a typical commit
+        // grows its block once instead of by doubling from 8.
+        out.reserve(96);
+        OpenRecord::open(out, TAG_COMMIT, ts, Some(top))
+    }
 
-/// Append a framed `Publish` record to a committer's frame block; `state`
-/// writes the object's encoded state straight into the frame.
-pub(crate) fn frame_publish(
-    block: &mut Vec<u8>,
-    ts: u64,
-    top: u64,
-    obj: u32,
-    state: impl FnOnce(&mut Vec<u8>),
-) {
-    // Room for this frame with a small state and for the fence, so a
-    // typical commit grows its block once instead of by doubling from 8.
-    block.reserve(96);
-    frame(block, |p| put_publish(p, ts, top, obj, state));
-}
+    /// Append one object's entry ([`put_entry`]) to the record.
+    pub(crate) fn entry(&mut self, out: &mut Vec<u8>, obj: u32, state: impl FnOnce(&mut Vec<u8>)) {
+        put_entry(out, obj, state);
+        self.n += 1;
+    }
 
-/// Append the framed commit fence for (`ts`, `top`) to a frame block.
-#[cfg_attr(loom, allow(dead_code))]
-pub(crate) fn frame_commit(block: &mut Vec<u8>, ts: u64, top: u64) {
-    frame(block, |p| put_commit(p, ts, top));
+    /// Finish the record, which must end `out`: patch in the entry count,
+    /// the frame length and the CRC. Returns the entry count.
+    pub(crate) fn close(self, out: &mut [u8]) -> u32 {
+        patch_u32(out, self.n_at, self.n);
+        let body = &out[self.at + 8..];
+        let (len, crc) = (body.len() as u32, crc32(body));
+        patch_u32(out, self.at, len);
+        patch_u32(out, self.at + 4, crc);
+        self.n
+    }
 }
 
 /// Frame the `Checkpoint` record for the cut at `ts` at the end of `out`:
 /// `entries` writes one [`put_entry`] per durable object straight into the
 /// record and returns how many it wrote.
 fn frame_checkpoint(out: &mut Vec<u8>, ts: u64, entries: impl FnOnce(&mut Vec<u8>) -> u32) {
-    frame(out, |p| {
-        p.push(TAG_CHECKPOINT);
-        p.extend_from_slice(&ts.to_le_bytes());
-        let n_at = p.len();
-        p.extend_from_slice(&[0; 4]);
-        let n = entries(p);
-        patch_u32(p, n_at, n);
-    });
+    let mut rec = OpenRecord::open(out, TAG_CHECKPOINT, ts, None);
+    rec.n = entries(out);
+    rec.close(out);
 }
 
 /// Bounds-checked little-endian cursor over a record payload.
@@ -374,124 +390,95 @@ struct Cur<'a> {
 
 impl<'a> Cur<'a> {
     fn u32(&mut self) -> Option<u32> {
-        let s = self.b.get(self.i..self.i + 4)?;
-        self.i += 4;
-        Some(u32::from_le_bytes(s.try_into().ok()?))
+        Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
     }
     fn u64(&mut self) -> Option<u64> {
-        let s = self.b.get(self.i..self.i + 8)?;
-        self.i += 8;
-        Some(u64::from_le_bytes(s.try_into().ok()?))
+        Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
     }
     fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.b.get(self.i..self.i + n)?;
+        let s = self.b.get(self.i..self.i.checked_add(n)?)?;
         self.i += n;
         Some(s)
     }
-    fn done(&self) -> bool {
-        self.i == self.b.len()
-    }
 }
 
-/// Decode one CRC-verified payload; `None` marks an unknown tag or a
-/// malformed body (both treated as tail corruption by the caller).
-pub(crate) fn decode_record(payload: &[u8]) -> Option<WalRecord> {
+/// Decode one CRC-verified payload in place; `None` marks an unknown tag or
+/// a malformed body. The only decoder: [`Wal::open`] and recovery both read
+/// through it (via [`walk_records`]).
+fn decode_record(payload: &[u8]) -> Option<WalRecord<'_>> {
     let (&tag, rest) = payload.split_first()?;
     let mut c = Cur { b: rest, i: 0 };
-    let rec = match tag {
-        TAG_PUBLISH => {
-            let ts = c.u64()?;
-            let top = c.u64()?;
-            let obj = c.u32()?;
-            let len = c.u32()? as usize;
-            WalRecord::Publish {
-                ts,
-                top,
-                obj,
-                data: c.bytes(len)?.to_vec(),
-            }
-        }
-        TAG_COMMIT => WalRecord::Commit {
-            ts: c.u64()?,
-            top: c.u64()?,
-        },
-        TAG_CHECKPOINT => {
-            let ts = c.u64()?;
-            let n = c.u32()?;
-            let mut entries = Vec::with_capacity(n.min(4096) as usize);
-            for _ in 0..n {
-                let obj = c.u32()?;
-                let len = c.u32()? as usize;
-                entries.push((obj, c.bytes(len)?.to_vec()));
-            }
-            WalRecord::Checkpoint { ts, entries }
-        }
+    let ts = c.u64()?;
+    let top = match tag {
+        TAG_COMMIT => Some(c.u64()?),
+        TAG_CHECKPOINT => None,
         _ => return None,
     };
-    c.done().then_some(rec)
+    let n = c.u32()?;
+    let entries = Entries(&rest[c.i..]);
+    // Exactly `n` whole entries, and nothing after them.
+    let mut check = entries;
+    for _ in 0..n {
+        check.next()?;
+    }
+    if !check.0.is_empty() {
+        return None;
+    }
+    Some(match top {
+        Some(top) => WalRecord::Commit { ts, top, entries },
+        None => WalRecord::Checkpoint { ts, entries },
+    })
 }
 
-/// Walk a segment's valid frame prefix without allocating: every payload
-/// whose length header fits and whose CRC matches is handed to `visit`,
-/// which returns `false` if it cannot accept the payload. Returns the byte
-/// length of the valid prefix; anything past it — a short header, an
-/// oversized length, a CRC mismatch, or a payload `visit` rejected — is a
-/// torn tail to be discarded.
-pub(crate) fn walk_frames(bytes: &[u8], mut visit: impl FnMut(&[u8]) -> bool) -> usize {
+/// A frame whose CRC holds but whose payload does not decode. No crash
+/// leaves one — a torn frame fails its CRC — so it is a damaged log or one
+/// this build does not read (tags 1–4 of older builds), and readers stop
+/// with it instead of discarding it and everything after it as a torn tail.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct BadFrame {
+    /// Byte offset of the frame header in its segment.
+    pub(crate) offset: usize,
+    /// The payload's tag byte.
+    pub(crate) tag: u8,
+}
+
+impl fmt::Display for BadFrame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "checksummed frame at byte {} (tag {}) does not decode: \
+             the log is damaged or from a build that wrote another format",
+            self.offset, self.tag
+        )
+    }
+}
+
+/// Walk a segment's records in order without allocating, handing each to
+/// `visit`, and return the byte length of the valid prefix. Past it lies a
+/// torn tail for the caller to discard: a short header, a payload that runs
+/// past the end, a CRC mismatch, or a zero length (the all-zero header of a
+/// tail the filesystem extended but never wrote; no record is empty). A
+/// checksummed frame that does not decode is a [`BadFrame`] instead.
+pub(crate) fn walk_records<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(WalRecord<'a>),
+) -> Result<usize, BadFrame> {
     let mut i = 0usize;
     while let Some(header) = bytes.get(i..i + 8) {
-        let len = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice"));
+        let len = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice")) as usize;
         let crc = u32::from_le_bytes(header[4..].try_into().expect("4-byte slice"));
-        if len > MAX_RECORD {
-            break;
-        }
-        let Some(payload) = bytes.get(i + 8..i + 8 + len as usize) else {
+        let end = (i + 8).checked_add(len);
+        let Some(payload) = end.and_then(|end| bytes.get(i + 8..end)) else {
             break;
         };
-        if crc32(payload) != crc || !visit(payload) {
+        if len == 0 || crc32(payload) != crc {
             break;
         }
-        i += 8 + len as usize;
+        let tag = payload[0];
+        visit(decode_record(payload).ok_or(BadFrame { offset: i, tag })?);
+        i += 8 + len;
     }
-    i
-}
-
-/// A legacy `Begin`/`Abort` payload, which readers skip; anything else
-/// under those tags is corrupt.
-fn is_retired(payload: &[u8]) -> bool {
-    payload.len() == 9 && TAG_RETIRED.contains(&payload[0])
-}
-
-/// Split a segment's bytes into its valid record prefix: the decoded
-/// records and the byte length they span (see [`walk_frames`]; an
-/// undecodable payload ends the prefix, a retired one is skipped).
-pub(crate) fn parse_frames(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
-    let mut recs = Vec::new();
-    let valid = walk_frames(bytes, |payload| {
-        is_retired(payload) || decode_record(payload).map(|rec| recs.push(rec)).is_some()
-    });
-    (recs, valid)
-}
-
-/// What [`Wal::open`] needs from a payload, without building a
-/// [`WalRecord`]: `None` exactly when [`parse_frames`] would reject it,
-/// otherwise the commit timestamp it makes durable (0 for records that
-/// carry none). Only a `Checkpoint` — at most one per segment — allocates.
-fn durable_ts_of(payload: &[u8]) -> Option<u64> {
-    let le = |at: usize, n: usize| payload.get(at..at + n);
-    match (*payload.first()?, payload.len()) {
-        _ if is_retired(payload) => Some(0),
-        (TAG_COMMIT, 17) => Some(u64::from_le_bytes(le(1, 8)?.try_into().ok()?)),
-        (TAG_PUBLISH, n) => {
-            let data_len = u32::from_le_bytes(le(21, 4)?.try_into().ok()?);
-            (n - 25 == data_len as usize).then_some(0)
-        }
-        (TAG_CHECKPOINT, _) => match decode_record(payload)? {
-            WalRecord::Checkpoint { ts, .. } => Some(ts),
-            _ => None,
-        },
-        _ => None,
-    }
+    Ok(i)
 }
 
 // ---------------------------------------------------------------------------
@@ -575,10 +562,10 @@ impl WalInner {
     }
 }
 
-/// What the policy wants done after a commit block was appended; the caller
+/// What the policy wants done after a commit record was appended; the caller
 /// (still inside its turnstile window) acts on it with [`Wal::sync`] and a
 /// checkpoint.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct CommitDue {
     /// An fsync is due (`Always`, a full `Group` batch, or its deadline).
     pub(crate) sync: bool,
@@ -611,7 +598,9 @@ pub(crate) struct Wal {
 impl Wal {
     /// Open (or create) the log in `dir`, repairing a torn tail: the last
     /// segment is truncated to its valid frame prefix, which is exactly the
-    /// state a mid-write power cut leaves behind.
+    /// state a mid-write power cut leaves behind. A checksummed frame that
+    /// does not decode ([`BadFrame`]) is no torn tail: the open fails with
+    /// [`io::ErrorKind::InvalidData`] and leaves the file as it was.
     pub(crate) fn open(dir: &Path, policy: FsyncPolicy, checkpoint_every: u64) -> io::Result<Wal> {
         fs::create_dir_all(dir)?;
         let segs = list_segments(dir)?;
@@ -632,11 +621,12 @@ impl Wal {
         // its highest commit timestamp so a later fsync with no fresh
         // commits cannot regress `durable_ts`.
         let mut max_ts = 0u64;
-        let valid = walk_frames(&bytes, |payload| {
-            durable_ts_of(payload)
-                .map(|ts| max_ts = max_ts.max(ts))
-                .is_some()
-        }) as u64;
+        let valid = walk_records(&bytes, |rec| max_ts = max_ts.max(rec.ts())).map_err(|bad| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{}: {bad}", path.display()),
+            )
+        })? as u64;
         if valid < bytes.len() as u64 {
             file.set_len(valid)?;
         }
@@ -654,7 +644,7 @@ impl Wal {
                 file,
                 seg,
                 oldest_seg,
-                // Headroom for the block that crosses the threshold, so
+                // Headroom for the record that crosses the threshold, so
                 // ordinary commits never regrow the buffer.
                 stage: Vec::with_capacity(STAGE_FLUSH_BYTES + 4096),
                 appended: valid,
@@ -672,58 +662,46 @@ impl Wal {
         &self.dir
     }
 
-    /// The one append path: copy pre-framed records into the stage under
-    /// the log mutex. With `commit_ts` they end in that commit's fence, and
-    /// the result says what the policy now wants. `None` when nothing was
-    /// appended (frozen log, or the 64 KiB flush failed).
-    fn append(&self, frames: &[u8], commit_ts: Option<u64>) -> Option<CommitDue> {
+    /// The one append path: copy the framed `Commit` record of `ts` into the
+    /// stage under the log mutex, and say what the policy now wants. `None`
+    /// when nothing was appended (frozen log, or the 64 KiB flush failed).
+    pub(crate) fn append(&self, record: &[u8], ts: u64) -> Option<CommitDue> {
         if self.frozen.load(Ordering::SeqCst) {
             return None;
         }
         let mut inner = self.inner.lock();
-        inner.stage.extend_from_slice(frames);
-        inner.appended += frames.len() as u64;
-        let mut due = CommitDue::default();
-        if let Some(ts) = commit_ts {
-            inner.pending += 1;
-            inner.commits_since_checkpoint += 1;
-            inner.appended_commit_ts = ts;
-            due.sync = match self.policy {
-                FsyncPolicy::Always => true,
-                FsyncPolicy::Group(n, d) => {
-                    let opens = inner.pending_since.is_none();
-                    let since = *inner.pending_since.get_or_insert_with(Instant::now);
-                    let sync = inner.pending >= n as u64 || since.elapsed() >= d;
-                    // `Duration::MAX` sets no deadline to keep.
-                    due.opened_batch = opens && !sync && since.checked_add(d).is_some();
-                    if due.opened_batch {
-                        self.batch_open.store(true, Ordering::SeqCst);
-                    }
-                    sync
+        inner.stage.extend_from_slice(record);
+        inner.appended += record.len() as u64;
+        inner.pending += 1;
+        inner.commits_since_checkpoint += 1;
+        inner.appended_commit_ts = ts;
+        let mut opened_batch = false;
+        let sync = match self.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::Group(n, d) => {
+                let opens = inner.pending_since.is_none();
+                let since = *inner.pending_since.get_or_insert_with(Instant::now);
+                let sync = inner.pending >= n as u64 || since.elapsed() >= d;
+                // `Duration::MAX` sets no deadline to keep.
+                opened_batch = opens && !sync && since.checked_add(d).is_some();
+                if opened_batch {
+                    self.batch_open.store(true, Ordering::SeqCst);
                 }
-            };
-            due.checkpoint = self.checkpoint_every > 0
-                && inner.commits_since_checkpoint >= self.checkpoint_every;
-        }
+                sync
+            }
+        };
+        let due = CommitDue {
+            sync,
+            checkpoint: self.checkpoint_every > 0
+                && inner.commits_since_checkpoint >= self.checkpoint_every,
+            opened_batch,
+        };
         // A due sync flushes anyway; otherwise keep the stage bounded.
         if !due.sync && inner.stage.len() >= STAGE_FLUSH_BYTES && inner.flush().is_err() {
             self.freeze();
             return None;
         }
         Some(due)
-    }
-
-    /// Append pre-framed records that do not complete a commit (the
-    /// `Publish` half of a commit block torn at its `WalMidCommit` point).
-    pub(crate) fn append_frames(&self, frames: &[u8]) -> bool {
-        self.append(frames, None).is_some()
-    }
-
-    /// Append a whole commit — its `Publish` frames followed by the commit
-    /// fence for `ts`, pre-framed by the committer — with one copy, and
-    /// report what is due. `None` when the log is frozen.
-    pub(crate) fn append_commit_block(&self, block: &[u8], ts: u64) -> Option<CommitDue> {
-        self.append(block, Some(ts))
     }
 
     /// Flush the stage and fsync the live segment, promoting every appended
@@ -915,44 +893,55 @@ mod tests {
     /// Append cost only: no fsync until clean close.
     const NO_FSYNC: FsyncPolicy = FsyncPolicy::Group(usize::MAX, Duration::MAX);
 
+    /// Frame header, tag, `ts`, `top` and the entry count: a `Commit`
+    /// record with no entries.
+    const COMMIT_HEAD: u64 = 4 + 4 + 1 + 8 + 8 + 4;
+    /// One entry holding an `i64`: `obj`, `len`, 8 bytes of state.
+    const I64_ENTRY: u64 = 4 + 4 + 8;
+
     fn tmp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("ntx-wal-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&d);
         d
     }
 
-    /// A standalone payload (the writers append in place).
-    fn payload(put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let mut p = Vec::new();
-        put(&mut p);
-        p
+    /// The framed `Commit` record of (`ts`, `top`) over `writes`.
+    fn commit_record(ts: u64, top: u64, writes: &[(u32, &[u8])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let mut rec = OpenRecord::commit(&mut out, ts, top);
+        for &(obj, data) in writes {
+            rec.entry(&mut out, obj, |d| d.extend_from_slice(data));
+        }
+        rec.close(&mut out);
+        out
     }
 
-    fn payload_publish(ts: u64, top: u64, obj: u32, data: &[u8]) -> Vec<u8> {
-        payload(|p| put_publish(p, ts, top, obj, |d| d.extend_from_slice(data)))
+    /// Append the commit of (`ts`, `top`) over `writes`, as a committer does.
+    fn append_commit(wal: &Wal, ts: u64, top: u64, writes: &[(u32, &[u8])]) -> Option<CommitDue> {
+        wal.append(&commit_record(ts, top, writes), ts)
     }
 
-    fn push_frame(out: &mut Vec<u8>, payload: &[u8]) {
-        frame(out, |p| p.extend_from_slice(payload));
+    /// Frame an arbitrary payload, checksum and all.
+    fn frame_of(payload: &[u8]) -> Vec<u8> {
+        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
     }
 
-    /// Append a lone `Publish` record, as a torn commit block would.
-    fn append_publish(wal: &Wal, ts: u64, top: u64, obj: u32, data: &[u8]) -> bool {
-        let mut block = Vec::new();
-        frame_publish(&mut block, ts, top, obj, |d| d.extend_from_slice(data));
-        wal.append_frames(&block)
+    /// The records of a segment's valid prefix, and the prefix's length.
+    fn records(bytes: &[u8]) -> (Vec<WalRecord<'_>>, usize) {
+        let mut recs = Vec::new();
+        let valid = walk_records(bytes, |rec| recs.push(rec)).expect("no undecodable frame");
+        (recs, valid)
     }
 
-    /// Append a commit block holding just the fence for (`ts`, `top`).
-    fn append_commit(wal: &Wal, ts: u64, top: u64) -> Option<CommitDue> {
-        let mut block = Vec::new();
-        frame_commit(&mut block, ts, top);
-        wal.append_commit_block(&block, ts)
+    fn live_segment(dir: &Path) -> PathBuf {
+        list_segments(dir).unwrap().pop().unwrap().1
     }
 
     fn live_segment_len(dir: &Path) -> u64 {
-        let seg = list_segments(dir).unwrap().pop().unwrap().1;
-        fs::metadata(seg).unwrap().len()
+        fs::metadata(live_segment(dir)).unwrap().len()
     }
 
     #[test]
@@ -961,104 +950,79 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
-    /// A legacy `Begin` (tag 1) or `Abort` (tag 4) payload.
-    fn payload_retired(tag: u8, top: u64) -> Vec<u8> {
-        payload(|p| {
-            p.push(tag);
-            p.extend_from_slice(&top.to_le_bytes());
-        })
-    }
-
-    /// Whether [`parse_frames`] accepts `payload` as one whole frame.
-    fn accepted(payload: &[u8]) -> bool {
-        let mut bytes = Vec::new();
-        push_frame(&mut bytes, payload);
-        parse_frames(&bytes).1 == bytes.len()
-    }
-
     #[test]
     fn records_round_trip() {
-        let cases = [
-            payload_publish(3, 7, 2, &42i64.to_le_bytes()),
-            payload(|p| put_commit(p, 3, 7)),
-            payload(|p| {
-                frame_checkpoint(p, 5, |p| {
-                    put_entry(p, 0, |d| d.extend_from_slice(&[1, 2, 3]));
-                    put_entry(p, 4, |_| {});
-                    2
-                })
-            })[8..]
-                .to_vec(),
-        ];
-        let expect = vec![
-            WalRecord::Publish {
-                ts: 3,
-                top: 7,
-                obj: 2,
-                data: 42i64.to_le_bytes().to_vec(),
-            },
-            WalRecord::Commit { ts: 3, top: 7 },
-            WalRecord::Checkpoint {
-                ts: 5,
-                entries: vec![(0, vec![1, 2, 3]), (4, vec![])],
-            },
-        ];
-        for (payload, want) in cases.iter().zip(&expect) {
-            assert_eq!(decode_record(payload).as_ref(), Some(want));
-            // The allocation-free check `Wal::open` uses accepts the same
-            // payloads and rejects the same truncations.
-            let ts = match want {
-                WalRecord::Commit { ts, .. } | WalRecord::Checkpoint { ts, .. } => *ts,
-                _ => 0,
-            };
-            assert_eq!(durable_ts_of(payload), Some(ts));
-            for cut in 0..payload.len() {
-                assert_eq!(
-                    durable_ts_of(&payload[..cut]).is_some(),
-                    decode_record(&payload[..cut]).is_some()
-                );
-                assert_eq!(
-                    durable_ts_of(&payload[..cut]).is_some(),
-                    accepted(&payload[..cut])
-                );
+        let state = 42i64.to_le_bytes();
+        let commit = commit_record(3, 7, &[(2, &state), (5, &[])]);
+        assert_eq!(commit.len() as u64, COMMIT_HEAD + I64_ENTRY + 8);
+        let mut checkpoint = Vec::new();
+        frame_checkpoint(&mut checkpoint, 5, |p| {
+            put_entry(p, 0, |d| d.extend_from_slice(&[1, 2, 3]));
+            put_entry(p, 4, |_| {});
+            2
+        });
+        let state_of = |frame: &[u8]| {
+            let (recs, valid) = records(frame);
+            assert_eq!((recs.len(), valid), (1, frame.len()));
+            match recs[0] {
+                WalRecord::Commit { ts, top, entries } => (ts, Some(top), entries.count()),
+                WalRecord::Checkpoint { ts, entries } => (ts, None, entries.count()),
             }
-        }
-        // Legacy metadata in an old segment: accepted and skipped whole,
-        // carrying no timestamp; any truncation is a torn tail.
-        for tag in TAG_RETIRED {
-            let legacy = payload_retired(tag, 9);
-            assert_eq!(decode_record(&legacy), None, "no record to build");
-            assert_eq!(durable_ts_of(&legacy), Some(0));
-            assert!(accepted(&legacy));
-            let mut bytes = Vec::new();
-            push_frame(&mut bytes, &legacy);
-            assert_eq!(parse_frames(&bytes), (vec![], bytes.len()));
-            for cut in 0..legacy.len() {
-                assert_eq!(durable_ts_of(&legacy[..cut]), None);
-                assert!(!accepted(&legacy[..cut]));
+        };
+        assert_eq!(state_of(&commit), (3, Some(7), 2));
+        assert_eq!(state_of(&checkpoint), (5, None, 2));
+        let (recs, _) = records(&commit);
+        let WalRecord::Commit { entries, .. } = recs[0] else {
+            unreachable!("a commit decodes as one")
+        };
+        assert!(entries.eq([(2, &state[..]), (5, &[][..])]));
+        let (recs, _) = records(&checkpoint);
+        let WalRecord::Checkpoint { entries, .. } = recs[0] else {
+            unreachable!("a checkpoint decodes as one")
+        };
+        assert!(entries.eq([(0, &[1, 2, 3][..]), (4, &[][..])]));
+        for frame in [&commit, &checkpoint] {
+            // Every checksummed truncation, and a byte too many, is refused
+            // by name: no crash writes such a frame.
+            let payload = &frame[8..];
+            let mut long = payload.to_vec();
+            long.push(0);
+            for bad in (1..payload.len())
+                .map(|cut| &payload[..cut])
+                .chain([&long[..]])
+            {
+                assert_eq!(decode_record(bad), None);
+                let err = walk_records(&frame_of(bad), |_| {}).unwrap_err();
+                let tag = payload[0];
+                assert_eq!(err, BadFrame { offset: 0, tag });
             }
         }
     }
 
     #[test]
     fn parse_stops_at_torn_tail() {
-        let mut bytes = Vec::new();
-        push_frame(&mut bytes, &payload_publish(1, 1, 0, &[7]));
-        push_frame(&mut bytes, &payload(|p| put_commit(p, 1, 1)));
+        let mut bytes = commit_record(1, 1, &[(0, &[7])]);
+        bytes.extend(commit_record(2, 2, &[]));
         let valid = bytes.len();
         // A torn third record: header promises more bytes than exist.
-        push_frame(&mut bytes, &payload(|p| put_commit(p, 2, 2)));
+        bytes.extend(commit_record(3, 3, &[]));
         bytes.truncate(valid + 5);
-        let (recs, n) = parse_frames(&bytes);
+        let (recs, n) = records(&bytes);
         assert_eq!(n, valid);
         assert_eq!(recs.len(), 2);
 
         // A bit-flipped payload fails the CRC and also stops the parse.
-        let mut flipped = Vec::new();
-        push_frame(&mut flipped, &payload(|p| put_commit(p, 1, 1)));
+        let mut flipped = commit_record(1, 1, &[]);
         let last = flipped.len() - 1;
         flipped[last] ^= 0x40;
-        assert_eq!(parse_frames(&flipped), (vec![], 0));
+        assert_eq!(records(&flipped), (vec![], 0));
+
+        // So does a tail of zeros: its header checksums an empty payload,
+        // and no record is empty.
+        let mut zeroed = commit_record(1, 1, &[]);
+        let valid = zeroed.len();
+        zeroed.extend([0; 24]);
+        assert_eq!(records(&zeroed).1, valid);
     }
 
     #[test]
@@ -1066,42 +1030,71 @@ mod tests {
         let dir = tmp("repair");
         {
             let wal = Wal::open(&dir, FsyncPolicy::Always, 0).unwrap();
-            assert!(append_publish(&wal, 1, 1, 1, &6i64.to_le_bytes()));
-            assert!(append_publish(&wal, 1, 1, 0, &5i64.to_le_bytes()));
-            assert!(append_commit(&wal, 1, 1).is_some());
+            let writes: [(u32, &[u8]); 2] = [(1, &6i64.to_le_bytes()), (0, &5i64.to_le_bytes())];
+            assert!(append_commit(&wal, 1, 1, &writes).is_some());
             assert!(wal.sync());
             assert_eq!(wal.durable_ts(), 1);
         }
         // Tear 3 bytes into the file by hand.
-        let seg = list_segments(&dir).unwrap().pop().unwrap().1;
+        let seg = live_segment(&dir);
         let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
         f.write_all(&[0xAB, 0xCD, 0xEF]).unwrap();
         drop(f);
 
         let wal = Wal::open(&dir, FsyncPolicy::Always, 0).unwrap();
-        assert_eq!(wal.durable_ts(), 1);
+        assert_eq!((wal.durable_ts(), wal.repaired_bytes()), (1, 3));
         // Appending after repair yields a cleanly parseable log.
-        assert!(append_commit(&wal, 2, 2).is_some());
+        assert!(append_commit(&wal, 2, 2, &[]).is_some());
         drop(wal);
         let bytes = fs::read(&seg).unwrap();
-        let (recs, n) = parse_frames(&bytes);
+        let (recs, n) = records(&bytes);
         assert_eq!(n, bytes.len());
-        assert_eq!(recs.len(), 4);
+        assert_eq!(recs.len(), 2);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checksummed frame that does not decode between two commits is no
+    /// torn tail: the open fails naming the segment, the offset and the tag,
+    /// and leaves every byte in place, the fsynced commit after it included.
+    /// Tags 1–4 (the records of older logs) are refused the same way.
+    #[test]
+    fn open_refuses_a_checksummed_frame_that_does_not_decode() {
+        for tag in [9u8, 1, 2, 3, 4] {
+            let dir = tmp(&format!("bad-{tag}"));
+            fs::create_dir_all(&dir).unwrap();
+            let t1 = commit_record(1, 1, &[(0, &1i64.to_le_bytes())]);
+            let mut bad = vec![tag];
+            bad.extend_from_slice(&7u64.to_le_bytes());
+            let mut bytes = t1.clone();
+            bytes.extend(frame_of(&bad));
+            bytes.extend(commit_record(2, 2, &[(0, &2i64.to_le_bytes())]));
+            let seg = dir.join("wal-000000.log");
+            fs::write(&seg, &bytes).unwrap();
+
+            let err = Wal::open(&dir, FsyncPolicy::Always, 0)
+                .err()
+                .expect("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            let at = format!("byte {} (tag {tag})", t1.len());
+            assert!(msg.contains("wal-000000.log") && msg.contains(&at), "{msg}");
+            assert_eq!(fs::read(&seg).unwrap(), bytes, "the file is untouched");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]
     fn frozen_log_drops_appends_and_teardown_truncates() {
         let dir = tmp("freeze");
         let wal = Wal::open(&dir, NO_FSYNC, 0).unwrap();
-        assert!(append_commit(&wal, 1, 1).is_some());
+        assert!(append_commit(&wal, 1, 1, &[]).is_some());
         assert!(wal.sync()); // manual sync still works with no policy fsync
-        assert!(append_commit(&wal, 2, 2).is_some());
+        assert!(append_commit(&wal, 2, 2, &[]).is_some());
         let unsynced = wal.unsynced_bytes();
         assert!(unsynced > 0);
         wal.crash_teardown(unsynced - 3).unwrap();
         assert!(wal.is_frozen());
-        assert!(append_commit(&wal, 3, 3).is_none());
+        assert!(append_commit(&wal, 3, 3, &[]).is_none());
         assert!(!wal.sync());
         drop(wal);
 
@@ -1116,9 +1109,9 @@ mod tests {
     fn group_policy_defers_until_batch_size() {
         let dir = tmp("group");
         let wal = Wal::open(&dir, FsyncPolicy::Group(3, Duration::from_secs(3600)), 0).unwrap();
-        assert!(!append_commit(&wal, 1, 1).unwrap().sync);
-        assert!(!append_commit(&wal, 2, 2).unwrap().sync);
-        assert!(append_commit(&wal, 3, 3).unwrap().sync);
+        assert!(!append_commit(&wal, 1, 1, &[]).unwrap().sync);
+        assert!(!append_commit(&wal, 2, 2, &[]).unwrap().sync);
+        assert!(append_commit(&wal, 3, 3, &[]).unwrap().sync);
         assert!(wal.sync());
         assert_eq!(wal.batch_max(), 3);
         assert_eq!(wal.durable_ts(), 3);
@@ -1131,8 +1124,8 @@ mod tests {
         let dir = tmp("ckpt");
         let wal = Wal::open(&dir, FsyncPolicy::Always, 0).unwrap();
         for ts in 1..=4u64 {
-            assert!(append_publish(&wal, ts, ts, 0, &(ts as i64).to_le_bytes()));
-            assert!(append_commit(&wal, ts, ts).is_some());
+            let state = (ts as i64).to_le_bytes();
+            assert!(append_commit(&wal, ts, ts, &[(0, &state)]).is_some());
             assert!(wal.sync());
         }
         assert!(wal.begin_checkpoint(4, |p| {
@@ -1143,7 +1136,8 @@ mod tests {
         let segs = list_segments(&dir).unwrap();
         assert_eq!(segs.len(), 1);
         assert_eq!(segs[0].0, 1);
-        let (recs, _) = parse_frames(&fs::read(&segs[0].1).unwrap());
+        let bytes = fs::read(&segs[0].1).unwrap();
+        let (recs, _) = records(&bytes);
         assert!(matches!(recs[0], WalRecord::Checkpoint { ts: 4, .. }));
         drop(wal);
         let _ = fs::remove_dir_all(&dir);
@@ -1155,15 +1149,14 @@ mod tests {
     fn group_commits_stay_staged_until_a_sync_is_due() {
         let dir = tmp("staged");
         let wal = Wal::open(&dir, NEVER_SYNCS, 0).unwrap();
-        assert!(append_commit(&wal, 1, 1).is_some());
+        assert!(append_commit(&wal, 1, 1, &[]).is_some());
         assert!(wal.sync());
         let synced = live_segment_len(&dir);
         let mut framed = 0u64;
         for ts in 2..=6u64 {
-            assert!(append_publish(&wal, ts, ts, 0, &7i64.to_le_bytes()));
-            assert!(append_publish(&wal, ts, ts, 1, &8i64.to_le_bytes()));
-            assert!(append_commit(&wal, ts, ts).is_some());
-            framed += 2 * (8 + 25 + 8) + (8 + 17);
+            let writes: [(u32, &[u8]); 2] = [(0, &7i64.to_le_bytes()), (1, &8i64.to_le_bytes())];
+            assert!(append_commit(&wal, ts, ts, &writes).is_some());
+            framed += COMMIT_HEAD + 2 * I64_ENTRY;
         }
         assert_eq!(live_segment_len(&dir), synced, "nothing reached the file");
         assert_eq!(wal.unsynced_bytes(), framed);
@@ -1179,14 +1172,15 @@ mod tests {
         let mut ts = 0u64;
         while live_segment_len(&dir) == 0 {
             ts += 1;
-            assert!(!append_commit(&wal, ts, ts).unwrap().sync);
+            assert!(!append_commit(&wal, ts, ts, &[]).unwrap().sync);
             assert!(ts < 10_000, "the stage never reached the file");
         }
         // Exactly the stage that crossed the threshold was written, as one
         // chunk ending on a record boundary; it is still unsynced.
         let written = live_segment_len(&dir);
-        assert_eq!(written, ts * 25);
-        assert!((STAGE_FLUSH_BYTES as u64..STAGE_FLUSH_BYTES as u64 + 25).contains(&written));
+        assert_eq!(written, ts * COMMIT_HEAD);
+        let threshold = STAGE_FLUSH_BYTES as u64;
+        assert!((threshold..threshold + COMMIT_HEAD).contains(&written));
         assert_eq!(wal.unsynced_bytes(), written);
         assert_eq!(wal.durable_ts(), 0);
         assert_eq!(wal.batch_max(), 0);
@@ -1196,25 +1190,26 @@ mod tests {
 
     #[test]
     fn teardown_cuts_the_logical_tail_at_any_offset() {
-        // Two synced commits, then two staged ones (25 bytes each).
-        for keep in [0u64, 7, 25, 30, 50, u64::MAX] {
+        // Two synced commits, then two staged ones, `COMMIT_HEAD` bytes each.
+        const C: u64 = COMMIT_HEAD;
+        for keep in [0u64, 7, C, C + 5, 2 * C, u64::MAX] {
             let dir = tmp("cut");
             let wal = Wal::open(&dir, NEVER_SYNCS, 0).unwrap();
             for ts in 1..=2u64 {
-                assert!(append_commit(&wal, ts, ts).is_some());
+                assert!(append_commit(&wal, ts, ts, &[]).is_some());
             }
             assert!(wal.sync());
             for ts in 3..=4u64 {
-                assert!(append_commit(&wal, ts, ts).is_some());
+                assert!(append_commit(&wal, ts, ts, &[]).is_some());
             }
             wal.crash_teardown(keep).unwrap();
             drop(wal);
-            let kept = keep.min(50);
-            assert_eq!(live_segment_len(&dir), 50 + kept);
-            let seg = list_segments(&dir).unwrap().pop().unwrap().1;
-            let (recs, valid) = parse_frames(&fs::read(seg).unwrap());
-            assert_eq!(valid as u64, 50 + kept / 25 * 25);
-            assert_eq!(recs.len() as u64, 2 + kept / 25);
+            let kept = keep.min(2 * C);
+            assert_eq!(live_segment_len(&dir), 2 * C + kept);
+            let bytes = fs::read(live_segment(&dir)).unwrap();
+            let (recs, valid) = records(&bytes);
+            assert_eq!(valid as u64, 2 * C + kept / C * C);
+            assert_eq!(recs.len() as u64, 2 + kept / C);
             let _ = fs::remove_dir_all(&dir);
         }
     }
@@ -1223,11 +1218,10 @@ mod tests {
     fn appends_after_a_freeze_never_surface() {
         let dir = tmp("postfreeze");
         let wal = Wal::open(&dir, NEVER_SYNCS, 0).unwrap();
-        assert!(append_commit(&wal, 1, 1).is_some());
+        assert!(append_commit(&wal, 1, 1, &[]).is_some());
         wal.freeze();
         let at_freeze = wal.unsynced_bytes();
-        assert!(!append_publish(&wal, 2, 2, 0, &[1]));
-        assert!(append_commit(&wal, 2, 2).is_none());
+        assert!(append_commit(&wal, 2, 2, &[(0, &[1])]).is_none());
         assert_eq!(wal.unsynced_bytes(), at_freeze);
         wal.crash_teardown(u64::MAX).unwrap();
         drop(wal);
@@ -1244,17 +1238,16 @@ mod tests {
         let dir = tmp("flushes");
         let wal = Wal::open(&dir, NEVER_SYNCS, 0).unwrap();
         for ts in 1..=3u64 {
-            assert!(append_commit(&wal, ts, ts).is_some());
+            assert!(append_commit(&wal, ts, ts, &[]).is_some());
         }
-        let old = list_segments(&dir).unwrap().pop().unwrap().1;
+        let old = live_segment(&dir);
         assert_eq!(fs::metadata(&old).unwrap().len(), 0);
         assert!(wal.begin_checkpoint(3, |_| 0));
         // The old segment was completed and made durable before rotating.
-        assert_eq!(fs::metadata(&old).unwrap().len(), 75);
+        assert_eq!(fs::metadata(&old).unwrap().len(), 3 * COMMIT_HEAD);
         assert_eq!(wal.durable_ts(), 3);
         assert_eq!(wal.finish_checkpoint(), 1);
-        assert!(append_publish(&wal, 4, 4, 0, &4i64.to_le_bytes()));
-        assert!(append_commit(&wal, 4, 4).is_some());
+        assert!(append_commit(&wal, 4, 4, &[(0, &4i64.to_le_bytes())]).is_some());
         let appended = wal.unsynced_bytes() + live_segment_len(&dir);
         drop(wal);
         assert_eq!(live_segment_len(&dir), appended, "clean drop loses nothing");
@@ -1269,14 +1262,14 @@ mod tests {
         let dir = tmp("leftover");
         {
             let wal = Wal::open(&dir, FsyncPolicy::Always, 0).unwrap();
-            assert!(append_commit(&wal, 1, 1).is_some());
+            assert!(append_commit(&wal, 1, 1, &[]).is_some());
             // Died between the two halves: segment 0 is never deleted.
             assert!(wal.begin_checkpoint(1, |_| 0));
             wal.crash_teardown(u64::MAX).unwrap();
         }
         let wal = Wal::open(&dir, FsyncPolicy::Always, 0).unwrap();
         assert_eq!(list_segments(&dir).unwrap().len(), 2);
-        assert!(append_commit(&wal, 2, 2).is_some());
+        assert!(append_commit(&wal, 2, 2, &[]).is_some());
         assert!(wal.begin_checkpoint(2, |_| 0));
         assert_eq!(wal.finish_checkpoint(), 2, "both superseded segments go");
         assert_eq!(list_segments(&dir).unwrap()[0].0, 2);

@@ -85,17 +85,15 @@ impl FaultPlan {
 /// byte: a crash plan of [`CrashPlan::none`] consumes draws at WAL points
 /// only when a WAL is configured, which no pre-durability harness does.
 /// `pm` is the per-mille chance of killing the process at an *enabled*
-/// point; the four flags select which of the runtime's WAL yield points are
+/// point; the three flags select which of the runtime's WAL yield points are
 /// eligible.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashPlan {
     /// ‰ chance of a process kill at each enabled WAL yield point.
     pub pm: u32,
-    /// Eligible: before any commit record is appended.
+    /// Eligible: before the commit's record is appended.
     pub pre_append: bool,
-    /// Eligible: between the `Publish` records and the `Commit` fence.
-    pub mid_commit: bool,
-    /// Eligible: after the fence is appended, before the fsync.
+    /// Eligible: after the commit's record is appended, before the fsync.
     pub post_append: bool,
     /// Eligible: between a checkpoint's two fsyncs (old segments still on
     /// disk, new segment not yet durable).
@@ -108,7 +106,6 @@ impl CrashPlan {
         CrashPlan {
             pm: 0,
             pre_append: false,
-            mid_commit: false,
             post_append: false,
             checkpoint: false,
         }
@@ -119,7 +116,6 @@ impl CrashPlan {
         CrashPlan {
             pm,
             pre_append: true,
-            mid_commit: true,
             post_append: true,
             checkpoint: true,
         }
@@ -133,7 +129,6 @@ impl CrashPlan {
         };
         match point {
             FaultPoint::WalPreAppend => plan.pre_append = true,
-            FaultPoint::WalMidCommit => plan.mid_commit = true,
             FaultPoint::WalPostAppend => plan.post_append = true,
             FaultPoint::WalCheckpoint => plan.checkpoint = true,
             _ => {}
@@ -143,7 +138,7 @@ impl CrashPlan {
 
     /// Parse a crash-point selection as used by the `ntx fuzz` CLI:
     /// `"all"`, or a comma-separated subset of
-    /// `pre-append,mid-commit,post-append,checkpoint`.
+    /// `pre-append,post-append,checkpoint`.
     pub fn by_names(names: &str, pm: u32) -> Option<CrashPlan> {
         if names == "all" {
             return Some(CrashPlan::all(pm));
@@ -155,7 +150,6 @@ impl CrashPlan {
         for name in names.split(',') {
             match name.trim() {
                 "pre-append" => plan.pre_append = true,
-                "mid-commit" => plan.mid_commit = true,
                 "post-append" => plan.post_append = true,
                 "checkpoint" => plan.checkpoint = true,
                 _ => return None,
@@ -169,7 +163,6 @@ impl CrashPlan {
         self.pm > 0
             && match point {
                 FaultPoint::WalPreAppend => self.pre_append,
-                FaultPoint::WalMidCommit => self.mid_commit,
                 FaultPoint::WalPostAppend => self.post_append,
                 FaultPoint::WalCheckpoint => self.checkpoint,
                 _ => false,
@@ -240,11 +233,10 @@ impl FaultInjector for SeededFaults {
                 .or_else(|| band(p.victim_pm, FaultAction::DeadlockVictim)),
             FaultPoint::Commit => band(p.commit_abort_pm, FaultAction::Abort)
                 .or_else(|| band(p.crash_pm, FaultAction::CrashSubtree)),
-            FaultPoint::WalPreAppend
-            | FaultPoint::WalMidCommit
-            | FaultPoint::WalPostAppend
-            | FaultPoint::WalCheckpoint => (self.crash.enabled(ctx.point) && r < self.crash.pm)
-                .then_some(FaultAction::CrashProcess),
+            FaultPoint::WalPreAppend | FaultPoint::WalPostAppend | FaultPoint::WalCheckpoint => {
+                (self.crash.enabled(ctx.point) && r < self.crash.pm)
+                    .then_some(FaultAction::CrashProcess)
+            }
         };
         hit.unwrap_or(FaultAction::Continue)
     }
@@ -330,12 +322,15 @@ mod tests {
     fn crash_plan_names_resolve() {
         assert_eq!(CrashPlan::by_names("all", 5), Some(CrashPlan::all(5)));
         assert_eq!(
-            CrashPlan::by_names("mid-commit", 9),
-            Some(CrashPlan::at(FaultPoint::WalMidCommit, 9))
+            CrashPlan::by_names("post-append", 9),
+            Some(CrashPlan::at(FaultPoint::WalPostAppend, 9))
         );
         let two = CrashPlan::by_names("pre-append, checkpoint", 1).unwrap();
-        assert!(two.pre_append && two.checkpoint && !two.mid_commit && !two.post_append);
+        assert!(two.pre_append && two.checkpoint && !two.post_append);
         assert_eq!(CrashPlan::by_names("bogus", 1), None);
+        // The point between a commit's objects and its fence is gone: a
+        // commit is one record.
+        assert_eq!(CrashPlan::by_names("mid-commit", 1), None);
     }
 
     #[test]
@@ -364,7 +359,6 @@ mod tests {
         let inj = SeededFaults::new(21, FaultPlan::heavy());
         for point in [
             FaultPoint::WalPreAppend,
-            FaultPoint::WalMidCommit,
             FaultPoint::WalPostAppend,
             FaultPoint::WalCheckpoint,
         ] {

@@ -411,6 +411,10 @@ pub struct CrashFuzzOutcome {
     pub recovered_ts: u64,
     /// Committed write sets the recovery pass redid.
     pub redone: u64,
+    /// Torn-tail bytes the recovery discarded
+    /// ([`ntx_runtime::RecoveryReport::torn_bytes`]): non-zero when the
+    /// power cut tore a record, which is then lost whole.
+    pub torn_bytes: u64,
     /// Differential verdict of the surviving pre-crash trace against the
     /// paper's automaton.
     pub report: ConformanceReport,
@@ -452,10 +456,9 @@ impl CrashFuzzOutcome {
 /// 5. **Model conformance** — the surviving pre-crash trace still passes
 ///    the R/W Locking automaton and the Theorem 34 checker.
 /// 6. **A second epoch** — the recovered manager commits one top per
-///    object, each id above every top whose `Publish` frames the crash
-///    left in the log (orphans torn at `WalMidCommit` included, read from
-///    the segment files by [`max_published_top`]). It closes cleanly, and a
-///    third manager recovers exactly its values.
+///    object, each id above every top whose `Commit` record the crash left
+///    in the log (read from the segment files by [`max_committed_top`]). It
+///    closes cleanly, and a third manager recovers exactly its values.
 pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
     let mut failures: Vec<String> = Vec::new();
 
@@ -647,7 +650,7 @@ pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
     let report = check_trace(&trace, TranslateOptions::default());
     drop(pin);
     drop(mgr);
-    let floor = max_published_top(&cfg.wal_dir);
+    let floor = max_committed_top(&cfg.wal_dir);
 
     // Reopen from the log in a fresh manager, mirroring the registration
     // order, and recover.
@@ -664,10 +667,10 @@ pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
         (mgr, objs)
     };
     let (mgr2, objs2) = reopen();
-    let (recovered_ts, redone) = match mgr2.recover() {
+    let (recovered_ts, redone, torn_bytes) = match mgr2.recover() {
         Err(e) => {
             failures.push(format!("recovery failed: {e}"));
-            (0, 0)
+            (0, 0, 0)
         }
         Ok(rec) => {
             // 1. Durable floor, volatile ceiling.
@@ -714,7 +717,7 @@ pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
             if rec.recovered_ts > 0 && mgr2.recover().is_ok() {
                 failures.push("second recover() on a recovered manager succeeded".into());
             }
-            (rec.recovered_ts, rec.commits_redone)
+            (rec.recovered_ts, rec.commits_redone, rec.torn_bytes)
         }
     };
 
@@ -725,7 +728,7 @@ pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
             let tx = mgr2.begin();
             if tx.id() <= floor {
                 failures.push(format!(
-                    "epoch 2 reused top id {} at or below the published top {floor}",
+                    "epoch 2 reused top id {} at or below the committed top {floor}",
                     tx.id()
                 ));
             }
@@ -758,6 +761,7 @@ pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
         durable_ts,
         recovered_ts,
         redone,
+        torn_bytes,
         report,
         hb,
         log,
@@ -765,17 +769,17 @@ pub fn fuzz_crash_run(cfg: &CrashFuzzConfig) -> CrashFuzzOutcome {
     }
 }
 
-/// The highest top id of a `Publish` frame left in the segments that
+/// The highest top id of a `Commit` record left in the segments that
 /// recovery reads — from the newest one that opens with a `Checkpoint` (or
 /// the oldest, if none does) to the last — or 0: no later transaction may
 /// take an id at or below it. The frame format is read here on its own —
 /// `[len: u32][crc: u32][payload]`, the payload's tag byte first, then for
-/// a `Publish` (tag 2) `ts: u64, top: u64` — so the check does not lean on
+/// a `Commit` (tag 6) `ts: u64, top: u64` — so the check does not lean on
 /// the runtime's parser. A crash teardown only truncates, so a frame whose
 /// bytes are all present is whole, and the first one that is not ends the
 /// segment.
-fn max_published_top(dir: &Path) -> u64 {
-    const PUBLISH: u8 = 2;
+fn max_committed_top(dir: &Path) -> u64 {
+    const COMMIT: u8 = 6;
     const CHECKPOINT: u8 = 5;
     let mut names: Vec<_> = std::fs::read_dir(dir)
         .into_iter()
@@ -809,7 +813,7 @@ fn max_published_top(dir: &Path) -> u64 {
     payloads[start..]
         .iter()
         .flatten()
-        .filter(|p| p.len() >= 17 && p[0] == PUBLISH)
+        .filter(|p| p.len() >= 17 && p[0] == COMMIT)
         .map(|p| u64::from_le_bytes(p[9..17].try_into().expect("8 bytes")))
         .max()
         .unwrap_or(0)
@@ -966,7 +970,6 @@ mod tests {
         use ntx_runtime::FaultPoint;
         for (name, point) in [
             ("pre", FaultPoint::WalPreAppend),
-            ("mid", FaultPoint::WalMidCommit),
             ("post", FaultPoint::WalPostAppend),
             ("ckpt", FaultPoint::WalCheckpoint),
         ] {

@@ -18,7 +18,7 @@
 //!              driver unless --async-ops false), differentially checked
 //!              against the Theorem 34 model; failing seeds are dumped to
 //!              fuzz-failures/seed-N.log
-//! ntx fuzz     --crash-points <all|pre-append,mid-commit,post-append,checkpoint>
+//! ntx fuzz     --crash-points <all|pre-append,post-append,checkpoint>
 //!              [--crash-pm P] [--wal-dir DIR] [--seed N | --seeds K]
 //!              [--faults none|light|heavy] [--steps S]
 //!              kill-and-recover mode: runs a durable workload, kills the
@@ -164,7 +164,7 @@ fn cmd_fuzz_crash(flags: &HashMap<String, String>, plan: ntx_sim::FaultPlan, pla
     let crash = CrashPlan::by_names(points, pm).unwrap_or_else(|| {
         eprintln!(
             "unknown crash points {points:?} (expected all or a comma list of \
-             pre-append,mid-commit,post-append,checkpoint)"
+             pre-append,post-append,checkpoint)"
         );
         std::process::exit(2);
     });
@@ -190,23 +190,27 @@ fn cmd_fuzz_crash(flags: &HashMap<String, String>, plan: ntx_sim::FaultPlan, pla
     let single = seeds.len() == 1;
     let mut failures = 0usize;
     let mut crashes = 0usize;
+    let mut torn = 0usize;
     for &seed in &seeds {
         let out = fuzz_crash_run(&CrashFuzzConfig {
             seed,
             ..base.clone()
         });
         crashes += usize::from(out.crashed);
+        torn += usize::from(out.torn_bytes > 0);
         if single {
             println!("--- runtime log (seed {seed}) ---");
             print!("{}", out.log);
             println!("--- verdict ---");
             println!(
-                "crashed={} crash_clock={} durable_ts={} recovered_ts={} redone={} failures={:?}",
+                "crashed={} crash_clock={} durable_ts={} recovered_ts={} redone={} \
+                 torn_bytes={} failures={:?}",
                 out.crashed,
                 out.crash_clock,
                 out.durable_ts,
                 out.recovered_ts,
                 out.redone,
+                out.torn_bytes,
                 out.failures
             );
         }
@@ -222,11 +226,13 @@ fn cmd_fuzz_crash(flags: &HashMap<String, String>, plan: ntx_sim::FaultPlan, pla
                 dump.push_str(&format!(
                     "seed: {seed}\nplan: {plan_name}\ncrash_points: {points}\ncrash_pm: {pm}\n\
                      crashed: {}\ncrash_clock: {}\ndurable_ts: {}\nrecovered_ts: {}\n\
-                     failures: {:?}\nconformance: {:?} {:?} {:?}\n\n--- runtime log ---\n",
+                     torn_bytes: {}\nfailures: {:?}\nconformance: {:?} {:?} {:?}\n\n\
+                     --- runtime log ---\n",
                     out.crashed,
                     out.crash_clock,
                     out.durable_ts,
                     out.recovered_ts,
+                    out.torn_bytes,
                     out.failures,
                     out.report.schedule_error,
                     out.report.wellformed_error,
@@ -242,9 +248,11 @@ fn cmd_fuzz_crash(flags: &HashMap<String, String>, plan: ntx_sim::FaultPlan, pla
         }
     }
     println!(
-        "crash-fuzzed {} seed(s) at points {points} (pm {pm}): {} crashed, {} failures",
+        "crash-fuzzed {} seed(s) at points {points} (pm {pm}): {} crashed, \
+         {} recovered across a torn record, {} failures",
         seeds.len(),
         crashes,
+        torn,
         failures
     );
     if failures > 0 {

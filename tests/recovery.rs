@@ -30,49 +30,117 @@ fn durable_cfg(dir: &Path, fsync: FsyncPolicy, checkpoint_every: u64) -> RtConfi
     }
 }
 
-/// A crash that loses the commit fence mid-append must roll the whole
-/// transaction back — recovery keeps the last *fenced* commit only.
+/// Frame header (`len`, `crc`), then the `Commit` record's own fields:
+/// tag, `ts`, `top` and the entry count.
+const COMMIT_HEAD: u64 = (4 + 4) + 1 + 8 + 8 + 4;
+/// One entry of an `i64` object: `obj`, `len`, then 8 bytes of state.
+const I64_ENTRY: u64 = 4 + 4 + 8;
+
+/// A power cut anywhere inside a commit's record loses that commit whole:
+/// recovery keeps the commit before it, and none of the torn one's writes.
 #[test]
-fn torn_commit_fence_discards_the_whole_write_set() {
-    let dir = tmp("torn-fence");
+fn a_torn_commit_record_discards_the_whole_write_set() {
     // A group size the workload never reaches and a deadline it never
     // waits out: nothing is ever fsynced, every byte stays unsynced.
     let never_syncs = FsyncPolicy::Group(1000, Duration::from_secs(3600));
-    let (cut, full);
-    {
+    let t2_len = COMMIT_HEAD + 2 * I64_ENTRY;
+    let t1_end = COMMIT_HEAD + I64_ENTRY;
+    for cut in t1_end + 1..t1_end + t2_len {
+        let dir = tmp(&format!("torn-{cut}"));
+        {
+            let mgr = TxManager::new(durable_cfg(&dir, never_syncs, 0));
+            let x = mgr.register_durable("x", 0i64);
+            let y = mgr.register_durable("y", 0i64);
+
+            let t1 = mgr.begin();
+            t1.write(&x, |v| *v = 10).unwrap();
+            t1.commit().unwrap();
+            assert_eq!(mgr.wal_unsynced_bytes(), t1_end);
+
+            let t2 = mgr.begin();
+            t2.write(&x, |v| *v = 20).unwrap();
+            t2.write(&y, |v| *v = 99).unwrap();
+            t2.commit().unwrap();
+            assert_eq!(mgr.wal_unsynced_bytes(), t1_end + t2_len);
+
+            // Power cut `cut` bytes into the log: inside t2's record.
+            mgr.wal_crash_teardown(cut).unwrap();
+        }
         let mgr = TxManager::new(durable_cfg(&dir, never_syncs, 0));
         let x = mgr.register_durable("x", 0i64);
         let y = mgr.register_durable("y", 0i64);
-
-        let t1 = mgr.begin();
-        t1.write(&x, |v| *v = 10).unwrap();
-        t1.commit().unwrap();
-        cut = mgr.wal_unsynced_bytes();
-
-        let t2 = mgr.begin();
-        t2.write(&x, |v| *v = 20).unwrap();
-        t2.write(&y, |v| *v = 99).unwrap();
-        t2.commit().unwrap();
-        full = mgr.wal_unsynced_bytes();
-        assert!(full > cut + 3, "t2 appended more than 3 bytes");
-
-        // Power cut 3 bytes short of t2's fence: its Publish records are
-        // on disk, the Commit record is torn mid-frame.
-        mgr.wal_crash_teardown(full - 3).unwrap();
+        let rec = mgr.recover().unwrap();
+        assert_eq!(rec.commits_redone, 1, "cut {cut}: only t1 survives");
+        assert_eq!(rec.recovered_ts, 1);
+        assert_eq!(rec.torn_bytes, cut - t1_end, "cut {cut}: the torn record");
+        assert_eq!(mgr.read_committed(&x, |v| *v), 10, "cut {cut}");
+        assert_eq!(
+            mgr.read_committed(&y, |v| *v),
+            0,
+            "cut {cut}: no partial write set, y must not carry t2's write"
+        );
+        drop(mgr);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let mgr = TxManager::new(durable_cfg(&dir, never_syncs, 0));
+}
+
+/// A record larger than 16 MiB is an ordinary record: a 17 MiB commit and
+/// the small commit after it both survive a clean close and reopen.
+#[test]
+fn a_commit_over_16_mib_recovers() {
+    let dir = tmp("big-commit");
+    let big = vec![0xA5u8; 17 << 20];
+    {
+        let mgr = TxManager::new(durable_cfg(&dir, FsyncPolicy::Always, 0));
+        let blob = mgr.register_durable("blob", Vec::<u8>::new());
+        let x = mgr.register_durable("x", 0i64);
+        let tx = mgr.begin();
+        tx.write(&blob, |v| v.clone_from(&big)).unwrap();
+        tx.commit().unwrap();
+        let tx = mgr.begin();
+        tx.write(&x, |v| *v = 7).unwrap();
+        tx.commit().unwrap();
+        assert_eq!(mgr.wal_durable_ts(), 2);
+    }
+    let mgr = TxManager::new(durable_cfg(&dir, FsyncPolicy::Always, 0));
+    let blob = mgr.register_durable("blob", Vec::<u8>::new());
     let x = mgr.register_durable("x", 0i64);
-    let y = mgr.register_durable("y", 0i64);
     let rec = mgr.recover().unwrap();
-    assert_eq!(rec.commits_redone, 1, "only the fenced t1 survives");
-    assert_eq!(rec.recovered_ts, 1);
-    assert!(rec.torn_bytes > 0, "the torn frame was detected");
-    assert_eq!(mgr.read_committed(&x, |v| *v), 10);
+    assert_eq!((rec.commits_redone, rec.torn_bytes), (2, 0));
+    assert!(mgr.read_committed(&blob, |v| *v == big));
+    assert_eq!(mgr.read_committed(&x, |v| *v), 7);
+    drop(mgr);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The same for a checkpoint over 16 MiB: it heads the only segment left,
+/// so losing it would lose everything before it.
+#[test]
+fn a_checkpoint_over_16_mib_recovers() {
+    let dir = tmp("big-checkpoint");
+    let big = vec![0x5Au8; 17 << 20];
+    {
+        let mgr = TxManager::new(durable_cfg(&dir, FsyncPolicy::Always, 1));
+        let blob = mgr.register_durable("blob", Vec::<u8>::new());
+        let x = mgr.register_durable("x", 0i64);
+        let tx = mgr.begin();
+        tx.write(&blob, |v| v.clone_from(&big)).unwrap();
+        tx.commit().unwrap();
+        let tx = mgr.begin();
+        tx.write(&x, |v| *v = 7).unwrap();
+        tx.commit().unwrap();
+    }
+    let mgr = TxManager::new(durable_cfg(&dir, FsyncPolicy::Always, 1));
+    let blob = mgr.register_durable("blob", Vec::<u8>::new());
+    let x = mgr.register_durable("x", 0i64);
+    let rec = mgr.recover().unwrap();
     assert_eq!(
-        mgr.read_committed(&y, |v| *v),
-        0,
-        "no partial write set: y must not carry t2's fragment"
+        (rec.checkpoint_ts, rec.recovered_ts, rec.torn_bytes),
+        (2, 2, 0)
     );
+    assert!(mgr.read_committed(&blob, |v| *v == big));
+    assert_eq!(mgr.read_committed(&x, |v| *v), 7);
+    drop(mgr);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -269,16 +337,17 @@ fn an_idle_group_batch_meets_its_deadline() {
         std::thread::sleep(Duration::from_millis(2));
     }
     // Another handle on the segment reads every byte of the three commits:
-    // one 41-byte `Publish` and one 25-byte `Commit` frame each.
+    // one `Commit` record of one `i64` entry each.
     let seg = std::fs::read(dir.join("wal-000000.log")).unwrap();
-    assert_eq!(seg.len(), 3 * (41 + 25));
+    assert_eq!(seg.len() as u64, 3 * (COMMIT_HEAD + I64_ENTRY));
     assert_eq!(mgr.wal_unsynced_bytes(), 0);
     drop(mgr);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A durable transaction touches the log once, at its commit: an N1
-/// (begin, child, write, commit child, commit top) is one append, and a
+/// A durable transaction touches the log once, at its commit, with one
+/// record: an N1 (begin, child, write, commit child, commit top) is one
+/// append of one entry, a commit of two objects one append of two, and a
 /// top that aborts or only reads is none.
 #[test]
 fn a_durable_transaction_appends_once_at_its_commit() {
@@ -286,6 +355,7 @@ fn a_durable_transaction_appends_once_at_its_commit() {
     let never_syncs = FsyncPolicy::Group(1000, Duration::from_secs(3600));
     let mgr = TxManager::new(durable_cfg(&dir, never_syncs, 0));
     let x = mgr.register_durable("x", 0i64);
+    let y = mgr.register_durable("y", 0i64);
     let log = || (mgr.stats().wal_appends, mgr.wal_unsynced_bytes());
 
     let before = log();
@@ -294,7 +364,22 @@ fn a_durable_transaction_appends_once_at_its_commit() {
     child.write(&x, |v| *v = 1).unwrap();
     child.commit().unwrap();
     top.commit().unwrap();
-    assert_eq!(log().0, before.0 + 1, "N1 is one append");
+    assert_eq!(
+        log(),
+        (before.0 + 1, before.1 + COMMIT_HEAD + I64_ENTRY),
+        "N1 is one append of one 45-byte record"
+    );
+
+    let before = log();
+    let tx = mgr.begin();
+    tx.write(&x, |v| *v = 1).unwrap();
+    tx.write(&y, |v| *v = 1).unwrap();
+    tx.commit().unwrap();
+    assert_eq!(
+        log(),
+        (before.0 + 1, before.1 + COMMIT_HEAD + 2 * I64_ENTRY),
+        "two objects are one append of one 61-byte record"
+    );
 
     let before = log();
     let tx = mgr.begin();
@@ -332,12 +417,11 @@ proptest! {
     #[test]
     fn each_crash_point_preserves_the_committed_prefix(
         seed in 0u64..10_000,
-        point_idx in 0usize..4,
+        point_idx in 0usize..3,
     ) {
         use ntx_runtime::FaultPoint;
         let point = [
             FaultPoint::WalPreAppend,
-            FaultPoint::WalMidCommit,
             FaultPoint::WalPostAppend,
             FaultPoint::WalCheckpoint,
         ][point_idx];
