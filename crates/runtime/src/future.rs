@@ -27,7 +27,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use crate::error::TxError;
 use crate::manager::{Attempt, ManagerInner};
 use crate::node::TxNode;
-use crate::object::{AnyState, Waiter, W_GRANTED, W_WAITING};
+use crate::object::{StateRef, Waiter, W_GRANTED, W_WAITING};
 use crate::sync::{Arc, Condvar, Mutex};
 
 /// Spin iterations a blocked request burns on its queue node before
@@ -46,7 +46,7 @@ const SPIN_ITERS: u32 = 64;
 const SHORT_HOLD_NS: u64 = 20_000;
 
 /// The boxed access closure a future stores across polls.
-pub(crate) type BoxedAccessFn<R> = Box<dyn FnOnce(&mut dyn AnyState) -> R + Send>;
+pub(crate) type BoxedAccessFn<R> = Box<dyn FnOnce(StateRef<'_>) -> R + Send>;
 
 /// Where the request is in the lock protocol.
 enum Stage<F> {
@@ -77,7 +77,7 @@ pub(crate) struct Access<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F
 impl<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> Access<M, N, F> {
     pub(crate) fn new<R>(mgr: M, node: N, obj_idx: usize, write: bool, f: F) -> Self
     where
-        F: FnOnce(&mut dyn AnyState) -> R,
+        F: FnOnce(StateRef<'_>) -> R,
     {
         Access {
             mgr,
@@ -92,7 +92,7 @@ impl<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> Access<M, N, F> {
     /// the request blocks, and later only by a poll from another task.
     pub(crate) fn poll_with<R>(&mut self, waker: &Waker) -> Poll<Result<R, TxError>>
     where
-        F: FnOnce(&mut dyn AnyState) -> R,
+        F: FnOnce(StateRef<'_>) -> R,
     {
         let mgr = self.mgr.borrow();
         let (w, f) = match std::mem::replace(&mut self.stage, Stage::Done) {
@@ -131,7 +131,7 @@ impl<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> Access<M, N, F> {
     /// thread's parker.
     pub(crate) fn wait<R>(mut self) -> Result<R, TxError>
     where
-        F: FnOnce(&mut dyn AnyState) -> R,
+        F: FnOnce(StateRef<'_>) -> R,
     {
         PARKER.with(|parker| self.drive(&parker.waker, parker))
     }
@@ -143,7 +143,7 @@ impl<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> Access<M, N, F> {
     /// each wait before the driver could park.
     pub(crate) fn drive<R>(&mut self, waker: &Waker, parker: &Parker) -> Result<R, TxError>
     where
-        F: FnOnce(&mut dyn AnyState) -> R,
+        F: FnOnce(StateRef<'_>) -> R,
     {
         loop {
             if let Poll::Ready(r) = self.poll_with(waker) {

@@ -75,6 +75,6 @@ pub use manager::{ObjRef, Snapshot, TxManager};
 pub use recovery::RecoveryReport;
 pub use savepoint::SavepointScope;
 pub use stats::StatsSnapshot;
-pub use trace::{RtEvent, Stamped, TraceRecorder, TxTraceStats};
+pub use trace::{RtEvent, Stamped, TraceRecorder};
 pub use tx::Tx;
 pub use wal::{FsyncPolicy, WalState};

@@ -23,7 +23,7 @@ use crate::future::{Access, Parker};
 use crate::manager::{top_edge, ManagerInner};
 use crate::mvcc::SnapshotCell;
 use crate::node::TxNode;
-use crate::object::{AnyState, ObjectSlot, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT, W_WAITING};
+use crate::object::{ObjectSlot, StateRef, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT, W_WAITING};
 use crate::slab::Slab;
 use crate::stats::{Ctr, Stats};
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -61,10 +61,18 @@ fn obj_with_write_holder(mgr: &ManagerInner, holder: &Arc<TxNode>) -> usize {
     let obj = mgr
         .objects
         .push(ObjectSlot::new("x".into(), Box::new(0i64)));
-    let mut g = mgr.slot(obj).inner.lock();
-    let _ = g.writable_state(holder);
+    let slot = mgr.slot(obj);
+    let _ = slot.inner.lock().writable_state(holder, &slot.snap);
     holder.touch(obj);
     obj
+}
+
+/// The `i64` version a write request was granted.
+fn granted_i64(st: StateRef<'_>) -> &mut i64 {
+    let StateRef::Write(st) = st else {
+        unreachable!("a write request is granted its own version")
+    };
+    st.as_any_mut().downcast_mut().unwrap()
 }
 
 /// A waker that does nothing: for waiters whose wakes the model does not
@@ -290,14 +298,15 @@ fn loom_write_pending_latch_blocks_until_apply() {
         let st = await_transition(&w2);
         assert_eq!(st, W_GRANTED);
         {
-            let mut g = mgr.slot(obj).inner.lock();
+            let slot = mgr.slot(obj);
+            let mut g = slot.inner.lock();
             assert_eq!(g.write_pending, Some(2));
             assert_eq!(
                 w3.state(),
                 W_WAITING,
                 "reader granted before the writer applied"
             );
-            let _ = g.write_target(&writer_tx);
+            let _ = g.write_target(&writer_tx, &slot.snap);
             g.write_pending = None;
             let wake = mgr.release_scan(obj, &mut g);
             drop(g);
@@ -691,9 +700,7 @@ fn loom_blocking_driver_vs_grant_and_sweep() {
         let obj = obj_with_write_holder(&mgr, &holder);
         let parker = Parker::new();
         let (count, waker) = counting(parker.waker.clone());
-        let mut access = Access::new(&mgr, &waiter_tx, obj, true, |st: &mut dyn AnyState| {
-            *st.as_any_mut().downcast_mut::<i64>().unwrap() = 7;
-        });
+        let mut access = Access::new(&mgr, &waiter_tx, obj, true, |st| *granted_i64(st) = 7);
         assert!(
             access.poll_with(&waker).is_pending(),
             "the writer must queue behind the holder"
@@ -846,9 +853,7 @@ fn loom_withdraw_vs_wave_vs_enqueue_search_keeps_edges_exact() {
 type Request = Access<Arc<ManagerInner>, Arc<TxNode>, crate::future::BoxedAccessFn<()>>;
 
 fn request(mgr: &Arc<ManagerInner>, node: &Arc<TxNode>, obj: usize) -> Request {
-    let bump: crate::future::BoxedAccessFn<()> = Box::new(|st: &mut dyn AnyState| {
-        *st.as_any_mut().downcast_mut::<i64>().unwrap() += 1;
-    });
+    let bump: crate::future::BoxedAccessFn<()> = Box::new(|st| *granted_i64(st) += 1);
     Access::new(mgr.clone(), node.clone(), obj, true, bump)
 }
 

@@ -47,9 +47,10 @@ use crate::deadlock::{self, Cycle};
 use crate::error::TxError;
 use crate::fault::{FaultAction, FaultContext, FaultPoint};
 use crate::inline::InlineVec;
+use crate::mvcc::SnapshotCell;
 use crate::node::{insert_sorted, ObjSet, TxNode, TxState};
 use crate::object::{
-    AnyState, ObjectInner, ObjectSlot, TopSet, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT,
+    ObjectInner, ObjectSlot, StateRef, TopSet, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT,
     W_WAITING,
 };
 use crate::slab::Slab;
@@ -206,8 +207,9 @@ impl TxManager {
     pub fn read_committed<T: 'static, R>(&self, obj: &ObjRef<T>, f: impl FnOnce(&T) -> R) -> R {
         let slot = self.inner.slot(obj.idx);
         let guard = slot.inner.lock();
-        f(guard
-            .base
+        f(slot
+            .snap
+            .head(&guard)
             .as_any()
             .downcast_ref::<T>()
             .expect("ObjRef type mismatch"))
@@ -478,8 +480,8 @@ impl Wake {
 /// One drawn publication ticket; its `Drop` passes the turnstile,
 /// advancing `commit_ts` over `ts` — **including on unwind**. Without
 /// this, a committer that panics between drawing its ticket and storing
-/// `commit_ts` (e.g. a user `Clone` impl panicking inside `clone_into`
-/// while the base of its second object is refreshed) would leave the
+/// `commit_ts` (e.g. a user `encode_wal` panicking while its durable
+/// object's version is encoded into the commit record) would leave the
 /// clock stuck below its ticket and every later top-level committer
 /// spinning forever.
 /// On unwind the commit may be only partially published — no worse than
@@ -766,10 +768,11 @@ impl ManagerInner {
     fn grant_inline<R>(
         &self,
         inner: &mut ObjectInner,
+        snap: &SnapshotCell,
         node: &Arc<TxNode>,
         obj_idx: usize,
         write: bool,
-        f: impl FnOnce(&mut dyn AnyState) -> R,
+        f: impl FnOnce(StateRef<'_>) -> R,
     ) -> R {
         node.touch(obj_idx);
         // A grant on a free object starts a hold tenure (EWMA sample for
@@ -794,21 +797,16 @@ impl ManagerInner {
                     obj: obj_idx,
                 });
             }
-            let st = inner.writable_state(node);
-            f(st.as_mut())
+            f(StateRef::Write(inner.writable_state(node, snap).as_mut()))
         } else {
             self.stats.bump(Ctr::ReadGrants);
             self.trace(RtEvent::ReadGrant {
                 tx: node.id,
                 obj: obj_idx,
             });
-            // Read the current version in place. The closure receives a
-            // mutable reference for signature uniformity, but read paths
-            // only read (enforced by the public typed wrappers).
-            let r = match inner.chain.last_mut() {
-                Some(e) => f(e.state.as_mut()),
-                None => f(inner.base.as_mut()),
-            };
+            // Read the current version in place, shared: with an empty
+            // chain it is the committed head, which snapshot readers share.
+            let r = f(StateRef::Read(inner.current(snap)));
             inner.add_reader(node);
             r
         }
@@ -825,7 +823,7 @@ impl ManagerInner {
         w.node.touch(obj_idx);
         if w.write {
             let installs = !matches!(inner.chain.last(), Some(e) if e.owner.id == w.node.id);
-            let _ = inner.writable_state(&w.node);
+            let _ = inner.writable_state(&w.node, &self.slot(obj_idx).snap);
             inner.write_pending = Some(w.node.id);
             installs
         } else {
@@ -1205,7 +1203,7 @@ impl ManagerInner {
         waker: &Waker,
     ) -> Attempt<R, F>
     where
-        F: FnOnce(&mut dyn AnyState) -> R,
+        F: FnOnce(StateRef<'_>) -> R,
     {
         let slot = self.slot(obj_idx);
         if self.config.fault.is_some() {
@@ -1233,7 +1231,7 @@ impl ManagerInner {
         if guard.grantable(node, write)
             && (guard.queue.is_empty() || guard.holder_is_ancestor(node))
         {
-            let r = self.grant_inline(&mut guard, node, obj_idx, write, f);
+            let r = self.grant_inline(&mut guard, &slot.snap, node, obj_idx, write, f);
             // A grant beside waiters shares its top with a holder (the
             // ancestor above), so the head's holder tops cannot change:
             // no edge to recompute.
@@ -1327,7 +1325,7 @@ impl ManagerInner {
         &self,
         w: &Arc<Waiter>,
         obj_idx: usize,
-        f: impl FnOnce(&mut dyn AnyState) -> R,
+        f: impl FnOnce(StateRef<'_>) -> R,
     ) -> Result<R, TxError> {
         let node = &w.node;
         let slot = self.slot(obj_idx);
@@ -1366,7 +1364,9 @@ impl ManagerInner {
             // A closure that unwinds past the latch would gate every later
             // grant on this object for good: catch it, lift, rethrow.
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                f(guard.write_target(node).as_mut())
+                f(StateRef::Write(
+                    guard.write_target(node, &slot.snap).as_mut(),
+                ))
             }));
             debug_assert_eq!(guard.write_pending, Some(node.id));
             self.lift_latch(obj_idx, guard, w);
@@ -1375,8 +1375,7 @@ impl ManagerInner {
             // The releaser recorded our read lock; read the deepest
             // version owned by one of our ancestors (a stranger's version
             // may have been granted on top since).
-            let r = f(guard.read_target(node).as_mut());
-            Ok(r)
+            Ok(f(StateRef::Read(guard.read_target(node, &slot.snap))))
         }
     }
 
@@ -1413,8 +1412,8 @@ impl ManagerInner {
     /// Commit-time lock inheritance for `node` across all touched objects.
     ///
     /// When `node` is top-level (`heir == None`), each inherited version
-    /// lands in the object's committed base *and* is published to its
-    /// snapshot chain under a commit timestamp: the first publication
+    /// is published to its object's snapshot chain under a commit
+    /// timestamp, where it becomes the committed state: the first publication
     /// draws a ticket from `ts_alloc`, and after all objects are published
     /// the turnstile below advances `commit_ts` to that ticket — strictly
     /// in ticket order, so a snapshot at `S = commit_ts` is guaranteed to
@@ -1445,9 +1444,8 @@ impl ManagerInner {
                 }
                 if let Some(version) = moved.published.take() {
                     // Top-level commit: the inherited version itself joins
-                    // the snapshot chain (the base took a copy in place).
-                    // Ticket 0 is the genesis timestamp, so tickets start
-                    // at 1.
+                    // the snapshot chain as the committed state. Ticket 0
+                    // is the genesis timestamp, so tickets start at 1.
                     let t = ticket.get_or_insert_with(|| TurnstileTicket {
                         mgr: self,
                         // relaxed(ts-alloc): ticket allocation only
@@ -1460,10 +1458,11 @@ impl ManagerInner {
                     });
                     let ts = t.ts;
                     if let (Some(_), Some(codec)) = (&self.wal, &slot.codec) {
-                        // Encode under the slot mutex (the base cannot
-                        // change underneath), straight into the commit's
-                        // record; the record is appended later, inside the
-                        // turnstile window, where no slot mutex is held.
+                        // Encode the version before it is published,
+                        // straight into the commit's record: an encode that
+                        // panics leaves the committed state as it was. The
+                        // record is appended later, inside the turnstile
+                        // window, where no slot mutex is held.
                         let (block, rec) = t.wal_record.get_or_insert_with(|| {
                             let mut block = Vec::new();
                             let rec = OpenRecord::commit(&mut block, ts, node.id);
@@ -1472,7 +1471,7 @@ impl ManagerInner {
                         rec.entry(
                             block,
                             u32::try_from(obj).expect("object index fits u32"),
-                            |out| (codec.encode)(guard.base.as_any(), out),
+                            |out| (codec.encode)(version.as_any(), out),
                         );
                     }
                     slot.snap.publish(ts, version);
@@ -1519,29 +1518,33 @@ impl ManagerInner {
         } else if root.state() == TxState::Committed {
             return 0;
         }
-        let mut touched = ObjSet::new();
-        let mut waiting: Vec<usize> = Vec::new();
+        // The subtree's touched objects and the objects it waits on, as one
+        // sorted set: each gets the same pass.
+        let mut objs = ObjSet::new();
         root.for_subtree(&mut |n| {
             if n.mark_aborted() {
                 newly_aborted += 1;
                 self.trace(RtEvent::Abort { tx: n.id });
             }
-            // Per-node `touched` sets are sorted; merge-dedup them into
-            // the (also sorted, inline up to four) union.
             for &o in n.touched.lock().iter() {
-                insert_sorted(&mut touched, o);
+                insert_sorted(&mut objs, o);
             }
             if let Some(o) = n.waiting_on() {
-                if !waiting.contains(&o) {
-                    waiting.push(o);
-                }
+                insert_sorted(&mut objs, o);
             }
         });
-        for &obj in touched.iter() {
+        for &obj in objs.iter() {
             let slot = self.slot(obj);
-            let wake;
-            {
+            let wake = {
                 let mut guard = slot.inner.lock();
+                // Discard on waited-on objects too, not just on touched
+                // ones: a release scan that passed its doom check before
+                // our abort mark landed may still hand this subtree a
+                // grant (installing a version and the write latch) after
+                // the set was collected above. The waiter registration is
+                // older than any such grant, so this pass runs after it
+                // (slot-mutex order) and reclaims whatever it installed.
+                // Found by the loom model `loom_doomed_waiter_never_granted`.
                 let (versions, readers) = guard.discard_subtree(root);
                 if versions + readers > 0 {
                     self.trace(RtEvent::Rollback {
@@ -1553,39 +1556,10 @@ impl ManagerInner {
                 }
                 // Scan unconditionally: even with nothing discarded the
                 // doom pass must cancel this subtree's queued waiters.
-                wake = self.release_scan(obj, &mut guard);
-            }
-            wake.run(self);
-        }
-        for obj in waiting {
-            if touched.binary_search(&obj).is_ok() {
-                continue; // already scanned above
-            }
-            // Deliver doom to queued waiters on objects the subtree waits
-            // on but never touched. Taking the slot mutex serialises with
-            // a request between its doom check and its enqueue: either it has
-            // enqueued (the scan cancels it) or its post-enqueue self-scan
-            // will observe the abort mark.
-            let slot = self.slot(obj);
-            let wake = {
-                let mut guard = slot.inner.lock();
-                // Discard here too, not just on touched objects: a release
-                // scan that passed its doom check before our abort mark
-                // landed may still hand this subtree a grant (installing a
-                // version and the write latch) after the touched set was
-                // collected above. The waiter registration is older than
-                // any such grant, so this pass runs after it (slot-mutex
-                // order) and reclaims whatever it installed. Found by the
-                // loom model `loom_doomed_waiter_never_granted`.
-                let (versions, readers) = guard.discard_subtree(root);
-                if versions + readers > 0 {
-                    self.trace(RtEvent::Rollback {
-                        tx: root.id,
-                        obj,
-                        versions,
-                        readers,
-                    });
-                }
+                // Taking the slot mutex serialises with a request between
+                // its doom check and its enqueue: either it has enqueued
+                // (the scan cancels it) or its post-enqueue self-scan will
+                // observe the abort mark.
                 self.release_scan(obj, &mut guard)
             };
             wake.run(self);
@@ -1767,7 +1741,8 @@ mod tests {
             let obj = inner
                 .objects
                 .push(ObjectSlot::new("o".into(), Box::new(0i64)));
-            let _ = inner.slot(obj).inner.lock().writable_state(holder);
+            let slot = inner.slot(obj);
+            let _ = slot.inner.lock().writable_state(holder, &slot.snap);
             holder.touch(obj);
             obj
         };
@@ -1812,8 +1787,9 @@ mod tests {
             .objects
             .push(ObjectSlot::new("x".into(), Box::new(0i64)));
         let w = {
-            let mut g = inner.slot(obj).inner.lock();
-            let _ = g.writable_state(&holder);
+            let slot = inner.slot(obj);
+            let mut g = slot.inner.lock();
+            let _ = g.writable_state(&holder, &slot.snap);
             holder.touch(obj);
             inner
                 .enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), Waker::noop())

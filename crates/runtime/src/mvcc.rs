@@ -13,7 +13,9 @@
 //! * **Publish** (under the slot mutex): allocate a node whose `next` is
 //!   the current head, then store it as the new head. A reader sees either
 //!   the old head or the new one — never a torn chain, because `next` is
-//!   written before the head pointer is released.
+//!   written before the head pointer is released. The head is the object's
+//!   committed state: the lock table reads it through [`SnapshotCell::head`]
+//!   while it holds the slot mutex, so no publish can move it meanwhile.
 //! * **Read**: increment `pins` *first*, then choose the snapshot
 //!   timestamp `S`, then load the head and walk `next` until a node with
 //!   `ts <= S` appears. The cell is created with a `ts = 0` genesis node,
@@ -31,7 +33,7 @@
 use std::any::Any;
 use std::ptr;
 
-use crate::object::AnyState;
+use crate::object::{AnyState, ObjectInner};
 use crate::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 /// One committed version: the state as of commit timestamp `ts`.
@@ -95,6 +97,20 @@ impl SnapshotCell {
             next: AtomicPtr::new(old),
         }));
         self.head.store(node, Ordering::SeqCst);
+    }
+
+    /// The newest committed version: the object's committed state.
+    ///
+    /// `_held` is the object's lock table, reachable only through the slot
+    /// mutex's guard: it shows the mutex is held and bounds the borrow to
+    /// the guard. Only a publish moves the head, under that mutex, and the
+    /// caller publishes nothing while it holds the borrow; a collect frees
+    /// only versions below the head. The version is shared with lock-free
+    /// readers, so it is never handed out mutably.
+    pub(crate) fn head<'a>(&'a self, _held: &'a ObjectInner) -> &'a dyn AnyState {
+        // SAFETY: the head is non-null by construction and, per the
+        // contract above, neither moved nor freed while the borrow lives.
+        unsafe { (*self.head.load(Ordering::SeqCst)).state.as_ref() }
     }
 
     /// Read the newest version with `ts <= S` without taking any lock.

@@ -1,11 +1,13 @@
 //! Per-object lock tables, version chains, and the handoff waiter queue.
 //!
 //! This is the runtime counterpart of the model's `M(X)`: each object keeps
-//! a *base* (top-level committed) state, a *chain* of uncommitted versions —
-//! one per write-lock holder, deepest last, `chain.last()` being the current
-//! state — and a set of read-lock holders. The grant rule, inheritance at
-//! commit and discard-at-abort follow Moss exactly; the difference from the
-//! model is operational: requests that cannot be granted enqueue a
+//! a *chain* of uncommitted versions — one per write-lock holder, deepest
+//! last, `chain.last()` being the current state — and a set of read-lock
+//! holders. Its committed state is kept once, as the head of its snapshot
+//! chain ([`SnapshotCell::head`]): a top-level commit moves its version
+//! there, and an empty chain falls back to it. The grant rule, inheritance
+//! at commit and discard-at-abort follow Moss exactly; the difference from
+//! the model is operational: requests that cannot be granted enqueue a
 //! [`Waiter`] on the object's FIFO queue and wait until a releasing thread
 //! *hands the lock over directly* (see `ManagerInner::release_scan` in the
 //! manager module) and fires the node's one wake slot. The queue is the
@@ -38,9 +40,6 @@ pub(crate) type TopSet = InlineVec<u64, 4>;
 /// therefore tolerate shared references from many threads.
 pub(crate) trait AnyState: Any + Send + Sync {
     fn clone_box(&self) -> Box<dyn AnyState>;
-    /// Overwrite `dst`, a state of the same type, with a clone of `self`
-    /// in `dst`'s own allocation (`Clone::clone_from`).
-    fn clone_into(&self, dst: &mut dyn AnyState);
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
@@ -49,18 +48,21 @@ impl<T: Any + Clone + Send + Sync> AnyState for T {
     fn clone_box(&self) -> Box<dyn AnyState> {
         Box::new(self.clone())
     }
-    fn clone_into(&self, dst: &mut dyn AnyState) {
-        dst.as_any_mut()
-            .downcast_mut::<T>()
-            .expect("clone_into across state types")
-            .clone_from(self);
-    }
     fn as_any(&self) -> &dyn Any {
         self
     }
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// The version an access closure runs on. A read gets it shared: with no
+/// ancestor's version on the chain it is the committed head, which
+/// lock-free snapshot readers share. A write gets its own uncommitted
+/// version.
+pub(crate) enum StateRef<'a> {
+    Read(&'a dyn AnyState),
+    Write(&'a mut dyn AnyState),
 }
 
 /// One uncommitted version: the state as of `owner`'s writes.
@@ -188,8 +190,6 @@ impl Waiter {
 
 /// Lock table + versions of one object (guarded by [`ObjectSlot::inner`]).
 pub(crate) struct ObjectInner {
-    /// Top-level committed state.
-    pub base: Box<dyn AnyState>,
     /// Uncommitted versions, shallowest owner first. Owners form an
     /// ancestor chain (the Lemma 21 invariant).
     pub chain: Vec<ChainEntry>,
@@ -230,11 +230,12 @@ impl ObjectInner {
         self.queue.len()
     }
 
-    /// The current state: the deepest version, or the base.
-    pub fn current(&self) -> &dyn AnyState {
+    /// The current state: the deepest version, or the committed one at
+    /// the head of `snap`, this object's snapshot chain.
+    pub fn current<'a>(&'a self, snap: &'a SnapshotCell) -> &'a dyn AnyState {
         match self.chain.last() {
             Some(e) => e.state.as_ref(),
-            None => self.base.as_ref(),
+            None => snap.head(self),
         }
     }
 
@@ -295,15 +296,16 @@ impl ObjectInner {
     }
 
     /// The state a granted *read* by `tx` observes: the deepest version
-    /// owned by an ancestor of `tx`, else the base. On the fast path this
-    /// is exactly `chain.last()` (the grant rule makes every owner an
-    /// ancestor); after a queued handoff a deeper non-ancestor version may
-    /// already have been granted on top, and Moss' read semantics say the
-    /// reader sees its ancestors' state, not the stranger's.
-    pub fn read_target(&mut self, tx: &TxNode) -> &mut Box<dyn AnyState> {
+    /// owned by an ancestor of `tx`, else the committed state. On the fast
+    /// path this is exactly `chain.last()` (the grant rule makes every
+    /// owner an ancestor); after a queued handoff a deeper non-ancestor
+    /// version may already have been granted on top, and Moss' read
+    /// semantics say the reader sees its ancestors' state, not the
+    /// stranger's.
+    pub fn read_target<'a>(&'a self, tx: &TxNode, snap: &'a SnapshotCell) -> &'a dyn AnyState {
         match self.chain.iter().rposition(|e| e.owner.is_ancestor_of(tx)) {
-            Some(i) => &mut self.chain[i].state,
-            None => &mut self.base,
+            Some(i) => self.chain[i].state.as_ref(),
+            None => snap.head(self),
         }
     }
 
@@ -312,19 +314,27 @@ impl ObjectInner {
     /// would wrongly push a fresh entry above any descendant version
     /// granted since). Falls back to installing one for exotic races where
     /// the entry vanished without dooming the owner.
-    pub fn write_target(&mut self, owner: &Arc<TxNode>) -> &mut Box<dyn AnyState> {
+    pub fn write_target(
+        &mut self,
+        owner: &Arc<TxNode>,
+        snap: &SnapshotCell,
+    ) -> &mut Box<dyn AnyState> {
         match self.chain.iter().position(|e| e.owner.id == owner.id) {
             Some(i) => &mut self.chain[i].state,
-            None => self.writable_state(owner),
+            None => self.writable_state(owner, snap),
         }
     }
 
     /// Ensure the top of the chain is a version owned by `owner`, cloning
     /// the current state if needed, and return a mutable handle to it.
-    pub fn writable_state(&mut self, owner: &Arc<TxNode>) -> &mut Box<dyn AnyState> {
+    pub fn writable_state(
+        &mut self,
+        owner: &Arc<TxNode>,
+        snap: &SnapshotCell,
+    ) -> &mut Box<dyn AnyState> {
         let owns_top = matches!(self.chain.last(), Some(e) if e.owner.id == owner.id);
         if !owns_top {
-            let snapshot = self.current().clone_box();
+            let snapshot = self.current(snap).clone_box();
             debug_assert!(
                 self.chain.iter().all(|e| e.owner.is_ancestor_of(owner)),
                 "write version pushed while non-ancestors hold locks"
@@ -338,10 +348,10 @@ impl ObjectInner {
     }
 
     /// Commit-time inheritance: hand `tx`'s locks and version to `heir`.
-    /// A top-level commit (`heir == None`) refreshes the base in place
-    /// with a copy of its version and hands the version itself back in
-    /// [`InheritOutcome::published`], for the snapshot chain. Reports what
-    /// actually moved so the caller can trace the transfer.
+    /// A top-level commit (`heir == None`) hands its version back in
+    /// [`InheritOutcome::published`], for the caller to move onto the
+    /// snapshot chain. Reports what actually moved so the caller can trace
+    /// the transfer.
     pub fn inherit(&mut self, tx: &TxNode, heir: Option<&Arc<TxNode>>) -> InheritOutcome {
         let mut outcome = InheritOutcome::default();
         if let Some(pos) = self.chain.iter().position(|e| e.owner.id == tx.id) {
@@ -353,12 +363,7 @@ impl ObjectInner {
             let entry = self.chain.remove(pos);
             outcome.moved_version = true;
             match heir {
-                None => {
-                    // The entry is off the chain first: a `Clone` that
-                    // panics here leaves the object free, its base as it was.
-                    entry.state.clone_into(self.base.as_mut());
-                    outcome.published = Some(entry.state);
-                }
+                None => outcome.published = Some(entry.state),
                 Some(h) => {
                     if let Some(parent_entry) = self.chain.iter_mut().find(|e| e.owner.id == h.id) {
                         parent_entry.state = entry.state;
@@ -382,9 +387,9 @@ impl ObjectInner {
     }
 
     /// Abort-time discard: drop every version and read lock held by `tx` or
-    /// any of its descendants. The surviving deepest version (or the base)
-    /// *is* the restored state — no undo log needed. Returns
-    /// `(versions_dropped, readers_dropped)` for rollback tracing.
+    /// any of its descendants. The surviving deepest version (or the
+    /// committed state) *is* the restored state — no undo log needed.
+    /// Returns `(versions_dropped, readers_dropped)` for rollback tracing.
     pub fn discard_subtree(&mut self, tx: &TxNode) -> (usize, usize) {
         let (nv, nr) = (self.chain.len(), self.readers.len());
         self.chain.retain(|e| !tx.is_ancestor_of(&e.owner));
@@ -404,10 +409,12 @@ impl ObjectInner {
 /// What a call to [`ObjectInner::inherit`] actually transferred.
 #[derive(Default)]
 pub(crate) struct InheritOutcome {
-    /// A version owned by the committer moved to the heir (or the base).
+    /// A version owned by the committer moved to the heir (or out, at a
+    /// top-level commit).
     pub moved_version: bool,
-    /// A top-level commit's version, now the committed state: the base
-    /// holds a copy, and the caller publishes this one.
+    /// A top-level commit's version, off the chain: the caller publishes
+    /// it on the snapshot chain, where it becomes the committed state.
+    /// Until then the committed state is the previous head.
     pub published: Option<Box<dyn AnyState>>,
     /// A read lock owned by the committer moved to the heir (or lapsed).
     pub moved_read: bool,
@@ -425,8 +432,9 @@ impl InheritOutcome {
 pub(crate) struct ObjectSlot {
     pub name: String,
     pub inner: Mutex<ObjectInner>,
-    /// Committed-version chain for lock-free snapshot reads. Mutated only
-    /// under `inner`'s mutex (publish on top-commit, GC), read lock-free.
+    /// Committed-version chain for lock-free snapshot reads; its head is the
+    /// committed state. Mutated only under `inner`'s mutex (publish on
+    /// top-commit, GC), read lock-free.
     pub snap: SnapshotCell,
     /// EWMA of recent hold-tenure lengths in nanoseconds (0 = no sample
     /// yet). Written by release scans, read lock-free by the blocking
@@ -465,11 +473,9 @@ impl ObjectSlot {
         initial: Box<dyn AnyState>,
         codec: Option<crate::wal::WalCodec>,
     ) -> ObjectSlot {
-        let snap = SnapshotCell::new(initial.clone_box());
         ObjectSlot {
             name,
             inner: Mutex::new(ObjectInner {
-                base: initial,
                 chain: Vec::new(),
                 readers: Vec::new(),
                 queue: VecDeque::new(),
@@ -478,7 +484,7 @@ impl ObjectSlot {
                 tenure_start: None,
                 hint_warm: false,
             }),
-            snap,
+            snap: SnapshotCell::new(initial),
             hold_ewma_ns: AtomicU64::new(0),
             sweep_hint: AtomicBool::new(false),
             codec,
@@ -525,17 +531,9 @@ mod tests {
         (p, c, g, q)
     }
 
-    fn inner() -> ObjectInner {
-        ObjectInner {
-            base: Box::new(0i64),
-            chain: Vec::new(),
-            readers: Vec::new(),
-            queue: VecDeque::new(),
-            head_edges: TopSet::new(),
-            write_pending: None,
-            tenure_start: None,
-            hint_warm: false,
-        }
+    /// An object whose committed state is `0i64`.
+    fn slot() -> ObjectSlot {
+        ObjectSlot::new("x".into(), Box::new(0i64))
     }
 
     /// A waiter for `tx` with a deadline far in the future and a waker
@@ -553,16 +551,17 @@ mod tests {
     #[test]
     fn write_creates_version_and_updates_current() {
         let (p, ..) = nodes();
-        let mut o = inner();
-        *o.writable_state(&p)
+        let s = slot();
+        let mut o = s.inner.lock();
+        *o.writable_state(&p, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 42;
-        assert_eq!(read_i64(o.current()), 42);
+        assert_eq!(read_i64(o.current(&s.snap)), 42);
         assert_eq!(
-            read_i64(o.base.as_ref()),
+            read_i64(s.snap.head(&o)),
             0,
-            "base untouched until top commit"
+            "committed state untouched until top commit"
         );
         assert_eq!(o.chain.len(), 1);
     }
@@ -570,31 +569,34 @@ mod tests {
     #[test]
     fn reentrant_write_reuses_version() {
         let (p, ..) = nodes();
-        let mut o = inner();
-        *o.writable_state(&p)
+        let s = slot();
+        let mut o = s.inner.lock();
+        *o.writable_state(&p, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 1;
-        *o.writable_state(&p)
+        *o.writable_state(&p, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 2;
         assert_eq!(o.chain.len(), 1);
-        assert_eq!(read_i64(o.current()), 2);
+        assert_eq!(read_i64(o.current(&s.snap)), 2);
     }
 
     #[test]
     fn grant_rule_follows_ancestry() {
         let (p, c, g, q) = nodes();
-        let mut o = inner();
-        let _ = o.writable_state(&c);
+        let s = slot();
+        let mut o = s.inner.lock();
+        let _ = o.writable_state(&c, &s.snap);
         // Descendant of the holder: fine. Ancestor of the holder: blocked
         // (the holder is not an ancestor of the requester).
         assert!(o.grantable(&g, true));
         assert!(!o.grantable(&p, true));
         assert!(!o.grantable(&q, false));
         // Readers block writers but not readers.
-        let mut o2 = inner();
+        let s2 = slot();
+        let mut o2 = s2.inner.lock();
         o2.add_reader(&c);
         assert!(o2.grantable(&q, false));
         assert!(!o2.grantable(&q, true));
@@ -604,8 +606,9 @@ mod tests {
     #[test]
     fn write_pending_blocks_everyone() {
         let (p, c, g, q) = nodes();
-        let mut o = inner();
-        let _ = o.writable_state(&c);
+        let s = slot();
+        let mut o = s.inner.lock();
+        let _ = o.writable_state(&c, &s.snap);
         o.write_pending = Some(c.id);
         assert!(!o.grantable(&g, true), "even descendants wait for apply");
         assert!(!o.grantable(&q, false));
@@ -617,13 +620,14 @@ mod tests {
     #[test]
     fn discard_clears_orphaned_write_pending() {
         let (p, c, _, q) = nodes();
-        let mut o = inner();
-        let _ = o.writable_state(&c);
+        let s = slot();
+        let mut o = s.inner.lock();
+        let _ = o.writable_state(&c, &s.snap);
         o.write_pending = Some(c.id);
         o.discard_subtree(&p);
         assert_eq!(o.write_pending, None, "doomed handoff must lift the latch");
         // A surviving pending entry keeps the latch.
-        let _ = o.writable_state(&q);
+        let _ = o.writable_state(&q, &s.snap);
         o.write_pending = Some(q.id);
         o.discard_subtree(&p);
         assert_eq!(o.write_pending, Some(q.id));
@@ -632,14 +636,16 @@ mod tests {
     #[test]
     fn ancestor_holder_allows_queue_bypass() {
         let (p, c, g, q) = nodes();
-        let mut o = inner();
-        let _ = o.writable_state(&c);
+        let s = slot();
+        let mut o = s.inner.lock();
+        let _ = o.writable_state(&c, &s.snap);
         let w = waiter(&q, true);
         o.queue.push_back(w);
         assert!(o.holder_is_ancestor(&g), "write holder c is an ancestor");
         assert!(!o.holder_is_ancestor(&q), "stranger must queue");
         assert!(!o.holder_is_ancestor(&p), "parent of holder is not covered");
-        let mut o2 = inner();
+        let s2 = slot();
+        let mut o2 = s2.inner.lock();
         o2.add_reader(&c);
         assert!(o2.holder_is_ancestor(&g), "reader counts too");
     }
@@ -647,8 +653,9 @@ mod tests {
     #[test]
     fn read_target_skips_non_ancestor_versions() {
         let (p, c, _, q) = nodes();
-        let mut o = inner();
-        *o.writable_state(&p)
+        let s = slot();
+        let mut o = s.inner.lock();
+        *o.writable_state(&p, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 7;
@@ -658,32 +665,33 @@ mod tests {
             owner: q.clone(),
             state: Box::new(99i64),
         });
-        assert_eq!(read_i64(o.read_target(&c).as_ref()), 7);
-        assert_eq!(read_i64(o.read_target(&q).as_ref()), 99);
+        assert_eq!(read_i64(o.read_target(&c, &s.snap)), 7);
+        assert_eq!(read_i64(o.read_target(&q, &s.snap)), 99);
         let stranger = TxNode::top_level(8);
-        assert_eq!(read_i64(o.read_target(&stranger).as_ref()), 0, "base");
+        assert_eq!(read_i64(o.read_target(&stranger, &s.snap)), 0, "committed");
     }
 
     #[test]
     fn write_target_finds_entry_by_id_not_top() {
         let (p, c, ..) = nodes();
-        let mut o = inner();
-        *o.writable_state(&p)
+        let s = slot();
+        let mut o = s.inner.lock();
+        *o.writable_state(&p, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 1;
-        *o.writable_state(&c)
+        *o.writable_state(&c, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 2;
         // p's handed-off write must hit p's own entry, not push above c.
-        *o.write_target(&p)
+        *o.write_target(&p, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 5;
         assert_eq!(o.chain.len(), 2);
         assert_eq!(read_i64(o.chain[0].state.as_ref()), 5);
-        assert_eq!(read_i64(o.current()), 2);
+        assert_eq!(read_i64(o.current(&s.snap)), 2);
     }
 
     #[test]
@@ -697,7 +705,8 @@ mod tests {
         let w2 = waiter(&p, true);
         assert!(w2.cancel());
         assert_eq!(w2.state(), W_CANCELLED);
-        let mut o = inner();
+        let s = slot();
+        let mut o = s.inner.lock();
         let q1 = waiter(&p, true);
         let q2 = waiter(&p, false);
         o.queue.push_back(q1.clone());
@@ -712,8 +721,9 @@ mod tests {
     fn blockers_reported() {
         let (p, c, g, q) = nodes();
         let r = TxNode::top_level(9);
-        let mut o = inner();
-        let _ = o.writable_state(&c);
+        let s = slot();
+        let mut o = s.inner.lock();
+        let _ = o.writable_state(&c, &s.snap);
         o.add_reader(&p);
         o.add_reader(&r);
         // Holders are reported by top, each top once: c and p share top 1.
@@ -728,12 +738,13 @@ mod tests {
     #[test]
     fn inherit_merges_into_parent_version() {
         let (p, c, g, _) = nodes();
-        let mut o = inner();
-        *o.writable_state(&c)
+        let s = slot();
+        let mut o = s.inner.lock();
+        *o.writable_state(&c, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 5;
-        *o.writable_state(&g)
+        *o.writable_state(&g, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 9;
@@ -742,22 +753,24 @@ mod tests {
         assert!(out.moved_version && !out.moved_read && out.any());
         assert_eq!(o.chain.len(), 1);
         assert_eq!(o.chain[0].owner.id, c.id);
-        assert_eq!(read_i64(o.current()), 9);
+        assert_eq!(read_i64(o.current(&s.snap)), 9);
         // c commits to p (no version yet): rename.
         o.inherit(&c, Some(&p));
         assert_eq!(o.chain[0].owner.id, p.id);
-        // p top-level commit: the version goes out for publication, the
-        // base takes a copy.
+        // p top-level commit: the version goes out for publication, and
+        // the committed state is the head until the caller publishes it.
         let out = o.inherit(&p, None);
         assert!(o.chain.is_empty());
-        assert_eq!(read_i64(o.base.as_ref()), 9);
-        assert_eq!(read_i64(out.published.expect("published").as_ref()), 9);
+        assert_eq!(read_i64(o.current(&s.snap)), 0);
+        s.snap.publish(1, out.published.expect("published"));
+        assert_eq!(read_i64(o.current(&s.snap)), 9);
     }
 
     #[test]
     fn inherit_moves_read_locks() {
         let (p, c, _, _) = nodes();
-        let mut o = inner();
+        let s = slot();
+        let mut o = s.inner.lock();
         o.add_reader(&c);
         o.inherit(&c, Some(&p));
         assert_eq!(o.readers.len(), 1);
@@ -774,8 +787,9 @@ mod tests {
     #[test]
     fn granted_read_lock_is_kept_beside_write() {
         let (p, c, _, q) = nodes();
-        let mut o = inner();
-        let _ = o.writable_state(&p);
+        let s = slot();
+        let mut o = s.inner.lock();
+        let _ = o.writable_state(&p, &s.snap);
         o.add_reader(&p);
         assert_eq!(o.readers.len(), 1, "granted beside the write lock");
         assert!(o.grantable(&c, true) && !o.grantable(&q, false));
@@ -785,8 +799,9 @@ mod tests {
     #[test]
     fn inherited_read_lock_is_kept_beside_write() {
         let (_, c, g, q) = nodes();
-        let mut o = inner();
-        let _ = o.writable_state(&c);
+        let s = slot();
+        let mut o = s.inner.lock();
+        let _ = o.writable_state(&c, &s.snap);
         o.add_reader(&g);
         o.inherit(&g, Some(&c));
         assert_eq!(o.readers.len(), 1);
@@ -797,30 +812,40 @@ mod tests {
     #[test]
     fn discard_restores_previous_version() {
         let (p, c, g, _) = nodes();
-        let mut o = inner();
-        *o.writable_state(&p)
+        let s = slot();
+        let mut o = s.inner.lock();
+        *o.writable_state(&p, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 1;
-        *o.writable_state(&c)
+        *o.writable_state(&c, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 2;
-        *o.writable_state(&g)
+        *o.writable_state(&g, &s.snap)
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 3;
         assert_eq!(o.discard_subtree(&c), (2, 0));
-        assert_eq!(read_i64(o.current()), 1, "c and g versions discarded");
+        assert_eq!(
+            read_i64(o.current(&s.snap)),
+            1,
+            "c and g versions discarded"
+        );
         assert_eq!(o.chain.len(), 1);
         assert_eq!(o.discard_subtree(&p), (1, 0));
-        assert_eq!(read_i64(o.current()), 0, "back to base");
+        assert_eq!(
+            read_i64(o.current(&s.snap)),
+            0,
+            "back to the committed state"
+        );
     }
 
     #[test]
     fn discard_removes_subtree_readers() {
         let (p, c, g, q) = nodes();
-        let mut o = inner();
+        let s = slot();
+        let mut o = s.inner.lock();
         o.add_reader(&g);
         o.add_reader(&q);
         o.discard_subtree(&c);

@@ -164,7 +164,7 @@ impl TxManager {
         let scanned = scan(&segs)?;
 
         // Replay one write: decode through the object's registered codec
-        // and install as the committed base + a version at `ts`.
+        // and publish it as the committed version at `ts`.
         let apply = |ts: u64, obj: u32, data: &[u8]| -> Result<(), TxError> {
             let idx = obj as usize;
             if idx >= inner.objects.len() {
@@ -186,9 +186,8 @@ impl TxManager {
                     slot.name
                 )));
             };
-            let mut guard = slot.inner.lock();
-            slot.snap.publish(ts, state.clone_box());
-            guard.base = state;
+            let _guard = slot.inner.lock();
+            slot.snap.publish(ts, state);
             inner.stats.bump(Ctr::VersionsPublished);
             Ok(())
         };

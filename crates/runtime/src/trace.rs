@@ -23,14 +23,14 @@
 //! * **replay checking** — [`TraceRecorder::render`] produces one line per
 //!   event in a stable textual form, so two runs of the same seeded,
 //!   single-threaded scenario can be compared byte for byte;
-//! * **per-transaction accounting** — [`TraceRecorder::per_tx_stats`]
-//!   folds the log into counters keyed by transaction id.
+//! * **certification** — [`TraceRecorder::events`] feeds the Theorem 34
+//!   conformance check, and [`TraceRecorder::stamped_events`] keeps each
+//!   event's stamp and recording thread for the happens-before certifier.
 //!
 //! When [`crate::RtConfig::trace`] is `None` every hook is a single branch
 //! on an `Option`; nothing is allocated or locked.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::sync::Mutex;
@@ -108,7 +108,7 @@ pub enum RtEvent {
         top: bool,
     },
     /// Commit-time inheritance moved `tx`'s lock/version on `obj` to
-    /// `heir` (`None` = published to the committed base).
+    /// `heir` (`None` = published as the committed state).
     Inherit {
         /// The committed holder.
         tx: u64,
@@ -331,28 +331,6 @@ impl RtEvent {
     }
 }
 
-/// Per-transaction counters folded out of a trace.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TxTraceStats {
-    /// Read locks granted.
-    pub reads: u64,
-    /// Write locks granted.
-    pub writes: u64,
-    /// Versions installed.
-    pub versions: u64,
-    /// Lock requests that blocked.
-    pub waits: u64,
-    /// 1 if the transaction committed.
-    pub committed: bool,
-    /// 1 if the transaction aborted.
-    pub aborted: bool,
-    /// Injected faults charged to this transaction.
-    pub faults: u64,
-    /// Lock-free snapshot reads served (keyed to the reading transaction;
-    /// detached snapshot-handle reads fold under id 0).
-    pub snapshot_reads: u64,
-}
-
 /// One recorded event together with its provenance: the global sequence
 /// stamp (linearisation order) and the recording thread's stable index
 /// (program order within a thread). This is the record the happens-before
@@ -470,39 +448,6 @@ impl TraceRecorder {
         }
         out
     }
-
-    /// Fold the log into per-transaction counters (keyed by id, ordered).
-    pub fn per_tx_stats(&self) -> BTreeMap<u64, TxTraceStats> {
-        let mut map: BTreeMap<u64, TxTraceStats> = BTreeMap::new();
-        for ev in self.events() {
-            match ev {
-                RtEvent::Begin { tx, .. } => {
-                    map.entry(tx).or_default();
-                }
-                RtEvent::ReadGrant { tx, .. } => map.entry(tx).or_default().reads += 1,
-                RtEvent::WriteGrant { tx, .. } => map.entry(tx).or_default().writes += 1,
-                RtEvent::VersionInstall { tx, .. } => map.entry(tx).or_default().versions += 1,
-                RtEvent::Wait { tx, .. } => map.entry(tx).or_default().waits += 1,
-                RtEvent::Commit { tx, .. } => map.entry(tx).or_default().committed = true,
-                RtEvent::Abort { tx } => map.entry(tx).or_default().aborted = true,
-                RtEvent::Fault { tx, .. } => map.entry(tx).or_default().faults += 1,
-                RtEvent::SnapRead { tx, .. } => map.entry(tx).or_default().snapshot_reads += 1,
-                RtEvent::Rollback { .. }
-                | RtEvent::Inherit { .. }
-                | RtEvent::Deadlock { .. }
-                | RtEvent::HandoffWave { .. }
-                | RtEvent::Publish { .. }
-                | RtEvent::WalAppend { .. }
-                | RtEvent::Checkpoint { .. }
-                | RtEvent::Recovered { .. }
-                | RtEvent::Resume { .. }
-                | RtEvent::Withdraw { .. }
-                | RtEvent::CancelWaiter { .. }
-                | RtEvent::TsAdvance { .. } => {}
-            }
-        }
-        map
-    }
 }
 
 impl std::fmt::Debug for TraceRecorder {
@@ -537,40 +482,6 @@ mod tests {
              COMMIT tx=1 top=true\nINHERIT tx=1 heir=base obj=0\n"
         );
         assert_eq!(t.len(), 5);
-    }
-
-    #[test]
-    fn per_tx_stats_fold() {
-        let t = TraceRecorder::new();
-        t.record(RtEvent::Begin {
-            tx: 1,
-            parent: None,
-        });
-        t.record(RtEvent::Begin {
-            tx: 2,
-            parent: Some(1),
-        });
-        t.record(RtEvent::ReadGrant { tx: 2, obj: 0 });
-        t.record(RtEvent::Wait {
-            tx: 2,
-            obj: 1,
-            write: true,
-        });
-        t.record(RtEvent::Fault {
-            tx: 2,
-            obj: Some(1),
-            action: FaultAction::Abort,
-        });
-        t.record(RtEvent::Abort { tx: 2 });
-        t.record(RtEvent::Commit { tx: 1, top: true });
-        let stats = t.per_tx_stats();
-        assert_eq!(stats.len(), 2);
-        assert!(stats[&1].committed && !stats[&1].aborted);
-        let s2 = stats[&2];
-        assert_eq!(
-            (s2.reads, s2.waits, s2.faults, s2.aborted, s2.committed),
-            (1, 1, 1, true, false)
-        );
     }
 
     #[test]

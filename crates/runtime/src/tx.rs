@@ -8,7 +8,7 @@ use crate::fault::{FaultAction, FaultPoint};
 use crate::future::{Access, AccessFuture, BoxedAccessFn};
 use crate::manager::{ManagerInner, ObjRef};
 use crate::node::{TxNode, TxState};
-use crate::object::AnyState;
+use crate::object::StateRef;
 use crate::stats::Ctr;
 use crate::trace::RtEvent;
 
@@ -326,13 +326,21 @@ impl Tx {
 
 /// A read closure over `T`, as the access closure over the type-erased
 /// state that the lock protocol runs.
-fn reading<T: 'static, R>(f: impl FnOnce(&T) -> R) -> impl FnOnce(&mut dyn AnyState) -> R {
-    move |st| f(st.as_any().downcast_ref().expect("ObjRef type mismatch"))
+fn reading<T: 'static, R>(f: impl FnOnce(&T) -> R) -> impl FnOnce(StateRef<'_>) -> R {
+    move |st| {
+        let StateRef::Read(st) = st else {
+            unreachable!("a read request is granted a shared version")
+        };
+        f(st.as_any().downcast_ref().expect("ObjRef type mismatch"))
+    }
 }
 
 /// The write counterpart of [`reading`].
-fn writing<T: 'static, R>(f: impl FnOnce(&mut T) -> R) -> impl FnOnce(&mut dyn AnyState) -> R {
+fn writing<T: 'static, R>(f: impl FnOnce(&mut T) -> R) -> impl FnOnce(StateRef<'_>) -> R {
     move |st| {
+        let StateRef::Write(st) = st else {
+            unreachable!("a write request is granted its own version")
+        };
         f(st.as_any_mut()
             .downcast_mut()
             .expect("ObjRef type mismatch"))

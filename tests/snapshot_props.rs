@@ -122,49 +122,62 @@ proptest! {
     }
 }
 
-/// Regression: a top-level committer whose user `Clone` impl panics while
-/// its committed base is being published must not stall the publication
-/// turnstile — later committers draw later tickets and would spin forever
-/// waiting on the dead ticket. The ticket's drop guard advances
-/// `commit_ts` even on unwind.
+/// Regression: a top-level committer whose user code panics inside the
+/// commit window — here a durable object's `encode_wal`, run while its
+/// version is encoded into the commit record — must not stall the
+/// publication turnstile: later committers draw later tickets and would
+/// spin forever waiting on the dead ticket. The ticket's drop guard
+/// advances `commit_ts` even on unwind. The encode runs before the version
+/// is published, so the object's committed state stays as it was, and
+/// every reader of it — `read_committed`, a locking `Tx::read`, a
+/// snapshot — agrees on that.
 #[test]
 fn panicking_publish_does_not_stall_later_committers() {
+    use ntx_runtime::WalState;
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
-    #[derive(Debug)]
-    struct Grenade {
-        armed: Arc<AtomicBool>,
-        v: i64,
-    }
-    impl Clone for Grenade {
-        fn clone(&self) -> Self {
-            assert!(!self.armed.load(Ordering::SeqCst), "armed clone");
-            Grenade {
-                armed: self.armed.clone(),
-                v: self.v,
-            }
+    static ARMED: AtomicBool = AtomicBool::new(false);
+
+    #[derive(Clone, Debug)]
+    struct Grenade(i64);
+    impl WalState for Grenade {
+        fn encode_wal(&self, out: &mut Vec<u8>) {
+            assert!(!ARMED.load(Ordering::SeqCst), "armed encode");
+            self.0.encode_wal(out);
+        }
+        fn decode_wal(bytes: &[u8]) -> Option<Self> {
+            i64::decode_wal(bytes).map(Grenade)
         }
     }
 
-    let armed = Arc::new(AtomicBool::new(false));
-    let mgr = TxManager::new(RtConfig::default());
-    let grenade = mgr.register(
-        "grenade",
-        Grenade {
-            armed: armed.clone(),
-            v: 0,
-        },
-    );
+    let dir = std::env::temp_dir().join(format!("ntx-snapshot-grenade-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mgr = TxManager::new(RtConfig {
+        wal_dir: Some(dir.clone()),
+        ..RtConfig::default()
+    });
+    let grenade = mgr.register_durable("grenade", Grenade(0));
     let obj = mgr.register("x", 0i64);
 
-    // The write-time clone (abort-recovery version) runs before arming;
-    // the publish-time clone at commit runs after and panics.
+    // The write runs before arming; the commit-time encode runs after and
+    // panics.
     let tx = mgr.begin();
-    tx.write(&grenade, |g| g.v = 1).unwrap();
-    armed.store(true, Ordering::SeqCst);
+    tx.write(&grenade, |g| g.0 = 1).unwrap();
+    ARMED.store(true, Ordering::SeqCst);
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| tx.commit()));
-    assert!(r.is_err(), "publish-time clone was expected to panic");
+    ARMED.store(false, Ordering::SeqCst);
+    assert!(r.is_err(), "commit-time encode was expected to panic");
+
+    let committed = mgr.read_committed(&grenade, |g| g.0);
+    let reader = mgr.begin();
+    let locked = reader.read(&grenade, |g| g.0).unwrap();
+    reader.commit().unwrap();
+    let snapshot = mgr.snapshot().read(&grenade, |g| g.0);
+    assert_eq!(
+        (committed, locked, snapshot),
+        (0, 0, 0),
+        "read_committed, Tx::read and a snapshot must agree"
+    );
 
     // A later committer must still pass the turnstile (this used to hang
     // forever), and snapshots must see its publication.
@@ -172,6 +185,9 @@ fn panicking_publish_does_not_stall_later_committers() {
     tx2.write(&obj, |v| *v = 7).unwrap();
     tx2.commit().unwrap();
     assert_eq!(mgr.snapshot().read(&obj, |v| *v), 7);
+    assert_eq!(mgr.read_committed(&obj, |v| *v), 7);
+    drop(mgr);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Snapshot reads never enter the lock service, even beside writers on
