@@ -8,7 +8,8 @@
 //! The graph has no home of its own. Every top-level transaction keeps its
 //! place in it, a [`WaitRecord`], inline in its `TxNode`: how many of its
 //! requests are queued and their out-edges, counted, behind the record's
-//! own mutex, and an atomic count of the edges that point at it. A queued
+//! own mutex, and atomic counts of its queued requests and of the edges
+//! that point at it. A queued
 //! waiter's edges follow from its place in its queue and change only where
 //! the queue does (enqueue, leave, head change — `manager.rs`, DESIGN.md
 //! §9.3); each change locks the source top's record and nothing else. A
@@ -34,6 +35,10 @@ use crate::sync::{Arc, Mutex, MutexGuard, Weak};
 /// One top-level transaction's place in the wait-for graph.
 pub(crate) struct WaitRecord {
     edges: Mutex<Edges>,
+    /// The top's queued waiter nodes, changed under `edges`' mutex and read
+    /// without it: a child's commit rescans its objects only while its top
+    /// has one ([`WaitRecord::has_waiters`]).
+    waiters: AtomicUsize,
     /// Edges of other tops' waiters that point here.
     into: AtomicUsize,
     /// Bumped under `edges`' mutex by every change, so a search can tell
@@ -44,9 +49,7 @@ pub(crate) struct WaitRecord {
 /// What a [`WaitRecord`]'s mutex guards.
 #[derive(Default)]
 struct Edges {
-    /// The top's queued waiter nodes.
-    waiters: usize,
-    /// Its out-edges.
+    /// The top's out-edges.
     out: InlineVec<Edge, 2>,
 }
 
@@ -99,6 +102,7 @@ impl WaitRecord {
     pub(crate) fn new() -> WaitRecord {
         WaitRecord {
             edges: Mutex::new(Edges::default()),
+            waiters: AtomicUsize::new(0),
             into: AtomicUsize::new(0),
             changes: AtomicU64::new(0),
         }
@@ -109,6 +113,14 @@ impl WaitRecord {
         let mut edges = self.edges.lock();
         f(&mut edges);
         self.changes.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Whether a request of this top is queued. A child that commits reads
+    /// it after its state changed, and an enqueue bumps it before its
+    /// self-scan reads the holders' states (all SeqCst): either the commit
+    /// sees the waiter and rescans, or the self-scan sees the commit.
+    pub(crate) fn has_waiters(&self) -> bool {
+        self.waiters.load(Ordering::SeqCst) > 0
     }
 
     /// Whether some edge points here: a cycle through this top needs one.
@@ -160,7 +172,7 @@ pub(crate) fn enter<'t>(
     node_of: impl Fn(u64) -> &'t Arc<TxNode>,
 ) -> Option<Cycle> {
     top.wait.change(|r| {
-        r.waiters += 1;
+        top.wait.waiters.fetch_add(1, Ordering::SeqCst);
         for &t in edges {
             r.link(node_of(t));
         }
@@ -177,7 +189,7 @@ pub(crate) fn enter<'t>(
 /// A request of `top` with out-edges to `edges` left its queue.
 pub(crate) fn leave(top: &TxNode, edges: &[u64]) {
     top.wait.change(|r| {
-        r.waiters -= 1;
+        top.wait.waiters.fetch_sub(1, Ordering::SeqCst);
         for &t in edges {
             r.unlink(t);
         }
@@ -358,7 +370,7 @@ fn claim(top: &Arc<TxNode>, cycle: &[Arc<TxNode>], requester: Option<&[u64]>) ->
     let victim = order[at(pick_victim(&members))].clone();
     if let Some(edges) = requester.filter(|_| victim.id == top.id) {
         let own = &mut locked[at(top.id)];
-        own.waiters -= 1;
+        top.wait.waiters.fetch_sub(1, Ordering::SeqCst);
         for &t in edges {
             own.unlink(t);
         }
@@ -386,7 +398,7 @@ mod tests {
     impl WaitRecord {
         /// Queued waiter nodes of this top.
         pub(crate) fn waiters(&self) -> usize {
-            self.edges.lock().waiters
+            self.waiters.load(Ordering::SeqCst)
         }
 
         /// Out-edges with their counts, sorted.

@@ -78,3 +78,8 @@ pub use stats::StatsSnapshot;
 pub use trace::{RtEvent, Stamped, TraceRecorder};
 pub use tx::Tx;
 pub use wal::{FsyncPolicy, WalState};
+
+/// Mutex acquisitions per thread by guarded type, in the `--cfg ntx_count`
+/// build only (the lock-count gate, `tests/lock_count.rs`).
+#[cfg(all(ntx_count, not(loom)))]
+pub use sync::count as lock_count;

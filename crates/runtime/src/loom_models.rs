@@ -5,7 +5,7 @@
 //! interleavings reachable within the checker's preemption bound (see
 //! `vendor/loom`). The models drive the *real* runtime code — `Slab::push`
 //! / `Slab::get`, `ManagerInner::enqueue_waiter` / `timeout_withdraw` /
-//! `sweep_slot` / `release_scan` / `abort_subtree`, the request state
+//! `sweep_slot` / `release_scan` / `abort_subtree` / `commit_child`, the request state
 //! machine and its blocking driver (`Access::poll_with` / `drive`),
 //! `Stats`, `TraceRecorder` — with hand-built transaction nodes, so every
 //! interleaving of the actual grant/cancel/withdraw state machine is
@@ -44,6 +44,7 @@ fn mk_mgr() -> Arc<ManagerInner> {
         ts_alloc: AtomicU64::new(0),
         commit_ts: AtomicU64::new(0),
         live_snapshots: crate::sync::Mutex::new(std::collections::BTreeMap::new()),
+        snapshots_open: AtomicUsize::new(0),
         wal: None,
         sweeper: crate::sweeper::Sweeper::new(crate::sync::Weak::new(), Duration::from_millis(50)),
     })
@@ -740,6 +741,58 @@ fn loom_blocking_driver_vs_grant_and_sweep() {
             .collect();
         let expect = if granted { vec![(2, 7)] } else { vec![] };
         assert_eq!(held, expect, "lock state inconsistent with the outcome");
+    });
+}
+
+/// **Lazy child commit vs a same-top enqueue**: a child's commit moves no
+/// lock and takes no slot mutex unless its top has a queued request, so
+/// the one grant it can enable — a sibling's, queued behind the child's
+/// write lock — rests on a Dekker pair: the enqueue counts its request in
+/// the top's record before its self-scan reads the holder's state, and
+/// the commit changes that state before it reads the count. Either the
+/// commit sees the request and rescans, or the self-scan sees the commit.
+/// Driven by the real `commit_child` and the real blocking driver (a
+/// request left parked is a deadlock the checker reports): the sibling's
+/// write lands exactly once, on a version stacked above the one its parent
+/// adopted, and nothing is left queued or counted.
+#[test]
+fn loom_lazy_child_commit_vs_same_top_enqueue() {
+    loom::model(|| {
+        let mgr = mk_mgr();
+        let top = TxNode::top_level(1);
+        let c1 = TxNode::child_of(&top, 2);
+        let c2 = TxNode::child_of(&top, 3);
+        let obj = obj_with_write_holder(&mgr, &c1);
+        let (m2, n2) = (mgr.clone(), c1.clone());
+        let committer = loom::thread::spawn(move || {
+            assert!(m2.commit_child(&n2));
+        });
+        let parker = Parker::new();
+        let (count, waker) = counting(parker.waker.clone());
+        let r = Access::new(&mgr, &c2, obj, true, |st| *granted_i64(st) = 7).drive(&waker, &parker);
+        committer.join().unwrap();
+
+        assert_eq!(r, Ok(()), "the sibling's write must be granted");
+        let stats = mgr.stats.snapshot();
+        assert_eq!(stats.write_grants, 1, "granted exactly once");
+        assert_eq!(
+            count.wakes.load(Ordering::SeqCst) as u64,
+            stats.handoffs,
+            "a queued grant wakes its waiter once; an inline one never"
+        );
+        let g = mgr.slot(obj).inner.lock();
+        assert!(g.queue.is_empty() && g.write_pending.is_none());
+        assert!(!top.wait.has_waiters(), "a request left counted");
+        let held: Vec<(u64, i64)> = g
+            .chain
+            .iter()
+            .map(|e| (e.owner.id, *e.state.as_any().downcast_ref::<i64>().unwrap()))
+            .collect();
+        assert_eq!(
+            held,
+            vec![(1, 0), (3, 7)],
+            "c1's version adopted by the top"
+        );
     });
 }
 

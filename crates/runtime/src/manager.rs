@@ -13,8 +13,9 @@
 //! a blocked request enqueues a [`Waiter`] — a queue node with one wake
 //! slot and one deadline — on the object's FIFO queue, and its requester
 //! (a blocking thread or a polled future; `future.rs`) waits for the node
-//! to resolve. Whoever releases lock state (commit inheritance, abort
-//! rollback, a handed-off writer finishing its apply) runs
+//! to resolve. Whoever releases lock state (a top-level commit, abort
+//! rollback, a handed-off writer finishing its apply, and a child's commit
+//! while its top has a queued request) runs
 //! [`ManagerInner::release_scan`] under the slot mutex: it cancels doomed
 //! waiters in place, then computes one maximal **grant wave** — the run of
 //! compatible waiters pickable under the grant rule (FIFO head, else an
@@ -35,7 +36,7 @@
 //! adds a target searches from its top, unless nothing points at it.
 //! Nothing ever walks a queue to refresh edges.
 
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -58,7 +59,7 @@ use crate::stats::{Ctr, Stats, StatsSnapshot};
 use crate::sweeper::Sweeper;
 use crate::trace::RtEvent;
 use crate::tx::Tx;
-use crate::wal::{OpenRecord, Wal, WalCodec, WalState};
+use crate::wal::{OpenRecord, SyncClaim, Wal, WalCodec, WalState};
 
 /// Typed handle to a registered object.
 ///
@@ -95,7 +96,7 @@ pub(crate) struct ManagerInner {
     pub ts_alloc: AtomicU64,
     /// The snapshot clock: highest commit timestamp whose versions are
     /// *all* published. Advanced ticket-by-ticket through the publication
-    /// turnstile in [`ManagerInner::inherit_locks`], so a snapshot at
+    /// turnstile of [`ManagerInner::commit_top`], so a snapshot at
     /// `S = commit_ts` sees every version with `ts <= S` on every object.
     pub commit_ts: AtomicU64,
     /// Live snapshot registry: timestamp -> number of open [`Snapshot`]
@@ -103,6 +104,10 @@ pub(crate) struct ManagerInner {
     /// against GC watermark computation (lock order: slot mutex may be
     /// held while taking this; never the reverse).
     pub live_snapshots: Mutex<BTreeMap<u64, usize>>,
+    /// Open [`Snapshot`] handles: the registry's total, kept outside its
+    /// mutex so [`ManagerInner::gc_watermark`] skips the mutex while no
+    /// snapshot is open.
+    pub snapshots_open: AtomicUsize,
     /// Write-ahead log (`None` when [`RtConfig::wal_dir`] is unset — the
     /// default — in which case the commit path pays a single `Option`
     /// branch and no io).
@@ -135,6 +140,7 @@ impl ManagerInner {
             ts_alloc: AtomicU64::new(0),
             commit_ts: AtomicU64::new(0),
             live_snapshots: Mutex::new(BTreeMap::new()),
+            snapshots_open: AtomicUsize::new(0),
         }
     }
 }
@@ -199,7 +205,7 @@ impl TxManager {
             tx: id,
             parent: None,
         });
-        Tx::new(self.inner.clone(), TxNode::top_level(id))
+        Tx::new(TxNode::top_of(self.inner.clone(), id))
     }
 
     /// Read the *committed* (top-level published) state of an object,
@@ -255,6 +261,7 @@ impl TxManager {
             // Read the clock under the registry mutex so a concurrent GC
             // watermark computation either sees this entry or computes a
             // watermark from a clock value `<=` the one we are about to pin.
+            self.inner.snapshots_open.fetch_add(1, Ordering::SeqCst);
             let ts = self.inner.commit_ts.load(Ordering::SeqCst);
             *reg.entry(ts).or_insert(0) += 1;
             ts
@@ -404,6 +411,7 @@ impl Drop for Snapshot {
                 reg.remove(&self.ts);
             }
         }
+        self.mgr.snapshots_open.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -484,19 +492,19 @@ impl Wake {
 /// object's version is encoded into the commit record) would leave the
 /// clock stuck below its ticket and every later top-level committer
 /// spinning forever.
-/// On unwind the commit may be only partially published — no worse than
-/// the partially applied inheritance pass the same panic already leaves
-/// behind — but the turnstile stays live.
+/// A panicking encode now unwinds in the commit's first pass, before the
+/// node commits, and the tree is aborted; the ticket still passes the
+/// turnstile, with nothing to log.
 struct TurnstileTicket<'a> {
     mgr: &'a ManagerInner,
     ts: u64,
     /// The committing top-level transaction (WAL record attribution).
     #[cfg_attr(loom, allow(dead_code))]
     top: u64,
-    /// This commit's log record and its buffer, once a durable object was
-    /// published: the first one opens the record, and each one appends its
-    /// entry, encoded under its slot mutex in `inherit_locks` (`ts` is
-    /// known from the draw). `drop` closes it — count, length, CRC —
+    /// This commit's log record and its buffer, once a durable object is
+    /// to be published: the first one opens the record, and each one
+    /// appends its entry, encoded under its slot mutex in
+    /// `ManagerInner::encode_durable` (`ts` is known from the draw). `drop` closes it — count, length, CRC —
     /// before the turnstile wait, and copies it into the WAL inside the
     /// turnstile window below — after the wait, before the `commit_ts`
     /// store — so durable record order is exactly the dense ticket order.
@@ -552,14 +560,19 @@ impl Drop for TurnstileTicket<'_> {
         // land in dense ticket order and the durable order can never
         // disagree with the order snapshot readers observe.
         #[cfg(not(loom))]
-        if let Some((block, objects)) = record {
-            self.mgr.wal_commit(self.ts, self.top, &block, objects);
-        }
+        let claim = record
+            .and_then(|(block, objects)| self.mgr.wal_commit(self.ts, self.top, &block, objects));
         // Stamp the advance while still exclusive in the turnstile window
         // (before the store lets the next ticket through), so TSADV events
         // appear in the trace in dense, strictly increasing ticket order.
         self.mgr.trace(RtEvent::TsAdvance { ts: self.ts });
         self.mgr.commit_ts.store(self.ts, Ordering::SeqCst);
+        // A group batch this commit made due: its device flush runs out
+        // here, where it holds up no later committer.
+        #[cfg(not(loom))]
+        if let Some(claim) = claim {
+            self.mgr.wal_sync(claim);
+        }
     }
 }
 
@@ -676,10 +689,12 @@ impl ManagerInner {
     /// manager running so the harness can tear it down.
     ///
     /// `record` is the closed `Commit` record of (`ts`, `top`), with
-    /// `objects` entries.
+    /// `objects` entries. Returns the `Group` batch this commit made due
+    /// and claimed, for [`Self::wal_sync`] once the window is left; an
+    /// `Always` fsync runs here.
     #[cfg_attr(loom, allow(dead_code))]
-    fn wal_commit(&self, ts: u64, top: u64, record: &[u8], objects: u32) {
-        let Some(wal) = &self.wal else { return };
+    fn wal_commit(&self, ts: u64, top: u64, record: &[u8], objects: u32) -> Option<SyncClaim> {
+        let wal = self.wal.as_ref()?;
         if self.wal_crash(FaultPoint::WalPreAppend, top) {
             wal.freeze();
         }
@@ -696,15 +711,27 @@ impl ManagerInner {
             wal.freeze();
         }
         // Both are no-ops on a log frozen since the append.
-        let Some(due) = due else { return };
+        let due = due?;
         if due.opened_batch {
             self.sweeper.kick();
         }
-        if due.sync && wal.sync() {
-            self.stats.bump(Ctr::WalFsyncs);
+        let mut claim = due.sync;
+        if wal.syncs_before_ack() {
+            if let Some(c) = claim.take() {
+                self.wal_sync(c);
+            }
         }
         if due.checkpoint {
             self.wal_checkpoint(ts, top);
+        }
+        claim
+    }
+
+    /// Run a claimed batch's fsync (no mutex held) and count it.
+    #[cfg_attr(loom, allow(dead_code))]
+    fn wal_sync(&self, claim: SyncClaim) {
+        if self.wal.as_ref().is_some_and(|w| w.sync_claimed(claim)) {
+            self.stats.bump(Ctr::WalFsyncs);
         }
     }
 
@@ -764,7 +791,8 @@ impl ManagerInner {
     }
 
     /// Grant the lock inline (uncontended fast path) and run the closure.
-    /// Caller has verified `grantable` and the no-barge rule.
+    /// Caller has verified `grantable` and the no-barge rule, and touched
+    /// the object.
     fn grant_inline<R>(
         &self,
         inner: &mut ObjectInner,
@@ -774,7 +802,6 @@ impl ManagerInner {
         write: bool,
         f: impl FnOnce(StateRef<'_>) -> R,
     ) -> R {
-        node.touch(obj_idx);
         // A grant on a free object starts a hold tenure (EWMA sample for
         // the adaptive spin gate); a grant on a held one extends it. Only
         // tracked once the object shows contention (a queued waiter, or an
@@ -786,7 +813,7 @@ impl ManagerInner {
         }
         if write {
             self.stats.bump(Ctr::WriteGrants);
-            let installs = !matches!(inner.chain.last(), Some(e) if e.owner.id == node.id);
+            let installs = !inner.owns_top(node);
             self.trace(RtEvent::WriteGrant {
                 tx: node.id,
                 obj: obj_idx,
@@ -822,7 +849,7 @@ impl ManagerInner {
     fn install_grant(&self, obj_idx: usize, inner: &mut ObjectInner, w: &Arc<Waiter>) -> bool {
         w.node.touch(obj_idx);
         if w.write {
-            let installs = !matches!(inner.chain.last(), Some(e) if e.owner.id == w.node.id);
+            let installs = !inner.owns_top(&w.node);
             let _ = inner.writable_state(&w.node, &self.slot(obj_idx).snap);
             inner.write_pending = Some(w.node.id);
             installs
@@ -966,6 +993,9 @@ impl ManagerInner {
                 continue;
             }
             i += 1;
+        }
+        if inner.queue.is_empty() {
+            return wake;
         }
         // Pass 2 — the grant wave.
         let tracing = self.config.trace.is_some();
@@ -1213,6 +1243,10 @@ impl ManagerInner {
             }
         }
         let mut guard = slot.inner.lock();
+        // The touch comes before the fate check: an abort marks its root
+        // before it reads the subtree's sets, so a request that finds no
+        // abort below has its object in a set the abort will read.
+        node.touch(obj_idx);
         // Phase 1 — inline grant or fail fast. A node that has returned
         // (a future first polled after its commit) gets no lock: nothing
         // would ever release it.
@@ -1403,77 +1437,99 @@ impl ManagerInner {
     /// when no snapshot is open (a future snapshot starts at the clock).
     /// Versions strictly older than the newest version at or below this
     /// watermark are unreachable and collectable.
+    ///
+    /// The clock is read before the open-snapshot count: a count of 0 then
+    /// comes before any snapshot's registration, whose clock read follows it
+    /// and so reads at least this clock (SeqCst) — no mutex while no
+    /// snapshot is open.
     pub(crate) fn gc_watermark(&self) -> u64 {
+        let clock = self.commit_ts.load(Ordering::SeqCst);
+        if self.snapshots_open.load(Ordering::SeqCst) == 0 {
+            return clock;
+        }
         let reg = self.live_snapshots.lock();
         let clock = self.commit_ts.load(Ordering::SeqCst);
         reg.keys().next().map_or(clock, |&t| t.min(clock))
     }
 
-    /// Commit-time lock inheritance for `node` across all touched objects.
+    /// A child's commit: the paper's `COMMIT(T)`, its `INFORM_COMMIT`s left
+    /// to whoever next looks at the locks (`TxNode::holder`). It takes no
+    /// slot mutex, except in one case: a commit can make only a waiter of
+    /// its own top grantable — a sibling queued behind the child's lock, say
+    /// — so while the top has a queued request it rescans the objects its
+    /// subtree holds. An enqueue counts its request in the top's record
+    /// before its self-scan, so either this commit sees the count or that
+    /// scan sees the commit. Returns `false` when an abort won the node.
     ///
-    /// When `node` is top-level (`heir == None`), each inherited version
-    /// is published to its object's snapshot chain under a commit
-    /// timestamp, where it becomes the committed state: the first publication
-    /// draws a ticket from `ts_alloc`, and after all objects are published
-    /// the turnstile below advances `commit_ts` to that ticket — strictly
-    /// in ticket order, so a snapshot at `S = commit_ts` is guaranteed to
-    /// find *every* version with `ts <= S` already on its chain.
-    pub(crate) fn inherit_locks(&self, node: &Arc<TxNode>) {
-        // A copy — inline up to four objects — so no node lock is held
-        // while slot mutexes are taken.
-        let touched = node.touched.lock().clone();
-        let heir = node.parent.as_ref();
-        // The heir learns the set before any lock moves, so an ancestral
-        // snapshot read never misses a version in flight.
-        if let Some(h) = heir {
-            h.touch_all(&touched);
+    /// The commit is traced before its state changes, so no grant that
+    /// relies on it is stamped ahead of it.
+    pub(crate) fn commit_child(&self, node: &Arc<TxNode>) -> bool {
+        self.trace(RtEvent::Commit {
+            tx: node.id,
+            top: false,
+        });
+        if !node.mark_committed() {
+            return false;
         }
-        let mut ticket: Option<TurnstileTicket<'_>> = None;
+        if node.top().wait.has_waiters() {
+            for &obj in node.subtree_objects().iter() {
+                let wake = self.release_scan(obj, &mut self.slot(obj).inner.lock());
+                wake.run(self);
+            }
+        }
+        true
+    }
+
+    /// A top-level commit: encode its durable write set, commit, then one
+    /// pass per object publishes the deepest version the tree wrote and
+    /// releases the tree's locks. Returns `false` when an abort won the
+    /// node.
+    ///
+    /// Every user call (`encode_wal`) runs in the first pass, before the
+    /// node commits: an encode that panics aborts the whole tree, then the
+    /// panic goes on to the caller. The publish pass runs no user code but
+    /// `Drop` of what it frees.
+    ///
+    /// `touched` is the tree's objects, folded in by `TxNode::fold_children`.
+    pub(crate) fn commit_top(&self, node: &Arc<TxNode>, touched: &ObjSet) -> bool {
+        let encoded = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.encode_durable(node, touched)
+        }));
+        let mut ticket = match encoded {
+            Ok(ticket) => ticket,
+            Err(panic) => {
+                self.abort_subtree(node);
+                std::panic::resume_unwind(panic)
+            }
+        };
+        self.trace(RtEvent::Commit {
+            tx: node.id,
+            top: true,
+        });
+        if !node.mark_committed() {
+            // The abort that won cleans up; the drawn ticket passes the
+            // turnstile with nothing to log.
+            if let Some(t) = &mut ticket {
+                t.wal_record = None;
+            }
+            return false;
+        }
         for &obj in touched.iter() {
             let slot = self.slot(obj);
-            let wake;
-            {
+            let wake = {
                 let mut guard = slot.inner.lock();
-                let mut moved = guard.inherit(node, heir);
-                if moved.any() {
+                let (version, released) = guard.release_top(node);
+                if released {
                     self.trace(RtEvent::Inherit {
                         tx: node.id,
-                        heir: heir.map(|h| h.id),
+                        heir: None,
                         obj,
                     });
                 }
-                if let Some(version) = moved.published.take() {
-                    // Top-level commit: the inherited version itself joins
-                    // the snapshot chain as the committed state. Ticket 0
-                    // is the genesis timestamp, so tickets start at 1.
-                    let t = ticket.get_or_insert_with(|| TurnstileTicket {
-                        mgr: self,
-                        // relaxed(ts-alloc): ticket allocation only
-                        // needs uniqueness and atomicity of the RMW;
-                        // ordering is provided by the SeqCst commit_ts
-                        // turnstile that publishes the ticket.
-                        ts: self.ts_alloc.fetch_add(1, Ordering::Relaxed) + 1,
-                        top: node.id,
-                        wal_record: None,
-                    });
-                    let ts = t.ts;
-                    if let (Some(_), Some(codec)) = (&self.wal, &slot.codec) {
-                        // Encode the version before it is published,
-                        // straight into the commit's record: an encode that
-                        // panics leaves the committed state as it was. The
-                        // record is appended later, inside the turnstile
-                        // window, where no slot mutex is held.
-                        let (block, rec) = t.wal_record.get_or_insert_with(|| {
-                            let mut block = Vec::new();
-                            let rec = OpenRecord::commit(&mut block, ts, node.id);
-                            (block, rec)
-                        });
-                        rec.entry(
-                            block,
-                            u32::try_from(obj).expect("object index fits u32"),
-                            |out| (codec.encode)(version.as_any(), out),
-                        );
-                    }
+                if let Some(version) = version {
+                    // The version itself joins the snapshot chain as the
+                    // committed state, under the commit's ticket.
+                    let ts = ticket.get_or_insert_with(|| self.draw_ticket(node.id)).ts;
                     slot.snap.publish(ts, version);
                     self.stats.bump(Ctr::VersionsPublished);
                     self.trace(RtEvent::Publish {
@@ -1485,21 +1541,69 @@ impl ManagerInner {
                     // held: watermark < ts, so the version just published
                     // is never reclaimed here.
                     let freed = slot.snap.collect(self.gc_watermark());
-                    self.stats.add(Ctr::VersionsCollected, freed as u64);
+                    if freed > 0 {
+                        self.stats.add(Ctr::VersionsCollected, freed as u64);
+                    }
                 }
                 // Hand off only if the lock state changed; an untouched
-                // slot's waiters cannot have become grantable.
-                wake = if moved.any() {
-                    self.release_scan(obj, &mut guard)
-                } else {
-                    Wake::default()
-                };
+                // slot's waiters cannot have become grantable, and with
+                // none queued and no tenure to close the scan has no work.
+                let scan = !guard.queue.is_empty() || guard.tenure_start.is_some();
+                (released && scan).then(|| self.release_scan(obj, &mut guard))
+            };
+            if let Some(wake) = wake {
+                wake.run(self);
             }
-            wake.run(self);
         }
         // `ticket` drops here: the turnstile spin-then-advance lives in
         // `TurnstileTicket::drop` so it runs even if publication unwinds.
         drop(ticket);
+        true
+    }
+
+    /// Draw the next commit timestamp (ticket 0 is genesis, so tickets
+    /// start at 1) for top `top`, which must pass it through the turnstile.
+    fn draw_ticket(&self, top: u64) -> TurnstileTicket<'_> {
+        TurnstileTicket {
+            mgr: self,
+            // relaxed(ts-alloc): ticket allocation only needs uniqueness
+            // and atomicity of the RMW; ordering is provided by the SeqCst
+            // commit_ts turnstile that publishes the ticket.
+            ts: self.ts_alloc.fetch_add(1, Ordering::Relaxed) + 1,
+            top,
+            wal_record: None,
+        }
+    }
+
+    /// The first pass of [`Self::commit_top`]: encode the version each
+    /// touched durable object will publish — the deepest one `top`'s tree
+    /// wrote, stable while the tree holds its write lock — into the
+    /// commit's log record, under a ticket drawn for it. `None` without a
+    /// log or a durable write.
+    fn encode_durable(&self, top: &Arc<TxNode>, touched: &ObjSet) -> Option<TurnstileTicket<'_>> {
+        self.wal.as_ref()?;
+        let mut ticket = None;
+        for &obj in touched.iter() {
+            let slot = self.slot(obj);
+            let Some(codec) = &slot.codec else { continue };
+            let guard = slot.inner.lock();
+            let Some(e) = guard.chain.last().filter(|e| top.is_ancestor_of(&e.owner)) else {
+                continue;
+            };
+            let t = ticket.get_or_insert_with(|| self.draw_ticket(top.id));
+            let ts = t.ts;
+            let (block, rec) = t.wal_record.get_or_insert_with(|| {
+                let mut block = Vec::new();
+                let rec = OpenRecord::commit(&mut block, ts, top.id);
+                (block, rec)
+            });
+            rec.entry(
+                block,
+                u32::try_from(obj).expect("object index fits u32"),
+                |out| (codec.encode)(e.state.as_any(), out),
+            );
+        }
+        ticket
     }
 
     /// Abort `root`'s whole subtree: mark nodes aborted, purge locks and
@@ -1510,8 +1614,8 @@ impl ManagerInner {
         let mut newly_aborted = 0usize;
         // A victim's doom can race the victim's own commit; whoever wins the
         // Active → Committed/Aborted transition on the root decides. A root
-        // that committed is past aborting: its inheritance pass may still
-        // be publishing, and discarding now would tear its write set.
+        // that committed is past aborting: its commit pass may still be
+        // publishing, and discarding now would tear its write set.
         if root.mark_aborted() {
             newly_aborted += 1;
             self.trace(RtEvent::Abort { tx: root.id });
@@ -1521,12 +1625,12 @@ impl ManagerInner {
         // The subtree's touched objects and the objects it waits on, as one
         // sorted set: each gets the same pass.
         let mut objs = ObjSet::new();
-        root.for_subtree(&mut |n| {
+        root.drain_subtree(&mut |n, touched| {
             if n.mark_aborted() {
                 newly_aborted += 1;
                 self.trace(RtEvent::Abort { tx: n.id });
             }
-            for &o in n.touched.lock().iter() {
+            for &o in touched.iter() {
                 insert_sorted(&mut objs, o);
             }
             if let Some(o) = n.waiting_on() {

@@ -5,18 +5,29 @@
 //! last, `chain.last()` being the current state — and a set of read-lock
 //! holders. Its committed state is kept once, as the head of its snapshot
 //! chain ([`SnapshotCell::head`]): a top-level commit moves its version
-//! there, and an empty chain falls back to it. The grant rule, inheritance
-//! at commit and discard-at-abort follow Moss exactly; the difference from
-//! the model is operational: requests that cannot be granted enqueue a
-//! [`Waiter`] on the object's FIFO queue and wait until a releasing thread
-//! *hands the lock over directly* (see `ManagerInner::release_scan` in the
-//! manager module) and fires the node's one wake slot. The queue is the
-//! single source of truth for "who is waiting" on an object — and for whom
-//! each waiter waits on: a queued waiter waits for the top-level
-//! transaction of the waiter ahead of it, and the head for the tops of
-//! the holders it conflicts with ([`ObjectInner::head_edges`]). Those are
-//! its wait-for edges in its top's record (`deadlock.rs`), changed only
-//! where the queue changes.
+//! there, and an empty chain falls back to it.
+//!
+//! A child's commit does not visit this table. A lock or version granted to
+//! a node that has since committed belongs to its nearest uncommitted
+//! ancestor ([`TxNode::holder`]): the grant rule, the reads and the writes
+//! below resolve holders that way, under the slot mutex, which is the
+//! paper's `INFORM_COMMIT` delivered late. A write entry re-owned that way
+//! is adopted by its holder ([`ObjectInner::adopt`]) before anyone stacks
+//! a version on it, and a read lock when the next reader joins, so neither
+//! list grows with the children that came and went. A top-level commit
+//! releases the whole tree's locks in one pass ([`ObjectInner::release_top`])
+//! and an abort discards its subtree's ([`ObjectInner::discard_subtree`]).
+//!
+//! Requests that cannot be granted enqueue a [`Waiter`] on the object's
+//! FIFO queue and wait until a releasing thread *hands the lock over
+//! directly* (see `ManagerInner::release_scan` in the manager module) and
+//! fires the node's one wake slot. The queue is the single source of truth
+//! for "who is waiting" on an object — and for whom each waiter waits on: a
+//! queued waiter waits for the top-level transaction of the waiter ahead of
+//! it, and the head for the tops of the holders it conflicts with
+//! ([`ObjectInner::head_edges`]). Those are its wait-for edges in its top's
+//! record (`deadlock.rs`), changed only where the queue changes; a child's
+//! commit moves a lock within its top, so it changes none of them.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use crate::sync::{Arc, Mutex};
@@ -27,7 +38,7 @@ use std::time::Instant;
 
 use crate::inline::InlineVec;
 use crate::mvcc::SnapshotCell;
-use crate::node::{insert_sorted, TxNode};
+use crate::node::{insert_sorted, TxNode, TxState};
 
 /// A sorted set of top-level ids: four inline, the rest spilled.
 pub(crate) type TopSet = InlineVec<u64, 4>;
@@ -242,13 +253,15 @@ impl ObjectInner {
     /// The tops of the holders a request of `tx` conflicts with — any write
     /// holder, and readers for a write request, ancestors of `tx` never —
     /// its own top excluded: the edges of `tx`'s waiter at the queue head.
+    /// (A holder of another top is never an ancestor of `tx`, however its
+    /// commits resolve, so a child's commit moves no edge.)
     pub fn holder_tops(&self, tx: &TxNode, write: bool) -> TopSet {
         let mine = tx.top_level_id();
         let mut tops = TopSet::new();
         let readers = self.readers.iter().filter(|_| write);
         for h in self.chain.iter().map(|e| &e.owner).chain(readers) {
             let top = h.top_level_id();
-            if top != mine && !h.is_ancestor_of(tx) {
+            if top != mine {
                 insert_sorted(&mut tops, top);
             }
         }
@@ -266,16 +279,17 @@ impl ObjectInner {
             .top()
     }
 
-    /// Moss' grant rule, gated on no write handoff being in flight.
+    /// Moss' grant rule, with holders resolved through their commits and
+    /// gated on no write handoff being in flight.
     pub fn grantable(&self, tx: &TxNode, write: bool) -> bool {
         if self.write_pending.is_some() {
             return false;
         }
-        let writes_ok = self.chain.iter().all(|e| e.owner.is_ancestor_of(tx));
+        let writes_ok = self.chain.iter().all(|e| e.owner.holds_for(tx));
         if !write {
             return writes_ok;
         }
-        writes_ok && self.readers.iter().all(|r| r.is_ancestor_of(tx))
+        writes_ok && self.readers.iter().all(|r| r.holds_for(tx))
     }
 
     /// `true` when some current lock holder is an ancestor of `tx`. A
@@ -284,29 +298,46 @@ impl ObjectInner {
     /// (re-entrant and parent/child accesses must never queue behind
     /// requests they themselves block).
     pub fn holder_is_ancestor(&self, tx: &TxNode) -> bool {
-        self.chain.iter().any(|e| e.owner.is_ancestor_of(tx))
-            || self.readers.iter().any(|r| r.is_ancestor_of(tx))
+        self.chain.iter().any(|e| e.owner.holds_for(tx))
+            || self.readers.iter().any(|r| r.holds_for(tx))
     }
 
-    /// Record a read lock for `owner`.
+    /// Record a read lock for `owner`. Read locks of committed nodes are
+    /// handed to their holders first, so a parent whose children come and
+    /// go keeps one entry.
     pub fn add_reader(&mut self, owner: &Arc<TxNode>) {
+        let mut i = 0;
+        while i < self.readers.len() {
+            if self.readers[i].state() == TxState::Committed {
+                let h = self.readers[i].holder().clone();
+                if self.readers[..i].iter().any(|r| r.id == h.id) {
+                    self.readers.swap_remove(i);
+                    continue;
+                }
+                self.readers[i] = h;
+            }
+            i += 1;
+        }
         if !self.readers.iter().any(|r| r.id == owner.id) {
             self.readers.push(owner.clone());
         }
     }
 
-    /// The state a granted *read* by `tx` observes: the deepest version
-    /// owned by an ancestor of `tx`, else the committed state. On the fast
-    /// path this is exactly `chain.last()` (the grant rule makes every
-    /// owner an ancestor); after a queued handoff a deeper non-ancestor
-    /// version may already have been granted on top, and Moss' read
-    /// semantics say the reader sees its ancestors' state, not the
+    /// The deepest version owned, through commits, by an ancestor of `tx`.
+    /// On the fast path this is exactly `chain.last()` (the grant rule makes
+    /// every holder an ancestor); after a queued handoff a deeper
+    /// non-ancestor version may already have been granted on top, and Moss'
+    /// read semantics say the reader sees its ancestors' state, not the
     /// stranger's.
+    pub fn ancestral(&self, tx: &TxNode) -> Option<&dyn AnyState> {
+        let i = self.chain.iter().rposition(|e| e.owner.holds_for(tx))?;
+        Some(self.chain[i].state.as_ref())
+    }
+
+    /// The state a granted *read* by `tx` observes: [`Self::ancestral`],
+    /// else the committed state.
     pub fn read_target<'a>(&'a self, tx: &TxNode, snap: &'a SnapshotCell) -> &'a dyn AnyState {
-        match self.chain.iter().rposition(|e| e.owner.is_ancestor_of(tx)) {
-            Some(i) => self.chain[i].state.as_ref(),
-            None => snap.head(self),
-        }
+        self.ancestral(tx).unwrap_or_else(|| snap.head(self))
     }
 
     /// The version a handed-off *write* grant mutates: the entry the
@@ -325,6 +356,35 @@ impl ObjectInner {
         }
     }
 
+    /// Whether `owner` owns the top of the chain once committed owners'
+    /// entries are adopted by their holders: then a write by `owner`
+    /// updates that version in place; otherwise it stacks a new one.
+    pub fn owns_top(&mut self, owner: &TxNode) -> bool {
+        let owns = |c: &[ChainEntry]| matches!(c.last(), Some(e) if e.owner.id == owner.id);
+        owns(&self.chain) || {
+            self.adopt();
+            owns(&self.chain)
+        }
+    }
+
+    /// Hand every committed owner's version to its holder, the deepest of
+    /// a holder's versions replacing the shallower: the chain's owners are
+    /// then distinct and uncommitted (a committing top's aside).
+    pub fn adopt(&mut self) {
+        for e in &mut self.chain {
+            if e.owner.state() == TxState::Committed {
+                e.owner = e.owner.holder().clone();
+            }
+        }
+        self.chain.dedup_by(|deeper, kept| {
+            let same = deeper.owner.id == kept.owner.id;
+            if same {
+                std::mem::swap(&mut deeper.state, &mut kept.state);
+            }
+            same
+        });
+    }
+
     /// Ensure the top of the chain is a version owned by `owner`, cloning
     /// the current state if needed, and return a mutable handle to it.
     pub fn writable_state(
@@ -332,11 +392,10 @@ impl ObjectInner {
         owner: &Arc<TxNode>,
         snap: &SnapshotCell,
     ) -> &mut Box<dyn AnyState> {
-        let owns_top = matches!(self.chain.last(), Some(e) if e.owner.id == owner.id);
-        if !owns_top {
+        if !self.owns_top(owner) {
             let snapshot = self.current(snap).clone_box();
             debug_assert!(
-                self.chain.iter().all(|e| e.owner.is_ancestor_of(owner)),
+                self.chain.iter().all(|e| e.owner.holds_for(owner)),
                 "write version pushed while non-ancestors hold locks"
             );
             self.chain.push(ChainEntry {
@@ -347,43 +406,19 @@ impl ObjectInner {
         &mut self.chain.last_mut().expect("just ensured").state
     }
 
-    /// Commit-time inheritance: hand `tx`'s locks and version to `heir`.
-    /// A top-level commit (`heir == None`) hands its version back in
-    /// [`InheritOutcome::published`], for the caller to move onto the
-    /// snapshot chain. Reports what actually moved so the caller can trace
-    /// the transfer.
-    pub fn inherit(&mut self, tx: &TxNode, heir: Option<&Arc<TxNode>>) -> InheritOutcome {
-        let mut outcome = InheritOutcome::default();
-        if let Some(pos) = self.chain.iter().position(|e| e.owner.id == tx.id) {
-            debug_assert_eq!(
-                pos,
-                self.chain.len() - 1,
-                "committing holder must be deepest"
-            );
-            let entry = self.chain.remove(pos);
-            outcome.moved_version = true;
-            match heir {
-                None => outcome.published = Some(entry.state),
-                Some(h) => {
-                    if let Some(parent_entry) = self.chain.iter_mut().find(|e| e.owner.id == h.id) {
-                        parent_entry.state = entry.state;
-                    } else {
-                        self.chain.push(ChainEntry {
-                            owner: h.clone(),
-                            state: entry.state,
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(pos) = self.readers.iter().position(|r| r.id == tx.id) {
-            self.readers.swap_remove(pos);
-            outcome.moved_read = true;
-            if let Some(h) = heir {
-                self.add_reader(h);
-            }
-        }
-        outcome
+    /// A top-level commit's one pass over this object: take the deepest
+    /// version its tree wrote, for the caller to publish as the committed
+    /// state, and release every lock the tree holds — the top's and those
+    /// of its committed descendants alike. Returns the version and whether
+    /// anything was released.
+    pub fn release_top(&mut self, top: &TxNode) -> (Option<Box<dyn AnyState>>, bool) {
+        let published = match self.chain.last() {
+            Some(e) if top.is_ancestor_of(&e.owner) => self.chain.pop().map(|e| e.state),
+            _ => None,
+        };
+        let (versions, readers) = self.discard_subtree(top);
+        let released = published.is_some() || versions + readers > 0;
+        (published, released)
     }
 
     /// Abort-time discard: drop every version and read lock held by `tx` or
@@ -392,6 +427,9 @@ impl ObjectInner {
     /// Returns `(versions_dropped, readers_dropped)` for rollback tracing.
     pub fn discard_subtree(&mut self, tx: &TxNode) -> (usize, usize) {
         let (nv, nr) = (self.chain.len(), self.readers.len());
+        if nv + nr == 0 && self.write_pending.is_none() {
+            return (0, 0);
+        }
         self.chain.retain(|e| !tx.is_ancestor_of(&e.owner));
         self.readers.retain(|r| !tx.is_ancestor_of(r));
         // If the discard swallowed an unapplied write handoff's version,
@@ -403,27 +441,6 @@ impl ObjectInner {
             }
         }
         (nv - self.chain.len(), nr - self.readers.len())
-    }
-}
-
-/// What a call to [`ObjectInner::inherit`] actually transferred.
-#[derive(Default)]
-pub(crate) struct InheritOutcome {
-    /// A version owned by the committer moved to the heir (or out, at a
-    /// top-level commit).
-    pub moved_version: bool,
-    /// A top-level commit's version, off the chain: the caller publishes
-    /// it on the snapshot chain, where it becomes the committed state.
-    /// Until then the committed state is the previous head.
-    pub published: Option<Box<dyn AnyState>>,
-    /// A read lock owned by the committer moved to the heir (or lapsed).
-    pub moved_read: bool,
-}
-
-impl InheritOutcome {
-    /// `true` when the commit transferred anything on this object.
-    pub fn any(&self) -> bool {
-        self.moved_version || self.moved_read
     }
 }
 
@@ -735,6 +752,8 @@ mod tests {
         assert!(Arc::ptr_eq(o.holder_top(1), &p) && Arc::ptr_eq(o.holder_top(9), &r));
     }
 
+    /// A child's commit leaves its version where it is; its holder adopts
+    /// it before stacking anything, merging it with its own.
     #[test]
     fn inherit_merges_into_parent_version() {
         let (p, c, g, _) = nodes();
@@ -748,35 +767,82 @@ mod tests {
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 9;
-        // g commits: its version replaces... becomes c's (c already owns one).
-        let out = o.inherit(&g, Some(&c));
-        assert!(out.moved_version && !out.moved_read && out.any());
+        assert!(g.mark_committed());
+        assert_eq!(o.chain.len(), 2, "a child's commit touches no table");
+        // c's next write adopts g's version, merged with its own.
+        assert!(o.owns_top(&c));
         assert_eq!(o.chain.len(), 1);
         assert_eq!(o.chain[0].owner.id, c.id);
         assert_eq!(read_i64(o.current(&s.snap)), 9);
-        // c commits to p (no version yet): rename.
-        o.inherit(&c, Some(&p));
+        // c commits: p's write takes the version over in place.
+        assert!(c.mark_committed());
+        *o.writable_state(&p, &s.snap)
+            .as_any_mut()
+            .downcast_mut::<i64>()
+            .unwrap() += 1;
+        assert_eq!(o.chain.len(), 1);
         assert_eq!(o.chain[0].owner.id, p.id);
-        // p top-level commit: the version goes out for publication, and
+        // p's top-level commit: the version goes out for publication, and
         // the committed state is the head until the caller publishes it.
-        let out = o.inherit(&p, None);
-        assert!(o.chain.is_empty());
+        let (out, released) = o.release_top(&p);
+        assert!(released && o.chain.is_empty());
         assert_eq!(read_i64(o.current(&s.snap)), 0);
-        s.snap.publish(1, out.published.expect("published"));
-        assert_eq!(read_i64(o.current(&s.snap)), 9);
+        s.snap.publish(1, out.expect("published"));
+        assert_eq!(read_i64(o.current(&s.snap)), 10);
+    }
+
+    /// The deepest version a top's tree wrote is published, whoever of the
+    /// tree wrote it; every other entry and read lock of the tree goes.
+    #[test]
+    fn release_top_publishes_the_deepest_and_releases_the_tree() {
+        let (p, c, g, q) = nodes();
+        let s = slot();
+        let mut o = s.inner.lock();
+        *o.writable_state(&p, &s.snap)
+            .as_any_mut()
+            .downcast_mut::<i64>()
+            .unwrap() = 1;
+        *o.writable_state(&c, &s.snap)
+            .as_any_mut()
+            .downcast_mut::<i64>()
+            .unwrap() = 2;
+        o.add_reader(&g);
+        assert!(g.mark_committed() && c.mark_committed() && p.mark_committed());
+        let (out, released) = o.release_top(&p);
+        assert!(released && o.chain.is_empty() && o.readers.is_empty());
+        assert_eq!(read_i64(out.expect("published").as_ref()), 2);
+        // A stranger's read lock stays; a tree holding nothing releases
+        // nothing.
+        o.add_reader(&q);
+        assert!(!o.release_top(&p).1);
+        assert_eq!(o.readers.len(), 1);
     }
 
     #[test]
     fn inherit_moves_read_locks() {
-        let (p, c, _, _) = nodes();
+        let (p, c, _, q) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
+        let sib = TxNode::child_of(&p, 5);
         o.add_reader(&c);
-        o.inherit(&c, Some(&p));
-        assert_eq!(o.readers.len(), 1);
-        assert_eq!(o.readers[0].id, p.id);
-        // Top-level commit drops the read lock.
-        o.inherit(&p, None);
+        assert!(!o.grantable(&sib, true), "c holds its read lock");
+        assert!(c.mark_committed());
+        assert!(o.grantable(&sib, true), "p holds it now, sib's parent");
+        assert!(!o.grantable(&q, true), "a stranger still waits");
+        // The next reader hands c's entry to p, once.
+        let sib2 = TxNode::child_of(&p, 6);
+        o.add_reader(&sib2);
+        assert!(sib2.mark_committed());
+        o.add_reader(&sib);
+        let ids: Vec<u64> = o.readers.iter().map(|r| r.id).collect();
+        assert_eq!(
+            ids,
+            vec![p.id, sib.id],
+            "one entry for p, however many children"
+        );
+        // Top-level commit drops the read locks.
+        assert!(sib.mark_committed() && p.mark_committed());
+        assert!(o.release_top(&p).1);
         assert!(o.readers.is_empty());
     }
 
@@ -803,10 +869,15 @@ mod tests {
         let mut o = s.inner.lock();
         let _ = o.writable_state(&c, &s.snap);
         o.add_reader(&g);
-        o.inherit(&g, Some(&c));
+        assert!(g.mark_committed());
         assert_eq!(o.readers.len(), 1);
-        assert_eq!(o.readers[0].id, c.id, "inherited beside the write lock");
-        assert!(o.grantable(&g, true) && !o.grantable(&q, false));
+        assert_eq!(
+            o.readers[0].holder().id,
+            c.id,
+            "inherited beside the write lock"
+        );
+        let g2 = TxNode::child_of(&c, 7);
+        assert!(o.grantable(&g2, true) && !o.grantable(&q, false));
     }
 
     #[test]

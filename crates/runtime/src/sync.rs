@@ -9,14 +9,24 @@
 //! points explored exhaustively by `loom::model` (see
 //! `src/loom_models.rs`).
 //!
+//! A third build, `RUSTFLAGS="--cfg ntx_count"`, wraps `parking_lot`'s
+//! mutex so that every acquisition is counted on the acquiring thread, by
+//! the type it guards ([`count`]); the lock-count gate
+//! (`tests/lock_count.rs`) reads the tally. Other builds compile none of it.
+//!
 //! `Arc`/`Weak` are `std` in both modes: the loom stand-in does not model
 //! reference-count orderings (they carry no runtime-visible state), so
 //! sharing the std types keeps handles identical across builds.
 
 pub(crate) use std::sync::{Arc, Weak};
 
+#[cfg(not(any(loom, ntx_count)))]
+pub(crate) use parking_lot::Mutex;
 #[cfg(not(loom))]
-pub(crate) use parking_lot::{Condvar, Mutex, MutexGuard};
+pub(crate) use parking_lot::{Condvar, MutexGuard};
+
+#[cfg(all(ntx_count, not(loom)))]
+pub(crate) use count::Mutex;
 
 #[cfg(loom)]
 pub(crate) use loom::sync::{Condvar, Mutex, MutexGuard};
@@ -45,5 +55,47 @@ pub(crate) mod hint {
         std::hint::spin_loop();
         #[cfg(loom)]
         loom::hint::spin_loop();
+    }
+}
+
+/// Mutex acquisitions counted per thread, by guarded type: the
+/// `--cfg ntx_count` build's `Mutex` (see the module docs).
+#[cfg(all(ntx_count, not(loom)))]
+pub mod count {
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
+
+    thread_local! {
+        static TALLY: RefCell<BTreeMap<&'static str, u64>> = const { RefCell::new(BTreeMap::new()) };
+    }
+
+    /// `parking_lot::Mutex`, counting each `lock` by `T`'s type name.
+    pub(crate) struct Mutex<T>(parking_lot::Mutex<T>);
+
+    impl<T> Mutex<T> {
+        pub(crate) const fn new(value: T) -> Mutex<T> {
+            Mutex(parking_lot::Mutex::new(value))
+        }
+
+        pub(crate) fn lock(&self) -> parking_lot::MutexGuard<'_, T> {
+            TALLY.with(|t| {
+                *t.borrow_mut()
+                    .entry(std::any::type_name::<T>())
+                    .or_insert(0) += 1
+            });
+            self.0.lock()
+        }
+    }
+
+    impl<T: Default> Default for Mutex<T> {
+        fn default() -> Mutex<T> {
+            Mutex::new(T::default())
+        }
+    }
+
+    /// This thread's acquisitions since the last call, by guarded type
+    /// name, and a fresh tally.
+    pub fn take() -> BTreeMap<&'static str, u64> {
+        TALLY.with(|t| std::mem::take(&mut *t.borrow_mut()))
     }
 }

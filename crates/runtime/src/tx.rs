@@ -7,7 +7,7 @@ use crate::error::TxError;
 use crate::fault::{FaultAction, FaultPoint};
 use crate::future::{Access, AccessFuture, BoxedAccessFn};
 use crate::manager::{ManagerInner, ObjRef};
-use crate::node::{TxNode, TxState};
+use crate::node::{ObjSet, TxNode, TxState};
 use crate::object::StateRef;
 use crate::stats::Ctr;
 use crate::trace::RtEvent;
@@ -18,18 +18,28 @@ use crate::trace::RtEvent;
 /// threads to run siblings concurrently. Dropping a handle that was neither
 /// committed nor aborted aborts it (RAII rollback).
 pub struct Tx {
-    mgr: Arc<ManagerInner>,
     node: Arc<TxNode>,
     finished: AtomicBool,
 }
 
 impl Tx {
-    pub(crate) fn new(mgr: Arc<ManagerInner>, node: Arc<TxNode>) -> Tx {
+    /// A handle for `node`, whose top carries the manager.
+    pub(crate) fn new(node: Arc<TxNode>) -> Tx {
+        debug_assert!(node.top().mgr.is_some(), "a handle's top has a manager");
         Tx {
-            mgr,
             node,
             finished: AtomicBool::new(false),
         }
+    }
+
+    /// The manager, reached through this transaction's top: a child's
+    /// handle holds no reference of its own.
+    fn mgr(&self) -> &Arc<ManagerInner> {
+        self.node
+            .top()
+            .mgr
+            .as_ref()
+            .expect("a handle's top has a manager")
     }
 
     /// The transaction's node (unit tests read its wait-for record).
@@ -68,15 +78,16 @@ impl Tx {
     /// Begin a child transaction.
     pub fn child(&self) -> Result<Tx, TxError> {
         self.check_usable()?;
+        let mgr = self.mgr();
         // relaxed(tx-id): id allocation only needs uniqueness, which the
         // atomic RMW provides; ids carry no ordering obligations.
-        let id = self.mgr.next_tx_id.fetch_add(1, Ordering::Relaxed);
-        self.mgr.stats.bump(Ctr::Begun);
-        self.mgr.trace(RtEvent::Begin {
+        let id = mgr.next_tx_id.fetch_add(1, Ordering::Relaxed);
+        mgr.stats.bump(Ctr::Begun);
+        mgr.trace(RtEvent::Begin {
             tx: id,
             parent: Some(self.node.id),
         });
-        Ok(Tx::new(self.mgr.clone(), TxNode::child_of(&self.node, id)))
+        Ok(Tx::new(TxNode::child_of(&self.node, id)))
     }
 
     /// Read object `obj` under a read lock. Blocks while a non-ancestor
@@ -87,7 +98,7 @@ impl Tx {
         f: impl FnOnce(&T) -> R,
     ) -> Result<R, TxError> {
         self.check_usable()?;
-        Access::new(&self.mgr, &self.node, obj.idx, false, reading(f)).wait()
+        Access::new(self.mgr(), &self.node, obj.idx, false, reading(f)).wait()
     }
 
     /// Read object `obj` without taking any lock and without ever waiting:
@@ -107,38 +118,35 @@ impl Tx {
         f: impl FnOnce(&T) -> R,
     ) -> Result<R, TxError> {
         self.check_usable()?;
+        let mgr = self.mgr();
         // Ancestral-write intent check: walk the parent chain's touched
-        // sets (sorted; binary search each). Only when some ancestor may
-        // hold a version do we probe the uncommitted chain — under the
-        // slot mutex, a bounded critical section with no wait site.
+        // sets (sorted; binary search each), with the committed children
+        // each has not folded in yet. Only when some ancestor may hold a
+        // version do we probe the uncommitted chain — under the slot
+        // mutex, a bounded critical section with no wait site.
         let mut ancestral_intent = false;
         let mut cur = Some(&*self.node);
         while let Some(n) = cur {
-            if n.touched.lock().binary_search(&obj.idx).is_ok() {
+            if n.reaches(obj.idx) {
                 ancestral_intent = true;
                 break;
             }
             cur = n.parent.as_deref();
         }
-        let slot = self.mgr.slot(obj.idx);
+        let slot = mgr.slot(obj.idx);
         if ancestral_intent {
             let guard = slot.inner.lock();
-            if let Some(i) = guard
-                .chain
-                .iter()
-                .rposition(|e| e.owner.is_ancestor_of(&self.node))
-            {
-                let r = f(guard.chain[i]
-                    .state
+            if let Some(st) = guard.ancestral(&self.node) {
+                let r = f(st
                     .as_any()
                     .downcast_ref::<T>()
                     .expect("ObjRef type mismatch"));
                 drop(guard);
-                self.mgr.stats.bump(Ctr::SnapshotReads);
-                self.mgr.trace(RtEvent::SnapRead {
+                mgr.stats.bump(Ctr::SnapshotReads);
+                mgr.trace(RtEvent::SnapRead {
                     tx: self.node.id,
                     obj: obj.idx,
-                    ts: self.mgr.commit_ts.load(Ordering::SeqCst),
+                    ts: mgr.commit_ts.load(Ordering::SeqCst),
                 });
                 return Ok(r);
             }
@@ -151,13 +159,13 @@ impl Tx {
         let mut ts = 0;
         let r = slot.snap.read(
             || {
-                ts = self.mgr.commit_ts.load(Ordering::SeqCst);
+                ts = mgr.commit_ts.load(Ordering::SeqCst);
                 ts
             },
             |st| f(st.downcast_ref::<T>().expect("ObjRef type mismatch")),
         );
-        self.mgr.stats.bump(Ctr::SnapshotReads);
-        self.mgr.trace(RtEvent::SnapRead {
+        mgr.stats.bump(Ctr::SnapshotReads);
+        mgr.trace(RtEvent::SnapRead {
             tx: self.node.id,
             obj: obj.idx,
             ts,
@@ -195,7 +203,7 @@ impl Tx {
 
     fn access_async<R>(&self, obj_idx: usize, write: bool, f: BoxedAccessFn<R>) -> AccessFuture<R> {
         let f = self.check_usable().map(|()| f);
-        AccessFuture::new(self.mgr.clone(), self.node.clone(), obj_idx, write, f)
+        AccessFuture::new(self.mgr().clone(), self.node.clone(), obj_idx, write, f)
     }
 
     /// Update object `obj` under a write lock. Blocks while a non-ancestor
@@ -206,7 +214,7 @@ impl Tx {
         f: impl FnOnce(&mut T) -> R,
     ) -> Result<R, TxError> {
         self.check_usable()?;
-        Access::new(&self.mgr, &self.node, obj.idx, true, writing(f)).wait()
+        Access::new(self.mgr(), &self.node, obj.idx, true, writing(f)).wait()
     }
 
     /// Commit. Locks and versions are inherited by the parent; a top-level
@@ -216,31 +224,41 @@ impl Tx {
     /// an access still in flight counts, being a child in the paper — and
     /// with [`TxError::Doomed`] (after aborting this subtree) if an
     /// ancestor has aborted meanwhile.
+    ///
+    /// A child's commit touches no lock: its parent inherits its locks and
+    /// versions where they lie (see `node.rs`).
     pub fn commit(&self) -> Result<(), TxError> {
         if self.finished.swap(true, Ordering::SeqCst) {
             return Err(TxError::AlreadyFinished);
         }
+        let mgr = self.mgr();
         if self.node.is_doomed() {
             // An ancestor died under us; make our own abort explicit.
-            self.mgr.abort_subtree(&self.node);
+            mgr.abort_subtree(&self.node);
             self.node.leave_parent();
             return Err(TxError::Doomed);
         }
         // A queued request keeps `waiting_on` set until its requester has
         // taken the outcome; committing under it would let the grant wave
         // hand a lock to a finished node.
-        if self.node.waiting_on().is_some() || !self.node.children.lock().is_empty() {
+        // A top folds its committed children in here, under the same book
+        // lock that finds a live one.
+        let top = self.node.parent.is_none();
+        let touched = if top {
+            self.node.fold_children()
+        } else {
+            (!self.node.has_live_children()).then(ObjSet::new)
+        };
+        let Some(touched) = touched.filter(|_| self.node.waiting_on().is_none()) else {
             self.finished.store(false, Ordering::SeqCst);
             return Err(TxError::LiveChildren);
-        }
-        if self.mgr.config.fault.is_some() {
-            let action = self
-                .mgr
-                .fault_decision(FaultPoint::Commit, &self.node, None, false);
+        };
+        if mgr.config.fault.is_some() {
+            let action = mgr.fault_decision(FaultPoint::Commit, &self.node, None, false);
             // Only spontaneous aborts make sense at commit; Timeout and
             // DeadlockVictim describe lock waits and are ignored here.
             if matches!(action, FaultAction::Abort | FaultAction::CrashSubtree) {
-                self.mgr.trace(RtEvent::Fault {
+                mgr.trace(RtEvent::Fault {
                     tx: self.node.id,
                     obj: None,
                     action,
@@ -249,27 +267,27 @@ impl Tx {
                     FaultAction::CrashSubtree => self.node.top(),
                     _ => &self.node,
                 };
-                self.mgr.abort_subtree(target);
+                mgr.abort_subtree(target);
                 self.node.leave_parent();
                 return Err(TxError::Doomed);
             }
         }
-        if !self.node.mark_committed() {
+        let committed = if top {
+            mgr.commit_top(&self.node, &touched)
+        } else {
+            mgr.commit_child(&self.node)
+        };
+        if !committed {
             // `finished` rules out a second commit through this handle, so
             // the node was aborted from another thread (a deadlock victim's
-            // doom) between the doom check above and here; that abort
-            // cleans up.
+            // doom) between the doom check above and its commit; that
+            // abort cleans up.
             self.node.leave_parent();
             return Err(TxError::Doomed);
         }
-        self.mgr.trace(RtEvent::Commit {
-            tx: self.node.id,
-            top: self.node.parent.is_none(),
-        });
-        self.mgr.inherit_locks(&self.node);
-        self.mgr.stats.bump(Ctr::Commits);
-        if self.node.parent.is_none() {
-            self.mgr.stats.bump(Ctr::TopCommits);
+        mgr.stats.bump(Ctr::Commits);
+        if top {
+            mgr.stats.bump(Ctr::TopCommits);
         }
         self.node.leave_parent();
         Ok(())
@@ -281,7 +299,7 @@ impl Tx {
         if self.finished.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.mgr.abort_subtree(&self.node);
+        self.mgr().abort_subtree(&self.node);
         self.node.leave_parent();
     }
 
@@ -609,7 +627,7 @@ mod tests {
                 c.abort();
             } // else dropped: RAII abort
         }
-        assert_eq!(top.node.children.lock().len(), 0, "returned children kept");
+        assert_eq!(top.node.listed_children(), 0, "returned children kept");
         top.commit().unwrap();
         assert_eq!(mgr.read_committed(&x, |v| *v), 10_000);
     }
@@ -675,7 +693,11 @@ mod tests {
             }
         }
         child.commit().unwrap();
-        assert_eq!(top.node.touched.lock().len(), 64, "the heir took the set");
+        assert_eq!(
+            top.node.subtree_objects().len(),
+            64,
+            "the heir reaches the set"
+        );
         let sibling = top.child().unwrap();
         for o in &objs {
             sibling.write(o, |v| *v = -1).unwrap();
@@ -714,9 +736,9 @@ mod tests {
         for (k, o) in kids.iter().zip(&objs) {
             k.write(o, |v| *v = 1).unwrap();
         }
-        assert_eq!(top.node.children.lock().len(), 16);
+        assert_eq!(top.node.listed_children(), 16);
         kids.remove(5).abort();
-        assert_eq!(top.node.children.lock().len(), 15);
+        assert_eq!(top.node.listed_children(), 15);
         assert_eq!(top.commit(), Err(TxError::LiveChildren));
         while let Some(k) = kids.pop() {
             k.commit().unwrap();

@@ -72,7 +72,14 @@
 //! staged and defers the flush + fsync until `n` commits are pending or the
 //! oldest pending commit is older than `d`. The next commit checks both,
 //! and the commit that opens a batch wakes the manager's sweeper, which
-//! fsyncs it at `d` if no commit did.
+//! fsyncs it at `d` if no commit did. The commit that makes a batch due
+//! claims it ([`SyncClaim`]): it writes the stage out under the log mutex,
+//! and runs the `fdatasync` after its turnstile window, on a duplicated
+//! descriptor, with no mutex held — so a device flush stalls neither the
+//! log nor the commits behind it. `durable_ts` is promoted (a `fetch_max`)
+//! once the flush returned, under the log mutex and only while the log is
+//! not frozen. `Always` runs the same claim inside the window, before the
+//! commit is visible or acknowledged.
 //! The durable prefix (`durable_ts`) then trails the published clock —
 //! recovery returns some prefix in `[durable_ts, crash clock]`, and the
 //! kill-and-recover fuzz (`ntx-sim::fuzz_crash_run`) checks exactly that
@@ -96,7 +103,7 @@ use std::time::{Duration, Instant};
 
 use crate::object::AnyState;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::Mutex;
+use crate::sync::{Arc, Mutex};
 
 /// When the WAL flushes appended records to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -522,6 +529,9 @@ const STAGE_FLUSH_BYTES: usize = 64 << 10;
 /// the turnstile window nor the sweeper holds a slot mutex when taking it).
 struct WalInner {
     file: File,
+    /// A duplicate of `file`'s descriptor, for fsyncs run with no mutex
+    /// held ([`SyncClaim`]).
+    sync_file: Arc<File>,
     /// Index of the live (append) segment.
     seg: u64,
     /// Lowest segment index that may still be on disk; everything from
@@ -563,16 +573,29 @@ impl WalInner {
 }
 
 /// What the policy wants done after a commit record was appended; the caller
-/// (still inside its turnstile window) acts on it with [`Wal::sync`] and a
-/// checkpoint.
-#[derive(Clone, Copy, Debug)]
+/// acts on it with [`Wal::sync_claimed`] and, inside its turnstile window,
+/// a checkpoint.
+#[derive(Debug)]
 pub(crate) struct CommitDue {
-    /// An fsync is due (`Always`, a full `Group` batch, or its deadline).
-    pub(crate) sync: bool,
+    /// An fsync is due (`Always`, a full `Group` batch, or its deadline),
+    /// and this commit claimed it.
+    pub(crate) sync: Option<SyncClaim>,
     /// `checkpoint_every` commits have accumulated in this segment.
     pub(crate) checkpoint: bool,
     /// A `Group` batch opened with a deadline to keep: wake the sweeper.
     pub(crate) opened_batch: bool,
+}
+
+/// A batch written out to its segment whose `fdatasync` is its claimer's
+/// to run ([`Wal::sync_claimed`]), with no mutex held.
+#[derive(Debug)]
+pub(crate) struct SyncClaim {
+    file: Arc<File>,
+    /// The segment and the logical length the flush makes durable.
+    seg: u64,
+    upto: u64,
+    /// The highest commit timestamp in the batch.
+    ts: u64,
 }
 
 /// A segmented append-only write-ahead log. See the module docs for the
@@ -631,6 +654,7 @@ impl Wal {
             file.set_len(valid)?;
         }
         file.seek(SeekFrom::Start(valid))?;
+        let sync_file = Arc::new(file.try_clone()?);
         Ok(Wal {
             dir: dir.to_path_buf(),
             policy,
@@ -642,6 +666,7 @@ impl Wal {
             repaired: bytes.len() as u64 - valid,
             inner: Mutex::new(WalInner {
                 file,
+                sync_file,
                 seg,
                 oldest_seg,
                 // Headroom for the record that crosses the threshold, so
@@ -690,47 +715,103 @@ impl Wal {
                 sync
             }
         };
-        let due = CommitDue {
-            sync,
-            checkpoint: self.checkpoint_every > 0
-                && inner.commits_since_checkpoint >= self.checkpoint_every,
-            opened_batch,
+        let checkpoint =
+            self.checkpoint_every > 0 && inner.commits_since_checkpoint >= self.checkpoint_every;
+        let sync = if sync {
+            Some(self.claim(&mut inner)?)
+        } else {
+            // Keep the stage bounded.
+            if inner.stage.len() >= STAGE_FLUSH_BYTES && inner.flush().is_err() {
+                self.freeze();
+                return None;
+            }
+            None
         };
-        // A due sync flushes anyway; otherwise keep the stage bounded.
-        if !due.sync && inner.stage.len() >= STAGE_FLUSH_BYTES && inner.flush().is_err() {
-            self.freeze();
-            return None;
-        }
-        Some(due)
+        Some(CommitDue {
+            sync,
+            checkpoint,
+            opened_batch,
+        })
     }
 
-    /// Flush the stage and fsync the live segment, promoting every appended
-    /// commit to durable. Freezes the log and returns `false` on an io
-    /// error, leaving `durable_ts` where it was.
-    fn make_durable(&self, inner: &mut WalInner) -> bool {
-        if inner.flush().and_then(|()| inner.file.sync_data()).is_err() {
+    /// Write the stage out and take the pending batch: its fsync is now
+    /// the caller's ([`Wal::sync_claimed`]). `None` (and a frozen log) if
+    /// the write fails.
+    fn claim(&self, inner: &mut WalInner) -> Option<SyncClaim> {
+        if inner.flush().is_err() {
             self.freeze();
-            return false;
+            return None;
         }
         self.batch_max.fetch_max(inner.pending, Ordering::SeqCst);
         inner.pending = 0;
         inner.pending_since = None;
         self.batch_open.store(false, Ordering::SeqCst);
+        Some(SyncClaim {
+            file: inner.sync_file.clone(),
+            seg: inner.seg,
+            upto: inner.appended,
+            ts: inner.appended_commit_ts,
+        })
+    }
+
+    /// Run a claimed batch's `fdatasync`, with no mutex held, then promote
+    /// it to durable — unless the log froze meanwhile: a crash teardown
+    /// may have cut the batch. Returns whether a device flush ran.
+    pub(crate) fn sync_claimed(&self, claim: SyncClaim) -> bool {
+        if self.is_frozen() {
+            return false;
+        }
+        if claim.file.sync_data().is_err() {
+            self.freeze();
+            return false;
+        }
+        let mut inner = self.inner.lock();
+        if self.is_frozen() {
+            return true;
+        }
+        if inner.seg == claim.seg {
+            inner.synced = inner.synced.max(claim.upto);
+        }
+        self.durable_ts.fetch_max(claim.ts, Ordering::SeqCst);
+        true
+    }
+
+    /// Flush the stage and fsync the live segment under the log mutex,
+    /// promoting every appended commit to durable (a checkpoint's cut).
+    /// Freezes the log and returns `false` on an io error, leaving
+    /// `durable_ts` where it was.
+    fn make_durable(&self, inner: &mut WalInner) -> bool {
+        let Some(claim) = self.claim(inner) else {
+            return false;
+        };
+        if inner.file.sync_data().is_err() {
+            self.freeze();
+            return false;
+        }
         inner.synced = inner.appended;
-        self.durable_ts
-            .store(inner.appended_commit_ts, Ordering::SeqCst);
+        self.durable_ts.fetch_max(claim.ts, Ordering::SeqCst);
         true
     }
 
     /// Flush and fsync the live segment, promoting every appended commit to
-    /// durable. Returns whether a device flush actually ran.
+    /// durable; the fsync runs with no mutex held. Returns whether a device
+    /// flush actually ran.
     pub(crate) fn sync(&self) -> bool {
-        // Under the mutex: a sweeper's sync must not follow a teardown.
-        let mut inner = self.inner.lock();
-        if self.is_frozen() || (inner.synced == inner.appended && inner.pending == 0) {
-            return false;
-        }
-        self.make_durable(&mut inner)
+        let claim = {
+            // Under the mutex: a sweeper's sync must not follow a teardown.
+            let mut inner = self.inner.lock();
+            if self.is_frozen() || (inner.synced == inner.appended && inner.pending == 0) {
+                return false;
+            }
+            self.claim(&mut inner)
+        };
+        claim.is_some_and(|c| self.sync_claimed(c))
+    }
+
+    /// Whether a commit's fsync must run before the commit is visible and
+    /// acknowledged (`Always`), not after its turnstile window.
+    pub(crate) fn syncs_before_ack(&self) -> bool {
+        self.policy == FsyncPolicy::Always
     }
 
     /// When the pending `Group` batch falls due; no mutex while none is.
@@ -772,11 +853,12 @@ impl Wal {
             .write(true)
             .truncate(true)
             .open(seg_path(&self.dir, next));
-        let Ok(file) = file else {
+        let Some((file, sync_file)) = file.ok().and_then(|f| Some((f.try_clone().ok()?, f))) else {
             self.freeze();
             return false;
         };
         inner.file = file;
+        inner.sync_file = Arc::new(sync_file);
         inner.seg = next;
         inner.appended = 0;
         inner.synced = 0;
@@ -1109,10 +1191,11 @@ mod tests {
     fn group_policy_defers_until_batch_size() {
         let dir = tmp("group");
         let wal = Wal::open(&dir, FsyncPolicy::Group(3, Duration::from_secs(3600)), 0).unwrap();
-        assert!(!append_commit(&wal, 1, 1, &[]).unwrap().sync);
-        assert!(!append_commit(&wal, 2, 2, &[]).unwrap().sync);
-        assert!(append_commit(&wal, 3, 3, &[]).unwrap().sync);
-        assert!(wal.sync());
+        assert!(append_commit(&wal, 1, 1, &[]).unwrap().sync.is_none());
+        assert!(append_commit(&wal, 2, 2, &[]).unwrap().sync.is_none());
+        let claim = append_commit(&wal, 3, 3, &[]).unwrap().sync.unwrap();
+        assert_eq!(wal.durable_ts(), 0, "claimed, not yet synced");
+        assert!(wal.sync_claimed(claim));
         assert_eq!(wal.batch_max(), 3);
         assert_eq!(wal.durable_ts(), 3);
         drop(wal);
@@ -1172,7 +1255,7 @@ mod tests {
         let mut ts = 0u64;
         while live_segment_len(&dir) == 0 {
             ts += 1;
-            assert!(!append_commit(&wal, ts, ts, &[]).unwrap().sync);
+            assert!(append_commit(&wal, ts, ts, &[]).unwrap().sync.is_none());
             assert!(ts < 10_000, "the stage never reached the file");
         }
         // Exactly the stage that crossed the threshold was written, as one
