@@ -247,6 +247,81 @@ fn loom_doomed_waiter_never_granted() {
     });
 }
 
+/// **Mid-queue doom vs release**: A, B and C (tops 2, 3, 4) queue for
+/// writes behind holder H (top 1). B's top aborts while H releases, and
+/// this thread plays A: it waits for A's grant, then ends A, which hands
+/// the lock on. Doom is the aborting side's transition, so B is resolved
+/// by the time its abort returns — cancelled in place, or granted first
+/// and then rolled back — and no release scan has to look for it. Every
+/// waiter ends in exactly one terminal state and is woken exactly once,
+/// nothing of B's lock state or latch survives, and the queue, the head's
+/// edges and every top's waiter and edge counts are exact (all empty: C
+/// holds the lock). An abort that leaves its queued waiters to some later
+/// scan fails the first check.
+#[test]
+fn loom_mid_queue_doom_vs_release() {
+    loom::model(|| {
+        let mgr = mk_mgr();
+        let holder = TxNode::top_level(1);
+        let (a_tx, b_tx, c_tx) = (
+            TxNode::top_level(2),
+            TxNode::top_level(3),
+            TxNode::top_level(4),
+        );
+        let obj = obj_with_write_holder(&mgr, &holder);
+        let (a_woken, a_waker) = counting(noop_waker());
+        let (b_woken, b_waker) = counting(noop_waker());
+        let (c_woken, c_waker) = counting(noop_waker());
+        let (a, b, c) = {
+            let mut g = mgr.slot(obj).inner.lock();
+            let mut enqueue = |tx: &Arc<TxNode>, waker: &Waker| {
+                let (w, cycle) = mgr.enqueue_waiter(&mut g, tx, obj, true, Instant::now(), waker);
+                assert!(cycle.is_none());
+                w
+            };
+            (
+                enqueue(&a_tx, &a_waker),
+                enqueue(&b_tx, &b_waker),
+                enqueue(&c_tx, &c_waker),
+            )
+        };
+        let (m2, b2, bw) = (mgr.clone(), b_tx.clone(), b.clone());
+        let aborter = loom::thread::spawn(move || {
+            m2.abort_subtree(&b2);
+            assert_ne!(bw.state(), W_WAITING, "the abort left B's wait queued");
+        });
+        let (m3, h3) = (mgr.clone(), holder.clone());
+        let releaser = loom::thread::spawn(move || {
+            m3.abort_subtree(&h3);
+        });
+        assert_eq!(await_transition(&a), W_GRANTED, "the head is granted");
+        mgr.abort_subtree(&a_tx);
+        aborter.join().unwrap();
+        releaser.join().unwrap();
+
+        let b_st = b.state();
+        assert!(b_st == W_CANCELLED || b_st == W_GRANTED, "B unresolved");
+        assert_eq!(c.state(), W_GRANTED, "C is granted once A and B are gone");
+        for (who, woken) in [("A", &a_woken), ("B", &b_woken), ("C", &c_woken)] {
+            let n = woken.wakes.load(Ordering::SeqCst);
+            assert_eq!(n, 1, "{who} woken {n} times");
+        }
+        assert_eq!(
+            mgr.stats.snapshot().cancelled_waiters,
+            u64::from(b_st == W_CANCELLED)
+        );
+        let g = mgr.slot(obj).inner.lock();
+        assert!(g.queue.is_empty() && g.head_edges.is_empty());
+        assert!(g.readers.is_empty());
+        let held: Vec<u64> = g.chain.iter().map(|e| e.owner.id).collect();
+        assert_eq!(held, vec![4], "C alone holds x; B's version is gone");
+        assert_eq!(g.write_pending, Some(4), "C's latch, never B's");
+        for top in [&holder, &a_tx, &b_tx, &c_tx] {
+            assert!(top.wait.is_empty(), "top {} kept wait-for state", top.id);
+        }
+    });
+}
+
 /// **Write-pending latch**: after a write handoff, no compatible waiter
 /// behind the writer may be granted — by any scan, however spurious —
 /// until the woken writer applies its closure and clears the latch.
@@ -514,7 +589,7 @@ fn loom_snapshot_gc_vs_reader() {
         let writer = loom::thread::spawn(move || {
             x2.publish(2, Box::new(20i64));
             c2.store(2, Ordering::SeqCst);
-            x2.collect(c2.load(Ordering::SeqCst))
+            x2.collect(c2.load(Ordering::SeqCst)).free()
         });
         // The reader: ephemeral snapshot read, S chosen after pinning.
         let (ts, v) = x.read(
@@ -528,7 +603,7 @@ fn loom_snapshot_gc_vs_reader() {
         );
         // Quiescent collection reclaims everything below the newest
         // version; the genesis-and-older tail is gone.
-        x.collect(2);
+        x.collect(2).free();
         assert_eq!(x.chain_len(), 1, "chain not bounded after GC");
     });
 }

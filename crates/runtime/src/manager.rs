@@ -16,13 +16,15 @@
 //! to resolve. Whoever releases lock state (a top-level commit, abort
 //! rollback, a handed-off writer finishing its apply, and a child's commit
 //! while its top has a queued request) runs
-//! [`ManagerInner::release_scan`] under the slot mutex: it cancels doomed
-//! waiters in place, then computes one maximal **grant wave** — the run of
-//! compatible waiters pickable under the grant rule (FIFO head, else an
-//! ancestor-held bypass) — installs all of its lock state on the releasing
-//! thread, publishes one aggregated stats delta and one batched trace
-//! record for the whole wave, and wakes exactly the granted waiters. The
-//! one sweeper (`sweeper.rs`) withdraws every wait that outlives its
+//! [`ManagerInner::release_scan`] under the slot mutex: it computes one
+//! maximal **grant wave** — the run of compatible waiters pickable under
+//! the grant rule (FIFO head, else an ancestor-held bypass) — installs all
+//! of its lock state on the releasing thread, publishes one aggregated
+//! stats delta and one batched trace record for the whole wave, and wakes
+//! exactly the granted waiters. It inspects the waiters it resolves and
+//! the head, never the rest of the queue: doom reaches a queued waiter
+//! through the abort that caused it ([`ManagerInner::abort_subtree`]), and
+//! the one sweeper (`sweeper.rs`) withdraws every wait that outlives its
 //! deadline. Waiters never wake to re-fight for the mutex.
 //!
 //! **Deadlocks** are found in the same queues, by the one rule die on
@@ -48,7 +50,7 @@ use crate::deadlock::{self, Cycle};
 use crate::error::TxError;
 use crate::fault::{FaultAction, FaultContext, FaultPoint};
 use crate::inline::InlineVec;
-use crate::mvcc::SnapshotCell;
+use crate::mvcc::{Detached, SnapshotCell};
 use crate::node::{insert_sorted, ObjSet, TxNode, TxState};
 use crate::object::{
     ObjectInner, ObjectSlot, StateRef, TopSet, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT,
@@ -284,8 +286,12 @@ impl TxManager {
         let mut freed = 0;
         for i in 0..self.inner.objects.len() {
             let slot = self.inner.objects.get(i);
-            let _guard = slot.inner.lock();
-            freed += slot.snap.collect(watermark);
+            let dead = {
+                let _guard = slot.inner.lock();
+                slot.snap.collect(watermark)
+            };
+            // Freed with the slot mutex down: a state's `Drop` is user code.
+            freed += dead.free();
         }
         self.inner.stats.add(Ctr::VersionsCollected, freed as u64);
         freed
@@ -868,17 +874,29 @@ impl ManagerInner {
     ///    ancestor — the same liveness argument as the inline no-barge
     ///    gate), and granting it adds no cross-top wait inversion, since
     ///    it shares its top-level transaction with a current holder.
+    ///
+    /// The bypass walks past the head only while some holder's top has a
+    /// queued request ([`ObjectInner::a_holder_top_waits`]); without one no
+    /// waiter shares a holder's top, so there is nothing to find. Nothing
+    /// is pickable while a write handoff is unapplied. Every queue entry
+    /// it tests is counted ([`crate::sync::inspected`]).
     fn pick_grant(inner: &ObjectInner) -> Option<usize> {
+        if inner.write_pending.is_some() {
+            return None;
+        }
         let head = inner.queue.front()?;
+        crate::sync::inspected(1);
         if inner.grantable(&head.node, head.write) {
             return Some(0);
         }
-        inner
-            .queue
-            .iter()
-            .skip(1)
-            .position(|q| inner.grantable(&q.node, q.write) && inner.holder_is_ancestor(&q.node))
-            .map(|i| i + 1)
+        if inner.queue.len() < 2 || !inner.a_holder_top_waits() {
+            return None;
+        }
+        let bypass = inner.queue.iter().skip(1).position(|q| {
+            crate::sync::inspected(1);
+            inner.grantable(&q.node, q.write) && inner.holder_is_ancestor(&q.node)
+        });
+        bypass.map(|i| i + 1)
     }
 
     /// Take the waiter at queue index `i` out of its queue and out of its
@@ -937,21 +955,45 @@ impl ManagerInner {
         }
     }
 
-    /// Walk an object's waiter queue after lock state changed. Returns the
-    /// [`Wake`] its caller runs *after* dropping the slot mutex.
+    /// Cancel the doomed waiter at queue index `i`: it leaves its queue and
+    /// its top's record, and `wake` fires its slot once the slot mutex is
+    /// down. A waiter queued between two others (a deadlock victim, say)
+    /// hands its wait to the one behind, which may still be on a cycle, so
+    /// the moved edge's search rides along; a new head gets its holder
+    /// edges from the release scan that follows.
+    fn cancel_doomed(&self, obj_idx: usize, inner: &mut ObjectInner, i: usize, wake: &mut Wake) {
+        let (w, search) = self.dequeue(inner, i);
+        let cancelled = w.cancel();
+        debug_assert!(cancelled, "a queued node is waiting");
+        self.stats.bump(Ctr::CancelledWaiters);
+        // Stamped under the slot mutex: this cancel is the wait's
+        // resolution, so it must order against any grant wave on the same
+        // object (exactly-one-winner in the HB certifier).
+        self.trace(RtEvent::CancelWaiter {
+            tx: w.node.id,
+            obj: obj_idx,
+        });
+        wake.search(search);
+        wake.waiters.push(Some(w));
+    }
+
+    /// Hand an object's lock to the waiters its new lock state admits.
+    /// Returns the [`Wake`] its caller runs *after* dropping the slot mutex.
     ///
-    /// Three passes:
-    /// 1. cancel doomed waiters anywhere in the queue (doom delivery —
-    ///    ancestor aborts and deadlock victims reach queued waiters here);
-    /// 2. compute and install the maximal **grant wave**: repeatedly pick
+    /// The scan inspects the waiters it resolves, plus the head and the
+    /// holders it reads — never the depth of the queue:
+    /// 1. compute and install the maximal **grant wave**: repeatedly pick
     ///    the next grantable waiter ([`Self::pick_grant`] — FIFO head,
     ///    else ancestor-held bypass) and install its lock state, until
     ///    nothing is grantable (a write grant sets `write_pending`, which
-    ///    ends the wave by itself). The whole wave
-    ///    costs one aggregated stats delta and one batched trace publish
+    ///    ends the wave by itself). A doomed pick is cancelled, not
+    ///    granted; doom reaches every other queued waiter through its
+    ///    abort ([`Self::abort_subtree`]) or its requester's post-enqueue
+    ///    check ([`Self::access_attempt`]). The whole wave costs one
+    ///    aggregated stats delta and one batched trace publish
     ///    ([`crate::TraceRecorder::publish_batch`]) instead of per-waiter
     ///    publishes;
-    /// 3. recompute the **head's** holder edges — the holders, the head, or
+    /// 2. recompute the **head's** holder edges — the holders, the head, or
     ///    both may have changed — and, if they gained a target, have the
     ///    [`Wake`] search from the head's top. That is one waiter, never a
     ///    pass over the queue: every other waiter's edge was moved by the
@@ -961,8 +1003,8 @@ impl ManagerInner {
     /// the real release/apply paths.
     pub(crate) fn release_scan(&self, obj_idx: usize, inner: &mut ObjectInner) -> Wake {
         let mut wake = Wake::default();
-        // Pass 0 — hold-time EWMA: a scan that finds the object free ends
-        // the tenure that the last grant started.
+        // Hold-time EWMA: a scan that finds the object free ends the
+        // tenure that the last grant started.
         #[cfg(not(loom))]
         if inner.chain.is_empty() && inner.readers.is_empty() && inner.write_pending.is_none() {
             if let Some(t0) = inner.tenure_start.take() {
@@ -971,42 +1013,22 @@ impl ManagerInner {
                 inner.hint_warm = true;
             }
         }
-        let mut i = 0;
-        while i < inner.queue.len() {
-            let w = &inner.queue[i];
-            debug_assert_eq!(w.state(), W_WAITING, "a resolved node left with its CAS");
-            if w.node.is_doomed() && w.cancel() {
-                let (w, search) = self.dequeue(inner, i);
-                self.stats.bump(Ctr::CancelledWaiters);
-                // Stamped under the slot mutex: this cancel is the wait's
-                // resolution, so it must order against any grant wave on
-                // the same object (exactly-one-winner in the HB certifier).
-                self.trace(RtEvent::CancelWaiter {
-                    tx: w.node.id,
-                    obj: obj_idx,
-                });
-                // A waiter queued between two others (a deadlock victim,
-                // say) hands its wait to the one behind, which may still be
-                // on a cycle. (A new head is pass 3's.)
-                wake.search(search);
-                wake.waiters.push(Some(w));
-                continue;
-            }
-            i += 1;
-        }
         if inner.queue.is_empty() {
             return wake;
         }
-        // Pass 2 — the grant wave.
+        // The grant wave.
         let tracing = self.config.trace.is_some();
         let (mut readers, mut writers) = (0usize, 0usize);
         let mut evs: Vec<RtEvent> = Vec::new();
         while let Some(idx) = Self::pick_grant(inner) {
+            if inner.queue[idx].node.is_doomed() {
+                self.cancel_doomed(obj_idx, inner, idx, &mut wake);
+                continue;
+            }
             let (w, search) = self.dequeue(inner, idx);
             wake.search(search);
-            if !w.grant() {
-                continue; // lost a cancel race
-            }
+            let granted = w.grant();
+            debug_assert!(granted, "a queued node is waiting");
             let installs = self.install_grant(obj_idx, inner, &w);
             if w.write {
                 writers += 1;
@@ -1062,7 +1084,7 @@ impl ManagerInner {
                 }
             }
         }
-        // Pass 3 — the head's holder edges.
+        // The head's holder edges.
         if let Some(head) = inner.queue.front() {
             let edges = inner.holder_tops(&head.node, head.write);
             if edges[..] != inner.head_edges[..] {
@@ -1330,11 +1352,23 @@ impl ManagerInner {
             node.set_waiting_on(None);
             return Attempt::Done(Err(TxError::Deadlock));
         }
-        // Self-scan under the same mutex hold: delivers a doom that raced
-        // the enqueue (the aborter either saw our waiting_on registration
-        // or we see its abort mark here — the slot mutex serialises the
-        // two).
-        let wake = self.release_scan(obj_idx, &mut guard);
+        // Self-check under the same mutex hold: a doom that raced the
+        // enqueue is delivered here or by the abort's own pass over this
+        // object — the aborter either saw our waiting_on registration or
+        // we see its abort mark here (SeqCst on both sides), and the slot
+        // mutex serialises the two. Our node is the tail: nothing left the
+        // queue since the push.
+        let wake = if node.is_doomed() {
+            let mut wake = Wake::default();
+            let tail = guard.queue.len() - 1;
+            self.cancel_doomed(obj_idx, &mut guard, tail, &mut wake);
+            wake
+        } else {
+            // Self-scan: a child of our top that committed without seeing
+            // our request counted may have made it grantable
+            // ([`Self::commit_child`]).
+            self.release_scan(obj_idx, &mut guard)
+        };
         drop(guard);
         wake.run(self);
         if let Some(c) = cycle {
@@ -1487,8 +1521,9 @@ impl ManagerInner {
     ///
     /// Every user call (`encode_wal`) runs in the first pass, before the
     /// node commits: an encode that panics aborts the whole tree, then the
-    /// panic goes on to the caller. The publish pass runs no user code but
-    /// `Drop` of what it frees.
+    /// panic goes on to the caller. The publish pass runs no user code
+    /// under a slot mutex: the versions its garbage collection detaches
+    /// are dropped after each mutex is released.
     ///
     /// `touched` is the tree's objects, folded in by `TxNode::fold_children`.
     pub(crate) fn commit_top(&self, node: &Arc<TxNode>, touched: &ObjSet) -> bool {
@@ -1516,6 +1551,7 @@ impl ManagerInner {
         }
         for &obj in touched.iter() {
             let slot = self.slot(obj);
+            let mut dead = None;
             let wake = {
                 let mut guard = slot.inner.lock();
                 let (version, released) = guard.release_top(node);
@@ -1540,10 +1576,7 @@ impl ManagerInner {
                     // Piggyback incremental GC while the slot mutex is
                     // held: watermark < ts, so the version just published
                     // is never reclaimed here.
-                    let freed = slot.snap.collect(self.gc_watermark());
-                    if freed > 0 {
-                        self.stats.add(Ctr::VersionsCollected, freed as u64);
-                    }
+                    dead = Some(slot.snap.collect(self.gc_watermark()));
                 }
                 // Hand off only if the lock state changed; an untouched
                 // slot's waiters cannot have become grantable, and with
@@ -1553,6 +1586,12 @@ impl ManagerInner {
             };
             if let Some(wake) = wake {
                 wake.run(self);
+            }
+            // The collected versions go with the slot mutex down: their
+            // `Drop` is user code, which may take that mutex.
+            let freed = dead.map_or(0, Detached::free);
+            if freed > 0 {
+                self.stats.add(Ctr::VersionsCollected, freed as u64);
             }
         }
         // `ticket` drops here: the turnstile spin-then-advance lives in
@@ -1607,9 +1646,15 @@ impl ManagerInner {
     }
 
     /// Abort `root`'s whole subtree: mark nodes aborted, purge locks and
-    /// versions, hand freed locks to queued waiters, and cancel the
-    /// subtree's own queued waiters. Returns the number of nodes newly
-    /// aborted.
+    /// versions, cancel the subtree's own queued waiters, and hand freed
+    /// locks to queued waiters. Returns the number of nodes newly aborted.
+    ///
+    /// This is where doom reaches a queued waiter — the paper's
+    /// `INFORM_ABORT_AT(X)OF(T)`, made by the aborting side: the per-object
+    /// pass visits every object the subtree touched or waits on, after the
+    /// root is marked, and cancels the subtree's waiters there. A request
+    /// the pass cannot see yet sees the mark in its post-enqueue check
+    /// ([`Self::access_attempt`]). No release scan looks for doom.
     pub(crate) fn abort_subtree(&self, root: &Arc<TxNode>) -> usize {
         let mut newly_aborted = 0usize;
         // A victim's doom can race the victim's own commit; whoever wins the
@@ -1637,9 +1682,10 @@ impl ManagerInner {
                 insert_sorted(&mut objs, o);
             }
         });
+        let top = root.top();
         for &obj in objs.iter() {
             let slot = self.slot(obj);
-            let wake = {
+            let (cancels, wake) = {
                 let mut guard = slot.inner.lock();
                 // Discard on waited-on objects too, not just on touched
                 // ones: a release scan that passed its doom check before
@@ -1658,14 +1704,24 @@ impl ManagerInner {
                         readers,
                     });
                 }
-                // Scan unconditionally: even with nothing discarded the
-                // doom pass must cancel this subtree's queued waiters.
-                // Taking the slot mutex serialises with a request between
-                // its doom check and its enqueue: either it has enqueued
-                // (the scan cancels it) or its post-enqueue self-scan will
-                // observe the abort mark.
-                self.release_scan(obj, &mut guard)
+                // Cancel the subtree's queued waiters. Taking the slot
+                // mutex serialises with a request between its doom check
+                // and its enqueue: either it has enqueued (cancelled here)
+                // or its post-enqueue check will observe the abort mark.
+                // A queued waiter is counted in its top's record, so with
+                // none counted there is nothing here to cancel.
+                let mut cancels = Wake::default();
+                let mut i = 0;
+                while i < guard.queue.len() && top.wait.has_waiters() {
+                    if root.is_ancestor_of(&guard.queue[i].node) {
+                        self.cancel_doomed(obj, &mut guard, i, &mut cancels);
+                    } else {
+                        i += 1;
+                    }
+                }
+                (cancels, self.release_scan(obj, &mut guard))
             };
+            cancels.run(self);
             wake.run(self);
         }
         self.stats.add(Ctr::Aborts, newly_aborted as u64);

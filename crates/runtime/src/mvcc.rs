@@ -25,8 +25,9 @@
 //!   than any live snapshot's timestamp, find the newest node with
 //!   `ts <= W` (the *cut* — every snapshot still needs it, nothing below
 //!   it is reachable). If `pins == 0`, unlink everything below the cut and
-//!   free it; if any reader is pinned, skip entirely and let a later pass
-//!   reclaim. `pins == 0` observed after the watermark was fixed means
+//!   hand it back, to be freed once the mutex is down; if any reader is
+//!   pinned, skip entirely and let a later pass reclaim. `pins == 0`
+//!   observed after the watermark was fixed means
 //!   every in-flight reader has already unpinned, and any reader that pins
 //!   afterwards picks `S >= W` (S is chosen after pinning, from a clock
 //!   that is already `>= W`), so it stops at or above the cut.
@@ -155,15 +156,18 @@ impl SnapshotCell {
         }
     }
 
-    /// Reclaim versions no live snapshot can reach. Caller must hold the
-    /// slot mutex and pass a `watermark` that is `<=` every live snapshot
-    /// timestamp and `<=` the current commit clock.
+    /// Detach the versions no live snapshot can reach. Caller must hold
+    /// the slot mutex and pass a `watermark` that is `<=` every live
+    /// snapshot timestamp and `<=` the current commit clock.
     ///
-    /// Returns the number of versions freed (0 when a pinned reader made
-    /// this pass skip — a later publish or explicit collection retries).
-    pub(crate) fn collect(&self, watermark: u64) -> usize {
+    /// Returns the detached tail, which frees the versions when it drops —
+    /// after the caller lets go of the slot mutex, so no state's `Drop`
+    /// (user code, which may take that mutex) runs under it. The tail is
+    /// empty when a pinned reader made this pass skip (a later publish or
+    /// explicit collection retries).
+    pub(crate) fn collect(&self, watermark: u64) -> Detached {
         if self.pins.load(Ordering::SeqCst) != 0 {
-            return 0;
+            return Detached(ptr::null_mut());
         }
         let mut cut = self.head.load(Ordering::SeqCst);
         // SAFETY: mutex held — no concurrent publish/collect; the chain is
@@ -172,24 +176,16 @@ impl SnapshotCell {
             while (*cut).ts > watermark {
                 let next = (*cut).next.load(Ordering::SeqCst);
                 if next.is_null() {
-                    return 0; // chain is all above the watermark except genesis
+                    // The chain is all above the watermark except genesis.
+                    return Detached(ptr::null_mut());
                 }
                 cut = next;
             }
             // `cut` is the newest node with ts <= watermark: still needed.
             // Everything strictly older is unreachable by any live or
-            // future snapshot; detach and free it.
-            let mut dead = (*cut).next.swap(ptr::null_mut(), Ordering::SeqCst);
-            let mut freed = 0;
-            while !dead.is_null() {
-                // SAFETY: detached from the chain above; no reader can be
-                // on it (pins was 0 after the watermark was fixed) and no
-                // new reader can reach it (its successor link is cut).
-                let boxed = Box::from_raw(dead);
-                dead = boxed.next.load(Ordering::SeqCst);
-                freed += 1;
-            }
-            freed
+            // future snapshot (pins was 0 after the watermark was fixed,
+            // and no new reader can pass the cut link); detach it.
+            Detached((*cut).next.swap(ptr::null_mut(), Ordering::SeqCst))
         }
     }
 
@@ -242,10 +238,37 @@ impl SnapshotCell {
 
 impl Drop for SnapshotCell {
     fn drop(&mut self) {
-        let mut node = self.head.swap(ptr::null_mut(), Ordering::SeqCst);
+        drop(Detached(self.head.swap(ptr::null_mut(), Ordering::SeqCst)));
+    }
+}
+
+/// Versions unlinked from a chain ([`SnapshotCell::collect`]), owned here
+/// alone and freed when this drops.
+#[must_use = "dropping the tail frees its versions: drop it after the slot mutex"]
+pub(crate) struct Detached(*mut VersionNode);
+
+impl Detached {
+    /// Free the versions, returning how many there were.
+    pub(crate) fn free(self) -> usize {
+        let mut n = 0;
+        let mut node = self.0;
         while !node.is_null() {
-            // SAFETY: exclusive access in drop; every node was allocated
-            // by `Box::into_raw` in `new`/`publish` and is freed once.
+            n += 1;
+            // SAFETY: the tail is owned by `self` alone (see `drop`).
+            node = unsafe { (*node).next.load(Ordering::SeqCst) };
+        }
+        n
+    }
+}
+
+impl Drop for Detached {
+    fn drop(&mut self) {
+        let mut node = self.0;
+        while !node.is_null() {
+            // SAFETY: every node was allocated by `Box::into_raw` in
+            // `new`/`publish`, and once unlinked from its chain (or with the
+            // cell gone) no reader can reach it: this tail owns it and frees
+            // it once.
             let boxed = unsafe { Box::from_raw(node) };
             node = boxed.next.load(Ordering::SeqCst);
         }
@@ -291,7 +314,7 @@ mod tests {
         }
         assert_eq!(c.chain_len(), 5);
         // Watermark 3: the ts=3 node is the cut; ts 0..=2 are freed.
-        assert_eq!(c.collect(3), 3);
+        assert_eq!(c.collect(3).free(), 3);
         assert_eq!(c.chain_len(), 2);
         assert_eq!(read_i64(&c, 3), (3, 30));
         assert_eq!(read_i64(&c, 10), (4, 40));
@@ -309,14 +332,14 @@ mod tests {
             |_| {
                 // A "reader still traversing": pins is held while collect
                 // runs, so nothing may be freed.
-                c.collect(2)
+                c.collect(2).free()
             },
         );
         assert_eq!(ts, 2);
         assert_eq!(freed, 0);
         assert_eq!(c.chain_len(), 3);
         // Once unpinned, the same watermark reclaims.
-        assert_eq!(c.collect(2), 2);
+        assert_eq!(c.collect(2).free(), 2);
         assert_eq!(c.chain_len(), 1);
     }
 
@@ -331,18 +354,18 @@ mod tests {
         assert!(r.is_err());
         // The pin must not leak on unwind: collection still reclaims
         // everything below the cut afterwards.
-        assert_eq!(c.collect(2), 2);
+        assert_eq!(c.collect(2).free(), 2);
         assert_eq!(c.chain_len(), 1);
     }
 
     #[test]
     fn collect_with_nothing_reclaimable_is_noop() {
         let c = cell(0);
-        assert_eq!(c.collect(0), 0);
-        assert_eq!(c.collect(100), 0);
+        assert_eq!(c.collect(0).free(), 0);
+        assert_eq!(c.collect(100).free(), 0);
         c.publish(5, Box::new(1i64));
         // Watermark below every non-genesis version: cut is genesis.
-        assert_eq!(c.collect(3), 0);
+        assert_eq!(c.collect(3).free(), 0);
         assert_eq!(c.chain_len(), 2);
     }
 }

@@ -302,6 +302,15 @@ impl ObjectInner {
             || self.readers.iter().any(|r| r.holds_for(tx))
     }
 
+    /// `true` when some holder's top has a queued request. A waiter that
+    /// [`Self::holder_is_ancestor`] admits shares its top with a holder
+    /// and is counted in that top's record while it is queued, so without
+    /// such a top no queued waiter can bypass the head.
+    pub fn a_holder_top_waits(&self) -> bool {
+        let mut holders = self.chain.iter().map(|e| &e.owner).chain(&self.readers);
+        holders.any(|h| h.top().wait.has_waiters())
+    }
+
     /// Record a read lock for `owner`. Read locks of committed nodes are
     /// handed to their holders first, so a parent whose children come and
     /// go keeps one entry.

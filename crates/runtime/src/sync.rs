@@ -58,15 +58,25 @@ pub(crate) mod hint {
     }
 }
 
+/// Count `n` waiter-queue entries a release scan inspected, on this
+/// thread: `lock_count::take_inspected` reads the tally in the
+/// `--cfg ntx_count` build; in other builds this is nothing.
+#[inline(always)]
+pub(crate) fn inspected(_n: u64) {
+    #[cfg(all(ntx_count, not(loom)))]
+    count::INSPECTED.with(|c| c.set(c.get() + _n));
+}
+
 /// Mutex acquisitions counted per thread, by guarded type: the
 /// `--cfg ntx_count` build's `Mutex` (see the module docs).
 #[cfg(all(ntx_count, not(loom)))]
 pub mod count {
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::collections::BTreeMap;
 
     thread_local! {
         static TALLY: RefCell<BTreeMap<&'static str, u64>> = const { RefCell::new(BTreeMap::new()) };
+        pub(super) static INSPECTED: Cell<u64> = const { Cell::new(0) };
     }
 
     /// `parking_lot::Mutex`, counting each `lock` by `T`'s type name.
@@ -97,5 +107,11 @@ pub mod count {
     /// name, and a fresh tally.
     pub fn take() -> BTreeMap<&'static str, u64> {
         TALLY.with(|t| std::mem::take(&mut *t.borrow_mut()))
+    }
+
+    /// Waiter-queue entries this thread's release scans inspected since
+    /// the last call, and a fresh count.
+    pub fn take_inspected() -> u64 {
+        INSPECTED.with(|c| c.replace(0))
     }
 }

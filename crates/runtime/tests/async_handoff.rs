@@ -12,12 +12,12 @@
 
 use std::future::Future;
 use std::pin::pin;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
-use ntx_runtime::{RtConfig, TxError, TxManager};
+use ntx_runtime::{RtConfig, Tx, TxError, TxManager};
 
 struct ThreadWaker(std::thread::Thread);
 
@@ -300,6 +300,68 @@ fn aborting_parent_dooms_queued_future() {
     assert_eq!(mgr.queued_waiters(), 0, "cancelled future leaked its node");
     stranger.commit().unwrap();
     assert_eq!(mgr.read_committed(&hot, |v| *v), 1);
+}
+
+/// Doom delivered mid-queue: sixteen async writers queue behind a holder,
+/// and the eighth one's top aborts while the holder commits. The abort
+/// itself cancels that one waiter — no release scan looks for it — so it
+/// resolves `Doomed`, and the other fifteen are granted in FIFO order
+/// around the gap. Each granted writer holds the lock until the abort is
+/// done, so the abort always finds the eighth still queued.
+#[test]
+fn aborting_a_mid_queue_top_cancels_only_its_waiter() {
+    const WRITERS: usize = 16;
+    const DOOMED: usize = 7;
+    let mgr = TxManager::new(RtConfig {
+        wait_timeout: Duration::from_secs(10),
+        ..Default::default()
+    });
+    let hot = mgr.register("hot", Vec::<usize>::new());
+    let holder = mgr.begin();
+    holder.write(&hot, |_| {}).unwrap();
+    let aborted = Arc::new(AtomicBool::new(false));
+    let tops: Vec<Arc<Tx>> = (0..WRITERS).map(|_| Arc::new(mgr.begin())).collect();
+    let handles: Vec<_> = tops
+        .iter()
+        .enumerate()
+        .map(|(i, tx)| {
+            let (tx, aborted) = (tx.clone(), aborted.clone());
+            let h = std::thread::spawn(move || {
+                let r = block_on(tx.write_async(&hot, move |v| v.push(i)));
+                if r.is_ok() {
+                    while !aborted.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    tx.commit().unwrap();
+                }
+                r
+            });
+            await_queued(&mgr, i + 1);
+            h
+        })
+        .collect();
+    let aborter = {
+        let (victim, aborted) = (tops[DOOMED].clone(), aborted.clone());
+        std::thread::spawn(move || {
+            victim.abort();
+            aborted.store(true, Ordering::SeqCst);
+        })
+    };
+    holder.commit().unwrap();
+    aborter.join().unwrap();
+    for (i, h) in handles.into_iter().enumerate() {
+        let want = if i == DOOMED {
+            Err(TxError::Doomed)
+        } else {
+            Ok(())
+        };
+        assert_eq!(h.join().unwrap(), want, "writer {i}");
+    }
+    let order = mgr.read_committed(&hot, |v| v.clone());
+    let fifo: Vec<usize> = (0..WRITERS).filter(|&i| i != DOOMED).collect();
+    assert_eq!(order, fifo, "the survivors' grants broke FIFO order");
+    assert_eq!(mgr.queued_waiters(), 0);
+    assert_eq!(mgr.stats().cancelled_waiters, 1);
 }
 
 /// Dropping an unresolved future withdraws its queue node in place — the

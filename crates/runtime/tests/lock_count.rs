@@ -13,12 +13,22 @@
 //! and at its commit (folding the committed child in), and the top
 //! commit's two slot mutexes. A child's commit takes none while its top
 //! has no queued request: its locks move to its parent where they lie.
+//!
+//! The same build counts the waiter-queue entries each release scan
+//! inspects (`lock_count::take_inspected`). A scan does work for the
+//! waiters it resolves, not for the depth of the queue: behind a holder
+//! and sixteen queued writers, the holder's commit, the granted writer's
+//! apply and a seventeenth request's enqueue each inspect at most two.
 
 #![cfg(ntx_count)]
 
 use std::collections::BTreeMap;
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Poll, Waker};
+use std::time::Duration;
 
-use ntx_runtime::{lock_count, ObjRef, RtConfig, Tx, TxManager};
+use ntx_runtime::{lock_count, AccessFuture, ObjRef, RtConfig, Tx, TxManager};
 
 /// Acquisitions of mutexes guarding a type whose name contains `kind`.
 fn of(counts: &BTreeMap<&'static str, u64>, kind: &str) -> u64 {
@@ -75,4 +85,51 @@ fn a_child_commit_with_no_same_top_waiter_takes_no_slot_mutex() {
     assert_eq!(of(&counts, "ObjectInner"), 0, "slot mutexes: {counts:?}");
     top.commit().unwrap();
     assert_eq!(mgr.read_committed(&b, |v| *v), 2);
+}
+
+/// Poll a write request once; `true` while it waits in the queue.
+fn queued(fut: &mut Pin<Box<AccessFuture<()>>>) -> bool {
+    let mut cx = Context::from_waker(Waker::noop());
+    fut.as_mut().poll(&mut cx).is_pending()
+}
+
+#[test]
+fn a_release_scan_inspects_only_the_waiters_it_resolves() {
+    let mgr = TxManager::new(RtConfig {
+        wait_timeout: Duration::from_secs(60),
+        ..Default::default()
+    });
+    let x = mgr.register("x", 0i64);
+    let holder = mgr.begin();
+    holder.write(&x, |v| *v += 1).unwrap();
+    let tops: Vec<Tx> = (0..17).map(|_| mgr.begin()).collect();
+    let mut futs: Vec<Pin<Box<AccessFuture<()>>>> = tops
+        .iter()
+        .map(|t| Box::pin(t.write_async(&x, |v| *v += 1)))
+        .collect();
+    for f in &mut futs[..16] {
+        assert!(queued(f));
+    }
+    assert_eq!(mgr.queued_waiters(), 16);
+
+    lock_count::take_inspected();
+    assert!(queued(&mut futs[16]));
+    let enqueue = lock_count::take_inspected();
+    holder.commit().unwrap();
+    let commit = lock_count::take_inspected();
+    let mut cx = Context::from_waker(Waker::noop());
+    assert_eq!(futs[0].as_mut().poll(&mut cx), Poll::Ready(Ok(())));
+    let apply = lock_count::take_inspected();
+    eprintln!("queue entries inspected: enqueue {enqueue}, holder commit {commit}, apply {apply}");
+    assert!(enqueue <= 1, "a 17th request's enqueue inspected {enqueue}");
+    assert!(commit <= 2, "the holder's commit inspected {commit}");
+    assert!(apply <= 1, "the granted writer's apply inspected {apply}");
+
+    assert_eq!(mgr.queued_waiters(), 16);
+    drop(futs);
+    for t in &tops {
+        t.abort();
+    }
+    assert_eq!(mgr.queued_waiters(), 0);
+    assert_eq!(mgr.read_committed(&x, |v| *v), 1);
 }
