@@ -7,10 +7,12 @@
 //! CAS; then `finish_after_wait` turns the final state into the result.
 //! [`AccessFuture`] (`Tx::read_async`/`write_async`) polls it with the
 //! task's waker. [`Access::wait`] (`Tx::read`/`write`) polls it with the
-//! calling thread's waker: on `Pending` it spins on the node's state, then
-//! parks until woken, and polls again. Neither the releaser nor the
-//! sweeper can tell the two apart. A request granted inline reads no clock
-//! and clones no waker.
+//! calling thread's waker: on `Pending` it spins on the node's state for
+//! one fixed budget, then parks until woken, and polls again. Neither the
+//! releaser nor the sweeper can tell the two apart. A request granted
+//! inline reads no clock and clones no waker. A request reaches its
+//! manager through its node's top, so it holds no reference to the
+//! manager of its own.
 //!
 //! Dropping an unresolved request withdraws its queue node (never counted
 //! as a timeout). If a grant raced the drop and won, the lock is already
@@ -23,6 +25,8 @@ use std::borrow::Borrow;
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Wake, Waker};
+#[cfg(not(loom))]
+use std::time::{Duration, Instant};
 
 use crate::error::TxError;
 use crate::manager::{Attempt, ManagerInner};
@@ -30,23 +34,27 @@ use crate::node::TxNode;
 use crate::object::{StateRef, Waiter, W_GRANTED, W_WAITING};
 use crate::sync::{Arc, Condvar, Mutex};
 
-/// Spin iterations a blocked request burns on its queue node before
-/// parking. Direct handoff under short hold times often lands within this
-/// window, saving the park/unpark round trip; kept small because a waiting
-/// thread that spins long only steals cycles from the holder it waits on.
+/// How long a blocked request spins on its queue node before parking. A
+/// direct handoff under short holds often lands within it, saving the
+/// park/unpark round trip; kept short because a waiting thread that spins
+/// long only steals cycles from the holder it waits on.
 #[cfg(not(loom))]
-const SPIN_ITERS: u32 = 64;
+const SPIN_BUDGET: Duration = Duration::from_micros(20);
 
-/// Adaptive spin: when an object's recent-hold-time EWMA sits at or below
-/// this many nanoseconds, a blocked request extends its spin (to a small
-/// multiple of the EWMA) so short waits resolve by spin-grant without
-/// paying the cross-thread park/unpark. Objects with longer observed holds
-/// park after the minimal fixed spin.
+/// Spin rounds between two reads of the clock.
 #[cfg(not(loom))]
-const SHORT_HOLD_NS: u64 = 20_000;
+const SPIN_ROUNDS: u32 = 64;
 
 /// The boxed access closure a future stores across polls.
 pub(crate) type BoxedAccessFn<R> = Box<dyn FnOnce(StateRef<'_>) -> R + Send>;
+
+/// The manager of `node`, reached through its top.
+fn manager(node: &Arc<TxNode>) -> &ManagerInner {
+    node.top()
+        .mgr
+        .as_deref()
+        .expect("a request's top has a manager")
+}
 
 /// Where the request is in the lock protocol.
 enum Stage<F> {
@@ -62,30 +70,32 @@ enum Stage<F> {
     Done,
 }
 
-/// One lock request from first poll to result. `M` and `N` hold the
-/// manager and the requesting node: owned `Arc`s in a future, which may
-/// move to any executor; borrowed by the blocking driver, which so pays no
-/// reference count on the shared manager. `F` is the closure.
-pub(crate) struct Access<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> {
-    mgr: M,
+/// One lock request from first poll to result. `N` holds the requesting
+/// node: an owned `Arc` in a future, which may move to any executor;
+/// borrowed by the blocking driver. The manager is the node's top's, so a
+/// request costs no reference count on it. `F` is the closure.
+pub(crate) struct Access<N: Borrow<Arc<TxNode>>, F> {
     node: N,
     obj_idx: usize,
     write: bool,
     stage: Stage<F>,
 }
 
-impl<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> Access<M, N, F> {
-    pub(crate) fn new<R>(mgr: M, node: N, obj_idx: usize, write: bool, f: F) -> Self
+impl<N: Borrow<Arc<TxNode>>, F> Access<N, F> {
+    pub(crate) fn new<R>(node: N, obj_idx: usize, write: bool, f: F) -> Self
     where
         F: FnOnce(StateRef<'_>) -> R,
     {
         Access {
-            mgr,
             node,
             obj_idx,
             write,
             stage: Stage::Init(f),
         }
+    }
+
+    fn mgr(&self) -> &ManagerInner {
+        manager(self.node.borrow())
     }
 
     /// Advance the request. `waker` is cloned into the queue node only if
@@ -94,7 +104,7 @@ impl<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> Access<M, N, F> {
     where
         F: FnOnce(StateRef<'_>) -> R,
     {
-        let mgr = self.mgr.borrow();
+        let mgr = manager(self.node.borrow());
         let (w, f) = match std::mem::replace(&mut self.stage, Stage::Done) {
             Stage::Done => panic!("AccessFuture polled after completion"),
             Stage::Fail(e) => return Poll::Ready(Err(e)),
@@ -162,10 +172,7 @@ impl<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> Access<M, N, F> {
         }
     }
 
-    /// Spin on the queued node's state: `SPIN_ITERS` rounds, extended to a
-    /// few hold-lengths when the object's recent holds fit under
-    /// `SHORT_HOLD_NS` — a grant is then likely to land within the spin,
-    /// which beats the cross-thread park/unpark round trip. Returns whether
+    /// Spin on the queued node's state for `SPIN_BUDGET`. Returns whether
     /// the node resolved; a grant seen here counts as a spin grant.
     #[cfg(not(loom))]
     fn spin(&self, w: &Waiter) -> bool {
@@ -173,44 +180,43 @@ impl<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> Access<M, N, F> {
         if st != W_WAITING {
             return true;
         }
-        for _ in 0..SPIN_ITERS {
-            crate::sync::hint::spin_loop();
-            st = w.state();
-            if st != W_WAITING {
+        let deadline = Instant::now() + SPIN_BUDGET;
+        'spin: loop {
+            for _ in 0..SPIN_ROUNDS {
+                crate::sync::hint::spin_loop();
+                st = w.state();
+                if st != W_WAITING {
+                    break 'spin;
+                }
+            }
+            if Instant::now() >= deadline {
                 break;
             }
         }
-        let mgr = self.mgr.borrow();
-        let hint = mgr.slot(self.obj_idx).hold_hint_ns();
-        if st == W_WAITING && hint > 0 && hint <= SHORT_HOLD_NS {
-            let budget = std::time::Duration::from_nanos((4 * hint).min(2 * SHORT_HOLD_NS));
-            let spin_deadline = std::time::Instant::now() + budget;
-            while st == W_WAITING && std::time::Instant::now() < spin_deadline {
-                crate::sync::hint::spin_loop();
-                st = w.state();
-            }
-        }
         if st == W_GRANTED {
-            mgr.stats.bump(crate::stats::Ctr::SpinGrants);
+            self.mgr().stats.bump(crate::stats::Ctr::SpinGrants);
         }
         st != W_WAITING
     }
 }
 
-impl<M: Borrow<Arc<ManagerInner>>, N: Borrow<Arc<TxNode>>, F> Drop for Access<M, N, F> {
+impl<N: Borrow<Arc<TxNode>>, F> Drop for Access<N, F> {
     fn drop(&mut self) {
         let Stage::Queued { w, f } = std::mem::replace(&mut self.stage, Stage::Done) else {
             return;
         };
         drop(f);
-        let mgr = self.mgr.borrow();
-        if mgr.withdraw_waiter(self.obj_idx, &w) {
+        let mgr = self.mgr();
+        let withdrawn = mgr.withdraw_waiter(self.obj_idx, &w);
+        // Withdrawn or resolved, the request's outcome is never taken: it
+        // stops counting as queued.
+        w.node.request_resolved();
+        if withdrawn {
             // Withdrawn in place: the queue slot is gone, nothing leaked,
             // and (unlike expiry) no timeout is counted.
             return;
         }
         // A final state raced the drop and won the CAS.
-        w.node.set_waiting_on(None);
         if w.state() == W_GRANTED {
             // The releaser already installed our lock state and dequeued
             // us. The lock stays held by the transaction — as if the
@@ -287,20 +293,19 @@ thread_local! {
 ///
 /// Resolves to the closure's result once the lock is granted, or to the
 /// same errors the blocking calls report ([`TxError::Timeout`],
-/// [`TxError::Deadlock`], [`TxError::Doomed`], ...). The future owns
-/// `Arc` handles only — it does not borrow the [`crate::Tx`] — so it can
-/// be moved onto any executor; dropping the originating `Tx` aborts the
-/// transaction and the future resolves `Doomed` like any other doomed
-/// waiter.
+/// [`TxError::Deadlock`], [`TxError::Doomed`], ...). The future owns an
+/// `Arc` of its transaction's node only — it does not borrow the
+/// [`crate::Tx`] — so it can be moved onto any executor; dropping the
+/// originating `Tx` aborts the transaction and the future resolves
+/// `Doomed` like any other doomed waiter.
 pub struct AccessFuture<R> {
-    access: Access<Arc<ManagerInner>, Arc<TxNode>, BoxedAccessFn<R>>,
+    access: Access<Arc<TxNode>, BoxedAccessFn<R>>,
 }
 
 impl<R> AccessFuture<R> {
     /// A request for `f`, or one that fails with the creation-time error
     /// on its first poll.
     pub(crate) fn new(
-        mgr: Arc<ManagerInner>,
         node: Arc<TxNode>,
         obj_idx: usize,
         write: bool,
@@ -308,7 +313,6 @@ impl<R> AccessFuture<R> {
     ) -> Self {
         AccessFuture {
             access: Access {
-                mgr,
                 node,
                 obj_idx,
                 write,

@@ -6,6 +6,12 @@
 //! begin, access and commit never reach the allocator for it; past `N`
 //! elements it moves to a `Vec` and stays there. Safe code only: unused
 //! inline slots hold `T::default()`.
+//!
+//! An object's lock table is smaller still, and there is one per object:
+//! its common case is one uncommitted version and a reader or two.
+//! [`Inline1`] and [`Inline2`] hold that much with no length field — the
+//! element count is the variant, which the compiler keeps in the spilled
+//! `Vec`'s unused capacity values — so each is the size of a bare `Vec`.
 
 use std::ops::{Deref, DerefMut};
 
@@ -113,6 +119,167 @@ impl<T, const N: usize> DerefMut for InlineVec<T, N> {
     }
 }
 
+/// At most one element inline, then a `Vec`.
+pub(crate) enum Inline1<T> {
+    One(Option<T>),
+    /// More than one element was held at some point.
+    Spilled(Vec<T>),
+}
+
+impl<T> Inline1<T> {
+    /// An empty vector.
+    pub const fn new() -> Self {
+        Inline1::One(None)
+    }
+
+    /// Append `x`.
+    pub fn push(&mut self, x: T) {
+        match self {
+            Inline1::One(slot @ None) => *slot = Some(x),
+            Inline1::One(first) => {
+                let mut v = Vec::with_capacity(4);
+                v.extend(first.take());
+                v.push(x);
+                *self = Inline1::Spilled(v);
+            }
+            Inline1::Spilled(v) => v.push(x),
+        }
+    }
+
+    /// Remove and return the last element.
+    pub fn pop(&mut self) -> Option<T> {
+        match self {
+            Inline1::One(slot) => slot.take(),
+            Inline1::Spilled(v) => v.pop(),
+        }
+    }
+
+    /// Remove the element at `i`, shifting the elements after it left.
+    pub fn remove(&mut self, i: usize) -> T {
+        match self {
+            Inline1::One(slot) if i == 0 => slot.take().expect("remove index out of range"),
+            Inline1::One(_) => panic!("remove index out of range"),
+            Inline1::Spilled(v) => v.remove(i),
+        }
+    }
+
+    /// Keep, in order, the elements `keep` accepts; hand every other one
+    /// to `gone`.
+    pub fn retain_or(&mut self, mut keep: impl FnMut(&T) -> bool, mut gone: impl FnMut(T)) {
+        let mut i = 0;
+        while i < self.len() {
+            if keep(&self[i]) {
+                i += 1;
+            } else {
+                gone(self.remove(i));
+            }
+        }
+    }
+}
+
+impl<T> Deref for Inline1<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        match self {
+            Inline1::One(slot) => slot.as_slice(),
+            Inline1::Spilled(v) => v,
+        }
+    }
+}
+
+impl<T> DerefMut for Inline1<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Inline1::One(slot) => slot.as_mut_slice(),
+            Inline1::Spilled(v) => v,
+        }
+    }
+}
+
+/// At most two elements inline, then a `Vec`.
+pub(crate) enum Inline2<T> {
+    Zero,
+    One([T; 1]),
+    Two([T; 2]),
+    /// More than two elements were held at some point.
+    Spilled(Vec<T>),
+}
+
+impl<T> Inline2<T> {
+    /// Append `x`.
+    pub fn push(&mut self, x: T) {
+        *self = match std::mem::replace(self, Inline2::Zero) {
+            Inline2::Zero => Inline2::One([x]),
+            Inline2::One([a]) => Inline2::Two([a, x]),
+            Inline2::Two([a, b]) => {
+                let mut v = Vec::with_capacity(4);
+                v.extend([a, b, x]);
+                Inline2::Spilled(v)
+            }
+            Inline2::Spilled(mut v) => {
+                v.push(x);
+                Inline2::Spilled(v)
+            }
+        };
+    }
+
+    /// Remove the element at `i`, shifting the elements after it left.
+    pub fn remove(&mut self, i: usize) -> T {
+        if let Inline2::Spilled(v) = self {
+            return v.remove(i);
+        }
+        let (x, rest) = match (std::mem::replace(self, Inline2::Zero), i) {
+            (Inline2::One([a]), 0) => (a, Inline2::Zero),
+            (Inline2::Two([a, b]), 0) => (a, Inline2::One([b])),
+            (Inline2::Two([a, b]), 1) => (b, Inline2::One([a])),
+            _ => panic!("remove index out of range"),
+        };
+        *self = rest;
+        x
+    }
+
+    /// Keep, in order, the elements `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let mut i = 0;
+        while i < self.len() {
+            if keep(&self[i]) {
+                i += 1;
+            } else {
+                self.remove(i);
+            }
+        }
+    }
+}
+
+impl<T> Deref for Inline2<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        match self {
+            Inline2::Zero => &[],
+            Inline2::One(a) => a,
+            Inline2::Two(a) => a,
+            Inline2::Spilled(v) => v,
+        }
+    }
+}
+
+impl<T> DerefMut for Inline2<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Inline2::Zero => &mut [],
+            Inline2::One(a) => a,
+            Inline2::Two(a) => a,
+            Inline2::Spilled(v) => v,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,5 +330,52 @@ mod tests {
             assert_eq!(spilled(&path), id > 3);
         }
         assert_eq!(&path[..], [1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn inline1_holds_one_then_spills_in_order() {
+        let mut v: Inline1<u32> = Inline1::new();
+        assert!(v.is_empty());
+        v.push(1);
+        assert!(matches!(v, Inline1::One(Some(1))));
+        v.push(2);
+        v.push(3);
+        assert!(matches!(v, Inline1::Spilled(_)));
+        assert_eq!(&v[..], [1, 2, 3]);
+        let mut gone = Vec::new();
+        v.retain_or(|&x| x != 2, |x| gone.push(x));
+        assert_eq!((&v[..], &gone[..]), (&[1, 3][..], &[2][..]));
+        assert_eq!(v.remove(0), 1);
+        assert_eq!(v.pop(), Some(3));
+        assert_eq!(v.pop(), None);
+        let mut one: Inline1<u32> = Inline1::new();
+        one.push(7);
+        one.retain_or(|_| false, |x| gone.push(x));
+        assert!(one.is_empty() && gone == [2, 7]);
+    }
+
+    #[test]
+    fn inline2_holds_two_then_spills_and_removes_in_order() {
+        let mut v: Inline2<u32> = Inline2::Zero;
+        v.push(1);
+        v.push(2);
+        assert!(matches!(v, Inline2::Two([1, 2])));
+        v[0] = 5;
+        assert_eq!(v.remove(0), 5);
+        assert_eq!(&v[..], [2]);
+        v.push(3);
+        v.push(4);
+        assert!(matches!(v, Inline2::Spilled(_)));
+        assert_eq!(v.remove(0), 2);
+        assert_eq!(&v[..], [3, 4]);
+        v.retain(|&x| x == 3);
+        assert_eq!(&v[..], [3]);
+        let mut w: Inline2<u32> = Inline2::Zero;
+        w.push(1);
+        w.push(2);
+        w.retain(|&x| x == 2);
+        assert_eq!(&w[..], [2]);
+        w.retain(|_| false);
+        assert!(w.is_empty());
     }
 }

@@ -17,13 +17,18 @@
 use std::task::{Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
+use std::num::NonZeroU64;
+
 use crate::config::RtConfig;
+use crate::deadlock::Cycle;
 use crate::error::TxError;
 use crate::future::{Access, Parker};
 use crate::manager::{top_edge, ManagerInner};
-use crate::mvcc::SnapshotCell;
+use crate::mvcc::{Detached, SnapshotCell, Version};
 use crate::node::TxNode;
-use crate::object::{ObjectSlot, StateRef, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT, W_WAITING};
+use crate::object::{
+    ObjectInner, ObjectSlot, StateRef, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT, W_WAITING,
+};
 use crate::slab::Slab;
 use crate::stats::{Ctr, Stats};
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -39,6 +44,7 @@ fn mk_mgr() -> Arc<ManagerInner> {
             ..RtConfig::default()
         },
         objects: Slab::new(),
+        names: crate::sync::Mutex::new(crate::object::Names::default()),
         next_tx_id: AtomicU64::new(1),
         stats: Stats::default(),
         ts_alloc: AtomicU64::new(0),
@@ -59,13 +65,28 @@ fn all_expired() -> Instant {
 /// Register one object and give `holder` a write lock on it, returning the
 /// object index.
 fn obj_with_write_holder(mgr: &ManagerInner, holder: &Arc<TxNode>) -> usize {
-    let obj = mgr
-        .objects
-        .push(ObjectSlot::new("x".into(), Box::new(0i64)));
+    let obj = mgr.objects.push(ObjectSlot::new(Version::new(0i64), None));
     let slot = mgr.slot(obj);
-    let _ = slot.inner.lock().writable_state(holder, &slot.snap);
+    let _ = slot
+        .inner
+        .lock()
+        .writable_state(holder, &slot.snap, &mut Detached::default());
     holder.touch(obj);
     obj
+}
+
+/// Enqueue a request of `tx` on `obj` the way `access_attempt` does: the
+/// object touched first, so an abort of `tx` reaches the request.
+fn enqueue(
+    mgr: &ManagerInner,
+    g: &mut ObjectInner,
+    tx: &Arc<TxNode>,
+    obj: usize,
+    write: bool,
+    waker: &Waker,
+) -> (Arc<Waiter>, Option<Cycle>) {
+    tx.touch(obj);
+    mgr.enqueue_waiter(g, tx, obj, write, Instant::now(), waker)
 }
 
 /// The `i64` version a write request was granted.
@@ -153,8 +174,7 @@ fn loom_timeout_withdraw_vs_grant() {
         let (count, waker) = counting(noop_waker());
         let w = {
             let mut g = mgr.slot(obj).inner.lock();
-            mgr.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), &waker)
-                .0
+            enqueue(&mgr, &mut g, &waiter_tx, obj, true, &waker).0
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
         // The releaser: aborting the holder discards its lock and runs the
@@ -192,7 +212,7 @@ fn loom_timeout_withdraw_vs_grant() {
         } else {
             assert_eq!(
                 g.write_pending,
-                Some(2),
+                NonZeroU64::new(2),
                 "granted writer must hold the latch"
             );
             assert_eq!(g.chain.len(), 1, "granted writer must own the top version");
@@ -216,8 +236,7 @@ fn loom_doomed_waiter_never_granted() {
         let obj = obj_with_write_holder(&mgr, &holder);
         let w = {
             let mut g = mgr.slot(obj).inner.lock();
-            mgr.enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), &noop_waker())
-                .0
+            enqueue(&mgr, &mut g, &waiter_tx, obj, true, &noop_waker()).0
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
         let releaser = loom::thread::spawn(move || {
@@ -275,7 +294,7 @@ fn loom_mid_queue_doom_vs_release() {
         let (a, b, c) = {
             let mut g = mgr.slot(obj).inner.lock();
             let mut enqueue = |tx: &Arc<TxNode>, waker: &Waker| {
-                let (w, cycle) = mgr.enqueue_waiter(&mut g, tx, obj, true, Instant::now(), waker);
+                let (w, cycle) = enqueue(&mgr, &mut g, tx, obj, true, waker);
                 assert!(cycle.is_none());
                 w
             };
@@ -315,7 +334,7 @@ fn loom_mid_queue_doom_vs_release() {
         assert!(g.readers.is_empty());
         let held: Vec<u64> = g.chain.iter().map(|e| e.owner.id).collect();
         assert_eq!(held, vec![4], "C alone holds x; B's version is gone");
-        assert_eq!(g.write_pending, Some(4), "C's latch, never B's");
+        assert_eq!(g.write_pending, NonZeroU64::new(4), "C's latch, never B's");
         for top in [&holder, &a_tx, &b_tx, &c_tx] {
             assert!(top.wait.is_empty(), "top {} kept wait-for state", top.id);
         }
@@ -339,17 +358,8 @@ fn loom_write_pending_latch_blocks_until_apply() {
         let (w2, w3) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &writer_tx, obj, true, Instant::now(), &noop_waker())
-                    .0,
-                mgr.enqueue_waiter(
-                    &mut g,
-                    &reader_tx,
-                    obj,
-                    false,
-                    Instant::now(),
-                    &noop_waker(),
-                )
-                .0,
+                enqueue(&mgr, &mut g, &writer_tx, obj, true, &noop_waker()).0,
+                enqueue(&mgr, &mut g, &reader_tx, obj, false, &noop_waker()).0,
             )
         };
         let (m2, h2, w3b) = (mgr.clone(), holder.clone(), w3.clone());
@@ -376,13 +386,13 @@ fn loom_write_pending_latch_blocks_until_apply() {
         {
             let slot = mgr.slot(obj);
             let mut g = slot.inner.lock();
-            assert_eq!(g.write_pending, Some(2));
+            assert_eq!(g.write_pending, NonZeroU64::new(2));
             assert_eq!(
                 w3.state(),
                 W_WAITING,
                 "reader granted before the writer applied"
             );
-            let _ = g.write_target(&writer_tx, &slot.snap);
+            let _ = g.write_target(&writer_tx, &slot.snap, &mut Detached::default());
             g.write_pending = None;
             let wake = mgr.release_scan(obj, &mut g);
             drop(g);
@@ -412,10 +422,8 @@ fn loom_no_double_write_grant() {
         let (wa, wb) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &wa_tx, obj, true, Instant::now(), &noop_waker())
-                    .0,
-                mgr.enqueue_waiter(&mut g, &wb_tx, obj, true, Instant::now(), &noop_waker())
-                    .0,
+                enqueue(&mgr, &mut g, &wa_tx, obj, true, &noop_waker()).0,
+                enqueue(&mgr, &mut g, &wb_tx, obj, true, &noop_waker()).0,
             )
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
@@ -437,7 +445,7 @@ fn loom_no_double_write_grant() {
         );
         assert_eq!(wb.state(), W_WAITING, "second writer granted concurrently");
         let g = mgr.slot(obj).inner.lock();
-        assert_eq!(g.write_pending, Some(2));
+        assert_eq!(g.write_pending, NonZeroU64::new(2));
         assert_eq!(g.queue.len(), 1, "second writer must stay queued");
     });
 }
@@ -459,10 +467,8 @@ fn loom_wave_grant_vs_timeout_withdraw_exactly_one_winner() {
         let (r2, r3) = {
             let mut g = mgr.slot(obj).inner.lock();
             (
-                mgr.enqueue_waiter(&mut g, &r2_tx, obj, false, Instant::now(), &noop_waker())
-                    .0,
-                mgr.enqueue_waiter(&mut g, &r3_tx, obj, false, Instant::now(), &noop_waker())
-                    .0,
+                enqueue(&mgr, &mut g, &r2_tx, obj, false, &noop_waker()).0,
+                enqueue(&mgr, &mut g, &r3_tx, obj, false, &noop_waker()).0,
             )
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
@@ -537,15 +543,15 @@ fn loom_stats_fold_equals_ground_truth() {
 #[test]
 fn loom_snapshot_publish_turnstile() {
     loom::model(|| {
-        let x = Arc::new(SnapshotCell::new(Box::new(0i64)));
-        let y = Arc::new(SnapshotCell::new(Box::new(0i64)));
+        let x = Arc::new(SnapshotCell::new(Version::new(0i64)));
+        let y = Arc::new(SnapshotCell::new(Version::new(0i64)));
         let clock = Arc::new(AtomicU64::new(0));
         let (x2, y2, c2) = (x.clone(), y.clone(), clock.clone());
         // The committer: publish both objects at ticket 1, then advance
         // the clock — the order `inherit_locks` guarantees.
         let committer = loom::thread::spawn(move || {
-            x2.publish(1, Box::new(10i64));
-            y2.publish(1, Box::new(20i64));
+            x2.publish(1, Version::new(10i64));
+            y2.publish(1, Version::new(20i64));
             c2.store(1, Ordering::SeqCst);
         });
         // The reader: fix S from the clock, then read both objects
@@ -580,14 +586,14 @@ fn loom_snapshot_publish_turnstile() {
 #[test]
 fn loom_snapshot_gc_vs_reader() {
     loom::model(|| {
-        let x = Arc::new(SnapshotCell::new(Box::new(0i64)));
-        x.publish(1, Box::new(10i64));
+        let x = Arc::new(SnapshotCell::new(Version::new(0i64)));
+        x.publish(1, Version::new(10i64));
         let clock = Arc::new(AtomicU64::new(1));
         let (x2, c2) = (x.clone(), clock.clone());
         // The writer: publish ts=2, advance the clock, then collect at
         // the new watermark — the incremental GC a publish performs.
         let writer = loom::thread::spawn(move || {
-            x2.publish(2, Box::new(20i64));
+            x2.publish(2, Version::new(20i64));
             c2.store(2, Ordering::SeqCst);
             x2.collect(c2.load(Ordering::SeqCst)).free()
         });
@@ -621,16 +627,11 @@ fn loom_sweep_vs_grant_wave_vs_future_drop() {
     loom::model(|| {
         let mgr = mk_mgr();
         let holder = TxNode::top_level(1);
-        let a_tx = TxNode::top_level(2);
+        let a_tx = TxNode::top_of(mgr.clone(), 2);
         let b_tx = TxNode::top_level(3);
         let obj = obj_with_write_holder(&mgr, &holder);
-        let mut fut = crate::future::AccessFuture::new(
-            mgr.clone(),
-            a_tx.clone(),
-            obj,
-            true,
-            Ok(Box::new(|_| ())),
-        );
+        let mut fut =
+            crate::future::AccessFuture::new(a_tx.clone(), obj, true, Ok(Box::new(|_| ())));
         {
             let waker = noop_waker();
             let mut cx = std::task::Context::from_waker(&waker);
@@ -643,9 +644,7 @@ fn loom_sweep_vs_grant_wave_vs_future_drop() {
         let (a, b) = {
             let mut g = mgr.slot(obj).inner.lock();
             let a = g.queue[0].clone();
-            let b = mgr
-                .enqueue_waiter(&mut g, &b_tx, obj, true, Instant::now(), &b_waker)
-                .0;
+            let b = enqueue(&mgr, &mut g, &b_tx, obj, true, &b_waker).0;
             (a, b)
         };
         let (m2, h2) = (mgr.clone(), holder.clone());
@@ -692,7 +691,10 @@ fn loom_sweep_vs_grant_wave_vs_future_drop() {
             };
             assert_eq!(holders, expect, "lock state inconsistent with outcomes");
             // A's drop lifted its latch; B, granted, never applied.
-            assert_eq!(g.write_pending, (b_st == W_GRANTED).then_some(3));
+            assert_eq!(
+                g.write_pending,
+                NonZeroU64::new(3).filter(|_| b_st == W_GRANTED)
+            );
         }
         mgr.abort_subtree(&a_tx);
         mgr.abort_subtree(&b_tx);
@@ -713,15 +715,10 @@ fn loom_future_drop_leaks_no_queue_slot() {
     loom::model(|| {
         let mgr = mk_mgr();
         let holder = TxNode::top_level(1);
-        let waiter_tx = TxNode::top_level(2);
+        let waiter_tx = TxNode::top_of(mgr.clone(), 2);
         let obj = obj_with_write_holder(&mgr, &holder);
-        let mut fut = crate::future::AccessFuture::new(
-            mgr.clone(),
-            waiter_tx.clone(),
-            obj,
-            true,
-            Ok(Box::new(|_| ())),
-        );
+        let mut fut =
+            crate::future::AccessFuture::new(waiter_tx.clone(), obj, true, Ok(Box::new(|_| ())));
         {
             let waker = noop_waker();
             let mut cx = std::task::Context::from_waker(&waker);
@@ -772,11 +769,11 @@ fn loom_blocking_driver_vs_grant_and_sweep() {
     loom::model(|| {
         let mgr = mk_mgr();
         let holder = TxNode::top_level(1);
-        let waiter_tx = TxNode::top_level(2);
+        let waiter_tx = TxNode::top_of(mgr.clone(), 2);
         let obj = obj_with_write_holder(&mgr, &holder);
         let parker = Parker::new();
         let (count, waker) = counting(parker.waker.clone());
-        let mut access = Access::new(&mgr, &waiter_tx, obj, true, |st| *granted_i64(st) = 7);
+        let mut access = Access::new(&waiter_tx, obj, true, |st| *granted_i64(st) = 7);
         assert!(
             access.poll_with(&waker).is_pending(),
             "the writer must queue behind the holder"
@@ -812,10 +809,18 @@ fn loom_blocking_driver_vs_grant_and_sweep() {
         let held: Vec<(u64, i64)> = g
             .chain
             .iter()
-            .map(|e| (e.owner.id, *e.state.as_any().downcast_ref::<i64>().unwrap()))
+            .map(|e| {
+                (
+                    e.owner.id,
+                    *e.version.state().as_any().downcast_ref::<i64>().unwrap(),
+                )
+            })
             .collect();
         let expect = if granted { vec![(2, 7)] } else { vec![] };
         assert_eq!(held, expect, "lock state inconsistent with the outcome");
+        drop(g);
+        // Release what the requester holds: its node holds the manager.
+        mgr.abort_subtree(&waiter_tx);
     });
 }
 
@@ -834,7 +839,7 @@ fn loom_blocking_driver_vs_grant_and_sweep() {
 fn loom_lazy_child_commit_vs_same_top_enqueue() {
     loom::model(|| {
         let mgr = mk_mgr();
-        let top = TxNode::top_level(1);
+        let top = TxNode::top_of(mgr.clone(), 1);
         let c1 = TxNode::child_of(&top, 2);
         let c2 = TxNode::child_of(&top, 3);
         let obj = obj_with_write_holder(&mgr, &c1);
@@ -844,7 +849,7 @@ fn loom_lazy_child_commit_vs_same_top_enqueue() {
         });
         let parker = Parker::new();
         let (count, waker) = counting(parker.waker.clone());
-        let r = Access::new(&mgr, &c2, obj, true, |st| *granted_i64(st) = 7).drive(&waker, &parker);
+        let r = Access::new(&c2, obj, true, |st| *granted_i64(st) = 7).drive(&waker, &parker);
         committer.join().unwrap();
 
         assert_eq!(r, Ok(()), "the sibling's write must be granted");
@@ -861,13 +866,21 @@ fn loom_lazy_child_commit_vs_same_top_enqueue() {
         let held: Vec<(u64, i64)> = g
             .chain
             .iter()
-            .map(|e| (e.owner.id, *e.state.as_any().downcast_ref::<i64>().unwrap()))
+            .map(|e| {
+                (
+                    e.owner.id,
+                    *e.version.state().as_any().downcast_ref::<i64>().unwrap(),
+                )
+            })
             .collect();
         assert_eq!(
             held,
             vec![(1, 0), (3, 7)],
             "c1's version adopted by the top"
         );
+        drop(g);
+        // Release the tree's locks: its top holds the manager.
+        mgr.abort_subtree(&top);
     });
 }
 
@@ -929,11 +942,11 @@ fn loom_withdraw_vs_wave_vs_enqueue_search_keeps_edges_exact() {
         let y = obj_with_write_holder(&mgr, &d_tx);
         let (a, b, e) = {
             let mut g = mgr.slot(x).inner.lock();
-            let a = mgr.enqueue_waiter(&mut g, &a_tx, x, true, Instant::now(), &noop_waker());
-            let b = mgr.enqueue_waiter(&mut g, &b_tx, x, true, Instant::now(), &noop_waker());
+            let a = enqueue(&mgr, &mut g, &a_tx, x, true, &noop_waker());
+            let b = enqueue(&mgr, &mut g, &b_tx, x, true, &noop_waker());
             drop(g);
             let mut g = mgr.slot(y).inner.lock();
-            let e = mgr.enqueue_waiter(&mut g, &e_tx, y, true, Instant::now(), &noop_waker());
+            let e = enqueue(&mgr, &mut g, &e_tx, y, true, &noop_waker());
             assert!(a.1.is_none() && b.1.is_none() && e.1.is_none());
             (a.0, b.0, e.0)
         };
@@ -945,7 +958,7 @@ fn loom_withdraw_vs_wave_vs_enqueue_search_keeps_edges_exact() {
         let withdrawer = loom::thread::spawn(move || m3.timeout_withdraw(x, &a3));
         let (d, cycle) = {
             let mut g = mgr.slot(x).inner.lock();
-            mgr.enqueue_waiter(&mut g, &d_tx, x, true, Instant::now(), &noop_waker())
+            enqueue(&mgr, &mut g, &d_tx, x, true, &noop_waker())
         };
         assert!(cycle.is_none(), "nothing on x waits for top 4");
         releaser.join().unwrap();
@@ -978,11 +991,11 @@ fn loom_withdraw_vs_wave_vs_enqueue_search_keeps_edges_exact() {
 
 /// A write request of `node` on `obj`, polled once with a no-op waker:
 /// the real `access_attempt` path, search and claim included.
-type Request = Access<Arc<ManagerInner>, Arc<TxNode>, crate::future::BoxedAccessFn<()>>;
+type Request = Access<Arc<TxNode>, crate::future::BoxedAccessFn<()>>;
 
-fn request(mgr: &Arc<ManagerInner>, node: &Arc<TxNode>, obj: usize) -> Request {
+fn request(node: &Arc<TxNode>, obj: usize) -> Request {
     let bump: crate::future::BoxedAccessFn<()> = Box::new(|st| *granted_i64(st) += 1);
-    Access::new(mgr.clone(), node.clone(), obj, true, bump)
+    Access::new(node.clone(), obj, true, bump)
 }
 
 /// **Two edges close one cycle at once**: A (top 1) holds x and B (top 2)
@@ -999,16 +1012,19 @@ fn request(mgr: &Arc<ManagerInner>, node: &Arc<TxNode>, obj: usize) -> Request {
 fn loom_crossed_enqueues_note_one_deadlock() {
     loom::model(|| {
         let mgr = mk_mgr();
-        let (a, b) = (TxNode::top_level(1), TxNode::top_level(2));
+        let (a, b) = (
+            TxNode::top_of(mgr.clone(), 1),
+            TxNode::top_of(mgr.clone(), 2),
+        );
         let x = obj_with_write_holder(&mgr, &a);
         let y = obj_with_write_holder(&mgr, &b);
-        let (m2, b2) = (mgr.clone(), b.clone());
+        let b2 = b.clone();
         let b_side = loom::thread::spawn(move || {
-            let mut r = request(&m2, &b2, x);
+            let mut r = request(&b2, x);
             let first = r.poll_with(&noop_waker());
             (r, first)
         });
-        let mut ra = request(&mgr, &a, y);
+        let mut ra = request(&a, y);
         let first_a = ra.poll_with(&noop_waker());
         let (mut rb, first_b) = b_side.join().unwrap();
 
@@ -1050,6 +1066,10 @@ fn loom_crossed_enqueues_note_one_deadlock() {
             mgr.slot(x).inner.lock().queue.is_empty(),
             "B left x's queue"
         );
+        // Release both tops' locks: each holds the manager.
+        drop((ra, rb));
+        mgr.abort_subtree(&a);
+        mgr.abort_subtree(&b);
     });
 }
 
@@ -1067,12 +1087,15 @@ fn loom_crossed_enqueues_note_one_deadlock() {
 fn loom_search_vs_leave_claims_no_broken_cycle() {
     loom::model(|| {
         let mgr = mk_mgr();
-        let (a, b) = (TxNode::top_level(1), TxNode::top_level(2));
+        let (a, b) = (
+            TxNode::top_of(mgr.clone(), 1),
+            TxNode::top_of(mgr.clone(), 2),
+        );
         let x = obj_with_write_holder(&mgr, &a);
         let y = obj_with_write_holder(&mgr, &b);
         let (bw, cycle) = {
             let mut g = mgr.slot(x).inner.lock();
-            mgr.enqueue_waiter(&mut g, &b, x, true, Instant::now(), &noop_waker())
+            enqueue(&mgr, &mut g, &b, x, true, &noop_waker())
         };
         assert!(cycle.is_none(), "nothing waits for B yet");
         let (m2, b2, bw2) = (mgr.clone(), b.clone(), bw.clone());
@@ -1080,7 +1103,7 @@ fn loom_search_vs_leave_claims_no_broken_cycle() {
             let withdrawn = m2.timeout_withdraw(x, &bw2);
             (withdrawn, b2.deadlock_victim.load(Ordering::SeqCst))
         });
-        let mut ra = request(&mgr, &a, y);
+        let mut ra = request(&a, y);
         let first_a = ra.poll_with(&noop_waker());
         let (withdrawn, claimed_first) = leaver.join().unwrap();
 
@@ -1105,6 +1128,10 @@ fn loom_search_vs_leave_claims_no_broken_cycle() {
         }
         assert!(b.wait.out_edges().is_empty() && b.wait.waiters() == 0);
         assert_inbound_exact(&[&a, &b]);
+        // Release both tops' locks: each holds the manager.
+        drop(ra);
+        mgr.abort_subtree(&a);
+        mgr.abort_subtree(&b);
     });
 }
 

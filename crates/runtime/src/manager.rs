@@ -42,6 +42,7 @@ use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::num::NonZeroU64;
 use std::task::Waker;
 use std::time::Instant;
 
@@ -50,10 +51,10 @@ use crate::deadlock::{self, Cycle};
 use crate::error::TxError;
 use crate::fault::{FaultAction, FaultContext, FaultPoint};
 use crate::inline::InlineVec;
-use crate::mvcc::{Detached, SnapshotCell};
+use crate::mvcc::{Detached, SnapshotCell, Version};
 use crate::node::{insert_sorted, ObjSet, TxNode, TxState};
 use crate::object::{
-    ObjectInner, ObjectSlot, StateRef, TopSet, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT,
+    Names, ObjectInner, ObjectSlot, StateRef, TopSet, Waiter, W_CANCELLED, W_GRANTED, W_TIMEDOUT,
     W_WAITING,
 };
 use crate::slab::Slab;
@@ -89,6 +90,9 @@ impl<T> std::fmt::Debug for ObjRef<T> {
 pub(crate) struct ManagerInner {
     pub config: RtConfig,
     pub objects: Slab<ObjectSlot>,
+    /// Every object's name, by slab index: read only by diagnostics and
+    /// recovery's error messages, so no slot carries one.
+    pub names: Mutex<Names>,
     pub next_tx_id: AtomicU64,
     pub stats: Stats,
     /// Commit-timestamp ticket dispenser: a committing top-level
@@ -137,6 +141,7 @@ impl ManagerInner {
             config,
             wal,
             objects: Slab::new(),
+            names: Mutex::new(Names::default()),
             next_tx_id: AtomicU64::new(1),
             stats: Stats::default(),
             ts_alloc: AtomicU64::new(0),
@@ -167,10 +172,8 @@ impl TxManager {
         name: impl Into<String>,
         initial: T,
     ) -> ObjRef<T> {
-        let idx = self
-            .inner
-            .objects
-            .push(ObjectSlot::new(name.into(), Box::new(initial)));
+        let slot = ObjectSlot::new(Version::new(initial), None);
+        let idx = self.inner.register(&name.into(), slot);
         ObjRef {
             idx,
             _marker: PhantomData,
@@ -186,11 +189,8 @@ impl TxManager {
     /// be registered in the same order with the same types across
     /// restarts.
     pub fn register_durable<T: WalState>(&self, name: impl Into<String>, initial: T) -> ObjRef<T> {
-        let idx = self.inner.objects.push(ObjectSlot::with_codec(
-            name.into(),
-            Box::new(initial),
-            WalCodec::of::<T>(),
-        ));
+        let slot = ObjectSlot::new(Version::new(initial), Some(WalCodec::of::<T>()));
+        let idx = self.inner.register(&name.into(), slot);
         ObjRef {
             idx,
             _marker: PhantomData,
@@ -239,7 +239,7 @@ impl TxManager {
 
     /// Name of an object (diagnostics).
     pub fn object_name<T>(&self, obj: &ObjRef<T>) -> String {
-        self.inner.slot(obj.idx).name.clone()
+        self.inner.object_name(obj.idx)
     }
 
     /// Total lock waiters currently queued across all objects
@@ -318,19 +318,12 @@ impl TxManager {
         // Slot mutex, not the reader pin: the walk crosses the GC cut down
         // to genesis (same argument as `version_chain_len`).
         let _guard = slot.inner.lock();
-        slot.snap
-            .history()
-            .into_iter()
-            .map(|(ts, st)| {
-                (
-                    ts,
-                    st.as_any()
-                        .downcast_ref::<T>()
-                        .expect("ObjRef type mismatch")
-                        .clone(),
-                )
-            })
-            .collect()
+        slot.snap.history(|st| {
+            st.as_any()
+                .downcast_ref::<T>()
+                .expect("ObjRef type mismatch")
+                .clone()
+        })
     }
 
     /// The commit clock: highest commit timestamp whose versions are all
@@ -462,13 +455,15 @@ fn search_from(waiter: u64, top: &Arc<TxNode>) -> Option<Search> {
 }
 
 /// What a release scan leaves for its caller to do once the slot guard is
-/// down: wake the waiters whose state it resolved, and search for
-/// deadlock cycles from the tops whose edges it grew. Inline for a wave
-/// of two and one search, so a handoff allocates nothing.
+/// down: wake the waiters whose state it resolved, free the versions its
+/// grants made the lock table drop, and search for deadlock cycles from
+/// the tops whose edges it grew. Inline for a wave of two and one search,
+/// so a handoff allocates nothing.
 #[must_use = "the scan's waiters stay asleep until the wake runs"]
 #[derive(Default)]
 pub(crate) struct Wake {
     waiters: InlineVec<Option<Arc<Waiter>>, 2>,
+    dead: Detached,
     search_from: InlineVec<Option<Search>, 1>,
 }
 
@@ -485,6 +480,7 @@ impl Wake {
         for w in self.waiters.iter().flatten() {
             w.wake();
         }
+        drop(self.dead);
         for (waiter, top) in self.search_from.iter().flatten() {
             mgr.resolve(*waiter, top);
         }
@@ -588,6 +584,19 @@ impl ManagerInner {
     #[inline]
     pub(crate) fn slot(&self, idx: usize) -> &ObjectSlot {
         self.objects.get(idx)
+    }
+
+    /// Append `slot` to the store under `name`, returning its index.
+    fn register(&self, name: &str, slot: ObjectSlot) -> usize {
+        let mut names = self.names.lock();
+        let idx = self.objects.push(slot);
+        names.set(idx, name);
+        idx
+    }
+
+    /// The name object `idx` was registered under.
+    pub(crate) fn object_name(&self, idx: usize) -> String {
+        self.names.lock().get(idx).to_owned()
     }
 
     /// Record a trace event if a recorder is configured (no-op otherwise).
@@ -796,30 +805,22 @@ impl ManagerInner {
         });
     }
 
-    /// Grant the lock inline (uncontended fast path) and run the closure.
-    /// Caller has verified `grantable` and the no-barge rule, and touched
-    /// the object.
-    fn grant_inline<R>(
+    /// Grant the lock inline (uncontended fast path) and return the state
+    /// the access closure runs on. Caller has verified `grantable` and the
+    /// no-barge rule, and touched the object; a version the table drops
+    /// goes to `dead`.
+    fn grant_inline<'a>(
         &self,
-        inner: &mut ObjectInner,
-        snap: &SnapshotCell,
+        inner: &'a mut ObjectInner,
+        snap: &'a SnapshotCell,
         node: &Arc<TxNode>,
         obj_idx: usize,
         write: bool,
-        f: impl FnOnce(StateRef<'_>) -> R,
-    ) -> R {
-        // A grant on a free object starts a hold tenure (EWMA sample for
-        // the adaptive spin gate); a grant on a held one extends it. Only
-        // tracked once the object shows contention (a queued waiter, or an
-        // already-warm EWMA): the spin hint exists for waiters, and the
-        // clock reads would tax the uncontended fast path for nothing.
-        #[cfg(not(loom))]
-        if inner.tenure_start.is_none() && (!inner.queue.is_empty() || inner.hint_warm) {
-            inner.tenure_start = Some(Instant::now());
-        }
+        dead: &mut Detached,
+    ) -> StateRef<'a> {
         if write {
             self.stats.bump(Ctr::WriteGrants);
-            let installs = !inner.owns_top(node);
+            let installs = !inner.owns_top(node, dead);
             self.trace(RtEvent::WriteGrant {
                 tx: node.id,
                 obj: obj_idx,
@@ -830,18 +831,18 @@ impl ManagerInner {
                     obj: obj_idx,
                 });
             }
-            f(StateRef::Write(inner.writable_state(node, snap).as_mut()))
+            StateRef::Write(inner.writable_state(node, snap, dead))
         } else {
             self.stats.bump(Ctr::ReadGrants);
             self.trace(RtEvent::ReadGrant {
                 tx: node.id,
                 obj: obj_idx,
             });
+            inner.add_reader(node);
             // Read the current version in place, shared: with an empty
             // chain it is the committed head, which snapshot readers share.
-            let r = f(StateRef::Read(inner.current(snap)));
-            inner.add_reader(node);
-            r
+            let inner: &'a ObjectInner = inner;
+            StateRef::Read(inner.current(snap))
         }
     }
 
@@ -851,13 +852,20 @@ impl ManagerInner {
     /// woken waiter only applies its closure. A write handoff leaves
     /// `write_pending` set — nothing else is grantable until the writer's
     /// apply clears it, so no deeper version can land on top of the woken
-    /// writer's. Returns `true` when a fresh version was installed.
-    fn install_grant(&self, obj_idx: usize, inner: &mut ObjectInner, w: &Arc<Waiter>) -> bool {
+    /// writer's. Returns `true` when a fresh version was installed; a
+    /// version the table drops goes to `dead`.
+    fn install_grant(
+        &self,
+        obj_idx: usize,
+        inner: &mut ObjectInner,
+        w: &Arc<Waiter>,
+        dead: &mut Detached,
+    ) -> bool {
         w.node.touch(obj_idx);
         if w.write {
-            let installs = !inner.owns_top(&w.node);
-            let _ = inner.writable_state(&w.node, &self.slot(obj_idx).snap);
-            inner.write_pending = Some(w.node.id);
+            let installs = !inner.owns_top(&w.node, dead);
+            let _ = inner.writable_state(&w.node, &self.slot(obj_idx).snap, dead);
+            inner.write_pending = NonZeroU64::new(w.node.id);
             installs
         } else {
             inner.add_reader(&w.node);
@@ -1003,16 +1011,6 @@ impl ManagerInner {
     /// the real release/apply paths.
     pub(crate) fn release_scan(&self, obj_idx: usize, inner: &mut ObjectInner) -> Wake {
         let mut wake = Wake::default();
-        // Hold-time EWMA: a scan that finds the object free ends the
-        // tenure that the last grant started.
-        #[cfg(not(loom))]
-        if inner.chain.is_empty() && inner.readers.is_empty() && inner.write_pending.is_none() {
-            if let Some(t0) = inner.tenure_start.take() {
-                self.slot(obj_idx)
-                    .note_hold_ns(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                inner.hint_warm = true;
-            }
-        }
         if inner.queue.is_empty() {
             return wake;
         }
@@ -1029,7 +1027,7 @@ impl ManagerInner {
             wake.search(search);
             let granted = w.grant();
             debug_assert!(granted, "a queued node is waiting");
-            let installs = self.install_grant(obj_idx, inner, &w);
+            let installs = self.install_grant(obj_idx, inner, &w, &mut wake.dead);
             if w.write {
                 writers += 1;
             } else {
@@ -1058,10 +1056,6 @@ impl ManagerInner {
         }
         let wave = readers + writers;
         if wave > 0 {
-            #[cfg(not(loom))]
-            if inner.tenure_start.is_none() {
-                inner.tenure_start = Some(Instant::now());
-            }
             // One aggregated stats delta for the whole wave.
             self.stats.bump(Ctr::Handoffs);
             self.stats.add(Ctr::WaveGrants, wave as u64);
@@ -1100,7 +1094,7 @@ impl ManagerInner {
     }
 
     /// Phase 2 of [`Self::access_attempt`]: create `node`'s waiter, append
-    /// it to the FIFO queue, register the node's `waiting_on` entry, and
+    /// it to the FIFO queue, count it among the node's queued requests, and
     /// enter the node into its top's wait-for record with its edges — the
     /// tops of the holders it conflicts with if it is the head, else the top
     /// of the waiter ahead — searching for a cycle they close. Returns the
@@ -1137,7 +1131,7 @@ impl ManagerInner {
             waker.clone(),
         );
         inner.queue.push_back(w.clone());
-        node.set_waiting_on(Some(obj_idx));
+        node.queued_request();
         let top = node.top();
         let cycle = match inner.queue.len().checked_sub(2) {
             None => {
@@ -1178,7 +1172,6 @@ impl ManagerInner {
         });
         let i = guard.queue.iter().position(|q| Arc::ptr_eq(q, w));
         let (_, search) = self.dequeue(&mut guard, i.expect("a waiting node is queued"));
-        w.node.set_waiting_on(None);
         self.stats.bump(Ctr::CancelledWaiters);
         let mut wake = self.release_scan(obj_idx, &mut guard);
         wake.search(search);
@@ -1264,6 +1257,9 @@ impl ManagerInner {
                 return Attempt::Done(Err(self.apply_lock_fault(action, node, obj_idx)));
             }
         }
+        // Versions an inline grant drops from the table, freed after the
+        // guard (declared first, so an unwinding closure drops it last).
+        let mut dead = Detached::default();
         let mut guard = slot.inner.lock();
         // The touch comes before the fate check: an abort marks its root
         // before it reads the subtree's sets, so a request that finds no
@@ -1287,7 +1283,7 @@ impl ManagerInner {
         if guard.grantable(node, write)
             && (guard.queue.is_empty() || guard.holder_is_ancestor(node))
         {
-            let r = self.grant_inline(&mut guard, &slot.snap, node, obj_idx, write, f);
+            let r = f(self.grant_inline(&mut guard, &slot.snap, node, obj_idx, write, &mut dead));
             // A grant beside waiters shares its top with a holder (the
             // ancestor above), so the head's holder tops cannot change:
             // no edge to recompute.
@@ -1295,6 +1291,8 @@ impl ManagerInner {
                 .queue
                 .front()
                 .is_none_or(|h| guard.holder_tops(&h.node, h.write)[..] == guard.head_edges[..]));
+            drop(guard);
+            drop(dead);
             return Attempt::Done(Ok(r));
         }
         // Blocked — the only path that reads the clock. The read (under
@@ -1349,15 +1347,16 @@ impl ManagerInner {
             if guard.queue.is_empty() {
                 guard.head_edges = TopSet::new();
             }
-            node.set_waiting_on(None);
+            node.request_resolved();
             return Attempt::Done(Err(TxError::Deadlock));
         }
         // Self-check under the same mutex hold: a doom that raced the
         // enqueue is delivered here or by the abort's own pass over this
-        // object — the aborter either saw our waiting_on registration or
-        // we see its abort mark here (SeqCst on both sides), and the slot
-        // mutex serialises the two. Our node is the tail: nothing left the
-        // queue since the push.
+        // object — the aborter either found the object in our touched set
+        // (the touch above came before our fate check) or we see its abort
+        // mark here (SeqCst on both sides), and the slot mutex serialises
+        // the two. Our node is the tail: nothing left the queue since the
+        // push.
         let wake = if node.is_doomed() {
             let mut wake = Wake::default();
             let tail = guard.queue.len() - 1;
@@ -1383,8 +1382,9 @@ impl ManagerInner {
 
     /// Consume a resolved waiter — the one place a terminal waiter state
     /// becomes a `Result`, reached by every requester's state machine
-    /// (`future.rs`). The state must be final: [`W_TIMEDOUT`] (withdrawn
-    /// by the sweeper or a drop — already dequeued and counted),
+    /// (`future.rs`), and so where the request stops counting among its
+    /// node's queued requests. The state must be final: [`W_TIMEDOUT`]
+    /// (withdrawn by the sweeper or a drop — already dequeued and counted),
     /// [`W_CANCELLED`] or [`W_GRANTED`]. On a grant the releaser already
     /// installed our lock state and dequeued us: this only applies the
     /// closure and, for writes, lifts the unapplied-write latch — on
@@ -1398,6 +1398,7 @@ impl ManagerInner {
         let node = &w.node;
         let slot = self.slot(obj_idx);
         let st = w.state();
+        node.request_resolved();
         if st == W_TIMEDOUT {
             return Err(TxError::Timeout);
         }
@@ -1405,11 +1406,9 @@ impl ManagerInner {
             // Doom was delivered to the queue node (an abort of this
             // subtree, or a deadlock victim's) — the canceller already took
             // the node out of the queue and the wait-for graph.
-            node.set_waiting_on(None);
             return Err(doom_error(node));
         }
         debug_assert_eq!(st, W_GRANTED, "finish_after_wait needs a final state");
-        node.set_waiting_on(None);
         self.stats
             .add(Ctr::WaitNanos, w.wait_start.elapsed().as_nanos() as u64);
         let mut guard = slot.inner.lock();
@@ -1431,13 +1430,15 @@ impl ManagerInner {
         if w.write {
             // A closure that unwinds past the latch would gate every later
             // grant on this object for good: catch it, lift, rethrow.
+            let mut dead = Detached::default();
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 f(StateRef::Write(
-                    guard.write_target(node, &slot.snap).as_mut(),
+                    guard.write_target(node, &slot.snap, &mut dead),
                 ))
             }));
-            debug_assert_eq!(guard.write_pending, Some(node.id));
+            debug_assert_eq!(guard.write_pending, NonZeroU64::new(node.id));
             self.lift_latch(obj_idx, guard, w);
+            drop(dead);
             Ok(r.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
         } else {
             // The releaser recorded our read lock; read the deepest
@@ -1458,7 +1459,7 @@ impl ManagerInner {
         mut guard: MutexGuard<'_, ObjectInner>,
         w: &Waiter,
     ) {
-        if w.write && guard.write_pending == Some(w.node.id) {
+        if w.write && guard.write_pending == NonZeroU64::new(w.node.id) {
             guard.write_pending = None;
         }
         let wake = self.release_scan(obj_idx, &mut guard);
@@ -1522,8 +1523,9 @@ impl ManagerInner {
     /// Every user call (`encode_wal`) runs in the first pass, before the
     /// node commits: an encode that panics aborts the whole tree, then the
     /// panic goes on to the caller. The publish pass runs no user code
-    /// under a slot mutex: the versions its garbage collection detaches
-    /// are dropped after each mutex is released.
+    /// under a slot mutex: the versions it discards and the ones its
+    /// garbage collection detaches are dropped after each mutex is
+    /// released.
     ///
     /// `touched` is the tree's objects, folded in by `TxNode::fold_children`.
     pub(crate) fn commit_top(&self, node: &Arc<TxNode>, touched: &ObjSet) -> bool {
@@ -1551,10 +1553,11 @@ impl ManagerInner {
         }
         for &obj in touched.iter() {
             let slot = self.slot(obj);
-            let mut dead = None;
+            let mut collected = None;
+            let mut discarded = Detached::default();
             let wake = {
                 let mut guard = slot.inner.lock();
-                let (version, released) = guard.release_top(node);
+                let (version, released) = guard.release_top(node, &mut discarded);
                 if released {
                     self.trace(RtEvent::Inherit {
                         tx: node.id,
@@ -1576,20 +1579,20 @@ impl ManagerInner {
                     // Piggyback incremental GC while the slot mutex is
                     // held: watermark < ts, so the version just published
                     // is never reclaimed here.
-                    dead = Some(slot.snap.collect(self.gc_watermark()));
+                    collected = Some(slot.snap.collect(self.gc_watermark()));
                 }
                 // Hand off only if the lock state changed; an untouched
                 // slot's waiters cannot have become grantable, and with
-                // none queued and no tenure to close the scan has no work.
-                let scan = !guard.queue.is_empty() || guard.tenure_start.is_some();
-                (released && scan).then(|| self.release_scan(obj, &mut guard))
+                // none queued the scan has no work.
+                (released && !guard.queue.is_empty()).then(|| self.release_scan(obj, &mut guard))
             };
             if let Some(wake) = wake {
                 wake.run(self);
             }
-            // The collected versions go with the slot mutex down: their
-            // `Drop` is user code, which may take that mutex.
-            let freed = dead.map_or(0, Detached::free);
+            // The discarded and collected versions go with the slot mutex
+            // down: their `Drop` is user code, which may take that mutex.
+            drop(discarded);
+            let freed = collected.map_or(0, Detached::free);
             if freed > 0 {
                 self.stats.add(Ctr::VersionsCollected, freed as u64);
             }
@@ -1639,7 +1642,7 @@ impl ManagerInner {
             rec.entry(
                 block,
                 u32::try_from(obj).expect("object index fits u32"),
-                |out| (codec.encode)(e.state.as_any(), out),
+                |out| (codec.encode)(e.version.state().as_any(), out),
             );
         }
         ticket
@@ -1651,10 +1654,13 @@ impl ManagerInner {
     ///
     /// This is where doom reaches a queued waiter — the paper's
     /// `INFORM_ABORT_AT(X)OF(T)`, made by the aborting side: the per-object
-    /// pass visits every object the subtree touched or waits on, after the
-    /// root is marked, and cancels the subtree's waiters there. A request
-    /// the pass cannot see yet sees the mark in its post-enqueue check
-    /// ([`Self::access_attempt`]). No release scan looks for doom.
+    /// pass visits every object the subtree touched, after the root is
+    /// marked, and cancels the subtree's waiters there. A request touches
+    /// its object before it checks its fate and enqueues, so the objects a
+    /// subtree waits on are among them; a request the pass cannot see yet
+    /// sees the mark in its post-enqueue check ([`Self::access_attempt`]).
+    /// No release scan looks for doom. The versions the pass discards are
+    /// freed after each slot mutex.
     pub(crate) fn abort_subtree(&self, root: &Arc<TxNode>) -> usize {
         let mut newly_aborted = 0usize;
         // A victim's doom can race the victim's own commit; whoever wins the
@@ -1667,8 +1673,7 @@ impl ManagerInner {
         } else if root.state() == TxState::Committed {
             return 0;
         }
-        // The subtree's touched objects and the objects it waits on, as one
-        // sorted set: each gets the same pass.
+        // The subtree's touched objects, as one sorted set.
         let mut objs = ObjSet::new();
         root.drain_subtree(&mut |n, touched| {
             if n.mark_aborted() {
@@ -1678,24 +1683,22 @@ impl ManagerInner {
             for &o in touched.iter() {
                 insert_sorted(&mut objs, o);
             }
-            if let Some(o) = n.waiting_on() {
-                insert_sorted(&mut objs, o);
-            }
         });
         let top = root.top();
         for &obj in objs.iter() {
             let slot = self.slot(obj);
+            let mut discarded = Detached::default();
             let (cancels, wake) = {
                 let mut guard = slot.inner.lock();
-                // Discard on waited-on objects too, not just on touched
-                // ones: a release scan that passed its doom check before
-                // our abort mark landed may still hand this subtree a
-                // grant (installing a version and the write latch) after
-                // the set was collected above. The waiter registration is
-                // older than any such grant, so this pass runs after it
-                // (slot-mutex order) and reclaims whatever it installed.
-                // Found by the loom model `loom_doomed_waiter_never_granted`.
-                let (versions, readers) = guard.discard_subtree(root);
+                // Discard on waited-on objects too: a release scan that
+                // passed its doom check before our abort mark landed may
+                // still hand this subtree a grant (installing a version and
+                // the write latch) after the set was collected above. The
+                // request's touch is older than any such grant, so this
+                // pass runs after it (slot-mutex order) and reclaims
+                // whatever it installed. Found by the loom model
+                // `loom_doomed_waiter_never_granted`.
+                let (versions, readers) = guard.discard_subtree(root, &mut discarded);
                 if versions + readers > 0 {
                     self.trace(RtEvent::Rollback {
                         tx: root.id,
@@ -1723,6 +1726,7 @@ impl ManagerInner {
             };
             cancels.run(self);
             wake.run(self);
+            drop(discarded);
         }
         self.stats.add(Ctr::Aborts, newly_aborted as u64);
         newly_aborted
@@ -1900,9 +1904,12 @@ mod tests {
         let held_by = |holder: &Arc<TxNode>| {
             let obj = inner
                 .objects
-                .push(ObjectSlot::new("o".into(), Box::new(0i64)));
+                .push(ObjectSlot::new(Version::new(0i64), None));
             let slot = inner.slot(obj);
-            let _ = slot.inner.lock().writable_state(holder, &slot.snap);
+            let _ = slot
+                .inner
+                .lock()
+                .writable_state(holder, &slot.snap, &mut Detached::default());
             holder.touch(obj);
             obj
         };
@@ -1933,10 +1940,10 @@ mod tests {
     /// `loom_doomed_waiter_never_granted`: a release scan hands a queued
     /// writer the lock (installing its version and the write-pending
     /// latch), but the winning transaction is aborted before its thread
-    /// ever wakes to apply — so `touched` never records the object and the
-    /// abort's touched pass misses it. The waiting-objects pass of
-    /// `abort_subtree` must reclaim the installed state; before the fix it
-    /// only re-scanned, leaving the version and latch wedged forever.
+    /// ever wakes to apply. The abort's pass over the objects the request
+    /// touched before it enqueued must reclaim the installed state; before
+    /// the fix it only re-scanned, leaving the version and latch wedged
+    /// forever.
     #[test]
     fn abort_reclaims_grant_installed_before_waiter_wakes() {
         let mgr = TxManager::new(RtConfig::default());
@@ -1945,29 +1952,30 @@ mod tests {
         let waiter_tx = TxNode::top_level(inner.next_tx_id.fetch_add(1, Ordering::Relaxed));
         let obj = inner
             .objects
-            .push(ObjectSlot::new("x".into(), Box::new(0i64)));
+            .push(ObjectSlot::new(Version::new(0i64), None));
         let w = {
             let slot = inner.slot(obj);
             let mut g = slot.inner.lock();
-            let _ = g.writable_state(&holder, &slot.snap);
+            let _ = g.writable_state(&holder, &slot.snap, &mut Detached::default());
             holder.touch(obj);
+            // A request touches its object before it enqueues.
+            waiter_tx.touch(obj);
             inner
                 .enqueue_waiter(&mut g, &waiter_tx, obj, true, Instant::now(), Waker::noop())
                 .0
         };
         // The holder aborts: the release scan grants `w` directly,
         // installing waiter_tx's version and the write-pending latch. No
-        // thread plays the woken waiter, so waiter_tx.touched stays empty —
-        // exactly the window the race exposes.
+        // thread plays the woken waiter — exactly the window the race
+        // exposes.
         inner.abort_subtree(&holder);
         assert_eq!(w.state(), W_GRANTED);
         {
             let g = inner.slot(obj).inner.lock();
-            assert_eq!(g.write_pending, Some(waiter_tx.id));
+            assert_eq!(g.write_pending, NonZeroU64::new(waiter_tx.id));
             assert_eq!(g.chain.len(), 1);
         }
-        // Abort the granted-but-never-applied transaction. Its touched set
-        // is empty; only the waiting-objects pass knows about `obj`.
+        // Abort the granted-but-never-applied transaction.
         inner.abort_subtree(&waiter_tx);
         let g = inner.slot(obj).inner.lock();
         assert!(

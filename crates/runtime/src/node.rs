@@ -41,9 +41,6 @@ const ST_ACTIVE: u8 = 0;
 const ST_COMMITTED: u8 = 1;
 const ST_ABORTED: u8 = 2;
 
-/// [`TxNode::waiting_on`]'s value while no request of the node is queued.
-const NOT_WAITING: usize = usize::MAX;
-
 /// A node's touched set and its children, behind one mutex.
 #[derive(Default)]
 pub(crate) struct Book {
@@ -134,13 +131,13 @@ pub(crate) struct TxNode {
     /// parent that sees it set may fold the child in.
     returned: AtomicBool,
     book: Mutex<Book>,
-    /// Object this transaction currently has a queued waiter node on, or
-    /// [`NOT_WAITING`]. Set under that object's slot mutex at enqueue and
-    /// cleared once the request resolved and its requester took the
-    /// outcome; abort paths read it to find (and cancel) the subtree's
-    /// queued waiters, and a commit under it fails: the access is a live
-    /// child.
-    waiting_on: AtomicUsize,
+    /// This transaction's queued requests: counted at enqueue, under the
+    /// object's slot mutex, and uncounted once the request resolved and
+    /// its requester took the outcome (or dropped the request). A
+    /// transaction may have several in flight at once (`write_async` on
+    /// two objects), and a commit while any is counted fails: each is a
+    /// live child.
+    queued: AtomicUsize,
     /// Set when this transaction was chosen as a deadlock victim, so its
     /// blocked accesses report [`crate::TxError::Deadlock`] (retryable)
     /// rather than plain doom. Only a top-level node is ever flagged, and
@@ -162,7 +159,7 @@ impl TxNode {
             had_children: AtomicBool::new(false),
             returned: AtomicBool::new(false),
             book: Mutex::new(Book::default()),
-            waiting_on: AtomicUsize::new(NOT_WAITING),
+            queued: AtomicUsize::new(0),
             deadlock_victim: AtomicBool::new(false),
             wait: WaitRecord::new(),
         }
@@ -219,16 +216,20 @@ impl TxNode {
         self.had_children.load(Ordering::SeqCst) && self.book.lock().has_live_children()
     }
 
-    /// The object this node's queued request waits on, if any.
-    pub fn waiting_on(&self) -> Option<usize> {
-        let obj = self.waiting_on.load(Ordering::SeqCst);
-        (obj != NOT_WAITING).then_some(obj)
+    /// Count one more queued request of this node.
+    pub fn queued_request(&self) {
+        self.queued.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Register (`Some`) or clear (`None`) this node's queued request.
-    pub fn set_waiting_on(&self, obj: Option<usize>) {
-        self.waiting_on
-            .store(obj.unwrap_or(NOT_WAITING), Ordering::SeqCst);
+    /// Uncount a queued request whose outcome its requester took.
+    pub fn request_resolved(&self) {
+        let was = self.queued.fetch_sub(1, Ordering::SeqCst);
+        debug_assert!(was > 0, "a resolved request was counted");
+    }
+
+    /// Whether a request of this node is queued or its outcome untaken.
+    pub fn has_queued_requests(&self) -> bool {
+        self.queued.load(Ordering::SeqCst) != 0
     }
 
     pub fn depth(&self) -> usize {

@@ -3,9 +3,12 @@
 //! This is the runtime counterpart of the model's `M(X)`: each object keeps
 //! a *chain* of uncommitted versions — one per write-lock holder, deepest
 //! last, `chain.last()` being the current state — and a set of read-lock
-//! holders. Its committed state is kept once, as the head of its snapshot
-//! chain ([`SnapshotCell::head`]): a top-level commit moves its version
-//! there, and an empty chain falls back to it.
+//! holders, and nothing else of its own: one version and two readers fit
+//! in the table itself. Its committed state is kept once, as the head of
+//! its snapshot chain ([`SnapshotCell::head`]): a top-level commit links
+//! its version's block there, and an empty chain falls back to it. A
+//! version a commit or an abort drops leaves the table in a [`Detached`]
+//! list, freed after the slot mutex: its `Drop` is user code.
 //!
 //! A child's commit does not visit this table. A lock or version granted to
 //! a node that has since committed belongs to its nearest uncommitted
@@ -29,15 +32,16 @@
 //! record (`deadlock.rs`), changed only where the queue changes; a child's
 //! commit moves a lock within its top, so it changes none of them.
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use crate::sync::{Arc, Mutex};
 use std::any::Any;
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 use std::task::Waker;
 use std::time::Instant;
 
-use crate::inline::InlineVec;
-use crate::mvcc::SnapshotCell;
+use crate::inline::{Inline1, Inline2, InlineVec};
+use crate::mvcc::{Detached, SnapshotCell, Version};
 use crate::node::{insert_sorted, TxNode, TxState};
 
 /// A sorted set of top-level ids: four inline, the rest spilled.
@@ -50,14 +54,15 @@ pub(crate) type TopSet = InlineVec<u64, 4>;
 /// [`crate::mvcc::SnapshotCell`]); every registered state type must
 /// therefore tolerate shared references from many threads.
 pub(crate) trait AnyState: Any + Send + Sync {
-    fn clone_box(&self) -> Box<dyn AnyState>;
+    /// A new version holding a clone of this state.
+    fn clone_version(&self) -> Version;
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl<T: Any + Clone + Send + Sync> AnyState for T {
-    fn clone_box(&self) -> Box<dyn AnyState> {
-        Box::new(self.clone())
+    fn clone_version(&self) -> Version {
+        Version::new(self.clone())
     }
     fn as_any(&self) -> &dyn Any {
         self
@@ -79,7 +84,7 @@ pub(crate) enum StateRef<'a> {
 /// One uncommitted version: the state as of `owner`'s writes.
 pub(crate) struct ChainEntry {
     pub owner: Arc<TxNode>,
-    pub state: Box<dyn AnyState>,
+    pub version: Version,
 }
 
 /// Waiter is blocked and queued (its requester spinning, parked or
@@ -203,9 +208,9 @@ impl Waiter {
 pub(crate) struct ObjectInner {
     /// Uncommitted versions, shallowest owner first. Owners form an
     /// ancestor chain (the Lemma 21 invariant).
-    pub chain: Vec<ChainEntry>,
+    pub chain: Inline1<ChainEntry>,
     /// Read-lock holders.
-    pub readers: Vec<Arc<TxNode>>,
+    pub readers: Inline2<Arc<TxNode>>,
     /// Blocked requests in FIFO handoff order; every node in it is
     /// [`W_WAITING`] and counted in its top's wait-for record.
     pub queue: VecDeque<Arc<Waiter>>,
@@ -219,20 +224,8 @@ pub(crate) struct ObjectInner {
     /// releaser installed the version and woke the writer, which has not
     /// reached its closure yet. While set, nothing else is grantable, so no
     /// deeper version can land on top and swallow the woken writer's
-    /// update.
-    pub write_pending: Option<u64>,
-    /// When the current tenure (continuous span of the object being held by
-    /// anyone) began. Set when locks are installed on a free object,
-    /// cleared — and folded into [`ObjectSlot::hold_ewma_ns`] — by the
-    /// release scan that observes the object free again. A coarse hint for
-    /// the blocking driver's adaptive spin, nothing more.
-    #[cfg_attr(loom, allow(dead_code))]
-    pub tenure_start: Option<Instant>,
-    /// Whether [`ObjectSlot::hold_ewma_ns`] has at least one sample.
-    /// Mirrored here (under the slot mutex) so the uncontended grant path
-    /// can skip the tenure clock read without a slab lookup.
-    #[cfg_attr(loom, allow(dead_code))]
-    pub hint_warm: bool,
+    /// update. (Transaction ids start at 1.)
+    pub write_pending: Option<NonZeroU64>,
 }
 
 impl ObjectInner {
@@ -245,7 +238,7 @@ impl ObjectInner {
     /// the head of `snap`, this object's snapshot chain.
     pub fn current<'a>(&'a self, snap: &'a SnapshotCell) -> &'a dyn AnyState {
         match self.chain.last() {
-            Some(e) => e.state.as_ref(),
+            Some(e) => e.version.state(),
             None => snap.head(self),
         }
     }
@@ -273,7 +266,7 @@ impl ObjectInner {
         self.chain
             .iter()
             .map(|e| &e.owner)
-            .chain(&self.readers)
+            .chain(self.readers.iter())
             .find(|h| h.top_level_id() == top)
             .expect("an edge target holds a lock")
             .top()
@@ -307,7 +300,11 @@ impl ObjectInner {
     /// and is counted in that top's record while it is queued, so without
     /// such a top no queued waiter can bypass the head.
     pub fn a_holder_top_waits(&self) -> bool {
-        let mut holders = self.chain.iter().map(|e| &e.owner).chain(&self.readers);
+        let mut holders = self
+            .chain
+            .iter()
+            .map(|e| &e.owner)
+            .chain(self.readers.iter());
         holders.any(|h| h.top().wait.has_waiters())
     }
 
@@ -320,7 +317,7 @@ impl ObjectInner {
             if self.readers[i].state() == TxState::Committed {
                 let h = self.readers[i].holder().clone();
                 if self.readers[..i].iter().any(|r| r.id == h.id) {
-                    self.readers.swap_remove(i);
+                    self.readers.remove(i);
                     continue;
                 }
                 self.readers[i] = h;
@@ -340,7 +337,7 @@ impl ObjectInner {
     /// stranger's.
     pub fn ancestral(&self, tx: &TxNode) -> Option<&dyn AnyState> {
         let i = self.chain.iter().rposition(|e| e.owner.holds_for(tx))?;
-        Some(self.chain[i].state.as_ref())
+        Some(self.chain[i].version.state())
     }
 
     /// The state a granted *read* by `tx` observes: [`Self::ancestral`],
@@ -358,94 +355,102 @@ impl ObjectInner {
         &mut self,
         owner: &Arc<TxNode>,
         snap: &SnapshotCell,
-    ) -> &mut Box<dyn AnyState> {
+        dead: &mut Detached,
+    ) -> &mut dyn AnyState {
         match self.chain.iter().position(|e| e.owner.id == owner.id) {
-            Some(i) => &mut self.chain[i].state,
-            None => self.writable_state(owner, snap),
+            Some(i) => self.chain[i].version.state_mut(),
+            None => self.writable_state(owner, snap, dead),
         }
     }
 
     /// Whether `owner` owns the top of the chain once committed owners'
     /// entries are adopted by their holders: then a write by `owner`
     /// updates that version in place; otherwise it stacks a new one.
-    pub fn owns_top(&mut self, owner: &TxNode) -> bool {
+    pub fn owns_top(&mut self, owner: &TxNode, dead: &mut Detached) -> bool {
         let owns = |c: &[ChainEntry]| matches!(c.last(), Some(e) if e.owner.id == owner.id);
         owns(&self.chain) || {
-            self.adopt();
+            self.adopt(dead);
             owns(&self.chain)
         }
     }
 
     /// Hand every committed owner's version to its holder, the deepest of
-    /// a holder's versions replacing the shallower: the chain's owners are
-    /// then distinct and uncommitted (a committing top's aside).
-    pub fn adopt(&mut self) {
-        for e in &mut self.chain {
+    /// a holder's versions replacing the shallower, which goes to `dead`:
+    /// the chain's owners are then distinct and uncommitted (a committing
+    /// top's aside).
+    pub fn adopt(&mut self, dead: &mut Detached) {
+        for e in self.chain.iter_mut() {
             if e.owner.state() == TxState::Committed {
                 e.owner = e.owner.holder().clone();
             }
         }
-        self.chain.dedup_by(|deeper, kept| {
-            let same = deeper.owner.id == kept.owner.id;
-            if same {
-                std::mem::swap(&mut deeper.state, &mut kept.state);
+        let mut i = 1;
+        while i < self.chain.len() {
+            if self.chain[i].owner.id == self.chain[i - 1].owner.id {
+                dead.push(self.chain.remove(i - 1).version);
+            } else {
+                i += 1;
             }
-            same
-        });
+        }
     }
 
     /// Ensure the top of the chain is a version owned by `owner`, cloning
-    /// the current state if needed, and return a mutable handle to it.
+    /// the current state into a new version if needed, and return its
+    /// state.
     pub fn writable_state(
         &mut self,
         owner: &Arc<TxNode>,
         snap: &SnapshotCell,
-    ) -> &mut Box<dyn AnyState> {
-        if !self.owns_top(owner) {
-            let snapshot = self.current(snap).clone_box();
+        dead: &mut Detached,
+    ) -> &mut dyn AnyState {
+        if !self.owns_top(owner, dead) {
+            let version = self.current(snap).clone_version();
             debug_assert!(
                 self.chain.iter().all(|e| e.owner.holds_for(owner)),
                 "write version pushed while non-ancestors hold locks"
             );
             self.chain.push(ChainEntry {
                 owner: owner.clone(),
-                state: snapshot,
+                version,
             });
         }
-        &mut self.chain.last_mut().expect("just ensured").state
+        let top = self.chain.last_mut().expect("just ensured");
+        top.version.state_mut()
     }
 
     /// A top-level commit's one pass over this object: take the deepest
     /// version its tree wrote, for the caller to publish as the committed
     /// state, and release every lock the tree holds — the top's and those
-    /// of its committed descendants alike. Returns the version and whether
-    /// anything was released.
-    pub fn release_top(&mut self, top: &TxNode) -> (Option<Box<dyn AnyState>>, bool) {
+    /// of its committed descendants alike, their versions going to `dead`.
+    /// Returns the version and whether anything was released.
+    pub fn release_top(&mut self, top: &TxNode, dead: &mut Detached) -> (Option<Version>, bool) {
         let published = match self.chain.last() {
-            Some(e) if top.is_ancestor_of(&e.owner) => self.chain.pop().map(|e| e.state),
+            Some(e) if top.is_ancestor_of(&e.owner) => self.chain.pop().map(|e| e.version),
             _ => None,
         };
-        let (versions, readers) = self.discard_subtree(top);
+        let (versions, readers) = self.discard_subtree(top, dead);
         let released = published.is_some() || versions + readers > 0;
         (published, released)
     }
 
-    /// Abort-time discard: drop every version and read lock held by `tx` or
-    /// any of its descendants. The surviving deepest version (or the
-    /// committed state) *is* the restored state — no undo log needed.
-    /// Returns `(versions_dropped, readers_dropped)` for rollback tracing.
-    pub fn discard_subtree(&mut self, tx: &TxNode) -> (usize, usize) {
+    /// Abort-time discard: release every version and read lock held by
+    /// `tx` or any of its descendants, the versions into `dead`. The
+    /// surviving deepest version (or the committed state) *is* the
+    /// restored state — no undo log needed. Returns
+    /// `(versions_dropped, readers_dropped)` for rollback tracing.
+    pub fn discard_subtree(&mut self, tx: &TxNode, dead: &mut Detached) -> (usize, usize) {
         let (nv, nr) = (self.chain.len(), self.readers.len());
         if nv + nr == 0 && self.write_pending.is_none() {
             return (0, 0);
         }
-        self.chain.retain(|e| !tx.is_ancestor_of(&e.owner));
+        self.chain
+            .retain_or(|e| !tx.is_ancestor_of(&e.owner), |e| dead.push(e.version));
         self.readers.retain(|r| !tx.is_ancestor_of(r));
         // If the discard swallowed an unapplied write handoff's version,
         // lift the latch — the doomed writer will never apply, and leaving
         // it set would wedge the object.
         if let Some(pid) = self.write_pending {
-            if !self.chain.iter().any(|e| e.owner.id == pid) {
+            if !self.chain.iter().any(|e| e.owner.id == pid.get()) {
                 self.write_pending = None;
             }
         }
@@ -455,19 +460,13 @@ impl ObjectInner {
 
 /// One object: its lock table plus the waiter handoff queue, and the
 /// multi-version snapshot chain (outside the mutex — readers never lock).
+/// Its name lives in the manager's name table, not here.
 pub(crate) struct ObjectSlot {
-    pub name: String,
     pub inner: Mutex<ObjectInner>,
     /// Committed-version chain for lock-free snapshot reads; its head is the
     /// committed state. Mutated only under `inner`'s mutex (publish on
     /// top-commit, GC), read lock-free.
     pub snap: SnapshotCell,
-    /// EWMA of recent hold-tenure lengths in nanoseconds (0 = no sample
-    /// yet). Written by release scans, read lock-free by the blocking
-    /// driver's adaptive spin (`future.rs`). Purely a latency hint: a torn
-    /// or stale value can only make a waiter spin a little more or less.
-    #[cfg_attr(loom, allow(dead_code))]
-    hold_ewma_ns: AtomicU64,
     /// Set (under the slot mutex) when a waiter is queued here, cleared
     /// (under the slot mutex) by the sweeper pass that finds the queue
     /// empty. The sweeper reads it lock-free to visit only slots that may
@@ -476,72 +475,58 @@ pub(crate) struct ObjectSlot {
     /// WAL encode/decode pair for durable objects
     /// ([`crate::TxManager::register_durable`]); `None` means the object is
     /// memory-only and the WAL skips it entirely.
-    pub codec: Option<crate::wal::WalCodec>,
+    pub codec: Option<&'static crate::wal::WalCodec>,
 }
 
 impl ObjectSlot {
-    pub fn new(name: String, initial: Box<dyn AnyState>) -> ObjectSlot {
-        Self::build(name, initial, None)
-    }
-
-    /// Like [`ObjectSlot::new`], but the object's committed state rides the
-    /// write-ahead log with the given codec.
-    pub fn with_codec(
-        name: String,
-        initial: Box<dyn AnyState>,
-        codec: crate::wal::WalCodec,
-    ) -> ObjectSlot {
-        Self::build(name, initial, Some(codec))
-    }
-
-    fn build(
-        name: String,
-        initial: Box<dyn AnyState>,
-        codec: Option<crate::wal::WalCodec>,
-    ) -> ObjectSlot {
+    /// An object whose committed state is `initial`; durable when it has a
+    /// `codec`, its committed state then riding the write-ahead log.
+    pub fn new(initial: Version, codec: Option<&'static crate::wal::WalCodec>) -> ObjectSlot {
         ObjectSlot {
-            name,
             inner: Mutex::new(ObjectInner {
-                chain: Vec::new(),
-                readers: Vec::new(),
+                chain: Inline1::new(),
+                readers: Inline2::Zero,
                 queue: VecDeque::new(),
                 head_edges: TopSet::new(),
                 write_pending: None,
-                tenure_start: None,
-                hint_warm: false,
             }),
             snap: SnapshotCell::new(initial),
-            hold_ewma_ns: AtomicU64::new(0),
             sweep_hint: AtomicBool::new(false),
             codec,
         }
     }
+}
 
-    /// Fold one observed hold tenure into the EWMA (α = 1/4; the first
-    /// sample seeds the average directly).
-    #[cfg_attr(loom, allow(dead_code))]
-    pub fn note_hold_ns(&self, ns: u64) {
-        // relaxed(hold-ewma): single-writer-at-a-time performance hint (the
-        // folding thread holds the slot mutex); readers tolerate any stale
-        // value, so no ordering is needed — atomicity only.
-        let prev = self.hold_ewma_ns.load(Ordering::Relaxed);
-        let next = if prev == 0 {
-            ns.max(1)
-        } else {
-            (prev - prev / 4 + ns / 4).max(1)
-        };
-        // relaxed(hold-ewma): see above — hint store, no ordering role.
-        self.hold_ewma_ns.store(next, Ordering::Relaxed);
+/// Every object's name, by slab index, in one buffer: a name costs its
+/// bytes and one offset, and no slot carries a `String`.
+#[derive(Default)]
+pub(crate) struct Names {
+    text: String,
+    /// `ends[i]` is where name `i` ends in `text`.
+    ends: Vec<u32>,
+}
+
+impl Names {
+    /// Record `name` for object `idx`, the next one registered. Objects
+    /// pushed to the store without a name (the unit tests' and models')
+    /// get an empty one.
+    pub fn set(&mut self, idx: usize, name: &str) {
+        debug_assert!(idx >= self.ends.len(), "a name is set once");
+        while self.ends.len() <= idx {
+            let name = if self.ends.len() == idx { name } else { "" };
+            self.text.push_str(name);
+            let end = u32::try_from(self.text.len()).expect("object names fit in 4 GiB");
+            self.ends.push(end);
+        }
     }
 
-    /// Current hold-time hint in nanoseconds (0 = no sample yet). Read
-    /// lock-free from the wait path.
-    #[inline]
-    #[cfg_attr(loom, allow(dead_code))]
-    pub fn hold_hint_ns(&self) -> u64 {
-        // relaxed(hold-ewma): lock-free read of a spin-duration hint; any
-        // stale value is acceptable.
-        self.hold_ewma_ns.load(Ordering::Relaxed)
+    /// Object `idx`'s name, empty if it has none.
+    pub fn get(&self, idx: usize) -> &str {
+        let Some(&end) = self.ends.get(idx) else {
+            return "";
+        };
+        let start = idx.checked_sub(1).map_or(0, |i| self.ends[i]);
+        &self.text[start as usize..end as usize]
     }
 }
 
@@ -559,7 +544,7 @@ mod tests {
 
     /// An object whose committed state is `0i64`.
     fn slot() -> ObjectSlot {
-        ObjectSlot::new("x".into(), Box::new(0i64))
+        ObjectSlot::new(Version::new(0i64), None)
     }
 
     /// A waiter for `tx` with a deadline far in the future and a waker
@@ -579,7 +564,7 @@ mod tests {
         let (p, ..) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        *o.writable_state(&p, &s.snap)
+        *o.writable_state(&p, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 42;
@@ -597,11 +582,11 @@ mod tests {
         let (p, ..) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        *o.writable_state(&p, &s.snap)
+        *o.writable_state(&p, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 1;
-        *o.writable_state(&p, &s.snap)
+        *o.writable_state(&p, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 2;
@@ -614,7 +599,7 @@ mod tests {
         let (p, c, g, q) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        let _ = o.writable_state(&c, &s.snap);
+        let _ = o.writable_state(&c, &s.snap, &mut Detached::default());
         // Descendant of the holder: fine. Ancestor of the holder: blocked
         // (the holder is not an ancestor of the requester).
         assert!(o.grantable(&g, true));
@@ -634,8 +619,8 @@ mod tests {
         let (p, c, g, q) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        let _ = o.writable_state(&c, &s.snap);
-        o.write_pending = Some(c.id);
+        let _ = o.writable_state(&c, &s.snap, &mut Detached::default());
+        o.write_pending = NonZeroU64::new(c.id);
         assert!(!o.grantable(&g, true), "even descendants wait for apply");
         assert!(!o.grantable(&q, false));
         o.write_pending = None;
@@ -648,15 +633,15 @@ mod tests {
         let (p, c, _, q) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        let _ = o.writable_state(&c, &s.snap);
-        o.write_pending = Some(c.id);
-        o.discard_subtree(&p);
+        let _ = o.writable_state(&c, &s.snap, &mut Detached::default());
+        o.write_pending = NonZeroU64::new(c.id);
+        let _ = o.discard_subtree(&p, &mut Detached::default());
         assert_eq!(o.write_pending, None, "doomed handoff must lift the latch");
         // A surviving pending entry keeps the latch.
-        let _ = o.writable_state(&q, &s.snap);
-        o.write_pending = Some(q.id);
-        o.discard_subtree(&p);
-        assert_eq!(o.write_pending, Some(q.id));
+        let _ = o.writable_state(&q, &s.snap, &mut Detached::default());
+        o.write_pending = NonZeroU64::new(q.id);
+        let _ = o.discard_subtree(&p, &mut Detached::default());
+        assert_eq!(o.write_pending, NonZeroU64::new(q.id));
     }
 
     #[test]
@@ -664,7 +649,7 @@ mod tests {
         let (p, c, g, q) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        let _ = o.writable_state(&c, &s.snap);
+        let _ = o.writable_state(&c, &s.snap, &mut Detached::default());
         let w = waiter(&q, true);
         o.queue.push_back(w);
         assert!(o.holder_is_ancestor(&g), "write holder c is an ancestor");
@@ -681,7 +666,7 @@ mod tests {
         let (p, c, _, q) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        *o.writable_state(&p, &s.snap)
+        *o.writable_state(&p, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 7;
@@ -689,7 +674,7 @@ mod tests {
         // happen while p holds, but read_target must not depend on that).
         o.chain.push(ChainEntry {
             owner: q.clone(),
-            state: Box::new(99i64),
+            version: Version::new(99i64),
         });
         assert_eq!(read_i64(o.read_target(&c, &s.snap)), 7);
         assert_eq!(read_i64(o.read_target(&q, &s.snap)), 99);
@@ -702,21 +687,21 @@ mod tests {
         let (p, c, ..) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        *o.writable_state(&p, &s.snap)
+        *o.writable_state(&p, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 1;
-        *o.writable_state(&c, &s.snap)
+        *o.writable_state(&c, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 2;
         // p's handed-off write must hit p's own entry, not push above c.
-        *o.write_target(&p, &s.snap)
+        *o.write_target(&p, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 5;
         assert_eq!(o.chain.len(), 2);
-        assert_eq!(read_i64(o.chain[0].state.as_ref()), 5);
+        assert_eq!(read_i64(o.chain[0].version.state()), 5);
         assert_eq!(read_i64(o.current(&s.snap)), 2);
     }
 
@@ -749,7 +734,7 @@ mod tests {
         let r = TxNode::top_level(9);
         let s = slot();
         let mut o = s.inner.lock();
-        let _ = o.writable_state(&c, &s.snap);
+        let _ = o.writable_state(&c, &s.snap, &mut Detached::default());
         o.add_reader(&p);
         o.add_reader(&r);
         // Holders are reported by top, each top once: c and p share top 1.
@@ -768,24 +753,24 @@ mod tests {
         let (p, c, g, _) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        *o.writable_state(&c, &s.snap)
+        *o.writable_state(&c, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 5;
-        *o.writable_state(&g, &s.snap)
+        *o.writable_state(&g, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 9;
         assert!(g.mark_committed());
         assert_eq!(o.chain.len(), 2, "a child's commit touches no table");
         // c's next write adopts g's version, merged with its own.
-        assert!(o.owns_top(&c));
+        assert!(o.owns_top(&c, &mut Detached::default()));
         assert_eq!(o.chain.len(), 1);
         assert_eq!(o.chain[0].owner.id, c.id);
         assert_eq!(read_i64(o.current(&s.snap)), 9);
         // c commits: p's write takes the version over in place.
         assert!(c.mark_committed());
-        *o.writable_state(&p, &s.snap)
+        *o.writable_state(&p, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() += 1;
@@ -793,7 +778,7 @@ mod tests {
         assert_eq!(o.chain[0].owner.id, p.id);
         // p's top-level commit: the version goes out for publication, and
         // the committed state is the head until the caller publishes it.
-        let (out, released) = o.release_top(&p);
+        let (out, released) = o.release_top(&p, &mut Detached::default());
         assert!(released && o.chain.is_empty());
         assert_eq!(read_i64(o.current(&s.snap)), 0);
         s.snap.publish(1, out.expect("published"));
@@ -807,23 +792,23 @@ mod tests {
         let (p, c, g, q) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        *o.writable_state(&p, &s.snap)
+        *o.writable_state(&p, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 1;
-        *o.writable_state(&c, &s.snap)
+        *o.writable_state(&c, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 2;
         o.add_reader(&g);
         assert!(g.mark_committed() && c.mark_committed() && p.mark_committed());
-        let (out, released) = o.release_top(&p);
+        let (out, released) = o.release_top(&p, &mut Detached::default());
         assert!(released && o.chain.is_empty() && o.readers.is_empty());
-        assert_eq!(read_i64(out.expect("published").as_ref()), 2);
+        assert_eq!(read_i64(out.expect("published").state()), 2);
         // A stranger's read lock stays; a tree holding nothing releases
         // nothing.
         o.add_reader(&q);
-        assert!(!o.release_top(&p).1);
+        assert!(!o.release_top(&p, &mut Detached::default()).1);
         assert_eq!(o.readers.len(), 1);
     }
 
@@ -851,7 +836,7 @@ mod tests {
         );
         // Top-level commit drops the read locks.
         assert!(sib.mark_committed() && p.mark_committed());
-        assert!(o.release_top(&p).1);
+        assert!(o.release_top(&p, &mut Detached::default()).1);
         assert!(o.readers.is_empty());
     }
 
@@ -864,7 +849,7 @@ mod tests {
         let (p, c, _, q) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        let _ = o.writable_state(&p, &s.snap);
+        let _ = o.writable_state(&p, &s.snap, &mut Detached::default());
         o.add_reader(&p);
         assert_eq!(o.readers.len(), 1, "granted beside the write lock");
         assert!(o.grantable(&c, true) && !o.grantable(&q, false));
@@ -876,7 +861,7 @@ mod tests {
         let (_, c, g, q) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        let _ = o.writable_state(&c, &s.snap);
+        let _ = o.writable_state(&c, &s.snap, &mut Detached::default());
         o.add_reader(&g);
         assert!(g.mark_committed());
         assert_eq!(o.readers.len(), 1);
@@ -894,26 +879,28 @@ mod tests {
         let (p, c, g, _) = nodes();
         let s = slot();
         let mut o = s.inner.lock();
-        *o.writable_state(&p, &s.snap)
+        *o.writable_state(&p, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 1;
-        *o.writable_state(&c, &s.snap)
+        *o.writable_state(&c, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 2;
-        *o.writable_state(&g, &s.snap)
+        *o.writable_state(&g, &s.snap, &mut Detached::default())
             .as_any_mut()
             .downcast_mut::<i64>()
             .unwrap() = 3;
-        assert_eq!(o.discard_subtree(&c), (2, 0));
+        let mut dead = Detached::default();
+        assert_eq!(o.discard_subtree(&c, &mut dead), (2, 0));
+        assert_eq!(dead.free(), 2, "the discarded versions are handed back");
         assert_eq!(
             read_i64(o.current(&s.snap)),
             1,
             "c and g versions discarded"
         );
         assert_eq!(o.chain.len(), 1);
-        assert_eq!(o.discard_subtree(&p), (1, 0));
+        assert_eq!(o.discard_subtree(&p, &mut Detached::default()), (1, 0));
         assert_eq!(
             read_i64(o.current(&s.snap)),
             0,
@@ -928,25 +915,10 @@ mod tests {
         let mut o = s.inner.lock();
         o.add_reader(&g);
         o.add_reader(&q);
-        o.discard_subtree(&c);
+        let _ = o.discard_subtree(&c, &mut Detached::default());
         assert_eq!(o.readers.len(), 1);
         assert_eq!(o.readers[0].id, q.id);
         let _ = p;
-    }
-
-    #[test]
-    fn hold_ewma_converges_and_seeds_from_first_sample() {
-        let slot = ObjectSlot::new("x".into(), Box::new(0i64));
-        assert_eq!(slot.hold_hint_ns(), 0, "no sample yet");
-        slot.note_hold_ns(1_000);
-        assert_eq!(slot.hold_hint_ns(), 1_000, "first sample seeds the EWMA");
-        for _ in 0..64 {
-            slot.note_hold_ns(9_000);
-        }
-        let hint = slot.hold_hint_ns();
-        assert!((8_000..=9_000).contains(&hint), "converges upward: {hint}");
-        slot.note_hold_ns(0);
-        assert!(slot.hold_hint_ns() >= 1, "a sample keeps the hint non-zero");
     }
 
     #[test]
@@ -991,5 +963,17 @@ mod tests {
         assert!(w2.cancel());
         assert!(!w2.cancel_timeout());
         assert_eq!(w2.state(), W_CANCELLED);
+    }
+
+    #[test]
+    fn names_are_kept_by_index_in_one_buffer() {
+        let mut names = Names::default();
+        names.set(0, "a");
+        names.set(2, "ccc");
+        names.set(3, "");
+        names.set(4, "é");
+        let got: Vec<&str> = (0..6).map(|i| names.get(i)).collect();
+        assert_eq!(got, ["a", "", "ccc", "", "é", ""]);
+        assert_eq!(names.text, "acccé");
     }
 }

@@ -177,13 +177,13 @@ impl TxManager {
             let Some(codec) = &slot.codec else {
                 return Err(TxError::Recovery(format!(
                     "log references object #{obj} ({:?}), which is not durable",
-                    slot.name
+                    inner.object_name(idx)
                 )));
             };
             let Some(state) = (codec.decode)(data) else {
                 return Err(TxError::Recovery(format!(
                     "corrupt state payload for object #{obj} ({:?}) at ts {ts}",
-                    slot.name
+                    inner.object_name(idx)
                 )));
             };
             let _guard = slot.inner.lock();

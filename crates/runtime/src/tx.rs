@@ -98,7 +98,7 @@ impl Tx {
         f: impl FnOnce(&T) -> R,
     ) -> Result<R, TxError> {
         self.check_usable()?;
-        Access::new(self.mgr(), &self.node, obj.idx, false, reading(f)).wait()
+        Access::new(&self.node, obj.idx, false, reading(f)).wait()
     }
 
     /// Read object `obj` without taking any lock and without ever waiting:
@@ -203,7 +203,7 @@ impl Tx {
 
     fn access_async<R>(&self, obj_idx: usize, write: bool, f: BoxedAccessFn<R>) -> AccessFuture<R> {
         let f = self.check_usable().map(|()| f);
-        AccessFuture::new(self.mgr().clone(), self.node.clone(), obj_idx, write, f)
+        AccessFuture::new(self.node.clone(), obj_idx, write, f)
     }
 
     /// Update object `obj` under a write lock. Blocks while a non-ancestor
@@ -214,7 +214,7 @@ impl Tx {
         f: impl FnOnce(&mut T) -> R,
     ) -> Result<R, TxError> {
         self.check_usable()?;
-        Access::new(self.mgr(), &self.node, obj.idx, true, writing(f)).wait()
+        Access::new(&self.node, obj.idx, true, writing(f)).wait()
     }
 
     /// Commit. Locks and versions are inherited by the parent; a top-level
@@ -238,9 +238,9 @@ impl Tx {
             self.node.leave_parent();
             return Err(TxError::Doomed);
         }
-        // A queued request keeps `waiting_on` set until its requester has
-        // taken the outcome; committing under it would let the grant wave
-        // hand a lock to a finished node.
+        // A queued request stays counted until its requester has taken the
+        // outcome; committing under one would let the grant wave hand a
+        // lock to a finished node.
         // A top folds its committed children in here, under the same book
         // lock that finds a live one.
         let top = self.node.parent.is_none();
@@ -249,7 +249,7 @@ impl Tx {
         } else {
             (!self.node.has_live_children()).then(ObjSet::new)
         };
-        let Some(touched) = touched.filter(|_| self.node.waiting_on().is_none()) else {
+        let Some(touched) = touched.filter(|_| !self.node.has_queued_requests()) else {
             self.finished.store(false, Ordering::SeqCst);
             return Err(TxError::LiveChildren);
         };

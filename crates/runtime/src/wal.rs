@@ -101,7 +101,7 @@ use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::object::AnyState;
+use crate::mvcc::Version;
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 
@@ -186,35 +186,33 @@ impl WalState for Vec<u8> {
     }
 }
 
-/// Type-erased state encoder: downcasts to the registered concrete type and
-/// appends its wire form.
-pub(crate) type EncodeFn = Box<dyn Fn(&dyn std::any::Any, &mut Vec<u8>) + Send + Sync>;
-/// Type-erased state decoder; `None` on corrupt input.
-pub(crate) type DecodeFn = Box<dyn Fn(&[u8]) -> Option<Box<dyn AnyState>> + Send + Sync>;
-
-/// Type-erased encode/decode pair stored on a durable `ObjectSlot`. Built
-/// once per `register_durable` call; the closures capture only the concrete
-/// type, so encode is a downcast plus the typed encoder.
+/// Type-erased encode/decode pair a durable `ObjectSlot` points at: one
+/// static per concrete type, so encode is a downcast plus the typed
+/// encoder, and registering a durable object allocates nothing for it.
 pub(crate) struct WalCodec {
     /// Encode a state value (must be the registered concrete type).
-    pub(crate) encode: EncodeFn,
-    /// Decode bytes back into a boxed state, `None` on corrupt input.
-    pub(crate) decode: DecodeFn,
+    pub(crate) encode: fn(&dyn std::any::Any, &mut Vec<u8>),
+    /// Decode bytes into a new version, `None` on corrupt input.
+    pub(crate) decode: fn(&[u8]) -> Option<Version>,
 }
 
 impl WalCodec {
     /// The codec for a concrete durable state type.
-    pub(crate) fn of<T: WalState>() -> WalCodec {
-        WalCodec {
-            encode: Box::new(|any, out| {
-                any.downcast_ref::<T>()
-                    .expect("durable object state type mismatch")
-                    .encode_wal(out);
-            }),
-            decode: Box::new(|bytes| {
-                T::decode_wal(bytes).map(|v| Box::new(v) as Box<dyn AnyState>)
-            }),
+    pub(crate) fn of<T: WalState>() -> &'static WalCodec {
+        trait Typed {
+            const CODEC: &'static WalCodec;
         }
+        impl<T: WalState> Typed for T {
+            const CODEC: &'static WalCodec = &WalCodec {
+                encode: |any, out| {
+                    any.downcast_ref::<T>()
+                        .expect("durable object state type mismatch")
+                        .encode_wal(out);
+                },
+                decode: |bytes| T::decode_wal(bytes).map(Version::new),
+            };
+        }
+        T::CODEC
     }
 }
 

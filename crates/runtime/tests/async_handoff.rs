@@ -436,6 +436,48 @@ fn commit_with_a_queued_access_reports_live_children() {
     assert_eq!(mgr.queued_waiters(), 0);
 }
 
+/// A transaction may have several requests queued at once, and a commit
+/// reports `LiveChildren` while any of them is: `write_async` on `x` and on
+/// `y`, each behind its own holder, and the `x` request resolving leaves
+/// the `y` one in flight. Committing then would let `y`'s holder hand the
+/// lock to a committed node, and `y` would stay locked for good.
+#[test]
+fn commit_with_a_second_queued_access_reports_live_children() {
+    let mgr = TxManager::new(RtConfig {
+        wait_timeout: Duration::from_secs(10),
+        ..Default::default()
+    });
+    let (x, y) = (mgr.register("x", 0i64), mgr.register("y", 0i64));
+    let (hx, hy) = (mgr.begin(), mgr.begin());
+    hx.write(&x, |v| *v = 1).unwrap();
+    hy.write(&y, |v| *v = 1).unwrap();
+    let t = mgr.begin();
+    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
+    let mut cx = Context::from_waker(&waker);
+    let mut fx = pin!(t.write_async(&x, |v| *v += 100));
+    let mut fy = pin!(t.write_async(&y, |v| *v += 100));
+    assert!(fx.as_mut().poll(&mut cx).is_pending());
+    assert!(fy.as_mut().poll(&mut cx).is_pending());
+    hx.commit().unwrap();
+    assert_eq!(fx.as_mut().poll(&mut cx), Poll::Ready(Ok(())));
+    assert_eq!(
+        t.commit(),
+        Err(TxError::LiveChildren),
+        "the y request is still queued"
+    );
+    hy.commit().unwrap();
+    assert_eq!(fy.as_mut().poll(&mut cx), Poll::Ready(Ok(())));
+    t.commit().unwrap();
+    assert_eq!(mgr.read_committed(&x, |v| *v), 101);
+    assert_eq!(mgr.read_committed(&y, |v| *v), 101);
+    // Nothing keeps y locked: a later writer is granted at once.
+    let later = mgr.begin();
+    later.write(&y, |v| *v += 1).unwrap();
+    later.commit().unwrap();
+    assert_eq!(mgr.read_committed(&y, |v| *v), 102);
+    assert_eq!(mgr.queued_waiters(), 0);
+}
+
 /// A future created but first polled after its transaction committed was
 /// never an access of that transaction: it must fail `AlreadyFinished`.
 /// Granting it would install a lock for a committed node — the write
