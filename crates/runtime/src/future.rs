@@ -14,6 +14,17 @@
 //! manager through its node's top, so it holds no reference to the
 //! manager of its own.
 //!
+//! The blocking driver's waker is its thread's [`Parker`], one atomic
+//! state (EMPTY / PARKED / NOTIFIED) beside a mutex and a condvar. A wake
+//! is one swap to NOTIFIED, and only a swap that finds PARKED takes the
+//! mutex and signals the condvar. The owner parks by storing EMPTY
+//! (arming), re-checking its node, then moving EMPTY → PARKED by a CAS
+//! under the mutex and sleeping until NOTIFIED. The condvar is signalled
+//! only for a sleeper because a signal is a futex system call whether or
+//! not anyone waits (the condvar keeps no waiter count), and most grants
+//! land while the waiter still spins: a handoff then costs the releaser
+//! the swap alone.
+//!
 //! Dropping an unresolved request withdraws its queue node (never counted
 //! as a timeout). If a grant raced the drop and won, the lock is already
 //! installed and stays held by the transaction — as if the access had run
@@ -32,6 +43,7 @@ use crate::error::TxError;
 use crate::manager::{Attempt, ManagerInner};
 use crate::node::TxNode;
 use crate::object::{StateRef, Waiter, W_GRANTED, W_WAITING};
+use crate::sync::atomic::{AtomicU8, Ordering};
 use crate::sync::{Arc, Condvar, Mutex};
 
 /// How long a blocked request spins on its queue node before parking. A
@@ -231,15 +243,24 @@ impl<N: Borrow<Arc<TxNode>>, F> Drop for Access<N, F> {
     }
 }
 
-/// A thread's wake target for the blocking driver: `waker` sets the flag
-/// and signals the condvar the thread parks on.
+/// A thread's wake target for the blocking driver: `waker` moves its
+/// parker's state to NOTIFIED, and signals the condvar only when it finds
+/// the owner asleep on it.
 pub(crate) struct Parker {
     pub(crate) waker: Waker,
     signal: Arc<Signal>,
 }
 
+/// The owner is neither asleep nor notified since it last armed.
+const EMPTY: u8 = 0;
+/// The owner sleeps, or is about to, on the condvar.
+const PARKED: u8 = 1;
+/// A wake arrived since the owner last armed.
+const NOTIFIED: u8 = 2;
+
 struct Signal {
-    woken: Mutex<bool>,
+    state: AtomicU8,
+    lock: Mutex<()>,
     cv: Condvar,
 }
 
@@ -248,16 +269,23 @@ impl Wake for Signal {
         self.wake_by_ref();
     }
 
+    /// One swap; the mutex and the condvar only for a sleeper. The owner
+    /// moved to PARKED under the mutex, so taking it here waits until the
+    /// owner sleeps on the condvar (or has seen NOTIFIED): the signal
+    /// cannot fall between its CAS and its wait.
     fn wake_by_ref(self: &Arc<Self>) {
-        *self.woken.lock() = true;
-        self.cv.notify_one();
+        if self.state.swap(NOTIFIED, Ordering::SeqCst) == PARKED {
+            drop(self.lock.lock());
+            self.cv.notify_one();
+        }
     }
 }
 
 impl Parker {
     pub(crate) fn new() -> Parker {
         let signal = Arc::new(Signal {
-            woken: Mutex::new(false),
+            state: AtomicU8::new(EMPTY),
+            lock: Mutex::new(()),
             cv: Condvar::new(),
         });
         Parker {
@@ -266,19 +294,27 @@ impl Parker {
         }
     }
 
-    /// Arm, check, park: clear the flag, then sleep until a wake sets it —
-    /// unless `resolved()` holds once armed. A wake that fires between the
-    /// arm and the check resolved the node first, so the check sees it;
-    /// one that fires later sets the flag. No wake is lost, and a stale one
-    /// from an earlier wait only ends a park early.
+    /// Arm, check, park: store EMPTY, then sleep until a wake stores
+    /// NOTIFIED — unless `resolved()` holds once armed. A wake that fires
+    /// between the arm and the check resolved the node first, so the check
+    /// sees it; one that fires later stores NOTIFIED, which either fails
+    /// the EMPTY → PARKED CAS or finds PARKED and signals. No wake is lost,
+    /// and a stale one from an earlier wait only ends a park early.
     pub(crate) fn park(&self, resolved: impl Fn() -> bool) {
-        *self.signal.woken.lock() = false;
+        let s = &*self.signal;
+        s.state.store(EMPTY, Ordering::SeqCst);
         if resolved() {
             return;
         }
-        let mut woken = self.signal.woken.lock();
-        while !*woken {
-            self.signal.cv.wait(&mut woken);
+        let mut guard = s.lock.lock();
+        if s.state
+            .compare_exchange(EMPTY, PARKED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            return;
+        }
+        while s.state.load(Ordering::SeqCst) != NOTIFIED {
+            s.cv.wait(&mut guard);
         }
     }
 }
@@ -327,5 +363,42 @@ impl<R> Future for AccessFuture<R> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         self.get_mut().access.poll_with(cx.waker())
+    }
+}
+
+/// The parker's share of the lock-count gate (`--cfg ntx_count`; run with
+/// `cargo test -p ntx-runtime --lib count_`): a wake takes a mutex only to
+/// signal a sleeper.
+#[cfg(all(test, ntx_count, not(loom)))]
+mod tests {
+    use super::*;
+    use crate::sync::count;
+
+    fn total() -> u64 {
+        count::take().values().sum()
+    }
+
+    #[test]
+    fn count_waking_an_unparked_owner_takes_no_mutex() {
+        let parker = Parker::new();
+        count::take();
+        parker.waker.wake_by_ref();
+        parker.waker.wake_by_ref();
+        assert_eq!(total(), 0, "a wake with nobody asleep locked");
+    }
+
+    #[test]
+    fn count_waking_a_parked_owner_takes_one_mutex() {
+        let parker = Parker::new();
+        std::thread::scope(|s| {
+            let owner = s.spawn(|| parker.park(|| false));
+            while parker.signal.state.load(Ordering::SeqCst) != PARKED {
+                std::thread::yield_now();
+            }
+            count::take();
+            parker.waker.wake_by_ref();
+            assert_eq!(total(), 1, "a wake of a sleeper");
+            owner.join().expect("the owner returns once woken");
+        });
     }
 }

@@ -31,7 +31,7 @@ use crate::object::{
 };
 use crate::slab::Slab;
 use crate::stats::{Ctr, Stats};
-use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use crate::sync::Arc;
 use crate::trace::{RtEvent, TraceRecorder};
 
@@ -821,6 +821,39 @@ fn loom_blocking_driver_vs_grant_and_sweep() {
         drop(g);
         // Release what the requester holds: its node holds the manager.
         mgr.abort_subtree(&waiter_tx);
+    });
+}
+
+/// **Parker: a wake against every step of a park**: the blocking
+/// driver's loop (park until the node resolves) on the real [`Parker`],
+/// while a resolver resolves the node and wakes the parker, and a stale
+/// token — the wake of an earlier wait, arriving late — wakes it too. Each
+/// wake is one swap that may land before the arm, between the arm and the
+/// re-check, between the re-check and the EMPTY → PARKED CAS, or after
+/// the owner sleeps. The driver returns once the node has resolved, parks
+/// at most twice (the stale token can end one park early, never more),
+/// and never sleeps past a wake: a lost wake leaves it parked with both
+/// wakers finished, a deadlock the checker reports.
+#[test]
+fn loom_parker_never_loses_a_wake() {
+    loom::model(|| {
+        let parker = Parker::new();
+        let resolved = Arc::new(AtomicBool::new(false));
+        let stale = parker.waker.clone();
+        let stale = loom::thread::spawn(move || stale.wake());
+        let (r2, waker) = (resolved.clone(), parker.waker.clone());
+        let resolver = loom::thread::spawn(move || {
+            r2.store(true, Ordering::SeqCst);
+            waker.wake();
+        });
+        let mut parks = 0;
+        while !resolved.load(Ordering::SeqCst) {
+            parks += 1;
+            parker.park(|| resolved.load(Ordering::SeqCst));
+        }
+        assert!(parks <= 2, "the driver parked {parks} times");
+        stale.join().unwrap();
+        resolver.join().unwrap();
     });
 }
 

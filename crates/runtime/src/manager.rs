@@ -861,7 +861,6 @@ impl ManagerInner {
         w: &Arc<Waiter>,
         dead: &mut Detached,
     ) -> bool {
-        w.node.touch(obj_idx);
         if w.write {
             let installs = !inner.owns_top(&w.node, dead);
             let _ = inner.writable_state(&w.node, &self.slot(obj_idx).snap, dead);

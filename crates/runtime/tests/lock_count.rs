@@ -19,6 +19,11 @@
 //! waiters it resolves, not for the depth of the queue: behind a holder
 //! and sixteen queued writers, the holder's commit, the granted writer's
 //! apply and a seventeenth request's enqueue each inspect at most two.
+//!
+//! A grant takes no lock of the waiter's node: the request recorded its
+//! object in its node's book when it enqueued, under the same slot mutex,
+//! so a holder's commit that grants one queued writer takes one book, the
+//! holder's own.
 
 #![cfg(ntx_count)]
 
@@ -132,4 +137,30 @@ fn a_release_scan_inspects_only_the_waiters_it_resolves() {
     }
     assert_eq!(mgr.queued_waiters(), 0);
     assert_eq!(mgr.read_committed(&x, |v| *v), 1);
+}
+
+#[test]
+fn a_grant_takes_no_lock_of_the_waiters_node() {
+    let mgr = TxManager::new(RtConfig {
+        wait_timeout: Duration::from_secs(60),
+        ..Default::default()
+    });
+    let x = mgr.register("x", 0i64);
+    let holder = mgr.begin();
+    holder.write(&x, |v| *v += 1).unwrap();
+    let waiter = mgr.begin();
+    let mut fut = Box::pin(waiter.write_async(&x, |v| *v += 1));
+    assert!(queued(&mut fut));
+
+    lock_count::take();
+    holder.commit().unwrap();
+    let counts = lock_count::take();
+    eprintln!("holder commit granting one writer: {counts:?}");
+    assert_eq!(of(&counts, "Book"), 1, "node books: {counts:?}");
+
+    let mut cx = Context::from_waker(Waker::noop());
+    assert_eq!(fut.as_mut().poll(&mut cx), Poll::Ready(Ok(())));
+    drop(fut);
+    waiter.commit().unwrap();
+    assert_eq!(mgr.read_committed(&x, |v| *v), 2);
 }
